@@ -222,7 +222,9 @@ def test_criterion_06_bandwidth_trend_and_certification(pipeline):
     assert elapsed < 300.0
 
 
-def test_criterion_07_tracking_error_reduction(pipeline):
+@pytest.fixture(scope="module")
+def scan_runs(pipeline):
+    """The README scan simulated on both designs over 2 s, timed once."""
     motion = benchmark_motion()
     config = SimConfig(duration_s=2.0)
     t0 = time.perf_counter()
@@ -230,15 +232,35 @@ def test_criterion_07_tracking_error_reduction(pipeline):
                        certification=pipeline["report_lti"])
     run_lpv = simulate(pipeline["model"], pipeline["lpv"], motion, config,
                        certification=pipeline["report_lpv"])
-    elapsed = time.perf_counter() - t0
-    table = compare_runs(run_lti, run_lpv)
-    red = table["controllers"][1]["reduction_pct"]
+    return {
+        "table": compare_runs(run_lti, run_lpv),
+        "elapsed_s": time.perf_counter() - t0,
+    }
+
+
+def test_criterion_07_tracking_error_reduction(scan_runs):
+    red = scan_runs["table"]["controllers"][1]["reduction_pct"]
+    elapsed = scan_runs["elapsed_s"]
     ok = red["ma"] >= 50.0 and red["msd"] >= 0.0 and elapsed < 120.0
     _report(7, ok, f"MA reduction {red['ma']:.1f}%, MSD reduction "
                    f"{red['msd']:.1f}%, 2x2 s at 10 kHz in {elapsed:.1f} s")
     assert red["ma"] >= 50.0
     assert red["msd"] >= 0.0
     assert elapsed < 120.0
+
+
+def test_headline_results_are_pinned(pipeline, scan_runs):
+    """The README's bandwidths and MA/MSD table, not just their trends."""
+    assert pipeline["lti"].achieved_bandwidth_hz == pytest.approx(69.57,
+                                                                  abs=0.01)
+    assert pipeline["lpv"].achieved_bandwidth_hz == pytest.approx(110.76,
+                                                                  abs=0.01)
+    assert pipeline["report_lti"].passed
+    assert pipeline["report_lpv"].passed
+    lti, lpv = scan_runs["table"]["controllers"]
+    got = [lti["ma_m"], lti["msd_m"], lpv["ma_m"], lpv["msd_m"]]
+    readme = [5.545950e-09, 1.577637e-09, 3.410854e-10, 7.166838e-10]
+    assert got == pytest.approx(readme, rel=1e-6)
 
 
 def test_criterion_08_simulator_order_and_frozen_equivalence(pipeline):
