@@ -60,7 +60,7 @@ from .filters import (
     cascade_frf,
     cascade_from_dict,
     cascade_to_dict,
-    evaluate_lpv_notch,
+    freeze_notches,
     realize,
 )
 from .freqresp import (
@@ -151,8 +151,16 @@ class DesignSpec:
     freq_grid: FrequencyGrid | None = None
 
     def __post_init__(self):
+        for name in ("target_bandwidth_hz", "sensitivity_bound_db", "alpha",
+                     "min_bandwidth_hz"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.target_bandwidth_hz <= 0.0:
             raise ConfigError("target bandwidth must be positive")
+        if self.sensitivity_bound_db <= 0.0:
+            raise ConfigError("sensitivity bound must be positive")
+        if self.bisection_iterations < 0:
+            raise ConfigError("bisection iterations must be >= 0")
         if self.min_bandwidth_hz <= 0.0 \
                 or self.min_bandwidth_hz > self.target_bandwidth_hz:
             raise ConfigError("minimum bandwidth must lie in (0, target]")
@@ -855,8 +863,10 @@ def freeze_controller_set(controllers: ControllerSet, p) -> ControllerSet:
     loops = []
     for cascade in controllers.loops:
         elements = list(cascade.fixed_part)
-        elements.extend(evaluate_lpv_notch(spec, p)
-                        for spec in cascade.scheduled_part)
+        # freeze_notches returns (f1, f2, beta1, beta2), Notch's field order.
+        for spec in cascade.scheduled_part:
+            elements.append(
+                Notch(*(float(c[0]) for c in freeze_notches(spec, p[None]))))
         loops.append(Cascade(tuple(elements), n_fixed=len(elements)))
     return ControllerSet(
         loops=tuple(loops), t_u=controllers.t_u.copy(),

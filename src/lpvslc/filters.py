@@ -44,8 +44,7 @@ __all__ = [
     "notch_transfer",
     "element_transfer",
     "cascade_frf",
-    "evaluate_lpv_notch",
-    "step_lpv_filter",
+    "freeze_notches",
     "n_states",
     "filter_to_dict",
     "filter_from_dict",
@@ -173,38 +172,45 @@ class Cascade:
         return self.elements[self.n_fixed:]
 
 
-def evaluate_lpv_notch(spec: LpvNotch, p, f_max=None) -> Notch:
-    """Freeze a scheduled notch at one position.
+def freeze_notches(spec: LpvNotch, points, f_max=None):
+    """Freeze a scheduled notch at every row of an (n, 2) array of points.
 
-    Frequency surfaces are clamped into [MIN_NOTCH_FREQ_HZ, f_max] (upper
-    end only when f_max is given, normally just below the simulation
-    Nyquist rate); clamping is logged, never silent.  A pole damping
-    surface that comes out nonpositive has no safe substitute and raises.
-    A zero damping surface that dips slightly below zero between fit
-    points is clamped to 0 (a full-depth notch) with a warning.
+    Returns the coefficient arrays (f1, f2, beta1, beta2), one entry per
+    point.  Frequency surfaces are clamped into [MIN_NOTCH_FREQ_HZ, f_max]
+    (upper end only when f_max is given, normally just below the simulation
+    Nyquist rate).  A zero damping surface that dips slightly below zero
+    between fit points is clamped to 0 (a full-depth notch).  Clamping is
+    logged, never silent: one warning per clamped coefficient, with the
+    number of points it was clamped at.  A pole damping surface that comes
+    out nonpositive has no safe substitute and raises.
     """
-    beta1 = eval_surface(spec.beta1, p)
-    beta2 = eval_surface(spec.beta2, p)
-    f1 = eval_surface(spec.f1, p)
-    f2 = eval_surface(spec.f2, p)
-    if beta2 <= 0.0:
-        raise ModelError(
-            f"scheduled notch pole damping {beta2:.3g} <= 0 at p = {tuple(p)}")
-    if beta1 < 0.0:
-        log.warning("scheduled notch zero damping %.3g clamped to 0 at p = %s",
-                    beta1, tuple(p))
-        beta1 = 0.0
+    pts = np.asarray(points, dtype=float)
+    beta2 = eval_surface(spec.beta2, pts)
+    if np.any(beta2 <= 0.0):
+        k = int(np.argmin(beta2))
+        raise ModelError(f"scheduled notch pole damping {beta2[k]:.3g} <= 0 "
+                         f"at p = {tuple(pts[k].tolist())}")
     hi = np.inf if f_max is None else float(f_max)
-    for name, f in (("f1", f1), ("f2", f2)):
-        clamped = min(max(f, MIN_NOTCH_FREQ_HZ), hi)
-        if clamped != f:
-            log.warning("scheduled notch %s = %.6g Hz clamped to %.6g Hz at p = %s",
-                        name, f, clamped, tuple(p))
-        if name == "f1":
-            f1 = clamped
-        else:
-            f2 = clamped
-    return Notch(f1=f1, f2=f2, beta1=beta1, beta2=beta2)
+    frozen = {}
+    for name, lo, up in (("f1", MIN_NOTCH_FREQ_HZ, hi),
+                         ("f2", MIN_NOTCH_FREQ_HZ, hi), ("beta1", 0.0, np.inf)):
+        value = eval_surface(getattr(spec, name), pts)
+        n_bad = int(np.count_nonzero((value < lo) | (value > up)))
+        if n_bad:
+            log.warning("scheduled notch %s clamped into [%g, %g] at %d of %d "
+                        "points", name, lo, up, n_bad, value.size)
+            value = np.clip(value, lo, up)
+        frozen[name] = value
+    return frozen["f1"], frozen["f2"], frozen["beta1"], beta2
+
+
+def _frozen_coefficients(spec: LpvNotch, p, f_max=None):
+    """Notch coefficients at one point (scalars) or an (n, 2) array."""
+    if p is None:
+        raise ModelError("scheduled notch needs a position to freeze at")
+    pts = np.asarray(p, dtype=float)
+    coeffs = freeze_notches(spec, np.atleast_2d(pts), f_max)
+    return coeffs if pts.ndim == 2 else tuple(float(c[0]) for c in coeffs)
 
 
 def _empty_ss() -> FrozenStateSpace:
@@ -214,25 +220,32 @@ def _empty_ss() -> FrozenStateSpace:
 
 
 def _notch_matrices(f1, f2, beta1, beta2):
+    """Notch realization; coefficient arrays give matrices stacked on axis 0."""
     w1 = 2.0 * np.pi * f1
     w2 = 2.0 * np.pi * f2
-    a = np.array([[-2.0 * beta2 * w2, -w2 ** 2], [1.0, 0.0]])
-    b = np.array([[w2 ** 2], [0.0]])
-    c = np.array([[2.0 * (beta1 * w1 - beta2 * w2) / w1 ** 2,
-                   1.0 - w2 ** 2 / w1 ** 2]])
-    d = np.array([[w2 ** 2 / w1 ** 2]])
+    zero = np.zeros_like(w2)
+    a = np.stack([np.stack([-2.0 * beta2 * w2, -w2 ** 2], axis=-1),
+                  np.stack([np.ones_like(w2), zero], axis=-1)], axis=-2)
+    b = np.stack([w2 ** 2, zero], axis=-1)[..., None]
+    c = np.stack([2.0 * (beta1 * w1 - beta2 * w2) / w1 ** 2,
+                  1.0 - w2 ** 2 / w1 ** 2], axis=-1)[..., None, :]
+    d = np.asarray(w2 ** 2 / w1 ** 2)[..., None, None]
     return a, b, c, d
 
 
-def realize(spec, p=None) -> FrozenStateSpace:
+def realize(spec, p=None, f_max=None) -> FrozenStateSpace:
     """Exact continuous-time realization of a block or cascade.
 
-    Scheduled blocks need the position p; fixed blocks ignore it.
+    Scheduled blocks need the position p; fixed blocks ignore it.  Given
+    an (n, 2) array of positions, a scheduled block (and a cascade holding
+    one) realizes to matrices stacked along a leading axis of length n,
+    one frozen realization per position.  f_max caps the scheduled notch
+    frequencies as in freeze_notches.
     """
     if isinstance(spec, Cascade):
         ss = _empty_ss()
         for element in spec.elements:
-            ss = series(ss, realize(element, p))
+            ss = series(ss, realize(element, p, f_max))
         return ss
     if isinstance(spec, Gain):
         return FrozenStateSpace(
@@ -249,26 +262,36 @@ def realize(spec, p=None) -> FrozenStateSpace:
             c=np.array([[1.0 - spec.alpha ** 2]]),
             d=np.array([[spec.alpha ** 2]]))
     if isinstance(spec, Notch):
-        a, b, c, d = _notch_matrices(spec.f1, spec.f2, spec.beta1, spec.beta2)
-        return FrozenStateSpace(a=a, b=b, c=c, d=d)
+        return FrozenStateSpace(*_notch_matrices(spec.f1, spec.f2, spec.beta1,
+                                                 spec.beta2))
     if isinstance(spec, LpvNotch):
-        if p is None:
-            raise ModelError("scheduled notch needs a position to freeze at")
-        return realize(evaluate_lpv_notch(spec, p))
+        return FrozenStateSpace(
+            *_notch_matrices(*_frozen_coefficients(spec, p, f_max)))
     raise ModelError(f"unknown filter block {type(spec).__name__}")
 
 
+def _broadcast_batch(x, batch):
+    return np.broadcast_to(x, batch + x.shape[-2:])
+
+
 def series(first: FrozenStateSpace, second: FrozenStateSpace) -> FrozenStateSpace:
-    """Series interconnection: the output of `first` drives `second`."""
-    if first.d.shape[0] != second.d.shape[1]:
+    """Series interconnection: the output of `first` drives `second`.
+
+    Either side may carry matrices stacked along leading batch axes (one
+    system per operating point); the result broadcasts over them.
+    """
+    if first.d.shape[-2] != second.d.shape[-1]:
         raise ModelError("series interconnection dimension mismatch")
     n1, n2 = first.n_states, second.n_states
-    a = np.zeros((n1 + n2, n1 + n2))
-    a[:n1, :n1] = first.a
-    a[n1:, n1:] = second.a
-    a[n1:, :n1] = second.b @ first.c
-    b = np.vstack([first.b, second.b @ first.d])
-    c = np.hstack([second.d @ first.c, second.c])
+    batch = np.broadcast_shapes(first.a.shape[:-2], second.a.shape[:-2])
+    a = np.zeros(batch + (n1 + n2, n1 + n2))
+    a[..., :n1, :n1] = first.a
+    a[..., n1:, n1:] = second.a
+    a[..., n1:, :n1] = second.b @ first.c
+    b = np.concatenate([_broadcast_batch(first.b, batch),
+                        _broadcast_batch(second.b @ first.d, batch)], axis=-2)
+    c = np.concatenate([_broadcast_batch(second.d @ first.c, batch),
+                        _broadcast_batch(second.c, batch)], axis=-1)
     d = second.d @ first.d
     return FrozenStateSpace(a=a, b=b, c=c, d=d)
 
@@ -305,11 +328,7 @@ def element_transfer(spec, omega, p=None):
     if isinstance(spec, Notch):
         return notch_transfer(spec.f1, spec.f2, spec.beta1, spec.beta2, omega)
     if isinstance(spec, LpvNotch):
-        if p is None:
-            raise ModelError("scheduled notch needs a position to freeze at")
-        frozen = evaluate_lpv_notch(spec, p)
-        return notch_transfer(frozen.f1, frozen.f2, frozen.beta1, frozen.beta2,
-                              omega)
+        return notch_transfer(*_frozen_coefficients(spec, p), omega)
     raise ModelError(f"unknown filter block {type(spec).__name__}")
 
 
@@ -335,40 +354,6 @@ def n_states(spec) -> int:
     if isinstance(spec, (Notch, LpvNotch)):
         return 2
     raise ModelError(f"unknown filter block {type(spec).__name__}")
-
-
-def step_lpv_filter(spec, state, u, p, dt):
-    """Advance a scheduled (or fixed) notch one step of length dt.
-
-    Coefficients are frozen at p for the whole step and the input is held
-    constant; the state integrates with a classical 4th-order Runge-Kutta
-    stage and is carried over as-is across scheduling updates (no reset).
-    Returns (new_state, output) with the output evaluated at the end of
-    the step.
-    """
-    if dt <= 0.0:
-        raise ModelError("step size must be positive")
-    if isinstance(spec, LpvNotch):
-        frozen = evaluate_lpv_notch(spec, p)
-    elif isinstance(spec, Notch):
-        frozen = spec
-    else:
-        raise ModelError("step_lpv_filter advances notch blocks only")
-    a, b, c, d = _notch_matrices(frozen.f1, frozen.f2, frozen.beta1,
-                                 frozen.beta2)
-    x = np.asarray(state, dtype=float).reshape(2)
-    bu = b[:, 0] * float(u)
-
-    def deriv(xv):
-        return a @ xv + bu
-
-    k1 = deriv(x)
-    k2 = deriv(x + 0.5 * dt * k1)
-    k3 = deriv(x + 0.5 * dt * k2)
-    k4 = deriv(x + dt * k3)
-    x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    y = float(c[0] @ x_new + d[0, 0] * float(u))
-    return x_new, y
 
 
 def filter_to_dict(spec) -> dict:

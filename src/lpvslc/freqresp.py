@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .io import dump_csv, load_csv
+from .io import dump_csv
 from .plant import FrozenStateSpace
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "LoopMargins",
     "margins_and_bandwidth",
     "write_frf_csv",
-    "read_frf_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -358,19 +357,3 @@ def write_frf_csv(path, freqs_hz, h: np.ndarray) -> None:
             header += [f"re_{i + 1}{j + 1}", f"im_{i + 1}{j + 1}"]
             cols += [h[:, i, j].real, h[:, i, j].imag]
     dump_csv(path, header, cols)
-
-
-def read_frf_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    header, data = load_csv(path)
-    if header[0] != "freq_hz" or (len(header) - 1) % 2 != 0:
-        raise DomainError(f"{path}: not an FRF file (header {header[:3]}...)")
-    pairs = (len(header) - 1) // 2
-    ij = [tuple(int(c) for c in name[3:]) for name in header[1::2]]
-    ny = max(i for i, _ in ij)
-    nu = max(j for _, j in ij)
-    if pairs != ny * nu:
-        raise DomainError(f"{path}: incomplete FRF entry set")
-    h = np.zeros((data.shape[0], ny, nu), dtype=complex)
-    for k, (i, j) in enumerate(ij):
-        h[:, i - 1, j - 1] = data[:, 1 + 2 * k] + 1j * data[:, 2 + 2 * k]
-    return data[:, 0], h

@@ -50,7 +50,6 @@ __all__ = [
     "plant_to_dict",
     "load_plant",
     "save_plant",
-    "frozen_to_dict",
 ]
 
 RIGID_AXES = ("z", "rx", "ry")
@@ -113,6 +112,11 @@ class ModalPlantModel:
         self.actuator_xy = np.asarray(self.actuator_xy, dtype=float)
         self.sensor_xy = np.asarray(self.sensor_xy, dtype=float)
 
+        for name in ("masses", "frequencies_hz", "damping", "actuator_xy",
+                     "sensor_xy", "workspace", "flex_actuation_gain",
+                     "flex_sensing_gain", "scan_crosstalk_gain"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), float))):
+                raise ModelError(f"{name} must be finite")
         n_q = len(self.modes)
         if not (len(self.masses) == len(self.frequencies_hz) == len(self.damping) == n_q):
             raise ModelError("masses, frequencies_hz, damping must match the mode count")
@@ -229,7 +233,11 @@ class ModalPlantModel:
 
 @dataclass
 class FrozenStateSpace:
-    """LTI realization (A, B, C, D) of a plant or filter at one operating point."""
+    """LTI realization (A, B, C, D) of a plant or filter at one operating point.
+
+    The matrices may carry leading batch axes: a stack of realizations of
+    equal size, one per operating point.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -241,15 +249,16 @@ class FrozenStateSpace:
         self.b = np.atleast_2d(np.asarray(self.b, dtype=float))
         self.c = np.atleast_2d(np.asarray(self.c, dtype=float))
         self.d = np.atleast_2d(np.asarray(self.d, dtype=float))
-        n = self.a.shape[0]
-        if self.a.shape != (n, n) or self.b.shape[0] != n or self.c.shape[1] != n:
+        n = self.a.shape[-1]
+        if self.a.shape[-2:] != (n, n) or self.b.shape[-2] != n \
+                or self.c.shape[-1] != n:
             raise ModelError("inconsistent state-space dimensions")
-        if self.d.shape != (self.c.shape[0], self.b.shape[1]):
+        if self.d.shape[-2:] != (self.c.shape[-2], self.b.shape[-1]):
             raise ModelError("inconsistent feedthrough dimensions")
 
     @property
     def n_states(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
 
 def mode_shape_eval(model: ModalPlantModel, p) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +428,3 @@ def save_plant(model: ModalPlantModel, path) -> None:
     from .io import dump_json
 
     dump_json(plant_to_dict(model), path)
-
-
-def frozen_to_dict(ss: FrozenStateSpace) -> dict:
-    return {"a": ss.a.tolist(), "b": ss.b.tolist(), "c": ss.c.tolist(), "d": ss.d.tolist()}

@@ -33,35 +33,23 @@ __all__ = [
     "CoefficientSurface",
     "FrozenDesignSet",
     "FitReport",
-    "chi",
     "chi_matrix",
     "fit_surface",
     "eval_surface",
     "raw_coefficients",
-    "combine_design_sets",
     "surface_to_dict",
     "surface_from_dict",
 ]
 
 
-def chi(p, order_x: int, order_y: int) -> np.ndarray:
-    """Monomial feature vector of a planar point.
-
-    Entry ``v * order_y + w`` equals ``qx**v * qy**w``, i.e. the Kronecker
-    product of the x-power vector (outer) with the y-power vector (inner).
-    The point is expanded as given; any normalization is the caller's
-    responsibility.
-    """
-    if order_x < 1 or order_y < 1:
-        raise ModelError("monomial orders must be >= 1")
-    qx, qy = float(p[0]), float(p[1])
-    px = qx ** np.arange(order_x)
-    py = qy ** np.arange(order_y)
-    return np.kron(px, py)
-
-
 def chi_matrix(points: np.ndarray, order_x: int, order_y: int) -> np.ndarray:
-    """Stack chi feature vectors for an (n, 2) array of points."""
+    """Monomial feature rows of an (n, 2) array of points.
+
+    Entry ``v * order_y + w`` of a row equals ``qx**v * qy**w``, i.e. the
+    Kronecker product of the x-power vector (outer) with the y-power vector
+    (inner).  Points are expanded as given; any normalization is the
+    caller's responsibility.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ModelError(f"expected (n, 2) points, got shape {pts.shape}")
@@ -138,22 +126,6 @@ class FrozenDesignSet:
     @property
     def n_designs(self) -> int:
         return self.values.size
-
-
-def combine_design_sets(sets) -> FrozenDesignSet:
-    """Concatenate design sets for the same coefficient."""
-    sets = list(sets)
-    if not sets:
-        raise ModelError("no design sets to combine")
-    units = sets[0].units
-    for s in sets[1:]:
-        if s.units != units:
-            raise ModelError(
-                f"cannot combine design sets with units {units!r} and {s.units!r}"
-            )
-    pts = np.vstack([s.points for s in sets])
-    vals = np.concatenate([s.values for s in sets])
-    return FrozenDesignSet(pts, vals, units)
 
 
 @dataclass

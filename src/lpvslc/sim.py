@@ -39,10 +39,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _kernels
 from .design import ControllerSet
 from .errors import ConfigError, ModelError, NumericalError
-from .filters import MIN_NOTCH_FREQ_HZ, Cascade, realize
+from .filters import n_states, realize
 from .io import dump_csv
 from .plant import ModalPlantModel, mode_shape_eval, scan_coupling
-from .scheduling import eval_surface
+# Not called here: perfbench/tracing.py patches lpvslc.sim.eval_surface, so
+# the name stays importable from this module.
+from .scheduling import eval_surface  # noqa: F401
 from .trajectory import MotionBounds, TrajectoryProfile, plan, sample
 
 __all__ = [
@@ -87,9 +89,19 @@ class SimConfig:
     backend: str | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.duration_s) or self.duration_s <= 0.0:
+        for name in ("feedforward", "feedback"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got "
+                                  f"{getattr(self, name)!r}")
+        for name in ("duration_s", "sample_rate_hz", "window_s", "settling_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not np.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got "
+                                  f"{value!r}")
+        if self.duration_s <= 0.0:
             raise ConfigError("simulation duration must be positive")
-        if not np.isfinite(self.sample_rate_hz) or self.sample_rate_hz <= 0.0:
+        if self.sample_rate_hz <= 0.0:
             raise ConfigError("sample rate must be positive")
         if self.scheduling_source not in SCHEDULING_SOURCES:
             raise ConfigError(
@@ -378,92 +390,31 @@ def _plant_tables(model, p_true, varying, t_u, t_y):
     return b_t, c_t, bs_t, (1 if varying else 0)
 
 
-def _fold_notch_tables(A, B, C, D, r, w1, w2, b1, b2):
-    """Append one scheduled biquad to the running cascade realization.
-
-    Vectorized over the leading time axis; implements the same series
-    interconnection arithmetic as the frozen realization path, so a frozen
-    scheduling trace reproduces that path to the last ulp.
-    """
-    a11 = -2.0 * b2 * w2
-    a12 = -(w2 ** 2)
-    bg = w2 ** 2
-    c0 = 2.0 * (b1 * w1 - b2 * w2) / w1 ** 2
-    c1 = 1.0 - w2 ** 2 / w1 ** 2
-    dn = w2 ** 2 / w1 ** 2
-    A[:, r, :r] = bg[:, None] * C[:, :r]
-    A[:, r, r] = a11
-    A[:, r, r + 1] = a12
-    A[:, r + 1, r] = 1.0
-    B[:, r] = bg * D
-    C[:, :r] *= dn[:, None]
-    C[:, r] = c0
-    C[:, r + 1] = c1
-    D *= dn
-
-
 def _controller_tables(controllers: ControllerSet, p_sched, varying, f_max):
     """Per-sample state-space tables of every loop cascade.
 
-    The fixed front section of each cascade is realized once; scheduled
-    notches are evaluated on the scheduling trace (batched over time) and
-    folded onto the front in series.  Frequency surfaces are clamped into
-    [MIN_NOTCH_FREQ_HZ, f_max] and a zero-damping surface dipping below
-    zero is clamped to a full notch, both with a warning; a nonpositive
-    pole damping has no safe substitute and raises.
+    Each cascade is realized once on the scheduling trace, with its
+    scheduled notches frozen per sample (see filters.freeze_notches, which
+    clamps and logs), and zero-padded to the common block width nc.
     """
     loops = controllers.loops
-    fronts = [realize(Cascade(c.fixed_part, n_fixed=len(c.fixed_part)))
-              for c in loops]
-    n_states = [ss.n_states + 2 * len(c.scheduled_part)
-                for ss, c in zip(fronts, loops)]
-    nc = max(max(n_states), 1)
+    nc = max(max(n_states(c) for c in loops), 1)
     scheduled = any(len(c.scheduled_part) > 0 for c in loops)
     sc = 1 if (scheduled and varying) else 0
     nt = p_sched.shape[0] if sc else 1
-    pts = p_sched[:nt]
 
     n_l = len(loops)
     ac_t = np.zeros((nt, n_l, nc, nc))
     bc_t = np.zeros((nt, n_l, nc))
     cc_t = np.zeros((nt, n_l, nc))
     dc_t = np.zeros((nt, n_l))
-    clamped_f = 0
-    clamped_b1 = 0
-    for i, (cascade, front) in enumerate(zip(loops, fronts)):
-        nf = front.n_states
-        A, B, C, D = ac_t[:, i], bc_t[:, i], cc_t[:, i], dc_t[:, i]
-        A[:, :nf, :nf] = front.a
-        B[:, :nf] = front.b[:, 0]
-        C[:, :nf] = front.c[0]
-        D[:] = front.d[0, 0]
-        r = nf
-        for spec in cascade.scheduled_part:
-            b1 = np.atleast_1d(eval_surface(spec.beta1, pts)).astype(float)
-            b2 = np.atleast_1d(eval_surface(spec.beta2, pts)).astype(float)
-            f1 = np.atleast_1d(eval_surface(spec.f1, pts)).astype(float)
-            f2 = np.atleast_1d(eval_surface(spec.f2, pts)).astype(float)
-            if np.any(b2 <= 0.0):
-                k = int(np.argmin(b2))
-                raise ModelError(
-                    f"scheduled notch pole damping {b2[k]:.3g} <= 0 at "
-                    f"p = {tuple(pts[k])}")
-            clamped_b1 += int(np.count_nonzero(b1 < 0.0))
-            b1 = np.maximum(b1, 0.0)
-            for f in (f1, f2):
-                bad = (f < MIN_NOTCH_FREQ_HZ) | (f > f_max)
-                clamped_f += int(np.count_nonzero(bad))
-                np.clip(f, MIN_NOTCH_FREQ_HZ, f_max, out=f)
-            _fold_notch_tables(A, B, C, D, r,
-                               2.0 * np.pi * f1, 2.0 * np.pi * f2, b1, b2)
-            r += 2
-    if clamped_b1:
-        log.warning("scheduled notch zero damping clamped to 0 at %d "
-                    "scheduling samples", clamped_b1)
-    if clamped_f:
-        log.warning("scheduled notch frequency clamped into [%g, %g] Hz at "
-                    "%d scheduling samples", MIN_NOTCH_FREQ_HZ, f_max,
-                    clamped_f)
+    for i, cascade in enumerate(loops):
+        ss = realize(cascade, p_sched[:nt], f_max)
+        ns = ss.n_states
+        ac_t[:, i, :ns, :ns] = ss.a
+        bc_t[:, i, :ns] = ss.b[..., 0]
+        cc_t[:, i, :ns] = ss.c[..., 0, :]
+        dc_t[:, i] = ss.d[..., 0, 0]
     return ac_t, bc_t, cc_t, dc_t, sc, nc
 
 

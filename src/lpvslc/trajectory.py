@@ -43,7 +43,6 @@ __all__ = [
     "TrajectoryProfile",
     "plan",
     "sample",
-    "mass_feedforward",
     "write_profile_csv",
 ]
 
@@ -253,27 +252,6 @@ def sample(profile: TrajectoryProfile, t):
         return (float(pos[0]), float(vel[0]), float(acc[0]), float(jerk[0]),
                 float(snap[0]))
     return pos, vel, acc, jerk, snap
-
-
-def mass_feedforward(profiles, mass_matrix, t) -> np.ndarray:
-    """Rigid-body inertia compensation force at time(s) t.
-
-    profiles is one TrajectoryProfile (or None for a still axis) per
-    rigid axis; mass_matrix is the rigid-body mass/inertia matrix (a 1-d
-    array is taken as its diagonal).  Returns shape (len(t), n_axes).
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    m = np.asarray(mass_matrix, dtype=float)
-    if m.ndim == 1:
-        m = np.diag(m)
-    n_axes = m.shape[0]
-    if len(profiles) != n_axes:
-        raise ConfigError(f"got {len(profiles)} profiles for {n_axes} axes")
-    acc = np.zeros((t_arr.size, n_axes))
-    for i, prof in enumerate(profiles):
-        if prof is not None:
-            acc[:, i] = sample(prof, t_arr)[2]
-    return acc @ m.T
 
 
 def write_profile_csv(path, profile: TrajectoryProfile) -> None:

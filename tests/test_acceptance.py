@@ -30,6 +30,7 @@ from lpvslc.scheduling import (
     raw_coefficients,
 )
 from lpvslc.sim import (
+    NOTCH_NYQUIST_FRACTION,
     SimConfig,
     StageMotion,
     benchmark_motion,
@@ -261,6 +262,37 @@ def test_headline_results_are_pinned(pipeline, scan_runs):
     got = [lti["ma_m"], lti["msd_m"], lpv["ma_m"], lpv["msd_m"]]
     readme = [5.545950e-09, 1.577637e-09, 3.410854e-10, 7.166838e-10]
     assert got == pytest.approx(readme, rel=1e-6)
+
+
+def test_stacked_lpv_realization_matches_each_position(pipeline):
+    """realize on an (n, 2) array of positions against one position at a time.
+
+    The 9x9 grid includes the workspace corners, where zero damping
+    surfaces of the benchmark set dip below zero and are clamped.  A
+    one-row stack reproduces the one-position realization bit for bit.  In
+    a longer stack the surface values come from one matrix-vector product
+    whose BLAS rounding depends on the row count, so entries may move by a
+    few ulp; evaluating row by row instead would change the stored designs
+    and the simulated traces in their last digits.
+    """
+    points = grid_points(pipeline["model"].workspace, 9, 9)
+    corners = grid_points(pipeline["model"].workspace, 2, 2)
+    f_max = NOTCH_NYQUIST_FRACTION * 0.5 * 10_000.0
+    clamped = 0
+    for cascade in pipeline["lpv"].loops:
+        for spec in cascade.scheduled_part:
+            clamped += np.count_nonzero(eval_surface(spec.beta1, corners) < 0)
+        stacked = realize(cascade, points, f_max)
+        assert stacked.a.shape[0] == len(points)
+        for k, p in enumerate(points):
+            single = realize(cascade, p, f_max)
+            one_row = realize(cascade, points[k:k + 1], f_max)
+            for name in "abcd":
+                want = getattr(single, name)
+                np.testing.assert_array_equal(getattr(one_row, name)[0], want)
+                np.testing.assert_allclose(getattr(stacked, name)[k], want,
+                                           rtol=1e-14, atol=0.0)
+    assert clamped > 0
 
 
 def test_criterion_08_simulator_order_and_frozen_equivalence(pipeline):

@@ -163,6 +163,13 @@ def test_design_invalid_spec_json_exits_2(tmp_path):
     assert main(["design", "--config", str(path), "--mode", "lti"]) == 2
 
 
+def test_simulate_rejects_non_boolean_feedback(tmp_path):
+    path = _write_project(tmp_path, _rigid_plant(),
+                          trajectory=TRAJECTORY_SPEC,
+                          sim_config={"duration_s": 1, "feedback": "no"})
+    assert main(["simulate", "--config", str(path), "--mode", "lti"]) == 2
+
+
 def test_design_infeasible_exits_1(tmp_path):
     path = _write_project(tmp_path, _flex_plant(),
                           design_spec={"target_bandwidth_hz": 400.0,

@@ -111,6 +111,14 @@ def test_design_spec_validation():
         DesignSpec(min_bandwidth_hz=500.0, target_bandwidth_hz=100.0)
     with pytest.raises(ConfigError):
         DesignSpec(alpha=-1.0)
+    with pytest.raises(ConfigError, match="target_bandwidth_hz must be finite"):
+        DesignSpec(target_bandwidth_hz=np.nan)
+    with pytest.raises(ConfigError, match="target_bandwidth_hz must be finite"):
+        design_spec_from_dict({"target_bandwidth_hz": "nan"})
+    with pytest.raises(ConfigError, match="sensitivity bound"):
+        DesignSpec(sensitivity_bound_db=-3.0)
+    with pytest.raises(ConfigError, match="bisection iterations"):
+        DesignSpec(bisection_iterations=-5)
     with pytest.raises(ConfigError):
         DesignSpec(loop_order=(0, 0, 1)).resolve(benchmark_plant())
 

@@ -2,8 +2,8 @@
 
 The heavy oracles here: closed-form transfer functions obtained by hand
 elimination of each realization, exact zero-order-hold discretization via
-the matrix exponential for time stepping, and brute-force products for
-cascades.
+the matrix exponential for time stepping, brute-force products for
+cascades, and one-position realizations for stacked ones.
 """
 
 import numpy as np
@@ -22,14 +22,13 @@ from lpvslc.filters import (
     cascade_frf,
     cascade_to_dict,
     element_transfer,
-    evaluate_lpv_notch,
     filter_from_dict,
     filter_to_dict,
+    freeze_notches,
     n_states,
     notch_transfer,
     realize,
     series,
-    step_lpv_filter,
 )
 from lpvslc.freqresp import frf
 from lpvslc.scheduling import CoefficientSurface
@@ -42,6 +41,12 @@ def constant_surface(value, units=""):
     theta[0] = value
     return CoefficientSurface(2, 2, theta, x_map=(0.1, 0.1), y_map=(0.1, 0.1),
                               units=units)
+
+
+def freeze_at(spec, p, f_max=None):
+    """The fixed notch a scheduled one freezes to at a single point."""
+    coeffs = freeze_notches(spec, np.array([p], dtype=float), f_max)
+    return Notch(*(float(c[0]) for c in coeffs))
 
 
 def random_notch(rng):
@@ -175,8 +180,7 @@ def test_lpv_notch_with_constant_surfaces_equals_lti():
     lpv = LpvNotch(constant_surface(lti.beta1), constant_surface(lti.beta2),
                    constant_surface(lti.f1, "Hz"), constant_surface(lti.f2, "Hz"))
     for p in [(0.0, 0.0), (0.05, 0.17), (0.2, 0.2)]:
-        frozen = evaluate_lpv_notch(lpv, p)
-        assert frozen == lti
+        assert freeze_at(lpv, p) == lti
         ss_lpv = realize(lpv, p)
         ss_lti = realize(lti)
         assert np.array_equal(ss_lpv.a, ss_lti.a)
@@ -213,8 +217,8 @@ def test_bilinear_surfaces_average_at_midpoint():
                    bilinear(rng.uniform(0.3, 0.6, 4)),
                    bilinear(rng.uniform(180.0, 220.0, 4)),
                    bilinear(rng.uniform(200.0, 260.0, 4)))
-    at_corners = [evaluate_lpv_notch(lpv, c) for c in corners]
-    mid = evaluate_lpv_notch(lpv, (0.1, 0.1))
+    at_corners = [freeze_at(lpv, c) for c in corners]
+    mid = freeze_at(lpv, (0.1, 0.1))
     assert mid.f1 == pytest.approx(np.mean([n.f1 for n in at_corners]), rel=1e-12)
     assert mid.beta2 == pytest.approx(np.mean([n.beta2 for n in at_corners]),
                                       rel=1e-12)
@@ -223,18 +227,63 @@ def test_bilinear_surfaces_average_at_midpoint():
 def test_lpv_notch_clamps_frequencies_and_logs(caplog):
     lpv = LpvNotch(constant_surface(0.1), constant_surface(0.4),
                    constant_surface(0.2, "Hz"), constant_surface(9000.0, "Hz"))
+    points = np.array([[0.1, 0.1], [0.0, 0.2], [0.2, 0.0]])
     with caplog.at_level("WARNING", logger="lpvslc.filters"):
-        frozen = evaluate_lpv_notch(lpv, (0.1, 0.1), f_max=4500.0)
-    assert frozen.f1 == 1.0
-    assert frozen.f2 == 4500.0
-    assert sum("clamped" in rec.message for rec in caplog.records) == 2
+        f1, f2, beta1, beta2 = freeze_notches(lpv, points, f_max=4500.0)
+    np.testing.assert_array_equal(f1, [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(f2, [4500.0, 4500.0, 4500.0])
+    np.testing.assert_array_equal(beta1, [0.1, 0.1, 0.1])
+    np.testing.assert_array_equal(beta2, [0.4, 0.4, 0.4])
+    # One record per clamped coefficient, however many points it hit.
+    clamped = [rec.message for rec in caplog.records if "clamped" in rec.message]
+    assert len(clamped) == 2
+    assert all("at 3 of 3 points" in msg for msg in clamped)
+
+
+def test_lpv_notch_zero_damping_clamps_to_full_depth(caplog):
+    lpv = LpvNotch(constant_surface(-0.01), constant_surface(0.4),
+                   constant_surface(200.0), constant_surface(210.0))
+    with caplog.at_level("WARNING", logger="lpvslc.filters"):
+        assert freeze_at(lpv, (0.1, 0.1)).beta1 == 0.0
+    assert sum("beta1 clamped" in rec.message for rec in caplog.records) == 1
 
 
 def test_lpv_notch_invalid_damping_raises():
     bad = LpvNotch(constant_surface(0.1), constant_surface(-0.4),
                    constant_surface(200.0), constant_surface(210.0))
-    with pytest.raises(ModelError):
-        evaluate_lpv_notch(bad, (0.1, 0.1))
+    with pytest.raises(ModelError, match=r"at p = \(0\.1, 0\.1\)"):
+        freeze_notches(bad, np.array([[0.1, 0.1]]))
+
+
+def test_stacked_realization_matches_each_position():
+    rng = np.random.default_rng(17)
+    corners = np.array([[0.0, 0.0], [0.0, 0.2], [0.2, 0.0], [0.2, 0.2]])
+
+    def bilinear(lo, hi):
+        from lpvslc.scheduling import FrozenDesignSet, fit_surface
+        s, _ = fit_surface(FrozenDesignSet(corners, rng.uniform(lo, hi, 4)),
+                           2, 2, bounds=((0.0, 0.2), (0.0, 0.2)))
+        return s
+
+    lpv = LpvNotch(bilinear(0.05, 0.2), bilinear(0.3, 0.6),
+                   bilinear(180.0, 220.0), bilinear(200.0, 260.0))
+    casc = Cascade((Gain(2.0), Integrator(), Lead(80.0), lpv, lpv))
+    points = rng.uniform(0.0, 0.2, size=(7, 2))
+    stacked = realize(casc, points)
+    assert stacked.a.shape == (7, 6, 6)
+    assert stacked.d.shape == (7, 1, 1)
+    for k, p in enumerate(points):
+        single = realize(casc, p)
+        one_row = realize(casc, points[k:k + 1])
+        for name in "abcd":
+            want = getattr(single, name)
+            np.testing.assert_array_equal(getattr(one_row, name)[0], want)
+            # Longer stacks share one BLAS product per surface, whose
+            # rounding depends on the row count.
+            np.testing.assert_allclose(getattr(stacked, name)[k], want,
+                                       rtol=1e-14, atol=0.0)
+    # A fixed cascade ignores the positions and stays unstacked.
+    assert realize(Cascade((Gain(2.0), Lead(80.0))), points).a.shape == (1, 1)
 
 
 def exact_zoh_oracle(spec, u_of_t, dt, n_steps):
@@ -255,55 +304,15 @@ def exact_zoh_oracle(spec, u_of_t, dt, n_steps):
     return ys
 
 
-def test_step_response_matches_exact_discretization():
-    spec = Notch(f1=180.0, f2=220.0, beta1=0.05, beta2=0.4)
-    dt = 2e-5
-    n_steps = 2000
-    oracle = exact_zoh_oracle(spec, lambda t: 1.0, dt, n_steps)
-    x = np.zeros(2)
-    ys = np.empty(n_steps)
-    for k in range(n_steps):
-        x, ys[k] = step_lpv_filter(spec, x, 1.0, (0.1, 0.1), dt)
-    assert np.max(np.abs(ys - oracle)) <= 1e-6
-
-
-def test_scheduled_step_matches_lti_at_frozen_position():
-    lti = Notch(f1=250.0, f2=260.0, beta1=0.1, beta2=0.5)
-    lpv = LpvNotch(constant_surface(lti.beta1), constant_surface(lti.beta2),
-                   constant_surface(lti.f1), constant_surface(lti.f2))
-    dt = 5e-5
-    x_a = np.zeros(2)
-    x_b = np.zeros(2)
-    for k in range(400):
-        u = np.sin(2.0 * np.pi * 90.0 * k * dt)
-        x_a, y_a = step_lpv_filter(lti, x_a, u, (0.05, 0.05), dt)
-        x_b, y_b = step_lpv_filter(lpv, x_b, u, (0.05, 0.05), dt)
-        assert y_a == y_b
-    np.testing.assert_array_equal(x_a, x_b)
-
-
 def test_perfect_notch_kills_tone_at_f1():
     spec = Notch(f1=100.0, f2=100.0, beta1=0.0, beta2=0.4)
     dt = 1e-5
-    n_steps = 30000
-    x = np.zeros(2)
-    ys = np.empty(n_steps)
-    for k in range(n_steps):
-        x, ys[k] = step_lpv_filter(spec, x, np.sin(2.0 * np.pi * 100.0 * k * dt),
-                                   (0.1, 0.1), dt)
+    ys = exact_zoh_oracle(spec, lambda t: np.sin(2.0 * np.pi * 100.0 * t), dt,
+                          30000)
     early = np.max(np.abs(ys[:2000]))
     late = np.max(np.abs(ys[-2000:]))
     assert late < 0.01
     assert late < 0.05 * early
-
-
-def test_zero_state_zero_input_stays_zero():
-    spec = Notch(f1=100.0, f2=120.0, beta1=0.1, beta2=0.4)
-    x = np.zeros(2)
-    for _ in range(10):
-        x, y = step_lpv_filter(spec, x, 0.0, (0.0, 0.0), 1e-4)
-        assert y == 0.0
-    np.testing.assert_array_equal(x, np.zeros(2))
 
 
 def test_series_dimension_mismatch():
@@ -322,8 +331,8 @@ def test_filter_serialization_round_trip():
         back = filter_from_dict(filter_to_dict(spec))
         assert type(back) is type(spec)
         if isinstance(spec, LpvNotch):
-            assert evaluate_lpv_notch(back, (0.07, 0.13)) \
-                == evaluate_lpv_notch(spec, (0.07, 0.13))
+            assert freeze_at(back, (0.07, 0.13)) \
+                == freeze_at(spec, (0.07, 0.13))
         else:
             assert back == spec
     casc = Cascade(tuple(specs))

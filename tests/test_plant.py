@@ -188,6 +188,16 @@ def test_json_round_trip(tmp_path):
 def test_bad_config_raises_config_error(tmp_path):
     with pytest.raises(ConfigError):
         plant_from_dict({"modes": []})
+    good = plant_to_dict(benchmark_plant())
+    for key in ("masses", "damping", "frequencies_hz"):
+        data = json.loads(json.dumps(good))
+        data[key][-1] = float("nan")
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            plant_from_dict(data)
+    data = json.loads(json.dumps(good))
+    data["flex_sensing_gain"] = float("inf")
+    with pytest.raises(ConfigError, match="flex_sensing_gain must be finite"):
+        plant_from_dict(data)
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):

@@ -7,9 +7,7 @@ from lpvslc.errors import ModelError
 from lpvslc.scheduling import (
     CoefficientSurface,
     FrozenDesignSet,
-    chi,
     chi_matrix,
-    combine_design_sets,
     eval_surface,
     fit_surface,
     raw_coefficients,
@@ -18,6 +16,11 @@ from lpvslc.scheduling import (
 )
 
 UNIT_BOUNDS = ((-1.0, 1.0), (-1.0, 1.0))
+
+
+def chi(p, order_x, order_y):
+    """Feature row of one point, through the batched chi_matrix."""
+    return chi_matrix(np.array([p], dtype=float), order_x, order_y)[0]
 
 
 def test_chi_first_order_is_constant():
@@ -48,8 +51,9 @@ def test_chi_matrix_rows_match_chi():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, size=(6, 2))
     mat = chi_matrix(pts, 3, 3)
-    for row, p in zip(mat, pts):
-        np.testing.assert_allclose(row, chi(p, 3, 3), rtol=1e-15)
+    for row, (qx, qy) in zip(mat, pts):
+        expected = [qx ** v * qy ** w for v in range(3) for w in range(3)]
+        np.testing.assert_allclose(row, expected, rtol=1e-15)
 
 
 def test_eval_matches_double_sum_oracle():
@@ -163,16 +167,6 @@ def test_design_set_validation():
         FrozenDesignSet(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ModelError):
         FrozenDesignSet(np.zeros((2, 3)), np.zeros(2))
-
-
-def test_combine_design_sets_checks_units():
-    a = FrozenDesignSet([[0.0, 0.0]], [1.0], units="Hz")
-    b = FrozenDesignSet([[0.1, 0.1]], [2.0], units="Hz")
-    merged = combine_design_sets([a, b])
-    assert merged.n_designs == 2
-    c = FrozenDesignSet([[0.2, 0.2]], [3.0], units="")
-    with pytest.raises(ModelError):
-        combine_design_sets([a, c])
 
 
 def test_surface_dict_round_trip():

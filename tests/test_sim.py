@@ -35,6 +35,7 @@ from lpvslc.sim import (
     ma_msd,
     motion_intervals,
     result_summary,
+    sim_config_from_dict,
     simulate,
     write_result_csv,
 )
@@ -108,6 +109,11 @@ def test_mass_feedforward_inverts_rigid_plant_open_loop(rigid_design):
     motion = StageMotion(start_xy=(0.1, 0.1), loop_refs=(prof, None, None))
     cfg = SimConfig(duration_s=0.6, feedback=False)
     res = simulate(model, lti, motion, cfg)
+    # With the loop open the actuation is the feedforward alone: the z
+    # mass times the commanded acceleration, allocated through T_u.
+    ff = np.zeros_like(res.u)
+    ff[:, 0] = model.masses[0] * sample(prof, res.t)[2]
+    assert_allclose(res.u, ff @ lti.t_u.T, rtol=1e-13, atol=1e-15)
     assert np.abs(res.e[:, 0]).max() < 1e-9
     # Force allocation decouples the other axes up to roundoff.
     assert np.abs(res.e[:, 1:]).max() < 1e-12
@@ -248,6 +254,17 @@ def test_sim_config_validation():
         SimConfig(duration_s=0.004, window_s=0.005)
     with pytest.raises(ConfigError, match="settling"):
         SimConfig(duration_s=1.0, settling_s=-0.1)
+    with pytest.raises(ConfigError, match="settling_s must be a finite number"):
+        SimConfig(duration_s=1.0, settling_s=np.nan)
+    with pytest.raises(ConfigError, match="window_s must be a finite number"):
+        SimConfig(duration_s=1.0, window_s=np.nan)
+    with pytest.raises(ConfigError, match="duration_s must be a finite number"):
+        sim_config_from_dict({"duration_s": "1"})
+    # A truthy string must not silently close the loop.
+    with pytest.raises(ConfigError, match="feedback must be true or false"):
+        sim_config_from_dict({"duration_s": 1, "feedback": "no"})
+    with pytest.raises(ConfigError, match="feedforward must be true or false"):
+        SimConfig(duration_s=1.0, feedforward=1)
 
 
 def test_simulate_input_validation(mini_design):

@@ -14,7 +14,6 @@ from lpvslc.errors import ConfigError
 from lpvslc.trajectory import (
     MotionBounds,
     TrajectoryProfile,
-    mass_feedforward,
     plan,
     sample,
     write_profile_csv,
@@ -199,19 +198,6 @@ def test_bad_bounds_and_inputs():
         plan(0.1, BENCH, 0.0)
     with pytest.raises(ConfigError):
         TrajectoryProfile(np.array([-0.1]), np.array([1.0]), RATE)
-
-
-def test_mass_feedforward_is_mass_times_acceleration():
-    prof = plan(0.1, BENCH, RATE)
-    masses = np.array([10.0, 0.1, 0.1])
-    t = np.linspace(0.0, prof.duration, 300)
-    ff = mass_feedforward([prof, None, prof], masses, t)
-    acc = sample(prof, t)[2]
-    np.testing.assert_allclose(ff[:, 0], 10.0 * acc, rtol=1e-13)
-    np.testing.assert_array_equal(ff[:, 1], np.zeros(300))
-    np.testing.assert_allclose(ff[:, 2], 0.1 * acc, rtol=1e-13)
-    with pytest.raises(ConfigError):
-        mass_feedforward([prof], masses, t)
 
 
 def test_profile_csv_export(tmp_path):
