@@ -1,9 +1,15 @@
-"""Hot integration kernel shared by the numba and pure-numpy backends.
+"""RK4 step loop of the assembled closed loop, for the numba and numpy backends.
 
-The closed-loop stepper is written once, in the numpy subset that numba's
-nopython mode accepts (flat float64 arrays, views, 2-d/1-d dots, explicit
-loops over the three axis loops).  At import time the module publishes two
-backends built from that single source:
+The simulator (see sim._assemble) turns the plant, the axis transforms and
+every loop's controller into one closed-loop state matrix A_k per step and
+folds the loop references, axis feedforward and propulsion force into the
+affine input g_k, sampled at the step's start, midpoint and end.  Within
+step k the state then obeys x' = A_k x + g(t), and one classical RK4 step
+costs four matrix-vector products.
+
+The loop is written once, in the numpy subset that numba's nopython mode
+accepts.  At import time the module publishes two backends built from that
+single source:
 
     numpy   the function as written, interpreted
     numba   the same function through ``numba.njit(cache=True)``
@@ -12,13 +18,6 @@ The default is numba whenever the package is importable; setting the
 environment variable ``LPVSLC_DISABLE_NUMBA`` to ``1``/``true``/``yes``
 before import pins the default to the interpreted path (useful on machines
 without a working compiler toolchain, and for A/B timing).
-
-All position-dependent data arrives precomputed per integration step:
-plant coupling matrices, controller state-space matrices, and the three
-input signals sampled on the half-step grid that the RK4 stages need.
-Arrays whose content does not change over the run may be passed with a
-single time slice together with a stride of 0, so a frozen-position run
-costs no memory proportional to its length.
 """
 
 from __future__ import annotations
@@ -34,104 +33,31 @@ NUMBA_ENV_FLAG = "LPVSLC_DISABLE_NUMBA"
 DIVERGENCE_LIMIT = 1.0e6
 
 
-def _sim_loop(n_steps, dt, n_q, n_l,
-              km, dm, b_t, c_t, bs_t, sp,
-              ac_t, bc_t, cc_t, dc_t, sc,
-              r_h, uff_h, fsc_h, fb, t_u,
-              x0, y_t, u_t, x_t):
-    """Fixed-step RK4 of the plant + controller cascade, p frozen per step.
+def _sim_loop(n_steps, dt, a_t, sa, g_t, x_t):
+    """Fixed-step RK4 of x' = A_k x + g over n_steps steps from x_t[0].
 
-    State layout (flat): modal displacements (n_q), modal velocities (n_q),
-    then one controller block of width nc_max per loop; unused padding slots
-    in short controller blocks have all-zero rows and stay exactly zero.
+    a_t     closed-loop state matrices, (rows, nx, nx); step k reads
+            a_t[k * sa], so a stride sa of 0 holds one matrix for all steps
+    g_t     affine input per step at its start, midpoint and end, (n_steps, 3, nx)
+    x_t     state trace, (n_steps + 1, nx); row 0 is the initial state and
+            rows 1.. are filled in
 
-    km, dm        stiffness/mass and damping/mass modal diagonals (n_q,)
-    b_t           modal force per axis command, (phi_a @ T_u)/m, (nt, n_q, n_l)
-    c_t           axis output map T_y @ phi_s, (nt, n_l, n_q)
-    bs_t          modal force per in-plane propulsion force, /m, (nt, n_q, 2)
-    sp, sc        time stride (0 or 1) for the plant and controller tables
-    ac_t..dc_t    per-loop controller matrices, (nt, n_l, nc, nc) etc.
-    r_h, uff_h    loop references and axis feedforward on the half-step grid
-    fsc_h         in-plane propulsion force on the half-step grid, (2n+1, 2)
-    fb            1.0 with feedback closed, 0.0 with the loop opened
-    t_u           axis-to-actuation allocation, used for the u trace only
-    y_t, u_t, x_t output traces, one row per sample (n_steps + 1 rows)
-
-    Returns -1 on success, else the index of the sample at which the state
+    Returns -1 on success, else the index of the step after which the state
     norm left the trusted range (caller raises with diagnosis).
     """
-    n2 = 2 * n_q
-    nx = x0.shape[0]
-    nc = ac_t.shape[2]
-
-    x = x0.copy()
-    xt = np.empty(nx)
-    ks = np.zeros((4, nx))
-    e = np.empty(n_l)
-    v = np.empty(n_l)
-    u = np.empty(n_l)
-
-    stage_w = (0.0, 0.5, 0.5, 1.0)
-    stage_off = (0, 1, 1, 2)
-
-    for k in range(n_steps + 1):
-        kp = k * sp
-        kc = k * sc
-        c_k = c_t[kp]
-        cc_k = cc_t[kc]
-        dc_k = dc_t[kc]
-
-        # Sample the outputs with the current state before stepping.
-        q = x[:n_q]
-        xc = x[n2:].reshape(n_l, nc)
-        yv = np.dot(c_k, q)
-        for i in range(n_l):
-            e[i] = r_h[2 * k, i] - yv[i]
-            v[i] = np.dot(cc_k[i], xc[i]) + dc_k[i] * e[i]
-            u[i] = fb * v[i] + uff_h[2 * k, i]
-        y_t[k] = yv
-        u_t[k] = np.dot(t_u, u)
-        x_t[k] = x
-        if k == n_steps:
-            break
-
-        b_k = b_t[kp]
-        bs_k = bs_t[kp]
-        ac_k = ac_t[kc]
-        bc_k = bc_t[kc]
-
-        for s in range(4):
-            if s == 0:
-                xt[:] = x
-            else:
-                w = dt * stage_w[s]
-                for j in range(nx):
-                    xt[j] = x[j] + w * ks[s - 1, j]
-            ii = 2 * k + stage_off[s]
-
-            qs = xt[:n_q]
-            qd = xt[n_q:n2]
-            xcs = xt[n2:].reshape(n_l, nc)
-            yv = np.dot(c_k, qs)
-            for i in range(n_l):
-                e[i] = r_h[ii, i] - yv[i]
-                v[i] = np.dot(cc_k[i], xcs[i]) + dc_k[i] * e[i]
-                u[i] = fb * v[i] + uff_h[ii, i]
-            fm = np.dot(b_k, u) + np.dot(bs_k, fsc_h[ii])
-
-            d = ks[s]
-            d[:n_q] = qd
-            d[n_q:n2] = -km * qs - dm * qd + fm
-            dxc = d[n2:].reshape(n_l, nc)
-            for i in range(n_l):
-                dxc[i] = np.dot(ac_k[i], xcs[i]) + bc_k[i] * e[i]
-
-        h6 = dt / 6.0
-        for j in range(nx):
-            x[j] += h6 * (ks[0, j] + 2.0 * ks[1, j] + 2.0 * ks[2, j] + ks[3, j])
-
-        xm = np.max(np.abs(x))
-        if not (xm <= DIVERGENCE_LIMIT):
+    x = x_t[0].copy()
+    h2 = 0.5 * dt
+    h6 = dt / 6.0
+    for k in range(n_steps):
+        a = a_t[k * sa]
+        g = g_t[k]
+        k1 = a.dot(x) + g[0]
+        k2 = a.dot(x + h2 * k1) + g[1]
+        k3 = a.dot(x + h2 * k2) + g[1]
+        k4 = a.dot(x + dt * k3) + g[2]
+        x = x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x_t[k + 1] = x
+        if not (np.abs(x).max() <= DIVERGENCE_LIMIT):
             return k + 1
     return -1
 

@@ -261,6 +261,25 @@ class FrozenStateSpace:
         return self.a.shape[-1]
 
 
+def _check_stack(model: ModalPlantModel, p):
+    """Points as an (n, 2) array and whether p was a stack, each one checked.
+
+    A single point goes through check_point; a stack raises DomainError
+    naming its first point outside the workspace.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2:
+        return model.check_point(p)[None], False
+    if p.shape[1] != 2:
+        raise DomainError(f"scheduling points must be (n, 2), got {p.shape}")
+    (x0, x1), (y0, y1) = model.workspace
+    inside = (x0 <= p[:, 0]) & (p[:, 0] <= x1) & (y0 <= p[:, 1]) & (p[:, 1] <= y1)
+    if not inside.all():
+        bad = p[np.argmin(inside)]
+        raise DomainError(f"scheduling point {bad.tolist()} outside workspace {model.workspace}")
+    return p, True
+
+
 def mode_shape_eval(model: ModalPlantModel, p) -> tuple[np.ndarray, np.ndarray]:
     """Input and output matrices (Phi_a, Phi_s) at scheduling point p.
 
@@ -268,24 +287,34 @@ def mode_shape_eval(model: ModalPlantModel, p) -> tuple[np.ndarray, np.ndarray]:
     allocated over the physical actuators); Phi_s is (n_y, n_q). Flexible
     entries sample the sine shapes at actuator and sensor offsets shifted
     by p, scaled by the configured coupling gains.
-    """
-    p = model.check_point(p)
-    n_q, n_u, n_y = model.n_modes, model.n_u, model.n_y
-    phi_a = np.zeros((n_q, n_u))
-    phi_s = np.zeros((n_y, n_q))
 
+    An (n, 2) stack of points gives (n, n_q, n_u) and (n, n_y, n_q) stacks.
+    Each entry of a stack is computed alone, with the arithmetic of a
+    single point, so it does not depend on the other rows.
+    """
+    pts, stacked = _check_stack(model, p)
+    n = pts.shape[0]
+    n_q, n_u, n_y = model.n_modes, model.n_u, model.n_y
+    phi_a = np.zeros((n, n_q, n_u))
+    phi_s = np.zeros((n, n_y, n_q))
+
+    act_xy = (model.actuator_xy + pts[:, None, :]).reshape(-1, 2)
+    sen_xy = (model.sensor_xy + pts[:, None, :]).reshape(-1, 2)
     rigid_rows = model._rigid_lever_rows(model.sensor_xy)
     k_rigid = 0
     for k, mode in enumerate(model.modes):
         if mode.kind == "rigid":
-            phi_a[k, k_rigid] = 1.0
-            phi_s[:, k] = rigid_rows[k_rigid]
+            phi_a[:, k, k_rigid] = 1.0
+            phi_s[:, :, k] = rigid_rows[k_rigid]
             k_rigid += 1
         else:
-            psi_act = model.shape_at(mode, model.actuator_xy + p)
-            phi_a[k, :] = model.flex_actuation_gain * (psi_act @ model._alloc)
-            phi_s[:, k] = model.flex_sensing_gain * model.shape_at(mode, model.sensor_xy + p)
-    return phi_a, phi_s
+            # One vector-matrix product per point, as for a single point.
+            psi_act = model.shape_at(mode, act_xy).reshape(n, 1, -1)
+            phi_a[:, k, :] = model.flex_actuation_gain * (psi_act @ model._alloc)[:, 0]
+            phi_s[:, :, k] = model.flex_sensing_gain * model.shape_at(mode, sen_xy).reshape(n, n_y)
+    if stacked:
+        return phi_a, phi_s
+    return phi_a[0], phi_s[0]
 
 
 def scan_coupling(model: ModalPlantModel, p) -> np.ndarray:
@@ -296,19 +325,24 @@ def scan_coupling(model: ModalPlantModel, p) -> np.ndarray:
     shape slope. Rigid rows are zero: a net rigid crosstalk would be a static
     load the feedback trivially rejects, while the flexible leakage is what
     excites the resonances during acceleration.
+
+    An (n, 2) stack of points gives an (n, n_q, 2) stack, row by row as for
+    a single point.
     """
-    p = model.check_point(p)
-    out = np.zeros((model.n_modes, 2))
-    if model.scan_crosstalk_gain == 0.0:
-        return out
-    # Equal force split over the physical actuators.
-    share = 1.0 / model.actuator_xy.shape[0]
-    for k, mode in enumerate(model.modes):
-        if mode.kind != "flex":
-            continue
-        slopes = model.shape_slope_at(mode, model.actuator_xy + p)
-        out[k, :] = model.scan_crosstalk_gain * share * slopes.sum(axis=0)
-    return out
+    pts, stacked = _check_stack(model, p)
+    n = pts.shape[0]
+    out = np.zeros((n, model.n_modes, 2))
+    if model.scan_crosstalk_gain != 0.0:
+        # Equal force split over the physical actuators.
+        n_act = model.actuator_xy.shape[0]
+        share = 1.0 / n_act
+        act_xy = (model.actuator_xy + pts[:, None, :]).reshape(-1, 2)
+        for k, mode in enumerate(model.modes):
+            if mode.kind != "flex":
+                continue
+            slopes = model.shape_slope_at(mode, act_xy).reshape(n, n_act, 2)
+            out[:, k, :] = model.scan_crosstalk_gain * share * slopes.sum(axis=1)
+    return out if stacked else out[0]
 
 
 def frozen_realization(model: ModalPlantModel, p) -> FrozenStateSpace:

@@ -7,6 +7,19 @@ scheduled notch sections are evaluated at the step's start sample and
 held, which keeps the dynamics exactly linear inside the step while the
 slowly moving stage re-tunes the loop between steps.
 
+The run is computed in three batched stages.  First the per-sample
+tables: plant coupling along the position trace (one stacked call each to
+mode_shape_eval and scan_coupling) and every loop cascade realized along
+the scheduling trace.  Then, in blocks of ASSEMBLY_BLOCK steps, the
+assembled closed loop: per step the state matrix A_k of plant, axis
+transforms and padded controller blocks with the feedback closed, and the
+input map G_k of w = [r, u_ff, f_scan], with G_k w folded at the step's
+start, midpoint and end into g_k.  The kernel (_kernels) then runs RK4 on
+x' = A_k x + g, four matrix-vector products per step.  Outputs, errors and
+actuation are evaluated afterwards from the state trace.  Every row of
+every table is computed on its own, so a short run is a bitwise prefix of
+a longer one.
+
 Signal flow per step, mirroring the real-time implementation:
 
     e = r - T_y . y_phys
@@ -73,6 +86,13 @@ SCHEDULING_SOURCES = ("reference", "measured-delayed")
 # Scheduled notch frequencies are clamped just below the Nyquist rate; a
 # surface that wanders past it would alias into a nonsense filter.
 NOTCH_NYQUIST_FRACTION = 0.97
+
+# Integration steps assembled into closed-loop matrices at a time; bounds
+# the (block, nx, nx) working set.
+ASSEMBLY_BLOCK = 128
+
+# Largest run, in bytes of traces and tables, that simulate will allocate.
+MAX_TRACE_BYTES = 2 * 2**30
 
 
 @dataclass(frozen=True)
@@ -375,18 +395,17 @@ def interval_metrics(result: SimResult, intervals=None) -> list:
 
 
 def _plant_tables(model, p_true, varying, t_u, t_y):
-    """Per-sample plant coupling tables for the kernel, /mass included."""
-    nt = p_true.shape[0] if varying else 1
-    n_q, n_l = model.n_modes, model.n_u
-    b_t = np.zeros((nt, n_q, n_l))
-    c_t = np.zeros((nt, n_l, n_q))
-    bs_t = np.zeros((nt, n_q, 2))
+    """Per-sample plant coupling tables, /mass included, one row per sample.
+
+    A frozen position gives one row.  Every product is stacked per row, so
+    a row does not depend on how many samples the run has.
+    """
+    pts = p_true if varying else p_true[:1]
+    phi_a, phi_s = mode_shape_eval(model, pts)
     inv_m = 1.0 / model.masses[:, None]
-    for k in range(nt):
-        phi_a, phi_s = mode_shape_eval(model, p_true[k])
-        b_t[k] = (phi_a @ t_u) * inv_m
-        c_t[k] = t_y @ phi_s
-        bs_t[k] = scan_coupling(model, p_true[k]) * inv_m
+    b_t = (phi_a @ t_u) * inv_m
+    c_t = t_y @ phi_s
+    bs_t = scan_coupling(model, pts) * inv_m
     return b_t, c_t, bs_t, (1 if varying else 0)
 
 
@@ -398,7 +417,7 @@ def _controller_tables(controllers: ControllerSet, p_sched, varying, f_max):
     clamps and logs), and zero-padded to the common block width nc.
     """
     loops = controllers.loops
-    nc = max(max(n_states(c) for c in loops), 1)
+    nc = _block_width(controllers)
     scheduled = any(len(c.scheduled_part) > 0 for c in loops)
     sc = 1 if (scheduled and varying) else 0
     nt = p_sched.shape[0] if sc else 1
@@ -442,49 +461,69 @@ def _half_grid_inputs(model, motion, config, rigid_masses, n_l):
     return r_h, uff_h, fsc_h
 
 
-def simulate(model: ModalPlantModel, controllers: ControllerSet,
-             motion: StageMotion, config: SimConfig,
-             certification=None, x0_plant=None) -> SimResult:
-    """Run one closed-loop simulation and evaluate its error metrics.
+@dataclass
+class _RunTables:
+    """What the integrator reads for one run, on its sample grid.
 
-    certification is the report from the frozen-position verification; a
-    missing or failed report logs a warning but does not block the run.
-    x0_plant optionally sets the modal displacement/velocity initial state
-    (a flat array of 2 x n_modes); controller states always start at zero.
-    A state norm beyond the divergence limit aborts with a diagnosis.
+    The plant tables (b_t, c_t, bs_t) hold one row per sample when the
+    stage moves (sp = 1) and a single row otherwise (sp = 0); the
+    controller tables (ac_t .. dc_t) likewise with sc.  The loop
+    references, axis feedforward and propulsion force (r_h, uff_h, fsc_h)
+    are sampled on the half-step grid that the RK4 stages need.  km and dm
+    are the stiffness/mass and damping/mass modal diagonals, nc the
+    common controller block width, and fb is 1.0 with the loop closed and
+    0.0 with it open.
     """
-    n_l = controllers.n_loops
-    if n_l != model.n_u:
-        raise ModelError(
-            f"controller set has {n_l} loops for a plant with {model.n_u} axes")
-    f_top = float(np.max(model.frequencies_hz))
-    if config.sample_rate_hz <= 2.0 * f_top:
-        raise ConfigError(
-            f"sample rate {config.sample_rate_hz:g} Hz must exceed twice the "
-            f"highest plant mode frequency ({f_top:g} Hz)")
-    for prof in motion.profiles():
-        ratio = config.sample_rate_hz / prof.sample_rate_hz
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ConfigError(
-                "simulation rate must be an integer multiple of each "
-                "profile's planning grid so segment boundaries stay on "
-                "integration steps")
-    if len(motion.loop_refs) > n_l:
-        raise ConfigError(
-            f"got {len(motion.loop_refs)} loop reference profiles for "
-            f"{n_l} loops")
-    if certification is None:
-        log.warning("simulating %s controller set without a certification "
-                    "report", controllers.kind)
-    elif not certification.passed:
-        log.warning("certification report for the %s controller set did not "
-                    "pass; simulating anyway", controllers.kind)
 
+    t: np.ndarray
+    p_sched: np.ndarray
+    b_t: np.ndarray
+    c_t: np.ndarray
+    bs_t: np.ndarray
+    sp: int
+    ac_t: np.ndarray
+    bc_t: np.ndarray
+    cc_t: np.ndarray
+    dc_t: np.ndarray
+    sc: int
+    nc: int
+    r_h: np.ndarray
+    uff_h: np.ndarray
+    fsc_h: np.ndarray
+    km: np.ndarray
+    dm: np.ndarray
+    x0: np.ndarray
+    t_u: np.ndarray
+    fb: float
+    axis_names: tuple
+
+
+def _block_width(controllers: ControllerSet) -> int:
+    """State count of the widest loop cascade: every loop's block width."""
+    return max(max(n_states(c) for c in controllers.loops), 1)
+
+
+def _bytes_per_step(model, n_l, nc) -> int:
+    """Bytes a run keeps per integration step, with every table varying.
+
+    Counts the state trace, the per-sample plant and controller tables,
+    the half-grid inputs and the per-loop result traces; short-lived
+    temporaries are not counted.
+    """
+    n_q = model.n_modes
+    floats = (2 * n_q + n_l * nc                    # state trace
+              + n_q * (2 * n_l + 2)                 # plant tables
+              + n_l * (nc * nc + 2 * nc + 1)        # controller tables
+              + 2 * (2 * n_l + 2)                   # half-grid inputs
+              + 6 * n_l + 3)                        # t, p, r, y, e, u, MA, MSD
+    return 8 * floats
+
+
+def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
+    """Scheduling traces and every per-sample table of one run."""
     n = config.n_steps
-    if n < 1:
-        raise ConfigError("run is shorter than one sample step")
-    h = config.step_s
-    t = np.arange(n + 1) * h
+    n_l = controllers.n_loops
+    t = np.arange(n + 1) * config.step_s
 
     p_true = np.tile(np.asarray(motion.start_xy, dtype=float), (n + 1, 1))
     if p_true.shape != (n + 1, 2):
@@ -492,8 +531,6 @@ def simulate(model: ModalPlantModel, controllers: ControllerSet,
     for col, prof in enumerate((motion.scan_x, motion.scan_y)):
         if prof is not None:
             p_true[:, col] += sample(prof, t)[0]
-    model.check_point(p_true.min(axis=0))
-    model.check_point(p_true.max(axis=0))
     varying = bool(np.any(p_true != p_true[0]))
     if config.scheduling_source == "measured-delayed":
         p_sched = np.vstack([p_true[:1], p_true[:-1]])
@@ -516,40 +553,162 @@ def simulate(model: ModalPlantModel, controllers: ControllerSet,
 
     n_q = model.n_modes
     omega = 2.0 * np.pi * model.frequencies_hz
-    km = omega ** 2
-    dm = 2.0 * model.damping * omega
-    nx = 2 * n_q + n_l * nc
-    x0 = np.zeros(nx)
+    x0 = np.zeros(2 * n_q + n_l * nc)
     if x0_plant is not None:
         x0_plant = np.asarray(x0_plant, dtype=float).ravel()
         if x0_plant.size != 2 * n_q:
             raise ConfigError(
                 f"initial plant state must have {2 * n_q} entries")
         x0[:2 * n_q] = x0_plant
+    return _RunTables(
+        t=t, p_sched=p_sched, b_t=b_t, c_t=c_t, bs_t=bs_t, sp=sp,
+        ac_t=ac_t, bc_t=bc_t, cc_t=cc_t, dc_t=dc_t, sc=sc, nc=nc,
+        r_h=r_h, uff_h=uff_h, fsc_h=fsc_h, km=omega ** 2,
+        dm=2.0 * model.damping * omega, x0=x0, t_u=t_u,
+        fb=1.0 if config.feedback else 0.0, axis_names=axis_names)
 
-    y_t = np.zeros((n + 1, n_l))
-    u_t = np.zeros((n + 1, n_l))
-    x_t = np.zeros((n + 1, nx))
-    kernel = _kernels.get_backend(config.backend)
-    status = kernel(n, h, n_q, n_l, km, dm, b_t, c_t, bs_t, sp,
-                    ac_t, bc_t, cc_t, dc_t, sc,
-                    r_h, uff_h, fsc_h,
-                    1.0 if config.feedback else 0.0, t_u,
-                    x0, y_t, u_t, x_t)
-    if status >= 0:
-        raise NumericalError(
-            f"state norm exceeded {_kernels.DIVERGENCE_LIMIT:g} at "
-            f"t = {status * h:.6g} s (step {status} of {n}): the closed loop "
-            "is unstable at this operating point or the inputs are "
-            "inconsistent")
 
-    r = np.ascontiguousarray(r_h[::2])
-    e = r - y_t
+def _assemble(tab: _RunTables, w_h, k0, k1):
+    """Closed-loop matrices A_k of steps k0..k1-1 and their folded inputs.
+
+    With x = [q; qd; xc_1 .. xc_nl] and w = [r, u_ff, f_scan], every loop
+    closes e_i = r_i - (C_k q)_i through its controller block,
+    u = fb (Cc_i xc_i + Dc_i e_i) + u_ff and xc_i' = Ac_i xc_i + Bc_i e_i,
+    so that within step k the dynamics are x' = A_k x + G_k w(t).
+    A comes back with a single row when no table varies.  g holds G_k w at
+    the step's start, midpoint and end, shape (k1 - k0, 3, nx).  Every
+    entry is computed per step, independently of the block's length.
+    """
+    n_q, n_l = tab.km.size, tab.dc_t.shape[1]
+    nc, fb = tab.nc, tab.fb
+    n2 = 2 * n_q
+    nx = n2 + n_l * nc
+    b, c, bs = (m[k0:k1] if tab.sp else m for m in (tab.b_t, tab.c_t, tab.bs_t))
+    ac, bc, cc, dc = (m[k0:k1] if tab.sc else m
+                      for m in (tab.ac_t, tab.bc_t, tab.cc_t, tab.dc_t))
+    rows = k1 - k0 if (tab.sp or tab.sc) else 1
+
+    a = np.zeros((rows, nx, nx))
+    g_map = np.zeros((rows, nx, w_h.shape[1]))
+    iq = np.arange(n_q)
+    a[:, iq, n_q + iq] = 1.0
+    a[:, n_q + iq, iq] = -tab.km
+    a[:, n_q + iq, n_q + iq] = -tab.dm
+    qd = slice(n_q, n2)
+    for i in range(n_l):
+        xc = slice(n2 + i * nc, n2 + (i + 1) * nc)
+        b_i, c_i = b[:, :, i], c[:, i, None, :]
+        a[:, qd, :n_q] -= (fb * dc[:, i, None, None]) * b_i[:, :, None] * c_i
+        a[:, qd, xc] = fb * b_i[:, :, None] * cc[:, i, None, :]
+        a[:, xc, :n_q] = -bc[:, i, :, None] * c_i
+        a[:, xc, xc] = ac[:, i]
+        g_map[:, qd, i] = fb * dc[:, i, None] * b_i
+        g_map[:, xc, i] = bc[:, i]
+        g_map[:, qd, n_l + i] = b_i
+    g_map[:, qd, 2 * n_l:] = bs
+
+    w = np.stack([w_h[2 * k0 + s:2 * k1 + s:2] for s in range(3)], axis=2)
+    g = np.ascontiguousarray(np.matmul(g_map, w).transpose(0, 2, 1))
+    return a, g
+
+
+def _integrate(tab: _RunTables, n, h, backend):
+    """State trace (n + 1, nx) of the assembled closed loop under RK4.
+
+    Steps are assembled and integrated in blocks of ASSEMBLY_BLOCK, so the
+    working set stays bounded and a block's rows do not depend on the run
+    length.  A state norm beyond the divergence limit raises.
+    """
+    kernel = _kernels.get_backend(backend)
+    w_h = np.hstack([tab.r_h, tab.uff_h, tab.fsc_h])
+    x_t = np.empty((n + 1, tab.x0.size))
+    x_t[0] = tab.x0
+    for k0 in range(0, n, ASSEMBLY_BLOCK):
+        k1 = min(k0 + ASSEMBLY_BLOCK, n)
+        a, g = _assemble(tab, w_h, k0, k1)
+        status = kernel(k1 - k0, h, a, 1 if a.shape[0] > 1 else 0, g,
+                        x_t[k0:k1 + 1])
+        if status >= 0:
+            step = k0 + status
+            raise NumericalError(
+                f"state norm exceeded {_kernels.DIVERGENCE_LIMIT:g} at "
+                f"t = {step * h:.6g} s (step {step} of {n}): the closed loop "
+                "is unstable at this operating point or the inputs are "
+                "inconsistent")
+    return x_t
+
+
+def _outputs(tab: _RunTables, x_t):
+    """References, outputs, errors and actuation per sample, from the states."""
+    n_q, n_l = tab.km.size, tab.dc_t.shape[1]
+    r = np.ascontiguousarray(tab.r_h[::2])
+    y = np.matmul(tab.c_t, x_t[:, :n_q, None])[:, :, 0]
+    e = r - y
+    xc = x_t[:, 2 * n_q:].reshape(x_t.shape[0], n_l, tab.nc)
+    v = np.sum(tab.cc_t * xc, axis=2) + tab.dc_t * e
+    u_axis = tab.fb * v + tab.uff_h[::2]
+    u = np.matmul(tab.t_u, u_axis[:, :, None])[:, :, 0]
+    return r, y, e, u
+
+
+def simulate(model: ModalPlantModel, controllers: ControllerSet,
+             motion: StageMotion, config: SimConfig,
+             certification=None, x0_plant=None) -> SimResult:
+    """Run one closed-loop simulation and evaluate its error metrics.
+
+    certification is the report from the frozen-position verification; a
+    missing or failed report logs a warning but does not block the run.
+    x0_plant optionally sets the modal displacement/velocity initial state
+    (a flat array of 2 x n_modes); controller states always start at zero.
+    A state norm beyond the divergence limit aborts with a diagnosis, and
+    a run whose traces and tables would exceed MAX_TRACE_BYTES is refused
+    before anything is allocated.
+    """
+    n_l = controllers.n_loops
+    if n_l != model.n_u:
+        raise ModelError(
+            f"controller set has {n_l} loops for a plant with {model.n_u} axes")
+    f_top = float(np.max(model.frequencies_hz))
+    if config.sample_rate_hz <= 2.0 * f_top:
+        raise ConfigError(
+            f"sample rate {config.sample_rate_hz:g} Hz must exceed twice the "
+            f"highest plant mode frequency ({f_top:g} Hz)")
+    for prof in motion.profiles():
+        ratio = config.sample_rate_hz / prof.sample_rate_hz
+        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+            raise ConfigError(
+                "simulation rate must be an integer multiple of each "
+                "profile's planning grid so segment boundaries stay on "
+                "integration steps")
+    if len(motion.loop_refs) > n_l:
+        raise ConfigError(
+            f"got {len(motion.loop_refs)} loop reference profiles for "
+            f"{n_l} loops")
+
+    n = config.n_steps
+    if n < 1:
+        raise ConfigError("run is shorter than one sample step")
+    need = (n + 1) * _bytes_per_step(model, n_l, _block_width(controllers))
+    if need > MAX_TRACE_BYTES:
+        raise ConfigError(
+            f"a {n}-step run needs about {need / 2**30:.3g} GiB of traces "
+            f"and tables, over the {MAX_TRACE_BYTES / 2**30:g} GiB limit; "
+            "shorten duration_s or lower sample_rate_hz")
+    if certification is None:
+        log.warning("simulating %s controller set without a certification "
+                    "report", controllers.kind)
+    elif not certification.passed:
+        log.warning("certification report for the %s controller set did not "
+                    "pass; simulating anyway", controllers.kind)
+
+    tab = _run_tables(model, controllers, motion, config, x0_plant)
+    x_t = _integrate(tab, n, config.step_s, config.backend)
+    r, y, e, u = _outputs(tab, x_t)
     ma, msd = ma_msd(e, config.window_s, config.sample_rate_hz)
     return SimResult(
-        t=t, r=r, y=y_t, e=e, u=u_t, p=p_sched.copy(), ma=ma, msd=msd,
+        t=tab.t, r=r, y=y, e=e, u=u, p=tab.p_sched.copy(), ma=ma, msd=msd,
         intervals=motion_intervals(motion, config), config=config,
-        kind=controllers.kind, axis_names=axis_names, states=x_t)
+        kind=controllers.kind, axis_names=tab.axis_names, states=x_t)
 
 
 def _pick_interval(result: SimResult, name: str) -> IntervalMetrics:

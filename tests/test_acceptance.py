@@ -40,6 +40,7 @@ from lpvslc.sim import (
 )
 from lpvslc.trajectory import MotionBounds, plan, sample
 
+from sim_reference import max_relative_gap, reference_traces
 from test_filters import random_notch
 from test_freqresp import random_stable_ss
 from test_trajectory import dense_integration
@@ -262,6 +263,23 @@ def test_headline_results_are_pinned(pipeline, scan_runs):
     got = [lti["ma_m"], lti["msd_m"], lpv["ma_m"], lpv["msd_m"]]
     readme = [5.545950e-09, 1.577637e-09, 3.410854e-10, 7.166838e-10]
     assert got == pytest.approx(readme, rel=1e-6)
+
+
+def test_simulator_matches_reference_stepper(pipeline):
+    """The assembled closed loop against the per-stage reference stepper.
+
+    Both designed sets over the README scan's first 0.08 s; the reference
+    loop is fed the simulator's own per-sample tables.
+    """
+    model = pipeline["model"]
+    motion = benchmark_motion()
+    config = SimConfig(duration_s=0.08)
+    for key in ("lti", "lpv"):
+        run = simulate(model, pipeline[key], motion, config,
+                       certification=pipeline[f"report_{key}"])
+        gaps = max_relative_gap(
+            run, reference_traces(model, pipeline[key], motion, config))
+        assert max(gaps.values()) <= 1e-12, (key, gaps)
 
 
 def test_stacked_lpv_realization_matches_each_position(pipeline):

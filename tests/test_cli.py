@@ -170,6 +170,16 @@ def test_simulate_rejects_non_boolean_feedback(tmp_path):
     assert main(["simulate", "--config", str(path), "--mode", "lti"]) == 2
 
 
+def test_simulate_refuses_oversized_run(rigid_project, tmp_path):
+    path = _write_project(tmp_path, _rigid_plant(),
+                          trajectory=TRAJECTORY_SPEC,
+                          sim_config={"duration_s": 1e12})
+    (tmp_path / "out").mkdir()
+    shutil.copy(rigid_project.parent / "out" / "controllers_lti.json",
+                tmp_path / "out")
+    assert main(["simulate", "--config", str(path), "--mode", "lti"]) == 2
+
+
 def test_design_infeasible_exits_1(tmp_path):
     path = _write_project(tmp_path, _flex_plant(),
                           design_spec={"target_bandwidth_hz": 400.0,

@@ -121,6 +121,16 @@ def test_design_spec_validation():
         DesignSpec(bisection_iterations=-5)
     with pytest.raises(ConfigError):
         DesignSpec(loop_order=(0, 0, 1)).resolve(benchmark_plant())
+    # Counts are not truncated or read from booleans.
+    with pytest.raises(ConfigError, match="n_leads must be an integer"):
+        design_spec_from_dict({"n_leads": 2.7})
+    with pytest.raises(ConfigError, match="surface_order must be an integer"):
+        design_spec_from_dict({"surface_order": True})
+    with pytest.raises(ConfigError, match="bisection_iterations must be an integer"):
+        design_spec_from_dict({"bisection_iterations": "5"})
+    with pytest.raises(ConfigError, match="loop_order entry must be an integer"):
+        design_spec_from_dict({"loop_order": [0, 1.5, 2]})
+    assert design_spec_from_dict({"n_leads": 2.0}).n_leads == 2
 
 
 def test_design_spec_dict_roundtrip():

@@ -139,6 +139,33 @@ def test_point_outside_workspace_rejected():
         mode_shape_eval(model, (0.3, 0.1))
     with pytest.raises(DomainError):
         frozen_realization(model, (0.1, -0.01))
+    # Every point of a stack is checked, not just its bounding box corners.
+    with pytest.raises(DomainError, match=r"\[0\.1, 0\.25\]"):
+        mode_shape_eval(model, np.array([[0.1, 0.1], [0.1, 0.25]]))
+    with pytest.raises(DomainError):
+        scan_coupling(model, np.array([[0.1, np.nan]]))
+
+
+def test_stacked_points_equal_single_points_bitwise():
+    """A stack row is the one-point result, whatever the stack's length."""
+    model = benchmark_plant()
+    rng = np.random.default_rng(17)
+    points = np.vstack([rng.uniform(0.0, 0.2, (400, 2)),
+                        [[0.0, 0.0], [0.2, 0.2], [0.0, 0.2], [0.2, 0.0]]])
+    phi_a, phi_s = mode_shape_eval(model, points)
+    coupling = scan_coupling(model, points)
+    assert phi_a.shape == (len(points), model.n_modes, model.n_u)
+    assert phi_s.shape == (len(points), model.n_y, model.n_modes)
+    assert coupling.shape == (len(points), model.n_modes, 2)
+    for k, p in enumerate(points):
+        one_a, one_s = mode_shape_eval(model, p)
+        assert np.array_equal(phi_a[k], one_a)
+        assert np.array_equal(phi_s[k], one_s)
+        assert np.array_equal(coupling[k], scan_coupling(model, p))
+    head_a, head_s = mode_shape_eval(model, points[:37])
+    assert np.array_equal(head_a, phi_a[:37])
+    assert np.array_equal(head_s, phi_s[:37])
+    assert np.array_equal(scan_coupling(model, points[:37]), coupling[:37])
 
 
 def test_scan_coupling_rigid_rows_zero_flex_nonzero():

@@ -4,17 +4,20 @@ Analytic anchors: a zero run stays exactly zero, mass feedforward inverts
 the rigid plant in open loop, RK4 shows fourth-order step convergence,
 MA/MSD reproduce closed-form values for constant and sinusoidal errors
 and match brute-force window recomputation.  Scheduled-controller runs
-are checked against frozen realizations and across kernel backends.
+are checked against frozen realizations and across kernel backends, and
+the assembled closed-loop step against the per-stage reference stepper in
+sim_reference.py.
 """
 
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lpvslc import _kernels
+from lpvslc import _kernels, sim
 from lpvslc.design import (
     DesignSpec,
     certify,
@@ -41,6 +44,8 @@ from lpvslc.sim import (
 )
 from lpvslc.io import load_csv, load_json, dump_json
 from lpvslc.trajectory import MotionBounds, plan, sample
+
+from sim_reference import max_relative_gap, reference_traces
 
 ACTUATORS = np.array([[-0.06, -0.06], [0.06, -0.06], [0.06, 0.06], [-0.06, 0.06]])
 SENSORS = np.array([[0.0, 0.05], [-0.05, -0.04], [0.05, -0.03]])
@@ -170,6 +175,56 @@ def test_kernel_backends_agree(mini_design):
         runs[backend] = simulate(model, lpv, motion, cfg)
     assert np.abs(runs["numpy"].e - runs["numba"].e).max() <= 1e-12
     assert np.abs(runs["numpy"].states - runs["numba"].states).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["feedback-off", "measured-delayed"])
+def test_assembled_loop_matches_reference_stepper(mini_design, case):
+    """States, y and u agree with the per-stage loop fed the same tables.
+
+    The motion is a scan with zero loop setpoints, as in the README.  A
+    nonzero setpoint would make e = r - y a difference of two nearly
+    equal numbers, whose rounding the controller states carry in either
+    stepper, so the two would only agree to that rounding.
+    """
+    model, lpv = mini_design
+    motion = StageMotion(start_xy=(0.05, 0.10), scan_x=z_move(0.05, 10_000.0))
+    x0 = None
+    if case == "feedback-off":
+        cfg = SimConfig(duration_s=0.1, feedback=False)
+    else:
+        cfg = SimConfig(duration_s=0.1, scheduling_source="measured-delayed")
+        x0 = 1e-6 * np.random.default_rng(5).standard_normal(2 * model.n_modes)
+    res = simulate(model, lpv, motion, cfg, x0_plant=x0)
+    gaps = max_relative_gap(res, reference_traces(model, lpv, motion, cfg, x0))
+    assert max(gaps.values()) <= 1e-12, gaps
+
+
+def test_short_run_is_bitwise_prefix_of_long_run(mini_design):
+    model, lpv = mini_design
+    scan = StageMotion(start_xy=(0.05, 0.10), scan_x=z_move(0.05, 10_000.0))
+    short = simulate(model, lpv, scan, SimConfig(duration_s=0.05))
+    long = simulate(model, lpv, scan, SimConfig(duration_s=0.1))
+    n = short.t.size
+    # Both runs span several assembly blocks, the short one ending mid-block.
+    assert (n - 1) // sim.ASSEMBLY_BLOCK >= 3
+    assert (n - 1) % sim.ASSEMBLY_BLOCK != 0
+    for name in ("states", "y", "e", "u", "p"):
+        assert np.array_equal(getattr(short, name),
+                              getattr(long, name)[:n]), name
+
+
+def test_oversized_run_is_refused_before_allocating(mini_design):
+    model, lpv = mini_design
+    # 1e16 steps: far beyond any memory, so a missing guard fails loudly.
+    cfg = SimConfig(duration_s=1e12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="GiB of traces and tables"):
+            simulate(model, lpv, StageMotion(start_xy=(0.1, 0.1)), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_disable_flag_switches_default_backend(monkeypatch):
