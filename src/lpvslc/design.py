@@ -49,6 +49,7 @@ from .errors import (
     ConfigError,
     DecouplingError,
     DesignInfeasibleError,
+    DomainError,
     ModelError,
 )
 from .filters import (
@@ -119,6 +120,7 @@ SKEW_FAR = 3.0             # ... and beyond which no skew is applied
 CLUSTER_TOL = 0.10         # relative frequency window for mode tracking
 AUDIT_GRID_N = 9           # scheduled designs are audited on this n-by-n grid
 DET_RESIDUAL_TOL = 1e-6
+CERT_TAIL_N = 25           # low-frequency tail points ahead of the base grid
 SURFACE_FIT_TOL = 1e-6     # relative fit residual that aborts a scheduled design
 
 
@@ -712,9 +714,22 @@ def _count_integrators(cascade: Cascade) -> int:
     return sum(1 for e in cascade.elements if isinstance(e, Integrator))
 
 
+def _certification_freqs(freq_grid: FrequencyGrid | None) -> np.ndarray:
+    """Frequencies certify samples: a low tail, then the base grid.
+
+    The winding count anchors the start phase at the origin-pole
+    asymptote, so the sampled contour must begin well below the lead
+    corners; a coarse three-decade tail of CERT_TAIL_N points goes first.
+    """
+    base = (freq_grid if freq_grid is not None else default_grid()).freqs_hz
+    tail = np.geomspace(base[0] * 1e-3, base[0] * 0.97, CERT_TAIL_N)
+    return np.concatenate([tail, base])
+
+
 def certify(model: ModalPlantModel, controllers: ControllerSet, grid,
             freq_grid: FrequencyGrid | None = None,
-            bound_db: float | None = None) -> CertificationReport:
+            bound_db: float | None = None, *,
+            plant_frfs=None) -> CertificationReport:
     """Frozen-position stability and sensitivity audit of a controller set.
 
     Per position: scalar Nyquist checks along the design loop order (each
@@ -722,19 +737,32 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid,
     identity residual linking that chain to det(I + P K), per-loop
     sensitivity peaks with all other loops closed, and the closed-loop
     eigenvalues of the frozen realization as an independent oracle.
+
+    plant_frfs, when given, holds one decoupled plant FRF per grid row,
+    sampled on certify's own frequencies (the base grid behind a
+    CERT_TAIL_N-point low tail); they are used instead of evaluating the
+    plant again.
     """
-    base = (freq_grid if freq_grid is not None else default_grid()).freqs_hz
-    # The winding count anchors the start phase at the origin-pole
-    # asymptote, so the sampled contour must begin well below the lead
-    # corners; prepend a coarse three-decade tail.
-    tail = np.geomspace(base[0] * 1e-3, base[0] * 0.97, 25)
-    freqs = np.concatenate([tail, base])
+    freqs = _certification_freqs(freq_grid)
     bound = controllers.sensitivity_bound_db if bound_db is None else bound_db
     report = CertificationReport(bound_db=bound)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    for p in grid:
-        p_frf = decoupled_plant_frf(model, p, freqs, controllers.t_u,
-                                    controllers.t_y)
+    if plant_frfs is not None:
+        if len(plant_frfs) != len(grid):
+            raise DomainError(f"{len(plant_frfs)} plant FRFs for "
+                              f"{len(grid)} grid positions")
+        shape = (len(freqs), controllers.t_y.shape[0],
+                 controllers.t_u.shape[1])
+        for r, p_frf in enumerate(plant_frfs):
+            if np.shape(p_frf) != shape:
+                raise DomainError(f"plant FRF {r} has shape "
+                                  f"{np.shape(p_frf)}, expected {shape}")
+    for r, p in enumerate(grid):
+        if plant_frfs is not None:
+            p_frf = plant_frfs[r]
+        else:
+            p_frf = decoupled_plant_frf(model, p, freqs, controllers.t_u,
+                                        controllers.t_y)
         k_frfs = controllers.loop_frfs(freqs, p)
         det_res = det_identity_residual(p_frf, k_frfs, controllers.loop_order)
 
@@ -781,14 +809,25 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     t_u, t_y = rigid_body_decouple(model, center)
     masses = np.asarray(model.masses, dtype=float)[: model.n_rigid]
 
-    p_frfs = [decoupled_plant_frf(model, p, freqs, t_u, t_y)
-              for p in design_grid]
+    # One plant FRF per distinct position, on the certification
+    # frequencies; the design and audit steps read the base-grid part of
+    # the same arrays (a plant FRF row depends only on its own frequency).
+    cert_freqs = _certification_freqs(freq_grid)
+    frfs = {}
+
+    def plant_frf(p) -> np.ndarray:
+        key = (float(p[0]), float(p[1]))
+        if key not in frfs:
+            frfs[key] = decoupled_plant_frf(model, p, cert_freqs, t_u, t_y)
+        return frfs[key]
+
+    p_frfs = [plant_frf(p)[CERT_TAIL_N:] for p in design_grid]
+    verify_frfs = [plant_frf(p) for p in verify_grid]
     clusters = _discover_clusters(p_frfs, freqs, masses)
 
     if kind == "lpv":
         audit_grid = grid_points(model.workspace, AUDIT_GRID_N, AUDIT_GRID_N)
-        audit_frfs = [decoupled_plant_frf(model, p, freqs, t_u, t_y)
-                      for p in audit_grid]
+        audit_frfs = [plant_frf(p)[CERT_TAIL_N:] for p in audit_grid]
 
     def build(f_bw: float) -> ControllerSet:
         gains, table = _local_designs(p_frfs, freqs, masses, order, f_bw,
@@ -809,7 +848,8 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
 
     def feasible(f_bw: float):
         controllers = build(f_bw)
-        report = certify(model, controllers, verify_grid, freq_grid)
+        report = certify(model, controllers, verify_grid, freq_grid,
+                         plant_frfs=verify_frfs)
         return report.passed, controllers, report
 
     # Bisection over the common crossover frequency.  The cap is tried

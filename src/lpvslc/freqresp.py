@@ -6,6 +6,11 @@ scalar transfer seen by controller i,
 
     g_i = P_ii - P_iJ (I + K_J P_JJ)^-1 K_J P_Ji,   J = {j != i}.
 
+It is evaluated the way sequential loop closing builds it: one loop at a
+time, each closure a rank-one (Sherman-Morrison) update of the whole
+plant, P <- P - P[:, j] k_j / (1 + k_j P_jj) P[j, :], vectorized over
+frequency, with no per-frequency linear solve.
+
 The determinant identity det(I + P K) = prod_i (1 + g_i k_i) ties the
 individual loops back to the full MIMO return difference and is used as a
 certification residual.
@@ -100,24 +105,31 @@ def equivalent_plant(p_frf: np.ndarray, k_frfs, i: int) -> np.ndarray:
 
     p_frf: (F, n, n) plant samples; k_frfs: sequence of n per-loop controller
     samples (entry i is ignored, scalars broadcast). Returns shape (F,).
+
+    Loops are closed one at a time, each a rank-one (Sherman-Morrison)
+    update of the whole plant at every frequency,
+
+        P <- P - P[:, j] k_j / (1 + k_j P_jj) P[j, :],
+
+    which is exactly the sequential loop-closing step. Loops whose k_j is
+    identically zero are open and skipped. Raises NumericalError when a
+    closure is singular, 1 + k_j P_jj = 0 at some frequency.
     """
-    p_frf = np.asarray(p_frf)
-    F, n, _ = p_frf.shape
-    if n == 1:
-        return p_frf[:, 0, 0].copy()
-    others = [j for j in range(n) if j != i]
-    k_other = np.stack(
-        [np.broadcast_to(np.asarray(k_frfs[j], dtype=complex), (F,)) for j in others], axis=1
-    )
-    p_jj = p_frf[np.ix_(np.arange(F), others, others)]
-    p_ij = p_frf[:, i, others]
-    p_ji = p_frf[:, others, i]
-    m = np.eye(n - 1)[None, :, :] + k_other[:, :, None] * p_jj
-    try:
-        x = np.linalg.solve(m, (k_other * p_ji)[:, :, None])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular loop closure for loop {i}: {exc}") from exc
-    return p_frf[:, i, i] - np.einsum("fj,fj->f", p_ij, x[:, :, 0])
+    p = np.asarray(p_frf)
+    F, n, _ = p.shape
+    for j in range(n):
+        if j == i:
+            continue
+        k_j = np.broadcast_to(np.asarray(k_frfs[j], dtype=complex), (F,))
+        if not np.any(k_j):
+            continue
+        den = 1.0 + k_j * p[:, j, j]
+        if not np.all(den):
+            raise NumericalError(
+                f"singular loop closure for loop {i}: 1 + k_{j} P_{j}{j} "
+                f"vanishes when closing loop {j}")
+        p = p - p[:, :, j, None] * (k_j / den)[:, None, None] * p[:, None, j, :]
+    return p[:, i, i].copy()
 
 
 def _det_stacked(mats: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lpvslc.design import (
+    CERT_TAIL_N,
     CertificationReport,
     ControllerSet,
     DesignSpec,
@@ -26,13 +27,22 @@ from lpvslc.design import (
     grid_points,
     rigid_body_decouple,
     tune_gain,
+    _certification_freqs,
+    _design_common,
     _find_resonance_peaks,
 )
-from lpvslc.errors import ConfigError, DesignInfeasibleError
+from lpvslc.errors import ConfigError, DesignInfeasibleError, DomainError
 from lpvslc.filters import Cascade, Gain, Integrator, Lead, cascade_frf
-from lpvslc.freqresp import default_grid, frf, margins_and_bandwidth
+from lpvslc.freqresp import (
+    default_grid,
+    equivalent_plant,
+    frf,
+    margins_and_bandwidth,
+)
 from lpvslc.plant import ModalPlantModel, Mode, benchmark_plant, frozen_realization
 from lpvslc.scheduling import eval_surface
+
+from freqresp_reference import block_solve_equivalent_plant
 
 ACTUATORS = np.array([[-0.06, -0.06], [0.06, -0.06], [0.06, 0.06], [-0.06, 0.06]])
 SENSORS = np.array([[0.0, 0.05], [-0.05, -0.04], [0.05, -0.03]])
@@ -72,8 +82,10 @@ def uniform_mode_plant():
 def benchmark_designs():
     model = benchmark_plant()
     spec = DesignSpec()
-    lti = design_lti_slc(model, spec)
-    lpv = design_lpv_slc(model, spec)
+    # _design_common is what design_lti_slc / design_lpv_slc run; it also
+    # returns the report certify made from the design's cached plant FRFs.
+    lti, design_report_lti = _design_common(model, spec, "lti")
+    lpv, design_report_lpv = _design_common(model, spec, "lpv")
     verify = grid_points(model.workspace, 5, 5)
     return {
         "model": model,
@@ -83,6 +95,8 @@ def benchmark_designs():
         "verify": verify,
         "report_lti": certify(model, lti, verify),
         "report_lpv": certify(model, lpv, verify),
+        "design_report_lti": design_report_lti,
+        "design_report_lpv": design_report_lpv,
     }
 
 
@@ -370,3 +384,67 @@ def test_certification_report_outputs(benchmark_designs):
     text = report.table()
     assert "PASS" in text
     assert text.count("\n") >= 25
+
+
+def test_design_report_equals_fresh_certification(benchmark_designs):
+    """The report certified on the design's cached plant FRFs is the one a
+    fresh certify on the verification grid makes, to the last bit."""
+    for kind in ("lti", "lpv"):
+        assert (benchmark_designs[f"design_report_{kind}"].to_dict()
+                == benchmark_designs[f"report_{kind}"].to_dict()), kind
+
+
+def test_plant_frf_rows_do_not_depend_on_the_frequency_vector():
+    """The design reads its base-grid plant FRFs as the [CERT_TAIL_N:]
+    slice of the certification FRFs; that slice must equal a base-only
+    evaluation bitwise."""
+    model = benchmark_plant()
+    t_u, t_y = rigid_body_decouple(model, (0.1, 0.1))
+    base = default_grid().freqs_hz
+    cert = _certification_freqs(None)
+    assert np.array_equal(cert[CERT_TAIL_N:], base)
+    for p in grid_points(model.workspace, 9, 9):
+        sliced = decoupled_plant_frf(model, p, cert, t_u, t_y)[CERT_TAIL_N:]
+        assert np.array_equal(sliced, decoupled_plant_frf(model, p, base,
+                                                          t_u, t_y)), p
+
+
+@pytest.mark.parametrize("kind", ["lti", "lpv"])
+def test_rank_one_closure_matches_block_solve(benchmark_designs, kind):
+    """equivalent_plant against the block-solve formula on benchmark FRFs,
+    with every other loop closed and along the design chain."""
+    model = benchmark_designs["model"]
+    cs = benchmark_designs[kind]
+    freqs = _certification_freqs(None)
+    worst = 0.0
+    for p in benchmark_designs["verify"]:
+        p_frf = decoupled_plant_frf(model, p, freqs, cs.t_u, cs.t_y)
+        k_frfs = cs.loop_frfs(freqs, p)
+        chain = [np.zeros(len(freqs), dtype=complex)] * cs.n_loops
+        for i in cs.loop_order:
+            for closed in (k_frfs, chain):
+                got = equivalent_plant(p_frf, closed, i)
+                ref = block_solve_equivalent_plant(p_frf, closed, i)
+                worst = max(worst, float(np.max(np.abs(got - ref)
+                                                / np.abs(ref))))
+            chain = list(chain)
+            chain[i] = k_frfs[i]
+    assert worst <= 1e-12
+
+
+def test_certify_rejects_mismatched_plant_frfs(benchmark_designs):
+    model = benchmark_designs["model"]
+    cs = benchmark_designs["lti"]
+    grid = grid_points(model.workspace, 2, 1)
+    freqs = _certification_freqs(None)
+    frfs = [decoupled_plant_frf(model, p, freqs, cs.t_u, cs.t_y)
+            for p in grid]
+    with pytest.raises(DomainError, match="2 grid positions"):
+        certify(model, cs, grid, plant_frfs=frfs[:1])
+    base = default_grid().freqs_hz
+    with pytest.raises(DomainError, match="shape"):
+        certify(model, cs, grid, plant_frfs=[
+            frfs[0], decoupled_plant_frf(model, grid[1], base, cs.t_u,
+                                         cs.t_y)])
+    with pytest.raises(DomainError, match="shape"):
+        certify(model, cs, grid, plant_frfs=[f[:, :2, :] for f in frfs])

@@ -121,6 +121,18 @@ def test_equivalent_plant_closure_order_invariance():
     assert_allclose(seq_b, joint, rtol=1e-11)
 
 
+def test_equivalent_plant_singular_closure_raises():
+    rng = np.random.default_rng(7)
+    F = 12
+    p = rng.normal(size=(F, 3, 3)) + 1j * rng.normal(size=(F, 3, 3))
+    p[4, 2, 2] = -0.5
+    k = [np.zeros(F), np.zeros(F), np.full(F, 2.0)]  # 1 + 2 * -0.5 == 0
+    with pytest.raises(NumericalError, match="loop 0.*loop 2"):
+        equivalent_plant(p, k, 0)
+    # Loop 2 itself is not closed when its own equivalent plant is formed.
+    assert np.all(np.isfinite(equivalent_plant(p, k, 2)))
+
+
 def test_det_identity_diagonal_zero_and_random():
     rng = np.random.default_rng(11)
     F = 60
