@@ -68,6 +68,7 @@ from .filters import (
 from .freqresp import (
     FrequencyGrid,
     default_grid,
+    design_chain,
     det_identity_residual,
     equivalent_plant,
     frf,
@@ -229,6 +230,8 @@ class ControllerSet:
         return len(self.loops)
 
     def loop_frfs(self, freqs_hz, p) -> list:
+        """Per-loop cascade responses at one position, (F,) each, or on an
+        (n, 2) grid, (n, F) each (see filters.cascade_frf)."""
         return [cascade_frf(c, freqs_hz, p) for c in self.loops]
 
 
@@ -502,36 +505,47 @@ def _discover_clusters(p_frfs, freqs_hz, masses) -> list:
     return clusters_per_loop
 
 
-def _required_beta1(freqs_hz, g_frf, gain_k, gamma_frf, cluster: _ClusterInfo,
+def _required_beta1(freqs_hz, g_frf, gain_k, gamma_mag, cluster: _ClusterInfo,
                     gamma: float) -> float:
     """Zero damping one position needs for one tracked resonance.
 
-    gamma_frf is the response of the loop's fixed section (integrator and
-    leads).  The attenuation law 1 / (1 + G / G_max) is a smooth function
-    of the loop gain G the resonance would reach without the notch: deep
-    where the mode is hot, asymptotically neutral where it has faded, and
-    free of kinks so low-order coefficient surfaces can follow it.
+    gamma_mag is the magnitude of the loop's fixed section (integrator and
+    leads) at the resonance.  The attenuation law 1 / (1 + G / G_max) is a
+    smooth function of the loop gain G the resonance would reach without
+    the notch: deep where the mode is hot, asymptotically neutral where it
+    has faded, and free of kinks so low-order coefficient surfaces can
+    follow it.
     """
-    loop_at_peak = (gain_k
-                    * _interp_loglog_mag(freqs_hz, gamma_frf, cluster.f_hz)
+    loop_at_peak = (gain_k * gamma_mag
                     * _interp_loglog_mag(freqs_hz, g_frf, cluster.f_hz))
     target = 1.0 / (1.0 + loop_at_peak / RESONANT_LOOP_GAIN_MAX)
     target = max(target, NOTCH_DEPTH_FLOOR)
     return target * _neutral_beta1(cluster.beta2, gamma)
 
 
-def _local_notches(freqs_hz, g_frf, gain_k, gamma_frf, clusters, f_bw) -> list:
+def _local_notches(freqs_hz, g_frf, gain_k, gamma_mags, clusters,
+                   f_bw) -> list:
     return [
         Notch(f1=cl.f_hz, f2=_skew_for(cl.f_hz, f_bw) * cl.f_hz,
-              beta1=_required_beta1(freqs_hz, g_frf, gain_k, gamma_frf, cl,
+              beta1=_required_beta1(freqs_hz, g_frf, gain_k, mag, cl,
                                     _skew_for(cl.f_hz, f_bw)),
               beta2=cl.beta2)
-        for cl in clusters
+        for cl, mag in zip(clusters, gamma_mags)
     ]
 
 
 def _fixed_section(f_bw: float, spec: DesignSpec) -> list:
     return [Integrator()] + [Lead(f_bw=f_bw, alpha=spec.alpha)] * spec.n_leads
+
+
+def _fixed_section_mags(freqs_hz, f_bw, spec: DesignSpec,
+                        clusters_per_loop) -> list:
+    """|fixed section| at each loop's tracked resonances; the section is the
+    same for every loop and position, so this is done once per bandwidth."""
+    gamma_frf = cascade_frf(Cascade(tuple(_fixed_section(f_bw, spec))),
+                            freqs_hz)
+    return [[_interp_loglog_mag(freqs_hz, gamma_frf, cl.f_hz) for cl in cls]
+            for cls in clusters_per_loop]
 
 
 def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
@@ -545,7 +559,7 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
     """
     center = len(p_frfs) // 2
     skeleton = _fixed_section(f_bw, spec)
-    gamma_frf = cascade_frf(Cascade(tuple(skeleton)), freqs_hz)
+    gamma_mags = _fixed_section_mags(freqs_hz, f_bw, spec, clusters_per_loop)
 
     # Gains at the center position with provisional local notches: the
     # notches barely move the cascade magnitude down at the crossover, so
@@ -555,7 +569,7 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
     for i in order:
         g = equivalent_plant(p_frfs[center], k_frfs, i)
         k0 = tune_gain(g, freqs_hz, Cascade(tuple(skeleton)), f_bw)
-        notches = _local_notches(freqs_hz, g, k0.k, gamma_frf,
+        notches = _local_notches(freqs_hz, g, k0.k, gamma_mags[i],
                                  clusters_per_loop[i], f_bw)
         cascade = Cascade(tuple(skeleton + notches))
         gains[i] = tune_gain(g, freqs_hz, cascade, f_bw)
@@ -567,7 +581,7 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
         k_frfs = [np.zeros(len(freqs_hz), dtype=complex) for _ in masses]
         for i in order:
             g = equivalent_plant(p_frf, k_frfs, i)
-            notches = _local_notches(freqs_hz, g, gains[i].k, gamma_frf,
+            notches = _local_notches(freqs_hz, g, gains[i].k, gamma_mags[i],
                                      clusters_per_loop[i], f_bw)
             for c, notch in enumerate(notches):
                 notch_table[(i, c, l)] = notch
@@ -638,21 +652,22 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
     should it dip below zero somewhere.
     """
     loops = list(loops)
-    skeleton = _fixed_section(f_bw, spec)
-    gamma_frf = cascade_frf(Cascade(tuple(skeleton)), freqs_hz)
-    closed = [[np.zeros(len(freqs_hz), dtype=complex) for _ in loops]
-              for _ in audit_grid]
+    gamma_mags = _fixed_section_mags(freqs_hz, f_bw, spec, clusters_per_loop)
+    # Per loop, its responses on the whole audit grid, (n_audit, F); a
+    # loop not yet closed reads zero at every point.
+    closed = [np.broadcast_to(np.zeros(len(freqs_hz), dtype=complex),
+                              (len(audit_grid), len(freqs_hz)))] * len(loops)
     for i in order:
         clusters = clusters_per_loop[i]
         if clusters:
             fixed = list(loops[i].fixed_part)
             scheduled = list(loops[i].scheduled_part)
             required = np.zeros((len(audit_grid), len(clusters)))
-            for a, p in enumerate(audit_grid):
-                g = equivalent_plant(audit_frfs[a], closed[a], i)
+            for a in range(len(audit_grid)):
+                g = equivalent_plant(audit_frfs[a], [k[a] for k in closed], i)
                 for c, cl in enumerate(clusters):
                     required[a, c] = _required_beta1(
-                        freqs_hz, g, gains[i].k, gamma_frf, cl,
+                        freqs_hz, g, gains[i].k, gamma_mags[i][c], cl,
                         _skew_for(cl.f_hz, f_bw))
             for c in range(len(clusters)):
                 surface = scheduled[c].beta1
@@ -676,38 +691,49 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
                           "against the audit grid (residual shift %.3g)",
                           i, c, max(viol, 0.0))
             loops[i] = Cascade(tuple(fixed + scheduled), n_fixed=len(fixed))
-        for a, p in enumerate(audit_grid):
-            closed[a][i] = cascade_frf(loops[i], freqs_hz, p)
+        if i != order[-1]:
+            closed[i] = cascade_frf(loops[i], freqs_hz, audit_grid)
     return loops
 
 
 def closed_loop_matrix(model: ModalPlantModel, controllers: ControllerSet,
                        p) -> np.ndarray:
-    """State matrix of the frozen closed loop (plant + all controllers)."""
-    plant = frozen_realization(model, p)
+    """State matrix of the frozen closed loop (plant + all controllers).
+
+    One position gives an (N, N) matrix, an (n, 2) array of positions an
+    (n, N, N) stack.  Each loop is realized once for all positions (a
+    fixed cascade is position-independent, a scheduled one realizes
+    stacked); the plant is realized per position.
+    """
+    pts = np.asarray(p, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    n_p, n_l = pts.shape[0], controllers.n_loops
     t_u, t_y = controllers.t_u, controllers.t_y
-    loops = [realize(c, p) for c in controllers.loops]
-    n_x = plant.n_states
+    plants = [frozen_realization(model, q) for q in pts]
+    loops = [realize(c, pts) for c in controllers.loops]
+    n_x = plants[0].n_states
     n_k = sum(k.n_states for k in loops)
-    d_k = np.diag([k.d[0, 0] for k in loops])
-    a_k = np.zeros((n_k, n_k))
-    b_k = np.zeros((n_k, controllers.n_loops))
-    c_k = np.zeros((controllers.n_loops, n_k))
+    a_cl = np.zeros((n_p, n_x + n_k, n_x + n_k))
+    a_k = a_cl[:, n_x:, n_x:]
+    b_k = np.zeros((n_p, n_k, n_l))
+    c_k = np.zeros((n_p, n_l, n_k))
+    d_k = np.zeros((n_p, n_l, n_l))
     at = 0
     for i, k in enumerate(loops):
         n = k.n_states
-        a_k[at:at + n, at:at + n] = k.a
-        b_k[at:at + n, i] = k.b[:, 0]
-        c_k[i, at:at + n] = k.c[0]
+        a_k[:, at:at + n, at:at + n] = k.a
+        b_k[:, at:at + n, i] = k.b[..., 0]
+        c_k[:, i, at:at + n] = k.c[..., 0, :]
+        d_k[:, i, i] = k.d[..., 0, 0]
         at += n
-    ty_c = t_y @ plant.c
-    b_tu = plant.b @ t_u
-    a_cl = np.zeros((n_x + n_k, n_x + n_k))
-    a_cl[:n_x, :n_x] = plant.a - b_tu @ d_k @ ty_c
-    a_cl[:n_x, n_x:] = b_tu @ c_k
-    a_cl[n_x:, :n_x] = -b_k @ ty_c
-    a_cl[n_x:, n_x:] = a_k
-    return a_cl
+    for r, plant in enumerate(plants):
+        ty_c = t_y @ plant.c
+        b_tu = plant.b @ t_u
+        a_cl[r, :n_x, :n_x] = plant.a - b_tu @ d_k[r] @ ty_c
+        a_cl[r, :n_x, n_x:] = b_tu @ c_k[r]
+        a_cl[r, n_x:, :n_x] = -b_k[r] @ ty_c
+    return a_cl[0] if single else a_cl
 
 
 def _count_integrators(cascade: Cascade) -> int:
@@ -738,6 +764,13 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid,
     sensitivity peaks with all other loops closed, and the closed-loop
     eigenvalues of the frozen realization as an independent oracle.
 
+    Every loop is frozen once for the whole grid: its responses come from
+    one stacked cascade_frf call and the closed-loop matrices from one
+    stacked closed_loop_matrix, whose eigenvalues are computed in one
+    call.  Stacked rows equal one-position evaluations bit for bit, so the
+    report does not depend on which other positions share the grid.  Plant
+    FRFs and equivalent plants stay per position.
+
     plant_frfs, when given, holds one decoupled plant FRF per grid row,
     sampled on certify's own frequencies (the base grid behind a
     CERT_TAIL_N-point low tail); they are used instead of evaluating the
@@ -757,20 +790,23 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid,
             if np.shape(p_frf) != shape:
                 raise DomainError(f"plant FRF {r} has shape "
                                   f"{np.shape(p_frf)}, expected {shape}")
+    order = controllers.loop_order
+    k_grid = controllers.loop_frfs(freqs, grid)
+    max_real = np.max(np.linalg.eigvals(
+        closed_loop_matrix(model, controllers, grid)).real, axis=-1)
     for r, p in enumerate(grid):
         if plant_frfs is not None:
             p_frf = plant_frfs[r]
         else:
             p_frf = decoupled_plant_frf(model, p, freqs, controllers.t_u,
                                         controllers.t_y)
-        k_frfs = controllers.loop_frfs(freqs, p)
-        det_res = det_identity_residual(p_frf, k_frfs, controllers.loop_order)
+        k_frfs = [k[r] for k in k_grid]
+        chain = design_chain(p_frf, k_frfs, order)
+        det_res = det_identity_residual(p_frf, k_frfs, order, chain=chain)
 
         loop_certs = []
-        closed = [np.zeros(len(freqs), dtype=complex)] * controllers.n_loops
-        for i in controllers.loop_order:
-            g_design = equivalent_plant(p_frf, closed, i)
-            l_frf = g_design * k_frfs[i]
+        for i in order:
+            l_frf = chain[i] * k_frfs[i]
             n_origin = 2 + _count_integrators(controllers.loops[i])
             verdict = nyquist_stable(freqs, l_frf, n_open_rhp=0,
                                      n_origin_poles=n_origin)
@@ -787,15 +823,12 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid,
                 gain_margin_db=margins.gain_margin_db,
                 sensitivity_peak_db=s_peak,
             ))
-            closed[i] = k_frfs[i]
 
-        eig = np.linalg.eigvals(closed_loop_matrix(model, controllers, p))
-        max_real = float(np.max(eig.real))
         report.points.append(PointCertification(
             p=(float(p[0]), float(p[1])),
             det_residual=det_res,
-            eig_stable=max_real < 0.0,
-            eig_max_real=max_real,
+            eig_stable=bool(max_real[r] < 0.0),
+            eig_max_real=float(max_real[r]),
             loops=loop_certs,
         ))
     return report

@@ -183,25 +183,30 @@ def freeze_notches(spec: LpvNotch, points, f_max=None):
     logged, never silent: one warning per clamped coefficient, with the
     number of points it was clamped at.  A pole damping surface that comes
     out nonpositive has no safe substitute and raises.
+
+    The four surfaces are evaluated in one eval_surface call, whose values
+    do not depend on the number of points: row k of a stacked freeze is
+    bit for bit the freeze at points[k] alone.
     """
     pts = np.asarray(points, dtype=float)
-    beta2 = eval_surface(spec.beta2, pts)
+    f1, f2, beta1, beta2 = eval_surface(
+        (spec.f1, spec.f2, spec.beta1, spec.beta2), pts)
     if np.any(beta2 <= 0.0):
         k = int(np.argmin(beta2))
         raise ModelError(f"scheduled notch pole damping {beta2[k]:.3g} <= 0 "
                          f"at p = {tuple(pts[k].tolist())}")
     hi = np.inf if f_max is None else float(f_max)
-    frozen = {}
-    for name, lo, up in (("f1", MIN_NOTCH_FREQ_HZ, hi),
-                         ("f2", MIN_NOTCH_FREQ_HZ, hi), ("beta1", 0.0, np.inf)):
-        value = eval_surface(getattr(spec, name), pts)
+    frozen = []
+    for name, value, lo, up in (("f1", f1, MIN_NOTCH_FREQ_HZ, hi),
+                                ("f2", f2, MIN_NOTCH_FREQ_HZ, hi),
+                                ("beta1", beta1, 0.0, np.inf)):
         n_bad = int(np.count_nonzero((value < lo) | (value > up)))
         if n_bad:
             log.warning("scheduled notch %s clamped into [%g, %g] at %d of %d "
                         "points", name, lo, up, n_bad, value.size)
             value = np.clip(value, lo, up)
-        frozen[name] = value
-    return frozen["f1"], frozen["f2"], frozen["beta1"], beta2
+        frozen.append(value)
+    return (*frozen, beta2)
 
 
 def _frozen_coefficients(spec: LpvNotch, p, f_max=None):
@@ -333,12 +338,34 @@ def element_transfer(spec, omega, p=None):
 
 
 def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
-    """Frozen cascade response: the product of element responses."""
+    """Frozen cascade response: the product of element responses.
+
+    Given an (n, 2) array of positions the result is an (n, F) stack, one
+    frozen response per row (a read-only broadcast when the cascade has no
+    scheduled block).  The fixed section is multiplied out once; each row
+    then takes its scheduled notches from one stacked freeze_notches call
+    per notch, evaluated from that row's frozen coefficients as scalars, so
+    row k equals the response at p[k] alone bit for bit.
+    """
     omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)
     out = np.ones(omega.shape, dtype=complex)
-    for element in cascade.elements:
-        out = out * element_transfer(element, omega, p)
-    return out
+    for element in cascade.fixed_part:
+        out = out * element_transfer(element, omega)
+    pts = None if p is None else np.asarray(p, dtype=float)
+    if pts is None or pts.ndim == 1:
+        for element in cascade.scheduled_part:
+            out = out * element_transfer(element, omega, p)
+        return out
+    if not cascade.scheduled_part:
+        return np.broadcast_to(out, (pts.shape[0],) + out.shape)
+    frozen = [freeze_notches(spec, pts) for spec in cascade.scheduled_part]
+    stack = np.empty((pts.shape[0],) + out.shape, dtype=complex)
+    for k in range(pts.shape[0]):
+        row = out
+        for coeffs in frozen:
+            row = row * notch_transfer(*(float(c[k]) for c in coeffs), omega)
+        stack[k] = row
+    return stack
 
 
 def n_states(spec) -> int:

@@ -41,6 +41,7 @@ __all__ = [
     "default_grid",
     "frf",
     "equivalent_plant",
+    "design_chain",
     "det_identity_residual",
     "StabilityVerdict",
     "nyquist_stable",
@@ -58,7 +59,7 @@ DEFAULT_NPOINTS = 1000
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing positive frequency samples in Hz."""
+    """Strictly increasing, positive, finite frequency samples in Hz."""
 
     freqs_hz: np.ndarray
 
@@ -66,6 +67,8 @@ class FrequencyGrid:
         f = np.asarray(self.freqs_hz, dtype=float)
         if f.ndim != 1 or len(f) < 2:
             raise DomainError("frequency grid needs at least two points")
+        if not np.all(np.isfinite(f)):
+            raise DomainError("frequencies must be finite")
         if f[0] <= 0.0 or np.any(np.diff(f) <= 0.0):
             raise DomainError("frequencies must be positive and strictly increasing")
         object.__setattr__(self, "freqs_hz", f)
@@ -83,7 +86,8 @@ def default_grid(
     fmax_hz: float = DEFAULT_FMAX_HZ,
     n: int = DEFAULT_NPOINTS,
 ) -> FrequencyGrid:
-    return FrequencyGrid(np.geomspace(fmin_hz, fmax_hz, n))
+    with np.errstate(invalid="ignore"):   # FrequencyGrid rejects inf and NaN
+        return FrequencyGrid(np.geomspace(fmin_hz, fmax_hz, n))
 
 
 def frf(ss: FrozenStateSpace, freqs_hz) -> np.ndarray:
@@ -157,7 +161,25 @@ def _det_stacked(mats: np.ndarray) -> np.ndarray:
     return det
 
 
-def det_identity_residual(p_frf: np.ndarray, k_frfs, loop_order=None) -> float:
+def design_chain(p_frf: np.ndarray, k_frfs, loop_order=None) -> list:
+    """Design-step equivalent plants of every loop, indexed by loop.
+
+    Entry i is the plant loop i sees with the loops before it in loop_order
+    closed and the later ones still open: the chain that sequential loop
+    closing designs against and that certification checks.
+    """
+    n = np.shape(p_frf)[1]
+    order = list(range(n)) if loop_order is None else list(loop_order)
+    chain: list = [None] * n
+    closed: list = [0.0] * n
+    for i in order:
+        chain[i] = equivalent_plant(p_frf, closed, i)
+        closed[i] = k_frfs[i]
+    return chain
+
+
+def det_identity_residual(p_frf: np.ndarray, k_frfs, loop_order=None,
+                          chain=None) -> float:
     """Mismatch between det(I + P K) and the product of equivalent loops.
 
     The product telescopes exactly when each factor uses the design-step
@@ -165,24 +187,24 @@ def det_identity_residual(p_frf: np.ndarray, k_frfs, loop_order=None) -> float:
     and the later ones still open:
 
         det(I + P K) = prod_i (1 + g_i k_i),
-        g_i = equivalent_plant(P, [k_j for j before i, else 0], i).
+        g_i = design_chain(P, K, loop_order)[i].
 
-    Returns the max over the grid of the pointwise relative error
-    |lhs - rhs| / |lhs|.
+    chain, when given, is that design_chain result, already computed by
+    the caller.  Returns the max over the grid of the pointwise relative
+    error |lhs - rhs| / |lhs|.
     """
     p_frf = np.asarray(p_frf)
     F, n, _ = p_frf.shape
     order = list(range(n)) if loop_order is None else list(loop_order)
+    if chain is None:
+        chain = design_chain(p_frf, k_frfs, order)
     k = np.stack(
         [np.broadcast_to(np.asarray(k_frfs[j], dtype=complex), (F,)) for j in range(n)], axis=1
     )
     lhs = _det_stacked(np.eye(n)[None, :, :] + p_frf * k[:, None, :])
     rhs = np.ones(F, dtype=complex)
-    closed: list = [np.zeros(F, dtype=complex)] * n
     for i in order:
-        g_i = equivalent_plant(p_frf, closed, i)
-        rhs = rhs * (1.0 + g_i * k[:, i])
-        closed[i] = k[:, i]
+        rhs = rhs * (1.0 + chain[i] * k[:, i])
     return float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
 
 

@@ -200,14 +200,37 @@ def fit_surface(designs: FrozenDesignSet, order_x: int, order_y: int,
     return surface, report
 
 
-def eval_surface(surface: CoefficientSurface, p):
-    """Evaluate a surface at one point (qx, qy) or an (n, 2) array."""
+def eval_surface(surface, p):
+    """Evaluate a surface at one point (qx, qy) or an (n, 2) array.
+
+    surface may also be a sequence of k surfaces; the result then has one
+    row per surface, (k,) at one point and (k, n) on an array.  Surfaces
+    that share orders and coordinate maps share one chi_matrix.  Each value
+    is a fixed-order sum over the monomials, elementwise across points, so
+    it does not depend on how many points or surfaces are evaluated with
+    it: a stacked call equals one-point calls bit for bit.
+    """
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
-    a = chi_matrix(surface.normalize(np.atleast_2d(pts)),
-                   surface.order_x, surface.order_y)
-    vals = a @ surface.theta
-    return float(vals[0]) if single else vals
+    pts = np.atleast_2d(pts)
+    one = isinstance(surface, CoefficientSurface)
+    surfaces = [surface] if one else list(surface)
+    groups: dict = {}
+    for r, s in enumerate(surfaces):
+        key = (s.order_x, s.order_y, tuple(s.x_map), tuple(s.y_map))
+        groups.setdefault(key, []).append(r)
+    vals = np.zeros((len(surfaces), pts.shape[0]))
+    for rows in groups.values():
+        s = surfaces[rows[0]]
+        chi = chi_matrix(s.normalize(pts), s.order_x, s.order_y)
+        theta = np.stack([surfaces[r].theta for r in rows])
+        acc = np.zeros((len(rows), pts.shape[0]))
+        for m in range(chi.shape[1]):
+            acc += theta[:, m, None] * chi[:, m]
+        vals[rows] = acc
+    if one:
+        return float(vals[0, 0]) if single else vals[0]
+    return vals[:, 0] if single else vals
 
 
 def raw_coefficients(surface: CoefficientSurface) -> np.ndarray:

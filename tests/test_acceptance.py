@@ -237,6 +237,7 @@ def scan_runs(pipeline):
     return {
         "table": compare_runs(run_lti, run_lpv),
         "elapsed_s": time.perf_counter() - t0,
+        "p_sched_lpv": run_lpv.p,
     }
 
 
@@ -286,12 +287,9 @@ def test_stacked_lpv_realization_matches_each_position(pipeline):
     """realize on an (n, 2) array of positions against one position at a time.
 
     The 9x9 grid includes the workspace corners, where zero damping
-    surfaces of the benchmark set dip below zero and are clamped.  A
-    one-row stack reproduces the one-position realization bit for bit.  In
-    a longer stack the surface values come from one matrix-vector product
-    whose BLAS rounding depends on the row count, so entries may move by a
-    few ulp; evaluating row by row instead would change the stored designs
-    and the simulated traces in their last digits.
+    surfaces of the benchmark set dip below zero and are clamped.  Surface
+    values do not depend on the row count, so every row of the stack, and
+    a one-row stack, reproduce the one-position realization bit for bit.
     """
     points = grid_points(pipeline["model"].workspace, 9, 9)
     corners = grid_points(pipeline["model"].workspace, 2, 2)
@@ -308,9 +306,28 @@ def test_stacked_lpv_realization_matches_each_position(pipeline):
             for name in "abcd":
                 want = getattr(single, name)
                 np.testing.assert_array_equal(getattr(one_row, name)[0], want)
-                np.testing.assert_allclose(getattr(stacked, name)[k], want,
-                                           rtol=1e-14, atol=0.0)
+                np.testing.assert_array_equal(getattr(stacked, name)[k], want)
     assert clamped > 0
+
+
+def test_surface_evaluation_along_the_scan_is_row_independent(pipeline,
+                                                              scan_runs):
+    """The 28 surfaces of the benchmark LPV set along the README scan's
+    scheduling trace: one stacked evaluation over the whole trace, as the
+    simulator makes, equals one-point evaluations bit for bit."""
+    points = scan_runs["p_sched_lpv"]
+    surfaces = [getattr(spec, name)
+                for cascade in pipeline["lpv"].loops
+                for spec in cascade.scheduled_part
+                for name in ("f1", "f2", "beta1", "beta2")]
+    assert len(surfaces) == 28 and len(points) == 20_001
+    stacked = eval_surface(surfaces, points)
+    for k, p in enumerate(points):
+        assert np.array_equal(eval_surface(surfaces, p), stacked[:, k]), k
+    for r, surface in enumerate(surfaces):
+        assert np.array_equal(eval_surface(surface, points), stacked[r]), r
+        for k in range(0, len(points), 97):
+            assert eval_surface(surface, points[k]) == stacked[r, k], (r, k)
 
 
 def test_criterion_08_simulator_order_and_frozen_equivalence(pipeline):

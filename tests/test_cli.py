@@ -124,6 +124,15 @@ def test_frf_empty_position_list_is_a_usage_error(rigid_project, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid", ["nan:100:10", "1:inf:10"])
+def test_frf_non_finite_grid_exits_2(rigid_project, tmp_path, grid):
+    code = main(["frf", "--config", str(rigid_project),
+                 "--positions", "0.1,0.1", "--grid", grid,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert not (tmp_path / "frf_p01.csv").exists()
+
+
 def test_frf_missing_positions_flag_exits_via_argparse(rigid_project):
     with pytest.raises(SystemExit) as exc:
         main(["frf", "--config", str(rigid_project)])

@@ -42,6 +42,7 @@ from lpvslc.freqresp import (
 from lpvslc.plant import ModalPlantModel, Mode, benchmark_plant, frozen_realization
 from lpvslc.scheduling import eval_surface
 
+from certify_reference import reference_certify
 from freqresp_reference import block_solve_equivalent_plant
 
 ACTUATORS = np.array([[-0.06, -0.06], [0.06, -0.06], [0.06, 0.06], [-0.06, 0.06]])
@@ -407,6 +408,36 @@ def test_plant_frf_rows_do_not_depend_on_the_frequency_vector():
         sliced = decoupled_plant_frf(model, p, cert, t_u, t_y)[CERT_TAIL_N:]
         assert np.array_equal(sliced, decoupled_plant_frf(model, p, base,
                                                           t_u, t_y)), p
+
+
+@pytest.mark.parametrize("n", [5, 9])
+@pytest.mark.parametrize("kind", ["lti", "lpv"])
+def test_stacked_certify_equals_per_position_reference(benchmark_designs,
+                                                       kind, n):
+    """certify freezes every loop once for the whole grid; its report must
+    be the one a position-by-position certification makes, to the last
+    bit.  The 9x9 grid includes the workspace corners, where zero damping
+    surfaces of the LPV set are clamped."""
+    model = benchmark_designs["model"]
+    cs = benchmark_designs[kind]
+    grid = grid_points(model.workspace, n, n)
+    got = certify(model, cs, grid).to_dict()
+    assert got == reference_certify(model, cs, grid).to_dict()
+    if kind == "lpv" and n == 9:
+        corners = grid_points(model.workspace, 2, 2)
+        assert any(np.any(eval_surface(spec.beta1, corners) < 0)
+                   for c in cs.loops for spec in c.scheduled_part)
+
+
+def test_closed_loop_matrix_stack_matches_each_position(benchmark_designs):
+    model = benchmark_designs["model"]
+    grid = benchmark_designs["verify"]
+    for kind in ("lti", "lpv"):
+        stack = closed_loop_matrix(model, benchmark_designs[kind], grid)
+        assert stack.shape[0] == len(grid)
+        for k, p in enumerate(grid):
+            np.testing.assert_array_equal(
+                stack[k], closed_loop_matrix(model, benchmark_designs[kind], p))
 
 
 @pytest.mark.parametrize("kind", ["lti", "lpv"])

@@ -278,12 +278,20 @@ def test_stacked_realization_matches_each_position():
         for name in "abcd":
             want = getattr(single, name)
             np.testing.assert_array_equal(getattr(one_row, name)[0], want)
-            # Longer stacks share one BLAS product per surface, whose
-            # rounding depends on the row count.
-            np.testing.assert_allclose(getattr(stacked, name)[k], want,
-                                       rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(getattr(stacked, name)[k], want)
     # A fixed cascade ignores the positions and stays unstacked.
     assert realize(Cascade((Gain(2.0), Lead(80.0))), points).a.shape == (1, 1)
+
+    # The same holds for the cascade response on a stack of positions.
+    h = cascade_frf(casc, GRID, points)
+    assert h.shape == (7, len(GRID))
+    for k, p in enumerate(points):
+        np.testing.assert_array_equal(h[k], cascade_frf(casc, GRID, p))
+    fixed = Cascade((Gain(2.0), Lead(80.0)))
+    h = cascade_frf(fixed, GRID, points)
+    assert h.shape == (7, len(GRID))
+    np.testing.assert_array_equal(h, np.broadcast_to(cascade_frf(fixed, GRID),
+                                                     h.shape))
 
 
 def exact_zoh_oracle(spec, u_of_t, dt, n_steps):

@@ -8,6 +8,7 @@ from lpvslc.errors import DomainError, NumericalError
 from lpvslc.freqresp import (
     FrequencyGrid,
     default_grid,
+    design_chain,
     det_identity_residual,
     equivalent_plant,
     frf,
@@ -34,6 +35,12 @@ def test_grid_validation():
         FrequencyGrid(np.array([0.0, 1.0]))
     with pytest.raises(DomainError):
         FrequencyGrid(np.array([1.0, 1.0]))
+    for bad in ((float("nan"), 100.0, 10), (1.0, float("inf"), 10),
+                (1.0, float("nan"), 10)):
+        with pytest.raises(DomainError, match="finite"):
+            default_grid(*bad)
+    with pytest.raises(DomainError, match="finite"):
+        FrequencyGrid(np.array([1.0, 2.0, np.inf]))
     g = default_grid()
     assert len(g) == 1000
     assert g.freqs_hz[0] == 1.0 and g.freqs_hz[-1] == 5000.0
@@ -150,6 +157,11 @@ def test_det_identity_diagonal_zero_and_random():
         w = 2j * np.pi * freqs
         ks = [rng.normal() * 0.8 / (1.0 + w / rng.uniform(1.0, 30.0)) for _ in range(n)]
         assert det_identity_residual(h, ks) < 1e-8
+        # A precomputed design chain gives the same residual bit for bit.
+        order = [n - 1 - i for i in range(n)]
+        assert det_identity_residual(
+            h, ks, order, chain=design_chain(h, ks, order)) \
+            == det_identity_residual(h, ks, order)
 
 
 def test_nyquist_stable_integrator_loop():

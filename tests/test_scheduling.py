@@ -181,3 +181,34 @@ def test_surface_dict_round_trip():
     assert back.units == "Hz"
     p = (0.17, 0.02)
     assert eval_surface(back, p) == eval_surface(surface, p)
+
+
+def test_eval_surface_rows_do_not_depend_on_the_stack():
+    """A stacked evaluation, of many points or many surfaces at once, equals
+    one-point one-surface evaluations bit for bit, and matches the
+    explicit monomial sum to rounding."""
+    rng = np.random.default_rng(41)
+    window = ((0.0, 0.2), (0.0, 0.2))
+    surfaces = [
+        CoefficientSurface(3, 3, rng.normal(size=9), (0.1, 0.1), (0.1, 0.1)),
+        CoefficientSurface(3, 3, rng.normal(size=9), (0.1, 0.1), (0.1, 0.1)),
+        CoefficientSurface(2, 4, rng.normal(size=8), (0.05, 0.2), (0.1, 0.1)),
+        CoefficientSurface(3, 3, rng.normal(size=9), (0.1, 0.1), (0.1, 0.1)),
+    ]
+    pts = rng.uniform(*window[0], size=(257, 2))
+    stacked = eval_surface(surfaces, pts)
+    assert stacked.shape == (4, 257)
+    for r, s in enumerate(surfaces):
+        np.testing.assert_array_equal(eval_surface(s, pts), stacked[r])
+        for k in range(0, 257, 16):
+            assert eval_surface(s, pts[k]) == stacked[r, k]
+            np.testing.assert_array_equal(eval_surface(s, pts[k:k + 1]),
+                                          stacked[r, k:k + 1])
+        q = s.normalize(pts)
+        powers = [(v, w) for v in range(s.order_x) for w in range(s.order_y)]
+        explicit = sum(t * q[:, 0] ** v * q[:, 1] ** w
+                       for t, (v, w) in zip(s.theta, powers))
+        np.testing.assert_allclose(stacked[r], explicit, rtol=1e-13,
+                                   atol=1e-13)
+    np.testing.assert_array_equal(eval_surface(surfaces, pts[3]),
+                                  stacked[:, 3])
