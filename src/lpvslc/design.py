@@ -122,6 +122,7 @@ CLUSTER_TOL = 0.10         # relative frequency window for mode tracking
 AUDIT_GRID_N = 9           # scheduled designs are audited on this n-by-n grid
 DET_RESIDUAL_TOL = 1e-6
 CERT_TAIL_N = 25           # low-frequency tail points ahead of the base grid
+CERT_CHUNK = 25            # positions certify freezes and realizes together
 SURFACE_FIT_TOL = 1e-6     # relative fit residual that aborts a scheduled design
 
 
@@ -505,47 +506,36 @@ def _discover_clusters(p_frfs, freqs_hz, masses) -> list:
     return clusters_per_loop
 
 
-def _required_beta1(freqs_hz, g_frf, gain_k, gamma_mag, cluster: _ClusterInfo,
+def _required_beta1(freqs_hz, g_frf, gain_k, gamma_frf, cluster: _ClusterInfo,
                     gamma: float) -> float:
     """Zero damping one position needs for one tracked resonance.
 
-    gamma_mag is the magnitude of the loop's fixed section (integrator and
-    leads) at the resonance.  The attenuation law 1 / (1 + G / G_max) is a
-    smooth function of the loop gain G the resonance would reach without
-    the notch: deep where the mode is hot, asymptotically neutral where it
-    has faded, and free of kinks so low-order coefficient surfaces can
-    follow it.
+    gamma_frf is the response of the loop's fixed section (integrator and
+    leads).  The attenuation law 1 / (1 + G / G_max) is a smooth function
+    of the loop gain G the resonance would reach without the notch: deep
+    where the mode is hot, asymptotically neutral where it has faded, and
+    free of kinks so low-order coefficient surfaces can follow it.
     """
-    loop_at_peak = (gain_k * gamma_mag
+    loop_at_peak = (gain_k
+                    * _interp_loglog_mag(freqs_hz, gamma_frf, cluster.f_hz)
                     * _interp_loglog_mag(freqs_hz, g_frf, cluster.f_hz))
     target = 1.0 / (1.0 + loop_at_peak / RESONANT_LOOP_GAIN_MAX)
     target = max(target, NOTCH_DEPTH_FLOOR)
     return target * _neutral_beta1(cluster.beta2, gamma)
 
 
-def _local_notches(freqs_hz, g_frf, gain_k, gamma_mags, clusters,
-                   f_bw) -> list:
+def _local_notches(freqs_hz, g_frf, gain_k, gamma_frf, clusters, f_bw) -> list:
     return [
         Notch(f1=cl.f_hz, f2=_skew_for(cl.f_hz, f_bw) * cl.f_hz,
-              beta1=_required_beta1(freqs_hz, g_frf, gain_k, mag, cl,
+              beta1=_required_beta1(freqs_hz, g_frf, gain_k, gamma_frf, cl,
                                     _skew_for(cl.f_hz, f_bw)),
               beta2=cl.beta2)
-        for cl, mag in zip(clusters, gamma_mags)
+        for cl in clusters
     ]
 
 
 def _fixed_section(f_bw: float, spec: DesignSpec) -> list:
     return [Integrator()] + [Lead(f_bw=f_bw, alpha=spec.alpha)] * spec.n_leads
-
-
-def _fixed_section_mags(freqs_hz, f_bw, spec: DesignSpec,
-                        clusters_per_loop) -> list:
-    """|fixed section| at each loop's tracked resonances; the section is the
-    same for every loop and position, so this is done once per bandwidth."""
-    gamma_frf = cascade_frf(Cascade(tuple(_fixed_section(f_bw, spec))),
-                            freqs_hz)
-    return [[_interp_loglog_mag(freqs_hz, gamma_frf, cl.f_hz) for cl in cls]
-            for cls in clusters_per_loop]
 
 
 def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
@@ -559,7 +549,7 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
     """
     center = len(p_frfs) // 2
     skeleton = _fixed_section(f_bw, spec)
-    gamma_mags = _fixed_section_mags(freqs_hz, f_bw, spec, clusters_per_loop)
+    gamma_frf = cascade_frf(Cascade(tuple(skeleton)), freqs_hz)
 
     # Gains at the center position with provisional local notches: the
     # notches barely move the cascade magnitude down at the crossover, so
@@ -569,7 +559,7 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
     for i in order:
         g = equivalent_plant(p_frfs[center], k_frfs, i)
         k0 = tune_gain(g, freqs_hz, Cascade(tuple(skeleton)), f_bw)
-        notches = _local_notches(freqs_hz, g, k0.k, gamma_mags[i],
+        notches = _local_notches(freqs_hz, g, k0.k, gamma_frf,
                                  clusters_per_loop[i], f_bw)
         cascade = Cascade(tuple(skeleton + notches))
         gains[i] = tune_gain(g, freqs_hz, cascade, f_bw)
@@ -581,7 +571,7 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
         k_frfs = [np.zeros(len(freqs_hz), dtype=complex) for _ in masses]
         for i in order:
             g = equivalent_plant(p_frf, k_frfs, i)
-            notches = _local_notches(freqs_hz, g, gains[i].k, gamma_mags[i],
+            notches = _local_notches(freqs_hz, g, gains[i].k, gamma_frf,
                                      clusters_per_loop[i], f_bw)
             for c, notch in enumerate(notches):
                 notch_table[(i, c, l)] = notch
@@ -652,7 +642,8 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
     should it dip below zero somewhere.
     """
     loops = list(loops)
-    gamma_mags = _fixed_section_mags(freqs_hz, f_bw, spec, clusters_per_loop)
+    skeleton = _fixed_section(f_bw, spec)
+    gamma_frf = cascade_frf(Cascade(tuple(skeleton)), freqs_hz)
     # Per loop, its responses on the whole audit grid, (n_audit, F); a
     # loop not yet closed reads zero at every point.
     closed = [np.broadcast_to(np.zeros(len(freqs_hz), dtype=complex),
@@ -667,7 +658,7 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
                 g = equivalent_plant(audit_frfs[a], [k[a] for k in closed], i)
                 for c, cl in enumerate(clusters):
                     required[a, c] = _required_beta1(
-                        freqs_hz, g, gains[i].k, gamma_mags[i][c], cl,
+                        freqs_hz, g, gains[i].k, gamma_frf, cl,
                         _skew_for(cl.f_hz, f_bw))
             for c in range(len(clusters)):
                 surface = scheduled[c].beta1
@@ -691,8 +682,7 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
                           "against the audit grid (residual shift %.3g)",
                           i, c, max(viol, 0.0))
             loops[i] = Cascade(tuple(fixed + scheduled), n_fixed=len(fixed))
-        if i != order[-1]:
-            closed[i] = cascade_frf(loops[i], freqs_hz, audit_grid)
+        closed[i] = cascade_frf(loops[i], freqs_hz, audit_grid)
     return loops
 
 
@@ -752,6 +742,40 @@ def _certification_freqs(freq_grid: FrequencyGrid | None) -> np.ndarray:
     return np.concatenate([tail, base])
 
 
+def _certify_position(controllers: ControllerSet, freqs, p, p_frf, k_frfs,
+                      max_real: float) -> PointCertification:
+    """Certification of one position from its plant FRF, its frozen loop
+    responses and the largest real part of its closed-loop eigenvalues."""
+    order = controllers.loop_order
+    chain = design_chain(p_frf, k_frfs, order)
+    loop_certs = []
+    for i in order:
+        l_frf = chain[i] * k_frfs[i]
+        n_origin = 2 + _count_integrators(controllers.loops[i])
+        verdict = nyquist_stable(freqs, l_frf, n_open_rhp=0,
+                                 n_origin_poles=n_origin)
+        margins = margins_and_bandwidth(freqs, l_frf)
+        g_all = equivalent_plant(p_frf, k_frfs, i)
+        s_peak = float(np.max(-20.0 * np.log10(
+            np.abs(1.0 + g_all * k_frfs[i]))))
+        loop_certs.append(LoopCertification(
+            loop=int(i),
+            nyquist_stable=verdict.stable,
+            encirclements=verdict.encirclements,
+            f_crossover_hz=margins.f_crossover_hz,
+            phase_margin_deg=margins.phase_margin_deg,
+            gain_margin_db=margins.gain_margin_db,
+            sensitivity_peak_db=s_peak,
+        ))
+    return PointCertification(
+        p=(float(p[0]), float(p[1])),
+        det_residual=det_identity_residual(p_frf, k_frfs, chain, order),
+        eig_stable=max_real < 0.0,
+        eig_max_real=max_real,
+        loops=loop_certs,
+    )
+
+
 def certify(model: ModalPlantModel, controllers: ControllerSet, grid,
             freq_grid: FrequencyGrid | None = None,
             bound_db: float | None = None, *,
@@ -764,12 +788,13 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid,
     sensitivity peaks with all other loops closed, and the closed-loop
     eigenvalues of the frozen realization as an independent oracle.
 
-    Every loop is frozen once for the whole grid: its responses come from
-    one stacked cascade_frf call and the closed-loop matrices from one
-    stacked closed_loop_matrix, whose eigenvalues are computed in one
-    call.  Stacked rows equal one-position evaluations bit for bit, so the
-    report does not depend on which other positions share the grid.  Plant
-    FRFs and equivalent plants stay per position.
+    The grid is taken CERT_CHUNK positions at a time.  Every loop is
+    frozen once per chunk: its responses come from one stacked cascade_frf
+    call and the closed-loop matrices from one stacked closed_loop_matrix,
+    whose eigenvalues are computed in one call.  Stacked rows equal
+    one-position evaluations bit for bit, so the report does not depend on
+    which other positions share a chunk, and memory does not grow with
+    the grid.  Plant FRFs and equivalent plants stay per position.
 
     plant_frfs, when given, holds one decoupled plant FRF per grid row,
     sampled on certify's own frequencies (the base grid behind a
@@ -790,47 +815,20 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid,
             if np.shape(p_frf) != shape:
                 raise DomainError(f"plant FRF {r} has shape "
                                   f"{np.shape(p_frf)}, expected {shape}")
-    order = controllers.loop_order
-    k_grid = controllers.loop_frfs(freqs, grid)
-    max_real = np.max(np.linalg.eigvals(
-        closed_loop_matrix(model, controllers, grid)).real, axis=-1)
-    for r, p in enumerate(grid):
-        if plant_frfs is not None:
-            p_frf = plant_frfs[r]
-        else:
-            p_frf = decoupled_plant_frf(model, p, freqs, controllers.t_u,
-                                        controllers.t_y)
-        k_frfs = [k[r] for k in k_grid]
-        chain = design_chain(p_frf, k_frfs, order)
-        det_res = det_identity_residual(p_frf, k_frfs, order, chain=chain)
-
-        loop_certs = []
-        for i in order:
-            l_frf = chain[i] * k_frfs[i]
-            n_origin = 2 + _count_integrators(controllers.loops[i])
-            verdict = nyquist_stable(freqs, l_frf, n_open_rhp=0,
-                                     n_origin_poles=n_origin)
-            margins = margins_and_bandwidth(freqs, l_frf)
-            g_all = equivalent_plant(p_frf, k_frfs, i)
-            s_peak = float(np.max(-20.0 * np.log10(
-                np.abs(1.0 + g_all * k_frfs[i]))))
-            loop_certs.append(LoopCertification(
-                loop=int(i),
-                nyquist_stable=verdict.stable,
-                encirclements=verdict.encirclements,
-                f_crossover_hz=margins.f_crossover_hz,
-                phase_margin_deg=margins.phase_margin_deg,
-                gain_margin_db=margins.gain_margin_db,
-                sensitivity_peak_db=s_peak,
-            ))
-
-        report.points.append(PointCertification(
-            p=(float(p[0]), float(p[1])),
-            det_residual=det_res,
-            eig_stable=bool(max_real[r] < 0.0),
-            eig_max_real=float(max_real[r]),
-            loops=loop_certs,
-        ))
+    for start in range(0, len(grid), CERT_CHUNK):
+        chunk = grid[start:start + CERT_CHUNK]
+        k_chunk = controllers.loop_frfs(freqs, chunk)
+        max_real = np.max(np.linalg.eigvals(
+            closed_loop_matrix(model, controllers, chunk)).real, axis=-1)
+        for r, p in enumerate(chunk):
+            if plant_frfs is not None:
+                p_frf = plant_frfs[start + r]
+            else:
+                p_frf = decoupled_plant_frf(model, p, freqs, controllers.t_u,
+                                            controllers.t_y)
+            report.points.append(_certify_position(
+                controllers, freqs, p, p_frf, [k[r] for k in k_chunk],
+                float(max_real[r])))
     return report
 
 

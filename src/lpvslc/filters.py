@@ -342,30 +342,29 @@ def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
 
     Given an (n, 2) array of positions the result is an (n, F) stack, one
     frozen response per row (a read-only broadcast when the cascade has no
-    scheduled block).  The fixed section is multiplied out once; each row
-    then takes its scheduled notches from one stacked freeze_notches call
-    per notch, evaluated from that row's frozen coefficients as scalars, so
-    row k equals the response at p[k] alone bit for bit.
+    scheduled block).  The fixed section is multiplied out once; each
+    scheduled notch is frozen in one freeze_notches call for all rows, and
+    each row takes its notch responses from its own frozen coefficients as
+    scalars, so row k equals the response at p[k] alone bit for bit.
     """
     omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)
     out = np.ones(omega.shape, dtype=complex)
     for element in cascade.fixed_part:
         out = out * element_transfer(element, omega)
-    pts = None if p is None else np.asarray(p, dtype=float)
-    if pts is None or pts.ndim == 1:
-        for element in cascade.scheduled_part:
-            out = out * element_transfer(element, omega, p)
-        return out
+    single = p is None or np.ndim(p) == 1
     if not cascade.scheduled_part:
-        return np.broadcast_to(out, (pts.shape[0],) + out.shape)
+        return out if single else np.broadcast_to(out, (len(p),) + out.shape)
+    if p is None:
+        raise ModelError("scheduled notch needs a position to freeze at")
+    pts = np.atleast_2d(np.asarray(p, dtype=float))
     frozen = [freeze_notches(spec, pts) for spec in cascade.scheduled_part]
-    stack = np.empty((pts.shape[0],) + out.shape, dtype=complex)
-    for k in range(pts.shape[0]):
+    stack = np.empty((len(pts),) + out.shape, dtype=complex)
+    for k in range(len(pts)):
         row = out
         for coeffs in frozen:
             row = row * notch_transfer(*(float(c[k]) for c in coeffs), omega)
         stack[k] = row
-    return stack
+    return stack[0] if single else stack
 
 
 def n_states(spec) -> int:

@@ -178,8 +178,8 @@ def design_chain(p_frf: np.ndarray, k_frfs, loop_order=None) -> list:
     return chain
 
 
-def det_identity_residual(p_frf: np.ndarray, k_frfs, loop_order=None,
-                          chain=None) -> float:
+def det_identity_residual(p_frf: np.ndarray, k_frfs, chain,
+                          loop_order=None) -> float:
     """Mismatch between det(I + P K) and the product of equivalent loops.
 
     The product telescopes exactly when each factor uses the design-step
@@ -189,15 +189,13 @@ def det_identity_residual(p_frf: np.ndarray, k_frfs, loop_order=None,
         det(I + P K) = prod_i (1 + g_i k_i),
         g_i = design_chain(P, K, loop_order)[i].
 
-    chain, when given, is that design_chain result, already computed by
-    the caller.  Returns the max over the grid of the pointwise relative
-    error |lhs - rhs| / |lhs|.
+    chain is that design_chain result, computed by the caller for the
+    same loop_order.  Returns the max over the grid of the pointwise
+    relative error |lhs - rhs| / |lhs|.
     """
     p_frf = np.asarray(p_frf)
     F, n, _ = p_frf.shape
     order = list(range(n)) if loop_order is None else list(loop_order)
-    if chain is None:
-        chain = design_chain(p_frf, k_frfs, order)
     k = np.stack(
         [np.broadcast_to(np.asarray(k_frfs[j], dtype=complex), (F,)) for j in range(n)], axis=1
     )

@@ -2,8 +2,9 @@
 
 This is design.certify as it ran before every loop was frozen once per
 grid.  Per position it evaluates the plant FRF, each loop's cascade
-response at that one position, the design chain inside the determinant
-identity and again for the Nyquist checks, and the closed-loop state
+response at that one position, the design chain once for the
+determinant identity and again, loop by loop, for the Nyquist checks,
+and the closed-loop state
 matrix with every loop realized at that one position, whose eigenvalues
 it computes alone.  The agreement tests in test_design.py hold the
 stacked certify to it bit for bit.
@@ -19,14 +20,23 @@ from lpvslc.design import (
     _count_integrators,
     decoupled_plant_frf,
 )
-from lpvslc.filters import cascade_frf, realize
+from lpvslc.filters import element_transfer, realize
 from lpvslc.freqresp import (
+    design_chain,
     det_identity_residual,
     equivalent_plant,
     margins_and_bandwidth,
     nyquist_stable,
 )
 from lpvslc.plant import frozen_realization
+
+
+def cascade_frf_at(cascade, freqs, p):
+    omega = 2.0 * np.pi * freqs
+    out = np.ones(omega.shape, dtype=complex)
+    for element in cascade.elements:
+        out = out * element_transfer(element, omega, p)
+    return out
 
 
 def closed_loop_matrix_at(model, controllers, p):
@@ -62,8 +72,11 @@ def reference_certify(model, controllers, grid):
     for p in np.atleast_2d(np.asarray(grid, dtype=float)):
         p_frf = decoupled_plant_frf(model, p, freqs, controllers.t_u,
                                     controllers.t_y)
-        k_frfs = [cascade_frf(c, freqs, p) for c in controllers.loops]
-        det_res = det_identity_residual(p_frf, k_frfs, controllers.loop_order)
+        k_frfs = [cascade_frf_at(c, freqs, p) for c in controllers.loops]
+        det_res = det_identity_residual(
+            p_frf, k_frfs,
+            design_chain(p_frf, k_frfs, controllers.loop_order),
+            controllers.loop_order)
         loop_certs = []
         closed = [np.zeros(len(freqs), dtype=complex)] * controllers.n_loops
         for i in controllers.loop_order:

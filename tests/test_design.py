@@ -5,6 +5,7 @@ in a module fixture; cheap contract tests build small plants of their own.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,27 @@ def test_stacked_certify_equals_per_position_reference(benchmark_designs,
         corners = grid_points(model.workspace, 2, 2)
         assert any(np.any(eval_surface(spec.beta1, corners) < 0)
                    for c in cs.loops for spec in c.scheduled_part)
+
+
+def test_certify_memory_does_not_grow_with_the_grid(benchmark_designs,
+                                                    monkeypatch):
+    """certify holds the loop responses and closed-loop matrices of one
+    chunk of positions at a time, so its peak memory on a grid of eight
+    chunks is that of a grid of two.  Holding the whole grid at once
+    would add about 50 kB per extra position here, over 1 MB in all."""
+    monkeypatch.setattr("lpvslc.design.CERT_CHUNK", 4)
+    model = benchmark_designs["model"]
+    peaks = []
+    for n in (2, 8):
+        grid = grid_points(model.workspace, 4, n)
+        tracemalloc.start()
+        try:
+            report = certify(model, benchmark_designs["lpv"], grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(report.points) == len(grid)
+    assert peaks[1] - peaks[0] < 300_000, peaks
 
 
 def test_closed_loop_matrix_stack_matches_each_position(benchmark_designs):

@@ -285,8 +285,15 @@ def test_stacked_realization_matches_each_position():
     # The same holds for the cascade response on a stack of positions.
     h = cascade_frf(casc, GRID, points)
     assert h.shape == (7, len(GRID))
+    # Each row, and the response at that position alone, is the product
+    # of the element responses there, in cascade order.
+    omega = 2.0 * np.pi * GRID
     for k, p in enumerate(points):
-        np.testing.assert_array_equal(h[k], cascade_frf(casc, GRID, p))
+        want = np.ones(len(GRID), dtype=complex)
+        for element in casc.elements:
+            want = want * element_transfer(element, omega, p)
+        np.testing.assert_array_equal(h[k], want)
+        np.testing.assert_array_equal(cascade_frf(casc, GRID, p), want)
     fixed = Cascade((Gain(2.0), Lead(80.0)))
     h = cascade_frf(fixed, GRID, points)
     assert h.shape == (7, len(GRID))
