@@ -396,6 +396,22 @@ def test_design_report_equals_fresh_certification(benchmark_designs):
                 == benchmark_designs[f"report_{kind}"].to_dict()), kind
 
 
+def test_certify_report_does_not_depend_on_the_chunking(benchmark_designs,
+                                                        monkeypatch):
+    """Certified four positions at a time, on plant FRFs given by the
+    caller, the 5x5 report is the one certify makes in a single chunk."""
+    monkeypatch.setattr("lpvslc.design.CERT_CHUNK", 4)
+    model = benchmark_designs["model"]
+    grid = benchmark_designs["verify"]
+    freqs = _certification_freqs(None)
+    for kind in ("lti", "lpv"):
+        cs = benchmark_designs[kind]
+        frfs = [decoupled_plant_frf(model, p, freqs, cs.t_u, cs.t_y)
+                for p in grid]
+        got = certify(model, cs, grid, plant_frfs=frfs).to_dict()
+        assert got == benchmark_designs[f"report_{kind}"].to_dict(), kind
+
+
 def test_plant_frf_rows_do_not_depend_on_the_frequency_vector():
     """The design reads its base-grid plant FRFs as the [CERT_TAIL_N:]
     slice of the certification FRFs; that slice must equal a base-only
