@@ -1,34 +1,17 @@
-"""RK4 step loop of the assembled closed loop, for the numba and numpy backends.
+"""RK4 step loop of the assembled closed loop.
 
 The simulator (see sim._assemble) turns the plant, the axis transforms and
 every loop's controller into one closed-loop state matrix A_k per step and
 folds the loop references, axis feedforward and propulsion force into the
 affine input g_k, sampled at the step's start, midpoint and end.  Within
 step k the state then obeys x' = A_k x + g(t), and one classical RK4 step
-costs four matrix-vector products.
-
-The loop is written once, in the numpy subset that numba's nopython mode
-accepts.  At import time the module publishes two backends built from that
-single source:
-
-    numpy   the function as written, interpreted
-    numba   the same function through ``numba.njit(cache=True)``
-
-The default is numba whenever the package is importable; setting the
-environment variable ``LPVSLC_DISABLE_NUMBA`` to ``1``/``true``/``yes``
-before import pins the default to the interpreted path (useful on machines
-without a working compiler toolchain, and for A/B timing).
+costs four matrix-vector products.  The loop runs in numpy; the
+simulator fetches it through get_backend.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from .errors import ConfigError
-
-NUMBA_ENV_FLAG = "LPVSLC_DISABLE_NUMBA"
 
 DIVERGENCE_LIMIT = 1.0e6
 
@@ -62,41 +45,11 @@ def _sim_loop(n_steps, dt, a_t, sa, g_t, x_t):
     return -1
 
 
-sim_loop_numpy = _sim_loop
-
-try:
-    from numba import njit
-
-    sim_loop_numba = njit(cache=True)(_sim_loop)
-except ImportError:  # pragma: no cover - exercised on numba-free installs
-    sim_loop_numba = None
-
-
-def _flag_set() -> bool:
-    return os.environ.get(NUMBA_ENV_FLAG, "").strip().lower() in ("1", "true", "yes")
-
-
-def available_backends() -> dict:
-    """Name -> kernel callable for every backend usable in this process."""
-    out = {"numpy": sim_loop_numpy}
-    if sim_loop_numba is not None:
-        out["numba"] = sim_loop_numba
-    return out
-
-
 def default_backend_name() -> str:
-    if sim_loop_numba is None or _flag_set():
-        return "numpy"
-    return "numba"
+    """Name of the integration kernel, recorded in run environments."""
+    return "numpy"
 
 
-def get_backend(name=None):
-    """Resolve a kernel by name; None picks the environment default."""
-    if name is None:
-        name = default_backend_name()
-    backends = available_backends()
-    if name not in backends:
-        raise ConfigError(
-            f"unknown simulation backend {name!r}; available: "
-            f"{sorted(backends)}")
-    return backends[name]
+def get_backend():
+    """The integration kernel: _sim_loop."""
+    return _sim_loop

@@ -686,43 +686,60 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
     return loops
 
 
+def closed_loop_stack(b, c, km, dm, loops, fb) -> np.ndarray:
+    """Stacked state matrix of the modal plant with every loop closed.
+
+    b       modal force per axis command, (Phi_a T_u) / m, (rows, n_q, n_l)
+    c       axis outputs T_y Phi_s, (rows, n_l, n_q)
+    km, dm  stiffness/mass and damping/mass modal diagonals, (n_q,)
+    loops   each loop's realize output, one system or a stack of rows
+    fb      1.0 with the loops closed, 0.0 with them open
+
+    With x = [q; qd; xc_1 .. xc_nl], loop i closes e_i = r_i - (c q)_i
+    through xc_i' = A_i xc_i + B_i e_i, and fb (C_i xc_i + D_i e_i) drives
+    the modes through column i of b.  Returns (rows, N, N), N being 2 n_q
+    plus the loops' state counts; every row is computed on its own.
+    """
+    rows, n_q = b.shape[0], km.size
+    n2 = 2 * n_q
+    n_x = n2 + sum(k.n_states for k in loops)
+    a = np.zeros((rows, n_x, n_x))
+    iq = np.arange(n_q)
+    a[:, iq, n_q + iq] = 1.0
+    a[:, n_q + iq, iq] = -km
+    a[:, n_q + iq, n_q + iq] = -dm
+    qd = slice(n_q, n2)
+    at = n2
+    for i, k in enumerate(loops):
+        xc = slice(at, at + k.n_states)
+        b_i, c_i = b[:, :, i, None], c[:, i, None, :]
+        a[:, qd, :n_q] -= (fb * k.d) * b_i * c_i
+        a[:, qd, xc] = fb * b_i * k.c
+        a[:, xc, :n_q] = -k.b * c_i
+        a[:, xc, xc] = k.a
+        at = xc.stop
+    return a
+
+
 def closed_loop_matrix(model: ModalPlantModel, controllers: ControllerSet,
                        p) -> np.ndarray:
     """State matrix of the frozen closed loop (plant + all controllers).
 
     One position gives an (N, N) matrix, an (n, 2) array of positions an
-    (n, N, N) stack.  Each loop is realized once for all positions (a
-    fixed cascade is position-independent, a scheduled one realizes
-    stacked); the plant is realized per position.
+    (n, N, N) stack.  The mode shapes are evaluated once for all positions
+    and each loop is realized once (a fixed cascade is position-independent,
+    a scheduled one realizes stacked); closed_loop_stack closes the loops,
+    as the simulator does at every step.
     """
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    n_p, n_l = pts.shape[0], controllers.n_loops
-    t_u, t_y = controllers.t_u, controllers.t_y
-    plants = [frozen_realization(model, q) for q in pts]
-    loops = [realize(c, pts) for c in controllers.loops]
-    n_x = plants[0].n_states
-    n_k = sum(k.n_states for k in loops)
-    a_cl = np.zeros((n_p, n_x + n_k, n_x + n_k))
-    a_k = a_cl[:, n_x:, n_x:]
-    b_k = np.zeros((n_p, n_k, n_l))
-    c_k = np.zeros((n_p, n_l, n_k))
-    d_k = np.zeros((n_p, n_l, n_l))
-    at = 0
-    for i, k in enumerate(loops):
-        n = k.n_states
-        a_k[:, at:at + n, at:at + n] = k.a
-        b_k[:, at:at + n, i] = k.b[..., 0]
-        c_k[:, i, at:at + n] = k.c[..., 0, :]
-        d_k[:, i, i] = k.d[..., 0, 0]
-        at += n
-    for r, plant in enumerate(plants):
-        ty_c = t_y @ plant.c
-        b_tu = plant.b @ t_u
-        a_cl[r, :n_x, :n_x] = plant.a - b_tu @ d_k[r] @ ty_c
-        a_cl[r, :n_x, n_x:] = b_tu @ c_k[r]
-        a_cl[r, n_x:, :n_x] = -b_k[r] @ ty_c
+    phi_a, phi_s = mode_shape_eval(model, pts)
+    omega = 2.0 * np.pi * model.frequencies_hz
+    a_cl = closed_loop_stack(
+        (phi_a @ controllers.t_u) * (1.0 / model.masses[:, None]),
+        controllers.t_y @ phi_s, omega ** 2, 2.0 * model.damping * omega,
+        [realize(c, pts) for c in controllers.loops], 1.0)
     return a_cl[0] if single else a_cl
 
 

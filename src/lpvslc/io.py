@@ -48,10 +48,12 @@ def dump_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("columns must have equal length")
+    # One % operation per row; "%.17g" formats exactly as fmt_float does.
+    row_fmt = ("%.17g," * len(cols))[:-1] + "\n"
+    rows = np.column_stack(cols).astype(float).tolist()
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(fmt_float(c[i]) for c in cols) + "\n")
+        fh.writelines(row_fmt % tuple(row) for row in rows)
 
 
 def load_csv(path) -> tuple[list[str], np.ndarray]:

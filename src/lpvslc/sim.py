@@ -9,13 +9,14 @@ slowly moving stage re-tunes the loop between steps.
 
 The run is computed in three batched stages.  First the per-sample
 tables: plant coupling along the position trace (one stacked call each to
-mode_shape_eval and scan_coupling) and every loop cascade realized along
-the scheduling trace.  Then, in blocks of ASSEMBLY_BLOCK steps, the
+mode_shape_eval and scan_coupling) and every loop cascade realized once
+along the scheduling trace.  Then, in blocks of ASSEMBLY_BLOCK steps, the
 assembled closed loop: per step the state matrix A_k of plant, axis
-transforms and padded controller blocks with the feedback closed, and the
-input map G_k of w = [r, u_ff, f_scan], with G_k w folded at the step's
-start, midpoint and end into g_k.  The kernel (_kernels) then runs RK4 on
-x' = A_k x + g, four matrix-vector products per step.  Outputs, errors and
+transforms and controllers with the feedback closed, built by
+design.closed_loop_stack as for certification, and the input map G_k of
+w = [r, u_ff, f_scan], with G_k w folded at the step's start, midpoint and
+end into g_k.  The kernel (_kernels) then runs RK4 on x' = A_k x + g,
+four matrix-vector products per step.  Outputs, errors and
 actuation are evaluated afterwards from the state trace.  Every row of
 every table is computed on its own, so a short run is a bitwise prefix of
 a longer one.
@@ -50,11 +51,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
-from .design import ControllerSet
+from .design import ControllerSet, closed_loop_stack
 from .errors import ConfigError, ModelError, NumericalError
 from .filters import n_states, realize
 from .io import dump_csv
-from .plant import ModalPlantModel, mode_shape_eval, scan_coupling
+from .plant import (
+    FrozenStateSpace,
+    ModalPlantModel,
+    mode_shape_eval,
+    scan_coupling,
+)
 # Not called here: perfbench/tracing.py patches lpvslc.sim.eval_surface, so
 # the name stays importable from this module.
 from .scheduling import eval_surface  # noqa: F401
@@ -106,7 +112,6 @@ class SimConfig:
     settling_s: float = 0.02
     feedforward: bool = True
     feedback: bool = True
-    backend: str | None = None
 
     def __post_init__(self):
         for name in ("feedforward", "feedback"):
@@ -180,8 +185,8 @@ class SimResult:
     """Simulation traces on a shared time base, one column per axis loop.
 
     states holds the integrator state per sample: modal displacements and
-    velocities first, then one fixed-width controller block per loop
-    (padding slots of short blocks stay exactly zero).  p is the scheduling
+    velocities first, then each loop's controller states in loop order,
+    as many as its cascade realizes.  p is the scheduling
     trace actually fed to the controller, so with measured-delayed
     scheduling it lags the commanded position by one step.
     """
@@ -409,34 +414,6 @@ def _plant_tables(model, p_true, varying, t_u, t_y):
     return b_t, c_t, bs_t, (1 if varying else 0)
 
 
-def _controller_tables(controllers: ControllerSet, p_sched, varying, f_max):
-    """Per-sample state-space tables of every loop cascade.
-
-    Each cascade is realized once on the scheduling trace, with its
-    scheduled notches frozen per sample (see filters.freeze_notches, which
-    clamps and logs), and zero-padded to the common block width nc.
-    """
-    loops = controllers.loops
-    nc = _block_width(controllers)
-    scheduled = any(len(c.scheduled_part) > 0 for c in loops)
-    sc = 1 if (scheduled and varying) else 0
-    nt = p_sched.shape[0] if sc else 1
-
-    n_l = len(loops)
-    ac_t = np.zeros((nt, n_l, nc, nc))
-    bc_t = np.zeros((nt, n_l, nc))
-    cc_t = np.zeros((nt, n_l, nc))
-    dc_t = np.zeros((nt, n_l))
-    for i, cascade in enumerate(loops):
-        ss = realize(cascade, p_sched[:nt], f_max)
-        ns = ss.n_states
-        ac_t[:, i, :ns, :ns] = ss.a
-        bc_t[:, i, :ns] = ss.b[..., 0]
-        cc_t[:, i, :ns] = ss.c[..., 0, :]
-        dc_t[:, i] = ss.d[..., 0, 0]
-    return ac_t, bc_t, cc_t, dc_t, sc, nc
-
-
 def _half_grid_inputs(model, motion, config, rigid_masses, n_l):
     """References, axis feedforward, and propulsion force on the half grid."""
     n = config.n_steps
@@ -466,13 +443,13 @@ class _RunTables:
     """What the integrator reads for one run, on its sample grid.
 
     The plant tables (b_t, c_t, bs_t) hold one row per sample when the
-    stage moves (sp = 1) and a single row otherwise (sp = 0); the
-    controller tables (ac_t .. dc_t) likewise with sc.  The loop
-    references, axis feedforward and propulsion force (r_h, uff_h, fsc_h)
-    are sampled on the half-step grid that the RK4 stages need.  km and dm
-    are the stiffness/mass and damping/mass modal diagonals, nc the
-    common controller block width, and fb is 1.0 with the loop closed and
-    0.0 with it open.
+    stage moves (sp = 1) and a single row otherwise (sp = 0).  loops holds
+    each loop's realization: stacked with one row per sample when the
+    cascade is scheduled and the stage moves, a single system otherwise.
+    The loop references, axis feedforward and propulsion force (r_h,
+    uff_h, fsc_h) are sampled on the half-step grid that the RK4 stages
+    need.  km and dm are the stiffness/mass and damping/mass modal
+    diagonals, and fb is 1.0 with the loop closed and 0.0 with it open.
     """
 
     t: np.ndarray
@@ -481,12 +458,7 @@ class _RunTables:
     c_t: np.ndarray
     bs_t: np.ndarray
     sp: int
-    ac_t: np.ndarray
-    bc_t: np.ndarray
-    cc_t: np.ndarray
-    dc_t: np.ndarray
-    sc: int
-    nc: int
+    loops: list
     r_h: np.ndarray
     uff_h: np.ndarray
     fsc_h: np.ndarray
@@ -498,22 +470,21 @@ class _RunTables:
     axis_names: tuple
 
 
-def _block_width(controllers: ControllerSet) -> int:
-    """State count of the widest loop cascade: every loop's block width."""
-    return max(max(n_states(c) for c in controllers.loops), 1)
+def _bytes_per_step(model, controllers: ControllerSet) -> int:
+    """Bytes a run keeps per integration step while the stage moves.
 
-
-def _bytes_per_step(model, n_l, nc) -> int:
-    """Bytes a run keeps per integration step, with every table varying.
-
-    Counts the state trace, the per-sample plant and controller tables,
-    the half-grid inputs and the per-loop result traces; short-lived
-    temporaries are not counted.
+    Counts the state trace, the per-sample plant tables, the stacked
+    realization (A, B, C, D) of every scheduled loop, the half-grid inputs
+    and the per-loop result traces; short-lived temporaries are not
+    counted.
     """
-    n_q = model.n_modes
-    floats = (2 * n_q + n_l * nc                    # state trace
+    n_q, n_l = model.n_modes, controllers.n_loops
+    widths = [n_states(c) for c in controllers.loops]
+    floats = (2 * n_q + sum(widths)                 # state trace
               + n_q * (2 * n_l + 2)                 # plant tables
-              + n_l * (nc * nc + 2 * nc + 1)        # controller tables
+              + sum((w + 1) ** 2                    # w^2 + 2w + 1 per row
+                    for w, c in zip(widths, controllers.loops)
+                    if c.scheduled_part)            # scheduled realizations
               + 2 * (2 * n_l + 2)                   # half-grid inputs
               + 6 * n_l + 3)                        # t, p, r, y, e, u, MA, MSD
     return 8 * floats
@@ -540,9 +511,11 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
     t_u = np.ascontiguousarray(controllers.t_u, dtype=float)
     t_y = np.ascontiguousarray(controllers.t_y, dtype=float)
     b_t, c_t, bs_t, sp = _plant_tables(model, p_true, varying, t_u, t_y)
-    ac_t, bc_t, cc_t, dc_t, sc, nc = _controller_tables(
-        controllers, p_sched, varying,
-        f_max=NOTCH_NYQUIST_FRACTION * 0.5 * config.sample_rate_hz)
+    # Each cascade is realized once for the run, its scheduled notches
+    # frozen per sample (see filters.freeze_notches, which clamps and logs).
+    f_max = NOTCH_NYQUIST_FRACTION * 0.5 * config.sample_rate_hz
+    loops = [realize(c, p_sched if varying else p_sched[0], f_max)
+             for c in controllers.loops]
 
     rigid_idx = [k for k, mode in enumerate(model.modes) if mode.kind == "rigid"]
     rigid_masses = model.masses[rigid_idx]
@@ -553,7 +526,7 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
 
     n_q = model.n_modes
     omega = 2.0 * np.pi * model.frequencies_hz
-    x0 = np.zeros(2 * n_q + n_l * nc)
+    x0 = np.zeros(2 * n_q + sum(k.n_states for k in loops))
     if x0_plant is not None:
         x0_plant = np.asarray(x0_plant, dtype=float).ravel()
         if x0_plant.size != 2 * n_q:
@@ -562,8 +535,7 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
         x0[:2 * n_q] = x0_plant
     return _RunTables(
         t=t, p_sched=p_sched, b_t=b_t, c_t=c_t, bs_t=bs_t, sp=sp,
-        ac_t=ac_t, bc_t=bc_t, cc_t=cc_t, dc_t=dc_t, sc=sc, nc=nc,
-        r_h=r_h, uff_h=uff_h, fsc_h=fsc_h, km=omega ** 2,
+        loops=loops, r_h=r_h, uff_h=uff_h, fsc_h=fsc_h, km=omega ** 2,
         dm=2.0 * model.damping * omega, x0=x0, t_u=t_u,
         fb=1.0 if config.feedback else 0.0, axis_names=axis_names)
 
@@ -571,40 +543,31 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
 def _assemble(tab: _RunTables, w_h, k0, k1):
     """Closed-loop matrices A_k of steps k0..k1-1 and their folded inputs.
 
-    With x = [q; qd; xc_1 .. xc_nl] and w = [r, u_ff, f_scan], every loop
-    closes e_i = r_i - (C_k q)_i through its controller block,
-    u = fb (Cc_i xc_i + Dc_i e_i) + u_ff and xc_i' = Ac_i xc_i + Bc_i e_i,
-    so that within step k the dynamics are x' = A_k x + G_k w(t).
-    A comes back with a single row when no table varies.  g holds G_k w at
-    the step's start, midpoint and end, shape (k1 - k0, 3, nx).  Every
-    entry is computed per step, independently of the block's length.
+    A_k is design.closed_loop_stack on the step's plant tables and frozen
+    loops, so within step k the dynamics are x' = A_k x + G_k w(t) with
+    x = [q; qd; xc_1 .. xc_nl] and w = [r, u_ff, f_scan]: r_i enters where
+    the loop error e_i does and u_ff adds to the axis commands.  A comes
+    back with a single row when no table varies.  g holds G_k w at the
+    step's start, midpoint and end, shape (k1 - k0, 3, nx).  Every entry
+    is computed per step, independently of the block's length.
     """
-    n_q, n_l = tab.km.size, tab.dc_t.shape[1]
-    nc, fb = tab.nc, tab.fb
-    n2 = 2 * n_q
-    nx = n2 + n_l * nc
-    b, c, bs = (m[k0:k1] if tab.sp else m for m in (tab.b_t, tab.c_t, tab.bs_t))
-    ac, bc, cc, dc = (m[k0:k1] if tab.sc else m
-                      for m in (tab.ac_t, tab.bc_t, tab.cc_t, tab.dc_t))
-    rows = k1 - k0 if (tab.sp or tab.sc) else 1
+    n_q, n_l = tab.km.size, len(tab.loops)
+    rows = slice(k0, k1) if tab.sp else slice(None)
+    b, bs = tab.b_t[rows], tab.bs_t[rows]
+    loops = [k if k.a.ndim == 2 else
+             FrozenStateSpace(k.a[rows], k.b[rows], k.c[rows], k.d[rows])
+             for k in tab.loops]
+    a = closed_loop_stack(b, tab.c_t[rows], tab.km, tab.dm, loops, tab.fb)
 
-    a = np.zeros((rows, nx, nx))
-    g_map = np.zeros((rows, nx, w_h.shape[1]))
-    iq = np.arange(n_q)
-    a[:, iq, n_q + iq] = 1.0
-    a[:, n_q + iq, iq] = -tab.km
-    a[:, n_q + iq, n_q + iq] = -tab.dm
-    qd = slice(n_q, n2)
-    for i in range(n_l):
-        xc = slice(n2 + i * nc, n2 + (i + 1) * nc)
-        b_i, c_i = b[:, :, i], c[:, i, None, :]
-        a[:, qd, :n_q] -= (fb * dc[:, i, None, None]) * b_i[:, :, None] * c_i
-        a[:, qd, xc] = fb * b_i[:, :, None] * cc[:, i, None, :]
-        a[:, xc, :n_q] = -bc[:, i, :, None] * c_i
-        a[:, xc, xc] = ac[:, i]
-        g_map[:, qd, i] = fb * dc[:, i, None] * b_i
-        g_map[:, xc, i] = bc[:, i]
-        g_map[:, qd, n_l + i] = b_i
+    g_map = np.zeros(a.shape[:2] + (w_h.shape[1],))
+    qd = slice(n_q, 2 * n_q)
+    at = 2 * n_q
+    for i, k in enumerate(loops):
+        xc = slice(at, at + k.n_states)
+        g_map[:, qd, i] = tab.fb * k.d[..., 0] * b[:, :, i]
+        g_map[:, xc, i] = k.b[..., 0]
+        g_map[:, qd, n_l + i] = b[:, :, i]
+        at = xc.stop
     g_map[:, qd, 2 * n_l:] = bs
 
     w = np.stack([w_h[2 * k0 + s:2 * k1 + s:2] for s in range(3)], axis=2)
@@ -612,14 +575,14 @@ def _assemble(tab: _RunTables, w_h, k0, k1):
     return a, g
 
 
-def _integrate(tab: _RunTables, n, h, backend):
+def _integrate(tab: _RunTables, n, h):
     """State trace (n + 1, nx) of the assembled closed loop under RK4.
 
     Steps are assembled and integrated in blocks of ASSEMBLY_BLOCK, so the
     working set stays bounded and a block's rows do not depend on the run
     length.  A state norm beyond the divergence limit raises.
     """
-    kernel = _kernels.get_backend(backend)
+    kernel = _kernels.get_backend()
     w_h = np.hstack([tab.r_h, tab.uff_h, tab.fsc_h])
     x_t = np.empty((n + 1, tab.x0.size))
     x_t[0] = tab.x0
@@ -640,12 +603,16 @@ def _integrate(tab: _RunTables, n, h, backend):
 
 def _outputs(tab: _RunTables, x_t):
     """References, outputs, errors and actuation per sample, from the states."""
-    n_q, n_l = tab.km.size, tab.dc_t.shape[1]
+    n_q = tab.km.size
     r = np.ascontiguousarray(tab.r_h[::2])
     y = np.matmul(tab.c_t, x_t[:, :n_q, None])[:, :, 0]
     e = r - y
-    xc = x_t[:, 2 * n_q:].reshape(x_t.shape[0], n_l, tab.nc)
-    v = np.sum(tab.cc_t * xc, axis=2) + tab.dc_t * e
+    v = np.empty_like(e)
+    at = 2 * n_q
+    for i, k in enumerate(tab.loops):
+        xc = x_t[:, at:at + k.n_states]
+        v[:, i] = np.sum(k.c[..., 0, :] * xc, axis=1) + k.d[..., 0, 0] * e[:, i]
+        at += k.n_states
     u_axis = tab.fb * v + tab.uff_h[::2]
     u = np.matmul(tab.t_u, u_axis[:, :, None])[:, :, 0]
     return r, y, e, u
@@ -688,7 +655,7 @@ def simulate(model: ModalPlantModel, controllers: ControllerSet,
     n = config.n_steps
     if n < 1:
         raise ConfigError("run is shorter than one sample step")
-    need = (n + 1) * _bytes_per_step(model, n_l, _block_width(controllers))
+    need = (n + 1) * _bytes_per_step(model, controllers)
     if need > MAX_TRACE_BYTES:
         raise ConfigError(
             f"a {n}-step run needs about {need / 2**30:.3g} GiB of traces "
@@ -702,7 +669,7 @@ def simulate(model: ModalPlantModel, controllers: ControllerSet,
                     "pass; simulating anyway", controllers.kind)
 
     tab = _run_tables(model, controllers, motion, config, x0_plant)
-    x_t = _integrate(tab, n, config.step_s, config.backend)
+    x_t = _integrate(tab, n, config.step_s)
     r, y, e, u = _outputs(tab, x_t)
     ma, msd = ma_msd(e, config.window_s, config.sample_rate_hz)
     return SimResult(
@@ -736,7 +703,7 @@ def sim_config_to_dict(config: SimConfig) -> dict:
 
 def sim_config_from_dict(data: dict) -> SimConfig:
     known = {"duration_s", "sample_rate_hz", "scheduling_source", "window_s",
-             "settling_s", "feedforward", "feedback", "backend"}
+             "settling_s", "feedforward", "feedback"}
     extra = set(data) - known
     if extra:
         raise ConfigError(f"unknown simulation config fields: {sorted(extra)}")

@@ -4,8 +4,9 @@ This is the integration loop the simulator ran before it assembled the
 closed loop per step.  It walks the plant, the axis transforms and each
 loop's controller stage by stage, so it shares no arithmetic with the
 assembled A_k / g_k path, and it is fed the same per-sample tables
-(sim._run_tables).  The agreement tests in test_sim.py and
-test_acceptance.py hold the simulator to it.
+(sim._run_tables), with the loop realizations padded to one block width.
+The agreement tests in test_sim.py and test_acceptance.py hold the
+simulator to it.
 """
 
 import numpy as np
@@ -117,19 +118,41 @@ def _sim_loop(n_steps, dt, n_q, n_l,
 
 
 def reference_traces(model, controllers, motion, config, x0_plant=None):
-    """States, outputs y and actuation u of one run, by the reference loop."""
+    """States, outputs y and actuation u of one run, by the reference loop.
+
+    The stepper works on fixed-width controller blocks, so each loop's
+    realization from the run tables is zero-padded here to the widest
+    loop; the padding columns are dropped from the states returned.
+    """
     tab = sim._run_tables(model, controllers, motion, config, x0_plant)
     n, n_q, n_l = config.n_steps, model.n_modes, controllers.n_loops
+    widths = [k.n_states for k in tab.loops]
+    nc = max(max(widths), 1)
+    sc = 1 if any(k.a.ndim == 3 for k in tab.loops) else 0
+    nt = n + 1 if sc else 1
+    ac_t = np.zeros((nt, n_l, nc, nc))
+    bc_t = np.zeros((nt, n_l, nc))
+    cc_t = np.zeros((nt, n_l, nc))
+    dc_t = np.zeros((nt, n_l))
+    for i, (k, ns) in enumerate(zip(tab.loops, widths)):
+        ac_t[:, i, :ns, :ns] = k.a
+        bc_t[:, i, :ns] = k.b[..., 0]
+        cc_t[:, i, :ns] = k.c[..., 0, :]
+        dc_t[:, i] = k.d[..., 0, 0]
+    keep = np.concatenate([np.arange(2 * n_q)] + [
+        2 * n_q + i * nc + np.arange(ns) for i, ns in enumerate(widths)])
+    x0 = np.zeros(2 * n_q + n_l * nc)
+    x0[keep] = tab.x0
     y_t = np.zeros((n + 1, n_l))
     u_t = np.zeros((n + 1, n_l))
-    x_t = np.zeros((n + 1, tab.x0.size))
+    x_t = np.zeros((n + 1, x0.size))
     status = _sim_loop(n, config.step_s, n_q, n_l, tab.km, tab.dm,
                        tab.b_t, tab.c_t, tab.bs_t, tab.sp,
-                       tab.ac_t, tab.bc_t, tab.cc_t, tab.dc_t, tab.sc,
+                       ac_t, bc_t, cc_t, dc_t, sc,
                        tab.r_h, tab.uff_h, tab.fsc_h, tab.fb, tab.t_u,
-                       tab.x0, y_t, u_t, x_t)
+                       x0, y_t, u_t, x_t)
     assert status < 0, f"reference run diverged at step {status}"
-    return x_t, y_t, u_t
+    return x_t[:, keep], y_t, u_t
 
 
 def max_relative_gap(result, reference):

@@ -12,9 +12,11 @@ import time
 import numpy as np
 import pytest
 
+from lpvslc import sim
 from lpvslc.design import (
     DesignSpec,
     certify,
+    closed_loop_matrix,
     design_lpv_slc,
     design_lti_slc,
     freeze_controller_set,
@@ -286,6 +288,35 @@ def test_simulator_matches_reference_stepper(pipeline):
         gaps = max_relative_gap(
             run, reference_traces(model, pipeline[key], motion, config))
         assert max(gaps.values()) <= 1e-12, (key, gaps)
+
+
+@pytest.mark.parametrize("feedback", [True, False])
+def test_simulator_and_certify_build_one_closed_loop(pipeline, feedback):
+    """A frozen start without a scan, on both designed sets.
+
+    The simulator's first assembly block is one matrix, and with the loops
+    closed it is closed_loop_matrix at that position bit for bit.  With
+    them open no controller state reaches the plant, and everything else
+    is unchanged.
+    """
+    model = pipeline["model"]
+    p = np.array(benchmark_motion().start_xy)
+    motion = StageMotion(start_xy=tuple(p))
+    config = SimConfig(duration_s=0.02, feedback=feedback)
+    n_x = 2 * model.n_modes
+    for key in ("lti", "lpv"):
+        tab = sim._run_tables(model, pipeline[key], motion, config, None)
+        w_h = np.hstack([tab.r_h, tab.uff_h, tab.fsc_h])
+        a, _ = sim._assemble(tab, w_h, 0, sim.ASSEMBLY_BLOCK)
+        closed = closed_loop_matrix(model, pipeline[key], p)
+        assert a.shape == (1,) + closed.shape, key
+        assert tab.x0.shape == closed.shape[:1], key
+        if feedback:
+            np.testing.assert_array_equal(a[0], closed)
+        else:
+            assert not a[0, :n_x, n_x:].any(), key
+            np.testing.assert_array_equal(a[0, :n_x, :n_x], closed[:n_x, :n_x])
+            np.testing.assert_array_equal(a[0, n_x:], closed[n_x:])
 
 
 def test_stacked_lpv_realization_matches_each_position(pipeline):

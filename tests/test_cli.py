@@ -177,6 +177,11 @@ def test_simulate_rejects_non_boolean_feedback(tmp_path):
                           trajectory=TRAJECTORY_SPEC,
                           sim_config={"duration_s": 1, "feedback": "no"})
     assert main(["simulate", "--config", str(path), "--mode", "lti"]) == 2
+    # The kernel is no longer selectable; the old field is unknown.
+    path = _write_project(tmp_path, _rigid_plant(),
+                          trajectory=TRAJECTORY_SPEC,
+                          sim_config={"duration_s": 1, "backend": "numpy"})
+    assert main(["simulate", "--config", str(path), "--mode", "lti"]) == 2
 
 
 def test_simulate_refuses_oversized_run(rigid_project, tmp_path):

@@ -4,9 +4,9 @@ Analytic anchors: a zero run stays exactly zero, mass feedforward inverts
 the rigid plant in open loop, RK4 shows fourth-order step convergence,
 MA/MSD reproduce closed-form values for constant and sinusoidal errors
 and match brute-force window recomputation.  Scheduled-controller runs
-are checked against frozen realizations and across kernel backends, and
-the assembled closed-loop step against the per-stage reference stepper in
-sim_reference.py.
+are checked against frozen realizations, the assembled closed-loop step
+against the per-stage reference stepper in sim_reference.py, and the
+size guard against what a run allocates.
 """
 
 import logging
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lpvslc import _kernels, sim
+from lpvslc import sim
 from lpvslc.design import (
     DesignSpec,
     certify,
@@ -42,7 +42,7 @@ from lpvslc.sim import (
     simulate,
     write_result_csv,
 )
-from lpvslc.io import load_csv, load_json, dump_json
+from lpvslc.io import dump_csv, dump_json, fmt_float, load_csv, load_json
 from lpvslc.trajectory import MotionBounds, plan, sample
 
 from sim_reference import max_relative_gap, reference_traces
@@ -163,20 +163,6 @@ def test_frozen_p_lpv_matches_lti_realization(mini_design):
     assert np.abs(res_lpv.u - res_fro.u).max() <= 1e-8
 
 
-def test_kernel_backends_agree(mini_design):
-    if "numba" not in _kernels.available_backends():
-        pytest.skip("numba backend not importable")
-    model, lpv = mini_design
-    motion = StageMotion(start_xy=(0.06, 0.12),
-                         loop_refs=(z_move(), None, None))
-    runs = {}
-    for backend in ("numpy", "numba"):
-        cfg = SimConfig(duration_s=0.1, backend=backend)
-        runs[backend] = simulate(model, lpv, motion, cfg)
-    assert np.abs(runs["numpy"].e - runs["numba"].e).max() <= 1e-12
-    assert np.abs(runs["numpy"].states - runs["numba"].states).max() <= 1e-12
-
-
 @pytest.mark.parametrize("case", ["feedback-off", "measured-delayed"])
 def test_assembled_loop_matches_reference_stepper(mini_design, case):
     """States, y and u agree with the per-stage loop fed the same tables.
@@ -227,15 +213,28 @@ def test_oversized_run_is_refused_before_allocating(mini_design):
     assert peak < 1_000_000
 
 
-def test_disable_flag_switches_default_backend(monkeypatch):
-    monkeypatch.delenv(_kernels.NUMBA_ENV_FLAG, raising=False)
-    default = _kernels.default_backend_name()
-    monkeypatch.setenv(_kernels.NUMBA_ENV_FLAG, "1")
-    assert _kernels.default_backend_name() == "numpy"
-    monkeypatch.delenv(_kernels.NUMBA_ENV_FLAG)
-    assert _kernels.default_backend_name() == default
-    with pytest.raises(ConfigError, match="unknown simulation backend"):
-        _kernels.get_backend("fortran")
+@pytest.mark.parametrize("design", ["rigid_design", "mini_design"])
+def test_size_guard_counts_what_a_run_allocates(design, request):
+    """(n + 1) x _bytes_per_step against the arrays a scan run keeps.
+
+    The two may differ by less than one step's bytes: the half-grid
+    inputs hold 2n + 1 rows, not 2n + 2, and a fixed loop's single
+    realization is not counted per step.
+    """
+    model, controllers = request.getfixturevalue(design)
+    scan = StageMotion(start_xy=(0.05, 0.10), scan_x=z_move(0.05, 10_000.0))
+    cfg = SimConfig(duration_s=0.05)
+    res = simulate(model, controllers, scan, cfg)
+    tab = sim._run_tables(model, controllers, scan, cfg, None)
+    stacked = [k.a.ndim == 3 for k in tab.loops]
+    assert all(stacked) if controllers.kind == "lpv" else not any(stacked)
+    arrays = [res.states, tab.b_t, tab.c_t, tab.bs_t,
+              tab.r_h, tab.uff_h, tab.fsc_h,
+              res.t, res.p, res.r, res.y, res.e, res.u, res.ma, res.msd]
+    arrays += [m for k in tab.loops for m in (k.a, k.b, k.c, k.d)]
+    allocated = sum(m.nbytes for m in arrays)
+    per_step = sim._bytes_per_step(model, controllers)
+    assert abs((cfg.n_steps + 1) * per_step - allocated) <= per_step
 
 
 def test_divergent_loop_aborts_with_diagnosis(rigid_design):
@@ -318,6 +317,8 @@ def test_sim_config_validation():
     # A truthy string must not silently close the loop.
     with pytest.raises(ConfigError, match="feedback must be true or false"):
         sim_config_from_dict({"duration_s": 1, "feedback": "no"})
+    with pytest.raises(ConfigError, match=r"unknown simulation config fields: \['backend'\]"):
+        sim_config_from_dict({"duration_s": 1, "backend": "numpy"})
     with pytest.raises(ConfigError, match="feedforward must be true or false"):
         SimConfig(duration_s=1.0, feedforward=1)
 
@@ -480,6 +481,23 @@ def test_interval_metrics_empty_interval_raises():
     empty = Interval("constant velocity", 0.0, 0.0005)
     with pytest.raises(ConfigError, match="no samples"):
         interval_metrics(res, [empty])
+
+
+def test_csv_rows_format_as_fmt_float(tmp_path):
+    """dump_csv formats a whole row at once; every field must read exactly
+    as fmt_float writes it, special values included."""
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072e-308,
+               0.1, 1e300, -1.0 / 3.0, 1.0, 2.0 ** 53 + 2.0]
+    cols = [np.array(special), np.array(special[::-1]),
+            np.arange(len(special))]
+    path = tmp_path / "special.csv"
+    dump_csv(path, ["a", "b", "k"], cols)
+    lines = path.read_text().split("\n")
+    assert lines[0] == "a,b,k" and lines[-1] == ""
+    want = [",".join(fmt_float(c[i]) for c in cols)
+            for i in range(len(special))]
+    assert lines[1:-1] == want
+    assert "-0" in want[0] and "nan" in want[2] and "-inf" in want[4]
 
 
 def test_result_export_and_comparison(tmp_path, rigid_design):
