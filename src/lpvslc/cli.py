@@ -52,6 +52,7 @@ from .errors import (
     DomainError,
     ModelError,
     NumericalError,
+    integral,
 )
 from .freqresp import default_grid, frf, write_frf_csv
 from .io import dump_csv, dump_json, load_json
@@ -156,20 +157,26 @@ def _load_motion(path) -> tuple[StageMotion, float]:
     need = {"v_max", "a_max", "j_max", "s_max"}
     if not isinstance(b, dict) or set(b) != need:
         raise ConfigError(f"{path}: bounds must hold exactly {sorted(need)}")
-    bounds = MotionBounds(**{k: float(v) for k, v in b.items()})
-    rate = float(data.get("sample_rate_hz", 10000.0))
+    try:
+        bounds = MotionBounds(**{k: float(v) for k, v in b.items()})
+        rate = float(data.get("sample_rate_hz", 10000.0))
+        start_xy = tuple(float(v) for v in data["start_xy"])
+        scan_x, scan_y = (None if data.get(k) is None else float(data[k])
+                          for k in ("scan_x_m", "scan_y_m"))
+        moves = [None if d is None else float(d)
+                 for d in data.get("loop_moves_m", [])]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad trajectory entry: {exc}") from exc
+    if not np.isfinite(rate) or rate <= 0.0:
+        raise ConfigError(f"{path}: sample_rate_hz must be positive and "
+                          f"finite, got {rate}")
 
     def _plan(d):
-        if d is None or float(d) == 0.0:
-            return None
-        return plan(float(d), bounds, rate)
+        return None if d is None or d == 0.0 else plan(d, bounds, rate)
 
-    motion = StageMotion(
-        start_xy=tuple(float(v) for v in data["start_xy"]),
-        scan_x=_plan(data.get("scan_x_m")),
-        scan_y=_plan(data.get("scan_y_m")),
-        loop_refs=tuple(_plan(d) for d in data.get("loop_moves_m", [])),
-    )
+    motion = StageMotion(start_xy=start_xy, scan_x=_plan(scan_x),
+                         scan_y=_plan(scan_y),
+                         loop_refs=tuple(_plan(d) for d in moves))
     return motion, rate
 
 
@@ -179,10 +186,11 @@ def _parse_positions(text: str) -> np.ndarray:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"bad position {chunk!r}; expected x,y")
-        pts.append([float(parts[0]), float(parts[1])])
+        try:
+            x, y = (float(v) for v in chunk.split(","))
+        except ValueError:
+            raise ConfigError(f"bad position {chunk!r}; expected x,y") from None
+        pts.append([x, y])
     if not pts:
         raise ConfigError("position list is empty; give at least one x,y pair")
     return np.asarray(pts)
@@ -306,15 +314,19 @@ def cmd_fit(args) -> None:
     for key in ("points", "values", "order_x", "order_y"):
         if key not in data:
             raise ConfigError(f"{args.config}: fit input needs {key!r}")
-    designs = FrozenDesignSet(np.asarray(data["points"], dtype=float),
-                              np.asarray(data["values"], dtype=float),
-                              units=str(data.get("units", "")))
-    bounds = None
-    if "bounds" in data:
-        (x_lo, x_hi), (y_lo, y_hi) = data["bounds"]
-        bounds = ((float(x_lo), float(x_hi)), (float(y_lo), float(y_hi)))
-    surface, report = fit_surface(designs, int(data["order_x"]),
-                                  int(data["order_y"]), bounds=bounds)
+    try:
+        points = np.asarray(data["points"], dtype=float)
+        values = np.asarray(data["values"], dtype=float)
+        bounds = None
+        if "bounds" in data:
+            (x_lo, x_hi), (y_lo, y_hi) = data["bounds"]
+            bounds = ((float(x_lo), float(x_hi)), (float(y_lo), float(y_hi)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.config}: bad fit entry: {exc}") from exc
+    designs = FrozenDesignSet(points, values, units=str(data.get("units", "")))
+    surface, report = fit_surface(designs, integral("order_x", data["order_x"]),
+                                  integral("order_y", data["order_y"]),
+                                  bounds=bounds)
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     dump_json(surface_to_dict(surface), out / "surface.json")

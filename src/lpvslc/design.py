@@ -40,7 +40,6 @@ local requirement.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +50,7 @@ from .errors import (
     DesignInfeasibleError,
     DomainError,
     ModelError,
+    integral,
 )
 from .filters import (
     Cascade,
@@ -1011,14 +1011,6 @@ def design_spec_to_dict(spec: DesignSpec) -> dict:
     return out
 
 
-def _integral(key: str, value) -> int:
-    """value as an int; booleans and non-integral numbers are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not float(value).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def design_spec_from_dict(data: dict) -> DesignSpec:
     try:
         kwargs = {}
@@ -1028,14 +1020,14 @@ def design_spec_from_dict(data: dict) -> DesignSpec:
                 kwargs[key] = float(data[key])
         for key in ("n_leads", "surface_order", "bisection_iterations"):
             if key in data:
-                kwargs[key] = _integral(key, data[key])
+                kwargs[key] = integral(key, data[key])
         if "design_grid" in data:
             kwargs["design_grid"] = np.asarray(data["design_grid"], float)
         if "verification_grid" in data:
             kwargs["verification_grid"] = np.asarray(
                 data["verification_grid"], float)
         if "loop_order" in data:
-            kwargs["loop_order"] = tuple(_integral("loop_order entry", i)
+            kwargs["loop_order"] = tuple(integral("loop_order entry", i)
                                          for i in data["loop_order"])
         return DesignSpec(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all lpvslc modules."""
+"""Exception hierarchy and the integer check shared by all lpvslc modules."""
+
+import numbers
 
 
 class LpvSlcError(Exception):
@@ -27,3 +29,11 @@ class DesignInfeasibleError(LpvSlcError):
 
 class NumericalError(LpvSlcError):
     """A numerical procedure diverged or hit a singular/ill-conditioned case."""
+
+
+def integral(key: str, value) -> int:
+    """value as an int; booleans and non-integral numbers are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)

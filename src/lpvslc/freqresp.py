@@ -76,10 +76,6 @@ class FrequencyGrid:
     def __len__(self) -> int:
         return len(self.freqs_hz)
 
-    @property
-    def omega(self) -> np.ndarray:
-        return 2.0 * np.pi * self.freqs_hz
-
 
 def default_grid(
     fmin_hz: float = DEFAULT_FMIN_HZ,
@@ -211,9 +207,6 @@ class StabilityVerdict:
     stable: bool
     encirclements: int  # clockwise encirclements of -1
     n_origin_poles: int
-    n_open_rhp: int
-    winding_float: float  # pre-rounding value, for diagnostics
-    n_freqs_used: int
 
 
 @dataclass
@@ -324,9 +317,6 @@ def nyquist_stable(
         stable=(z == 0),
         encirclements=encirclements,
         n_origin_poles=q,
-        n_open_rhp=int(n_open_rhp),
-        winding_float=float(winding),
-        n_freqs_used=len(f),
     )
 
 

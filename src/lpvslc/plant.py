@@ -183,10 +183,6 @@ class ModalPlantModel:
         return sum(1 for m in self.modes if m.kind == "rigid")
 
     @property
-    def n_flex(self) -> int:
-        return self.n_modes - self.n_rigid
-
-    @property
     def n_u(self) -> int:
         return self.n_rigid
 

@@ -20,14 +20,12 @@ map is stored with the surface, so evaluation is self-contained.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, ModelError, integral
 
 __all__ = [
     "CoefficientSurface",
@@ -36,7 +34,6 @@ __all__ = [
     "chi_matrix",
     "fit_surface",
     "eval_surface",
-    "raw_coefficients",
     "surface_to_dict",
     "surface_from_dict",
 ]
@@ -86,8 +83,10 @@ class CoefficientSurface:
             )
         if len(self.x_map) != 2 or len(self.y_map) != 2:
             raise ModelError("coordinate maps must be (offset, half_span) pairs")
-        if self.x_map[1] == 0.0 or self.y_map[1] == 0.0:
-            raise ModelError("coordinate map half spans must be nonzero")
+        if not np.all(np.isfinite([*self.theta, *self.x_map, *self.y_map])) \
+                or self.x_map[1] == 0.0 or self.y_map[1] == 0.0:
+            raise ModelError("coefficients and coordinate maps must be "
+                             "finite, with nonzero half spans")
 
     def normalize(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -119,13 +118,12 @@ class FrozenDesignSet:
             raise ModelError("number of design points and values differ")
         if self.values.size < 1:
             raise ModelError("need at least one design point")
+        if not (np.all(np.isfinite(self.points))
+                and np.all(np.isfinite(self.values))):
+            raise ModelError("design points and values must be finite")
         uniq = np.unique(self.points, axis=0)
         if uniq.shape[0] != self.points.shape[0]:
             raise ModelError("design points must be distinct")
-
-    @property
-    def n_designs(self) -> int:
-        return self.values.size
 
 
 @dataclass
@@ -177,12 +175,12 @@ def fit_surface(designs: FrozenDesignSet, order_x: int, order_y: int,
     )
     a = chi_matrix(surface.normalize(designs.points), order_x, order_y)
 
-    # gelsy: QR with column pivoting, deterministic, honest rank estimate.
-    theta, _, rank, _ = scipy.linalg.lstsq(a, designs.values,
-                                           lapack_driver="gelsy")
-    surface.theta = np.asarray(theta, dtype=float)
+    # One SVD (gelsd) gives the minimum-norm solution, the numerical rank
+    # and the singular values for the condition number.
+    theta, _, rank, sv = np.linalg.lstsq(a, designs.values, rcond=None)
+    surface.theta = theta
 
-    residuals = a @ surface.theta - designs.values
+    residuals = a @ theta - designs.values
     n_coeff = order_x * order_y
     if rank < n_coeff:
         warnings.warn(
@@ -195,7 +193,7 @@ def fit_surface(designs: FrozenDesignSet, order_x: int, order_y: int,
         rms_residual=float(np.sqrt(np.mean(residuals ** 2))),
         rank=int(rank),
         n_coefficients=n_coeff,
-        condition=float(np.linalg.cond(a)) if min(a.shape) > 0 else np.inf,
+        condition=float(sv[0] / sv[-1]) if sv[-1] > 0.0 else np.inf,
     )
     return surface, report
 
@@ -233,28 +231,6 @@ def eval_surface(surface, p):
     return vals[:, 0] if single else vals
 
 
-def raw_coefficients(surface: CoefficientSurface) -> np.ndarray:
-    """Coefficients of the surface expressed in raw-coordinate monomials.
-
-    Undoes the [-1, 1] normalization by binomial expansion, so the result
-    can be compared directly against a generator polynomial in meters.
-    Entry v * order_y + w multiplies qx**v * qy**w.
-    """
-
-    def axis_matrix(order, offset, half):
-        # Column v holds the raw-monomial coefficients of the normalized
-        # power ((q - offset)/half)**v.
-        t = np.zeros((order, order))
-        for v in range(order):
-            for a in range(v + 1):
-                t[a, v] = math.comb(v, a) * (-offset) ** (v - a) / half ** v
-        return t
-
-    tx = axis_matrix(surface.order_x, *surface.x_map)
-    ty = axis_matrix(surface.order_y, *surface.y_map)
-    return np.kron(tx, ty) @ surface.theta
-
-
 def surface_to_dict(surface: CoefficientSurface) -> dict:
     return {
         "order_x": surface.order_x,
@@ -269,8 +245,8 @@ def surface_to_dict(surface: CoefficientSurface) -> dict:
 def surface_from_dict(data: dict) -> CoefficientSurface:
     try:
         return CoefficientSurface(
-            order_x=int(data["order_x"]),
-            order_y=int(data["order_y"]),
+            order_x=integral("order_x", data["order_x"]),
+            order_y=integral("order_y", data["order_y"]),
             theta=np.asarray(data["theta"], dtype=float),
             x_map=(float(data["x_map"][0]), float(data["x_map"][1])),
             y_map=(float(data["y_map"][0]), float(data["y_map"][1])),

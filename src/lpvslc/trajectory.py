@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError
 from .io import dump_csv
@@ -89,8 +88,8 @@ class TrajectoryProfile:
                               "1-d arrays of equal length")
         if np.any(self.durations < 0.0):
             raise ConfigError("segment durations must be nonnegative")
-        if self.sample_rate_hz <= 0.0:
-            raise ConfigError("sample rate must be positive")
+        if not np.isfinite(self.sample_rate_hz) or self.sample_rate_hz <= 0.0:
+            raise ConfigError("sample rate must be positive and finite")
         n = self.durations.size
         self.t_knots = np.concatenate([[0.0], np.cumsum(self.durations)])
         states = np.zeros((n + 1, 4))
@@ -128,6 +127,27 @@ def _round_up_to_grid(t: float, dt: float) -> float:
     return float(np.ceil(t / dt - 1e-9)) * dt
 
 
+def _increasing_root(f, hi: float) -> float:
+    """Root in [0, inf) of f, increasing there with f(0) <= 0.
+
+    The upper bracket starts at hi and doubles until f(hi) >= 0.  Bisection
+    then stops once the bracket is within brentq's tolerance, 1e-15 +
+    8.9e-16 * root, or after 200 halvings, and returns its midpoint.
+    """
+    lo = 0.0
+    while f(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-15 + 8.9e-16 * mid:
+            break
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _phase_durations(d: float, b: MotionBounds):
     """Unquantized time-optimal (ts, tj, ta, tv) for displacement d > 0."""
     s = b.s_max
@@ -147,13 +167,8 @@ def _phase_durations(d: float, b: MotionBounds):
                 * (4.0 * ts + 2.0 * tj + ta + tv))
 
     # Constant-jerk phase.
-    def f_tj(tj):
-        return reach(ts, tj, 0.0, 0.0) - d
-
-    hi = max(ts, 1.0)
-    while f_tj(hi) < 0.0:
-        hi *= 2.0
-    tj_unsat = brentq(f_tj, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    tj_unsat = _increasing_root(lambda tj: reach(ts, tj, 0.0, 0.0) - d,
+                                max(ts, 1.0))
     tj_cap_a = b.a_max / (s * ts) - ts
     # Velocity cap with ta = 0: s*ts*(ts+tj)*(2*ts+tj) = v_max.
     tj_cap_v = 0.5 * (-3.0 * ts
@@ -164,14 +179,8 @@ def _phase_durations(d: float, b: MotionBounds):
 
     # Constant-acceleration phase.
     a1 = s * ts * (ts + tj)
-
-    def f_ta(ta):
-        return reach(ts, tj, ta, 0.0) - d
-
-    hi = max(4.0 * ts + 2.0 * tj, 1.0)
-    while f_ta(hi) < 0.0:
-        hi *= 2.0
-    ta_unsat = brentq(f_ta, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    ta_unsat = _increasing_root(lambda ta: reach(ts, tj, ta, 0.0) - d,
+                                max(4.0 * ts + 2.0 * tj, 1.0))
     ta_cap_v = b.v_max / a1 - (2.0 * ts + tj)
     ta = max(0.0, min(ta_unsat, ta_cap_v))
     if ta >= ta_unsat:
@@ -188,8 +197,8 @@ def plan(displacement: float, bounds: MotionBounds,
     """Time-optimal symmetric snap-bang profile for a rest-to-rest move."""
     if not np.isfinite(displacement):
         raise ConfigError("displacement must be finite")
-    if sample_rate_hz <= 0.0:
-        raise ConfigError("sample rate must be positive")
+    if not np.isfinite(sample_rate_hz) or sample_rate_hz <= 0.0:
+        raise ConfigError("sample rate must be positive and finite")
     if displacement == 0.0:
         return TrajectoryProfile(np.zeros(0), np.zeros(0), sample_rate_hz)
 

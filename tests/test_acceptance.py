@@ -34,7 +34,6 @@ from lpvslc.scheduling import (
     FrozenDesignSet,
     eval_surface,
     fit_surface,
-    raw_coefficients,
 )
 from lpvslc.sim import (
     NOTCH_NYQUIST_FRACTION,
@@ -48,6 +47,7 @@ from lpvslc.sim import (
 from lpvslc.trajectory import MotionBounds, plan, sample
 
 from sim_reference import max_relative_gap, reference_traces
+from surface_reference import raw_coefficients
 from test_filters import random_notch
 from test_freqresp import random_stable_ss
 from test_trajectory import dense_integration

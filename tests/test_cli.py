@@ -2,7 +2,11 @@
 
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from lpvslc.scheduling import eval_surface, surface_from_dict
 ACTUATORS = [[-0.06, -0.06], [0.06, -0.06], [0.06, 0.06], [-0.06, 0.06]]
 SENSORS = [[0.0, 0.05], [-0.05, -0.04], [0.05, -0.03]]
 BOX = ((0.0, 0.2), (0.0, 0.2))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _rigid_plant():
@@ -119,9 +124,10 @@ def test_frf_multiple_positions_with_jobs(rigid_project, tmp_path):
 
 
 def test_frf_empty_position_list_is_a_usage_error(rigid_project, tmp_path):
-    code = main(["frf", "--config", str(rigid_project),
-                 "--positions", " ; ", "--out", str(tmp_path)])
-    assert code == 2
+    for positions in (" ; ", "a,0.1"):
+        code = main(["frf", "--config", str(rigid_project),
+                     "--positions", positions, "--out", str(tmp_path)])
+        assert code == 2
 
 
 @pytest.mark.parametrize("grid", ["nan:100:10", "1:inf:10"])
@@ -300,6 +306,27 @@ def test_fit_missing_fields_exits_2(tmp_path):
     cfg = tmp_path / "fit.json"
     cfg.write_text(json.dumps({"points": [[0, 0]], "values": [1.0]}))
     assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    good = {"points": [[0, 0], [0.2, 0], [0, 0.2], [0.2, 0.2]],
+            "values": [1.0, 2.0, 3.0, 4.0], "order_x": 2, "order_y": 2}
+    for bad in ({"order_x": 2.7}, {"order_x": True}, {"bounds": [[0, 0.2]]},
+                {"bounds": [[0, 0.2], [0, "x"]]},
+                {"bounds": [[0, float("inf")], [0, 0.2]]}, {"points": "abc"},
+                {"values": [1.0, float("nan"), 3.0, 4.0]},
+                {"values": [1.0, float("inf"), 3.0, 4.0]}):
+        cfg.write_text(json.dumps({**good, **bad}))
+        out = tmp_path / "bad_fit"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "surface.json").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, lpvslc.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out.strip() == "[]"
 
 
 def test_project_file_validation(tmp_path):
@@ -315,6 +342,14 @@ def test_project_file_validation(tmp_path):
     gone = tmp_path / "gone.json"
     gone.write_text(json.dumps({"plant": "nowhere.json", "output_dir": "out"}))
     assert main(["trajectory", "--config", str(gone)]) == 2
+    for bad in ({"bounds": {**TRAJECTORY_SPEC["bounds"], "v_max": "fast"}},
+                {"scan_x_m": "0.1m"}, {"sample_rate_hz": float("nan")},
+                {"sample_rate_hz": 0.0}, {"loop_moves_m": 3},
+                {"start_xy": 0.1}):
+        spec = _write_project(tmp_path, plant, name="spec.json",
+                              trajectory={**TRAJECTORY_SPEC, **bad})
+        assert main(["trajectory", "--config", str(spec)]) == 2
+        assert not (tmp_path / "out" / "trajectory_summary.json").exists()
     ok = _write_project(tmp_path, plant, name="ok.json")
     project = load_project(ok)
     assert project.plant.is_file()

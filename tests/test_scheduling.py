@@ -1,5 +1,7 @@
 """Tests for polynomial coefficient surfaces and their least-squares fits."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,10 @@ from lpvslc.scheduling import (
     chi_matrix,
     eval_surface,
     fit_surface,
-    raw_coefficients,
     surface_from_dict,
     surface_to_dict,
 )
+from surface_reference import raw_coefficients
 
 UNIT_BOUNDS = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -160,6 +162,25 @@ def test_rank_deficient_fit_warns_and_uses_minimum_norm():
                                rtol=0, atol=1e-10)
 
 
+def test_fit_condition_is_the_singular_value_ratio():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.0, 0.2, size=(20, 2))
+    surface, report = fit_surface(FrozenDesignSet(pts, rng.standard_normal(20)),
+                                  3, 3, bounds=((0.0, 0.2), (0.0, 0.2)))
+    a = chi_matrix(surface.normalize(pts), 3, 3)
+    assert report.condition == pytest.approx(np.linalg.cond(a), rel=1e-12)
+    # Points on x = 0 leave the x columns exactly zero: a zero singular
+    # value gives an infinite condition number, without a RuntimeWarning.
+    pts = np.array([[0.0, -0.5], [0.0, 0.0], [0.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(UserWarning, match="rank deficient"):
+            _, report = fit_surface(FrozenDesignSet(pts, [1.0, 2.0, 3.0]),
+                                    2, 2, bounds=UNIT_BOUNDS)
+    assert report.rank == 2
+    assert report.condition == np.inf
+
+
 def test_design_set_validation():
     with pytest.raises(ModelError):
         FrozenDesignSet(np.zeros((2, 2)), np.zeros(2))  # duplicate points
@@ -167,6 +188,14 @@ def test_design_set_validation():
         FrozenDesignSet(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ModelError):
         FrozenDesignSet(np.zeros((2, 3)), np.zeros(2))
+    points = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ModelError, match="finite"):
+            FrozenDesignSet(points, [1.0, bad, 3.0])
+        bad_points = points.copy()
+        bad_points[1, 0] = bad
+        with pytest.raises(ModelError, match="finite"):
+            FrozenDesignSet(bad_points, [1.0, 2.0, 3.0])
 
 
 def test_surface_dict_round_trip():
@@ -181,6 +210,11 @@ def test_surface_dict_round_trip():
     assert back.units == "Hz"
     p = (0.17, 0.02)
     assert eval_surface(back, p) == eval_surface(surface, p)
+    data = surface_to_dict(surface)
+    for key, bad in (("theta", [np.nan] + data["theta"][1:]),
+                     ("x_map", [0.1, np.inf])):
+        with pytest.raises(ModelError, match="finite"):
+            surface_from_dict({**data, key: bad})
 
 
 def test_eval_surface_rows_do_not_depend_on_the_stack():

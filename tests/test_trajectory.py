@@ -14,6 +14,7 @@ from lpvslc.errors import ConfigError
 from lpvslc.trajectory import (
     MotionBounds,
     TrajectoryProfile,
+    _increasing_root,
     plan,
     sample,
     write_profile_csv,
@@ -194,8 +195,9 @@ def test_bad_bounds_and_inputs():
         MotionBounds(1.0, -1.0, 1.0, 1.0)
     with pytest.raises(ConfigError):
         plan(np.inf, BENCH, RATE)
-    with pytest.raises(ConfigError):
-        plan(0.1, BENCH, 0.0)
+    for rate in (0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            plan(0.1, BENCH, rate)
     with pytest.raises(ConfigError):
         TrajectoryProfile(np.array([-0.1]), np.array([1.0]), RATE)
 
@@ -209,3 +211,35 @@ def test_profile_csv_export(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape[1] == 6
     np.testing.assert_allclose(data[-1, 1], 0.01, atol=1e-11)
+
+
+def test_root_finder_brackets_phase_residual_roots():
+    """The cubic tj residual and the quadratic ta residual of the planner,
+    over random bounds: each returned root r has the sign change within
+    brentq's tolerance, 1e-15 + 8.9e-16 * r, on either side."""
+    rng = np.random.default_rng(8)
+
+    def assert_brackets(f, hi):
+        r = _increasing_root(f, hi)
+        tol = 1e-15 + 8.9e-16 * r
+        assert f(r - tol) < 0.0 <= f(r + tol)
+        return r
+
+    checked = 0
+    for _ in range(300):
+        v, a, j, s = 10.0 ** rng.uniform([-2, 0, 2, 3], [0.5, 2, 4, 6])
+        d = 10.0 ** rng.uniform(-3, 0)
+        ts = min(j / s, np.sqrt(a / s), (v / (2.0 * s)) ** (1.0 / 3.0))
+        if 8.0 * s * ts ** 4 >= d:
+            continue  # snap pulses alone cover d: no tj phase
+        tj_root = assert_brackets(
+            lambda x: s * ts * (ts + x) * (2 * ts + x) * (4 * ts + 2 * x) - d,
+            max(ts, 1.0))
+        # Any tj short of its root leaves distance for a ta phase.
+        tj = rng.uniform(0.0, 1.0) * tj_root
+        assert_brackets(
+            lambda x: (s * ts * (ts + tj) * (2 * ts + tj + x)
+                       * (4 * ts + 2 * tj + x) - d),
+            max(4.0 * ts + 2.0 * tj, 1.0))
+        checked += 1
+    assert checked >= 150
