@@ -53,6 +53,7 @@ from .errors import (
     ModelError,
     NumericalError,
     integral,
+    real,
 )
 from .freqresp import default_grid, frf, write_frf_csv
 from .io import dump_csv, dump_json, load_json
@@ -158,18 +159,20 @@ def _load_motion(path) -> tuple[StageMotion, float]:
     if not isinstance(b, dict) or set(b) != need:
         raise ConfigError(f"{path}: bounds must hold exactly {sorted(need)}")
     try:
-        bounds = MotionBounds(**{k: float(v) for k, v in b.items()})
-        rate = float(data.get("sample_rate_hz", 10000.0))
-        start_xy = tuple(float(v) for v in data["start_xy"])
-        scan_x, scan_y = (None if data.get(k) is None else float(data[k])
+        bounds = MotionBounds(**{k: real(k, v) for k, v in b.items()})
+        rate = real("sample_rate_hz", data.get("sample_rate_hz", 10000.0))
+        start_xy = tuple(real("start_xy entry", v) for v in data["start_xy"])
+        scan_x, scan_y = (None if data.get(k) is None else real(k, data[k])
                           for k in ("scan_x_m", "scan_y_m"))
-        moves = [None if d is None else float(d)
+        moves = [None if d is None else real("loop_moves_m entry", d)
                  for d in data.get("loop_moves_m", [])]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: bad trajectory entry: {exc}") from exc
-    if not np.isfinite(rate) or rate <= 0.0:
-        raise ConfigError(f"{path}: sample_rate_hz must be positive and "
-                          f"finite, got {rate}")
+    if len(start_xy) != 2:
+        raise ConfigError(f"{path}: start_xy must be one (x, y) point, got "
+                          f"{data['start_xy']!r}")
+    if rate <= 0.0:
+        raise ConfigError(f"{path}: sample_rate_hz must be > 0, got {rate}")
 
     def _plan(d):
         return None if d is None or d == 0.0 else plan(d, bounds, rate)
@@ -271,9 +274,8 @@ def cmd_design(args) -> None:
     spec = _load_design_spec(project)
     builder = design_lti_slc if args.mode == "lti" else design_lpv_slc
     controllers = builder(model, spec)
-    _, verify, _, _ = spec.resolve(model)
-    report = certify(model, controllers, verify,
-                     bound_db=spec.sensitivity_bound_db)
+    _, verify, _ = spec.resolve(model)
+    report = certify(model, controllers, verify)
     dump_json(controllers_to_dict(controllers),
               project.output_dir / f"controllers_{args.mode}.json")
     dump_json(report.to_dict(),
@@ -356,8 +358,7 @@ def cmd_certify(args) -> None:
     model = load_plant(project.plant)
     controllers = _load_controllers(project.output_dir, args.mode)
     nx, ny = _parse_pos_grid(args.grid)
-    report = certify(model, controllers, grid_points(model.workspace, nx, ny),
-                     bound_db=controllers.sensitivity_bound_db)
+    report = certify(model, controllers, grid_points(model.workspace, nx, ny))
     dump_json(report.to_dict(),
               project.output_dir / f"certification_{args.mode}.json")
     print(report.table())
@@ -367,6 +368,13 @@ def cmd_trajectory(args) -> None:
     """Plan the commanded motion and export profile CSVs plus a digest."""
     project = load_project(args.config, args.out)
     motion, rate = _load_motion(_require(project.trajectory, "trajectory"))
+    model = load_plant(project.plant)
+    # A scan is monotone per axis, so it stays inside the workspace when
+    # both of its ends do.
+    scan = [0.0 if s is None else s.displacement
+            for s in (motion.scan_x, motion.scan_y)]
+    for p in (motion.start_xy, np.add(motion.start_xy, scan)):
+        model.check_point(p)
     profiles = {}
     if motion.scan_x is not None:
         profiles["scan_x"] = motion.scan_x

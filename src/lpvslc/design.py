@@ -51,6 +51,7 @@ from .errors import (
     DomainError,
     ModelError,
     integral,
+    real,
 )
 from .filters import (
     Cascade,
@@ -66,7 +67,6 @@ from .filters import (
     realize,
 )
 from .freqresp import (
-    FrequencyGrid,
     default_grid,
     design_chain,
     det_identity_residual,
@@ -101,7 +101,6 @@ __all__ = [
     "controllers_to_dict",
     "controllers_from_dict",
     "design_spec_from_dict",
-    "design_spec_to_dict",
 ]
 
 log = logging.getLogger(__name__)
@@ -153,7 +152,6 @@ class DesignSpec:
     surface_order: int = 3
     min_bandwidth_hz: float = 10.0
     bisection_iterations: int = 20
-    freq_grid: FrequencyGrid | None = None
 
     def __post_init__(self):
         for name in ("target_bandwidth_hz", "sensitivity_bound_db", "alpha",
@@ -195,8 +193,7 @@ class DesignSpec:
         if sorted(order) != list(range(model.n_u)):
             raise ConfigError(f"loop order {order} is not a permutation of "
                               f"0..{model.n_u - 1}")
-        freqs = self.freq_grid if self.freq_grid is not None else default_grid()
-        return design, verify, order, freqs
+        return design, verify, order
 
 
 @dataclass
@@ -374,14 +371,14 @@ def _interp_loglog_mag(freqs_hz, values, f: float) -> float:
         return float(10.0 ** np.interp(np.log10(f), logf, np.log10(mags)))
 
 
-def tune_gain(g_frf, freqs_hz, cascade: Cascade, f_bw: float, p=None) -> Gain:
+def tune_gain(g_frf, freqs_hz, cascade: Cascade, f_bw: float) -> Gain:
     """Proportional gain putting |k * cascade * g| = 1 at f_bw.
 
     g_frf is the equivalent-plant response sampled on freqs_hz; the
     cascade magnitude is evaluated in closed form at exactly f_bw.
     """
     mag_g = _interp_loglog_mag(freqs_hz, g_frf, f_bw)
-    mag_c = float(np.abs(cascade_frf(cascade, np.array([f_bw]), p)[0]))
+    mag_c = float(np.abs(cascade_frf(cascade, np.array([f_bw]))[0]))
     product = mag_g * mag_c
     if not np.isfinite(product) or product == 0.0:
         raise DesignInfeasibleError(
@@ -619,8 +616,8 @@ def _build_lpv_loops(gains, clusters_per_loop, notch_table, design_grid,
                         f"{np.max(np.abs(report.residuals)) / scale:.2e}")
                 surfaces[name] = surface
             scheduled.append(LpvNotch(**surfaces))
-        fixed = [gains[i]] + _fixed_section(f_bw, spec)
-        loops.append(Cascade(tuple(fixed + scheduled), n_fixed=len(fixed)))
+        loops.append(Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec)
+                                   + scheduled)))
     return loops
 
 
@@ -681,7 +678,7 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
                 log.debug("loop %d notch %d: zero damping surface refit "
                           "against the audit grid (residual shift %.3g)",
                           i, c, max(viol, 0.0))
-            loops[i] = Cascade(tuple(fixed + scheduled), n_fixed=len(fixed))
+            loops[i] = Cascade(tuple(fixed + scheduled))
         closed[i] = cascade_frf(loops[i], freqs_hz, audit_grid)
     return loops
 
@@ -743,18 +740,14 @@ def closed_loop_matrix(model: ModalPlantModel, controllers: ControllerSet,
     return a_cl[0] if single else a_cl
 
 
-def _count_integrators(cascade: Cascade) -> int:
-    return sum(1 for e in cascade.elements if isinstance(e, Integrator))
-
-
-def _certification_freqs(freq_grid: FrequencyGrid | None) -> np.ndarray:
-    """Frequencies certify samples: a low tail, then the base grid.
+def _certification_freqs() -> np.ndarray:
+    """Frequencies certify samples: a low tail, then the default grid.
 
     The winding count anchors the start phase at the origin-pole
     asymptote, so the sampled contour must begin well below the lead
     corners; a coarse three-decade tail of CERT_TAIL_N points goes first.
     """
-    base = (freq_grid if freq_grid is not None else default_grid()).freqs_hz
+    base = default_grid().freqs_hz
     tail = np.geomspace(base[0] * 1e-3, base[0] * 0.97, CERT_TAIL_N)
     return np.concatenate([tail, base])
 
@@ -768,7 +761,8 @@ def _certify_position(controllers: ControllerSet, freqs, p, p_frf, k_frfs,
     loop_certs = []
     for i in order:
         l_frf = chain[i] * k_frfs[i]
-        n_origin = 2 + _count_integrators(controllers.loops[i])
+        n_origin = 2 + sum(isinstance(e, Integrator)
+                           for e in controllers.loops[i].elements)
         verdict = nyquist_stable(freqs, l_frf, n_open_rhp=0,
                                  n_origin_poles=n_origin)
         margins = margins_and_bandwidth(freqs, l_frf)
@@ -793,9 +787,7 @@ def _certify_position(controllers: ControllerSet, freqs, p, p_frf, k_frfs,
     )
 
 
-def certify(model: ModalPlantModel, controllers: ControllerSet, grid,
-            freq_grid: FrequencyGrid | None = None,
-            bound_db: float | None = None, *,
+def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
             plant_frfs=None) -> CertificationReport:
     """Frozen-position stability and sensitivity audit of a controller set.
 
@@ -803,7 +795,8 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid,
     loop sees the previously certified loops closed), the determinant
     identity residual linking that chain to det(I + P K), per-loop
     sensitivity peaks with all other loops closed, and the closed-loop
-    eigenvalues of the frozen realization as an independent oracle.
+    eigenvalues of the frozen realization as an independent oracle.  The
+    sensitivity bound is the controller set's own.
 
     The grid is taken CERT_CHUNK positions at a time.  Every loop is
     frozen once per chunk: its responses come from one stacked cascade_frf
@@ -814,13 +807,12 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid,
     the grid.  Plant FRFs and equivalent plants stay per position.
 
     plant_frfs, when given, holds one decoupled plant FRF per grid row,
-    sampled on certify's own frequencies (the base grid behind a
+    sampled on certify's own frequencies (the default grid behind a
     CERT_TAIL_N-point low tail); they are used instead of evaluating the
     plant again.
     """
-    freqs = _certification_freqs(freq_grid)
-    bound = controllers.sensitivity_bound_db if bound_db is None else bound_db
-    report = CertificationReport(bound_db=bound)
+    freqs = _certification_freqs()
+    report = CertificationReport(bound_db=controllers.sensitivity_bound_db)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if plant_frfs is not None:
         if len(plant_frfs) != len(grid):
@@ -851,8 +843,8 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid,
 
 def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     """Shared bandwidth-maximizing bisection for both procedures."""
-    design_grid, verify_grid, order, freq_grid = spec.resolve(model)
-    freqs = freq_grid.freqs_hz
+    design_grid, verify_grid, order = spec.resolve(model)
+    freqs = default_grid().freqs_hz
     center = design_grid[len(design_grid) // 2]
     t_u, t_y = rigid_body_decouple(model, center)
     masses = np.asarray(model.masses, dtype=float)[: model.n_rigid]
@@ -860,7 +852,7 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     # One plant FRF per distinct position, on the certification
     # frequencies; the design and audit steps read the base-grid part of
     # the same arrays (a plant FRF row depends only on its own frequency).
-    cert_freqs = _certification_freqs(freq_grid)
+    cert_freqs = _certification_freqs()
     frfs = {}
 
     def plant_frf(p) -> np.ndarray:
@@ -896,7 +888,7 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
 
     def feasible(f_bw: float):
         controllers = build(f_bw)
-        report = certify(model, controllers, verify_grid, freq_grid,
+        report = certify(model, controllers, verify_grid,
                          plant_frfs=verify_frfs)
         return report.passed, controllers, report
 
@@ -956,7 +948,7 @@ def freeze_controller_set(controllers: ControllerSet, p) -> ControllerSet:
         for spec in cascade.scheduled_part:
             elements.append(
                 Notch(*(float(c[0]) for c in freeze_notches(spec, p[None]))))
-        loops.append(Cascade(tuple(elements), n_fixed=len(elements)))
+        loops.append(Cascade(tuple(elements)))
     return ControllerSet(
         loops=tuple(loops), t_u=controllers.t_u.copy(),
         t_y=controllers.t_y.copy(), loop_order=controllers.loop_order,
@@ -982,33 +974,16 @@ def controllers_from_dict(data: dict) -> ControllerSet:
             loops=tuple(cascade_from_dict(c) for c in data["loops"]),
             t_u=np.asarray(data["t_u"], dtype=float),
             t_y=np.asarray(data["t_y"], dtype=float),
-            loop_order=tuple(int(i) for i in data["loop_order"]),
-            achieved_bandwidth_hz=float(data["achieved_bandwidth_hz"]),
-            sensitivity_bound_db=float(data.get("sensitivity_bound_db", 6.0)),
+            loop_order=tuple(integral("loop_order entry", i)
+                             for i in data["loop_order"]),
+            achieved_bandwidth_hz=real("achieved_bandwidth_hz",
+                                       data["achieved_bandwidth_hz"]),
+            sensitivity_bound_db=real("sensitivity_bound_db",
+                                      data.get("sensitivity_bound_db", 6.0)),
             kind=str(data.get("kind", "lti")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad controller set entry: {exc}") from exc
-
-
-def design_spec_to_dict(spec: DesignSpec) -> dict:
-    out = {
-        "target_bandwidth_hz": float(spec.target_bandwidth_hz),
-        "sensitivity_bound_db": float(spec.sensitivity_bound_db),
-        "alpha": float(spec.alpha),
-        "n_leads": int(spec.n_leads),
-        "surface_order": int(spec.surface_order),
-        "min_bandwidth_hz": float(spec.min_bandwidth_hz),
-        "bisection_iterations": int(spec.bisection_iterations),
-    }
-    if spec.design_grid is not None:
-        out["design_grid"] = [[float(v) for v in p] for p in spec.design_grid]
-    if spec.verification_grid is not None:
-        out["verification_grid"] = [[float(v) for v in p]
-                                    for p in spec.verification_grid]
-    if spec.loop_order is not None:
-        out["loop_order"] = [int(i) for i in spec.loop_order]
-    return out
 
 
 def design_spec_from_dict(data: dict) -> DesignSpec:
@@ -1017,7 +992,7 @@ def design_spec_from_dict(data: dict) -> DesignSpec:
         for key in ("target_bandwidth_hz", "sensitivity_bound_db", "alpha",
                     "min_bandwidth_hz"):
             if key in data:
-                kwargs[key] = float(data[key])
+                kwargs[key] = real(key, data[key])
         for key in ("n_leads", "surface_order", "bisection_iterations"):
             if key in data:
                 kwargs[key] = integral(key, data[key])

@@ -1,5 +1,6 @@
-"""Exception hierarchy and the integer check shared by all lpvslc modules."""
+"""Exception hierarchy and the number checks shared by all lpvslc modules."""
 
+import math
 import numbers
 
 
@@ -37,3 +38,11 @@ def integral(key: str, value) -> int:
             or not float(value).is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def real(key: str, value) -> float:
+    """value as a float; refuses booleans, non-numbers and non-finite values."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite and real, got {value!r}")
+    return float(value)

@@ -10,8 +10,8 @@ and time-domain simulation (via the realization).
 
 Notch filters come in a fixed-coefficient variant and a position-scheduled
 variant whose four coefficients are polynomial surfaces over the workspace
-(see scheduling.py).  A cascade keeps the scheduled blocks behind a
-partition index so the fixed front section can be realized once while the
+(see scheduling.py).  A cascade keeps the scheduled blocks behind the
+fixed ones, so the fixed front section can be realized once while the
 scheduled tail is re-frozen whenever the stage moves.
 
 Sign conventions: notch frequencies are in Hz, converted internally with
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, ModelError, integral, real
 from .plant import FrozenStateSpace
 from .scheduling import CoefficientSurface, eval_surface, surface_from_dict, surface_to_dict
 
@@ -40,7 +40,6 @@ __all__ = [
     "LpvNotch",
     "Cascade",
     "realize",
-    "series",
     "notch_transfer",
     "element_transfer",
     "cascade_frf",
@@ -137,31 +136,26 @@ _LTI_VARIANTS = (Gain, Integrator, Lead, Notch)
 class Cascade:
     """Ordered series interconnection of filter blocks.
 
-    elements[:n_fixed] is the fixed (position-independent) front section;
-    elements[n_fixed:] holds only position-scheduled blocks.  The split is
-    what a real-time implementation needs: the front section is realized
-    once, the tail is re-frozen per scheduling update.
+    The n_fixed fixed (position-independent) blocks come first, then only
+    position-scheduled ones.  The split is what a real-time implementation
+    needs: the front section is realized once, the tail is re-frozen per
+    scheduling update.
     """
 
     elements: tuple
-    n_fixed: int = -1
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        if self.n_fixed < 0:
-            object.__setattr__(
-                self, "n_fixed",
-                sum(1 for e in self.elements if isinstance(e, _LTI_VARIANTS)))
-        if not 0 <= self.n_fixed <= len(self.elements):
-            raise ModelError("cascade partition index out of range")
-        for e in self.elements[: self.n_fixed]:
-            if not isinstance(e, _LTI_VARIANTS):
-                raise ModelError(
-                    "scheduled block ahead of the cascade partition")
-        for e in self.elements[self.n_fixed:]:
+        for e in self.scheduled_part:
             if not isinstance(e, LpvNotch):
-                raise ModelError(
-                    "fixed block behind the cascade partition")
+                raise ModelError(f"only scheduled notches may follow a "
+                                 f"cascade's fixed blocks, got "
+                                 f"{type(e).__name__}")
+
+    @property
+    def n_fixed(self) -> int:
+        fixed = [isinstance(e, _LTI_VARIANTS) for e in self.elements]
+        return (fixed + [False]).index(False)
 
     @property
     def fixed_part(self) -> tuple:
@@ -209,21 +203,6 @@ def freeze_notches(spec: LpvNotch, points, f_max=None):
     return (*frozen, beta2)
 
 
-def _frozen_coefficients(spec: LpvNotch, p, f_max=None):
-    """Notch coefficients at one point (scalars) or an (n, 2) array."""
-    if p is None:
-        raise ModelError("scheduled notch needs a position to freeze at")
-    pts = np.asarray(p, dtype=float)
-    coeffs = freeze_notches(spec, np.atleast_2d(pts), f_max)
-    return coeffs if pts.ndim == 2 else tuple(float(c[0]) for c in coeffs)
-
-
-def _empty_ss() -> FrozenStateSpace:
-    return FrozenStateSpace(
-        a=np.zeros((0, 0)), b=np.zeros((0, 1)),
-        c=np.zeros((1, 0)), d=np.ones((1, 1)))
-
-
 def _notch_matrices(f1, f2, beta1, beta2):
     """Notch realization; coefficient arrays give matrices stacked on axis 0."""
     w1 = 2.0 * np.pi * f1
@@ -246,12 +225,29 @@ def realize(spec, p=None, f_max=None) -> FrozenStateSpace:
     one) realizes to matrices stacked along a leading axis of length n,
     one frozen realization per position.  f_max caps the scheduled notch
     frequencies as in freeze_notches.
+
+    A cascade realizes in one pass, block-lower-triangular: each block is
+    driven by the output map (c, d) of the blocks before it.
     """
     if isinstance(spec, Cascade):
-        ss = _empty_ss()
-        for element in spec.elements:
-            ss = series(ss, realize(element, p, f_max))
-        return ss
+        parts = [realize(element, p, f_max) for element in spec.elements]
+        batch = np.broadcast_shapes(*(k.a.shape[:-2] for k in parts))
+        n = sum(k.n_states for k in parts)
+        a = np.zeros(batch + (n, n))
+        b = np.zeros(batch + (n, 1))
+        c = np.zeros(batch + (1, n))
+        d = np.ones(batch + (1, 1))
+        at = 0
+        for k in parts:
+            x = slice(at, at + k.n_states)
+            a[..., x, :at] = k.b @ c[..., :at]
+            a[..., x, x] = k.a
+            b[..., x, :] = k.b @ d
+            c[..., :at] = k.d @ c[..., :at]
+            c[..., x] = k.c
+            d = k.d @ d
+            at = x.stop
+        return FrozenStateSpace(a=a, b=b, c=c, d=d)
     if isinstance(spec, Gain):
         return FrozenStateSpace(
             a=np.zeros((0, 0)), b=np.zeros((0, 1)),
@@ -270,35 +266,14 @@ def realize(spec, p=None, f_max=None) -> FrozenStateSpace:
         return FrozenStateSpace(*_notch_matrices(spec.f1, spec.f2, spec.beta1,
                                                  spec.beta2))
     if isinstance(spec, LpvNotch):
-        return FrozenStateSpace(
-            *_notch_matrices(*_frozen_coefficients(spec, p, f_max)))
+        if p is None:
+            raise ModelError("scheduled notch needs a position to freeze at")
+        pts = np.asarray(p, dtype=float)
+        coeffs = freeze_notches(spec, np.atleast_2d(pts), f_max)
+        if pts.ndim == 1:
+            coeffs = tuple(float(c[0]) for c in coeffs)
+        return FrozenStateSpace(*_notch_matrices(*coeffs))
     raise ModelError(f"unknown filter block {type(spec).__name__}")
-
-
-def _broadcast_batch(x, batch):
-    return np.broadcast_to(x, batch + x.shape[-2:])
-
-
-def series(first: FrozenStateSpace, second: FrozenStateSpace) -> FrozenStateSpace:
-    """Series interconnection: the output of `first` drives `second`.
-
-    Either side may carry matrices stacked along leading batch axes (one
-    system per operating point); the result broadcasts over them.
-    """
-    if first.d.shape[-2] != second.d.shape[-1]:
-        raise ModelError("series interconnection dimension mismatch")
-    n1, n2 = first.n_states, second.n_states
-    batch = np.broadcast_shapes(first.a.shape[:-2], second.a.shape[:-2])
-    a = np.zeros(batch + (n1 + n2, n1 + n2))
-    a[..., :n1, :n1] = first.a
-    a[..., n1:, n1:] = second.a
-    a[..., n1:, :n1] = second.b @ first.c
-    b = np.concatenate([_broadcast_batch(first.b, batch),
-                        _broadcast_batch(second.b @ first.d, batch)], axis=-2)
-    c = np.concatenate([_broadcast_batch(second.d @ first.c, batch),
-                        _broadcast_batch(second.c, batch)], axis=-1)
-    d = second.d @ first.d
-    return FrozenStateSpace(a=a, b=b, c=c, d=d)
 
 
 def notch_transfer(f1, f2, beta1, beta2, omega):
@@ -320,8 +295,8 @@ def notch_transfer(f1, f2, beta1, beta2, omega):
     return (w2 ** 2 / w1 ** 2) * num / den
 
 
-def element_transfer(spec, omega, p=None):
-    """Closed-form response of one block at angular frequencies omega."""
+def element_transfer(spec, omega):
+    """Closed-form response of one fixed block at angular frequencies omega."""
     s = 1j * np.asarray(omega, dtype=float)
     if isinstance(spec, Gain):
         return np.full(s.shape, complex(spec.k))
@@ -332,8 +307,6 @@ def element_transfer(spec, omega, p=None):
         return spec.alpha ** 2 * (s + w / spec.alpha) / (s + spec.alpha * w)
     if isinstance(spec, Notch):
         return notch_transfer(spec.f1, spec.f2, spec.beta1, spec.beta2, omega)
-    if isinstance(spec, LpvNotch):
-        return notch_transfer(*_frozen_coefficients(spec, p), omega)
     raise ModelError(f"unknown filter block {type(spec).__name__}")
 
 
@@ -373,9 +346,7 @@ def n_states(spec) -> int:
         return sum(n_states(e) for e in spec.elements)
     if isinstance(spec, Gain):
         return 0
-    if isinstance(spec, Integrator):
-        return 1
-    if isinstance(spec, Lead):
+    if isinstance(spec, (Integrator, Lead)):
         return 1
     if isinstance(spec, (Notch, LpvNotch)):
         return 2
@@ -406,14 +377,14 @@ def filter_from_dict(data: dict):
     try:
         kind = data["type"]
         if kind == "gain":
-            return Gain(k=float(data["k"]))
+            return Gain(k=real("k", data["k"]))
         if kind == "integrator":
             return Integrator()
         if kind == "lead":
-            return Lead(f_bw=float(data["f_bw"]), alpha=float(data["alpha"]))
+            return Lead(**{k: real(k, data[k]) for k in ("f_bw", "alpha")})
         if kind == "notch":
-            return Notch(f1=float(data["f1"]), f2=float(data["f2"]),
-                         beta1=float(data["beta1"]), beta2=float(data["beta2"]))
+            return Notch(**{k: real(k, data[k])
+                            for k in ("f1", "f2", "beta1", "beta2")})
         if kind == "lpv_notch":
             return LpvNotch(beta1=surface_from_dict(data["beta1"]),
                             beta2=surface_from_dict(data["beta2"]),
@@ -431,8 +402,11 @@ def cascade_to_dict(cascade: Cascade) -> dict:
 
 def cascade_from_dict(data: dict) -> Cascade:
     try:
-        elements = tuple(filter_from_dict(e) for e in data["elements"])
-        n_fixed = int(data["n_fixed"])
-    except (KeyError, TypeError, ValueError) as exc:
+        cascade = Cascade(tuple(filter_from_dict(e) for e in data["elements"]))
+        n_fixed = integral("n_fixed", data["n_fixed"])
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad cascade entry: {exc}") from exc
-    return Cascade(elements=elements, n_fixed=n_fixed)
+    if n_fixed != cascade.n_fixed:
+        raise ConfigError(f"cascade n_fixed {n_fixed} disagrees with its "
+                          f"{cascade.n_fixed} fixed blocks")
+    return cascade

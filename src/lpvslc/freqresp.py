@@ -214,7 +214,6 @@ class LoopMargins:
     f_crossover_hz: float
     phase_margin_deg: float
     gain_margin_db: float
-    sensitivity_peak_db: float
 
 
 def _estimate_origin_poles(freqs_hz: np.ndarray, l_frf: np.ndarray) -> int:
@@ -243,14 +242,17 @@ def _interp_refiner(freqs_hz: np.ndarray, l_frf: np.ndarray):
 
 
 def _refine_phase_steps(freqs_hz, l_frf, evaluator, max_rounds=15, step_limit=np.pi / 2):
-    """Insert midpoints until arg(1 + L) steps stay below the limit."""
+    """Unwrapped arg(1 + L), midpoints inserted until its steps stay below
+    the limit; without an evaluator the samples are interpolated."""
     f = np.asarray(freqs_hz, dtype=float)
     l_vals = np.asarray(l_frf, dtype=complex)
     for _ in range(max_rounds):
         phase = np.unwrap(np.angle(1.0 + l_vals))
         bad = np.abs(np.diff(phase)) > step_limit
         if not np.any(bad):
-            return f, l_vals
+            return phase
+        if evaluator is None:
+            evaluator = _interp_refiner(f, l_vals)
         idx = np.flatnonzero(bad)
         mid = np.sqrt(f[idx] * f[idx + 1])
         l_mid = evaluator(mid)
@@ -299,11 +301,7 @@ def nyquist_stable(
     if np.abs(l_vals[-1]) > 0.5:
         log.warning("|L| = %.3g at the high end; high-frequency closure may be unreliable", np.abs(l_vals[-1]))
 
-    if evaluator is None:
-        evaluator = _interp_refiner(f, l_vals)
-    f, l_vals = _refine_phase_steps(f, l_vals, evaluator)
-
-    phase = np.unwrap(np.angle(1.0 + l_vals))
+    phase = _refine_phase_steps(f, l_vals, evaluator)
     delta = phase[-1] - phase[0]
     # Positive-frequency sweep counted twice (conjugate symmetry), plus the
     # clockwise arc of q half-turns from the origin indentation.
@@ -321,11 +319,10 @@ def nyquist_stable(
 
 
 def margins_and_bandwidth(freqs_hz, l_frf) -> LoopMargins:
-    """Crossover, phase margin, gain margin, and peak sensitivity of one loop.
+    """Crossover, phase margin and gain margin of one loop.
 
     The crossover is the lowest |L| = 1 crossing, interpolated linearly in
-    log magnitude over log frequency. The sensitivity peak is evaluated on
-    the supplied grid.
+    log magnitude over log frequency.
     """
     f = np.asarray(freqs_hz, dtype=float)
     l_vals = np.asarray(l_frf, dtype=complex)
@@ -357,12 +354,10 @@ def margins_and_bandwidth(freqs_hz, l_frf) -> LoopMargins:
         mag_180 = 10.0 ** (logm[i] + t * (logm[i + 1] - logm[i]))
         if mag_180 < 1.0:
             gm_db = min(gm_db, -20.0 * np.log10(mag_180))
-    sens_peak_db = float(np.max(-20.0 * np.log10(np.abs(1.0 + l_vals))))
     return LoopMargins(
         f_crossover_hz=float(f_c),
         phase_margin_deg=float(pm),
         gain_margin_db=float(gm_db),
-        sensitivity_peak_db=sens_peak_db,
     )
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ModelError
+from .errors import ConfigError, DomainError, ModelError, real
 
 __all__ = [
     "Mode",
@@ -433,9 +433,9 @@ def plant_from_dict(data: dict) -> ModalPlantModel:
             actuator_xy=np.array(data["actuator_xy"], dtype=float),
             sensor_xy=np.array(data["sensor_xy"], dtype=float),
             workspace=((ws["x"][0], ws["x"][1]), (ws["y"][0], ws["y"][1])),
-            flex_actuation_gain=float(data.get("flex_actuation_gain", 1.0)),
-            flex_sensing_gain=float(data.get("flex_sensing_gain", 1.0)),
-            scan_crosstalk_gain=float(data.get("scan_crosstalk_gain", 0.0)),
+            **{key: real(key, data.get(key, default)) for key, default in (
+                ("flex_actuation_gain", 1.0), ("flex_sensing_gain", 1.0),
+                ("scan_crosstalk_gain", 0.0))},
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"bad plant config: {exc}") from exc

@@ -65,7 +65,7 @@ class MotionBounds:
 
 @dataclass
 class TrajectoryProfile:
-    """Piecewise-constant-snap setpoint, from rest to rest.
+    """Piecewise-constant-snap setpoint, from rest at zero to rest.
 
     Segment k holds snap value snaps[k] for durations[k] seconds.  Knot
     states (position, velocity, acceleration, jerk) at segment boundaries
@@ -76,7 +76,6 @@ class TrajectoryProfile:
     durations: np.ndarray
     snaps: np.ndarray
     sample_rate_hz: float
-    initial_state: tuple = (0.0, 0.0, 0.0, 0.0)
     t_knots: np.ndarray = field(init=False, repr=False)
     state_knots: np.ndarray = field(init=False, repr=False)
 
@@ -93,7 +92,6 @@ class TrajectoryProfile:
         n = self.durations.size
         self.t_knots = np.concatenate([[0.0], np.cumsum(self.durations)])
         states = np.zeros((n + 1, 4))
-        states[0] = self.initial_state
         for k in range(n):
             tau = self.durations[k]
             s = self.snaps[k]
@@ -113,7 +111,7 @@ class TrajectoryProfile:
 
     @property
     def displacement(self) -> float:
-        return float(self.state_knots[-1, 0] - self.state_knots[0, 0])
+        return float(self.state_knots[-1, 0])
 
     @property
     def n_segments(self) -> int:
@@ -237,11 +235,8 @@ def sample(profile: TrajectoryProfile, t):
     t_arr = np.atleast_1d(t_arr)
 
     if profile.n_segments == 0:
-        x0, v0, a0, j0 = profile.initial_state
-        shape = t_arr.shape
-        out = (np.full(shape, x0), np.full(shape, v0), np.full(shape, a0),
-               np.full(shape, j0), np.zeros(shape))
-        return tuple(o[0] for o in out) if scalar else out
+        out = tuple(np.zeros(t_arr.shape) for _ in range(5))
+        return tuple(float(o[0]) for o in out) if scalar else out
 
     tc = np.clip(t_arr, 0.0, profile.duration)
     idx = np.clip(np.searchsorted(profile.t_knots, tc, side="right") - 1,

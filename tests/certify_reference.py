@@ -17,10 +17,16 @@ from lpvslc.design import (
     LoopCertification,
     PointCertification,
     _certification_freqs,
-    _count_integrators,
     decoupled_plant_frf,
 )
-from lpvslc.filters import element_transfer, realize
+from lpvslc.filters import (
+    Integrator,
+    LpvNotch,
+    element_transfer,
+    freeze_notches,
+    notch_transfer,
+    realize,
+)
 from lpvslc.freqresp import (
     design_chain,
     det_identity_residual,
@@ -35,7 +41,11 @@ def cascade_frf_at(cascade, freqs, p):
     omega = 2.0 * np.pi * freqs
     out = np.ones(omega.shape, dtype=complex)
     for element in cascade.elements:
-        out = out * element_transfer(element, omega, p)
+        if isinstance(element, LpvNotch):
+            coeffs = freeze_notches(element, np.atleast_2d(p))
+            out = out * notch_transfer(*(float(c[0]) for c in coeffs), omega)
+        else:
+            out = out * element_transfer(element, omega)
     return out
 
 
@@ -67,7 +77,7 @@ def closed_loop_matrix_at(model, controllers, p):
 
 
 def reference_certify(model, controllers, grid):
-    freqs = _certification_freqs(None)
+    freqs = _certification_freqs()
     report = CertificationReport(bound_db=controllers.sensitivity_bound_db)
     for p in np.atleast_2d(np.asarray(grid, dtype=float)):
         p_frf = decoupled_plant_frf(model, p, freqs, controllers.t_u,
@@ -83,7 +93,8 @@ def reference_certify(model, controllers, grid):
             l_frf = equivalent_plant(p_frf, closed, i) * k_frfs[i]
             verdict = nyquist_stable(
                 freqs, l_frf, n_open_rhp=0,
-                n_origin_poles=2 + _count_integrators(controllers.loops[i]))
+                n_origin_poles=2 + sum(isinstance(e, Integrator)
+                                       for e in controllers.loops[i].elements))
             margins = margins_and_bandwidth(freqs, l_frf)
             g_all = equivalent_plant(p_frf, k_frfs, i)
             loop_certs.append(LoopCertification(

@@ -231,6 +231,22 @@ def test_certify_without_stored_controllers_exits_2(tmp_path):
     assert main(["certify", "--config", str(path), "--mode", "lpv"]) == 2
 
 
+def test_certify_rejects_a_wrong_cascade_partition(rigid_project, tmp_path):
+    """A stored cascade whose n_fixed is not the count of its fixed blocks,
+    or not an integer, exits 2."""
+    stored = load_json(rigid_project.parent / "out" / "controllers_lti.json")
+    path = _write_project(tmp_path, _rigid_plant())
+    (tmp_path / "out").mkdir()
+    for n_fixed, code in ((stored["loops"][0]["n_fixed"], 0),
+                          (stored["loops"][0]["n_fixed"] - 1, 2),
+                          (2.7, 2), (True, 2)):
+        loop = {**stored["loops"][0], "n_fixed": n_fixed}
+        (tmp_path / "out" / "controllers_lpv.json").write_text(
+            json.dumps({**stored, "loops": [loop] + stored["loops"][1:]}))
+        assert main(["certify", "--config", str(path), "--mode", "lpv",
+                     "--grid", "1x1"]) == code, n_fixed
+
+
 def test_trajectory_subcommand_exports_profile(rigid_project):
     code = main(["trajectory", "--config", str(rigid_project)])
     assert code == 0
@@ -345,7 +361,10 @@ def test_project_file_validation(tmp_path):
     for bad in ({"bounds": {**TRAJECTORY_SPEC["bounds"], "v_max": "fast"}},
                 {"scan_x_m": "0.1m"}, {"sample_rate_hz": float("nan")},
                 {"sample_rate_hz": 0.0}, {"loop_moves_m": 3},
-                {"start_xy": 0.1}):
+                {"start_xy": 0.1}, {"start_xy": [0.1]},
+                {"start_xy": [0.1, 0.1, 7.0]}, {"start_xy": [5.0, 5.0]},
+                {"start_xy": [0.19, 0.1]}, {"start_xy": [True, 0.1]},
+                {"bounds": {**TRAJECTORY_SPEC["bounds"], "v_max": True}}):
         spec = _write_project(tmp_path, plant, name="spec.json",
                               trajectory={**TRAJECTORY_SPEC, **bad})
         assert main(["trajectory", "--config", str(spec)]) == 2

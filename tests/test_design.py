@@ -24,7 +24,6 @@ from lpvslc.design import (
     design_lpv_slc,
     design_lti_slc,
     design_spec_from_dict,
-    design_spec_to_dict,
     grid_points,
     rigid_body_decouple,
     tune_gain,
@@ -33,7 +32,7 @@ from lpvslc.design import (
     _find_resonance_peaks,
 )
 from lpvslc.errors import ConfigError, DesignInfeasibleError, DomainError
-from lpvslc.filters import Cascade, Gain, Integrator, Lead, cascade_frf
+from lpvslc.filters import Cascade, Gain, Integrator, Lead, cascade_frf, realize
 from lpvslc.freqresp import (
     default_grid,
     equivalent_plant,
@@ -42,9 +41,11 @@ from lpvslc.freqresp import (
 )
 from lpvslc.plant import ModalPlantModel, Mode, benchmark_plant, frozen_realization
 from lpvslc.scheduling import eval_surface
+from lpvslc.sim import NOTCH_NYQUIST_FRACTION
 
 from certify_reference import reference_certify
 from freqresp_reference import block_solve_equivalent_plant
+from series_reference import assert_realizations_equal, chained_realize
 
 ACTUATORS = np.array([[-0.06, -0.06], [0.06, -0.06], [0.06, 0.06], [-0.06, 0.06]])
 SENSORS = np.array([[0.0, 0.05], [-0.05, -0.04], [0.05, -0.03]])
@@ -113,11 +114,10 @@ def test_grid_points_x_major_ordering():
 
 def test_design_spec_default_grids_resolve():
     model = benchmark_plant()
-    design, verify, order, freq_grid = DesignSpec().resolve(model)
+    design, verify, order = DesignSpec().resolve(model)
     assert design.shape == (9, 2)
     assert verify.shape == (25, 2)
     assert order == (0, 1, 2)
-    assert freq_grid.freqs_hz[0] > 0.0
 
 
 def test_design_spec_validation():
@@ -146,16 +146,22 @@ def test_design_spec_validation():
         design_spec_from_dict({"bisection_iterations": "5"})
     with pytest.raises(ConfigError, match="loop_order entry must be an integer"):
         design_spec_from_dict({"loop_order": [0, 1.5, 2]})
+    # Booleans and strings are not read as numbers.
+    for key in ("alpha", "target_bandwidth_hz", "min_bandwidth_hz",
+                "sensitivity_bound_db"):
+        for value in (True, "6.0"):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                design_spec_from_dict({key: value})
     assert design_spec_from_dict({"n_leads": 2.0}).n_leads == 2
 
 
 def test_design_spec_dict_roundtrip():
-    spec = DesignSpec(target_bandwidth_hz=120.0, loop_order=(2, 0, 1),
-                      design_grid=[[0.0, 0.0], [0.1, 0.2]])
-    back = design_spec_from_dict(design_spec_to_dict(spec))
-    assert back.target_bandwidth_hz == spec.target_bandwidth_hz
-    assert back.loop_order == spec.loop_order
-    assert_allclose(back.design_grid, spec.design_grid)
+    back = design_spec_from_dict(json.loads(json.dumps(
+        {"target_bandwidth_hz": 120, "loop_order": [2, 0, 1],
+         "design_grid": [[0.0, 0.0], [0.1, 0.2]]})))
+    assert back.target_bandwidth_hz == 120.0
+    assert back.loop_order == (2, 0, 1)
+    assert_allclose(back.design_grid, [[0.0, 0.0], [0.1, 0.2]])
 
 
 def test_rigid_decoupling_gives_exact_double_integrators():
@@ -358,7 +364,6 @@ def test_closed_loop_matrix_eigenvalues(benchmark_designs):
 
 
 def realize_states(cascade, p):
-    from lpvslc.filters import realize
     ss = realize(cascade, p)
     return list(range(ss.n_states))
 
@@ -369,6 +374,12 @@ def test_controllers_dict_roundtrip(benchmark_designs):
     assert back.kind == "lpv"
     assert back.loop_order == lpv.loop_order
     assert back.achieved_bandwidth_hz == lpv.achieved_bandwidth_hz
+    data = controllers_to_dict(lpv)
+    for key, value in (("loop_order", [0, 1.7, 2]), ("loop_order", [0, True, 2]),
+                       ("achieved_bandwidth_hz", True),
+                       ("sensitivity_bound_db", "6")):
+        with pytest.raises(ConfigError):
+            controllers_from_dict({**data, key: value})
     freqs = np.geomspace(5.0, 2000.0, 40)
     for p in ((0.0, 0.0), (0.12, 0.08)):
         for c0, c1 in zip(lpv.loops, back.loops):
@@ -403,7 +414,7 @@ def test_certify_report_does_not_depend_on_the_chunking(benchmark_designs,
     monkeypatch.setattr("lpvslc.design.CERT_CHUNK", 4)
     model = benchmark_designs["model"]
     grid = benchmark_designs["verify"]
-    freqs = _certification_freqs(None)
+    freqs = _certification_freqs()
     for kind in ("lti", "lpv"):
         cs = benchmark_designs[kind]
         frfs = [decoupled_plant_frf(model, p, freqs, cs.t_u, cs.t_y)
@@ -419,7 +430,7 @@ def test_plant_frf_rows_do_not_depend_on_the_frequency_vector():
     model = benchmark_plant()
     t_u, t_y = rigid_body_decouple(model, (0.1, 0.1))
     base = default_grid().freqs_hz
-    cert = _certification_freqs(None)
+    cert = _certification_freqs()
     assert np.array_equal(cert[CERT_TAIL_N:], base)
     for p in grid_points(model.workspace, 9, 9):
         sliced = decoupled_plant_frf(model, p, cert, t_u, t_y)[CERT_TAIL_N:]
@@ -484,7 +495,7 @@ def test_rank_one_closure_matches_block_solve(benchmark_designs, kind):
     with every other loop closed and along the design chain."""
     model = benchmark_designs["model"]
     cs = benchmark_designs[kind]
-    freqs = _certification_freqs(None)
+    freqs = _certification_freqs()
     worst = 0.0
     for p in benchmark_designs["verify"]:
         p_frf = decoupled_plant_frf(model, p, freqs, cs.t_u, cs.t_y)
@@ -505,7 +516,7 @@ def test_certify_rejects_mismatched_plant_frfs(benchmark_designs):
     model = benchmark_designs["model"]
     cs = benchmark_designs["lti"]
     grid = grid_points(model.workspace, 2, 1)
-    freqs = _certification_freqs(None)
+    freqs = _certification_freqs()
     frfs = [decoupled_plant_frf(model, p, freqs, cs.t_u, cs.t_y)
             for p in grid]
     with pytest.raises(DomainError, match="2 grid positions"):
@@ -517,3 +528,17 @@ def test_certify_rejects_mismatched_plant_frfs(benchmark_designs):
                                          cs.t_y)])
     with pytest.raises(DomainError, match="shape"):
         certify(model, cs, grid, plant_frfs=[f[:, :2, :] for f in frfs])
+
+
+def test_realize_equals_chained_series_on_the_benchmark_sets(
+        benchmark_designs):
+    """Every loop of both benchmark sets realizes as the chain of series
+    connections does (tests/series_reference.py), bit for bit, at one
+    position and on a 7x7 stack, with the simulator's notch cap."""
+    points = grid_points(benchmark_designs["model"].workspace, 7, 7)
+    f_max = NOTCH_NYQUIST_FRACTION * 0.5 * 10_000.0
+    for kind in ("lti", "lpv"):
+        for cascade in benchmark_designs[kind].loops:
+            for p in (points[17], points):
+                assert_realizations_equal(realize(cascade, p, f_max),
+                                          chained_realize(cascade, p, f_max))

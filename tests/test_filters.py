@@ -28,10 +28,11 @@ from lpvslc.filters import (
     n_states,
     notch_transfer,
     realize,
-    series,
 )
 from lpvslc.freqresp import frf
 from lpvslc.scheduling import CoefficientSurface
+
+from series_reference import assert_realizations_equal, chained_realize
 
 GRID = np.logspace(0.0, np.log10(5000.0), 400)
 
@@ -155,9 +156,9 @@ def test_cascade_partition_validation():
     with pytest.raises(ModelError):
         Cascade((lpv, Gain(1.0)))
     with pytest.raises(ModelError):
-        Cascade((Gain(1.0), lpv), n_fixed=2)
-    with pytest.raises(ModelError):
-        Cascade((Gain(1.0),), n_fixed=5)
+        Cascade((Gain(1.0), lpv, Integrator()))
+    assert Cascade((Gain(1.0), Integrator())).n_fixed == 2
+    assert Cascade((lpv, lpv)).fixed_part == ()
 
 
 def test_parameter_validation():
@@ -291,7 +292,12 @@ def test_stacked_realization_matches_each_position():
     for k, p in enumerate(points):
         want = np.ones(len(GRID), dtype=complex)
         for element in casc.elements:
-            want = want * element_transfer(element, omega, p)
+            if isinstance(element, LpvNotch):
+                coeffs = freeze_notches(element, p[None])
+                want = want * notch_transfer(*(float(c[0]) for c in coeffs),
+                                             omega)
+            else:
+                want = want * element_transfer(element, omega)
         np.testing.assert_array_equal(h[k], want)
         np.testing.assert_array_equal(cascade_frf(casc, GRID, p), want)
     fixed = Cascade((Gain(2.0), Lead(80.0)))
@@ -330,11 +336,33 @@ def test_perfect_notch_kills_tone_at_f1():
     assert late < 0.05 * early
 
 
-def test_series_dimension_mismatch():
-    from lpvslc.plant import benchmark_plant, frozen_realization
-    mimo = frozen_realization(benchmark_plant(), (0.1, 0.1))
-    with pytest.raises(ModelError):
-        series(realize(Integrator()), mimo)
+def test_realize_equals_chained_series():
+    """The one-pass cascade realization against a chain of general series
+    connections (tests/series_reference.py), bit for bit: a fixed cascade,
+    and a scheduled one at one position and on a stack of positions, with
+    and without the notch frequency cap."""
+    rng = np.random.default_rng(29)
+    corners = np.array([[0.0, 0.0], [0.0, 0.2], [0.2, 0.0], [0.2, 0.2]])
+
+    def bilinear(lo, hi):
+        from lpvslc.scheduling import FrozenDesignSet, fit_surface
+        s, _ = fit_surface(FrozenDesignSet(corners, rng.uniform(lo, hi, 4)),
+                           2, 2, bounds=((0.0, 0.2), (0.0, 0.2)))
+        return s
+
+    fixed = (Gain(3.7), Integrator(), Lead(83.0, 2.6), Lead(95.0, 3.1),
+             random_notch(rng), random_notch(rng))
+    lpvs = tuple(LpvNotch(bilinear(0.05, 0.2), bilinear(0.3, 0.6),
+                          bilinear(150.0, 300.0), bilinear(180.0, 360.0))
+                 for _ in range(2))
+    points = rng.uniform(0.0, 0.2, size=(7, 2))
+    for casc in (Cascade(fixed), Cascade(fixed + lpvs)):
+        for p in (None, points[0], points):
+            if p is None and casc.scheduled_part:
+                continue
+            for f_max in (None, 200.0):
+                assert_realizations_equal(realize(casc, p, f_max),
+                                          chained_realize(casc, p, f_max))
 
 
 def test_filter_serialization_round_trip():
@@ -354,6 +382,13 @@ def test_filter_serialization_round_trip():
     back = cascade_from_dict(cascade_to_dict(casc))
     assert back.n_fixed == casc.n_fixed
     assert len(back.elements) == len(casc.elements)
+    for n_fixed in (3, 2.7, True):
+        with pytest.raises(ConfigError, match="n_fixed"):
+            cascade_from_dict({**cascade_to_dict(casc), "n_fixed": n_fixed})
+    for bad in ({"type": "gain", "k": True}, {"type": "gain", "k": "2"},
+                {"type": "lead", "f_bw": 140.0, "alpha": float("nan")}):
+        with pytest.raises(ConfigError, match="must be finite and real"):
+            filter_from_dict(bad)
     with pytest.raises(ConfigError):
         filter_from_dict({"type": "biquad"})
     with pytest.raises(ConfigError):

@@ -230,7 +230,6 @@ def test_margins_pure_integrator():
     assert_allclose(m.f_crossover_hz, 20.0, rtol=1e-6)
     assert_allclose(m.phase_margin_deg, 90.0, atol=1e-9)
     assert m.gain_margin_db == np.inf
-    assert abs(m.sensitivity_peak_db) < 0.05
 
 
 def test_margins_forty_five_degree_case():

@@ -221,10 +221,11 @@ def test_bad_config_raises_config_error(tmp_path):
         data[key][-1] = float("nan")
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             plant_from_dict(data)
-    data = json.loads(json.dumps(good))
-    data["flex_sensing_gain"] = float("inf")
-    with pytest.raises(ConfigError, match="flex_sensing_gain must be finite"):
-        plant_from_dict(data)
+    for value in (float("inf"), True, "0.3"):
+        data = json.loads(json.dumps(good))
+        data["flex_sensing_gain"] = value
+        with pytest.raises(ConfigError, match="flex_sensing_gain must be finite"):
+            plant_from_dict(data)
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):
