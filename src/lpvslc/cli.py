@@ -54,6 +54,7 @@ from .errors import (
     NumericalError,
     integral,
     real,
+    reals,
 )
 from .freqresp import default_grid, frf, write_frf_csv
 from .io import dump_csv, dump_json, load_json
@@ -317,11 +318,10 @@ def cmd_fit(args) -> None:
         if key not in data:
             raise ConfigError(f"{args.config}: fit input needs {key!r}")
     try:
-        points = np.asarray(data["points"], dtype=float)
-        values = np.asarray(data["values"], dtype=float)
+        points, values = reals("points", data["points"]), reals("values", data["values"])
         bounds = None
         if "bounds" in data:
-            (x_lo, x_hi), (y_lo, y_hi) = data["bounds"]
+            (x_lo, x_hi), (y_lo, y_hi) = reals("bounds", data["bounds"])
             bounds = ((float(x_lo), float(x_hi)), (float(y_lo), float(y_hi)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{args.config}: bad fit entry: {exc}") from exc
@@ -375,6 +375,9 @@ def cmd_trajectory(args) -> None:
             for s in (motion.scan_x, motion.scan_y)]
     for p in (motion.start_xy, np.add(motion.start_xy, scan)):
         model.check_point(p)
+    if len(motion.loop_refs) > model.n_u:
+        raise ConfigError(f"got {len(motion.loop_refs)} loop reference profiles "
+                          f"for {model.n_u} loops")
     profiles = {}
     if motion.scan_x is not None:
         profiles["scan_x"] = motion.scan_x

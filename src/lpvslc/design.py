@@ -40,7 +40,7 @@ local requirement.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .errors import (
     ModelError,
     integral,
     real,
+    reals,
 )
 from .filters import (
     Cascade,
@@ -173,11 +174,14 @@ class DesignSpec:
             raise ConfigError("need at least one lead filter")
         if self.surface_order < 1:
             raise ConfigError("surface order must be >= 1")
-        if self.design_grid is not None:
-            self.design_grid = np.atleast_2d(np.asarray(self.design_grid, float))
-        if self.verification_grid is not None:
-            self.verification_grid = np.atleast_2d(
-                np.asarray(self.verification_grid, float))
+        for name in ("design_grid", "verification_grid"):
+            grid = getattr(self, name)
+            if grid is not None:
+                grid = np.atleast_2d(np.asarray(grid, float))
+                if grid.ndim != 2 or grid.shape[1] != 2:
+                    raise ConfigError(
+                        f"{name} must be (n, 2) points, got shape {grid.shape}")
+                setattr(self, name, grid)
 
     def resolve(self, model: ModalPlantModel):
         """Fill grid/order defaults against a concrete plant."""
@@ -216,7 +220,8 @@ class ControllerSet:
         self.loops = tuple(self.loops)
         self.t_u = np.asarray(self.t_u, dtype=float)
         self.t_y = np.asarray(self.t_y, dtype=float)
-        if len(self.loops) != self.t_u.shape[1] or len(self.loops) != self.t_y.shape[0]:
+        if self.t_u.ndim != 2 or self.t_y.ndim != 2 \
+                or len(self.loops) != self.t_u.shape[1] or len(self.loops) != self.t_y.shape[0]:
             raise ModelError("loop count does not match decoupling dimensions")
         if sorted(self.loop_order) != list(range(len(self.loops))):
             raise ModelError("loop order must be a permutation of the loops")
@@ -356,9 +361,9 @@ def rigid_body_decouple(model: ModalPlantModel, p):
 
 
 def decoupled_plant_frf(model: ModalPlantModel, p, freqs_hz, t_u, t_y) -> np.ndarray:
-    """Frozen plant FRF seen through the decoupling transforms."""
-    h = frf(frozen_realization(model, p), freqs_hz)
-    return t_y @ h @ t_u
+    """Frozen plant FRF through the decoupling transforms: (A, B T_u, T_y C, T_y D T_u)."""
+    ss = frozen_realization(model, p)
+    return frf(replace(ss, b=ss.b @ t_u, c=t_y @ ss.c, d=t_y @ ss.d @ t_u), freqs_hz)
 
 
 def _interp_loglog_mag(freqs_hz, values, f: float) -> float:
@@ -552,7 +557,7 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
     # notches barely move the cascade magnitude down at the crossover, so
     # one retune after placing them settles the loop gain.
     gains = [None] * len(masses)
-    k_frfs = [np.zeros(len(freqs_hz), dtype=complex) for _ in masses]
+    k_frfs = [0.0] * len(masses)
     for i in order:
         g = equivalent_plant(p_frfs[center], k_frfs, i)
         k0 = tune_gain(g, freqs_hz, Cascade(tuple(skeleton)), f_bw)
@@ -565,7 +570,7 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
     # Local notches at every design position with the gains fixed.
     notch_table = {}
     for l, p_frf in enumerate(p_frfs):
-        k_frfs = [np.zeros(len(freqs_hz), dtype=complex) for _ in masses]
+        k_frfs = [0.0] * len(masses)
         for i in order:
             g = equivalent_plant(p_frf, k_frfs, i)
             notches = _local_notches(freqs_hz, g, gains[i].k, gamma_frf,
@@ -642,9 +647,8 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
     skeleton = _fixed_section(f_bw, spec)
     gamma_frf = cascade_frf(Cascade(tuple(skeleton)), freqs_hz)
     # Per loop, its responses on the whole audit grid, (n_audit, F); a
-    # loop not yet closed reads zero at every point.
-    closed = [np.broadcast_to(np.zeros(len(freqs_hz), dtype=complex),
-                              (len(audit_grid), len(freqs_hz)))] * len(loops)
+    # loop not yet closed reads the scalar 0 (open) at every point.
+    closed = [np.zeros(len(audit_grid))] * len(loops)
     for i in order:
         clusters = clusters_per_loop[i]
         if clusters:
@@ -972,8 +976,8 @@ def controllers_from_dict(data: dict) -> ControllerSet:
     try:
         return ControllerSet(
             loops=tuple(cascade_from_dict(c) for c in data["loops"]),
-            t_u=np.asarray(data["t_u"], dtype=float),
-            t_y=np.asarray(data["t_y"], dtype=float),
+            t_u=reals("t_u", data["t_u"]),
+            t_y=reals("t_y", data["t_y"]),
             loop_order=tuple(integral("loop_order entry", i)
                              for i in data["loop_order"]),
             achieved_bandwidth_hz=real("achieved_bandwidth_hz",
@@ -996,11 +1000,9 @@ def design_spec_from_dict(data: dict) -> DesignSpec:
         for key in ("n_leads", "surface_order", "bisection_iterations"):
             if key in data:
                 kwargs[key] = integral(key, data[key])
-        if "design_grid" in data:
-            kwargs["design_grid"] = np.asarray(data["design_grid"], float)
-        if "verification_grid" in data:
-            kwargs["verification_grid"] = np.asarray(
-                data["verification_grid"], float)
+        for key in ("design_grid", "verification_grid"):
+            if key in data:
+                kwargs[key] = reals(key, data[key])
         if "loop_order" in data:
             kwargs["loop_order"] = tuple(integral("loop_order entry", i)
                                          for i in data["loop_order"])

@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 
 class LpvSlcError(Exception):
     """Base class for all errors raised by this package."""
@@ -46,3 +48,10 @@ def real(key: str, value) -> float:
             or not math.isfinite(value):
         raise ConfigError(f"{key} must be finite and real, got {value!r}")
     return float(value)
+
+
+def reals(key: str, value) -> np.ndarray:
+    """value as a float array; every entry, at any depth, must pass real."""
+    entries = np.array(value, dtype=object)
+    return np.array([real(key, v) for v in entries.ravel()],
+                    dtype=float).reshape(entries.shape)

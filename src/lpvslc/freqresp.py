@@ -87,17 +87,20 @@ def default_grid(
 
 
 def frf(ss: FrozenStateSpace, freqs_hz) -> np.ndarray:
-    """H(j omega) = C (j omega I - A)^-1 B + D, shape (F, n_y, n_u)."""
-    freqs_hz = np.asarray(freqs_hz, dtype=float)
-    w = 2.0 * np.pi * freqs_hz
-    n = ss.n_states
-    lhs = np.zeros((len(w), n, n), dtype=complex)
-    lhs[:] = -ss.a
-    idx = np.arange(n)
-    lhs[:, idx, idx] += 1j * w[:, None]
-    rhs = np.broadcast_to(ss.b.astype(complex), (len(w), n, ss.b.shape[1])).copy()
-    x = np.linalg.solve(lhs, rhs)
-    return ss.c @ x + ss.d
+    """H(j omega), shape (F, n_y, n_u), of one realization in the modal form
+    plant.frozen_realization builds, A = [[0, I], [-diag(k), -diag(d)]],
+    B = [0; B_q], C = [C_q, 0]; k and d are read from A and there is no solve:
+    H = sum_k C_q[:, k] B_q[k, :] / (k_k - omega^2 + j omega d_k) + D."""
+    n_q = ss.n_states // 2
+    k, d = -np.diagonal(ss.a, -n_q), -np.diagonal(ss.a)[n_q:]
+    if ss.a.shape != (2 * n_q, 2 * n_q) or ss.b[:n_q].any() or ss.c[:, n_q:].any() \
+            or not np.array_equal(ss.a, np.block([[np.zeros((n_q, n_q)), np.eye(n_q)],
+                                                  [np.diag(-k), np.diag(-d)]])):
+        raise DomainError("frf needs a realization in second-order modal form")
+    w = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)[:, None]
+    residues = ss.c[:, :n_q].T[:, :, None] * ss.b[n_q:, None, :]
+    h = (1.0 / ((k - w ** 2) + 1j * (w * d))) @ residues.reshape(n_q, -1)
+    return h.reshape(len(w), *ss.d.shape) + ss.d
 
 
 def equivalent_plant(p_frf: np.ndarray, k_frfs, i: int) -> np.ndarray:
@@ -111,23 +114,23 @@ def equivalent_plant(p_frf: np.ndarray, k_frfs, i: int) -> np.ndarray:
 
         P <- P - P[:, j] k_j / (1 + k_j P_jj) P[j, :],
 
-    which is exactly the sequential loop-closing step. Loops whose k_j is
-    identically zero are open and skipped. Raises NumericalError when a
-    closure is singular, 1 + k_j P_jj = 0 at some frequency.
+    which is exactly the sequential loop-closing step; the last closure
+    updates only the entry (i, i) it returns. Loops whose k_j is the
+    scalar 0 are open and skipped. Raises NumericalError when a closure
+    is singular, 1 + k_j P_jj = 0 at some frequency.
     """
     p = np.asarray(p_frf)
-    F, n, _ = p.shape
-    for j in range(n):
-        if j == i:
-            continue
-        k_j = np.broadcast_to(np.asarray(k_frfs[j], dtype=complex), (F,))
-        if not np.any(k_j):
-            continue
+    closing = [j for j, k_j in enumerate(k_frfs)
+               if j != i and not (np.isscalar(k_j) and k_j == 0.0)]
+    for j in closing:
+        k_j = k_frfs[j]
         den = 1.0 + k_j * p[:, j, j]
         if not np.all(den):
             raise NumericalError(
                 f"singular loop closure for loop {i}: 1 + k_{j} P_{j}{j} "
                 f"vanishes when closing loop {j}")
+        if j == closing[-1]:
+            return p[:, i, i] - p[:, i, j] * (k_j / den) * p[:, j, i]
         p = p - p[:, :, j, None] * (k_j / den)[:, None, None] * p[:, None, j, :]
     return p[:, i, i].copy()
 

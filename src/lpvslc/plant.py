@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ModelError, real
+from .errors import ConfigError, DomainError, ModelError, real, reals
 
 __all__ = [
     "Mode",
@@ -421,18 +421,16 @@ def plant_to_dict(model: ModalPlantModel) -> dict:
 def plant_from_dict(data: dict) -> ModalPlantModel:
     try:
         modes = tuple(
-            Mode("rigid", axis=m["axis"]) if m["kind"] == "rigid" else Mode("flex", kx=m["kx"], ky=m["ky"])
+            Mode("rigid", axis=m["axis"]) if m["kind"] == "rigid"
+            else Mode("flex", kx=real("kx", m["kx"]), ky=real("ky", m["ky"]))
             for m in data["modes"]
         )
         ws = data["workspace"]
         return ModalPlantModel(
             modes=modes,
-            masses=np.array(data["masses"], dtype=float),
-            frequencies_hz=np.array(data["frequencies_hz"], dtype=float),
-            damping=np.array(data["damping"], dtype=float),
-            actuator_xy=np.array(data["actuator_xy"], dtype=float),
-            sensor_xy=np.array(data["sensor_xy"], dtype=float),
-            workspace=((ws["x"][0], ws["x"][1]), (ws["y"][0], ws["y"][1])),
+            **{key: reals(key, data[key]) for key in (
+                "masses", "frequencies_hz", "damping", "actuator_xy", "sensor_xy")},
+            workspace=tuple(tuple(reals(f"workspace {a}", ws[a])) for a in "xy"),
             **{key: real(key, data.get(key, default)) for key, default in (
                 ("flex_actuation_gain", 1.0), ("flex_sensing_gain", 1.0),
                 ("scan_crosstalk_gain", 0.0))},

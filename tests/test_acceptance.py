@@ -26,7 +26,6 @@ from lpvslc.filters import Lead, notch_transfer, realize
 from lpvslc.freqresp import (
     design_chain,
     det_identity_residual,
-    frf,
     nyquist_stable,
 )
 from lpvslc.plant import benchmark_plant
@@ -46,6 +45,7 @@ from lpvslc.sim import (
 )
 from lpvslc.trajectory import MotionBounds, plan, sample
 
+from freqresp_reference import dense_frf
 from sim_reference import max_relative_gap, reference_traces
 from surface_reference import raw_coefficients
 from test_filters import random_notch
@@ -93,7 +93,7 @@ def test_criterion_01_determinant_identity():
         a_cl = sys.a - sys.b @ (np.diag(gains) @ sys.c)
         if np.max(np.linalg.eigvals(a_cl).real) >= 0.0:
             continue
-        h = frf(sys, freqs)
+        h = dense_frf(sys, freqs)
         ks = [np.full(len(freqs), g, dtype=complex) for g in gains]
         worst = max(worst, det_identity_residual(h, ks, design_chain(h, ks)))
         checked += 1
@@ -112,7 +112,7 @@ def test_criterion_02_notch_realization_vs_closed_form():
     worst = 0.0
     for _ in range(1000):
         spec = random_notch(rng)
-        h_ss = frf(realize(spec), freqs)[:, 0, 0]
+        h_ss = dense_frf(realize(spec), freqs)[:, 0, 0]
         h_cf = notch_transfer(spec.f1, spec.f2, spec.beta1, spec.beta2, w)
         worst = max(worst, float(np.max(np.abs(h_ss - h_cf) / np.abs(h_cf))))
     elapsed = time.perf_counter() - t0
@@ -128,9 +128,9 @@ def test_criterion_03_lead_filter_anchor_values():
     ss = realize(Lead(f_bw=f_bw, alpha=3.0))
     dc = float((ss.d - ss.c @ np.linalg.solve(ss.a, ss.b))[0, 0])
     hf = float(ss.d[0, 0])
-    phase_at_bw = np.degrees(np.angle(frf(ss, np.array([f_bw]))[0, 0, 0]))
+    phase_at_bw = np.degrees(np.angle(dense_frf(ss, np.array([f_bw]))[0, 0, 0]))
     sweep = np.degrees(np.angle(
-        frf(ss, np.geomspace(f_bw / 30.0, f_bw * 30.0, 601))[:, 0, 0]))
+        dense_frf(ss, np.geomspace(f_bw / 30.0, f_bw * 30.0, 601))[:, 0, 0]))
     peak = float(np.max(sweep))
     ok = (abs(phase_at_bw - 53.130) <= 0.05
           and abs(dc - 1.0) <= 1e-10
@@ -194,7 +194,7 @@ def test_criterion_05_nyquist_matches_eigenvalue_oracle(pipeline):
         freqs = np.geomspace(1e-3, 1e3, 400) * scale / (2 * np.pi)
 
         def ev(f, sys=sys, k=k):
-            return k * frf(sys, f)[:, 0, 0]
+            return k * dense_frf(sys, f)[:, 0, 0]
 
         verdict = nyquist_stable(freqs, ev(freqs), evaluator=ev)
         agree += verdict.stable == (margin < 0.0)

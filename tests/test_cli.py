@@ -328,7 +328,10 @@ def test_fit_missing_fields_exits_2(tmp_path):
                 {"bounds": [[0, 0.2], [0, "x"]]},
                 {"bounds": [[0, float("inf")], [0, 0.2]]}, {"points": "abc"},
                 {"values": [1.0, float("nan"), 3.0, 4.0]},
-                {"values": [1.0, float("inf"), 3.0, 4.0]}):
+                {"values": [1.0, float("inf"), 3.0, 4.0]},
+                {"points": [[True, 0], [0.2, 0], [0, 0.2], [0.2, 0.2]]},
+                {"values": [True, 2.0, 3.0, 4.0]},
+                {"bounds": [[0, 0.2], [False, True]]}):
         cfg.write_text(json.dumps({**good, **bad}))
         out = tmp_path / "bad_fit"
         assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
@@ -364,7 +367,8 @@ def test_project_file_validation(tmp_path):
                 {"start_xy": 0.1}, {"start_xy": [0.1]},
                 {"start_xy": [0.1, 0.1, 7.0]}, {"start_xy": [5.0, 5.0]},
                 {"start_xy": [0.19, 0.1]}, {"start_xy": [True, 0.1]},
-                {"bounds": {**TRAJECTORY_SPEC["bounds"], "v_max": True}}):
+                {"bounds": {**TRAJECTORY_SPEC["bounds"], "v_max": True}},
+                {"loop_moves_m": [0.0, 0.0, 0.0, 0.001]}):
         spec = _write_project(tmp_path, plant, name="spec.json",
                               trajectory={**TRAJECTORY_SPEC, **bad})
         assert main(["trajectory", "--config", str(spec)]) == 2

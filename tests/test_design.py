@@ -31,7 +31,7 @@ from lpvslc.design import (
     _design_common,
     _find_resonance_peaks,
 )
-from lpvslc.errors import ConfigError, DesignInfeasibleError, DomainError
+from lpvslc.errors import ConfigError, DesignInfeasibleError, DomainError, ModelError
 from lpvslc.filters import Cascade, Gain, Integrator, Lead, cascade_frf, realize
 from lpvslc.freqresp import (
     default_grid,
@@ -152,6 +152,14 @@ def test_design_spec_validation():
         for value in (True, "6.0"):
             with pytest.raises(ConfigError, match=f"{key} must be finite"):
                 design_spec_from_dict({key: value})
+    # Grids are (n, 2) arrays of real numbers.
+    for key in ("design_grid", "verification_grid"):
+        for value in ([[0.1, 0.1, 0.1]], [0.1], [[[0.1, 0.1]]], [[True, False]],
+                      [[0.1, "0.1"]]):
+            with pytest.raises(ConfigError, match=key):
+                design_spec_from_dict({key: value})
+        with pytest.raises(ConfigError, match=key):
+            DesignSpec(**{key: np.full((2, 3), 0.1)})
     assert design_spec_from_dict({"n_leads": 2.0}).n_leads == 2
 
 
@@ -377,9 +385,14 @@ def test_controllers_dict_roundtrip(benchmark_designs):
     data = controllers_to_dict(lpv)
     for key, value in (("loop_order", [0, 1.7, 2]), ("loop_order", [0, True, 2]),
                        ("achieved_bandwidth_hz", True),
-                       ("sensitivity_bound_db", "6")):
+                       ("sensitivity_bound_db", "6"),
+                       ("t_u", [[True] + row[1:] for row in data["t_u"]]),
+                       ("t_y", [row[:-1] + ["1.0"] for row in data["t_y"]])):
         with pytest.raises(ConfigError):
             controllers_from_dict({**data, key: value})
+    for key in ("t_u", "t_y"):
+        with pytest.raises(ModelError, match="decoupling dimensions"):
+            controllers_from_dict({**data, key: [1.0, 2.0, 3.0]})
     freqs = np.geomspace(5.0, 2000.0, 40)
     for p in ((0.0, 0.0), (0.12, 0.08)):
         for c0, c1 in zip(lpv.loops, back.loops):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lpvslc.design import (
+    _certification_freqs,
+    decoupled_plant_frf,
+    grid_points,
+    rigid_body_decouple,
+)
 from lpvslc.errors import DomainError, NumericalError
+from lpvslc.filters import Integrator, Lead, Notch, realize
 from lpvslc.freqresp import (
     FrequencyGrid,
     default_grid,
@@ -17,7 +24,15 @@ from lpvslc.freqresp import (
     write_frf_csv,
 )
 from lpvslc.io import load_csv
-from lpvslc.plant import FrozenStateSpace, benchmark_plant, frozen_realization, mode_shape_eval
+from lpvslc.plant import (
+    FrozenStateSpace,
+    ModalPlantModel,
+    benchmark_plant,
+    frozen_realization,
+    mode_shape_eval,
+)
+
+from freqresp_reference import dense_frf
 
 
 def random_stable_ss(rng, n_states, n_out, n_in):
@@ -49,7 +64,7 @@ def test_grid_validation():
 def test_integrator_frf():
     ss = FrozenStateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]])
     f = np.array([0.5, 1.0, 10.0])
-    h = frf(ss, f)
+    h = dense_frf(ss, f)
     assert_allclose(h[:, 0, 0], 1.0 / (1j * 2 * np.pi * f), rtol=1e-12)
 
 
@@ -77,6 +92,59 @@ def test_benchmark_frf_matches_modal_sum():
         den = model.masses[k] * (omega_k[k] ** 2 - w ** 2 + 2j * model.damping[k] * omega_k[k] * w)
         oracle += np.einsum("i,j,f->fij", phi_s[:, k], phi_a[k, :], 1.0 / den)
     assert_allclose(h, oracle, rtol=1e-9, atol=1e-16)
+
+
+def _normwise_gap(h, oracle):
+    """Largest Frobenius-norm error per frequency, relative to the oracle."""
+    return np.max(np.linalg.norm(h - oracle, axis=(1, 2))
+                  / np.linalg.norm(oracle, axis=(1, 2)))
+
+
+def test_closed_form_frf_matches_dense_solve():
+    # The closed form against the resolvent solved at every frequency, on
+    # the design's frequency grid: the raw plant and the decoupled plant at
+    # every point of a 9x9 grid, and a plant with rigid modes only.
+    model = benchmark_plant()
+    freqs = _certification_freqs()
+    t_u, t_y = rigid_body_decouple(model, (0.1, 0.1))
+    raw = decoupled = 0.0
+    for p in grid_points(model.workspace, 9, 9):
+        ss = frozen_realization(model, p)
+        oracle = dense_frf(ss, freqs)
+        raw = max(raw, _normwise_gap(frf(ss, freqs), oracle))
+        decoupled = max(decoupled, _normwise_gap(
+            decoupled_plant_frf(model, p, freqs, t_u, t_y), t_y @ oracle @ t_u))
+    assert raw <= 1e-12
+    assert decoupled <= 1e-12
+
+    rigid = ModalPlantModel(
+        modes=model.modes[:3], masses=model.masses[:3],
+        frequencies_hz=np.zeros(3), damping=np.zeros(3),
+        actuator_xy=model.actuator_xy, sensor_xy=model.sensor_xy,
+        workspace=model.workspace)
+    for p in ((0.0, 0.0), (0.13, 0.06)):
+        ss = frozen_realization(rigid, p)
+        assert _normwise_gap(frf(ss, freqs), dense_frf(ss, freqs)) <= 1e-12
+
+
+def test_frf_refuses_non_modal_realizations():
+    freqs = np.geomspace(1.0, 100.0, 5)
+    for spec in (Lead(f_bw=100.0), Notch(300.0, 330.0, 0.05, 0.5), Integrator()):
+        with pytest.raises(DomainError, match="modal form"):
+            frf(realize(spec), freqs)
+    ss = frozen_realization(benchmark_plant(), (0.1, 0.1))
+    n_q = ss.n_states // 2
+    for entry in ((n_q + 3, n_q + 4), (n_q + 3, 4), (0, 1), (1, n_q + 1)):
+        a = ss.a.copy()
+        a[entry] += 1.0
+        with pytest.raises(DomainError, match="modal form"):
+            frf(FrozenStateSpace(a, ss.b, ss.c, ss.d), freqs)
+    b, c = ss.b.copy(), ss.c.copy()
+    b[0, 0], c[0, -1] = 1.0, 1.0
+    for bad in (FrozenStateSpace(ss.a, b, ss.c, ss.d),
+                FrozenStateSpace(ss.a, ss.b, c, ss.d)):
+        with pytest.raises(DomainError, match="modal form"):
+            frf(bad, freqs)
 
 
 def test_equivalent_plant_diagonal_and_zero_k():
@@ -153,7 +221,7 @@ def test_det_identity_diagonal_zero_and_random():
         n = 2 + trial % 2
         sys = random_stable_ss(rng, 6, n, n)
         freqs = np.geomspace(0.05, 50.0, 200)
-        h = frf(sys, freqs)
+        h = dense_frf(sys, freqs)
         w = 2j * np.pi * freqs
         ks = [rng.normal() * 0.8 / (1.0 + w / rng.uniform(1.0, 30.0)) for _ in range(n)]
         assert det_identity_residual(h, ks, design_chain(h, ks)) < 1e-8
@@ -193,9 +261,9 @@ def test_nyquist_small_gain_always_stable():
     rng = np.random.default_rng(17)
     sys = random_stable_ss(rng, 6, 1, 1)
     freqs = np.geomspace(0.01, 100.0, 300)
-    h = frf(sys, freqs)[:, 0, 0]
+    h = dense_frf(sys, freqs)[:, 0, 0]
     k = 0.01 / np.max(np.abs(h))
-    verdict = nyquist_stable(freqs, k * h, evaluator=lambda f: k * frf(sys, f)[:, 0, 0])
+    verdict = nyquist_stable(freqs, k * h, evaluator=lambda f: k * dense_frf(sys, f)[:, 0, 0])
     assert verdict.stable and verdict.encirclements == 0
 
 
@@ -214,7 +282,7 @@ def test_nyquist_agrees_with_eigenvalue_oracle_random_loops():
         freqs = np.geomspace(1e-3, 1e3, 400) * scale / (2 * np.pi)
 
         def ev(f, sys=sys, k=k):
-            return k * frf(sys, f)[:, 0, 0]
+            return k * dense_frf(sys, f)[:, 0, 0]
 
         verdict = nyquist_stable(freqs, ev(freqs), evaluator=ev)
         assert verdict.stable == (margin < 0.0)

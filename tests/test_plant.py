@@ -226,6 +226,16 @@ def test_bad_config_raises_config_error(tmp_path):
         data["flex_sensing_gain"] = value
         with pytest.raises(ConfigError, match="flex_sensing_gain must be finite"):
             plant_from_dict(data)
+    # Booleans in array fields are not read as numbers.
+    for key, value in (("masses", [True] + good["masses"][1:]),
+                       ("sensor_xy", [[0.0, True]] + good["sensor_xy"][1:]),
+                       ("workspace", {"x": [False, 0.2], "y": [0.0, 0.2]})):
+        with pytest.raises(ConfigError, match=key):
+            plant_from_dict({**good, key: value})
+    modes = [dict(m) for m in good["modes"]]
+    modes[-1]["kx"] = True
+    with pytest.raises(ConfigError, match="kx"):
+        plant_from_dict({**good, "modes": modes})
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):
