@@ -352,8 +352,9 @@ def _load_controllers(outdir: Path, kind: str):
     return controllers_from_dict(load_json(path))
 
 
-def cmd_certify(args) -> None:
-    """Re-certify a stored controller set on a fresh position grid."""
+def cmd_certify(args) -> int:
+    """Re-certify a stored controller set on a fresh position grid; exit 1
+    when it fails (the report is written either way)."""
     project = load_project(args.config, args.out)
     model = load_plant(project.plant)
     controllers = _load_controllers(project.output_dir, args.mode)
@@ -362,6 +363,7 @@ def cmd_certify(args) -> None:
     dump_json(report.to_dict(),
               project.output_dir / f"certification_{args.mode}.json")
     print(report.table())
+    return 0 if report.passed else 1
 
 
 def cmd_trajectory(args) -> None:
@@ -520,7 +522,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _configure_logging()
     try:
-        args.func(args)
+        code = args.func(args)
     except DesignInfeasibleError as exc:
         log.error("design infeasible: %s", exc)
         return 1
@@ -530,7 +532,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         log.error("numerical failure: %s", exc)
         return 3
-    return 0
+    return code or 0
 
 
 if __name__ == "__main__":

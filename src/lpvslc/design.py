@@ -366,14 +366,35 @@ def decoupled_plant_frf(model: ModalPlantModel, p, freqs_hz, t_u, t_y) -> np.nda
     return frf(replace(ss, b=ss.b @ t_u, c=t_y @ ss.c, d=t_y @ ss.d @ t_u), freqs_hz)
 
 
-def _interp_loglog_mag(freqs_hz, values, f: float) -> float:
-    """|values| interpolated at f, linear in log magnitude vs log frequency."""
+def _interp_loglog_mag(freqs_hz, values, f):
+    """|values| interpolated at f, linear in log magnitude vs log frequency.
+
+    values is (..., F) and f a frequency or an array of them; the result is
+    values.shape[:-1] + np.shape(f), a float for one row at one frequency.
+    Each row takes its own np.interp call and each power of ten is taken
+    on a Python float, as for one row at one frequency: numpy's array
+    power differs from the scalar one in the last bit for some inputs.
+    """
     mags = np.abs(np.asarray(values))
     logf = np.log10(np.asarray(freqs_hz, dtype=float))
+    x = np.log10(f)
     with np.errstate(divide="ignore"):
         # A vanishing magnitude maps to -inf and comes back as 0.0, which
         # callers treat as an infeasible loop rather than an error here.
-        return float(10.0 ** np.interp(np.log10(f), logf, np.log10(mags)))
+        logm = np.log10(mags).reshape(-1, mags.shape[-1])
+    out = [10.0 ** v
+           for v in np.ravel([np.interp(x, logf, row) for row in logm]).tolist()]
+    shape = mags.shape[:-1] + np.shape(f)
+    return out[0] if not shape else np.reshape(out, shape)
+
+
+def _bracketing_samples(freqs_hz, targets_hz) -> np.ndarray:
+    """Indices of the samples j - 1, j, j + 1 around each target's
+    searchsorted index j: all that _interp_loglog_mag reads of a response
+    sampled on freqs_hz when it interpolates at the targets."""
+    j = np.searchsorted(freqs_hz, targets_hz)
+    return np.unique(np.clip(np.concatenate([j - 1, j, j + 1]), 0,
+                             len(freqs_hz) - 1))
 
 
 def tune_gain(g_frf, freqs_hz, cascade: Cascade, f_bw: float) -> Gain:
@@ -508,32 +529,32 @@ def _discover_clusters(p_frfs, freqs_hz, masses) -> list:
     return clusters_per_loop
 
 
-def _required_beta1(freqs_hz, g_frf, gain_k, gamma_frf, cluster: _ClusterInfo,
-                    gamma: float) -> float:
-    """Zero damping one position needs for one tracked resonance.
+def _required_beta1(freqs_hz, g_frf, gain_k, gamma_frf, clusters,
+                    f_bw: float) -> np.ndarray:
+    """Zero damping each position needs for each tracked resonance.
 
-    gamma_frf is the response of the loop's fixed section (integrator and
-    leads).  The attenuation law 1 / (1 + G / G_max) is a smooth function
-    of the loop gain G the resonance would reach without the notch: deep
-    where the mode is hot, asymptotically neutral where it has faded, and
-    free of kinks so low-order coefficient surfaces can follow it.
+    g_frf is the equivalent plant, (F,) at one position or (n, F) on a
+    grid; the result is (n_clusters,) or (n, n_clusters).  gamma_frf is
+    the response of the loop's fixed section (integrator and leads).  The
+    attenuation law 1 / (1 + G / G_max) is a smooth function of the loop
+    gain G the resonance would reach without the notch: deep where the
+    mode is hot, asymptotically neutral where it has faded, and free of
+    kinks so low-order coefficient surfaces can follow it.
     """
-    loop_at_peak = (gain_k
-                    * _interp_loglog_mag(freqs_hz, gamma_frf, cluster.f_hz)
-                    * _interp_loglog_mag(freqs_hz, g_frf, cluster.f_hz))
-    target = 1.0 / (1.0 + loop_at_peak / RESONANT_LOOP_GAIN_MAX)
-    target = max(target, NOTCH_DEPTH_FLOOR)
-    return target * _neutral_beta1(cluster.beta2, gamma)
+    f_hz = np.array([cl.f_hz for cl in clusters])
+    loop_at_peak = (gain_k * _interp_loglog_mag(freqs_hz, gamma_frf, f_hz)
+                    * _interp_loglog_mag(freqs_hz, g_frf, f_hz))
+    target = np.maximum(1.0 / (1.0 + loop_at_peak / RESONANT_LOOP_GAIN_MAX),
+                        NOTCH_DEPTH_FLOOR)
+    return target * np.array([_neutral_beta1(cl.beta2, _skew_for(cl.f_hz, f_bw))
+                              for cl in clusters])
 
 
 def _local_notches(freqs_hz, g_frf, gain_k, gamma_frf, clusters, f_bw) -> list:
-    return [
-        Notch(f1=cl.f_hz, f2=_skew_for(cl.f_hz, f_bw) * cl.f_hz,
-              beta1=_required_beta1(freqs_hz, g_frf, gain_k, gamma_frf, cl,
-                                    _skew_for(cl.f_hz, f_bw)),
-              beta2=cl.beta2)
-        for cl in clusters
-    ]
+    beta1 = _required_beta1(freqs_hz, g_frf, gain_k, gamma_frf, clusters, f_bw)
+    return [Notch(f1=cl.f_hz, f2=_skew_for(cl.f_hz, f_bw) * cl.f_hz,
+                  beta1=float(b1), beta2=cl.beta2)
+            for cl, b1 in zip(clusters, beta1)]
 
 
 def _fixed_section(f_bw: float, spec: DesignSpec) -> list:
@@ -548,6 +569,9 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
     index, position index) -> Notch.  Gains are tuned once at the grid's
     center position so the fixed cascade section stays truly fixed; the
     sequential closure at every position uses the local notch parameters.
+    The loops are read only at f_bw and at the cluster frequencies, so
+    freqs_hz need only hold the samples bracketing those (see
+    _bracketing_samples); p_frfs are the plant samples on them.
     """
     center = len(p_frfs) // 2
     skeleton = _fixed_section(f_bw, spec)
@@ -642,25 +666,27 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
     surface is still a valid polynomial and only ever gets more
     conservative; the frozen-notch evaluation clamps it at full depth
     should it dip below zero somewhere.
+
+    The law reads the loops only at the cluster frequencies, so freqs_hz
+    need only hold the samples bracketing them (see _bracketing_samples).
+    audit_frfs is the (n_audit, F, n, n) stack of plant samples on those
+    frequencies over the audit grid: each loop is closed once for the
+    whole grid, and every row equals a one-position evaluation bit for bit.
     """
     loops = list(loops)
-    skeleton = _fixed_section(f_bw, spec)
-    gamma_frf = cascade_frf(Cascade(tuple(skeleton)), freqs_hz)
+    gamma_frf = cascade_frf(Cascade(tuple(_fixed_section(f_bw, spec))),
+                            freqs_hz)
     # Per loop, its responses on the whole audit grid, (n_audit, F); a
-    # loop not yet closed reads the scalar 0 (open) at every point.
-    closed = [np.zeros(len(audit_grid))] * len(loops)
+    # loop not yet closed is the scalar 0 (open).
+    closed = [0.0] * len(loops)
     for i in order:
         clusters = clusters_per_loop[i]
         if clusters:
             fixed = list(loops[i].fixed_part)
             scheduled = list(loops[i].scheduled_part)
-            required = np.zeros((len(audit_grid), len(clusters)))
-            for a in range(len(audit_grid)):
-                g = equivalent_plant(audit_frfs[a], [k[a] for k in closed], i)
-                for c, cl in enumerate(clusters):
-                    required[a, c] = _required_beta1(
-                        freqs_hz, g, gains[i].k, gamma_frf, cl,
-                        _skew_for(cl.f_hz, f_bw))
+            required = _required_beta1(
+                freqs_hz, equivalent_plant(audit_frfs, closed, i),
+                gains[i].k, gamma_frf, clusters, f_bw)
             for c in range(len(clusters)):
                 surface = scheduled[c].beta1
                 got = eval_surface(surface, audit_grid)
@@ -757,12 +783,20 @@ def _certification_freqs() -> np.ndarray:
 
 
 def _certify_position(controllers: ControllerSet, freqs, p, p_frf, k_frfs,
-                      max_real: float) -> PointCertification:
-    """Certification of one position from its plant FRF, its frozen loop
-    responses and the largest real part of its closed-loop eigenvalues."""
+                      bound_db=None) -> PointCertification:
+    """Frequency-domain certification of one position from its plant FRF
+    and its frozen loop responses.  The eigenvalue fields are left for
+    certify to fill in: eig_stable True, eig_max_real NaN.
+
+    With bound_db given only a verdict is wanted: the first loop that is
+    Nyquist unstable or over bound_db ends the evaluation, and the point
+    holds the loops up to that one and det_residual NaN.
+    """
     order = controllers.loop_order
     chain = design_chain(p_frf, k_frfs, order)
-    loop_certs = []
+    point = PointCertification(p=(float(p[0]), float(p[1])),
+                               det_residual=float("nan"), eig_stable=True,
+                               eig_max_real=float("nan"), loops=[])
     for i in order:
         l_frf = chain[i] * k_frfs[i]
         n_origin = 2 + sum(isinstance(e, Integrator)
@@ -773,7 +807,7 @@ def _certify_position(controllers: ControllerSet, freqs, p, p_frf, k_frfs,
         g_all = equivalent_plant(p_frf, k_frfs, i)
         s_peak = float(np.max(-20.0 * np.log10(
             np.abs(1.0 + g_all * k_frfs[i]))))
-        loop_certs.append(LoopCertification(
+        point.loops.append(LoopCertification(
             loop=int(i),
             nyquist_stable=verdict.stable,
             encirclements=verdict.encirclements,
@@ -782,17 +816,15 @@ def _certify_position(controllers: ControllerSet, freqs, p, p_frf, k_frfs,
             gain_margin_db=margins.gain_margin_db,
             sensitivity_peak_db=s_peak,
         ))
-    return PointCertification(
-        p=(float(p[0]), float(p[1])),
-        det_residual=det_identity_residual(p_frf, k_frfs, chain, order),
-        eig_stable=max_real < 0.0,
-        eig_max_real=max_real,
-        loops=loop_certs,
-    )
+        if bound_db is not None and not (verdict.stable
+                                         and point.sensitivity_ok(bound_db)):
+            return point
+    point.det_residual = det_identity_residual(p_frf, k_frfs, chain, order)
+    return point
 
 
 def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
-            plant_frfs=None) -> CertificationReport:
+            plant_frfs=None, _check_first=None) -> CertificationReport:
     """Frozen-position stability and sensitivity audit of a controller set.
 
     Per position: scalar Nyquist checks along the design loop order (each
@@ -804,19 +836,27 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
 
     The grid is taken CERT_CHUNK positions at a time.  Every loop is
     frozen once per chunk: its responses come from one stacked cascade_frf
-    call and the closed-loop matrices from one stacked closed_loop_matrix,
-    whose eigenvalues are computed in one call.  Stacked rows equal
-    one-position evaluations bit for bit, so the report does not depend on
-    which other positions share a chunk, and memory does not grow with
-    the grid.  Plant FRFs and equivalent plants stay per position.
+    call and, once the chunk's frequency-domain checks are done, the
+    closed-loop matrices from one stacked closed_loop_matrix, whose
+    eigenvalues are computed in one call.  Stacked rows equal one-position
+    evaluations bit for bit, so the report does not depend on which other
+    positions share a chunk, and memory does not grow with the grid.
+    Plant FRFs and equivalent plants stay per position.
 
     plant_frfs, when given, holds one decoupled plant FRF per grid row,
     sampled on certify's own frequencies (the default grid behind a
     CERT_TAIL_N-point low tail); they are used instead of evaluating the
     plant again.
+
+    _check_first is the design bisection's, which needs only a verdict.
+    Given (possibly empty), the grid rows at those positions form the
+    first chunk and the rest follow in grid order, and certify stops at
+    the first failure: the report then holds only the failing point, cut
+    short as _certify_position describes.  A set that passes gets the
+    same report as without it.
     """
     freqs = _certification_freqs()
-    report = CertificationReport(bound_db=controllers.sensitivity_bound_db)
+    bound_db = controllers.sensitivity_bound_db
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if plant_frfs is not None:
         if len(plant_frfs) != len(grid):
@@ -828,54 +868,86 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
             if np.shape(p_frf) != shape:
                 raise DomainError(f"plant FRF {r} has shape "
                                   f"{np.shape(p_frf)}, expected {shape}")
-    for start in range(0, len(grid), CERT_CHUNK):
-        chunk = grid[start:start + CERT_CHUNK]
-        k_chunk = controllers.loop_frfs(freqs, chunk)
-        max_real = np.max(np.linalg.eigvals(
-            closed_loop_matrix(model, controllers, chunk)).real, axis=-1)
-        for r, p in enumerate(chunk):
+    verdict_only = _check_first is not None
+    first = {tuple(q) for q in _check_first} if verdict_only else set()
+    ahead = [r for r, p in enumerate(grid) if tuple(p) in first]
+    rest = [r for r, p in enumerate(grid) if tuple(p) not in first]
+    chunks = [ahead] + [rest[s:s + CERT_CHUNK]
+                        for s in range(0, len(rest), CERT_CHUNK)]
+    points = [None] * len(grid)
+    for chunk in filter(None, chunks):
+        pts = grid[chunk]
+        k_chunk = controllers.loop_frfs(freqs, pts)
+        for r, (row, p) in enumerate(zip(chunk, pts)):
             if plant_frfs is not None:
-                p_frf = plant_frfs[start + r]
+                p_frf = plant_frfs[row]
             else:
                 p_frf = decoupled_plant_frf(model, p, freqs, controllers.t_u,
                                             controllers.t_y)
-            report.points.append(_certify_position(
+            points[row] = _certify_position(
                 controllers, freqs, p, p_frf, [k[r] for k in k_chunk],
-                float(max_real[r])))
-    return report
+                bound_db if verdict_only else None)
+            alone = CertificationReport(bound_db, [points[row]])
+            if verdict_only and not alone.passed:
+                return alone
+        max_real = np.max(np.linalg.eigvals(
+            closed_loop_matrix(model, controllers, pts)).real, axis=-1)
+        for row, m in zip(chunk, max_real.tolist()):
+            points[row].eig_max_real, points[row].eig_stable = m, m < 0.0
+            if verdict_only and not points[row].passed:
+                return CertificationReport(bound_db, [points[row]])
+    return CertificationReport(bound_db, points)
 
 
 def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
-    """Shared bandwidth-maximizing bisection for both procedures."""
+    """Shared bandwidth-maximizing bisection for both procedures.
+
+    Each bisection step builds a candidate set and asks certify for a
+    verdict only.  The build reads the plant FRFs only at the samples
+    bracketing f_bw and the cluster frequencies: (F_sub, n, n) per design
+    position, and for the scheduled audit one (n_audit, F_sub, n, n) stack
+    over its grid.  Returns the best set and its full certification report.
+    """
     design_grid, verify_grid, order = spec.resolve(model)
     freqs = default_grid().freqs_hz
     center = design_grid[len(design_grid) // 2]
     t_u, t_y = rigid_body_decouple(model, center)
     masses = np.asarray(model.masses, dtype=float)[: model.n_rigid]
 
-    # One plant FRF per distinct position, on the certification
-    # frequencies; the design and audit steps read the base-grid part of
-    # the same arrays (a plant FRF row depends only on its own frequency).
+    # One plant FRF per distinct design and verification position, on the
+    # certification frequencies; the design reads the base-grid part of the
+    # same arrays (a plant FRF row depends only on its own frequency).
     cert_freqs = _certification_freqs()
     frfs = {}
-
-    def plant_frf(p) -> np.ndarray:
+    for p in (*design_grid, *verify_grid):
         key = (float(p[0]), float(p[1]))
         if key not in frfs:
             frfs[key] = decoupled_plant_frf(model, p, cert_freqs, t_u, t_y)
-        return frfs[key]
+
+    def plant_frf(p) -> np.ndarray:
+        key = (float(p[0]), float(p[1]))
+        if key in frfs:
+            return frfs[key]
+        return decoupled_plant_frf(model, p, cert_freqs, t_u, t_y)
 
     p_frfs = [plant_frf(p)[CERT_TAIL_N:] for p in design_grid]
     verify_frfs = [plant_frf(p) for p in verify_grid]
     clusters = _discover_clusters(p_frfs, freqs, masses)
+    cluster_hz = [cl.f_hz for infos in clusters for cl in infos]
 
     if kind == "lpv":
+        # The audit reads the plant only at the samples bracketing the
+        # cluster frequencies; it gets them stacked over its grid.
         audit_grid = grid_points(model.workspace, AUDIT_GRID_N, AUDIT_GRID_N)
-        audit_frfs = [plant_frf(p)[CERT_TAIL_N:] for p in audit_grid]
+        audit_sub = _bracketing_samples(freqs, cluster_hz)
+        audit_frfs = np.stack([plant_frf(p)[CERT_TAIL_N + audit_sub]
+                               for p in audit_grid])
 
     def build(f_bw: float) -> ControllerSet:
-        gains, table = _local_designs(p_frfs, freqs, masses, order, f_bw,
-                                      spec, clusters)
+        sub = _bracketing_samples(freqs, [f_bw] + cluster_hz)
+        gains, table = _local_designs([p_frf[sub] for p_frf in p_frfs],
+                                      freqs[sub], masses, order, f_bw, spec,
+                                      clusters)
         if kind == "lti":
             loops = _build_lti_loops(gains, clusters, table,
                                      len(design_grid), f_bw, spec)
@@ -883,17 +955,24 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
             loops = _build_lpv_loops(gains, clusters, table, design_grid,
                                      f_bw, spec, model.workspace)
             loops = _audit_scheduled_loops(loops, order, clusters, gains,
-                                           f_bw, spec, freqs, audit_grid,
-                                           audit_frfs, model.workspace)
+                                           f_bw, spec, freqs[audit_sub],
+                                           audit_grid, audit_frfs,
+                                           model.workspace)
         return ControllerSet(loops=loops, t_u=t_u, t_y=t_y, loop_order=order,
                              achieved_bandwidth_hz=f_bw,
                              sensitivity_bound_db=spec.sensitivity_bound_db,
                              kind=kind)
 
+    # Positions that failed the latest failing step; the next step checks
+    # them first and, like every step, stops at its first failure.
+    failed_at: list = []
+
     def feasible(f_bw: float):
         controllers = build(f_bw)
         report = certify(model, controllers, verify_grid,
-                         plant_frfs=verify_frfs)
+                         plant_frfs=verify_frfs, _check_first=failed_at)
+        if not report.passed:
+            failed_at[:] = [pt.p for pt in report.points]
         return report.passed, controllers, report
 
     # Bisection over the common crossover frequency.  The cap is tried
@@ -906,11 +985,9 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
         return controllers, report
     ok, best, best_report = feasible(f_lo)
     if not ok:
-        failures = best_report.failures()
-        where = failures[0].p if failures else None
         raise DesignInfeasibleError(
             f"{kind} design infeasible even at {f_lo:.1f} Hz "
-            f"(first failing position: {where})")
+            f"(failing position: {best_report.points[0].p})")
     for _ in range(spec.bisection_iterations):
         f_mid = np.sqrt(f_lo * f_hi)
         ok, cand, cand_report = feasible(f_mid)

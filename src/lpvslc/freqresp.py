@@ -106,8 +106,9 @@ def frf(ss: FrozenStateSpace, freqs_hz) -> np.ndarray:
 def equivalent_plant(p_frf: np.ndarray, k_frfs, i: int) -> np.ndarray:
     """Scalar plant seen by loop i after closing every other loop with -k_j.
 
-    p_frf: (F, n, n) plant samples; k_frfs: sequence of n per-loop controller
-    samples (entry i is ignored, scalars broadcast). Returns shape (F,).
+    p_frf: (..., F, n, n) plant samples, one position or a stack of them;
+    k_frfs: sequence of n per-loop controller samples, (..., F) each (entry
+    i is ignored, scalars broadcast). Returns shape (..., F).
 
     Loops are closed one at a time, each a rank-one (Sherman-Morrison)
     update of the whole plant at every frequency,
@@ -124,15 +125,16 @@ def equivalent_plant(p_frf: np.ndarray, k_frfs, i: int) -> np.ndarray:
                if j != i and not (np.isscalar(k_j) and k_j == 0.0)]
     for j in closing:
         k_j = k_frfs[j]
-        den = 1.0 + k_j * p[:, j, j]
+        den = 1.0 + k_j * p[..., j, j]
         if not np.all(den):
             raise NumericalError(
                 f"singular loop closure for loop {i}: 1 + k_{j} P_{j}{j} "
                 f"vanishes when closing loop {j}")
         if j == closing[-1]:
-            return p[:, i, i] - p[:, i, j] * (k_j / den) * p[:, j, i]
-        p = p - p[:, :, j, None] * (k_j / den)[:, None, None] * p[:, None, j, :]
-    return p[:, i, i].copy()
+            return p[..., i, i] - p[..., i, j] * (k_j / den) * p[..., j, i]
+        p = p - (p[..., :, j, None] * (k_j / den)[..., None, None]
+                 * p[..., None, j, :])
+    return p[..., i, i].copy()
 
 
 def _det_stacked(mats: np.ndarray) -> np.ndarray:

@@ -15,12 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["fmt_float", "dump_json", "load_json", "dump_csv", "load_csv"]
-
-
-def fmt_float(x: float) -> str:
-    """Round-trip exact decimal form with 17 significant digits."""
-    return format(float(x), ".17g")
+__all__ = ["dump_json", "load_json", "dump_csv", "load_csv"]
 
 
 def dump_json(obj, path) -> None:
@@ -48,7 +43,7 @@ def dump_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("columns must have equal length")
-    # One % operation per row; "%.17g" formats exactly as fmt_float does.
+    # One % operation per row; "%.17g" reads back as the same double.
     row_fmt = ("%.17g," * len(cols))[:-1] + "\n"
     rows = np.column_stack(cols).astype(float).tolist()
     with open(path, "w", newline="\n") as fh:

@@ -45,7 +45,7 @@ derived from the commanded profiles.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,7 +81,6 @@ __all__ = [
     "compare_runs",
     "compare_summaries",
     "write_result_csv",
-    "sim_config_to_dict",
     "sim_config_from_dict",
 ]
 
@@ -689,18 +688,6 @@ def _pick_interval(result: SimResult, name: str) -> IntervalMetrics:
     return interval_metrics(result, [chosen[-1]])[0]
 
 
-def sim_config_to_dict(config: SimConfig) -> dict:
-    return {
-        "duration_s": config.duration_s,
-        "sample_rate_hz": config.sample_rate_hz,
-        "scheduling_source": config.scheduling_source,
-        "window_s": config.window_s,
-        "settling_s": config.settling_s,
-        "feedforward": config.feedforward,
-        "feedback": config.feedback,
-    }
-
-
 def sim_config_from_dict(data: dict) -> SimConfig:
     known = {"duration_s", "sample_rate_hz", "scheduling_source", "window_s",
              "settling_s", "feedforward", "feedback"}
@@ -727,7 +714,7 @@ def result_summary(result: SimResult,
         "ma_m": metrics.ma_overall,
         "msd_m": metrics.msd_overall,
         "per_axis": per_axis,
-        "config": sim_config_to_dict(result.config),
+        "config": asdict(result.config),
     }
 
 

@@ -226,6 +226,23 @@ def test_certify_subcommand_writes_report(rigid_project, capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
+def test_certify_failing_report_exits_1(rigid_project, tmp_path, capsys):
+    """A stored set whose sensitivity bound is lowered below its peak fails
+    certification: exit 1, and the failing report is still written."""
+    stored = load_json(rigid_project.parent / "out" / "controllers_lti.json")
+    path = _write_project(tmp_path, _rigid_plant())
+    (tmp_path / "out").mkdir()
+    for bound, code in ((stored["sensitivity_bound_db"], 0), (1.0, 1)):
+        (tmp_path / "out" / "controllers_lti.json").write_text(
+            json.dumps({**stored, "sensitivity_bound_db": bound}))
+        assert main(["certify", "--config", str(path), "--mode", "lti",
+                     "--grid", "2x2"]) == code, bound
+        report = load_json(tmp_path / "out" / "certification_lti.json")
+        assert report["passed"] is (code == 0)
+        assert len(report["points"]) == 4
+    assert "overall: FAIL" in capsys.readouterr().out
+
+
 def test_certify_without_stored_controllers_exits_2(tmp_path):
     path = _write_project(tmp_path, _rigid_plant())
     assert main(["certify", "--config", str(path), "--mode", "lpv"]) == 2

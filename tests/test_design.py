@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lpvslc import design
 from lpvslc.design import (
     CERT_TAIL_N,
     CertificationReport,
@@ -32,7 +33,15 @@ from lpvslc.design import (
     _find_resonance_peaks,
 )
 from lpvslc.errors import ConfigError, DesignInfeasibleError, DomainError, ModelError
-from lpvslc.filters import Cascade, Gain, Integrator, Lead, cascade_frf, realize
+from lpvslc.filters import (
+    Cascade,
+    Gain,
+    Integrator,
+    Lead,
+    cascade_frf,
+    cascade_to_dict,
+    realize,
+)
 from lpvslc.freqresp import (
     default_grid,
     equivalent_plant,
@@ -43,6 +52,7 @@ from lpvslc.plant import ModalPlantModel, Mode, benchmark_plant, frozen_realizat
 from lpvslc.scheduling import eval_surface
 from lpvslc.sim import NOTCH_NYQUIST_FRACTION
 
+from audit_reference import reference_audit, reference_local_designs
 from certify_reference import reference_certify
 from freqresp_reference import block_solve_equivalent_plant
 from series_reference import assert_realizations_equal, chained_realize
@@ -555,3 +565,141 @@ def test_realize_equals_chained_series_on_the_benchmark_sets(
             for p in (points[17], points):
                 assert_realizations_equal(realize(cascade, p, f_max),
                                           chained_realize(cascade, p, f_max))
+
+
+@pytest.fixture(scope="module", params=["lti", "lpv"])
+def bisection_trace(request):
+    """One benchmark design with its local designs, scheduled-notch audits,
+    certify calls and per-position certifications recorded, and the
+    bisection a full-report certify drives on the same builds."""
+    kind = request.param
+    model = benchmark_plant()
+    spec = DesignSpec()
+    names = ("_local_designs", "_audit_scheduled_loops", "certify",
+             "_certify_position")
+    real = {name: getattr(design, name) for name in names}
+    calls = {name: [] for name in names}
+
+    def recorder(name):
+        def call(*args, **kwargs):
+            out = real[name](*args, **kwargs)
+            calls[name].append((args, kwargs, out,
+                                len(calls["_certify_position"])))
+            return out
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            mp.setattr(design, name, recorder(name))
+        result = _design_common(model, spec, kind)
+
+    full_steps = []
+
+    def full_certify(m, cs, grid, *, plant_frfs=None, _check_first=None):
+        report = real["certify"](m, cs, grid, plant_frfs=plant_frfs)
+        full_steps.append((cs.achieved_bandwidth_hz, report.passed))
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design, "certify", full_certify)
+        full_result = _design_common(model, spec, kind)
+    return {"kind": kind, "model": model, "spec": spec, "calls": calls,
+            "real_certify": real["certify"], "result": result,
+            "full_steps": full_steps, "full_result": full_result}
+
+
+def _full_frequency_plant(model, spec, points):
+    """Decoupled plant FRFs on the whole base grid, as the design sees them
+    before it keeps only the samples it reads."""
+    design_grid, _, _ = spec.resolve(model)
+    t_u, t_y = rigid_body_decouple(model, design_grid[len(design_grid) // 2])
+    cert = _certification_freqs()
+    return [decoupled_plant_frf(model, p, cert, t_u, t_y)[CERT_TAIL_N:]
+            for p in points]
+
+
+def test_subset_local_designs_equal_full_frequency_reference(bisection_trace):
+    """At every bandwidth the bisection tries, the local designs made from
+    the samples bracketing f_bw and the cluster frequencies are those the
+    whole frequency grid gives, to the last bit."""
+    model, spec = bisection_trace["model"], bisection_trace["spec"]
+    calls = bisection_trace["calls"]["_local_designs"]
+    assert len(calls) == len(bisection_trace["full_steps"])
+    p_frfs = _full_frequency_plant(model, spec, spec.resolve(model)[0])
+    freqs = default_grid().freqs_hz
+    for args, _, (gains, table), _ in calls:
+        p_sub, f_sub, masses, order, f_bw, spec_, clusters = args
+        assert len(f_sub) < len(freqs) // 10
+        ref_gains, ref_table = reference_local_designs(
+            p_frfs, freqs, masses, order, f_bw, spec_, clusters)
+        assert repr(gains) == repr(ref_gains), f_bw
+        assert repr(table) == repr(ref_table), f_bw
+
+
+def test_stacked_audit_equals_per_position_reference(bisection_trace):
+    """At every bandwidth the bisection tries, the audit closed once over
+    the stacked grid on the bracketing samples returns the loops that the
+    per-position audit on every frequency returns, to the last bit."""
+    calls = bisection_trace["calls"]["_audit_scheduled_loops"]
+    if bisection_trace["kind"] == "lti":
+        assert not calls
+        return
+    assert len(calls) == len(bisection_trace["full_steps"])
+    model, spec = bisection_trace["model"], bisection_trace["spec"]
+    audit_grid = calls[0][0][7]
+    audit_frfs = _full_frequency_plant(model, spec, audit_grid)
+    freqs = default_grid().freqs_hz
+    refit = 0
+    for args, _, loops, _ in calls:
+        (loops_in, order, clusters, gains, f_bw, spec_, f_sub, grid, stack,
+         workspace) = args
+        assert stack.shape == (len(audit_grid), len(f_sub), 3, 3)
+        assert np.array_equal(grid, audit_grid)
+        ref = reference_audit(loops_in, order, clusters, gains, f_bw, spec_,
+                              freqs, grid, audit_frfs, workspace)
+        got = [json.dumps(cascade_to_dict(c)) for c in loops]
+        assert got == [json.dumps(cascade_to_dict(c)) for c in ref], f_bw
+        refit += got != [json.dumps(cascade_to_dict(c)) for c in loops_in]
+    assert refit > 0
+
+
+def test_early_exit_verdict_equals_full_certification(bisection_trace):
+    """Every bisection step's verdict is certify(...).passed.  A passing
+    step returns the full report and certifies each position once; a
+    failing one stops at its first failing position."""
+    calls = bisection_trace["calls"]
+    real_certify = bisection_trace["real_certify"]
+    n_grid = len(bisection_trace["spec"].resolve(bisection_trace["model"])[1])
+    outcomes = []
+    at = 0
+    failed_at = None
+    for args, kwargs, report, done in calls["certify"]:
+        full = real_certify(*args, plant_frfs=kwargs["plant_frfs"])
+        assert report.passed == full.passed
+        evaluated = done - at
+        at = done
+        if report.passed:
+            assert report.to_dict() == full.to_dict()
+            assert evaluated == n_grid
+            outcomes.append("pass")
+        else:
+            assert len(report.points) == 1 and evaluated <= n_grid
+            assert report.points[0].p in {pt.p for pt in full.failures()}
+            # The previous step's failing position is checked first.
+            if report.points[0].p == failed_at:
+                assert evaluated == 1
+                outcomes.append("failed again first")
+            failed_at = report.points[0].p
+    assert {"pass", "failed again first"} <= set(outcomes)
+
+
+def test_bisection_visits_the_reference_bandwidths(bisection_trace):
+    """The early-exit bisection tries the bandwidths a full-report
+    certification drives it through and ends with the same set and report."""
+    got = [(args[1].achieved_bandwidth_hz, report.passed)
+           for args, _, report, _ in bisection_trace["calls"]["certify"]]
+    assert got == bisection_trace["full_steps"]
+    (cs, report), (ref_cs, ref_report) = (bisection_trace["result"],
+                                          bisection_trace["full_result"])
+    assert controllers_to_dict(cs) == controllers_to_dict(ref_cs)
+    assert report.to_dict() == ref_report.to_dict()

@@ -42,7 +42,7 @@ from lpvslc.sim import (
     simulate,
     write_result_csv,
 )
-from lpvslc.io import dump_csv, dump_json, fmt_float, load_csv, load_json
+from lpvslc.io import dump_csv, dump_json, load_csv, load_json
 from lpvslc.trajectory import MotionBounds, plan, sample
 
 from sim_reference import max_relative_gap, reference_traces
@@ -481,6 +481,11 @@ def test_interval_metrics_empty_interval_raises():
     empty = Interval("constant velocity", 0.0, 0.0005)
     with pytest.raises(ConfigError, match="no samples"):
         interval_metrics(res, [empty])
+
+
+def fmt_float(x: float) -> str:
+    """Round-trip exact decimal form with 17 significant digits."""
+    return format(float(x), ".17g")
 
 
 def test_csv_rows_format_as_fmt_float(tmp_path):
