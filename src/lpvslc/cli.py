@@ -20,8 +20,9 @@ emitted files are deterministic: rerunning a command on identical inputs
 reproduces the same bytes (fixed float formatting, no timestamps).
 
 The LPVSLC_LOG environment variable sets the log level (default INFO).
-Exit codes: 0 success, 1 infeasible design, 2 configuration or input
-error, 3 numerical failure.
+Exit codes: 0 success, 1 infeasible design or a failed certify, 2
+configuration or input error (a malformed stored artifact included), 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -231,17 +231,8 @@ def cmd_frf(args) -> None:
     for p in positions:
         model.check_point(p)
     grid = _parse_freq_grid(args.grid)
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
-
-    def frf_at(p):
-        return frf(frozen_realization(model, p), grid.freqs_hz)
-
-    if args.jobs == 1 or len(positions) == 1:
-        responses = [frf_at(p) for p in positions]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            responses = list(pool.map(frf_at, positions))
+    responses = [frf(frozen_realization(model, p), grid.freqs_hz)
+                 for p in positions]
 
     files = []
     for k, (p, h) in enumerate(zip(positions, responses), start=1):
@@ -268,11 +259,43 @@ def _summary_path(outdir: Path, kind: str) -> Path:
     return outdir / f"design_summary_{kind}.json"
 
 
+def _stored_entry(path: Path, key: str, check):
+    """check(key, value) of entry key in the JSON object a command wrote
+    to path; ConfigError naming the file when the file is malformed."""
+    data = load_json(path)
+    if not isinstance(data, dict) or key not in data:
+        raise ConfigError(f"{path}: needs a JSON object with a {key!r} entry")
+    try:
+        return check(key, data[key])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _positive(key: str, value) -> float:
+    value = real(key, value)
+    if value <= 0.0:
+        raise ConfigError(f"{key} must be > 0, got {value!r}")
+    return value
+
+
+def _boolean(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def cmd_design(args) -> None:
     """Synthesize one controller set, certify it and write the artifacts."""
     project = load_project(args.config, args.out)
     model = load_plant(project.plant)
     spec = _load_design_spec(project)
+    # The LPV summary compares against a stored LTI design; a malformed
+    # one is refused before anything is designed or written.
+    lti_summary_path = _summary_path(project.output_dir, "lti")
+    lti_bw = None
+    if args.mode == "lpv" and lti_summary_path.is_file():
+        lti_bw = _stored_entry(lti_summary_path, "achieved_bandwidth_hz",
+                               _positive)
     builder = design_lti_slc if args.mode == "lti" else design_lpv_slc
     controllers = builder(model, spec)
     _, verify, _ = spec.resolve(model)
@@ -292,14 +315,11 @@ def cmd_design(args) -> None:
     log.info("%s design: bandwidth %.2f Hz, certification %s", args.mode,
              summary["achieved_bandwidth_hz"],
              "passed" if report.passed else "FAILED")
-    if args.mode == "lpv":
-        lti_summary_path = _summary_path(project.output_dir, "lti")
-        if lti_summary_path.is_file():
-            lti_bw = load_json(lti_summary_path)["achieved_bandwidth_hz"]
-            summary["bandwidth_ratio_vs_lti"] = (
-                summary["achieved_bandwidth_hz"] / lti_bw)
-            log.info("bandwidth ratio vs lti: %.3f",
-                     summary["bandwidth_ratio_vs_lti"])
+    if lti_bw is not None:
+        summary["bandwidth_ratio_vs_lti"] = (
+            summary["achieved_bandwidth_hz"] / lti_bw)
+        log.info("bandwidth ratio vs lti: %.3f",
+                 summary["bandwidth_ratio_vs_lti"])
     dump_json(summary, _summary_path(project.output_dir, args.mode))
 
 
@@ -413,7 +433,7 @@ class _StoredCertification:
     """Pass/fail view of a certification JSON for the simulator's precheck."""
 
     def __init__(self, passed: bool):
-        self.passed = bool(passed)
+        self.passed = passed
 
 
 def cmd_simulate(args) -> None:
@@ -429,7 +449,8 @@ def cmd_simulate(args) -> None:
         cert = None
         cert_path = project.output_dir / f"certification_{kind}.json"
         if cert_path.is_file():
-            cert = _StoredCertification(load_json(cert_path)["passed"])
+            cert = _StoredCertification(
+                _stored_entry(cert_path, "passed", _boolean))
         result = simulate(model, controllers, motion, config,
                           certification=cert)
         write_result_csv(project.output_dir / f"run_{kind}.csv", result)
@@ -485,8 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated x,y pairs, e.g. '0.1,0.1;0,0.2'")
     p.add_argument("--grid", default=None,
                    help="frequency grid fmin:fmax:n (default 1:5000:1000)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for the position loop")
 
     p = add("design", cmd_design, "synthesize and certify a controller set")
     p.add_argument("--mode", choices=CONTROLLER_KINDS, required=True)

@@ -782,11 +782,14 @@ def _certification_freqs() -> np.ndarray:
     return np.concatenate([tail, base])
 
 
-def _certify_position(controllers: ControllerSet, freqs, p, p_frf, k_frfs,
+def _certify_position(model: ModalPlantModel, controllers: ControllerSet,
+                      freqs, p, p_frf, k_frfs,
                       bound_db=None) -> PointCertification:
     """Frequency-domain certification of one position from its plant FRF
     and its frozen loop responses.  The eigenvalue fields are left for
-    certify to fill in: eig_stable True, eig_max_real NaN.
+    certify to fill in: eig_stable True, eig_max_real NaN.  The Nyquist
+    check of loop i gets its exact response L_i(f), evaluated from the
+    model, for the frequencies it adds to the samples.
 
     With bound_db given only a verdict is wanted: the first loop that is
     Nyquist unstable or over bound_db ends the evaluation, and the point
@@ -797,12 +800,18 @@ def _certify_position(controllers: ControllerSet, freqs, p, p_frf, k_frfs,
     point = PointCertification(p=(float(p[0]), float(p[1])),
                                det_residual=float("nan"), eig_stable=True,
                                eig_max_real=float("nan"), loops=[])
+
+    def loop_frf(f, i):
+        k_f = controllers.loop_frfs(f, p)
+        p_f = decoupled_plant_frf(model, p, f, controllers.t_u, controllers.t_y)
+        return design_chain(p_f, k_f, order)[i] * k_f[i]
+
     for i in order:
         l_frf = chain[i] * k_frfs[i]
         n_origin = 2 + sum(isinstance(e, Integrator)
                            for e in controllers.loops[i].elements)
-        verdict = nyquist_stable(freqs, l_frf, n_open_rhp=0,
-                                 n_origin_poles=n_origin)
+        verdict = nyquist_stable(freqs, l_frf,
+                                 lambda f, i=i: loop_frf(f, i), n_origin)
         margins = margins_and_bandwidth(freqs, l_frf)
         g_all = equivalent_plant(p_frf, k_frfs, i)
         s_peak = float(np.max(-20.0 * np.log10(
@@ -885,7 +894,7 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
                 p_frf = decoupled_plant_frf(model, p, freqs, controllers.t_u,
                                             controllers.t_y)
             points[row] = _certify_position(
-                controllers, freqs, p, p_frf, [k[r] for k in k_chunk],
+                model, controllers, freqs, p, p_frf, [k[r] for k in k_chunk],
                 bound_db if verdict_only else None)
             alone = CertificationReport(bound_db, [points[row]])
             if verdict_only and not alone.passed:

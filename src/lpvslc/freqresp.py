@@ -19,10 +19,11 @@ Closed-loop stability of each scalar loop is decided by the Nyquist
 criterion evaluated on sampled frequency response data. Poles at the origin
 (integrator action on a rigid-body plant) are handled by the standard right
 indentation: the detour contributes a clockwise arc of q half-turns at large
-radius, where q is the origin-pole count estimated from the low-frequency
-magnitude slope. The sampled part of the contour is refined until the phase
-of 1 + L steps by less than 90 degrees between neighboring points, so the
-winding number is unambiguous.
+radius, where q is the origin-pole count the caller gives. The caller also
+gives an evaluator of the exact loop response: with it the sampled contour
+is extended at both ends until |L| dwarfs 1 at the bottom and has died out
+at the top, and refined until the phase of 1 + L steps by less than 90
+degrees between neighboring points, so the winding number is unambiguous.
 """
 
 from __future__ import annotations
@@ -211,7 +212,6 @@ def det_identity_residual(p_frf: np.ndarray, k_frfs, chain,
 class StabilityVerdict:
     stable: bool
     encirclements: int  # clockwise encirclements of -1
-    n_origin_poles: int
 
 
 @dataclass
@@ -221,86 +221,58 @@ class LoopMargins:
     gain_margin_db: float
 
 
-def _estimate_origin_poles(freqs_hz: np.ndarray, l_frf: np.ndarray) -> int:
-    """Origin-pole count from the low-frequency magnitude slope of L."""
-    npts = min(8, len(freqs_hz) // 4 + 2)
-    logf = np.log10(freqs_hz[:npts])
-    logm = np.log10(np.abs(l_frf[:npts]))
-    slope = np.polyfit(logf, logm, 1)[0]
-    q = max(0, int(round(-slope)))
-    if abs(-slope - round(-slope)) > 0.3:
-        log.warning("low-frequency slope %.2f is far from an integer; using q=%d", slope, q)
-    return q
-
-
-def _interp_refiner(freqs_hz: np.ndarray, l_frf: np.ndarray):
-    """Fallback evaluator: log-frequency interpolation of magnitude and phase."""
-    logf = np.log10(freqs_hz)
-    logm = np.log(np.abs(l_frf))
-    ph = np.unwrap(np.angle(l_frf))
-
-    def evaluate(f_new: np.ndarray) -> np.ndarray:
-        lf = np.log10(f_new)
-        return np.exp(np.interp(lf, logf, logm) + 1j * np.interp(lf, logf, ph))
-
-    return evaluate
-
-
-def _refine_phase_steps(freqs_hz, l_frf, evaluator, max_rounds=15, step_limit=np.pi / 2):
-    """Unwrapped arg(1 + L), midpoints inserted until its steps stay below
-    the limit; without an evaluator the samples are interpolated."""
+def _refine_phase_steps(freqs_hz, l_frf, evaluator):
+    """Unwrapped arg(1 + L), evaluator midpoints inserted until its steps
+    stay below 90 degrees."""
     f = np.asarray(freqs_hz, dtype=float)
     l_vals = np.asarray(l_frf, dtype=complex)
-    for _ in range(max_rounds):
+    for _ in range(15):
         phase = np.unwrap(np.angle(1.0 + l_vals))
-        bad = np.abs(np.diff(phase)) > step_limit
+        bad = np.abs(np.diff(phase)) > np.pi / 2
         if not np.any(bad):
             return phase
-        if evaluator is None:
-            evaluator = _interp_refiner(f, l_vals)
         idx = np.flatnonzero(bad)
         mid = np.sqrt(f[idx] * f[idx + 1])
-        l_mid = evaluator(mid)
         f = np.insert(f, idx + 1, mid)
-        l_vals = np.insert(l_vals, idx + 1, l_mid)
+        l_vals = np.insert(l_vals, idx + 1, evaluator(mid))
     raise NumericalError("phase steps of 1+L not resolvable by grid refinement")
 
 
-def nyquist_stable(
-    freqs_hz,
-    l_frf,
-    n_open_rhp: int = 0,
-    evaluator=None,
-    n_origin_poles: int | None = None,
-) -> StabilityVerdict:
+def nyquist_stable(freqs_hz, l_frf, evaluator,
+                   n_origin_poles: int) -> StabilityVerdict:
     """Nyquist criterion on sampled L(j omega) with conjugate-symmetric extension.
 
-    evaluator, when given, maps an array of frequencies in Hz to L samples and
-    is used both for phase-step refinement and for extending the grid until
-    |L| is large at the bottom (origin-pole closure) and small at the top.
+    L may have no open-loop poles in the closed right half plane other than
+    n_origin_poles poles at the origin, so it is stable exactly when -1 is
+    not encircled.  Every loop of a sequential chain is such a loop once
+    the loops before it are closed-loop stable: the decoupled plant's only
+    poles off the open left half plane are its rigid-body double
+    integrators, and a cascade's only one is its integrator.
+
+    evaluator maps an array of frequencies in Hz to exact L samples.  It
+    extends the grid until |L| is large at the bottom (origin-pole
+    closure) and small at the top, and it refines the phase steps.
     """
     f = np.asarray(freqs_hz, dtype=float)
     l_vals = np.asarray(l_frf, dtype=complex)
     if f.shape != l_vals.shape:
         raise DomainError("freqs and L must have matching shapes")
-
-    q = _estimate_origin_poles(f, l_vals) if n_origin_poles is None else int(n_origin_poles)
+    q = int(n_origin_poles)
 
     # The sampled contour must start where |L| dwarfs 1 (if there are origin
     # poles) and end where L has died out, otherwise extend.
-    if evaluator is not None:
-        rounds = 0
-        while q > 0 and np.abs(l_vals[0]) < 10.0 and rounds < 12:
-            f_new = f[0] / np.array([4.0, 2.0])
-            l_vals = np.concatenate([evaluator(f_new), l_vals])
-            f = np.concatenate([f_new, f])
-            rounds += 1
-        rounds = 0
-        while np.abs(l_vals[-1]) > 0.2 and rounds < 12:
-            f_new = f[-1] * np.array([2.0, 4.0])
-            l_vals = np.concatenate([l_vals, evaluator(f_new)])
-            f = np.concatenate([f, f_new])
-            rounds += 1
+    rounds = 0
+    while q > 0 and np.abs(l_vals[0]) < 10.0 and rounds < 12:
+        f_new = f[0] / np.array([4.0, 2.0])
+        l_vals = np.concatenate([evaluator(f_new), l_vals])
+        f = np.concatenate([f_new, f])
+        rounds += 1
+    rounds = 0
+    while np.abs(l_vals[-1]) > 0.2 and rounds < 12:
+        f_new = f[-1] * np.array([2.0, 4.0])
+        l_vals = np.concatenate([l_vals, evaluator(f_new)])
+        f = np.concatenate([f, f_new])
+        rounds += 1
     if q > 0 and np.abs(l_vals[0]) < 2.0:
         log.warning("|L| = %.3g at the low end; origin-pole closure may be unreliable", np.abs(l_vals[0]))
     if np.abs(l_vals[-1]) > 0.5:
@@ -315,12 +287,8 @@ def nyquist_stable(
     if abs(winding - w_round) > 0.2:
         log.warning("winding number %.3f is far from an integer", winding)
     encirclements = -w_round  # clockwise
-    z = encirclements + int(n_open_rhp)
-    return StabilityVerdict(
-        stable=(z == 0),
-        encirclements=encirclements,
-        n_origin_poles=q,
-    )
+    return StabilityVerdict(stable=(encirclements == 0),
+                            encirclements=encirclements)
 
 
 def margins_and_bandwidth(freqs_hz, l_frf) -> LoopMargins:

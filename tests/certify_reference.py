@@ -4,10 +4,10 @@ This is design.certify as it ran before every loop was frozen once per
 grid.  Per position it evaluates the plant FRF, each loop's cascade
 response at that one position, the design chain once for the
 determinant identity and again, loop by loop, for the Nyquist checks,
-and the closed-loop state
-matrix with every loop realized at that one position, whose eigenvalues
-it computes alone.  The agreement tests in test_design.py hold the
-stacked certify to it bit for bit.
+each of which gets loop_frf_at as its exact evaluator, and the
+closed-loop state matrix with every loop realized at that one position,
+whose eigenvalues it computes alone.  The agreement tests in
+test_design.py hold the stacked certify to it bit for bit.
 """
 
 import numpy as np
@@ -76,6 +76,17 @@ def closed_loop_matrix_at(model, controllers, p):
     return a_cl
 
 
+def loop_frf_at(model, controllers, p, i, closed_loops, freqs):
+    """L_i at p: the plant loop i sees with closed_loops closed, times k_i."""
+    p_frf = decoupled_plant_frf(model, p, freqs, controllers.t_u,
+                                controllers.t_y)
+    k_frfs = [cascade_frf_at(c, freqs, p) if j in closed_loops
+              else np.zeros(len(freqs), dtype=complex)
+              for j, c in enumerate(controllers.loops)]
+    return (equivalent_plant(p_frf, k_frfs, i)
+            * cascade_frf_at(controllers.loops[i], freqs, p))
+
+
 def reference_certify(model, controllers, grid):
     freqs = _certification_freqs()
     report = CertificationReport(bound_db=controllers.sensitivity_bound_db)
@@ -89,12 +100,14 @@ def reference_certify(model, controllers, grid):
             controllers.loop_order)
         loop_certs = []
         closed = [np.zeros(len(freqs), dtype=complex)] * controllers.n_loops
-        for i in controllers.loop_order:
+        for n, i in enumerate(controllers.loop_order):
             l_frf = equivalent_plant(p_frf, closed, i) * k_frfs[i]
             verdict = nyquist_stable(
-                freqs, l_frf, n_open_rhp=0,
-                n_origin_poles=2 + sum(isinstance(e, Integrator)
-                                       for e in controllers.loops[i].elements))
+                freqs, l_frf,
+                lambda f, i=i, done=controllers.loop_order[:n]: loop_frf_at(
+                    model, controllers, p, i, done, f),
+                2 + sum(isinstance(e, Integrator)
+                        for e in controllers.loops[i].elements))
             margins = margins_and_bandwidth(freqs, l_frf)
             g_all = equivalent_plant(p_frf, k_frfs, i)
             loop_certs.append(LoopCertification(

@@ -196,7 +196,7 @@ def test_criterion_05_nyquist_matches_eigenvalue_oracle(pipeline):
         def ev(f, sys=sys, k=k):
             return k * dense_frf(sys, f)[:, 0, 0]
 
-        verdict = nyquist_stable(freqs, ev(freqs), evaluator=ev)
+        verdict = nyquist_stable(freqs, ev(freqs), ev, 0)
         agree += verdict.stable == (margin < 0.0)
         checked += 1
 

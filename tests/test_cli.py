@@ -108,7 +108,7 @@ def test_frf_rigid_position_follows_double_integrator(rigid_project, tmp_path):
 def test_frf_multiple_positions_with_jobs(rigid_project, tmp_path):
     code = main(["frf", "--config", str(rigid_project),
                  "--positions", "0.05,0.05;0.15,0.1;0.1,0.18",
-                 "--grid", "20:200:25", "--jobs", "3",
+                 "--grid", "20:200:25",
                  "--out", str(tmp_path)])
     assert code == 0
     manifest = load_json(tmp_path / "frf_manifest.json")
@@ -198,6 +198,40 @@ def test_simulate_refuses_oversized_run(rigid_project, tmp_path):
     shutil.copy(rigid_project.parent / "out" / "controllers_lti.json",
                 tmp_path / "out")
     assert main(["simulate", "--config", str(path), "--mode", "lti"]) == 2
+
+
+@pytest.mark.parametrize("summary", [
+    [69.6], {}, {"achieved_bandwidth_hz": "69.6"},
+    {"achieved_bandwidth_hz": 0.0}])
+def test_design_lpv_with_malformed_lti_summary_exits_2(tmp_path, summary):
+    """The stored LTI summary the LPV summary compares against is checked
+    before the design runs: a malformed one exits 2 and nothing is written."""
+    path = _write_project(tmp_path, _rigid_plant())
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "design_summary_lti.json").write_text(json.dumps(summary))
+    assert main(["design", "--config", str(path), "--mode", "lpv"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["design_summary_lti.json"]
+
+
+@pytest.mark.parametrize("stored, code", [
+    ([True], 2), ({}, 2), ({"passed": "no"}, 2), ({"passed": 1}, 2),
+    ({"passed": False}, 0), ({"passed": True}, 0)])
+def test_simulate_reads_a_boolean_certification_verdict(rigid_project,
+                                                        tmp_path, stored,
+                                                        code):
+    """simulate's precheck needs a JSON object whose passed is a JSON
+    boolean; anything else exits 2 rather than counting as passed."""
+    path = _write_project(tmp_path, _rigid_plant(),
+                          trajectory=TRAJECTORY_SPEC,
+                          sim_config={"duration_s": 0.3})
+    (tmp_path / "out").mkdir()
+    shutil.copy(rigid_project.parent / "out" / "controllers_lti.json",
+                tmp_path / "out")
+    (tmp_path / "out" / "certification_lti.json").write_text(
+        json.dumps(stored))
+    assert main(["simulate", "--config", str(path), "--mode", "lti"]) == code
+    assert (tmp_path / "out" / "run_lti.csv").is_file() is (code == 0)
 
 
 def test_design_infeasible_exits_1(tmp_path):

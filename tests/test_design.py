@@ -47,6 +47,7 @@ from lpvslc.freqresp import (
     equivalent_plant,
     frf,
     margins_and_bandwidth,
+    nyquist_stable,
 )
 from lpvslc.plant import ModalPlantModel, Mode, benchmark_plant, frozen_realization
 from lpvslc.scheduling import eval_surface
@@ -330,6 +331,26 @@ def test_nyquist_agrees_with_eigenvalues_when_destabilized(benchmark_designs):
     for pt in report.points:
         assert not pt.eig_stable
         assert not all(lc.nyquist_stable for lc in pt.loops)
+
+
+def test_nyquist_evaluator_is_the_exact_loop_response(benchmark_designs,
+                                                       monkeypatch):
+    """certify hands every Nyquist check the loop's exact response L_i(f):
+    at the certification frequencies it reproduces the sampled L bit for
+    bit, for every loop at every 5x5 position of both sets."""
+    checks = []
+
+    def recording(freqs, l_frf, evaluator, n_origin_poles):
+        checks.append((freqs, l_frf, evaluator))
+        return nyquist_stable(freqs, l_frf, evaluator, n_origin_poles)
+
+    monkeypatch.setattr(design, "nyquist_stable", recording)
+    for kind in ("lti", "lpv"):
+        certify(benchmark_designs["model"], benchmark_designs[kind],
+                benchmark_designs["verify"])
+    assert len(checks) == 2 * 25 * 3
+    for freqs, l_frf, evaluator in checks:
+        assert np.array_equal(evaluator(freqs), l_frf)
 
 
 def test_certification_verdict_invariant_to_loop_order(benchmark_designs):

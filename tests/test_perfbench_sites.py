@@ -10,6 +10,7 @@ traced benchmark run.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,37 @@ def test_traced_site_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None)), \
         f"{module}.{attr}"
 
+
+def test_traced_design_workload_reaches_every_expected_layer(monkeypatch):
+    """One traced set-up and iteration of perfbench's `design` workload,
+    run the way perfbench/run.py runs it: every layer the workload expects
+    records a call, no traced site is absent, and no operation fails.  A
+    call site that moves behind another name fails here, not only in a
+    traced benchmark run."""
+    # workloads.py imports its sibling as `tracing` and looks itself up in
+    # sys.modules; both are loaded by path under the names run.py gives
+    # them, for this test only.
+    monkeypatch.setitem(sys.modules, "tracing", _tracing_module())
+    spec = importlib.util.spec_from_file_location(
+        "workloads", TRACING.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+
+    workload = workloads.DesignWorkload(0, None)
+    tracer = workload.tracer()
+    runs = []
+    for step in (workload.setup, workload.iteration):
+        it = workloads.Iteration(tracer)
+        with tracer:
+            step(it)
+        runs.append(it)
+    calls = {}
+    for it in runs:
+        assert not any(it.failures.values()), it.failures
+        for layers in it.layers.values():
+            for name, agg in layers.items():
+                calls[name] = calls.get(name, 0) + agg["calls"]
+    assert tracer.absent_sites == []
+    assert [name for name in workload.expected_layers
+            if not calls.get(name)] == []
