@@ -259,14 +259,19 @@ def _summary_path(outdir: Path, kind: str) -> Path:
     return outdir / f"design_summary_{kind}.json"
 
 
-def _stored_entry(path: Path, key: str, check):
+def _stored_entry(path: Path, key: str, check, data=None):
     """check(key, value) of entry key in the JSON object a command wrote
-    to path; ConfigError naming the file when the file is malformed."""
-    data = load_json(path)
-    if not isinstance(data, dict) or key not in data:
-        raise ConfigError(f"{path}: needs a JSON object with a {key!r} entry")
+    to path, or in data, that object as the caller already loaded it; a
+    dotted key names an entry of a nested object.  ConfigError naming the
+    file when the file is malformed."""
+    value = load_json(path) if data is None else data
+    for name in key.split("."):
+        if not isinstance(value, dict) or name not in value:
+            raise ConfigError(
+                f"{path}: needs a JSON object with a {key!r} entry")
+        value = value[name]
     try:
-        return check(key, data[key])
+        return check(key, value)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -282,6 +287,25 @@ def _boolean(key: str, value) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
+
+
+def _text(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _run_summary(path: Path) -> dict:
+    """The run digest simulate wrote to path, with every entry that
+    compare_summaries reads checked (kind only when present)."""
+    summary = load_json(path)
+    checks = [("ma_m", real), ("msd_m", real), ("interval.name", _text),
+              ("config.window_s", real)]
+    if isinstance(summary, dict) and "kind" in summary:
+        checks.append(("kind", _text))
+    for key, check in checks:
+        _stored_entry(path, key, check, summary)
+    return summary
 
 
 def cmd_design(args) -> None:
@@ -470,7 +494,7 @@ def cmd_metrics(args) -> None:
         if not path.is_file():
             raise ConfigError(
                 f"no run summary at {path}; run the simulate command first")
-        summaries[kind] = load_json(path)
+        summaries[kind] = _run_summary(path)
     table = compare_summaries(summaries["lti"], summaries["lpv"])
     dump_json(table, project.output_dir / "comparison.json")
     print(f"interval: {table['interval']} "

@@ -238,6 +238,10 @@ class ControllerSet:
         return [cascade_frf(c, freqs_hz, p) for c in self.loops]
 
 
+def _within_bound(peak_db: float, bound_db: float) -> bool:
+    return peak_db <= bound_db + 1e-9
+
+
 @dataclass
 class LoopCertification:
     loop: int
@@ -266,7 +270,8 @@ class PointCertification:
         )
 
     def sensitivity_ok(self, bound_db: float) -> bool:
-        return all(lc.sensitivity_peak_db <= bound_db + 1e-9 for lc in self.loops)
+        return all(_within_bound(lc.sensitivity_peak_db, bound_db)
+                   for lc in self.loops)
 
 
 @dataclass
@@ -782,21 +787,39 @@ def _certification_freqs() -> np.ndarray:
     return np.concatenate([tail, base])
 
 
+def _loop_closures(p_frf, k_frfs, order):
+    """The design chain of one position and its loops' sensitivity peaks.
+
+    Returns (chain, peaks): chain is design_chain(p_frf, k_frfs, order),
+    and peaks[i] the largest sampled |S_i| in dB, S_i = 1 / (1 + g_i k_i)
+    with g_i the plant loop i sees with every other loop closed.  The last
+    loop of the chain sees exactly that plant, closed by the same closings
+    in the same index order, so its chain entry serves as its g_i.
+    """
+    chain = design_chain(p_frf, k_frfs, order)
+    peaks = [0.0] * len(k_frfs)
+    for i in order:
+        g_all = (chain[i] if i == order[-1]
+                 else equivalent_plant(p_frf, k_frfs, i))
+        peaks[i] = float(np.max(-20.0 * np.log10(
+            np.abs(1.0 + g_all * k_frfs[i]))))
+    return chain, peaks
+
+
 def _certify_position(model: ModalPlantModel, controllers: ControllerSet,
-                      freqs, p, p_frf, k_frfs,
+                      freqs, p, p_frf, k_frfs, chain, peaks,
                       bound_db=None) -> PointCertification:
-    """Frequency-domain certification of one position from its plant FRF
-    and its frozen loop responses.  The eigenvalue fields are left for
-    certify to fill in: eig_stable True, eig_max_real NaN.  The Nyquist
-    check of loop i gets its exact response L_i(f), evaluated from the
-    model, for the frequencies it adds to the samples.
+    """Frequency-domain certification of one position from its plant FRF,
+    its frozen loop responses and their _loop_closures.  The eigenvalue
+    fields are left for certify to fill in: eig_stable True, eig_max_real
+    NaN.  The Nyquist check of loop i gets its exact response L_i(f),
+    evaluated from the model, for the frequencies it adds to the samples.
 
     With bound_db given only a verdict is wanted: the first loop that is
     Nyquist unstable or over bound_db ends the evaluation, and the point
     holds the loops up to that one and det_residual NaN.
     """
     order = controllers.loop_order
-    chain = design_chain(p_frf, k_frfs, order)
     point = PointCertification(p=(float(p[0]), float(p[1])),
                                det_residual=float("nan"), eig_stable=True,
                                eig_max_real=float("nan"), loops=[])
@@ -813,9 +836,6 @@ def _certify_position(model: ModalPlantModel, controllers: ControllerSet,
         verdict = nyquist_stable(freqs, l_frf,
                                  lambda f, i=i: loop_frf(f, i), n_origin)
         margins = margins_and_bandwidth(freqs, l_frf)
-        g_all = equivalent_plant(p_frf, k_frfs, i)
-        s_peak = float(np.max(-20.0 * np.log10(
-            np.abs(1.0 + g_all * k_frfs[i]))))
         point.loops.append(LoopCertification(
             loop=int(i),
             nyquist_stable=verdict.stable,
@@ -823,10 +843,10 @@ def _certify_position(model: ModalPlantModel, controllers: ControllerSet,
             f_crossover_hz=margins.f_crossover_hz,
             phase_margin_deg=margins.phase_margin_deg,
             gain_margin_db=margins.gain_margin_db,
-            sensitivity_peak_db=s_peak,
+            sensitivity_peak_db=peaks[i],
         ))
         if bound_db is not None and not (verdict.stable
-                                         and point.sensitivity_ok(bound_db)):
+                                         and _within_bound(peaks[i], bound_db)):
             return point
     point.det_residual = det_identity_residual(p_frf, k_frfs, chain, order)
     return point
@@ -859,13 +879,19 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
 
     _check_first is the design bisection's, which needs only a verdict.
     Given (possibly empty), the grid rows at those positions form the
-    first chunk and the rest follow in grid order, and certify stops at
-    the first failure: the report then holds only the failing point, cut
-    short as _certify_position describes.  A set that passes gets the
-    same report as without it.
+    first chunk and the rest follow in grid order.  Every position's
+    sensitivity peaks are screened, in that order, before any other
+    check: the first position over the bound is certified as
+    _certify_position describes with a bound and its point alone is the
+    report.  Otherwise the other checks run in the same order and stop at
+    the first failure the same way; until then the screened loop
+    responses and chains are kept, about six times the frequency count
+    of complex values per position.  A set that passes gets the same
+    report as without _check_first.
     """
     freqs = _certification_freqs()
     bound_db = controllers.sensitivity_bound_db
+    order = controllers.loop_order
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if plant_frfs is not None:
         if len(plant_frfs) != len(grid):
@@ -881,10 +907,12 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
     first = {tuple(q) for q in _check_first} if verdict_only else set()
     ahead = [r for r, p in enumerate(grid) if tuple(p) in first]
     rest = [r for r, p in enumerate(grid) if tuple(p) not in first]
-    chunks = [ahead] + [rest[s:s + CERT_CHUNK]
-                        for s in range(0, len(rest), CERT_CHUNK)]
-    points = [None] * len(grid)
-    for chunk in filter(None, chunks):
+    chunks = [c for c in [ahead] + [rest[s:s + CERT_CHUNK]
+                                    for s in range(0, len(rest), CERT_CHUNK)]
+              if c]
+
+    def frozen(chunk):
+        """(row, p, p_frf, k_frfs, chain, peaks) of each row of a chunk."""
         pts = grid[chunk]
         k_chunk = controllers.loop_frfs(freqs, pts)
         for r, (row, p) in enumerate(zip(chunk, pts)):
@@ -893,14 +921,33 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
             else:
                 p_frf = decoupled_plant_frf(model, p, freqs, controllers.t_u,
                                             controllers.t_y)
+            k_frfs = [k[r] for k in k_chunk]
+            yield (row, p, p_frf, k_frfs,
+                   *_loop_closures(p_frf, k_frfs, order))
+
+    if verdict_only:
+        screened = []
+        for chunk in chunks:
+            positions = []
+            for entry in frozen(chunk):
+                if not all(_within_bound(s, bound_db) for s in entry[-1]):
+                    return CertificationReport(bound_db, [_certify_position(
+                        model, controllers, freqs, *entry[1:], bound_db)])
+                positions.append(entry)
+            screened.append(positions)
+    else:
+        screened = map(frozen, chunks)
+    points = [None] * len(grid)
+    for chunk, positions in zip(chunks, screened):
+        for row, *position in positions:
             points[row] = _certify_position(
-                model, controllers, freqs, p, p_frf, [k[r] for k in k_chunk],
+                model, controllers, freqs, *position,
                 bound_db if verdict_only else None)
             alone = CertificationReport(bound_db, [points[row]])
             if verdict_only and not alone.passed:
                 return alone
         max_real = np.max(np.linalg.eigvals(
-            closed_loop_matrix(model, controllers, pts)).real, axis=-1)
+            closed_loop_matrix(model, controllers, grid[chunk])).real, axis=-1)
         for row, m in zip(chunk, max_real.tolist()):
             points[row].eig_max_real, points[row].eig_stable = m, m < 0.0
             if verdict_only and not points[row].passed:

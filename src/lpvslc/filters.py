@@ -288,11 +288,19 @@ def notch_transfer(f1, f2, beta1, beta2, omega):
     (f2/f1)**2.
     """
     s = 1j * np.asarray(omega, dtype=float)
+    b1, b0, a1, a0, gain = _notch_terms(f1, f2, beta1, beta2)
+    num = s * s + b1 * s + b0
+    den = s * s + a1 * s + a0
+    return gain * num / den
+
+
+def _notch_terms(f1, f2, beta1, beta2) -> tuple:
+    """notch_transfer's coefficients 2 beta1 w1, w1**2, 2 beta2 w2, w2**2
+    and its gain w2**2 / w1**2, of the type of f1 and f2."""
     w1 = 2.0 * np.pi * f1
     w2 = 2.0 * np.pi * f2
-    num = s * s + 2.0 * beta1 * w1 * s + w1 ** 2
-    den = s * s + 2.0 * beta2 * w2 * s + w2 ** 2
-    return (w2 ** 2 / w1 ** 2) * num / den
+    return (2.0 * beta1 * w1, w1 ** 2, 2.0 * beta2 * w2, w2 ** 2,
+            w2 ** 2 / w1 ** 2)
 
 
 def element_transfer(spec, omega):
@@ -316,9 +324,9 @@ def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
     Given an (n, 2) array of positions the result is an (n, F) stack, one
     frozen response per row (a read-only broadcast when the cascade has no
     scheduled block).  The fixed section is multiplied out once; each
-    scheduled notch is frozen in one freeze_notches call for all rows, and
-    each row takes its notch responses from its own frozen coefficients as
-    scalars, so row k equals the response at p[k] alone bit for bit.
+    scheduled notch is frozen in one freeze_notches call and evaluated for
+    all rows at once, each row with the arithmetic notch_transfer does, in
+    its order, so row k equals the response at p[k] alone bit for bit.
     """
     omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)
     out = np.ones(omega.shape, dtype=complex)
@@ -330,13 +338,33 @@ def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
     if p is None:
         raise ModelError("scheduled notch needs a position to freeze at")
     pts = np.atleast_2d(np.asarray(p, dtype=float))
-    frozen = [freeze_notches(spec, pts) for spec in cascade.scheduled_part]
-    stack = np.empty((len(pts),) + out.shape, dtype=complex)
-    for k in range(len(pts)):
-        row = out
-        for coeffs in frozen:
-            row = row * notch_transfer(*(float(c[k]) for c in coeffs), omega)
-        stack[k] = row
+    s = 1j * omega
+    s2 = s * s
+    stack = np.array(np.broadcast_to(out, (len(pts),) + out.shape))
+    num, den = np.empty_like(stack), np.empty_like(stack)
+    for spec in cascade.scheduled_part:
+        # Each row's coefficients as Python floats, not as arrays: a
+        # float's x ** 2 is libm pow, which differs from numpy's square of
+        # an array in the last bit for some inputs.
+        terms = [_notch_terms(*row) for row in
+                 zip(*(c.tolist() for c in freeze_notches(spec, pts)))]
+        b1, b0, a1, a0, gain = np.array(terms).T[:, :, None]
+        # In place: stack *= gain (s^2 + b1 s + b0) / (s^2 + a1 s + a0),
+        # each product with its operands in notch_transfer's order and the
+        # running product first, as a one-position evaluation has them:
+        # numpy's complex product is not commutative in the last bit.
+        # stack * (num / den) would not keep that order: for a temporary
+        # of 256 KiB or more, numpy's temporary elision evaluates it as
+        # (num / den) *= stack.
+        np.multiply(b1, s, out=num)
+        num += s2
+        num += b0
+        np.multiply(a1, s, out=den)
+        den += s2
+        den += a0
+        np.multiply(gain, num, out=num)
+        np.divide(num, den, out=num)
+        np.multiply(stack, num, out=stack)
     return stack[0] if single else stack
 
 

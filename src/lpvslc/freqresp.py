@@ -7,9 +7,10 @@ scalar transfer seen by controller i,
     g_i = P_ii - P_iJ (I + K_J P_JJ)^-1 K_J P_Ji,   J = {j != i}.
 
 It is evaluated the way sequential loop closing builds it: one loop at a
-time, each closure a rank-one (Sherman-Morrison) update of the whole
-plant, P <- P - P[:, j] k_j / (1 + k_j P_jj) P[j, :], vectorized over
-frequency, with no per-frequency linear solve.
+time, each closure a rank-one (Sherman-Morrison) update of the plant,
+P <- P - P[:, j] k_j / (1 + k_j P_jj) P[j, :], formed only where later
+closures read it and vectorized over frequency, with no per-frequency
+linear solve.
 
 The determinant identity det(I + P K) = prod_i (1 + g_i k_i) ties the
 individual loops back to the full MIMO return difference and is used as a
@@ -112,54 +113,79 @@ def equivalent_plant(p_frf: np.ndarray, k_frfs, i: int) -> np.ndarray:
     i is ignored, scalars broadcast). Returns shape (..., F).
 
     Loops are closed one at a time, each a rank-one (Sherman-Morrison)
-    update of the whole plant at every frequency,
+    update of the plant at every frequency,
 
         P <- P - P[:, j] k_j / (1 + k_j P_jj) P[j, :],
 
-    which is exactly the sequential loop-closing step; the last closure
-    updates only the entry (i, i) it returns. Loops whose k_j is the
-    scalar 0 are open and skipped. Raises NumericalError when a closure
-    is singular, 1 + k_j P_jj = 0 at some frequency.
+    which is exactly the sequential loop-closing step.  An update forms
+    only the entries that a later closure or the result reads, those
+    between loop i and the loops still to close, so the last closure forms
+    only the entry (i, i) it returns.  Loops whose k_j is the scalar 0 are
+    open and skipped. Raises NumericalError when a closure is singular,
+    1 + k_j P_jj = 0 at some frequency.
     """
     p = np.asarray(p_frf)
     closing = [j for j, k_j in enumerate(k_frfs)
                if j != i and not (np.isscalar(k_j) and k_j == 0.0)]
-    for j in closing:
+    # Entries (r, c) of the plant closed so far, (..., F) each.
+    q = {(r, c): p[..., r, c] for r in [i] + closing for c in [i] + closing}
+    for t, j in enumerate(closing):
         k_j = k_frfs[j]
-        den = 1.0 + k_j * p[..., j, j]
+        den = 1.0 + k_j * q[j, j]
         if not np.all(den):
             raise NumericalError(
                 f"singular loop closure for loop {i}: 1 + k_{j} P_{j}{j} "
                 f"vanishes when closing loop {j}")
-        if j == closing[-1]:
-            return p[..., i, i] - p[..., i, j] * (k_j / den) * p[..., j, i]
-        p = p - (p[..., :, j, None] * (k_j / den)[..., None, None]
-                 * p[..., None, j, :])
+        gain = k_j / den
+        if t == len(closing) - 1:
+            return q[i, i] - q[i, j] * gain * q[j, i]
+        keep = [i] + closing[t + 1:]
+        q = {(r, c): q[r, c] - q[r, j] * gain * q[j, c]
+             for r in keep for c in keep}
     return p[..., i, i].copy()
 
 
 def _det_stacked(mats: np.ndarray) -> np.ndarray:
     """Determinants of a stack (F, n, n) by partial-pivoted elimination.
 
-    Reduces to the plain ordered product of diagonal entries for diagonal
-    matrices, so the identity residual is exactly zero in that case.
+    The stack is split into contiguous (F,) planes, one per matrix entry,
+    and eliminated plane by plane: the pivot is the first row of largest
+    modulus in the column, row swaps are np.where selects, and entries
+    left of the pivot column are never read again, so they are neither
+    swapped nor updated.  Every arithmetic step is the one a fancy-indexed
+    elimination of the whole stack does, in the same order.  Reduces to
+    the plain ordered product of diagonal entries for diagonal matrices,
+    so the identity residual is exactly zero in that case.
     """
-    m = np.array(mats, dtype=complex)
-    F, n, _ = m.shape
-    det = np.ones(F, dtype=complex)
-    rows = np.arange(F)
+    m = np.ascontiguousarray(np.moveaxis(np.asarray(mats, dtype=complex),
+                                         0, -1))
+    n = m.shape[0]
+    a = [list(row) for row in m]
+    det = np.ones(m.shape[-1], dtype=complex)
     for i in range(n):
-        pivot_idx = np.argmax(np.abs(m[:, i:, i]), axis=1) + i
-        tmp = m[rows, pivot_idx, :].copy()
-        m[rows, pivot_idx, :] = m[:, i, :]
-        m[:, i, :] = tmp
-        det = np.where(pivot_idx != i, -det, det)
-        piv = m[:, i, i]
+        best = np.abs(a[i][i])
+        pivot = np.full(best.shape, i)
+        for r in range(i + 1, n):
+            mag = np.abs(a[r][i])
+            take = mag > best
+            pivot = np.where(take, r, pivot)
+            best = np.where(take, mag, best)
+        for r in range(i + 1, n):
+            swap = pivot == r
+            if swap.any():
+                for c in range(i, n):
+                    a[i][c], a[r][c] = (np.where(swap, a[r][c], a[i][c]),
+                                        np.where(swap, a[i][c], a[r][c]))
+        det = np.where(pivot != i, -det, det)
+        piv = a[i][i]
         det = det * piv
-        if i + 1 < n:
-            piv_safe = np.where(piv == 0.0, 1.0, piv)
-            factors = m[:, i + 1 :, i] / piv_safe[:, None]
-            m[:, i + 1 :, i:] = m[:, i + 1 :, i:] - factors[:, :, None] * m[:, i, i:][:, None, :]
+        if i + 1 == n:
+            break
+        piv_safe = np.where(piv == 0.0, 1.0, piv)
+        for r in range(i + 1, n):
+            factor = a[r][i] / piv_safe
+            for c in range(i + 1, n):
+                a[r][c] = a[r][c] - factor * a[i][c]
     return det
 
 

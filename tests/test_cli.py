@@ -348,6 +348,30 @@ def test_metrics_without_run_summaries_exits_2(tmp_path):
     assert main(["metrics", "--config", str(path)]) == 2
 
 
+def test_metrics_with_malformed_run_summary_exits_2(tmp_path, caplog):
+    path = _write_project(tmp_path, _rigid_plant())
+    out = tmp_path / "out"
+    out.mkdir()
+    good = {"kind": "lti", "interval": {"name": "constant velocity"},
+            "ma_m": 2e-9, "msd_m": 1e-9, "config": {"window_s": 0.005}}
+    (out / "summary_lpv.json").write_text(json.dumps({**good, "kind": "lpv",
+                                                      "ma_m": 1e-9}))
+    (out / "summary_lti.json").write_text(json.dumps(good))
+    assert main(["metrics", "--config", str(path)]) == 0
+    assert load_json(out / "comparison.json")["controllers"][1][
+        "reduction_pct"]["ma"] == pytest.approx(50.0)
+    (out / "comparison.json").unlink()
+    for bad in ([1], {"ma_m": 1}, {**good, "msd_m": "small"},
+                {**good, "ma_m": True}, {**good, "interval": "cv"},
+                {**good, "interval": {"name": 3}}, {**good, "config": {}},
+                {**good, "config": {"window_s": None}}, {**good, "kind": [1]}):
+        (out / "summary_lti.json").write_text(json.dumps(bad))
+        caplog.clear()
+        assert main(["metrics", "--config", str(path)]) == 2, bad
+        assert "summary_lti.json" in caplog.text
+        assert not (out / "comparison.json").exists()
+
+
 def test_fit_subcommand_recovers_bilinear_surface(tmp_path):
     data = {
         "points": [[0.0, 0.0], [0.2, 0.0], [0.0, 0.2], [0.2, 0.2]],

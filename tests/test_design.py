@@ -43,6 +43,7 @@ from lpvslc.filters import (
     realize,
 )
 from lpvslc.freqresp import (
+    _det_stacked,
     default_grid,
     equivalent_plant,
     frf,
@@ -55,7 +56,11 @@ from lpvslc.sim import NOTCH_NYQUIST_FRACTION
 
 from audit_reference import reference_audit, reference_local_designs
 from certify_reference import reference_certify
-from freqresp_reference import block_solve_equivalent_plant
+from freqresp_reference import (
+    block_solve_equivalent_plant,
+    fancy_index_det_stacked,
+    full_update_equivalent_plant,
+)
 from series_reference import assert_realizations_equal, chained_realize
 
 ACTUATORS = np.array([[-0.06, -0.06], [0.06, -0.06], [0.06, 0.06], [-0.06, 0.06]])
@@ -501,6 +506,53 @@ def test_stacked_certify_equals_per_position_reference(benchmark_designs,
                    for c in cs.loops for spec in c.scheduled_part)
 
 
+def test_det_stacked_equals_fancy_index_reference_on_the_benchmark_sets(
+        benchmark_designs):
+    """At every position of a 9x9 grid, for both benchmark sets, the
+    determinant of I + P K that the identity residual reads equals the
+    fancy-indexed elimination's (tests/freqresp_reference.py) bit for bit.
+    The certify reference calls the same residual as certify, so only
+    this test holds the determinant itself to an oracle."""
+    model = benchmark_designs["model"]
+    freqs = _certification_freqs()
+    for kind in ("lti", "lpv"):
+        cs = benchmark_designs[kind]
+        for p in grid_points(model.workspace, 9, 9):
+            p_frf = decoupled_plant_frf(model, p, freqs, cs.t_u, cs.t_y)
+            k = np.stack(cs.loop_frfs(freqs, p), axis=1)
+            mats = np.eye(cs.n_loops)[None, :, :] + p_frf * k[:, None, :]
+            assert (_det_stacked(mats).tobytes()
+                    == fancy_index_det_stacked(mats).tobytes()), (kind, p)
+
+
+def test_equivalent_plant_equals_full_update_reference_on_the_benchmark_sets(
+        benchmark_designs):
+    """For both benchmark sets, every equivalent plant that certification
+    and the scheduled-notch audit form, with all other loops closed and
+    with the chain's earlier loops closed, at each position of a 9x9 grid
+    and on the grid's stack, is the full-update closure's bit for bit."""
+    model = benchmark_designs["model"]
+    freqs = _certification_freqs()
+    grid = grid_points(model.workspace, 9, 9)
+    for kind in ("lti", "lpv"):
+        cs = benchmark_designs[kind]
+        p_frfs = np.stack([decoupled_plant_frf(model, p, freqs[::40], cs.t_u,
+                                               cs.t_y) for p in grid])
+        cases = [(p_frfs, cs.loop_frfs(freqs[::40], grid))]
+        for p in grid:
+            cases.append((decoupled_plant_frf(model, p, freqs, cs.t_u, cs.t_y),
+                          cs.loop_frfs(freqs, p)))
+        for p_frf, k_frfs in cases:
+            closed = [0.0] * cs.n_loops
+            for i in cs.loop_order:
+                for ks in (k_frfs, closed):
+                    assert (equivalent_plant(p_frf, ks, i).tobytes()
+                            == full_update_equivalent_plant(p_frf, ks,
+                                                            i).tobytes())
+                closed = list(closed)
+                closed[i] = k_frfs[i]
+
+
 def test_certify_memory_does_not_grow_with_the_grid(benchmark_designs,
                                                     monkeypatch):
     """certify holds the loop responses and closed-loop matrices of one
@@ -712,6 +764,22 @@ def test_early_exit_verdict_equals_full_certification(bisection_trace):
                 outcomes.append("failed again first")
             failed_at = report.points[0].p
     assert {"pass", "failed again first"} <= set(outcomes)
+
+
+def test_failing_step_certifies_only_its_failing_point(bisection_trace):
+    """The sensitivity screen runs before any other check, so every failing
+    step of the benchmark designs, all of which fail on the sensitivity
+    bound, certifies exactly one position: the one its report holds."""
+    positions = bisection_trace["calls"]["_certify_position"]
+    at = 0
+    failing = 0
+    for _, _, report, done in bisection_trace["calls"]["certify"]:
+        if not report.passed:
+            assert done - at == 1, report.points[0].p
+            assert positions[done - 1][2] is report.points[0]
+            failing += 1
+        at = done
+    assert failing >= 5
 
 
 def test_bisection_visits_the_reference_bandwidths(bisection_trace):

@@ -307,6 +307,44 @@ def test_stacked_realization_matches_each_position():
                                                      h.shape))
 
 
+def test_cascade_frf_stack_keeps_the_scalar_notch_arithmetic():
+    """A stack big enough for numpy's temporary elision (1 MB), at positions
+    where a float's x ** 2 and numpy's square of the same value disagree,
+    still gives each row the bytes of its own scalar notch_transfer
+    product, in cascade order."""
+    rng = np.random.default_rng(29)
+    corners = np.array([[0.0, 0.0], [0.0, 0.2], [0.2, 0.0], [0.2, 0.2]])
+
+    def bilinear(lo, hi):
+        from lpvslc.scheduling import FrozenDesignSet, fit_surface
+        s, _ = fit_surface(FrozenDesignSet(corners, rng.uniform(lo, hi, 4)),
+                           2, 2, bounds=((0.0, 0.2), (0.0, 0.2)))
+        return s
+
+    notches = [LpvNotch(bilinear(0.05, 0.2), bilinear(0.3, 0.6),
+                        bilinear(f, 1.2 * f), bilinear(1.1 * f, 1.4 * f))
+               for f in (180.0, 900.0)]
+    casc = Cascade((Gain(2.0), Integrator(), Lead(80.0), *notches))
+    points = rng.uniform(0.0, 0.2, size=(4000, 2))
+    freqs = GRID[::25]
+    omega = 2.0 * np.pi * freqs
+    frozen = [freeze_notches(n, points) for n in notches]
+    w = 2.0 * np.pi * np.concatenate([c[k] for c in frozen for k in (0, 1)])
+    assert np.any(np.square(w) != np.array([v ** 2 for v in w.tolist()]))
+    fixed = np.ones(len(freqs), dtype=complex)
+    for element in casc.fixed_part:
+        fixed = fixed * element_transfer(element, omega)
+    want = np.empty((len(points), len(freqs)), dtype=complex)
+    for k in range(len(points)):
+        row = fixed
+        for coeffs in frozen:
+            row = row * notch_transfer(*(float(c[k]) for c in coeffs), omega)
+        want[k] = row
+    h = cascade_frf(casc, freqs, points)
+    assert h.nbytes >= 256 * 1024
+    assert h.tobytes() == want.tobytes()
+
+
 def exact_zoh_oracle(spec, u_of_t, dt, n_steps):
     """Exact sampled response of a notch with zero-order-hold input."""
     ss = realize(spec)

@@ -23,6 +23,7 @@ from lpvslc.freqresp import (
     nyquist_stable,
     write_frf_csv,
 )
+from lpvslc.freqresp import _det_stacked
 from lpvslc.io import load_csv
 from lpvslc.plant import (
     FrozenStateSpace,
@@ -32,7 +33,11 @@ from lpvslc.plant import (
     mode_shape_eval,
 )
 
-from freqresp_reference import dense_frf
+from freqresp_reference import (
+    dense_frf,
+    fancy_index_det_stacked,
+    full_update_equivalent_plant,
+)
 
 
 def random_stable_ss(rng, n_states, n_out, n_in):
@@ -229,6 +234,56 @@ def test_det_identity_diagonal_zero_and_random():
         order = [n - 1 - i for i in range(n)]
         assert det_identity_residual(h, ks, design_chain(h, ks, order),
                                      order) < 1e-8
+
+
+def test_equivalent_plant_equals_full_update_reference():
+    """Forming only the entries later closures read gives, bit for bit,
+    the plant that updating the whole plant at every closure gives: for
+    one position and a stack of them, with loop responses given as arrays,
+    as nonzero scalars and as the scalar 0 of an open loop."""
+    rng = np.random.default_rng(31)
+    F = 50
+    for n in (1, 2, 3, 4):
+        for lead in ((), (6,)):
+            shape = lead + (F, n, n)
+            p = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            arrays = [rng.normal(size=lead + (F,))
+                      + 1j * rng.normal(size=lead + (F,)) for _ in range(n)]
+            for ks in (arrays, [0.7 - 0.2j] * n,
+                       [0.0 if j % 2 else k for j, k in enumerate(arrays)]):
+                for i in range(n):
+                    got = equivalent_plant(p, ks, i)
+                    want = full_update_equivalent_plant(p, ks, i)
+                    assert got.shape == lead + (F,)
+                    assert got.tobytes() == want.tobytes(), (n, lead, i)
+
+
+def test_det_stacked_equals_fancy_index_reference():
+    """The plane-by-plane elimination computes, bit for bit, the
+    determinants the fancy-indexed elimination of the whole stack does:
+    on small-integer stacks, full of exact pivot ties and zero pivots; on
+    random stacks with tied rows and zero columns; and on diagonal stacks,
+    whose determinant is the ordered product of the diagonal."""
+    rng = np.random.default_rng(23)
+    F = 400
+    for n in (1, 2, 3, 4):
+        ints = (rng.integers(-2, 3, size=(F, n, n))
+                + 1j * rng.integers(-2, 3, size=(F, n, n)))
+        assert np.any(np.abs(ints[:, 0, 0]) == np.abs(ints[:, -1, 0]))
+        rand = rng.normal(size=(F, n, n)) + 1j * rng.normal(size=(F, n, n))
+        rand[::3, -1, :] = 1j * rand[::3, 0, :]     # |row| ties, singular
+        rand[1::5, :, n // 2] = 0.0                 # a zero pivot column
+        diag = np.zeros((F, n, n), dtype=complex)
+        entries = rng.normal(size=(F, n)) + 1j * rng.normal(size=(F, n))
+        entries[::4, n - 1] = 0.0
+        diag[:, np.arange(n), np.arange(n)] = entries
+        for stack in (ints, rand, diag):
+            got = _det_stacked(stack)
+            assert got.tobytes() == fancy_index_det_stacked(stack).tobytes()
+        product = np.ones(F, dtype=complex)
+        for i in range(n):
+            product = product * entries[:, i]
+        assert _det_stacked(diag).tobytes() == product.tobytes()
 
 
 def test_nyquist_stable_integrator_loop():
