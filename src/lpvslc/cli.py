@@ -69,6 +69,8 @@ from .sim import (
     simulate,
     write_result_csv,
 )
+# sample is not called here: perfbench/tracing.py times lpvslc.cli.sample,
+# so the name stays importable.
 from .trajectory import MotionBounds, plan, sample, write_profile_csv
 
 __all__ = ["ProjectConfig", "load_project", "main"]
@@ -436,9 +438,8 @@ def cmd_trajectory(args) -> None:
                "profiles": {}}
     for name, prof in profiles.items():
         csv_name = f"trajectory_{name}.csv"
-        write_profile_csv(project.output_dir / csv_name, prof)
-        t = np.arange(int(round(prof.duration * rate)) + 1) / rate
-        _, vel, acc, jerk, snap = sample(prof, t)
+        _, vel, acc, jerk, snap = write_profile_csv(
+            project.output_dir / csv_name, prof)
         summary["profiles"][name] = {
             "file": csv_name,
             "displacement_m": prof.displacement,

@@ -39,8 +39,10 @@ local requirement.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +66,10 @@ from .filters import (
     cascade_frf,
     cascade_from_dict,
     cascade_to_dict,
+    element_transfer,
     freeze_notches,
     realize,
+    _multiply_notches,
 )
 from .freqresp import (
     default_grid,
@@ -227,6 +231,12 @@ class ControllerSet:
             raise ModelError("loop order must be a permutation of the loops")
         if self.kind not in ("lti", "lpv"):
             raise ModelError(f"unknown controller kind {self.kind!r}")
+        if not self.sensitivity_bound_db > 0.0:
+            raise ModelError("sensitivity bound must be positive, got "
+                             f"{self.sensitivity_bound_db}")
+        if not self.achieved_bandwidth_hz > 0.0:
+            raise ModelError("achieved bandwidth must be positive, got "
+                             f"{self.achieved_bandwidth_hz}")
 
     @property
     def n_loops(self) -> int:
@@ -402,15 +412,13 @@ def _bracketing_samples(freqs_hz, targets_hz) -> np.ndarray:
                              len(freqs_hz) - 1))
 
 
-def tune_gain(g_frf, freqs_hz, cascade: Cascade, f_bw: float) -> Gain:
+def tune_gain(mag_g: float, cascade_bw: complex, f_bw: float) -> Gain:
     """Proportional gain putting |k * cascade * g| = 1 at f_bw.
 
-    g_frf is the equivalent-plant response sampled on freqs_hz; the
-    cascade magnitude is evaluated in closed form at exactly f_bw.
+    mag_g is |g(f_bw)| of the equivalent plant g, cascade_bw the cascade's
+    response at exactly f_bw.
     """
-    mag_g = _interp_loglog_mag(freqs_hz, g_frf, f_bw)
-    mag_c = float(np.abs(cascade_frf(cascade, np.array([f_bw]))[0]))
-    product = mag_g * mag_c
+    product = mag_g * float(np.abs(cascade_bw))
     if not np.isfinite(product) or product == 0.0:
         raise DesignInfeasibleError(
             f"loop magnitude vanishes at the target bandwidth {f_bw} Hz")
@@ -534,32 +542,57 @@ def _discover_clusters(p_frfs, freqs_hz, masses) -> list:
     return clusters_per_loop
 
 
-def _required_beta1(freqs_hz, g_frf, gain_k, gamma_frf, clusters,
-                    f_bw: float) -> np.ndarray:
+class _NotchLaw(NamedTuple):
+    """The part of one loop's attenuation law that depends on the
+    bandwidth but not on the position (see _notch_law)."""
+
+    f_hz: np.ndarray       # cluster frequencies
+    gamma_mag: np.ndarray  # |fixed section| at the cluster frequencies
+    neutral: np.ndarray    # neutral zero damping of each notch
+    f2: list               # pole frequency of each notch
+
+
+def _notch_law(freqs_hz, gamma_frf, clusters, f_bw: float) -> _NotchLaw:
+    """One loop's _NotchLaw at f_bw; gamma_frf is the fixed section's
+    response on freqs_hz."""
+    skews = [_skew_for(cl.f_hz, f_bw) for cl in clusters]
+    f_hz = np.array([cl.f_hz for cl in clusters])
+    return _NotchLaw(
+        f_hz, _interp_loglog_mag(freqs_hz, gamma_frf, f_hz),
+        np.array([_neutral_beta1(cl.beta2, skew)
+                  for cl, skew in zip(clusters, skews)]),
+        [skew * cl.f_hz for cl, skew in zip(clusters, skews)])
+
+
+def _required_beta1(freqs_hz, g_frf, gain_k, law) -> np.ndarray:
     """Zero damping each position needs for each tracked resonance.
 
     g_frf is the equivalent plant, (F,) at one position or (n, F) on a
-    grid; the result is (n_clusters,) or (n, n_clusters).  gamma_frf is
-    the response of the loop's fixed section (integrator and leads).  The
-    attenuation law 1 / (1 + G / G_max) is a smooth function of the loop
-    gain G the resonance would reach without the notch: deep where the
-    mode is hot, asymptotically neutral where it has faded, and free of
-    kinks so low-order coefficient surfaces can follow it.
+    grid; the result is (n_clusters,) or (n, n_clusters).  law is the
+    loop's _notch_law.  The attenuation law 1 / (1 + G / G_max) is a
+    smooth function of the loop gain G the resonance would reach without
+    the notch: deep where the mode is hot, asymptotically neutral where it
+    has faded, and free of kinks so low-order coefficient surfaces can
+    follow it.
     """
-    f_hz = np.array([cl.f_hz for cl in clusters])
-    loop_at_peak = (gain_k * _interp_loglog_mag(freqs_hz, gamma_frf, f_hz)
-                    * _interp_loglog_mag(freqs_hz, g_frf, f_hz))
+    loop_at_peak = (gain_k * law.gamma_mag
+                    * _interp_loglog_mag(freqs_hz, g_frf, law.f_hz))
     target = np.maximum(1.0 / (1.0 + loop_at_peak / RESONANT_LOOP_GAIN_MAX),
                         NOTCH_DEPTH_FLOOR)
-    return target * np.array([_neutral_beta1(cl.beta2, _skew_for(cl.f_hz, f_bw))
-                              for cl in clusters])
+    return target * law.neutral
 
 
-def _local_notches(freqs_hz, g_frf, gain_k, gamma_frf, clusters, f_bw) -> list:
-    beta1 = _required_beta1(freqs_hz, g_frf, gain_k, gamma_frf, clusters, f_bw)
-    return [Notch(f1=cl.f_hz, f2=_skew_for(cl.f_hz, f_bw) * cl.f_hz,
-                  beta1=float(b1), beta2=cl.beta2)
-            for cl, b1 in zip(clusters, beta1)]
+def _local_notches(clusters, law, beta1) -> list:
+    """Per cluster, the notch of every row of beta1, (n, n_clusters)."""
+    return [[Notch(f1=cl.f_hz, f2=f2, beta1=b1, beta2=cl.beta2)
+             for b1 in column]
+            for cl, f2, column in zip(clusters, law.f2, beta1.T.tolist())]
+
+
+def _coefficients(notches) -> list:
+    """_multiply_notches' coefficient rows of _local_notches' notches."""
+    return [[(n.f1, n.f2, n.beta1, n.beta2) for n in column]
+            for column in notches]
 
 
 def _fixed_section(f_bw: float, spec: DesignSpec) -> list:
@@ -571,43 +604,67 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
     """Frozen per-position loop designs at one candidate bandwidth.
 
     Returns (gains, notch_table) where notch_table maps (loop, cluster
-    index, position index) -> Notch.  Gains are tuned once at the grid's
-    center position so the fixed cascade section stays truly fixed; the
-    sequential closure at every position uses the local notch parameters.
-    The loops are read only at f_bw and at the cluster frequencies, so
-    freqs_hz need only hold the samples bracketing those (see
-    _bracketing_samples); p_frfs are the plant samples on them.
+    index, position index) -> Notch, position by position.  Gains are
+    tuned once at the grid's center position so the fixed cascade section
+    stays truly fixed; the sequential closure at every position uses the
+    local notch parameters.  The loops are read only at f_bw and at the
+    cluster frequencies, so freqs_hz need only hold the samples bracketing
+    those (see _bracketing_samples); p_frfs is the (n_design, F, n, n)
+    stack of plant samples on them.
+
+    Each loop is closed once for the whole stack and gets its local zero
+    dampings from one _required_beta1 call; its local notches are then
+    multiplied, row-stacked, onto its gain, integrator and leads,
+    multiplied out once.  What does not depend on the position is computed
+    once per call: the fixed section on freqs_hz and at f_bw, and each
+    loop's _notch_law.  Every row equals a one-position design bit for bit.
     """
-    center = len(p_frfs) // 2
-    skeleton = _fixed_section(f_bw, spec)
-    gamma_frf = cascade_frf(Cascade(tuple(skeleton)), freqs_hz)
+    skeleton = Cascade(tuple(_fixed_section(f_bw, spec)))
+    omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)
+    gamma_frf = cascade_frf(skeleton, freqs_hz)
+    omega_bw = 2.0 * np.pi * np.array([f_bw])
+    gamma_bw = cascade_frf(skeleton, np.array([f_bw]))
+    laws = [_notch_law(freqs_hz, gamma_frf, clusters, f_bw)
+            for clusters in clusters_per_loop]
 
     # Gains at the center position with provisional local notches: the
     # notches barely move the cascade magnitude down at the crossover, so
     # one retune after placing them settles the loop gain.
+    center = p_frfs[len(p_frfs) // 2]
     gains = [None] * len(masses)
     k_frfs = [0.0] * len(masses)
     for i in order:
-        g = equivalent_plant(p_frfs[center], k_frfs, i)
-        k0 = tune_gain(g, freqs_hz, Cascade(tuple(skeleton)), f_bw)
-        notches = _local_notches(freqs_hz, g, k0.k, gamma_frf,
-                                 clusters_per_loop[i], f_bw)
-        cascade = Cascade(tuple(skeleton + notches))
-        gains[i] = tune_gain(g, freqs_hz, cascade, f_bw)
-        k_frfs[i] = gains[i].k * cascade_frf(cascade, freqs_hz)
+        g = equivalent_plant(center, k_frfs, i)
+        mag_g = _interp_loglog_mag(freqs_hz, g, f_bw)
+        k0 = tune_gain(mag_g, gamma_bw[0], f_bw)
+        notches = _local_notches(
+            clusters_per_loop[i], laws[i],
+            _required_beta1(freqs_hz, g, k0.k, laws[i])[None])
+        # At f_bw the notches are multiplied on as cascade_frf multiplies
+        # a fixed block: _multiply_notches rounds one-sample rows otherwise.
+        at_bw = gamma_bw
+        for column in notches:
+            at_bw = at_bw * element_transfer(column[0], omega_bw)
+        gains[i] = tune_gain(mag_g, at_bw[0], f_bw)
+        k_center = gamma_frf[None].copy()
+        _multiply_notches(k_center, omega, _coefficients(notches))
+        k_frfs[i] = gains[i].k * k_center[0]
 
     # Local notches at every design position with the gains fixed.
-    notch_table = {}
-    for l, p_frf in enumerate(p_frfs):
-        k_frfs = [0.0] * len(masses)
-        for i in order:
-            g = equivalent_plant(p_frf, k_frfs, i)
-            notches = _local_notches(freqs_hz, g, gains[i].k, gamma_frf,
-                                     clusters_per_loop[i], f_bw)
-            for c, notch in enumerate(notches):
-                notch_table[(i, c, l)] = notch
-            cascade = Cascade(tuple([gains[i]] + skeleton + notches))
-            k_frfs[i] = cascade_frf(cascade, freqs_hz)
+    local = [None] * len(masses)
+    closed = [0.0] * len(masses)
+    for i in order:
+        local[i] = _local_notches(
+            clusters_per_loop[i], laws[i],
+            _required_beta1(freqs_hz, equivalent_plant(p_frfs, closed, i),
+                            gains[i].k, laws[i]))
+        prefix = cascade_frf(Cascade((gains[i],) + skeleton.elements),
+                             freqs_hz)
+        closed[i] = np.array(np.broadcast_to(prefix,
+                                             (len(p_frfs),) + prefix.shape))
+        _multiply_notches(closed[i], omega, _coefficients(local[i]))
+    notch_table = {(i, c, l): local[i][c][l] for l in range(len(p_frfs))
+                   for i in order for c in range(len(local[i]))}
     return gains, notch_table
 
 
@@ -617,38 +674,69 @@ def _build_lti_loops(gains, clusters_per_loop, notch_table, n_points, f_bw,
     loops = []
     for i in range(len(gains)):
         notches = []
-        for c, cl in enumerate(clusters_per_loop[i]):
-            beta1 = min(notch_table[(i, c, l)].beta1 for l in range(n_points))
-            notches.append(Notch(f1=cl.f_hz,
-                                 f2=_skew_for(cl.f_hz, f_bw) * cl.f_hz,
-                                 beta1=beta1, beta2=cl.beta2))
+        for c in range(len(clusters_per_loop[i])):
+            local = [notch_table[(i, c, l)] for l in range(n_points)]
+            notches.append(replace(local[0],
+                                   beta1=min(n.beta1 for n in local)))
         loops.append(Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec)
                                    + notches)))
     return loops
 
 
-def _build_lpv_loops(gains, clusters_per_loop, notch_table, design_grid,
-                     f_bw, spec: DesignSpec, workspace):
-    order_xy = spec.surface_order
+def _fit_design_surface(designs: FrozenDesignSet, i, c, name,
+                        spec: DesignSpec, workspace) -> CoefficientSurface:
+    """Surface of notch c's coefficient name in loop i through the design
+    values; a fit that misses one of them by more than SURFACE_FIT_TOL of
+    the largest aborts the design."""
+    surface, report = fit_surface(designs, spec.surface_order,
+                                  spec.surface_order, bounds=workspace)
+    scale = max(float(np.max(np.abs(designs.values))), 1e-12)
+    if np.max(np.abs(report.residuals)) > SURFACE_FIT_TOL * scale:
+        raise DesignInfeasibleError(
+            f"coefficient surface fit for loop {i} notch {c} ({name}) leaves "
+            f"relative residual "
+            f"{np.max(np.abs(report.residuals)) / scale:.2e}")
+    return surface
+
+
+def _fixed_surfaces(clusters_per_loop, design_set: FrozenDesignSet,
+                    spec: DesignSpec, workspace) -> list:
+    """Per loop and cluster, the beta2 and f1 surfaces of its notch.
+
+    Every local notch has the cluster's own pole damping and zero
+    frequency, at every design position and every bandwidth, so these
+    surfaces are fitted once per design.
+    """
+    n = len(design_set.points)
+    return [[{name: _fit_design_surface(
+                 design_set.with_values(np.full(n, value), units),
+                 i, c, name, spec, workspace)
+              for name, value, units in (("beta2", cl.beta2, ""),
+                                         ("f1", cl.f_hz, "Hz"))}
+             for c, cl in enumerate(clusters)]
+            for i, clusters in enumerate(clusters_per_loop)]
+
+
+def _build_lpv_loops(gains, notch_table, design_set: FrozenDesignSet,
+                     fixed_surfaces, f_bw, spec: DesignSpec, workspace):
+    """Scheduled loops: per cluster, surfaces through the local notches.
+
+    fixed_surfaces is _fixed_surfaces' result for the design; the beta1
+    and f2 surfaces, which depend on the bandwidth, are fitted here, on
+    design_set's points (checked once per design) with with_values.
+    """
     loops = []
     for i in range(len(gains)):
         scheduled = []
-        for c in range(len(clusters_per_loop[i])):
-            local = [notch_table[(i, c, l)] for l in range(len(design_grid))]
-            surfaces = {}
-            for name, units in (("beta1", ""), ("beta2", ""),
-                                ("f1", "Hz"), ("f2", "Hz")):
+        for c, fixed in enumerate(fixed_surfaces[i]):
+            local = [notch_table[(i, c, l)]
+                     for l in range(len(design_set.points))]
+            surfaces = dict(fixed)
+            for name, units in (("beta1", ""), ("f2", "Hz")):
                 values = np.array([getattr(n, name) for n in local])
-                designs = FrozenDesignSet(design_grid, values, units=units)
-                surface, report = fit_surface(designs, order_xy, order_xy,
-                                              bounds=workspace)
-                scale = max(float(np.max(np.abs(values))), 1e-12)
-                if np.max(np.abs(report.residuals)) > SURFACE_FIT_TOL * scale:
-                    raise DesignInfeasibleError(
-                        f"coefficient surface fit for loop {i} notch {c} "
-                        f"({name}) leaves relative residual "
-                        f"{np.max(np.abs(report.residuals)) / scale:.2e}")
-                surfaces[name] = surface
+                surfaces[name] = _fit_design_surface(
+                    design_set.with_values(values, units), i, c, name, spec,
+                    workspace)
             scheduled.append(LpvNotch(**surfaces))
         loops.append(Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec)
                                    + scheduled)))
@@ -691,7 +779,7 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
             scheduled = list(loops[i].scheduled_part)
             required = _required_beta1(
                 freqs_hz, equivalent_plant(audit_frfs, closed, i),
-                gains[i].k, gamma_frf, clusters, f_bw)
+                gains[i].k, _notch_law(freqs_hz, gamma_frf, clusters, f_bw))
             for c in range(len(clusters)):
                 surface = scheduled[c].beta1
                 got = eval_surface(surface, audit_grid)
@@ -775,16 +863,20 @@ def closed_loop_matrix(model: ModalPlantModel, controllers: ControllerSet,
     return a_cl[0] if single else a_cl
 
 
+@functools.cache
 def _certification_freqs() -> np.ndarray:
     """Frequencies certify samples: a low tail, then the default grid.
 
     The winding count anchors the start phase at the origin-pole
     asymptote, so the sampled contour must begin well below the lead
     corners; a coarse three-decade tail of CERT_TAIL_N points goes first.
+    Built once; every call returns the same read-only array.
     """
     base = default_grid().freqs_hz
     tail = np.geomspace(base[0] * 1e-3, base[0] * 0.97, CERT_TAIL_N)
-    return np.concatenate([tail, base])
+    freqs = np.concatenate([tail, base])
+    freqs.flags.writeable = False
+    return freqs
 
 
 def _loop_closures(p_frf, k_frfs, order):
@@ -960,9 +1052,13 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
 
     Each bisection step builds a candidate set and asks certify for a
     verdict only.  The build reads the plant FRFs only at the samples
-    bracketing f_bw and the cluster frequencies: (F_sub, n, n) per design
-    position, and for the scheduled audit one (n_audit, F_sub, n, n) stack
-    over its grid.  Returns the best set and its full certification report.
+    bracketing f_bw and the cluster frequencies: one (n_design, F_sub, n, n)
+    stack over the design grid, and for the scheduled audit one
+    (n_audit, F_sub, n, n) stack over its grid.  What no step changes is
+    done once, before the bisection: the plant FRFs, the resonance
+    clusters, the design grid's distinctness check and the scheduled
+    notches' f1 and beta2 surfaces.  Returns the best set and its full
+    certification report.
     """
     design_grid, verify_grid, order = spec.resolve(model)
     freqs = default_grid().freqs_hz
@@ -986,12 +1082,19 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
             return frfs[key]
         return decoupled_plant_frf(model, p, cert_freqs, t_u, t_y)
 
-    p_frfs = [plant_frf(p)[CERT_TAIL_N:] for p in design_grid]
+    p_frfs = np.stack([plant_frf(p)[CERT_TAIL_N:] for p in design_grid])
     verify_frfs = [plant_frf(p) for p in verify_grid]
     clusters = _discover_clusters(p_frfs, freqs, masses)
     cluster_hz = [cl.f_hz for infos in clusters for cl in infos]
 
     if kind == "lpv":
+        # The design grid's points are checked once, here: every fit takes
+        # its values with with_values, so the zeros are never fitted.  The
+        # f1 and beta2 surfaces do not depend on the bandwidth and are
+        # fitted here too.
+        design_set = FrozenDesignSet(design_grid, np.zeros(len(design_grid)))
+        fixed_surfaces = _fixed_surfaces(clusters, design_set, spec,
+                                         model.workspace)
         # The audit reads the plant only at the samples bracketing the
         # cluster frequencies; it gets them stacked over its grid.
         audit_grid = grid_points(model.workspace, AUDIT_GRID_N, AUDIT_GRID_N)
@@ -1001,15 +1104,15 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
 
     def build(f_bw: float) -> ControllerSet:
         sub = _bracketing_samples(freqs, [f_bw] + cluster_hz)
-        gains, table = _local_designs([p_frf[sub] for p_frf in p_frfs],
-                                      freqs[sub], masses, order, f_bw, spec,
-                                      clusters)
+        gains, table = _local_designs(p_frfs[:, sub], freqs[sub], masses,
+                                      order, f_bw, spec, clusters)
         if kind == "lti":
             loops = _build_lti_loops(gains, clusters, table,
                                      len(design_grid), f_bw, spec)
         else:
-            loops = _build_lpv_loops(gains, clusters, table, design_grid,
-                                     f_bw, spec, model.workspace)
+            loops = _build_lpv_loops(gains, table, design_set,
+                                     fixed_surfaces, f_bw, spec,
+                                     model.workspace)
             loops = _audit_scheduled_loops(loops, order, clusters, gains,
                                            f_bw, spec, freqs[audit_sub],
                                            audit_grid, audit_frfs,

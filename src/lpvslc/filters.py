@@ -318,6 +318,44 @@ def element_transfer(spec, omega):
     raise ModelError(f"unknown filter block {type(spec).__name__}")
 
 
+def _multiply_notches(stack, omega, notches) -> None:
+    """Multiply notch responses onto the rows of a stack, in place.
+
+    stack is an (n, F) running product sampled at angular frequencies
+    omega, (F,); notches holds, per notch, the n rows' coefficients
+    (f1, f2, beta1, beta2) as Python floats.  Row k ends up equal, bit for
+    bit, to stack[k] * notch_transfer(f1, f2, beta1, beta2, omega) of each
+    notch in turn, as long as the stack holds more than one value: numpy
+    rounds an in-place complex product of a single element differently
+    from an out-of-place one.
+    """
+    s = 1j * omega
+    s2 = s * s
+    num, den = np.empty_like(stack), np.empty_like(stack)
+    for rows in notches:
+        # Each row's terms from Python floats, not from arrays: a float's
+        # x ** 2 is libm pow, which differs from numpy's square of an array
+        # in the last bit for some inputs.
+        b1, b0, a1, a0, gain = np.array(
+            [_notch_terms(*row) for row in rows]).T[:, :, None]
+        # In place: stack *= gain (s^2 + b1 s + b0) / (s^2 + a1 s + a0),
+        # each product with its operands in notch_transfer's order and the
+        # running product first, as a one-position evaluation has them:
+        # numpy's complex product is not commutative in the last bit.
+        # stack * (num / den) would not keep that order: for a temporary
+        # of 256 KiB or more, numpy's temporary elision evaluates it as
+        # (num / den) *= stack.
+        np.multiply(b1, s, out=num)
+        num += s2
+        num += b0
+        np.multiply(a1, s, out=den)
+        den += s2
+        den += a0
+        np.multiply(gain, num, out=num)
+        np.divide(num, den, out=num)
+        np.multiply(stack, num, out=stack)
+
+
 def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
     """Frozen cascade response: the product of element responses.
 
@@ -338,33 +376,10 @@ def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
     if p is None:
         raise ModelError("scheduled notch needs a position to freeze at")
     pts = np.atleast_2d(np.asarray(p, dtype=float))
-    s = 1j * omega
-    s2 = s * s
     stack = np.array(np.broadcast_to(out, (len(pts),) + out.shape))
-    num, den = np.empty_like(stack), np.empty_like(stack)
-    for spec in cascade.scheduled_part:
-        # Each row's coefficients as Python floats, not as arrays: a
-        # float's x ** 2 is libm pow, which differs from numpy's square of
-        # an array in the last bit for some inputs.
-        terms = [_notch_terms(*row) for row in
-                 zip(*(c.tolist() for c in freeze_notches(spec, pts)))]
-        b1, b0, a1, a0, gain = np.array(terms).T[:, :, None]
-        # In place: stack *= gain (s^2 + b1 s + b0) / (s^2 + a1 s + a0),
-        # each product with its operands in notch_transfer's order and the
-        # running product first, as a one-position evaluation has them:
-        # numpy's complex product is not commutative in the last bit.
-        # stack * (num / den) would not keep that order: for a temporary
-        # of 256 KiB or more, numpy's temporary elision evaluates it as
-        # (num / den) *= stack.
-        np.multiply(b1, s, out=num)
-        num += s2
-        num += b0
-        np.multiply(a1, s, out=den)
-        den += s2
-        den += a0
-        np.multiply(gain, num, out=num)
-        np.divide(num, den, out=num)
-        np.multiply(stack, num, out=stack)
+    _multiply_notches(stack, omega, [
+        list(zip(*(c.tolist() for c in freeze_notches(spec, pts))))
+        for spec in cascade.scheduled_part])
     return stack[0] if single else stack
 
 

@@ -145,23 +145,22 @@ def equivalent_plant(p_frf: np.ndarray, k_frfs, i: int) -> np.ndarray:
     return p[..., i, i].copy()
 
 
-def _det_stacked(mats: np.ndarray) -> np.ndarray:
-    """Determinants of a stack (F, n, n) by partial-pivoted elimination.
+def _det_stacked(planes) -> np.ndarray:
+    """Determinants of F matrices by partial-pivoted elimination.
 
-    The stack is split into contiguous (F,) planes, one per matrix entry,
-    and eliminated plane by plane: the pivot is the first row of largest
-    modulus in the column, row swaps are np.where selects, and entries
-    left of the pivot column are never read again, so they are neither
-    swapped nor updated.  Every arithmetic step is the one a fancy-indexed
-    elimination of the whole stack does, in the same order.  Reduces to
-    the plain ordered product of diagonal entries for diagonal matrices,
-    so the identity residual is exactly zero in that case.
+    planes[r][c] is entry (r, c) of every matrix, a complex (F,) plane;
+    the planes are eliminated plane by plane: the pivot is the first row
+    of largest modulus in the column, row swaps are np.where selects, and
+    entries left of the pivot column are never read again, so they are
+    neither swapped nor updated.  Every arithmetic step is the one a
+    fancy-indexed elimination of the (F, n, n) stack does, in the same
+    order.  Reduces to the plain ordered product of diagonal entries for
+    diagonal matrices, so the identity residual is exactly zero in that
+    case.  The planes themselves are not modified.
     """
-    m = np.ascontiguousarray(np.moveaxis(np.asarray(mats, dtype=complex),
-                                         0, -1))
-    n = m.shape[0]
-    a = [list(row) for row in m]
-    det = np.ones(m.shape[-1], dtype=complex)
+    n = len(planes)
+    a = [list(row) for row in planes]
+    det = np.ones(len(a[0][0]), dtype=complex)
     for i in range(n):
         best = np.abs(a[i][i])
         pivot = np.full(best.shape, i)
@@ -219,18 +218,22 @@ def det_identity_residual(p_frf: np.ndarray, k_frfs, chain,
 
     chain is that design_chain result, computed by the caller for the
     same loop_order.  Returns the max over the grid of the pointwise
-    relative error |lhs - rhs| / |lhs|.
+    relative error |lhs - rhs| / |lhs|.  Each entry of I + P K is formed
+    as its own contiguous (F,) plane, the layout _det_stacked eliminates,
+    with no (F, n, n) stack in between.
     """
     p_frf = np.asarray(p_frf)
     F, n, _ = p_frf.shape
     order = list(range(n)) if loop_order is None else list(loop_order)
-    k = np.stack(
-        [np.broadcast_to(np.asarray(k_frfs[j], dtype=complex), (F,)) for j in range(n)], axis=1
-    )
-    lhs = _det_stacked(np.eye(n)[None, :, :] + p_frf * k[:, None, :])
+    k = [np.ascontiguousarray(np.broadcast_to(
+        np.asarray(k_frfs[c], dtype=complex), (F,))) for c in range(n)]
+    # Entry (r, c) of I + P K as its own (F,) plane.  The 0.0 + turns a
+    # -0.0 into +0.0, as adding the identity matrix does.
+    lhs = _det_stacked([[(1.0 if r == c else 0.0) + p_frf[:, r, c] * k[c]
+                         for c in range(n)] for r in range(n)])
     rhs = np.ones(F, dtype=complex)
     for i in order:
-        rhs = rhs * (1.0 + chain[i] * k[:, i])
+        rhs = rhs * (1.0 + chain[i] * k[i])
     return float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
 
 

@@ -20,6 +20,7 @@ map is stored with the surface, so evaluation is self-contained.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 
@@ -102,7 +103,8 @@ class FrozenDesignSet:
 
     One (position, value) pair per design point, plus the unit string of
     the coefficient so that sets for different coefficients cannot be
-    merged by accident.
+    merged by accident.  with_values gives another coefficient's set on
+    the same points without checking them again.
     """
 
     points: np.ndarray
@@ -111,19 +113,31 @@ class FrozenDesignSet:
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        self.values = np.asarray(self.values, dtype=float).ravel()
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ModelError(f"design points must be (n, 2), got {self.points.shape}")
-        if self.points.shape[0] != self.values.size:
-            raise ModelError("number of design points and values differ")
-        if self.values.size < 1:
-            raise ModelError("need at least one design point")
-        if not (np.all(np.isfinite(self.points))
-                and np.all(np.isfinite(self.values))):
+        self._set_values(self.values)
+        if not np.all(np.isfinite(self.points)):
             raise ModelError("design points and values must be finite")
         uniq = np.unique(self.points, axis=0)
         if uniq.shape[0] != self.points.shape[0]:
             raise ModelError("design points must be distinct")
+
+    def with_values(self, values, units: str = "") -> "FrozenDesignSet":
+        """The same points, not checked again, with other values."""
+        out = copy.copy(self)
+        out.units = units
+        out._set_values(values)
+        return out
+
+    def _set_values(self, values) -> None:
+        values = np.asarray(values, dtype=float).ravel()
+        if self.points.shape[0] != values.size:
+            raise ModelError("number of design points and values differ")
+        if values.size < 1:
+            raise ModelError("need at least one design point")
+        if not np.all(np.isfinite(values)):
+            raise ModelError("design points and values must be finite")
+        self.values = values
 
 
 @dataclass

@@ -258,10 +258,16 @@ def sample(profile: TrajectoryProfile, t):
     return pos, vel, acc, jerk, snap
 
 
-def write_profile_csv(path, profile: TrajectoryProfile) -> None:
-    """Dump the sampled profile as CSV columns t, pos, vel, acc, jerk, snap."""
+def write_profile_csv(path, profile: TrajectoryProfile):
+    """Dump the sampled profile as CSV columns t, pos, vel, acc, jerk, snap.
+
+    The rows are the profile's own sample times, 0 to its duration in
+    steps of 1 / its rate.  Returns sample(profile, t) at those times,
+    (pos, vel, acc, jerk, snap).
+    """
     n = int(round(profile.duration * profile.sample_rate_hz))
     t = np.arange(n + 1) / profile.sample_rate_hz
-    pos, vel, acc, jerk, snap = sample(profile, t)
+    samples = sample(profile, t)
     dump_csv(path, ["t", "pos", "vel", "acc", "jerk", "snap"],
-             [t, pos, vel, acc, jerk, snap])
+             [t, *samples])
+    return samples

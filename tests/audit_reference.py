@@ -1,13 +1,17 @@
-"""Reference local designs and scheduled-notch audit: one position at a time,
-on every frequency.
+"""Reference local designs, scheduled-loop build and scheduled-notch audit:
+one position at a time, on every frequency, every surface fitted at every
+step.
 
 These are design._local_designs and design._audit_scheduled_loops as they
 ran before the design read the loops only at the samples bracketing f_bw
 and the cluster frequencies.  Per position they close every loop on the
 whole frequency grid and evaluate the attenuation law one resonance at a
-time, each interpolation a scalar np.interp call.  The agreement tests in
-test_design.py hold the subset and stacked evaluations to them bit for
-bit, at every bandwidth the bisection tries.
+time, each interpolation a scalar np.interp call.  reference_build_lpv_loops
+is design._build_lpv_loops as it ran before the f1 and beta2 surfaces were
+fitted once per design: it fits all four coefficients of every notch at
+every step, each on a FrozenDesignSet that checks its points again.  The
+agreement tests in test_design.py hold the subset, stacked and once-fitted
+evaluations to them bit for bit, at every bandwidth the bisection tries.
 """
 
 import numpy as np
@@ -15,6 +19,7 @@ import numpy as np
 from lpvslc.design import (
     NOTCH_DEPTH_FLOOR,
     RESONANT_LOOP_GAIN_MAX,
+    SURFACE_FIT_TOL,
     _fixed_section,
     _neutral_beta1,
     _skew_for,
@@ -93,6 +98,34 @@ def reference_local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec,
             cascade = Cascade(tuple([gains[i]] + skeleton + notches))
             k_frfs[i] = cascade_frf(cascade, freqs_hz)
     return gains, notch_table
+
+
+def reference_build_lpv_loops(gains, clusters_per_loop, notch_table,
+                              design_grid, f_bw, spec, workspace):
+    order_xy = spec.surface_order
+    loops = []
+    for i in range(len(gains)):
+        scheduled = []
+        for c in range(len(clusters_per_loop[i])):
+            local = [notch_table[(i, c, l)] for l in range(len(design_grid))]
+            surfaces = {}
+            for name, units in (("beta1", ""), ("beta2", ""),
+                                ("f1", "Hz"), ("f2", "Hz")):
+                values = np.array([getattr(n, name) for n in local])
+                designs = FrozenDesignSet(design_grid, values, units=units)
+                surface, report = fit_surface(designs, order_xy, order_xy,
+                                              bounds=workspace)
+                scale = max(float(np.max(np.abs(values))), 1e-12)
+                if np.max(np.abs(report.residuals)) > SURFACE_FIT_TOL * scale:
+                    raise DesignInfeasibleError(
+                        f"coefficient surface fit for loop {i} notch {c} "
+                        f"({name}) leaves relative residual "
+                        f"{np.max(np.abs(report.residuals)) / scale:.2e}")
+                surfaces[name] = surface
+            scheduled.append(LpvNotch(**surfaces))
+        loops.append(Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec)
+                                   + scheduled)))
+    return loops
 
 
 def reference_audit(loops, order, clusters_per_loop, gains, f_bw, spec,

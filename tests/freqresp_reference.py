@@ -16,12 +16,16 @@ solved by LAPACK at every frequency.  It shares no arithmetic with the
 rank-one closure, so the agreement tests in test_design.py hold the
 closure to it.
 
-Two references share freqresp's arithmetic and keep its earlier data
+Three references share freqresp's arithmetic and keep its earlier data
 layout.  full_update_equivalent_plant is the rank-one closure as it ran
 before it formed only the entries later closures read: every closure
 updates the whole plant.  fancy_index_det_stacked is the determinant
 elimination as it ran before it worked on contiguous per-entry planes.
-The oracle tests hold freqresp to both bit for bit.
+stack_det_identity_residual is the determinant identity residual as it
+ran before it formed the entries of I + P K as planes: it builds the
+(F, n, n) stack and eliminates it with fancy_index_det_stacked.  The
+oracle tests hold freqresp to all three bit for bit; entry_planes hands a
+stack to freqresp._det_stacked.
 """
 
 import numpy as np
@@ -93,3 +97,26 @@ def fancy_index_det_stacked(mats):
             factors = m[:, i + 1 :, i] / piv_safe[:, None]
             m[:, i + 1 :, i:] = m[:, i + 1 :, i:] - factors[:, :, None] * m[:, i, i:][:, None, :]
     return det
+
+
+def entry_planes(mats):
+    """A stack (F, n, n) as the (F,) planes of its entries, planes[r][c],
+    the way freqresp._det_stacked takes it."""
+    m = np.asarray(mats, dtype=complex)
+    n = m.shape[1]
+    return [[m[:, r, c] for c in range(n)] for r in range(n)]
+
+
+def stack_det_identity_residual(p_frf, k_frfs, chain, loop_order):
+    """freqresp.det_identity_residual with I + P K built as one (F, n, n)
+    stack and its determinant by fancy_index_det_stacked."""
+    p_frf = np.asarray(p_frf)
+    F, n, _ = p_frf.shape
+    k = np.stack([np.broadcast_to(np.asarray(k_frfs[j], dtype=complex), (F,))
+                  for j in range(n)], axis=1)
+    lhs = fancy_index_det_stacked(np.eye(n)[None, :, :]
+                                  + p_frf * k[:, None, :])
+    rhs = np.ones(F, dtype=complex)
+    for i in loop_order:
+        rhs = rhs * (1.0 + chain[i] * k[:, i])
+    return float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))

@@ -241,6 +241,20 @@ def test_design_infeasible_exits_1(tmp_path):
     assert main(["design", "--config", str(path), "--mode", "lti"]) == 1
 
 
+def test_lpv_design_with_duplicate_design_points_exits_2(tmp_path, caplog):
+    """The scheduled design fits surfaces through the design grid, so a
+    grid that repeats a point is refused: exit 2, the log says why, and
+    no controller set is written."""
+    grid = [[0.05, 0.05], [0.1, 0.1], [0.15, 0.15], [0.1, 0.1]]
+    path = _write_project(tmp_path, _flex_plant(),
+                          design_spec={"design_grid": grid})
+    with caplog.at_level(logging.ERROR, logger="lpvslc.cli"):
+        assert main(["design", "--config", str(path), "--mode", "lpv"]) == 2
+    assert any("design points must be distinct" in rec.message
+               for rec in caplog.records)
+    assert not (tmp_path / "out" / "controllers_lpv.json").exists()
+
+
 def test_lpv_design_logs_bandwidth_ratio(tmp_path, caplog):
     path = _write_project(tmp_path, _flex_plant(), design_spec={})
     with caplog.at_level(logging.INFO, logger="lpvslc.cli"):
@@ -296,6 +310,27 @@ def test_certify_rejects_a_wrong_cascade_partition(rigid_project, tmp_path):
             json.dumps({**stored, "loops": [loop] + stored["loops"][1:]}))
         assert main(["certify", "--config", str(path), "--mode", "lpv",
                      "--grid", "1x1"]) == code, n_fixed
+
+
+def test_certify_rejects_a_stored_set_without_physical_meaning(rigid_project,
+                                                               tmp_path):
+    """A stored set whose sensitivity bound or achieved bandwidth is not
+    positive exits 2 and writes no report; the same set with its own
+    values certifies (exit 0)."""
+    stored = load_json(rigid_project.parent / "out" / "controllers_lti.json")
+    path = _write_project(tmp_path, _rigid_plant())
+    out = tmp_path / "out"
+    out.mkdir()
+    report = out / "certification_lpv.json"
+    for change, code in (({}, 0), ({"sensitivity_bound_db": 0}, 2),
+                         ({"sensitivity_bound_db": -3}, 2),
+                         ({"achieved_bandwidth_hz": -5}, 2)):
+        report.unlink(missing_ok=True)
+        (out / "controllers_lpv.json").write_text(
+            json.dumps({**stored, **change}))
+        assert main(["certify", "--config", str(path), "--mode", "lpv",
+                     "--grid", "2x2"]) == code, change
+        assert report.is_file() is (code == 0), change
 
 
 def test_trajectory_subcommand_exports_profile(rigid_project):

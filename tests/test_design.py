@@ -31,6 +31,7 @@ from lpvslc.design import (
     _certification_freqs,
     _design_common,
     _find_resonance_peaks,
+    _interp_loglog_mag,
 )
 from lpvslc.errors import ConfigError, DesignInfeasibleError, DomainError, ModelError
 from lpvslc.filters import (
@@ -45,6 +46,8 @@ from lpvslc.filters import (
 from lpvslc.freqresp import (
     _det_stacked,
     default_grid,
+    design_chain,
+    det_identity_residual,
     equivalent_plant,
     frf,
     margins_and_bandwidth,
@@ -54,12 +57,18 @@ from lpvslc.plant import ModalPlantModel, Mode, benchmark_plant, frozen_realizat
 from lpvslc.scheduling import eval_surface
 from lpvslc.sim import NOTCH_NYQUIST_FRACTION
 
-from audit_reference import reference_audit, reference_local_designs
+from audit_reference import (
+    reference_audit,
+    reference_build_lpv_loops,
+    reference_local_designs,
+)
 from certify_reference import reference_certify
 from freqresp_reference import (
     block_solve_equivalent_plant,
+    entry_planes,
     fancy_index_det_stacked,
     full_update_equivalent_plant,
+    stack_det_identity_residual,
 )
 from series_reference import assert_realizations_equal, chained_realize
 
@@ -218,10 +227,16 @@ def test_decoupled_benchmark_diagonally_dominant_at_low_frequency():
             assert np.max(off) < 1e-2 * diag_min
 
 
+def _tune(g_frf, freqs_hz, cascade, f_bw):
+    """tune_gain on a plant response sampled on freqs_hz and a cascade."""
+    return tune_gain(_interp_loglog_mag(freqs_hz, g_frf, f_bw),
+                     cascade_frf(cascade, np.array([f_bw]))[0], f_bw)
+
+
 def test_tune_gain_flat_plant():
     freqs = default_grid().freqs_hz
     g = np.full(len(freqs), 2.0 + 0.0j)
-    k = tune_gain(g, freqs, Cascade((Gain(1.0),)), 50.0)
+    k = _tune(g, freqs, Cascade((Gain(1.0),)), 50.0)
     assert_allclose(k.k, 0.5, rtol=1e-12)
 
 
@@ -230,7 +245,7 @@ def test_tune_gain_places_crossover_on_rigid_loop():
     mass, f_bw = 2.5, 80.0
     g = 1.0 / (mass * (2.0j * np.pi * freqs) ** 2)
     cascade = Cascade(tuple([Integrator()] + [Lead(f_bw=f_bw, alpha=3.0)] * 3))
-    gain = tune_gain(g, freqs, cascade, f_bw)
+    gain = _tune(g, freqs, cascade, f_bw)
     g_at_bw = 1.0 / (mass * (2.0j * np.pi * f_bw) ** 2)
     c_at_bw = cascade_frf(cascade, np.array([f_bw]))[0]
     assert abs(abs(gain.k * c_at_bw * g_at_bw) - 1.0) < 1e-12
@@ -242,8 +257,8 @@ def test_tune_gain_places_crossover_on_rigid_loop():
 def test_tune_gain_vanishing_loop_raises():
     freqs = default_grid().freqs_hz
     with pytest.raises(DesignInfeasibleError):
-        tune_gain(np.zeros(len(freqs), dtype=complex), freqs,
-                  Cascade((Gain(1.0),)), 50.0)
+        _tune(np.zeros(len(freqs), dtype=complex), freqs,
+              Cascade((Gain(1.0),)), 50.0)
 
 
 def test_rigid_plant_design_achieves_the_cap():
@@ -521,8 +536,28 @@ def test_det_stacked_equals_fancy_index_reference_on_the_benchmark_sets(
             p_frf = decoupled_plant_frf(model, p, freqs, cs.t_u, cs.t_y)
             k = np.stack(cs.loop_frfs(freqs, p), axis=1)
             mats = np.eye(cs.n_loops)[None, :, :] + p_frf * k[:, None, :]
-            assert (_det_stacked(mats).tobytes()
+            assert (_det_stacked(entry_planes(mats)).tobytes()
                     == fancy_index_det_stacked(mats).tobytes()), (kind, p)
+
+
+def test_det_identity_residual_equals_stack_reference_on_the_benchmark_sets(
+        benchmark_designs):
+    """At every position of a 9x9 grid, for both benchmark sets, the
+    residual formed from the planes of I + P K equals the one formed from
+    the (F, n, n) stack and the fancy-indexed elimination
+    (tests/freqresp_reference.py), to the last bit."""
+    model = benchmark_designs["model"]
+    freqs = _certification_freqs()
+    for kind in ("lti", "lpv"):
+        cs = benchmark_designs[kind]
+        order = cs.loop_order
+        for p in grid_points(model.workspace, 9, 9):
+            p_frf = decoupled_plant_frf(model, p, freqs, cs.t_u, cs.t_y)
+            k_frfs = cs.loop_frfs(freqs, p)
+            chain = design_chain(p_frf, k_frfs, order)
+            got = det_identity_residual(p_frf, k_frfs, chain, order)
+            ref = stack_det_identity_residual(p_frf, k_frfs, chain, order)
+            assert repr(got) == repr(ref), (kind, p)
 
 
 def test_equivalent_plant_equals_full_update_reference_on_the_benchmark_sets(
@@ -648,8 +683,8 @@ def bisection_trace(request):
     kind = request.param
     model = benchmark_plant()
     spec = DesignSpec()
-    names = ("_local_designs", "_audit_scheduled_loops", "certify",
-             "_certify_position")
+    names = ("_local_designs", "_build_lpv_loops", "_audit_scheduled_loops",
+             "certify", "_certify_position")
     real = {name: getattr(design, name) for name in names}
     calls = {name: [] for name in names}
 
@@ -707,6 +742,26 @@ def test_subset_local_designs_equal_full_frequency_reference(bisection_trace):
             p_frfs, freqs, masses, order, f_bw, spec_, clusters)
         assert repr(gains) == repr(ref_gains), f_bw
         assert repr(table) == repr(ref_table), f_bw
+
+
+def test_build_lpv_loops_equals_per_step_fit_reference(bisection_trace):
+    """At every bandwidth the bisection tries, the scheduled loops built
+    from f1 and beta2 surfaces fitted once per design, on a design set
+    whose points are checked once, are those that fitting all four
+    coefficients at every step gives, to the last bit."""
+    calls = bisection_trace["calls"]["_build_lpv_loops"]
+    if bisection_trace["kind"] == "lti":
+        assert not calls
+        return
+    assert len(calls) == len(bisection_trace["full_steps"])
+    clusters = bisection_trace["calls"]["_local_designs"][0][0][6]
+    for args, _, loops, _ in calls:
+        gains, table, design_set, _, f_bw, spec, workspace = args
+        ref = reference_build_lpv_loops(gains, clusters, table,
+                                        design_set.points, f_bw, spec,
+                                        workspace)
+        got = [json.dumps(cascade_to_dict(c)) for c in loops]
+        assert got == [json.dumps(cascade_to_dict(c)) for c in ref], f_bw
 
 
 def test_stacked_audit_equals_per_position_reference(bisection_trace):

@@ -39,12 +39,8 @@ def test_traced_site_resolves(module, attr):
         f"{module}.{attr}"
 
 
-def test_traced_design_workload_reaches_every_expected_layer(monkeypatch):
-    """One traced set-up and iteration of perfbench's `design` workload,
-    run the way perfbench/run.py runs it: every layer the workload expects
-    records a call, no traced site is absent, and no operation fails.  A
-    call site that moves behind another name fails here, not only in a
-    traced benchmark run."""
+def _workloads_module(monkeypatch):
+    """perfbench/workloads.py, loaded by path as run.py loads it."""
     # workloads.py imports its sibling as `tracing` and looks itself up in
     # sys.modules; both are loaded by path under the names run.py gives
     # them, for this test only.
@@ -54,21 +50,48 @@ def test_traced_design_workload_reaches_every_expected_layer(monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)
     spec.loader.exec_module(workloads)
+    return workloads
 
-    workload = workloads.DesignWorkload(0, None)
+
+def _traced_calls(workloads, workload, steps):
+    """Run steps under the workload's tracer: per-layer call counts, and
+    the tracer.  No operation may fail."""
     tracer = workload.tracer()
-    runs = []
-    for step in (workload.setup, workload.iteration):
+    calls = {}
+    for step in steps:
         it = workloads.Iteration(tracer)
         with tracer:
             step(it)
-        runs.append(it)
-    calls = {}
-    for it in runs:
         assert not any(it.failures.values()), it.failures
         for layers in it.layers.values():
             for name, agg in layers.items():
                 calls[name] = calls.get(name, 0) + agg["calls"]
+    return calls, tracer
+
+
+def test_traced_design_workload_reaches_every_expected_layer(monkeypatch):
+    """One traced set-up and iteration of perfbench's `design` workload,
+    run the way perfbench/run.py runs it: every layer the workload expects
+    records a call, no traced site is absent, and no operation fails.  A
+    call site that moves behind another name fails here, not only in a
+    traced benchmark run."""
+    workloads = _workloads_module(monkeypatch)
+    workload = workloads.DesignWorkload(0, None)
+    calls, tracer = _traced_calls(workloads, workload,
+                                  (workload.setup, workload.iteration))
     assert tracer.absent_sites == []
     assert [name for name in workload.expected_layers
+            if not calls.get(name)] == []
+
+
+def test_traced_scan_setup_reaches_every_expected_setup_layer(monkeypatch):
+    """The traced set-up of perfbench's `scan` workload, which designs both
+    benchmark sets: every set-up layer it expects, the surface fits
+    included, records a call, and no traced site is absent."""
+    workloads = _workloads_module(monkeypatch)
+    workload = workloads.ScanWorkload(0, None)
+    calls, tracer = _traced_calls(workloads, workload, (workload.setup,))
+    assert tracer.absent_sites == []
+    assert "scheduling.fit_surface" in workload.expected_setup_layers
+    assert [name for name in workload.expected_setup_layers
             if not calls.get(name)] == []
