@@ -640,8 +640,9 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
         notches = _local_notches(
             clusters_per_loop[i], laws[i],
             _required_beta1(freqs_hz, g, k0.k, laws[i])[None])
-        # At f_bw the notches are multiplied on as cascade_frf multiplies
-        # a fixed block: _multiply_notches rounds one-sample rows otherwise.
+        # At f_bw, one sample, the notches are multiplied on as cascade_frf
+        # multiplies a fixed block, which costs less than a one-element
+        # _multiply_notches stack and gives the same bits.
         at_bw = gamma_bw
         for column in notches:
             at_bw = at_bw * element_transfer(column[0], omega_bw)
@@ -723,7 +724,9 @@ def _build_lpv_loops(gains, notch_table, design_set: FrozenDesignSet,
 
     fixed_surfaces is _fixed_surfaces' result for the design; the beta1
     and f2 surfaces, which depend on the bandwidth, are fitted here, on
-    design_set's points (checked once per design) with with_values.
+    design_set's points (checked once per design) with with_values.  An
+    unskewed notch, f2 equal to f1 at every design point, takes the f1
+    surface: it was fitted to the same values.
     """
     loops = []
     for i in range(len(gains)):
@@ -733,6 +736,9 @@ def _build_lpv_loops(gains, notch_table, design_set: FrozenDesignSet,
                      for l in range(len(design_set.points))]
             surfaces = dict(fixed)
             for name, units in (("beta1", ""), ("f2", "Hz")):
+                if name == "f2" and all(n.f2 == n.f1 for n in local):
+                    surfaces[name] = fixed["f1"]
+                    continue
                 values = np.array([getattr(n, name) for n in local])
                 surfaces[name] = _fit_design_surface(
                     design_set.with_values(values, units), i, c, name, spec,
@@ -806,6 +812,55 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
     return loops
 
 
+def closed_loop_frame(rows, km, dm, loops) -> np.ndarray:
+    """The row-independent part of closed_loop_stack, (rows, N, N).
+
+    Zeros, but for the open modal plant (the identity from velocities to
+    displacements, -km and -dm on the diagonals) and the state matrix of
+    each loop realized as one system.  close_loops writes the rest; a
+    frame can be refilled by it any number of times.
+    """
+    n_q = km.size
+    n2 = 2 * n_q
+    n_x = n2 + sum(k.n_states for k in loops)
+    a = np.zeros((rows, n_x, n_x))
+    iq = np.arange(n_q)
+    a[:, iq, n_q + iq] = 1.0
+    a[:, n_q + iq, iq] = -km
+    a[:, n_q + iq, n_q + iq] = -dm
+    at = n2
+    for k in loops:
+        xc = slice(at, at + k.n_states)
+        if k.a.ndim == 2:
+            a[:, xc, xc] = k.a
+        at = xc.stop
+    return a
+
+
+def close_loops(a, b, c, km, loops, fb) -> None:
+    """Write the row-dependent entries of closed_loop_stack into a frame.
+
+    a is closed_loop_frame's stack for the same loops, or its first rows;
+    every entry that depends on b, c or a stacked loop is written, in the
+    order closed_loop_stack's arithmetic fixes, and the rest is left as the
+    frame has it.
+    """
+    n_q = km.size
+    qd = slice(n_q, 2 * n_q)
+    stiffness = np.diag(-km)
+    at = 2 * n_q
+    for i, k in enumerate(loops):
+        xc = slice(at, at + k.n_states)
+        b_i, c_i = b[:, :, i, None], c[:, i, None, :]
+        stiffness = np.subtract(stiffness, (fb * k.d) * b_i * c_i,
+                                out=a[:, qd, :n_q])
+        a[:, qd, xc] = fb * b_i * k.c
+        a[:, xc, :n_q] = -k.b * c_i
+        if k.a.ndim == 3:
+            a[:, xc, xc] = k.a
+        at = xc.stop
+
+
 def closed_loop_stack(b, c, km, dm, loops, fb) -> np.ndarray:
     """Stacked state matrix of the modal plant with every loop closed.
 
@@ -818,26 +873,12 @@ def closed_loop_stack(b, c, km, dm, loops, fb) -> np.ndarray:
     With x = [q; qd; xc_1 .. xc_nl], loop i closes e_i = r_i - (c q)_i
     through xc_i' = A_i xc_i + B_i e_i, and fb (C_i xc_i + D_i e_i) drives
     the modes through column i of b.  Returns (rows, N, N), N being 2 n_q
-    plus the loops' state counts; every row is computed on its own.
+    plus the loops' state counts; every row is computed on its own.  It is
+    closed_loop_frame filled in by close_loops, which the simulator calls
+    on its own, run-long frame.
     """
-    rows, n_q = b.shape[0], km.size
-    n2 = 2 * n_q
-    n_x = n2 + sum(k.n_states for k in loops)
-    a = np.zeros((rows, n_x, n_x))
-    iq = np.arange(n_q)
-    a[:, iq, n_q + iq] = 1.0
-    a[:, n_q + iq, iq] = -km
-    a[:, n_q + iq, n_q + iq] = -dm
-    qd = slice(n_q, n2)
-    at = n2
-    for i, k in enumerate(loops):
-        xc = slice(at, at + k.n_states)
-        b_i, c_i = b[:, :, i, None], c[:, i, None, :]
-        a[:, qd, :n_q] -= (fb * k.d) * b_i * c_i
-        a[:, qd, xc] = fb * b_i * k.c
-        a[:, xc, :n_q] = -k.b * c_i
-        a[:, xc, xc] = k.a
-        at = xc.stop
+    a = closed_loop_frame(b.shape[0], km, dm, loops)
+    close_loops(a, b, c, km, loops, fb)
     return a
 
 
@@ -1183,12 +1224,11 @@ def freeze_controller_set(controllers: ControllerSet, p) -> ControllerSet:
     p = np.asarray(p, dtype=float)
     loops = []
     for cascade in controllers.loops:
-        elements = list(cascade.fixed_part)
-        # freeze_notches returns (f1, f2, beta1, beta2), Notch's field order.
-        for spec in cascade.scheduled_part:
-            elements.append(
-                Notch(*(float(c[0]) for c in freeze_notches(spec, p[None]))))
-        loops.append(Cascade(tuple(elements)))
+        # freeze_notches gives (f1, f2, beta1, beta2), Notch's field order.
+        frozen = [Notch(*(float(c[0]) for c in coeffs))
+                  for coeffs in freeze_notches(cascade.scheduled_part,
+                                               p[None])]
+        loops.append(Cascade(cascade.fixed_part + tuple(frozen)))
     return ControllerSet(
         loops=tuple(loops), t_u=controllers.t_u.copy(),
         t_y=controllers.t_y.copy(), loop_order=controllers.loop_order,

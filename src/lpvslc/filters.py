@@ -166,41 +166,52 @@ class Cascade:
         return self.elements[self.n_fixed:]
 
 
-def freeze_notches(spec: LpvNotch, points, f_max=None):
-    """Freeze a scheduled notch at every row of an (n, 2) array of points.
+def freeze_notches(spec, points, f_max=None):
+    """Freeze scheduled notches at every row of an (n, 2) array of points.
 
-    Returns the coefficient arrays (f1, f2, beta1, beta2), one entry per
-    point.  Frequency surfaces are clamped into [MIN_NOTCH_FREQ_HZ, f_max]
-    (upper end only when f_max is given, normally just below the simulation
-    Nyquist rate).  A zero damping surface that dips slightly below zero
-    between fit points is clamped to 0 (a full-depth notch).  Clamping is
-    logged, never silent: one warning per clamped coefficient, with the
-    number of points it was clamped at.  A pole damping surface that comes
-    out nonpositive has no safe substitute and raises.
+    spec is one LpvNotch, or a sequence of them, such as a cascade's
+    scheduled part.  One notch gives its coefficient arrays (f1, f2,
+    beta1, beta2), one entry per point; a sequence gives a list of such
+    tuples, one per notch, in order.  Frequency surfaces are clamped into
+    [MIN_NOTCH_FREQ_HZ, f_max] (upper end only when f_max is given,
+    normally just below the simulation Nyquist rate).  A zero damping
+    surface that dips slightly below zero between fit points is clamped to
+    0 (a full-depth notch).  Clamping is logged, never silent: one warning
+    per clamped coefficient of each notch, with the number of points it was
+    clamped at.  A pole damping surface that comes out nonpositive has no
+    safe substitute and raises.  Notches are checked in order, so a
+    sequence logs and raises exactly as one call per notch would.
 
-    The four surfaces are evaluated in one eval_surface call, whose values
-    do not depend on the number of points: row k of a stacked freeze is
-    bit for bit the freeze at points[k] alone.
+    The surfaces of all the notches are evaluated in one eval_surface
+    call, whose values do not depend on the number of points or surfaces:
+    row k of a stacked freeze is bit for bit the freeze at points[k] alone,
+    and each notch of a sequence freezes as it would on its own.
     """
+    one = isinstance(spec, LpvNotch)
+    specs = [spec] if one else list(spec)
     pts = np.asarray(points, dtype=float)
-    f1, f2, beta1, beta2 = eval_surface(
-        (spec.f1, spec.f2, spec.beta1, spec.beta2), pts)
-    if np.any(beta2 <= 0.0):
-        k = int(np.argmin(beta2))
-        raise ModelError(f"scheduled notch pole damping {beta2[k]:.3g} <= 0 "
-                         f"at p = {tuple(pts[k].tolist())}")
+    values = eval_surface([s for n in specs
+                           for s in (n.f1, n.f2, n.beta1, n.beta2)], pts)
     hi = np.inf if f_max is None else float(f_max)
-    frozen = []
-    for name, value, lo, up in (("f1", f1, MIN_NOTCH_FREQ_HZ, hi),
-                                ("f2", f2, MIN_NOTCH_FREQ_HZ, hi),
-                                ("beta1", beta1, 0.0, np.inf)):
-        n_bad = int(np.count_nonzero((value < lo) | (value > up)))
-        if n_bad:
-            log.warning("scheduled notch %s clamped into [%g, %g] at %d of %d "
-                        "points", name, lo, up, n_bad, value.size)
-            value = np.clip(value, lo, up)
-        frozen.append(value)
-    return (*frozen, beta2)
+    out = []
+    for at in range(0, len(values), 4):
+        f1, f2, beta1, beta2 = values[at:at + 4]
+        if np.any(beta2 <= 0.0):
+            k = int(np.argmin(beta2))
+            raise ModelError(f"scheduled notch pole damping {beta2[k]:.3g} "
+                             f"<= 0 at p = {tuple(pts[k].tolist())}")
+        frozen = []
+        for name, value, lo, up in (("f1", f1, MIN_NOTCH_FREQ_HZ, hi),
+                                    ("f2", f2, MIN_NOTCH_FREQ_HZ, hi),
+                                    ("beta1", beta1, 0.0, np.inf)):
+            n_bad = int(np.count_nonzero((value < lo) | (value > up)))
+            if n_bad:
+                log.warning("scheduled notch %s clamped into [%g, %g] at %d "
+                            "of %d points", name, lo, up, n_bad, value.size)
+                value = np.clip(value, lo, up)
+            frozen.append(value)
+        out.append((*frozen, beta2))
+    return out[0] if one else out
 
 
 def _notch_matrices(f1, f2, beta1, beta2):
@@ -227,10 +238,13 @@ def realize(spec, p=None, f_max=None) -> FrozenStateSpace:
     frequencies as in freeze_notches.
 
     A cascade realizes in one pass, block-lower-triangular: each block is
-    driven by the output map (c, d) of the blocks before it.
+    driven by the output map (c, d) of the blocks before it.  Its
+    scheduled part is frozen in one freeze_notches call, which logs and
+    raises as freezing its notches one by one would.
     """
     if isinstance(spec, Cascade):
-        parts = [realize(element, p, f_max) for element in spec.elements]
+        parts = ([realize(element) for element in spec.fixed_part]
+                 + _realize_scheduled(spec.scheduled_part, p, f_max))
         batch = np.broadcast_shapes(*(k.a.shape[:-2] for k in parts))
         n = sum(k.n_states for k in parts)
         a = np.zeros(batch + (n, n))
@@ -266,14 +280,22 @@ def realize(spec, p=None, f_max=None) -> FrozenStateSpace:
         return FrozenStateSpace(*_notch_matrices(spec.f1, spec.f2, spec.beta1,
                                                  spec.beta2))
     if isinstance(spec, LpvNotch):
-        if p is None:
-            raise ModelError("scheduled notch needs a position to freeze at")
-        pts = np.asarray(p, dtype=float)
-        coeffs = freeze_notches(spec, np.atleast_2d(pts), f_max)
-        if pts.ndim == 1:
-            coeffs = tuple(float(c[0]) for c in coeffs)
-        return FrozenStateSpace(*_notch_matrices(*coeffs))
+        return _realize_scheduled((spec,), p, f_max)[0]
     raise ModelError(f"unknown filter block {type(spec).__name__}")
+
+
+def _realize_scheduled(specs, p, f_max) -> list:
+    """Realizations of scheduled notches frozen at p, one freeze_notches
+    call for all of them; a single position realizes from Python floats."""
+    if not specs:
+        return []
+    if p is None:
+        raise ModelError("scheduled notch needs a position to freeze at")
+    pts = np.asarray(p, dtype=float)
+    frozen = freeze_notches(specs, np.atleast_2d(pts), f_max)
+    if pts.ndim == 1:
+        frozen = [tuple(float(c[0]) for c in coeffs) for coeffs in frozen]
+    return [FrozenStateSpace(*_notch_matrices(*coeffs)) for coeffs in frozen]
 
 
 def notch_transfer(f1, f2, beta1, beta2, omega):
@@ -325,9 +347,7 @@ def _multiply_notches(stack, omega, notches) -> None:
     omega, (F,); notches holds, per notch, the n rows' coefficients
     (f1, f2, beta1, beta2) as Python floats.  Row k ends up equal, bit for
     bit, to stack[k] * notch_transfer(f1, f2, beta1, beta2, omega) of each
-    notch in turn, as long as the stack holds more than one value: numpy
-    rounds an in-place complex product of a single element differently
-    from an out-of-place one.
+    notch in turn, a one-element stack included.
     """
     s = 1j * omega
     s2 = s * s
@@ -353,7 +373,12 @@ def _multiply_notches(stack, omega, notches) -> None:
         den += a0
         np.multiply(gain, num, out=num)
         np.divide(num, den, out=num)
-        np.multiply(stack, num, out=stack)
+        # The running product goes through a buffer of its own: numpy
+        # rounds an in-place complex product of a single element as
+        # Python's complex product does, differently from the out-of-place
+        # product notch_transfer's caller makes.
+        np.multiply(stack, num, out=den)
+        stack[...] = den
 
 
 def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
@@ -361,10 +386,11 @@ def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
 
     Given an (n, 2) array of positions the result is an (n, F) stack, one
     frozen response per row (a read-only broadcast when the cascade has no
-    scheduled block).  The fixed section is multiplied out once; each
-    scheduled notch is frozen in one freeze_notches call and evaluated for
-    all rows at once, each row with the arithmetic notch_transfer does, in
-    its order, so row k equals the response at p[k] alone bit for bit.
+    scheduled block).  The fixed section is multiplied out once; the
+    scheduled part is frozen in one freeze_notches call and each notch is
+    evaluated for all rows at once, each row with the arithmetic
+    notch_transfer does, in its order, so row k equals the response at
+    p[k] alone bit for bit, at one frequency as at many.
     """
     omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)
     out = np.ones(omega.shape, dtype=complex)
@@ -378,8 +404,8 @@ def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(p, dtype=float))
     stack = np.array(np.broadcast_to(out, (len(pts),) + out.shape))
     _multiply_notches(stack, omega, [
-        list(zip(*(c.tolist() for c in freeze_notches(spec, pts))))
-        for spec in cascade.scheduled_part])
+        list(zip(*(c.tolist() for c in coeffs)))
+        for coeffs in freeze_notches(cascade.scheduled_part, pts)])
     return stack[0] if single else stack
 
 

@@ -10,16 +10,20 @@ slowly moving stage re-tunes the loop between steps.
 The run is computed in three batched stages.  First the per-sample
 tables: plant coupling along the position trace (one stacked call each to
 mode_shape_eval and scan_coupling) and every loop cascade realized once
-along the scheduling trace.  Then, in blocks of ASSEMBLY_BLOCK steps, the
-assembled closed loop: per step the state matrix A_k of plant, axis
-transforms and controllers with the feedback closed, built by
-design.closed_loop_stack as for certification, and the input map G_k of
-w = [r, u_ff, f_scan], with G_k w folded at the step's start, midpoint and
-end into g_k.  The kernel (_kernels) then runs RK4 on x' = A_k x + g,
-four matrix-vector products per step.  Outputs, errors and
-actuation are evaluated afterwards from the state trace.  Every row of
-every table is computed on its own, so a short run is a bitwise prefix of
-a longer one.
+along the scheduling trace, its scheduled notches frozen in one call.
+Then, in blocks of ASSEMBLY_BLOCK steps, the assembled closed loop: per
+step the state matrix A_k of plant, axis transforms and controllers with
+the feedback closed, as design.closed_loop_stack builds it for
+certification, and the input map G_k of w = [r, u_ff, f_scan], with G_k w
+folded at the step's start, midpoint and end into g_k.  A_k and G_k live
+in one block each for the whole run: what no step changes (the open modal
+plant, the fixed loops' dynamics) is written once, and each block
+rewrites only the entries that depend on the step.  The kernel (_kernels)
+then runs RK4 on x' = A_k x + g, four matrix-vector products per step,
+and checks the state norm once per block, naming the first step that
+left the trusted range.  Outputs, errors and actuation are evaluated
+afterwards from the state trace.  Every row of every table is computed on
+its own, so a short run is a bitwise prefix of a longer one.
 
 Signal flow per step, mirroring the real-time implementation:
 
@@ -51,7 +55,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
-from .design import ControllerSet, closed_loop_stack
+from .design import ControllerSet, close_loops, closed_loop_frame
 from .errors import ConfigError, ModelError, NumericalError
 from .filters import n_states, realize
 from .io import dump_csv
@@ -449,6 +453,12 @@ class _RunTables:
     uff_h, fsc_h) are sampled on the half-step grid that the RK4 stages
     need.  km and dm are the stiffness/mass and damping/mass modal
     diagonals, and fb is 1.0 with the loop closed and 0.0 with it open.
+
+    a and g_map are the run's one closed-loop block and one input-map
+    block (see _assemble), with ASSEMBLY_BLOCK rows, or fewer when the run
+    is shorter, and a single row when no table varies.  They hold every
+    entry that no step changes from the start; a single-row pair is
+    complete, and otherwise _assemble refills the rest for each block.
     """
 
     t: np.ndarray
@@ -467,6 +477,8 @@ class _RunTables:
     t_u: np.ndarray
     fb: float
     axis_names: tuple
+    a: np.ndarray
+    g_map: np.ndarray
 
 
 def _bytes_per_step(model, controllers: ControllerSet) -> int:
@@ -532,11 +544,44 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
             raise ConfigError(
                 f"initial plant state must have {2 * n_q} entries")
         x0[:2 * n_q] = x0_plant
-    return _RunTables(
+    km, dm = omega ** 2, 2.0 * model.damping * omega
+    rows = min(ASSEMBLY_BLOCK, n) if varying else 1
+    g_map = np.zeros((rows, x0.size, 2 * n_l + 2))
+    at = 2 * n_q
+    for i, k in enumerate(loops):
+        if k.a.ndim == 2:
+            g_map[:, at:at + k.n_states, i] = k.b[:, 0]
+        at += k.n_states
+    tab = _RunTables(
         t=t, p_sched=p_sched, b_t=b_t, c_t=c_t, bs_t=bs_t, sp=sp,
-        loops=loops, r_h=r_h, uff_h=uff_h, fsc_h=fsc_h, km=omega ** 2,
-        dm=2.0 * model.damping * omega, x0=x0, t_u=t_u,
-        fb=1.0 if config.feedback else 0.0, axis_names=axis_names)
+        loops=loops, r_h=r_h, uff_h=uff_h, fsc_h=fsc_h, km=km, dm=dm, x0=x0,
+        t_u=t_u, fb=1.0 if config.feedback else 0.0, axis_names=axis_names,
+        a=closed_loop_frame(rows, km, dm, loops), g_map=g_map)
+    if not varying:
+        _fill_blocks(tab, slice(None))
+    return tab
+
+
+def _fill_blocks(tab: _RunTables, rows) -> None:
+    """Write the entries of the run's blocks that depend on the rows of the
+    tables selected by rows, one step per row."""
+    n_q, n_l = tab.km.size, len(tab.loops)
+    b = tab.b_t[rows]
+    loops = [k if k.a.ndim == 2 else
+             FrozenStateSpace(k.a[rows], k.b[rows], k.c[rows], k.d[rows])
+             for k in tab.loops]
+    close_loops(tab.a[:len(b)], b, tab.c_t[rows], tab.km, loops, tab.fb)
+    g_map = tab.g_map[:len(b)]
+    qd = slice(n_q, 2 * n_q)
+    at = 2 * n_q
+    for i, k in enumerate(loops):
+        xc = slice(at, at + k.n_states)
+        g_map[:, qd, i] = tab.fb * k.d[..., 0] * b[:, :, i]
+        if k.a.ndim == 3:
+            g_map[:, xc, i] = k.b[..., 0]
+        g_map[:, qd, n_l + i] = b[:, :, i]
+        at = xc.stop
+    g_map[:, qd, 2 * n_l:] = tab.bs_t[rows]
 
 
 def _assemble(tab: _RunTables, w_h, k0, k1):
@@ -549,29 +594,19 @@ def _assemble(tab: _RunTables, w_h, k0, k1):
     back with a single row when no table varies.  g holds G_k w at the
     step's start, midpoint and end, shape (k1 - k0, 3, nx).  Every entry
     is computed per step, independently of the block's length.
+
+    A and G_k are the run's own blocks (tab.a, tab.g_map): when the tables
+    vary, the entries that depend on the step are refilled here, by
+    design.close_loops for A, and the block A comes back as a view that
+    the next call overwrites; a single-row pair was completed with the
+    tables.
     """
-    n_q, n_l = tab.km.size, len(tab.loops)
-    rows = slice(k0, k1) if tab.sp else slice(None)
-    b, bs = tab.b_t[rows], tab.bs_t[rows]
-    loops = [k if k.a.ndim == 2 else
-             FrozenStateSpace(k.a[rows], k.b[rows], k.c[rows], k.d[rows])
-             for k in tab.loops]
-    a = closed_loop_stack(b, tab.c_t[rows], tab.km, tab.dm, loops, tab.fb)
-
-    g_map = np.zeros(a.shape[:2] + (w_h.shape[1],))
-    qd = slice(n_q, 2 * n_q)
-    at = 2 * n_q
-    for i, k in enumerate(loops):
-        xc = slice(at, at + k.n_states)
-        g_map[:, qd, i] = tab.fb * k.d[..., 0] * b[:, :, i]
-        g_map[:, xc, i] = k.b[..., 0]
-        g_map[:, qd, n_l + i] = b[:, :, i]
-        at = xc.stop
-    g_map[:, qd, 2 * n_l:] = bs
-
+    if tab.sp:
+        _fill_blocks(tab, slice(k0, k1))
+    rows = k1 - k0 if tab.sp else 1
     w = np.stack([w_h[2 * k0 + s:2 * k1 + s:2] for s in range(3)], axis=2)
-    g = np.ascontiguousarray(np.matmul(g_map, w).transpose(0, 2, 1))
-    return a, g
+    g = np.ascontiguousarray(np.matmul(tab.g_map[:rows], w).transpose(0, 2, 1))
+    return tab.a[:rows], g
 
 
 def _integrate(tab: _RunTables, n, h):
@@ -579,7 +614,8 @@ def _integrate(tab: _RunTables, n, h):
 
     Steps are assembled and integrated in blocks of ASSEMBLY_BLOCK, so the
     working set stays bounded and a block's rows do not depend on the run
-    length.  A state norm beyond the divergence limit raises.
+    length.  A state norm beyond the divergence limit, which the kernel
+    checks once per block, raises at the first step past it.
     """
     kernel = _kernels.get_backend()
     w_h = np.hstack([tab.r_h, tab.uff_h, tab.fsc_h])

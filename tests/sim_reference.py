@@ -118,7 +118,17 @@ def _sim_loop(n_steps, dt, n_q, n_l,
 
 
 def reference_traces(model, controllers, motion, config, x0_plant=None):
-    """States, outputs y and actuation u of one run, by the reference loop.
+    """States, outputs y and actuation u of one run, by the reference loop."""
+    status, *traces = reference_run(model, controllers, motion, config,
+                                    x0_plant)
+    assert status < 0, f"reference run diverged at step {status}"
+    return tuple(traces)
+
+
+def reference_run(model, controllers, motion, config, x0_plant=None):
+    """(status, states, y, u) of one run by the reference loop; status is
+    the reference _sim_loop's, -1 or the step after which the state norm
+    left the trusted range.
 
     The stepper works on fixed-width controller blocks, so each loop's
     realization from the run tables is zero-padded here to the widest
@@ -151,8 +161,7 @@ def reference_traces(model, controllers, motion, config, x0_plant=None):
                        ac_t, bc_t, cc_t, dc_t, sc,
                        tab.r_h, tab.uff_h, tab.fsc_h, tab.fb, tab.t_u,
                        x0, y_t, u_t, x_t)
-    assert status < 0, f"reference run diverged at step {status}"
-    return x_t[:, keep], y_t, u_t
+    return status, x_t[:, keep], y_t, u_t
 
 
 def max_relative_gap(result, reference):

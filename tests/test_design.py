@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lpvslc import design
+from lpvslc import design, sim
 from lpvslc.design import (
     CERT_TAIL_N,
     CertificationReport,
@@ -25,6 +25,7 @@ from lpvslc.design import (
     design_lpv_slc,
     design_lti_slc,
     design_spec_from_dict,
+    freeze_controller_set,
     grid_points,
     rigid_body_decouple,
     tune_gain,
@@ -55,7 +56,7 @@ from lpvslc.freqresp import (
 )
 from lpvslc.plant import ModalPlantModel, Mode, benchmark_plant, frozen_realization
 from lpvslc.scheduling import eval_surface
-from lpvslc.sim import NOTCH_NYQUIST_FRACTION
+from lpvslc.sim import NOTCH_NYQUIST_FRACTION, SimConfig, benchmark_motion
 
 from audit_reference import (
     reference_audit,
@@ -63,6 +64,7 @@ from audit_reference import (
     reference_local_designs,
 )
 from certify_reference import reference_certify
+from freeze_reference import per_notch_cascade_frf, per_notch_realize
 from freqresp_reference import (
     block_solve_equivalent_plant,
     entry_planes,
@@ -673,6 +675,67 @@ def test_realize_equals_chained_series_on_the_benchmark_sets(
             for p in (points[17], points):
                 assert_realizations_equal(realize(cascade, p, f_max),
                                           chained_realize(cascade, p, f_max))
+
+
+def _with_records(caplog, evaluate):
+    """evaluate()'s result and the log records it left, in order."""
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="lpvslc"):
+        out = evaluate()
+    return out, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+def test_cascade_freeze_equals_per_notch_reference_on_the_benchmark_set(
+        benchmark_designs, caplog):
+    """Every loop of the benchmark LPV set, frozen once per cascade, along
+    the scheduling trace of the README scan's first 0.08 s (801 samples)
+    and on a 9x9 grid: realize, with and without the simulator's notch
+    cap, and cascade_frf on certify's frequencies give the bytes and the
+    log records, in order, of freezing notch by notch
+    (tests/freeze_reference.py).  The grid's corners clamp."""
+    model, lpv = benchmark_designs["model"], benchmark_designs["lpv"]
+    scan = sim._run_tables(model, lpv, benchmark_motion(),
+                           SimConfig(duration_s=0.08), None).p_sched
+    assert scan.shape == (801, 2)
+    f_max = NOTCH_NYQUIST_FRACTION * 0.5 * 10_000.0
+    freqs = _certification_freqs()
+    clamped = 0
+    for points in (scan, grid_points(model.workspace, 9, 9)):
+        for cascade in lpv.loops:
+            assert cascade.scheduled_part
+            for cap in (None, f_max):
+                got, logged = _with_records(
+                    caplog, lambda: realize(cascade, points, cap))
+                want, want_logged = _with_records(
+                    caplog, lambda: per_notch_realize(cascade, points, cap))
+                assert_realizations_equal(got, want)
+                assert logged == want_logged
+                clamped += len(logged)
+            got, logged = _with_records(
+                caplog, lambda: cascade_frf(cascade, freqs, points))
+            want, want_logged = _with_records(
+                caplog, lambda: per_notch_cascade_frf(cascade, freqs, points))
+            assert got.tobytes() == want.tobytes()
+            assert logged == want_logged
+    assert clamped > 0
+
+
+@pytest.mark.parametrize("n_freqs", [1, 2])
+def test_scheduled_response_equals_the_frozen_set_at_few_frequencies(
+        benchmark_designs, n_freqs):
+    """At every position of the 5x5 grid and at random frequencies, one or
+    two at a time, each scheduled loop of the benchmark LPV set responds
+    as freeze_controller_set's fixed loop there, to the last bit."""
+    lpv = benchmark_designs["lpv"]
+    rng = np.random.default_rng(41)
+    for p in benchmark_designs["verify"]:
+        frozen = freeze_controller_set(lpv, p)
+        for _ in range(20):
+            freqs = rng.uniform(1.0, 5000.0, n_freqs)
+            for scheduled, fixed in zip(lpv.loops, frozen.loops):
+                assert not fixed.scheduled_part
+                assert cascade_frf(scheduled, freqs, p).tobytes() \
+                    == cascade_frf(fixed, freqs).tobytes(), (p, freqs)
 
 
 @pytest.fixture(scope="module", params=["lti", "lpv"])

@@ -54,19 +54,21 @@ def _workloads_module(monkeypatch):
 
 
 def _traced_calls(workloads, workload, steps):
-    """Run steps under the workload's tracer: per-layer call counts, and
-    the tracer.  No operation may fail."""
+    """Run steps under the workload's tracer: per-layer call counts, the
+    tracer, and each operation's per-layer totals.  No operation may
+    fail."""
     tracer = workload.tracer()
-    calls = {}
+    calls, per_op = {}, {}
     for step in steps:
         it = workloads.Iteration(tracer)
         with tracer:
             step(it)
         assert not any(it.failures.values()), it.failures
+        per_op.update(it.layers)
         for layers in it.layers.values():
             for name, agg in layers.items():
                 calls[name] = calls.get(name, 0) + agg["calls"]
-    return calls, tracer
+    return calls, tracer, per_op
 
 
 def test_traced_design_workload_reaches_every_expected_layer(monkeypatch):
@@ -77,8 +79,8 @@ def test_traced_design_workload_reaches_every_expected_layer(monkeypatch):
     traced benchmark run."""
     workloads = _workloads_module(monkeypatch)
     workload = workloads.DesignWorkload(0, None)
-    calls, tracer = _traced_calls(workloads, workload,
-                                  (workload.setup, workload.iteration))
+    calls, tracer, _ = _traced_calls(workloads, workload,
+                                     (workload.setup, workload.iteration))
     assert tracer.absent_sites == []
     assert [name for name in workload.expected_layers
             if not calls.get(name)] == []
@@ -90,8 +92,28 @@ def test_traced_scan_setup_reaches_every_expected_setup_layer(monkeypatch):
     included, records a call, and no traced site is absent."""
     workloads = _workloads_module(monkeypatch)
     workload = workloads.ScanWorkload(0, None)
-    calls, tracer = _traced_calls(workloads, workload, (workload.setup,))
+    calls, tracer, _ = _traced_calls(workloads, workload, (workload.setup,))
     assert tracer.absent_sites == []
     assert "scheduling.fit_surface" in workload.expected_setup_layers
     assert [name for name in workload.expected_setup_layers
             if not calls.get(name)] == []
+
+
+def test_traced_scan_iteration_reaches_every_expected_layer(monkeypatch):
+    """One traced iteration of perfbench's `scan` workload, after its
+    set-up: every layer it expects records a call, each 0.08 s simulation
+    integrates its 800 steps in the traced kernel, and no traced site is
+    absent."""
+    workloads = _workloads_module(monkeypatch)
+    workload = workloads.ScanWorkload(0, None)
+    setup = workloads.Iteration()
+    workload.setup(setup)
+    assert not any(setup.failures.values()), setup.failures
+    calls, tracer, per_op = _traced_calls(workloads, workload,
+                                          (workload.iteration,))
+    assert tracer.absent_sites == []
+    assert [name for name in workload.expected_layers
+            if not calls.get(name)] == []
+    for op in ("simulate_lti", "simulate_lpv"):
+        assert per_op[op]["sim.simulate"]["calls"] == 1, op
+        assert per_op[op]["kernels.kernel"]["steps"] == 800, op

@@ -27,6 +27,7 @@ from lpvslc.design import (
     grid_points,
 )
 from lpvslc.errors import ConfigError, DomainError, NumericalError
+from lpvslc.filters import Cascade, Gain
 from lpvslc.plant import ModalPlantModel, Mode
 from lpvslc.sim import (
     Interval,
@@ -45,7 +46,7 @@ from lpvslc.sim import (
 from lpvslc.io import dump_csv, dump_json, load_csv, load_json
 from lpvslc.trajectory import MotionBounds, plan, sample
 
-from sim_reference import max_relative_gap, reference_traces
+from sim_reference import max_relative_gap, reference_run, reference_traces
 
 ACTUATORS = np.array([[-0.06, -0.06], [0.06, -0.06], [0.06, 0.06], [-0.06, 0.06]])
 SENSORS = np.array([[0.0, 0.05], [-0.05, -0.04], [0.05, -0.03]])
@@ -244,6 +245,32 @@ def test_divergent_loop_aborts_with_diagnosis(rigid_design):
                          loop_refs=(z_move(0.02, rate=10_000.0), None, None))
     with pytest.raises(NumericalError, match="state norm exceeded"):
         simulate(model, unstable, motion, SimConfig(duration_s=0.5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gain_scale, block", [(1e8, 0), (1e4, 1)])
+def test_divergence_is_reported_at_the_reference_step(rigid_design,
+                                                      gain_scale, block):
+    """A loop made unstable by scaling its gains, from a state of 1e-300:
+    the simulator, which checks the state norm once per assembly block,
+    names the step at which the per-step reference stepper stops.  The
+    200-step run has one full block and a partial one; with 1e8 the norm
+    leaves the trusted range in the middle of the full block and overflows
+    before the block ends, with 1e4 it leaves in the partial block.  No
+    floating-point warning escapes from the steps after the divergence."""
+    model, lti = rigid_design
+    unstable = replace(lti, loops=tuple(
+        Cascade((Gain(c.elements[0].k * gain_scale),) + c.elements[1:])
+        for c in lti.loops))
+    motion = StageMotion(start_xy=(0.1, 0.1))
+    cfg = SimConfig(duration_s=0.02)
+    x0 = np.full(2 * model.n_modes, 1e-300)
+    status = reference_run(model, unstable, motion, cfg, x0)[0]
+    assert status // sim.ASSEMBLY_BLOCK == block
+    assert 0 < status % sim.ASSEMBLY_BLOCK < sim.ASSEMBLY_BLOCK - 1
+    with pytest.raises(NumericalError,
+                       match=rf"\(step {status} of {cfg.n_steps}\)"):
+        simulate(model, unstable, motion, cfg, x0_plant=x0)
 
 
 def test_scheduling_trace_sources(mini_design):
