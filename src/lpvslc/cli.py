@@ -5,18 +5,10 @@ controller synthesis (design), coefficient-surface fitting (fit), grid
 certification (certify), motion planning (trajectory), closed-loop runs
 (simulate) and run comparison (metrics).
 
-A project file points at the individual configs and the output directory:
-
-    {
-      "plant": "plant.json",
-      "design_spec": "design.json",
-      "trajectory": "trajectory.json",
-      "sim_config": "sim.json",
-      "output_dir": "out"
-    }
-
-Relative paths resolve against the project file's own directory.  All
-emitted files are deterministic: rerunning a command on identical inputs
+A project file names the plant file and the output directory, and
+optionally the design spec, trajectory and sim config files; relative
+paths resolve against the project file's own directory.  All emitted
+files are deterministic: rerunning a command on identical inputs
 reproduces the same bytes (fixed float formatting, no timestamps).
 
 The LPVSLC_LOG environment variable sets the log level (default INFO).
@@ -32,6 +24,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,16 +45,21 @@ from .errors import (
     DomainError,
     ModelError,
     NumericalError,
+    boolean,
     integral,
+    listof,
+    nullable,
+    positive,
     real,
     reals,
+    record,
+    text,
 )
 from .freqresp import default_grid, frf, write_frf_csv
-from .io import dump_csv, dump_json, load_json
+from .io import dump_csv, dump_json, load_from, load_json
 from .plant import frozen_realization, load_plant
 from .scheduling import FrozenDesignSet, fit_surface, surface_to_dict
 from .sim import (
-    SimConfig,
     StageMotion,
     compare_summaries,
     result_summary,
@@ -93,40 +91,28 @@ class ProjectConfig:
 
 def load_project(path, out_override=None) -> ProjectConfig:
     """Read a project file, resolve paths and prepare the output directory."""
-    data = load_json(path)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: project file must hold a JSON object")
-    known = {"plant", "design_spec", "trajectory", "sim_config", "output_dir"}
-    extra = set(data) - known
-    if extra:
-        raise ConfigError(f"{path}: unknown project fields {sorted(extra)}")
-    for key in ("plant", "output_dir"):
-        if key not in data:
-            raise ConfigError(f"{path}: project file needs {key!r}")
     base = Path(path).resolve().parent
 
-    def resolve(key):
-        if key not in data or data[key] is None:
-            return None
-        p = Path(data[key])
-        return p if p.is_absolute() else base / p
+    def input_file(key, value):
+        p = base / text(key, value)     # an absolute path stays as it is
+        if not p.is_file():
+            raise ConfigError(f"{key} file does not exist: {p}")
+        return p
 
-    paths = {key: resolve(key) for key in
-             ("plant", "design_spec", "trajectory", "sim_config")}
-    for key, p in paths.items():
-        if p is not None and not p.is_file():
-            raise ConfigError(f"{path}: {key} file does not exist: {p}")
-    out = Path(out_override) if out_override else resolve("output_dir")
+    paths = record(str(path), load_json(path), {
+        "plant": input_file,
+        "output_dir": lambda key, value: base / text(key, value),
+        **dict.fromkeys(("design_spec", "trajectory", "sim_config"),
+                        (nullable(input_file), None)),
+    })
+    out = Path(out_override) if out_override else paths["output_dir"]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}")
     if not os.access(out, os.W_OK):
         raise ConfigError(f"output directory {out} is not writable")
-    return ProjectConfig(plant=paths["plant"], output_dir=out,
-                         design_spec=paths["design_spec"],
-                         trajectory=paths["trajectory"],
-                         sim_config=paths["sim_config"])
+    return ProjectConfig(**{**paths, "output_dir": out})
 
 
 def _require(value, what: str):
@@ -138,51 +124,36 @@ def _require(value, what: str):
 def _load_design_spec(project: ProjectConfig) -> DesignSpec:
     if project.design_spec is None:
         return DesignSpec()
-    return design_spec_from_dict(load_json(project.design_spec))
+    return load_from(project.design_spec, design_spec_from_dict)
+
+
+def _read_bounds(key: str, data) -> MotionBounds:
+    return MotionBounds(**record(key, data, dict.fromkeys(
+        ("v_max", "a_max", "j_max", "s_max"), real)))
+
+
+_MOTION_FIELDS = {
+    "start_xy": listof(real, 2),
+    "bounds": _read_bounds,
+    "sample_rate_hz": (positive, 10000.0),
+    **dict.fromkeys(("scan_x_m", "scan_y_m"), (nullable(real), None)),
+    "loop_moves_m": (listof(nullable(real)), ()),
+}
 
 
 def _load_motion(path) -> tuple[StageMotion, float]:
-    """Trajectory spec JSON -> commanded stage motion plus its planning rate.
-
-    Schema: start_xy [x, y] and bounds {v_max, a_max, j_max, s_max} are
-    required; scan_x_m / scan_y_m give in-plane stroke lengths and
-    loop_moves_m per-loop setpoint displacements (null or 0 means hold).
-    """
-    data = load_json(path)
-    known = {"start_xy", "bounds", "sample_rate_hz", "scan_x_m", "scan_y_m",
-             "loop_moves_m"}
-    extra = set(data) - known
-    if extra:
-        raise ConfigError(f"{path}: unknown trajectory fields {sorted(extra)}")
-    for key in ("start_xy", "bounds"):
-        if key not in data:
-            raise ConfigError(f"{path}: trajectory spec needs {key!r}")
-    b = data["bounds"]
-    need = {"v_max", "a_max", "j_max", "s_max"}
-    if not isinstance(b, dict) or set(b) != need:
-        raise ConfigError(f"{path}: bounds must hold exactly {sorted(need)}")
-    try:
-        bounds = MotionBounds(**{k: real(k, v) for k, v in b.items()})
-        rate = real("sample_rate_hz", data.get("sample_rate_hz", 10000.0))
-        start_xy = tuple(real("start_xy entry", v) for v in data["start_xy"])
-        scan_x, scan_y = (None if data.get(k) is None else real(k, data[k])
-                          for k in ("scan_x_m", "scan_y_m"))
-        moves = [None if d is None else real("loop_moves_m entry", d)
-                 for d in data.get("loop_moves_m", [])]
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"{path}: bad trajectory entry: {exc}") from exc
-    if len(start_xy) != 2:
-        raise ConfigError(f"{path}: start_xy must be one (x, y) point, got "
-                          f"{data['start_xy']!r}")
-    if rate <= 0.0:
-        raise ConfigError(f"{path}: sample_rate_hz must be > 0, got {rate}")
+    """Trajectory spec JSON -> commanded stage motion plus its planning
+    rate; a scan_x_m, scan_y_m or loop_moves_m entry of null or 0 holds."""
+    spec = record(str(path), load_json(path), _MOTION_FIELDS)
+    rate = spec["sample_rate_hz"]
 
     def _plan(d):
-        return None if d is None or d == 0.0 else plan(d, bounds, rate)
+        return None if d is None or d == 0.0 else plan(d, spec["bounds"], rate)
 
-    motion = StageMotion(start_xy=start_xy, scan_x=_plan(scan_x),
-                         scan_y=_plan(scan_y),
-                         loop_refs=tuple(_plan(d) for d in moves))
+    motion = StageMotion(start_xy=spec["start_xy"],
+                         scan_x=_plan(spec["scan_x_m"]),
+                         scan_y=_plan(spec["scan_y_m"]),
+                         loop_refs=tuple(map(_plan, spec["loop_moves_m"])))
     return motion, rate
 
 
@@ -261,53 +232,28 @@ def _summary_path(outdir: Path, kind: str) -> Path:
     return outdir / f"design_summary_{kind}.json"
 
 
-def _stored_entry(path: Path, key: str, check, data=None):
-    """check(key, value) of entry key in the JSON object a command wrote
-    to path, or in data, that object as the caller already loaded it; a
-    dotted key names an entry of a nested object.  ConfigError naming the
-    file when the file is malformed."""
-    value = load_json(path) if data is None else data
-    for name in key.split("."):
-        if not isinstance(value, dict) or name not in value:
-            raise ConfigError(
-                f"{path}: needs a JSON object with a {key!r} entry")
-        value = value[name]
-    try:
-        return check(key, value)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _stored(fields: dict):
+    """Reader of the entries named in fields of an object that a command
+    wrote; its other entries are that command's own and are not read."""
+    def read(key, data):
+        if isinstance(data, dict):
+            data = {k: v for k, v in data.items() if k in fields}
+        return record(key, data, fields)
+    return read
 
 
-def _positive(key: str, value) -> float:
-    value = real(key, value)
-    if value <= 0.0:
-        raise ConfigError(f"{key} must be > 0, got {value!r}")
-    return value
+def _read_stored(path: Path, fields: dict) -> dict:
+    """The JSON object a command wrote to path, its entries named in fields
+    checked; ConfigError naming the file when the file is malformed."""
+    data = load_json(path)
+    _stored(fields)(str(path), data)
+    return data
 
 
-def _boolean(key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _text(key: str, value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _run_summary(path: Path) -> dict:
-    """The run digest simulate wrote to path, with every entry that
-    compare_summaries reads checked (kind only when present)."""
-    summary = load_json(path)
-    checks = [("ma_m", real), ("msd_m", real), ("interval.name", _text),
-              ("config.window_s", real)]
-    if isinstance(summary, dict) and "kind" in summary:
-        checks.append(("kind", _text))
-    for key, check in checks:
-        _stored_entry(path, key, check, summary)
-    return summary
+# The entries of a run digest that compare_summaries reads.
+_RUN_SUMMARY = {"ma_m": real, "msd_m": real, "kind": (text, None),
+                "interval": _stored({"name": text}),
+                "config": _stored({"window_s": real})}
 
 
 def cmd_design(args) -> None:
@@ -320,8 +266,8 @@ def cmd_design(args) -> None:
     lti_summary_path = _summary_path(project.output_dir, "lti")
     lti_bw = None
     if args.mode == "lpv" and lti_summary_path.is_file():
-        lti_bw = _stored_entry(lti_summary_path, "achieved_bandwidth_hz",
-                               _positive)
+        lti_bw = _read_stored(lti_summary_path, {
+            "achieved_bandwidth_hz": positive})["achieved_bandwidth_hz"]
     builder = design_lti_slc if args.mode == "lti" else design_lpv_slc
     controllers = builder(model, spec)
     _, verify, _ = spec.resolve(model)
@@ -349,32 +295,21 @@ def cmd_design(args) -> None:
     dump_json(summary, _summary_path(project.output_dir, args.mode))
 
 
-def cmd_fit(args) -> None:
-    """Fit a coefficient surface to frozen design samples from a JSON file.
+_FIT_FIELDS = {
+    **dict.fromkeys(("points", "values"), reals),
+    **dict.fromkeys(("order_x", "order_y"), integral),
+    "units": (text, ""),
+    "bounds": (listof(listof(real, 2), 2), None),
+}
 
-    Input schema: points [[x, y], ...], values [...], order_x, order_y,
-    optional units string and bounds [[x_lo, x_hi], [y_lo, y_hi]].
-    """
-    data = load_json(args.config)
-    known = {"points", "values", "order_x", "order_y", "units", "bounds"}
-    extra = set(data) - known
-    if extra:
-        raise ConfigError(f"{args.config}: unknown fit fields {sorted(extra)}")
-    for key in ("points", "values", "order_x", "order_y"):
-        if key not in data:
-            raise ConfigError(f"{args.config}: fit input needs {key!r}")
-    try:
-        points, values = reals("points", data["points"]), reals("values", data["values"])
-        bounds = None
-        if "bounds" in data:
-            (x_lo, x_hi), (y_lo, y_hi) = reals("bounds", data["bounds"])
-            bounds = ((float(x_lo), float(x_hi)), (float(y_lo), float(y_hi)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{args.config}: bad fit entry: {exc}") from exc
-    designs = FrozenDesignSet(points, values, units=str(data.get("units", "")))
-    surface, report = fit_surface(designs, integral("order_x", data["order_x"]),
-                                  integral("order_y", data["order_y"]),
-                                  bounds=bounds)
+
+def cmd_fit(args) -> None:
+    """Fit a coefficient surface to frozen design samples from a JSON file
+    (fields: _FIT_FIELDS)."""
+    fit = record(str(args.config), load_json(args.config), _FIT_FIELDS)
+    designs = FrozenDesignSet(fit["points"], fit["values"], units=fit["units"])
+    surface, report = fit_surface(designs, fit["order_x"], fit["order_y"],
+                                  bounds=fit["bounds"])
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     dump_json(surface_to_dict(surface), out / "surface.json")
@@ -395,7 +330,7 @@ def _load_controllers(outdir: Path, kind: str):
     if not path.is_file():
         raise ConfigError(
             f"no controller set at {path}; run the design command first")
-    return controllers_from_dict(load_json(path))
+    return load_from(path, controllers_from_dict)
 
 
 def cmd_certify(args) -> int:
@@ -454,28 +389,22 @@ def cmd_trajectory(args) -> None:
     dump_json(summary, project.output_dir / "trajectory_summary.json")
 
 
-class _StoredCertification:
-    """Pass/fail view of a certification JSON for the simulator's precheck."""
-
-    def __init__(self, passed: bool):
-        self.passed = passed
-
-
 def cmd_simulate(args) -> None:
     """Run the stored controller sets on the commanded motion."""
     project = load_project(args.config, args.out)
     model = load_plant(project.plant)
     motion, _ = _load_motion(_require(project.trajectory, "trajectory"))
-    config = sim_config_from_dict(
-        load_json(_require(project.sim_config, "sim config")))
+    config = load_from(_require(project.sim_config, "sim config"),
+                       sim_config_from_dict)
     kinds = CONTROLLER_KINDS if args.mode == "both" else (args.mode,)
     for kind in kinds:
         controllers = _load_controllers(project.output_dir, kind)
         cert = None
         cert_path = project.output_dir / f"certification_{kind}.json"
         if cert_path.is_file():
-            cert = _StoredCertification(
-                _stored_entry(cert_path, "passed", _boolean))
+            # The simulator's precheck reads the verdict only.
+            cert = SimpleNamespace(passed=_read_stored(
+                cert_path, {"passed": boolean})["passed"])
         result = simulate(model, controllers, motion, config,
                           certification=cert)
         write_result_csv(project.output_dir / f"run_{kind}.csv", result)
@@ -495,7 +424,7 @@ def cmd_metrics(args) -> None:
         if not path.is_file():
             raise ConfigError(
                 f"no run summary at {path}; run the simulate command first")
-        summaries[kind] = _run_summary(path)
+        summaries[kind] = _read_stored(path, _RUN_SUMMARY)
     table = compare_summaries(summaries["lti"], summaries["lpv"])
     dump_json(table, project.output_dir / "comparison.json")
     print(f"interval: {table['interval']} "

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -53,8 +53,12 @@ from .errors import (
     DomainError,
     ModelError,
     integral,
+    listof,
+    positive,
     real,
     reals,
+    record,
+    text,
 )
 from .filters import (
     Cascade,
@@ -63,8 +67,8 @@ from .filters import (
     Lead,
     LpvNotch,
     Notch,
+    _read_cascade,
     cascade_frf,
-    cascade_from_dict,
     cascade_to_dict,
     element_transfer,
     freeze_notches,
@@ -161,19 +165,11 @@ class DesignSpec:
     def __post_init__(self):
         for name in ("target_bandwidth_hz", "sensitivity_bound_db", "alpha",
                      "min_bandwidth_hz"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if self.target_bandwidth_hz <= 0.0:
-            raise ConfigError("target bandwidth must be positive")
-        if self.sensitivity_bound_db <= 0.0:
-            raise ConfigError("sensitivity bound must be positive")
+            positive(name, getattr(self, name))
         if self.bisection_iterations < 0:
             raise ConfigError("bisection iterations must be >= 0")
-        if self.min_bandwidth_hz <= 0.0 \
-                or self.min_bandwidth_hz > self.target_bandwidth_hz:
+        if self.min_bandwidth_hz > self.target_bandwidth_hz:
             raise ConfigError("minimum bandwidth must lie in (0, target]")
-        if self.alpha <= 0.0:
-            raise ConfigError("lead ratio alpha must be positive")
         if self.n_leads < 1:
             raise ConfigError("need at least one lead filter")
         if self.surface_order < 1:
@@ -1248,40 +1244,31 @@ def controllers_to_dict(controllers: ControllerSet) -> dict:
     }
 
 
+_CONTROLLER_FIELDS = {
+    "kind": (text, "lti"),
+    "achieved_bandwidth_hz": real,
+    "sensitivity_bound_db": (real, 6.0),
+    "loop_order": listof(integral),
+    **dict.fromkeys(("t_u", "t_y"), reals),
+    "loops": listof(_read_cascade),
+}
+
+
 def controllers_from_dict(data: dict) -> ControllerSet:
-    try:
-        return ControllerSet(
-            loops=tuple(cascade_from_dict(c) for c in data["loops"]),
-            t_u=reals("t_u", data["t_u"]),
-            t_y=reals("t_y", data["t_y"]),
-            loop_order=tuple(integral("loop_order entry", i)
-                             for i in data["loop_order"]),
-            achieved_bandwidth_hz=real("achieved_bandwidth_hz",
-                                       data["achieved_bandwidth_hz"]),
-            sensitivity_bound_db=real("sensitivity_bound_db",
-                                      data.get("sensitivity_bound_db", 6.0)),
-            kind=str(data.get("kind", "lti")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad controller set entry: {exc}") from exc
+    return ControllerSet(**record("controller set", data, _CONTROLLER_FIELDS))
+
+
+_SPEC_READERS = {
+    **dict.fromkeys(("target_bandwidth_hz", "sensitivity_bound_db", "alpha",
+                     "min_bandwidth_hz"), real),
+    **dict.fromkeys(("n_leads", "surface_order", "bisection_iterations"),
+                    integral),
+    **dict.fromkeys(("design_grid", "verification_grid"), reals),
+    "loop_order": listof(integral),
+}
 
 
 def design_spec_from_dict(data: dict) -> DesignSpec:
-    try:
-        kwargs = {}
-        for key in ("target_bandwidth_hz", "sensitivity_bound_db", "alpha",
-                    "min_bandwidth_hz"):
-            if key in data:
-                kwargs[key] = real(key, data[key])
-        for key in ("n_leads", "surface_order", "bisection_iterations"):
-            if key in data:
-                kwargs[key] = integral(key, data[key])
-        for key in ("design_grid", "verification_grid"):
-            if key in data:
-                kwargs[key] = reals(key, data[key])
-        if "loop_order" in data:
-            kwargs["loop_order"] = tuple(integral("loop_order entry", i)
-                                         for i in data["loop_order"])
-        return DesignSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad design spec entry: {exc}") from exc
+    """DesignSpec of a JSON object; an absent field takes its default."""
+    return DesignSpec(**record("design spec", data, {
+        f.name: (_SPEC_READERS[f.name], f.default) for f in fields(DesignSpec)}))

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ModelError, integral, real
+from .errors import ConfigError, ModelError, integral, listof, real, record, tagged
 from .plant import FrozenStateSpace
-from .scheduling import CoefficientSurface, eval_surface, surface_from_dict, surface_to_dict
+from .scheduling import CoefficientSurface, _read_surface, eval_surface, surface_to_dict
 
 __all__ = [
     "Gain",
@@ -442,26 +442,25 @@ def filter_to_dict(spec) -> dict:
     raise ModelError(f"unknown filter block {type(spec).__name__}")
 
 
+# Each filter type's block and the fields of its record beside "type".
+_FILTER_TYPES = {
+    "gain": (Gain, {"k": real}),
+    "integrator": (Integrator, {}),
+    "lead": (Lead, {"f_bw": real, "alpha": real}),
+    "notch": (Notch, {k: real for k in ("f1", "f2", "beta1", "beta2")}),
+    "lpv_notch": (LpvNotch, {k: _read_surface
+                             for k in ("beta1", "beta2", "f1", "f2")}),
+}
+
+
+def _read_filter(key: str, data):
+    fields = tagged(key, data, "type", {kind: spec for kind, (_, spec)
+                                        in _FILTER_TYPES.items()})
+    return _FILTER_TYPES[fields.pop("type")][0](**fields)
+
+
 def filter_from_dict(data: dict):
-    try:
-        kind = data["type"]
-        if kind == "gain":
-            return Gain(k=real("k", data["k"]))
-        if kind == "integrator":
-            return Integrator()
-        if kind == "lead":
-            return Lead(**{k: real(k, data[k]) for k in ("f_bw", "alpha")})
-        if kind == "notch":
-            return Notch(**{k: real(k, data[k])
-                            for k in ("f1", "f2", "beta1", "beta2")})
-        if kind == "lpv_notch":
-            return LpvNotch(beta1=surface_from_dict(data["beta1"]),
-                            beta2=surface_from_dict(data["beta2"]),
-                            f1=surface_from_dict(data["f1"]),
-                            f2=surface_from_dict(data["f2"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad filter entry: {exc}") from exc
-    raise ConfigError(f"unknown filter type {data.get('type')!r}")
+    return _read_filter("filter", data)
 
 
 def cascade_to_dict(cascade: Cascade) -> dict:
@@ -469,13 +468,15 @@ def cascade_to_dict(cascade: Cascade) -> dict:
             "n_fixed": cascade.n_fixed}
 
 
-def cascade_from_dict(data: dict) -> Cascade:
-    try:
-        cascade = Cascade(tuple(filter_from_dict(e) for e in data["elements"]))
-        n_fixed = integral("n_fixed", data["n_fixed"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad cascade entry: {exc}") from exc
-    if n_fixed != cascade.n_fixed:
-        raise ConfigError(f"cascade n_fixed {n_fixed} disagrees with its "
-                          f"{cascade.n_fixed} fixed blocks")
+def _read_cascade(key: str, data) -> Cascade:
+    fields = record(key, data, {"elements": listof(_read_filter),
+                                "n_fixed": integral})
+    cascade = Cascade(fields["elements"])
+    if fields["n_fixed"] != cascade.n_fixed:
+        raise ConfigError(f"{key}: n_fixed {fields['n_fixed']} disagrees "
+                          f"with its {cascade.n_fixed} fixed blocks")
     return cascade
+
+
+def cascade_from_dict(data: dict) -> Cascade:
+    return _read_cascade("cascade", data)

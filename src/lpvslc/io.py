@@ -13,9 +13,9 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ModelError
 
-__all__ = ["dump_json", "load_json", "dump_csv", "load_csv"]
+__all__ = ["dump_json", "load_json", "load_from", "dump_csv", "load_csv"]
 
 
 def dump_json(obj, path) -> None:
@@ -33,6 +33,16 @@ def load_json(path):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_from(path, from_dict):
+    """from_dict of the JSON in the file at path; a ConfigError or
+    ModelError that from_dict raises comes back naming the file."""
+    data = load_json(path)
+    try:
+        return from_dict(data)
+    except (ConfigError, ModelError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def dump_csv(path, header: list[str], columns: list[np.ndarray]) -> None:

@@ -31,12 +31,12 @@ checks elsewhere in the package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ModelError, real, reals
+from .errors import DomainError, ModelError, listof, real, reals, record, tagged, text
+from .io import dump_json, load_from
 
 __all__ = [
     "Mode",
@@ -418,41 +418,32 @@ def plant_to_dict(model: ModalPlantModel) -> dict:
     }
 
 
+def _read_mode(key: str, data) -> Mode:
+    return Mode(**tagged(key, data, "kind", {"rigid": {"axis": text},
+                                             "flex": {"kx": real, "ky": real}}))
+
+
+def _read_workspace(key: str, data) -> tuple:
+    return tuple(record(key, data, dict.fromkeys("xy", listof(real, 2))).values())
+
+
+_PLANT_FIELDS = {
+    "modes": listof(_read_mode),
+    **dict.fromkeys(("masses", "frequencies_hz", "damping"), listof(real)),
+    **dict.fromkeys(("actuator_xy", "sensor_xy"), reals),
+    "workspace": _read_workspace,
+    **dict.fromkeys(("flex_actuation_gain", "flex_sensing_gain"), (real, 1.0)),
+    "scan_crosstalk_gain": (real, 0.0),
+}
+
+
 def plant_from_dict(data: dict) -> ModalPlantModel:
-    try:
-        modes = tuple(
-            Mode("rigid", axis=m["axis"]) if m["kind"] == "rigid"
-            else Mode("flex", kx=real("kx", m["kx"]), ky=real("ky", m["ky"]))
-            for m in data["modes"]
-        )
-        ws = data["workspace"]
-        return ModalPlantModel(
-            modes=modes,
-            **{key: reals(key, data[key]) for key in (
-                "masses", "frequencies_hz", "damping", "actuator_xy", "sensor_xy")},
-            workspace=tuple(tuple(reals(f"workspace {a}", ws[a])) for a in "xy"),
-            **{key: real(key, data.get(key, default)) for key, default in (
-                ("flex_actuation_gain", 1.0), ("flex_sensing_gain", 1.0),
-                ("scan_crosstalk_gain", 0.0))},
-        )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"bad plant config: {exc}") from exc
-    except ModelError as exc:
-        raise ConfigError(f"bad plant config: {exc}") from exc
+    return ModalPlantModel(**record("plant", data, _PLANT_FIELDS))
 
 
 def load_plant(path) -> ModalPlantModel:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read plant config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"plant config {path} is not valid JSON: {exc}") from exc
-    return plant_from_dict(data)
+    return load_from(path, plant_from_dict)
 
 
 def save_plant(model: ModalPlantModel, path) -> None:
-    from .io import dump_json
-
     dump_json(plant_to_dict(model), path)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ModelError, integral
+from .errors import ModelError, integral, listof, real, reals, record, text
 
 __all__ = [
     "CoefficientSurface",
@@ -256,15 +256,17 @@ def surface_to_dict(surface: CoefficientSurface) -> dict:
     }
 
 
+_SURFACE_FIELDS = {
+    **dict.fromkeys(("order_x", "order_y"), integral),
+    "theta": reals,
+    **dict.fromkeys(("x_map", "y_map"), listof(real)),
+    "units": (text, ""),
+}
+
+
+def _read_surface(key: str, data) -> CoefficientSurface:
+    return CoefficientSurface(**record(key, data, _SURFACE_FIELDS))
+
+
 def surface_from_dict(data: dict) -> CoefficientSurface:
-    try:
-        return CoefficientSurface(
-            order_x=integral("order_x", data["order_x"]),
-            order_y=integral("order_y", data["order_y"]),
-            theta=np.asarray(data["theta"], dtype=float),
-            x_map=(float(data["x_map"][0]), float(data["x_map"][1])),
-            y_map=(float(data["y_map"][0]), float(data["y_map"][1])),
-            units=str(data.get("units", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad coefficient surface entry: {exc}") from exc
+    return _read_surface("coefficient surface", data)

@@ -49,14 +49,15 @@ derived from the commanded profiles.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .design import ControllerSet, close_loops, closed_loop_frame
-from .errors import ConfigError, ModelError, NumericalError
+from .errors import (ConfigError, ModelError, NumericalError, boolean, positive,
+                     real, record)
 from .filters import n_states, realize
 from .io import dump_csv
 from .plant import (
@@ -118,19 +119,11 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("feedforward", "feedback"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got "
-                                  f"{getattr(self, name)!r}")
-        for name in ("duration_s", "sample_rate_hz", "window_s", "settling_s"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not np.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got "
-                                  f"{value!r}")
-        if self.duration_s <= 0.0:
-            raise ConfigError("simulation duration must be positive")
-        if self.sample_rate_hz <= 0.0:
-            raise ConfigError("sample rate must be positive")
+            boolean(name, getattr(self, name))
+        for name in ("duration_s", "sample_rate_hz"):
+            positive(name, getattr(self, name))
+        for name in ("window_s", "settling_s"):
+            real(name, getattr(self, name))
         if self.scheduling_source not in SCHEDULING_SOURCES:
             raise ConfigError(
                 f"scheduling source must be one of {SCHEDULING_SOURCES}, "
@@ -241,16 +234,20 @@ def motion_intervals(motion: StageMotion, config: SimConfig) -> tuple:
     interval of configured length, and what remains of a moving stretch is
     marked constant velocity.  Standstill periods carry no marker.
     """
-    n = config.n_steps
-    t = np.arange(n + 1) * config.step_s
-    profiles = motion.profiles()
-    if not profiles:
+    t = np.arange(config.n_steps + 1) * config.step_s
+    return _intervals([sample(prof, t) for prof in motion.profiles()], t,
+                      config)
+
+
+def _intervals(samples, t, config: SimConfig) -> tuple:
+    """motion_intervals of each profile's sample(prof, t) on the grid t."""
+    n = t.size - 1
+    if not samples:
         return ()
 
     accel = np.zeros(n + 1, dtype=bool)
     moving = np.zeros(n + 1, dtype=bool)
-    for prof in profiles:
-        _, vel, acc, _, _ = sample(prof, t)
+    for _, vel, acc, _, _ in samples:
         a_scale = float(np.max(np.abs(acc)))
         v_scale = float(np.max(np.abs(vel)))
         if a_scale > 0.0:
@@ -417,27 +414,27 @@ def _plant_tables(model, p_true, varying, t_u, t_y):
     return b_t, c_t, bs_t, (1 if varying else 0)
 
 
-def _half_grid_inputs(model, motion, config, rigid_masses, n_l):
-    """References, axis feedforward, and propulsion force on the half grid."""
-    n = config.n_steps
-    t_h = np.arange(2 * n + 1) * (0.5 * config.step_s)
-    r_h = np.zeros((t_h.size, n_l))
-    uff_h = np.zeros((t_h.size, n_l))
-    fsc_h = np.zeros((t_h.size, 2))
-    for i, prof in enumerate(motion.loop_refs):
-        if prof is None:
+def _half_grid_inputs(config, half, rigid_masses, n_l):
+    """References, axis feedforward, and propulsion force on the half grid,
+    from half: scan_x, scan_y and each loop reference sampled there, None
+    where there is no profile."""
+    rows = 2 * config.n_steps + 1
+    r_h = np.zeros((rows, n_l))
+    uff_h = np.zeros((rows, n_l))
+    fsc_h = np.zeros((rows, 2))
+    for i, smp in enumerate(half[2:]):
+        if smp is None:
             continue
-        pos, _, acc, _, _ = sample(prof, t_h)
-        r_h[:, i] = pos
+        r_h[:, i] = smp[0]
         if config.feedforward:
-            uff_h[:, i] = rigid_masses[i] * acc
+            uff_h[:, i] = rigid_masses[i] * smp[2]
     # The propulsion force moving the stage in-plane is always part of the
     # physics of a scan; the feedforward switch only governs the axis-level
     # inertia compensation above.  The first rigid mode is the translation
     # whose inertia the propulsion must overcome.
-    for col, prof in enumerate((motion.scan_x, motion.scan_y)):
-        if prof is not None:
-            fsc_h[:, col] = rigid_masses[0] * sample(prof, t_h)[2]
+    for col, smp in enumerate(half[:2]):
+        if smp is not None:
+            fsc_h[:, col] = rigid_masses[0] * smp[2]
     return r_h, uff_h, fsc_h
 
 
@@ -452,7 +449,8 @@ class _RunTables:
     The loop references, axis feedforward and propulsion force (r_h,
     uff_h, fsc_h) are sampled on the half-step grid that the RK4 stages
     need.  km and dm are the stiffness/mass and damping/mass modal
-    diagonals, and fb is 1.0 with the loop closed and 0.0 with it open.
+    diagonals, fb is 1.0 with the loop closed and 0.0 with it open, and
+    intervals are the run's motion_intervals.
 
     a and g_map are the run's one closed-loop block and one input-map
     block (see _assemble), with ASSEMBLY_BLOCK rows, or fewer when the run
@@ -477,6 +475,7 @@ class _RunTables:
     t_u: np.ndarray
     fb: float
     axis_names: tuple
+    intervals: tuple
     a: np.ndarray
     g_map: np.ndarray
 
@@ -506,13 +505,18 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
     n = config.n_steps
     n_l = controllers.n_loops
     t = np.arange(n + 1) * config.step_s
+    # Each profile is sampled once, on the half-step grid that the RK4
+    # stages need; the sample grid t is every other half-step time.
+    t_h = np.arange(2 * n + 1) * (0.5 * config.step_s)
+    half = [None if prof is None else sample(prof, t_h)
+            for prof in (motion.scan_x, motion.scan_y, *motion.loop_refs)]
 
     p_true = np.tile(np.asarray(motion.start_xy, dtype=float), (n + 1, 1))
     if p_true.shape != (n + 1, 2):
         raise ConfigError("start_xy must be a single (x, y) point")
-    for col, prof in enumerate((motion.scan_x, motion.scan_y)):
-        if prof is not None:
-            p_true[:, col] += sample(prof, t)[0]
+    for col, smp in enumerate(half[:2]):
+        if smp is not None:
+            p_true[:, col] += smp[0][::2]
     varying = bool(np.any(p_true != p_true[0]))
     if config.scheduling_source == "measured-delayed":
         p_sched = np.vstack([p_true[:1], p_true[:-1]])
@@ -532,8 +536,7 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
     rigid_masses = model.masses[rigid_idx]
     axis_names = tuple(model.modes[k].axis or f"loop{j}"
                        for j, k in enumerate(rigid_idx))
-    r_h, uff_h, fsc_h = _half_grid_inputs(model, motion, config,
-                                          rigid_masses, n_l)
+    r_h, uff_h, fsc_h = _half_grid_inputs(config, half, rigid_masses, n_l)
 
     n_q = model.n_modes
     omega = 2.0 * np.pi * model.frequencies_hz
@@ -556,6 +559,8 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
         t=t, p_sched=p_sched, b_t=b_t, c_t=c_t, bs_t=bs_t, sp=sp,
         loops=loops, r_h=r_h, uff_h=uff_h, fsc_h=fsc_h, km=km, dm=dm, x0=x0,
         t_u=t_u, fb=1.0 if config.feedback else 0.0, axis_names=axis_names,
+        intervals=_intervals([tuple(x[::2] for x in smp) for smp in half
+                              if smp is not None], t, config),
         a=closed_loop_frame(rows, km, dm, loops), g_map=g_map)
     if not varying:
         _fill_blocks(tab, slice(None))
@@ -709,7 +714,7 @@ def simulate(model: ModalPlantModel, controllers: ControllerSet,
     ma, msd = ma_msd(e, config.window_s, config.sample_rate_hz)
     return SimResult(
         t=tab.t, r=r, y=y, e=e, u=u, p=tab.p_sched.copy(), ma=ma, msd=msd,
-        intervals=motion_intervals(motion, config), config=config,
+        intervals=tab.intervals, config=config,
         kind=controllers.kind, axis_names=tab.axis_names, states=x_t)
 
 
@@ -724,15 +729,15 @@ def _pick_interval(result: SimResult, name: str) -> IntervalMetrics:
     return interval_metrics(result, [chosen[-1]])[0]
 
 
+def _as_given(key: str, value):
+    return value
+
+
 def sim_config_from_dict(data: dict) -> SimConfig:
-    known = {"duration_s", "sample_rate_hz", "scheduling_source", "window_s",
-             "settling_s", "feedforward", "feedback"}
-    extra = set(data) - known
-    if extra:
-        raise ConfigError(f"unknown simulation config fields: {sorted(extra)}")
-    if "duration_s" not in data:
-        raise ConfigError("simulation config needs duration_s")
-    return SimConfig(**data)
+    """SimConfig of a JSON object; SimConfig checks the values."""
+    return SimConfig(**record("simulation config", data, {
+        f.name: _as_given if f.default is MISSING else (_as_given, f.default)
+        for f in fields(SimConfig)}))
 
 
 def result_summary(result: SimResult,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, positive
 from .io import dump_csv
 
 __all__ = [
@@ -57,10 +57,7 @@ class MotionBounds:
 
     def __post_init__(self):
         for name in ("v_max", "a_max", "j_max", "s_max"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ConfigError(f"motion bound {name} must be positive, "
-                                  f"got {value}")
+            positive(name, getattr(self, name))
 
 
 @dataclass

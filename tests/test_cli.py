@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,9 +14,10 @@ import pytest
 
 from lpvslc.cli import _configure_logging, load_project, main
 from lpvslc.design import controllers_from_dict
+from lpvslc.filters import LpvNotch, Notch, filter_to_dict
 from lpvslc.io import load_csv, load_json
-from lpvslc.plant import ModalPlantModel, Mode, save_plant
-from lpvslc.scheduling import eval_surface, surface_from_dict
+from lpvslc.plant import ModalPlantModel, Mode, benchmark_plant, save_plant
+from lpvslc.scheduling import CoefficientSurface, eval_surface, surface_from_dict
 
 ACTUATORS = [[-0.06, -0.06], [0.06, -0.06], [0.06, 0.06], [-0.06, 0.06]]
 SENSORS = [[0.0, 0.05], [-0.05, -0.04], [0.05, -0.03]]
@@ -500,3 +502,227 @@ def test_env_variable_sets_log_level(monkeypatch):
     monkeypatch.delenv("LPVSLC_LOG")
     _configure_logging()
     assert logging.getLogger("lpvslc").level == logging.INFO
+
+
+# Every loader of an input or stored file reads through one record reader,
+# so each gets the same bad inputs.  A loader is (command, file, path of
+# its record in the file, a field and its kind, a required field, whether
+# unknown fields are refused).  Stored digests (design and run summaries,
+# certification reports) are read only in the entries a command uses, so
+# an unknown entry there is not an error.
+_LOADERS = {
+    "project": (["trajectory"], "project.json", [], "plant", "text",
+                "output_dir", True),
+    "trajectory": (["trajectory"], "trajectory.json", [], "scan_x_m",
+                   "number", "start_xy", True),
+    "bounds": (["trajectory"], "trajectory.json", ["bounds"], "v_max",
+               "number", "s_max", True),
+    "design_spec": (["design", "--mode", "lti"], "design.json", [],
+                    "target_bandwidth_hz", "number", None, True),
+    "sim_config": (["simulate", "--mode", "lti"], "sim.json", [],
+                   "duration_s", "number", "duration_s", True),
+    "fit": (["fit"], "fit.json", [], "order_x", "number", "points", True),
+    "plant": (["frf", "--positions", "0.1,0.1"], "plant.json", [],
+              "flex_sensing_gain", "number", "masses", True),
+    "plant_mode": (["frf", "--positions", "0.1,0.1"], "plant.json",
+                   ["modes", 3], "kx", "number", "ky", True),
+    "workspace": (["frf", "--positions", "0.1,0.1"], "plant.json",
+                  ["workspace"], "x", "number", "y", True),
+    "controllers": (["certify", "--mode", "lpv", "--grid", "1x1"],
+                    "out/controllers_lpv.json", [], "achieved_bandwidth_hz",
+                    "number", "loops", True),
+    "cascade": (["certify", "--mode", "lpv", "--grid", "1x1"],
+                "out/controllers_lpv.json", ["loops", 0], "n_fixed",
+                "number", "elements", True),
+    **{f"filter_{kind}": (["certify", "--mode", "lpv", "--grid", "1x1"],
+                          "out/controllers_lpv.json",
+                          ["loops", 0, "elements", at], field, ftype,
+                          required, True)
+       for kind, at, field, ftype, required in (
+           ("gain", 0, "k", "number", "k"),
+           ("integrator", 1, "type", "text", "type"),
+           ("lead", 2, "f_bw", "number", "alpha"),
+           ("notch", 5, "f1", "number", "beta2"),
+           ("lpv_notch", 6, "beta1", "number", "f2"))},
+    "surface": (["certify", "--mode", "lpv", "--grid", "1x1"],
+                "out/controllers_lpv.json", ["loops", 0, "elements", 6, "f1"],
+                "order_x", "number", "theta", True),
+    "design_summary": (["design", "--mode", "lpv"],
+                       "out/design_summary_lti.json", [],
+                       "achieved_bandwidth_hz", "number",
+                       "achieved_bandwidth_hz", False),
+    "certification": (["simulate", "--mode", "lti"],
+                      "out/certification_lti.json", [], "passed", "boolean",
+                      "passed", False),
+    "run_summary": (["metrics"], "out/summary_lti.json", [], "ma_m",
+                    "number", "msd_m", False),
+    "run_interval": (["metrics"], "out/summary_lti.json", ["interval"],
+                     "name", "text", "name", False),
+}
+
+# A boolean, a string, NaN and inf, with the one of them that a field of
+# that kind takes replaced by another wrong kind.
+_BAD_VALUES = {"number": {"boolean": True, "string": "1.5"},
+               "text": {"boolean": True, "number": 5},
+               "boolean": {"number": 1, "string": "true"}}
+
+
+def _bad_rows():
+    rows = []
+    for name, (_, _, path, field, ftype, required, strict) \
+            in _LOADERS.items():
+        values = {**_BAD_VALUES[ftype], "nan": float("nan"),
+                  "inf": float("inf")}
+        for tag, value in values.items():
+            rows.append((f"{name}-{tag}", name, ("set", field, value), field))
+        if strict:
+            unknown = ("target_bandwidth" if name == "design_spec"
+                       else "no_such_field")
+            rows.append((f"{name}-unknown", name, ("set", unknown, 100),
+                         unknown))
+        if required is not None:
+            rows.append((f"{name}-missing", name, ("drop", required),
+                         required))
+        label = next((k for k in reversed(path) if isinstance(k, str)), None)
+        rows.append((f"{name}-non-object", name, ("replace", [1, 2]), label))
+    # Inputs that loaded or failed with a traceback before every loader
+    # read through the record reader.
+    rows += [
+        ("sim_config-field-list", "sim_config",
+         ("replace", ["duration_s"]), None),
+        ("surface-string-map", "surface", ("set", "x_map", ["0", "1"]),
+         "x_map"),
+        ("surface-boolean-map", "surface", ("set", "y_map", [True, 1]),
+         "y_map"),
+        ("plant_mode-kind", "plant_mode", ("set", "kind", "flexx"), "kind"),
+    ]
+    return rows
+
+
+_BAD_ROWS = _bad_rows()
+
+
+@pytest.fixture(scope="module")
+def loader_project(rigid_project, tmp_path_factory):
+    """A project whose every input and stored file loads, with a flexible
+    plant mode and a stored cascade holding every filter type."""
+    root = tmp_path_factory.mktemp("loaders")
+    save_plant(_flex_plant(), root / "plant.json")
+    files = {
+        "project.json": {"plant": "plant.json", "design_spec": "design.json",
+                         "trajectory": "trajectory.json",
+                         "sim_config": "sim.json", "output_dir": "out"},
+        "design.json": {"target_bandwidth_hz": 150.0},
+        "trajectory.json": TRAJECTORY_SPEC,
+        "sim.json": {"duration_s": 0.3},
+        "fit.json": {"points": [[0, 0], [0.2, 0], [0, 0.2], [0.2, 0.2]],
+                     "values": [1.0, 2.0, 3.0, 4.0], "order_x": 2,
+                     "order_y": 2},
+    }
+    for name, payload in files.items():
+        (root / name).write_text(json.dumps(payload))
+    out = root / "out"
+    out.mkdir()
+    stored = rigid_project.parent / "out"
+    for name in ("controllers_lti.json", "design_summary_lti.json",
+                 "certification_lti.json"):
+        shutil.copy(stored / name, out)
+    controllers = load_json(stored / "controllers_lti.json")
+    flat = CoefficientSurface(1, 1, [500.0])
+    damping = CoefficientSurface(1, 1, [0.5])
+    loop = controllers["loops"][0]
+    loop["elements"] += [filter_to_dict(Notch(400.0, 400.0, 0.5, 0.5)),
+                         filter_to_dict(LpvNotch(damping, damping, flat, flat))]
+    loop["n_fixed"] += 1
+    (out / "controllers_lpv.json").write_text(json.dumps(controllers))
+    summary = {"kind": "lti", "interval": {"name": "constant velocity"},
+               "ma_m": 2e-9, "msd_m": 1e-9, "config": {"window_s": 0.005}}
+    for kind in ("lti", "lpv"):
+        (out / f"summary_{kind}.json").write_text(
+            json.dumps({**summary, "kind": kind}))
+    return root
+
+
+def test_loader_project_loads(loader_project, tmp_path):
+    """The table's project is good: each command that reads it runs (the
+    design commands are left out for time)."""
+    root = tmp_path / "project"
+    shutil.copytree(loader_project, root)
+    for argv in {tuple(a) for a, *_ in _LOADERS.values()
+                 if a[0] != "design"}:
+        config = root / ("fit.json" if argv[0] == "fit" else "project.json")
+        code = main(list(argv) + ["--config", str(config), "--out",
+                                  str(root / "out")])
+        assert code in (0, 1), argv
+
+
+@pytest.mark.parametrize("row, loader, edit, field", _BAD_ROWS,
+                         ids=[r[0] for r in _BAD_ROWS])
+def test_every_loader_refuses_a_bad_record_naming_file_and_field(
+        loader_project, tmp_path, caplog, row, loader, edit, field):
+    """Each bad input exits 2, and the log names the file and the field
+    (or, for a record that is not a JSON object, the record)."""
+    argv, file_name, path, *_ = _LOADERS[loader]
+    root = tmp_path / "project"
+    shutil.copytree(loader_project, root)
+    target = root / file_name
+    data = json.loads(target.read_text())
+    parent, key = None, None
+    rec = data
+    for step in path:
+        parent, key, rec = rec, step, rec[step]
+    if edit[0] == "replace":
+        if parent is None:
+            data = edit[1]
+        else:
+            parent[key] = edit[1]
+    elif edit[0] == "set":
+        rec[edit[1]] = edit[2]
+    else:
+        del rec[edit[1]]
+    target.write_text(json.dumps(data))
+    config = root / ("fit.json" if loader == "fit" else "project.json")
+    caplog.clear()
+    with caplog.at_level(logging.ERROR, logger="lpvslc.cli"):
+        code = main(argv + ["--config", str(config), "--out",
+                            str(root / "out")])
+    assert code == 2, row
+    message = caplog.records[-1].getMessage()
+    assert Path(file_name).name in message, message
+    if field is not None:
+        assert field in message, message
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_input_files_load_through_the_loaders(tmp_path):
+    """The project file, trajectory.json and fit input the README shows
+    load through the command line's own loaders, so the documented
+    schemas and the readers cannot drift apart."""
+    text = README.read_text()
+    project, trajectory = (json.loads(block) for block in
+                           re.findall(r"```json\n(.*?)```", text, re.S))
+    save_plant(benchmark_plant(), tmp_path / project["plant"])
+    for name, payload in ((project["design_spec"], {}),
+                          (project["sim_config"], {"duration_s": 2.0}),
+                          (project["trajectory"], trajectory),
+                          ("project.json", project)):
+        (tmp_path / name).write_text(json.dumps(payload))
+    assert main(["trajectory", "--config", str(tmp_path / "project.json")]) == 0
+    summary = load_json(tmp_path / project["output_dir"]
+                        / "trajectory_summary.json")
+    assert summary["start_xy"] == trajectory["start_xy"]
+
+    # The inline fit schema, its placeholders filled in: each documented
+    # field is one the fit reads, and a required one.
+    schema = re.search(r'`(\{"points":.*?\})`', text, re.S).group(1)
+    documented = json.loads(re.sub(r"\.\.\.|\b[xymn]\b", "0", schema))
+    good = {"points": [[0, 0], [0.2, 0], [0, 0.2], [0.2, 0.2]],
+            "values": [1.0, 2.0, 3.0, 4.0], "order_x": 2, "order_y": 2}
+    fit = {key: good[key] for key in documented}
+    cfg = tmp_path / "fit.json"
+    for drop in (None, *fit):
+        cfg.write_text(json.dumps({k: v for k, v in fit.items() if k != drop}))
+        assert main(["fit", "--config", str(cfg), "--out",
+                     str(tmp_path / "fit")]) == (0 if drop is None else 2), drop

@@ -219,7 +219,7 @@ def test_bad_config_raises_config_error(tmp_path):
     for key in ("masses", "damping", "frequencies_hz"):
         data = json.loads(json.dumps(good))
         data[key][-1] = float("nan")
-        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        with pytest.raises(ConfigError, match=rf"{key}\[5\] must be finite"):
             plant_from_dict(data)
     for value in (float("inf"), True, "0.3"):
         data = json.loads(json.dumps(good))

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lpvslc.errors import ModelError
+from lpvslc.errors import ConfigError, ModelError
 from lpvslc.scheduling import (
     CoefficientSurface,
     FrozenDesignSet,
@@ -213,7 +213,7 @@ def test_surface_dict_round_trip():
     data = surface_to_dict(surface)
     for key, bad in (("theta", [np.nan] + data["theta"][1:]),
                      ("x_map", [0.1, np.inf])):
-        with pytest.raises(ModelError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             surface_from_dict({**data, key: bad})
 
 

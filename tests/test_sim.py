@@ -335,16 +335,16 @@ def test_sim_config_validation():
         SimConfig(duration_s=0.004, window_s=0.005)
     with pytest.raises(ConfigError, match="settling"):
         SimConfig(duration_s=1.0, settling_s=-0.1)
-    with pytest.raises(ConfigError, match="settling_s must be a finite number"):
+    with pytest.raises(ConfigError, match="settling_s must be finite and real"):
         SimConfig(duration_s=1.0, settling_s=np.nan)
-    with pytest.raises(ConfigError, match="window_s must be a finite number"):
+    with pytest.raises(ConfigError, match="window_s must be finite and real"):
         SimConfig(duration_s=1.0, window_s=np.nan)
-    with pytest.raises(ConfigError, match="duration_s must be a finite number"):
+    with pytest.raises(ConfigError, match="duration_s must be finite and real"):
         sim_config_from_dict({"duration_s": "1"})
     # A truthy string must not silently close the loop.
     with pytest.raises(ConfigError, match="feedback must be true or false"):
         sim_config_from_dict({"duration_s": 1, "feedback": "no"})
-    with pytest.raises(ConfigError, match=r"unknown simulation config fields: \['backend'\]"):
+    with pytest.raises(ConfigError, match=r"simulation config: unknown fields \['backend'\]"):
         sim_config_from_dict({"duration_s": 1, "backend": "numpy"})
     with pytest.raises(ConfigError, match="feedforward must be true or false"):
         SimConfig(duration_s=1.0, feedforward=1)
