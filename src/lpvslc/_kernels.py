@@ -18,11 +18,10 @@ import numpy as np
 DIVERGENCE_LIMIT = 1.0e6
 
 
-def _sim_loop(n_steps, dt, a_t, sa, g_t, x_t):
+def _sim_loop(n_steps, dt, a_t, g_t, x_t):
     """Fixed-step RK4 of x' = A_k x + g over n_steps steps from x_t[0].
 
-    a_t     closed-loop state matrices, (rows, nx, nx); step k reads
-            a_t[k * sa], so a stride sa of 0 holds one matrix for all steps
+    a_t     closed-loop state matrices, one per step, (n_steps, nx, nx)
     g_t     affine input per step at its start, midpoint and end, (n_steps, 3, nx)
     x_t     state trace, (n_steps + 1, nx); row 0 is the initial state and
             rows 1.. are filled in
@@ -38,7 +37,7 @@ def _sim_loop(n_steps, dt, a_t, sa, g_t, x_t):
     h6 = dt / 6.0
     with np.errstate(all="ignore"):
         for k in range(n_steps):
-            a = a_t[k * sa]
+            a = a_t[k]
             g = g_t[k]
             k1 = a.dot(x) + g[0]
             k2 = a.dot(x + h2 * k1) + g[1]

@@ -141,10 +141,15 @@ _MOTION_FIELDS = {
 }
 
 
-def _load_motion(path) -> tuple[StageMotion, float]:
+def _load_motion(path, n_loops) -> tuple[StageMotion, float]:
     """Trajectory spec JSON -> commanded stage motion plus its planning
-    rate; a scan_x_m, scan_y_m or loop_moves_m entry of null or 0 holds."""
+    rate; a scan_x_m, scan_y_m or loop_moves_m entry of null or 0 holds,
+    and loop_moves_m holds at most one entry for each of n_loops loops."""
     spec = record(str(path), load_json(path), _MOTION_FIELDS)
+    if len(spec["loop_moves_m"]) > n_loops:
+        raise ConfigError(f"{path}: loop_moves_m: got "
+                          f"{len(spec['loop_moves_m'])} loop reference "
+                          f"profiles for {n_loops} loops")
     rate = spec["sample_rate_hz"]
 
     def _plan(d):
@@ -303,13 +308,18 @@ _FIT_FIELDS = {
 }
 
 
-def cmd_fit(args) -> None:
-    """Fit a coefficient surface to frozen design samples from a JSON file
-    (fields: _FIT_FIELDS)."""
-    fit = record(str(args.config), load_json(args.config), _FIT_FIELDS)
+def _fit_from_dict(data):
+    """fit_surface's surface and report for a fit input (fields:
+    _FIT_FIELDS)."""
+    fit = record("fit input", data, _FIT_FIELDS)
     designs = FrozenDesignSet(fit["points"], fit["values"], units=fit["units"])
-    surface, report = fit_surface(designs, fit["order_x"], fit["order_y"],
-                                  bounds=fit["bounds"])
+    return fit_surface(designs, fit["order_x"], fit["order_y"],
+                       bounds=fit["bounds"])
+
+
+def cmd_fit(args) -> None:
+    """Fit a coefficient surface to frozen design samples from a JSON file."""
+    surface, report = load_from(args.config, _fit_from_dict)
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     dump_json(surface_to_dict(surface), out / "surface.json")
@@ -350,17 +360,15 @@ def cmd_certify(args) -> int:
 def cmd_trajectory(args) -> None:
     """Plan the commanded motion and export profile CSVs plus a digest."""
     project = load_project(args.config, args.out)
-    motion, rate = _load_motion(_require(project.trajectory, "trajectory"))
     model = load_plant(project.plant)
+    motion, rate = _load_motion(_require(project.trajectory, "trajectory"),
+                                model.n_u)
     # A scan is monotone per axis, so it stays inside the workspace when
     # both of its ends do.
     scan = [0.0 if s is None else s.displacement
             for s in (motion.scan_x, motion.scan_y)]
     for p in (motion.start_xy, np.add(motion.start_xy, scan)):
         model.check_point(p)
-    if len(motion.loop_refs) > model.n_u:
-        raise ConfigError(f"got {len(motion.loop_refs)} loop reference profiles "
-                          f"for {model.n_u} loops")
     profiles = {}
     if motion.scan_x is not None:
         profiles["scan_x"] = motion.scan_x
@@ -393,7 +401,8 @@ def cmd_simulate(args) -> None:
     """Run the stored controller sets on the commanded motion."""
     project = load_project(args.config, args.out)
     model = load_plant(project.plant)
-    motion, _ = _load_motion(_require(project.trajectory, "trajectory"))
+    motion, _ = _load_motion(_require(project.trajectory, "trajectory"),
+                             model.n_u)
     config = load_from(_require(project.sim_config, "sim config"),
                        sim_config_from_dict)
     kinds = CONTROLLER_KINDS if args.mode == "both" else (args.mode,)

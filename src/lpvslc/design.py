@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -305,27 +305,7 @@ class CertificationReport:
         return {
             "sensitivity_bound_db": self.bound_db,
             "passed": self.passed,
-            "points": [
-                {
-                    "p": list(pt.p),
-                    "det_residual": pt.det_residual,
-                    "eig_stable": pt.eig_stable,
-                    "eig_max_real": pt.eig_max_real,
-                    "loops": [
-                        {
-                            "loop": lc.loop,
-                            "nyquist_stable": lc.nyquist_stable,
-                            "encirclements": lc.encirclements,
-                            "f_crossover_hz": lc.f_crossover_hz,
-                            "phase_margin_deg": lc.phase_margin_deg,
-                            "gain_margin_db": lc.gain_margin_db,
-                            "sensitivity_peak_db": lc.sensitivity_peak_db,
-                        }
-                        for lc in pt.loops
-                    ],
-                }
-                for pt in self.points
-            ],
+            "points": [asdict(pt) for pt in self.points],
         }
 
     def table(self) -> str:
@@ -809,37 +789,38 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
 
 
 def closed_loop_frame(rows, km, dm, loops) -> np.ndarray:
-    """The row-independent part of closed_loop_stack, (rows, N, N).
+    """The open modal plant in a closed-loop stack, (rows, N, N).
 
-    Zeros, but for the open modal plant (the identity from velocities to
-    displacements, -km and -dm on the diagonals) and the state matrix of
-    each loop realized as one system.  close_loops writes the rest; a
-    frame can be refilled by it any number of times.
+    Zeros, but for the identity from velocities to displacements and -km
+    and -dm on the diagonals; N is 2 km.size plus the loops' state counts.
+    close_loops writes every loop's entries, and a frame can be refilled
+    by it any number of times.
     """
     n_q = km.size
-    n2 = 2 * n_q
-    n_x = n2 + sum(k.n_states for k in loops)
+    n_x = 2 * n_q + sum(k.n_states for k in loops)
     a = np.zeros((rows, n_x, n_x))
     iq = np.arange(n_q)
     a[:, iq, n_q + iq] = 1.0
     a[:, n_q + iq, iq] = -km
     a[:, n_q + iq, n_q + iq] = -dm
-    at = n2
-    for k in loops:
-        xc = slice(at, at + k.n_states)
-        if k.a.ndim == 2:
-            a[:, xc, xc] = k.a
-        at = xc.stop
     return a
 
 
 def close_loops(a, b, c, km, loops, fb) -> None:
-    """Write the row-dependent entries of closed_loop_stack into a frame.
+    """Close every loop around the modal plant in closed_loop_frame's stack.
 
-    a is closed_loop_frame's stack for the same loops, or its first rows;
-    every entry that depends on b, c or a stacked loop is written, in the
-    order closed_loop_stack's arithmetic fixes, and the rest is left as the
-    frame has it.
+    a       closed_loop_frame's stack for the same loops, or its first rows
+    b       modal force per axis command, (Phi_a T_u) / m, (rows, n_q, n_l)
+    c       axis outputs T_y Phi_s, (rows, n_l, n_q)
+    km      stiffness/mass modal diagonal, (n_q,)
+    loops   each loop's realization: one system, which every row shares,
+            or a stack with one system per row
+    fb      1.0 with the loops closed, 0.0 with them open
+
+    With x = [q; qd; xc_1 .. xc_nl], loop i closes e_i = r_i - (c q)_i
+    through xc_i' = A_i xc_i + B_i e_i, and fb (C_i xc_i + D_i e_i) drives
+    the modes through column i of b.  Every entry that depends on b, c or
+    a loop is written; every row is computed on its own.
     """
     n_q = km.size
     qd = slice(n_q, 2 * n_q)
@@ -852,30 +833,8 @@ def close_loops(a, b, c, km, loops, fb) -> None:
                                 out=a[:, qd, :n_q])
         a[:, qd, xc] = fb * b_i * k.c
         a[:, xc, :n_q] = -k.b * c_i
-        if k.a.ndim == 3:
-            a[:, xc, xc] = k.a
+        a[:, xc, xc] = k.a
         at = xc.stop
-
-
-def closed_loop_stack(b, c, km, dm, loops, fb) -> np.ndarray:
-    """Stacked state matrix of the modal plant with every loop closed.
-
-    b       modal force per axis command, (Phi_a T_u) / m, (rows, n_q, n_l)
-    c       axis outputs T_y Phi_s, (rows, n_l, n_q)
-    km, dm  stiffness/mass and damping/mass modal diagonals, (n_q,)
-    loops   each loop's realize output, one system or a stack of rows
-    fb      1.0 with the loops closed, 0.0 with them open
-
-    With x = [q; qd; xc_1 .. xc_nl], loop i closes e_i = r_i - (c q)_i
-    through xc_i' = A_i xc_i + B_i e_i, and fb (C_i xc_i + D_i e_i) drives
-    the modes through column i of b.  Returns (rows, N, N), N being 2 n_q
-    plus the loops' state counts; every row is computed on its own.  It is
-    closed_loop_frame filled in by close_loops, which the simulator calls
-    on its own, run-long frame.
-    """
-    a = closed_loop_frame(b.shape[0], km, dm, loops)
-    close_loops(a, b, c, km, loops, fb)
-    return a
 
 
 def closed_loop_matrix(model: ModalPlantModel, controllers: ControllerSet,
@@ -885,18 +844,19 @@ def closed_loop_matrix(model: ModalPlantModel, controllers: ControllerSet,
     One position gives an (N, N) matrix, an (n, 2) array of positions an
     (n, N, N) stack.  The mode shapes are evaluated once for all positions
     and each loop is realized once (a fixed cascade is position-independent,
-    a scheduled one realizes stacked); closed_loop_stack closes the loops,
-    as the simulator does at every step.
+    a scheduled one realizes stacked); close_loops closes the loops, as the
+    simulator does at every step.
     """
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     phi_a, phi_s = mode_shape_eval(model, pts)
     omega = 2.0 * np.pi * model.frequencies_hz
-    a_cl = closed_loop_stack(
-        (phi_a @ controllers.t_u) * (1.0 / model.masses[:, None]),
-        controllers.t_y @ phi_s, omega ** 2, 2.0 * model.damping * omega,
-        [realize(c, pts) for c in controllers.loops], 1.0)
+    km = omega ** 2
+    loops = [realize(c, pts) for c in controllers.loops]
+    a_cl = closed_loop_frame(len(pts), km, 2.0 * model.damping * omega, loops)
+    close_loops(a_cl, (phi_a @ controllers.t_u) * (1.0 / model.masses[:, None]),
+                controllers.t_y @ phi_s, km, loops, 1.0)
     return a_cl[0] if single else a_cl
 
 

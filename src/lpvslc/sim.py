@@ -7,23 +7,23 @@ scheduled notch sections are evaluated at the step's start sample and
 held, which keeps the dynamics exactly linear inside the step while the
 slowly moving stage re-tunes the loop between steps.
 
-The run is computed in three batched stages.  First the per-sample
-tables: plant coupling along the position trace (one stacked call each to
-mode_shape_eval and scan_coupling) and every loop cascade realized once
-along the scheduling trace, its scheduled notches frozen in one call.
-Then, in blocks of ASSEMBLY_BLOCK steps, the assembled closed loop: per
-step the state matrix A_k of plant, axis transforms and controllers with
-the feedback closed, as design.closed_loop_stack builds it for
-certification, and the input map G_k of w = [r, u_ff, f_scan], with G_k w
-folded at the step's start, midpoint and end into g_k.  A_k and G_k live
-in one block each for the whole run: what no step changes (the open modal
-plant, the fixed loops' dynamics) is written once, and each block
-rewrites only the entries that depend on the step.  The kernel (_kernels)
-then runs RK4 on x' = A_k x + g, four matrix-vector products per step,
-and checks the state norm once per block, naming the first step that
-left the trusted range.  Outputs, errors and actuation are evaluated
-afterwards from the state trace.  Every row of every table is computed on
-its own, so a short run is a bitwise prefix of a longer one.
+The run is computed in three batched stages, the same whether or not
+the stage moves.  First the per-sample tables: plant coupling along the
+position trace (one stacked call each to mode_shape_eval and
+scan_coupling) and every loop cascade realized once along the scheduling
+trace, its scheduled notches frozen in one call.  Then, in blocks of
+ASSEMBLY_BLOCK steps, the assembled closed loop: per step the state
+matrix A_k of plant, axis transforms and controllers with the feedback
+closed, as design.closed_loop_matrix builds it for certification, and the
+input map G_k of w = [r, u_ff, f_scan], with G_k w folded at the step's
+start, midpoint and end into g_k.  A_k and G_k live in one block each for
+the whole run: the open modal plant is written once, and each block
+writes every loop's entries.  The kernel (_kernels) then runs RK4 on
+x' = A_k x + g, four matrix-vector products per step, and checks the
+state norm once per block, naming the first step that left the trusted
+range.  Outputs, errors and actuation are evaluated afterwards from the
+state trace.  Every row of every table is computed on its own, so a short
+run is a bitwise prefix of a longer one.
 
 Signal flow per step, mirroring the real-time implementation:
 
@@ -399,19 +399,18 @@ def interval_metrics(result: SimResult, intervals=None) -> list:
     return out
 
 
-def _plant_tables(model, p_true, varying, t_u, t_y):
+def _plant_tables(model, p_true, t_u, t_y):
     """Per-sample plant coupling tables, /mass included, one row per sample.
 
-    A frozen position gives one row.  Every product is stacked per row, so
-    a row does not depend on how many samples the run has.
+    Every product is stacked per row, so a row does not depend on how many
+    samples the run has.
     """
-    pts = p_true if varying else p_true[:1]
-    phi_a, phi_s = mode_shape_eval(model, pts)
+    phi_a, phi_s = mode_shape_eval(model, p_true)
     inv_m = 1.0 / model.masses[:, None]
     b_t = (phi_a @ t_u) * inv_m
     c_t = t_y @ phi_s
-    bs_t = scan_coupling(model, pts) * inv_m
-    return b_t, c_t, bs_t, (1 if varying else 0)
+    bs_t = scan_coupling(model, p_true) * inv_m
+    return b_t, c_t, bs_t
 
 
 def _half_grid_inputs(config, half, rigid_masses, n_l):
@@ -442,21 +441,19 @@ def _half_grid_inputs(config, half, rigid_masses, n_l):
 class _RunTables:
     """What the integrator reads for one run, on its sample grid.
 
-    The plant tables (b_t, c_t, bs_t) hold one row per sample when the
-    stage moves (sp = 1) and a single row otherwise (sp = 0).  loops holds
-    each loop's realization: stacked with one row per sample when the
-    cascade is scheduled and the stage moves, a single system otherwise.
-    The loop references, axis feedforward and propulsion force (r_h,
-    uff_h, fsc_h) are sampled on the half-step grid that the RK4 stages
-    need.  km and dm are the stiffness/mass and damping/mass modal
-    diagonals, fb is 1.0 with the loop closed and 0.0 with it open, and
-    intervals are the run's motion_intervals.
+    The plant tables (b_t, c_t, bs_t) hold one row per sample.  loops
+    holds each loop's realization: stacked with one row per sample when
+    the cascade is scheduled, a single system when it is fixed.  The loop
+    references, axis feedforward and propulsion force (r_h, uff_h, fsc_h)
+    are sampled on the half-step grid that the RK4 stages need.  km and dm
+    are the stiffness/mass and damping/mass modal diagonals, fb is 1.0
+    with the loop closed and 0.0 with it open, and intervals are the run's
+    motion_intervals.
 
     a and g_map are the run's one closed-loop block and one input-map
     block (see _assemble), with ASSEMBLY_BLOCK rows, or fewer when the run
-    is shorter, and a single row when no table varies.  They hold every
-    entry that no step changes from the start; a single-row pair is
-    complete, and otherwise _assemble refills the rest for each block.
+    is shorter.  a holds the open modal plant from the start; _assemble
+    writes the rest of both blocks for each block of steps.
     """
 
     t: np.ndarray
@@ -464,7 +461,6 @@ class _RunTables:
     b_t: np.ndarray
     c_t: np.ndarray
     bs_t: np.ndarray
-    sp: int
     loops: list
     r_h: np.ndarray
     uff_h: np.ndarray
@@ -481,7 +477,7 @@ class _RunTables:
 
 
 def _bytes_per_step(model, controllers: ControllerSet) -> int:
-    """Bytes a run keeps per integration step while the stage moves.
+    """Bytes a run keeps per integration step.
 
     Counts the state trace, the per-sample plant tables, the stacked
     realization (A, B, C, D) of every scheduled loop, the half-grid inputs
@@ -517,7 +513,6 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
     for col, smp in enumerate(half[:2]):
         if smp is not None:
             p_true[:, col] += smp[0][::2]
-    varying = bool(np.any(p_true != p_true[0]))
     if config.scheduling_source == "measured-delayed":
         p_sched = np.vstack([p_true[:1], p_true[:-1]])
     else:
@@ -525,12 +520,11 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
 
     t_u = np.ascontiguousarray(controllers.t_u, dtype=float)
     t_y = np.ascontiguousarray(controllers.t_y, dtype=float)
-    b_t, c_t, bs_t, sp = _plant_tables(model, p_true, varying, t_u, t_y)
+    b_t, c_t, bs_t = _plant_tables(model, p_true, t_u, t_y)
     # Each cascade is realized once for the run, its scheduled notches
     # frozen per sample (see filters.freeze_notches, which clamps and logs).
     f_max = NOTCH_NYQUIST_FRACTION * 0.5 * config.sample_rate_hz
-    loops = [realize(c, p_sched if varying else p_sched[0], f_max)
-             for c in controllers.loops]
+    loops = [realize(c, p_sched, f_max) for c in controllers.loops]
 
     rigid_idx = [k for k, mode in enumerate(model.modes) if mode.kind == "rigid"]
     rigid_masses = model.masses[rigid_idx]
@@ -548,70 +542,52 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
                 f"initial plant state must have {2 * n_q} entries")
         x0[:2 * n_q] = x0_plant
     km, dm = omega ** 2, 2.0 * model.damping * omega
-    rows = min(ASSEMBLY_BLOCK, n) if varying else 1
-    g_map = np.zeros((rows, x0.size, 2 * n_l + 2))
-    at = 2 * n_q
-    for i, k in enumerate(loops):
-        if k.a.ndim == 2:
-            g_map[:, at:at + k.n_states, i] = k.b[:, 0]
-        at += k.n_states
-    tab = _RunTables(
-        t=t, p_sched=p_sched, b_t=b_t, c_t=c_t, bs_t=bs_t, sp=sp,
+    rows = min(ASSEMBLY_BLOCK, n)
+    return _RunTables(
+        t=t, p_sched=p_sched, b_t=b_t, c_t=c_t, bs_t=bs_t,
         loops=loops, r_h=r_h, uff_h=uff_h, fsc_h=fsc_h, km=km, dm=dm, x0=x0,
         t_u=t_u, fb=1.0 if config.feedback else 0.0, axis_names=axis_names,
         intervals=_intervals([tuple(x[::2] for x in smp) for smp in half
                               if smp is not None], t, config),
-        a=closed_loop_frame(rows, km, dm, loops), g_map=g_map)
-    if not varying:
-        _fill_blocks(tab, slice(None))
-    return tab
+        a=closed_loop_frame(rows, km, dm, loops),
+        g_map=np.zeros((rows, x0.size, 2 * n_l + 2)))
 
 
-def _fill_blocks(tab: _RunTables, rows) -> None:
-    """Write the entries of the run's blocks that depend on the rows of the
-    tables selected by rows, one step per row."""
+def _assemble(tab: _RunTables, w_h, k0, k1):
+    """Closed-loop matrices A_k of steps k0..k1-1 and their folded inputs.
+
+    A_k is design.close_loops on the step's plant tables and frozen loops,
+    as design.closed_loop_matrix builds it for certification, so within
+    step k the dynamics are x' = A_k x + G_k w(t) with
+    x = [q; qd; xc_1 .. xc_nl] and w = [r, u_ff, f_scan]: r_i enters where
+    the loop error e_i does and u_ff adds to the axis commands.  g holds
+    G_k w at the step's start, midpoint and end, shape (k1 - k0, 3, nx).
+    Every entry is computed per step, independently of the block's length.
+
+    A and G_k are written into the run's own blocks (tab.a, tab.g_map),
+    and A comes back as a view that the next call overwrites.
+    """
     n_q, n_l = tab.km.size, len(tab.loops)
+    rows = slice(k0, k1)
     b = tab.b_t[rows]
     loops = [k if k.a.ndim == 2 else
              FrozenStateSpace(k.a[rows], k.b[rows], k.c[rows], k.d[rows])
              for k in tab.loops]
-    close_loops(tab.a[:len(b)], b, tab.c_t[rows], tab.km, loops, tab.fb)
+    a = tab.a[:len(b)]
+    close_loops(a, b, tab.c_t[rows], tab.km, loops, tab.fb)
     g_map = tab.g_map[:len(b)]
     qd = slice(n_q, 2 * n_q)
     at = 2 * n_q
     for i, k in enumerate(loops):
         xc = slice(at, at + k.n_states)
         g_map[:, qd, i] = tab.fb * k.d[..., 0] * b[:, :, i]
-        if k.a.ndim == 3:
-            g_map[:, xc, i] = k.b[..., 0]
+        g_map[:, xc, i] = k.b[..., 0]
         g_map[:, qd, n_l + i] = b[:, :, i]
         at = xc.stop
     g_map[:, qd, 2 * n_l:] = tab.bs_t[rows]
-
-
-def _assemble(tab: _RunTables, w_h, k0, k1):
-    """Closed-loop matrices A_k of steps k0..k1-1 and their folded inputs.
-
-    A_k is design.closed_loop_stack on the step's plant tables and frozen
-    loops, so within step k the dynamics are x' = A_k x + G_k w(t) with
-    x = [q; qd; xc_1 .. xc_nl] and w = [r, u_ff, f_scan]: r_i enters where
-    the loop error e_i does and u_ff adds to the axis commands.  A comes
-    back with a single row when no table varies.  g holds G_k w at the
-    step's start, midpoint and end, shape (k1 - k0, 3, nx).  Every entry
-    is computed per step, independently of the block's length.
-
-    A and G_k are the run's own blocks (tab.a, tab.g_map): when the tables
-    vary, the entries that depend on the step are refilled here, by
-    design.close_loops for A, and the block A comes back as a view that
-    the next call overwrites; a single-row pair was completed with the
-    tables.
-    """
-    if tab.sp:
-        _fill_blocks(tab, slice(k0, k1))
-    rows = k1 - k0 if tab.sp else 1
     w = np.stack([w_h[2 * k0 + s:2 * k1 + s:2] for s in range(3)], axis=2)
-    g = np.ascontiguousarray(np.matmul(tab.g_map[:rows], w).transpose(0, 2, 1))
-    return tab.a[:rows], g
+    g = np.ascontiguousarray(np.matmul(g_map, w).transpose(0, 2, 1))
+    return a, g
 
 
 def _integrate(tab: _RunTables, n, h):
@@ -629,8 +605,7 @@ def _integrate(tab: _RunTables, n, h):
     for k0 in range(0, n, ASSEMBLY_BLOCK):
         k1 = min(k0 + ASSEMBLY_BLOCK, n)
         a, g = _assemble(tab, w_h, k0, k1)
-        status = kernel(k1 - k0, h, a, 1 if a.shape[0] > 1 else 0, g,
-                        x_t[k0:k1 + 1])
+        status = kernel(k1 - k0, h, a, g, x_t[k0:k1 + 1])
         if status >= 0:
             step = k0 + status
             raise NumericalError(

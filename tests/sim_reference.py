@@ -157,7 +157,7 @@ def reference_run(model, controllers, motion, config, x0_plant=None):
     u_t = np.zeros((n + 1, n_l))
     x_t = np.zeros((n + 1, x0.size))
     status = _sim_loop(n, config.step_s, n_q, n_l, tab.km, tab.dm,
-                       tab.b_t, tab.c_t, tab.bs_t, tab.sp,
+                       tab.b_t, tab.c_t, tab.bs_t, 1,
                        ac_t, bc_t, cc_t, dc_t, sc,
                        tab.r_h, tab.uff_h, tab.fsc_h, tab.fb, tab.t_u,
                        x0, y_t, u_t, x_t)

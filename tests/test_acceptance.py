@@ -294,10 +294,10 @@ def test_simulator_matches_reference_stepper(pipeline):
 def test_simulator_and_certify_build_one_closed_loop(pipeline, feedback):
     """A frozen start without a scan, on both designed sets.
 
-    The simulator's first assembly block is one matrix, and with the loops
-    closed it is closed_loop_matrix at that position bit for bit.  With
-    them open no controller state reaches the plant, and everything else
-    is unchanged.
+    Every row of the simulator's first assembly block is, with the loops
+    closed, closed_loop_matrix at that position bit for bit.  With them
+    open no controller state reaches the plant, and everything else is
+    unchanged.
     """
     model = pipeline["model"]
     p = np.array(benchmark_motion().start_xy)
@@ -309,14 +309,15 @@ def test_simulator_and_certify_build_one_closed_loop(pipeline, feedback):
         w_h = np.hstack([tab.r_h, tab.uff_h, tab.fsc_h])
         a, _ = sim._assemble(tab, w_h, 0, sim.ASSEMBLY_BLOCK)
         closed = closed_loop_matrix(model, pipeline[key], p)
-        assert a.shape == (1,) + closed.shape, key
+        assert a.shape == (sim.ASSEMBLY_BLOCK,) + closed.shape, key
         assert tab.x0.shape == closed.shape[:1], key
+        want = np.broadcast_to(closed, a.shape)
         if feedback:
-            np.testing.assert_array_equal(a[0], closed)
+            np.testing.assert_array_equal(a, want)
         else:
-            assert not a[0, :n_x, n_x:].any(), key
-            np.testing.assert_array_equal(a[0, :n_x, :n_x], closed[:n_x, :n_x])
-            np.testing.assert_array_equal(a[0, n_x:], closed[n_x:])
+            assert not a[:, :n_x, n_x:].any(), key
+            np.testing.assert_array_equal(a[:, :n_x, :n_x], want[:, :n_x, :n_x])
+            np.testing.assert_array_equal(a[:, n_x:], want[:, n_x:])
 
 
 def test_stacked_lpv_realization_matches_each_position(pipeline):

@@ -596,6 +596,15 @@ def _bad_rows():
          "y_map"),
         ("plant_mode-kind", "plant_mode", ("set", "kind", "flexx"), "kind"),
     ]
+    # Value checks that run after the record is read.
+    rows += [
+        ("fit-three-column-points", "fit",
+         ("set", "points", [[0, 0, 0], [0.2, 0, 0], [0, 0.2, 0], [0.2, 0.2, 0]]),
+         "points"),
+        ("fit-zero-order", "fit", ("set", "order_x", 0), "orders"),
+        ("trajectory-loop-count", "trajectory",
+         ("set", "loop_moves_m", [0.001, None, None, None]), "loop_moves_m"),
+    ]
     return rows
 
 

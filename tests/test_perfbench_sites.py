@@ -117,3 +117,18 @@ def test_traced_scan_iteration_reaches_every_expected_layer(monkeypatch):
     for op in ("simulate_lti", "simulate_lpv"):
         assert per_op[op]["sim.simulate"]["calls"] == 1, op
         assert per_op[op]["kernels.kernel"]["steps"] == 800, op
+
+
+def test_traced_pipeline_reaches_every_expected_layer(monkeypatch, tmp_path):
+    """One traced set-up and iteration of perfbench's `pipeline` workload,
+    the only one that runs through lpvslc.cli and lpvslc.io, in a scratch
+    directory: every layer and set-up layer it expects records a call, no
+    traced site is absent, and no operation fails."""
+    workloads = _workloads_module(monkeypatch)
+    workload = workloads.PipelineWorkload(0, tmp_path)
+    calls, tracer, _ = _traced_calls(workloads, workload,
+                                     (workload.setup, workload.iteration))
+    assert tracer.absent_sites == []
+    assert [name for name in (*workload.expected_setup_layers,
+                              *workload.expected_layers)
+            if not calls.get(name)] == []

@@ -160,8 +160,9 @@ def test_frozen_p_lpv_matches_lti_realization(mini_design):
     res_lpv = simulate(model, lpv, motion, cfg)
     res_fro = simulate(model, freeze_controller_set(lpv, p_star), motion, cfg)
     assert res_fro.kind == "lti"
-    assert np.abs(res_lpv.e - res_fro.e).max() <= 1e-8
-    assert np.abs(res_lpv.u - res_fro.u).max() <= 1e-8
+    for name in ("states", "e", "u"):
+        np.testing.assert_array_equal(getattr(res_lpv, name),
+                                      getattr(res_fro, name), err_msg=name)
 
 
 @pytest.mark.parametrize("case", ["feedback-off", "measured-delayed"])
