@@ -231,20 +231,20 @@ def _notch_matrices(f1, f2, beta1, beta2):
 def realize(spec, p=None, f_max=None) -> FrozenStateSpace:
     """Exact continuous-time realization of a block or cascade.
 
-    Scheduled blocks need the position p; fixed blocks ignore it.  Given
-    an (n, 2) array of positions, a scheduled block (and a cascade holding
-    one) realizes to matrices stacked along a leading axis of length n,
-    one frozen realization per position.  f_max caps the scheduled notch
-    frequencies as in freeze_notches.
+    Scheduled blocks need the position p; fixed blocks ignore it.  At an
+    (n, 2) array of positions, a scheduled block or cascade realizes to
+    matrices stacked along a leading axis of length n, one per position;
+    f_max caps the scheduled notch frequencies as in freeze_notches.
 
     A cascade realizes in one pass, block-lower-triangular: each block is
-    driven by the output map (c, d) of the blocks before it.  Its
-    scheduled part is frozen in one freeze_notches call, which logs and
-    raises as freezing its notches one by one would.
+    driven by the output map (c, d) of the blocks before it.  A scheduled
+    cascade realizes its fixed front once and freezes its notches in one
+    freeze_notches call, logging and raising as one call per notch would.
     """
     if isinstance(spec, Cascade):
-        parts = ([realize(element) for element in spec.fixed_part]
-                 + _realize_scheduled(spec.scheduled_part, p, f_max))
+        parts = ([realize(Cascade(spec.fixed_part))] if spec.scheduled_part
+                 else [realize(element) for element in spec.fixed_part])
+        parts += _realize_scheduled(spec.scheduled_part, p, f_max)
         batch = np.broadcast_shapes(*(k.a.shape[:-2] for k in parts))
         n = sum(k.n_states for k in parts)
         a = np.zeros(batch + (n, n))

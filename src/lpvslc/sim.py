@@ -7,11 +7,11 @@ scheduled notch sections are evaluated at the step's start sample and
 held, which keeps the dynamics exactly linear inside the step while the
 slowly moving stage re-tunes the loop between steps.
 
-The run is computed in three batched stages, the same whether or not
-the stage moves.  First the per-sample tables: plant coupling along the
-position trace (one stacked call each to mode_shape_eval and
-scan_coupling) and every loop cascade realized once along the scheduling
-trace, its scheduled notches frozen in one call.  Then, in blocks of
+The run is computed in three batched stages.  First the per-sample
+tables: plant coupling along the position trace (one stacked call each
+to mode_shape_eval and scan_coupling) and every loop cascade realized
+once along the scheduling trace, its scheduled notches frozen in one
+call.  Then, in blocks of
 ASSEMBLY_BLOCK steps, the assembled closed loop: per step the state
 matrix A_k of plant, axis transforms and controllers with the feedback
 closed, as design.closed_loop_matrix builds it for certification, and the
