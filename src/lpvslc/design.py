@@ -290,13 +290,6 @@ class CertificationReport:
         return all(pt.passed and pt.sensitivity_ok(self.bound_db)
                    for pt in self.points)
 
-    def failures(self) -> list:
-        out = []
-        for pt in self.points:
-            if not pt.passed or not pt.sensitivity_ok(self.bound_db):
-                out.append(pt)
-        return out
-
     def worst_sensitivity_db(self) -> float:
         return max(lc.sensitivity_peak_db
                    for pt in self.points for lc in pt.loops)

@@ -7,23 +7,23 @@ scheduled notch sections are evaluated at the step's start sample and
 held, which keeps the dynamics exactly linear inside the step while the
 slowly moving stage re-tunes the loop between steps.
 
-The run is computed in three batched stages.  First the per-sample
-tables: plant coupling along the position trace (one stacked call each
-to mode_shape_eval and scan_coupling) and every loop cascade realized
-once along the scheduling trace, its scheduled notches frozen in one
-call.  Then, in blocks of
-ASSEMBLY_BLOCK steps, the assembled closed loop: per step the state
-matrix A_k of plant, axis transforms and controllers with the feedback
-closed, as design.closed_loop_matrix builds it for certification, and the
-input map G_k of w = [r, u_ff, f_scan], with G_k w folded at the step's
-start, midpoint and end into g_k.  A_k and G_k live in one block each for
-the whole run: the open modal plant is written once, and each block
-writes every loop's entries.  The kernel (_kernels) then runs RK4 on
-x' = A_k x + g, four matrix-vector products per step, and checks the
-state norm once per block, naming the first step that left the trusted
-range.  Outputs, errors and actuation are evaluated afterwards from the
-state trace.  Every row of every table is computed on its own, so a short
-run is a bitwise prefix of a longer one.
+The run is computed in three batched stages.  First the tables: plant
+coupling along the position trace (one stacked call each to
+mode_shape_eval and scan_coupling), every loop cascade realized once
+along the scheduling trace, its scheduled notches frozen in one call, and
+one table of the inputs w = [r, u_ff, f_scan] on the half-step grid that
+the RK4 stages need.  Then, in blocks of ASSEMBLY_BLOCK steps, the
+assembled closed loop: per step the state matrix A_k of plant, axis
+transforms and controllers with the feedback closed, as
+design.closed_loop_matrix builds it for certification, and the input map
+G_k of w, folded at the step's start, midpoint and end into g_k.  A_k and
+G_k live in one block each for the whole run: the open modal plant is
+written once, and each block writes every loop's entries.  The kernel
+(_kernels) then runs RK4 on x' = A_k x + g, four matrix-vector products
+per step, and checks the state norm once per block, naming the first step
+that left the trusted range.  Outputs, errors and actuation are evaluated
+afterwards from the state trace.  Every row of every table is computed on
+its own, so a short run is a bitwise prefix of a longer one.
 
 Signal flow per step, mirroring the real-time implementation:
 
@@ -57,7 +57,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _kernels
 from .design import ControllerSet, close_loops, closed_loop_frame
 from .errors import (ConfigError, ModelError, NumericalError, boolean, positive,
-                     real, record)
+                     real, reals, record)
 from .filters import n_states, realize
 from .io import dump_csv
 from .plant import (
@@ -80,7 +80,6 @@ __all__ = [
     "benchmark_motion",
     "simulate",
     "ma_msd",
-    "motion_intervals",
     "interval_metrics",
     "result_summary",
     "compare_runs",
@@ -226,21 +225,15 @@ def _mask_runs(mask: np.ndarray):
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def motion_intervals(motion: StageMotion, config: SimConfig) -> tuple:
-    """Acceleration / settling / constant-velocity markers from the profiles.
+def _intervals(samples, t, config: SimConfig) -> tuple:
+    """Acceleration / settling / constant-velocity markers on the grid t,
+    from samples: each commanded profile's sample(prof, t).
 
     A sample belongs to an acceleration interval when any commanded profile
     accelerates there; each acceleration interval is followed by a settling
     interval of configured length, and what remains of a moving stretch is
     marked constant velocity.  Standstill periods carry no marker.
     """
-    t = np.arange(config.n_steps + 1) * config.step_s
-    return _intervals([sample(prof, t) for prof in motion.profiles()], t,
-                      config)
-
-
-def _intervals(samples, t, config: SimConfig) -> tuple:
-    """motion_intervals of each profile's sample(prof, t) on the grid t."""
     n = t.size - 1
     if not samples:
         return ()
@@ -293,14 +286,20 @@ def ma_msd(e, window_s: float, sample_rate_hz: float):
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ConfigError("error series must be 1-d or (samples, axes)")
+    window_s = real("window_s", window_s)
+    sample_rate_hz = positive("sample_rate_hz", sample_rate_hz)
     n = arr.shape[0]
     h = 1.0 / sample_rate_hz
-    mf = window_s * sample_rate_hz
+    mf = real("window_s * sample_rate_hz", window_s * sample_rate_hz)
     m = int(round(mf))
     if window_s <= 0.0 or m < 1 or abs(mf - m) > 1e-6 * max(1.0, mf):
         raise ConfigError(
             "exposure window must be a positive multiple of the sample step")
-    if m > n - 1:
+    # An odd window's edges fall halfway between samples; its inner window
+    # is the m samples between them.
+    hw, odd = m // 2, m % 2
+    count = n - m - odd
+    if count < 1:
         raise ConfigError("exposure window is longer than the series")
     T = m * h
 
@@ -312,45 +311,29 @@ def ma_msd(e, window_s: float, sample_rate_hz: float):
     step = max(1, int(8_000_000 // (m + 1)))
     for a in range(arr.shape[1]):
         x = arr[:, a]
-        if m % 2 == 0:
-            hw = m // 2
-            win = sliding_window_view(x, m + 1)
-            mav = np.empty(win.shape[0])
-            var = np.empty(win.shape[0])
-            for j in range(0, win.shape[0], step):
-                w = win[j:j + step]
-                mv = np.trapezoid(w, dx=h, axis=1) / T
-                dev = w - mv[:, None]
-                mav[j:j + step] = mv
-                var[j:j + step] = np.trapezoid(dev * dev, dx=h, axis=1) / T
-            ma[hw:n - hw, a] = mav
-            msd[hw:n - hw, a] = np.sqrt(np.maximum(var, 0.0))
-        else:
-            hw = (m - 1) // 2
-            count = n - m - 1
-            if count < 1:
-                raise ConfigError("exposure window is longer than the series")
-            inner = sliding_window_view(x, 2 * hw + 1)[1:1 + count]
-            mav = np.empty(count)
-            var = np.empty(count)
-            for j in range(0, count, step):
-                sl = slice(j, min(j + step, count))
-                w = inner[sl]
-                lo, li = x[sl.start:sl.stop], x[sl.start + 1:sl.stop + 1]
-                ri = x[m + sl.start:m + sl.stop]
-                ro = x[m + 1 + sl.start:m + 1 + sl.stop]
-                edge_l = 0.5 * (lo + li)
-                edge_r = 0.5 * (ri + ro)
-                mv = (np.trapezoid(w, dx=h, axis=1)
-                      + 0.25 * h * (edge_l + li)
-                      + 0.25 * h * (edge_r + ri)) / T
-                dev = w - mv[:, None]
-                mav[sl] = mv
-                var[sl] = (np.trapezoid(dev * dev, dx=h, axis=1)
-                           + 0.25 * h * ((edge_l - mv) ** 2 + (li - mv) ** 2)
-                           + 0.25 * h * ((edge_r - mv) ** 2 + (ri - mv) ** 2)) / T
-            ma[hw + 1:hw + 1 + count, a] = mav
-            msd[hw + 1:hw + 1 + count, a] = np.sqrt(np.maximum(var, 0.0))
+        inner = sliding_window_view(x, 2 * hw + 1)[odd:odd + count]
+        mav = np.empty(count)
+        var = np.empty(count)
+        for j in range(0, count, step):
+            sl = slice(j, min(j + step, count))
+            w = inner[sl]
+            s1 = np.trapezoid(w, dx=h, axis=1)
+            if odd:
+                # Half-step trapezoids out to the interpolated window edges.
+                li, ri = x[j + 1:sl.stop + 1], x[m + j:m + sl.stop]
+                edge_l = 0.5 * (x[j:sl.stop] + li)
+                edge_r = 0.5 * (ri + x[m + 1 + j:m + 1 + sl.stop])
+                s1 = s1 + 0.25 * h * (edge_l + li) + 0.25 * h * (edge_r + ri)
+            mv = s1 / T
+            dev = w - mv[:, None]
+            s2 = np.trapezoid(dev * dev, dx=h, axis=1)
+            if odd:
+                s2 = (s2 + 0.25 * h * ((edge_l - mv) ** 2 + (li - mv) ** 2)
+                      + 0.25 * h * ((edge_r - mv) ** 2 + (ri - mv) ** 2))
+            mav[sl] = mv
+            var[sl] = s2 / T
+        ma[hw + odd:hw + odd + count, a] = mav
+        msd[hw + odd:hw + odd + count, a] = np.sqrt(np.maximum(var, 0.0))
     if single:
         return ma[:, 0], msd[:, 0]
     return ma, msd
@@ -414,27 +397,25 @@ def _plant_tables(model, p_true, t_u, t_y):
 
 
 def _half_grid_inputs(config, half, rigid_masses, n_l):
-    """References, axis feedforward, and propulsion force on the half grid,
-    from half: scan_x, scan_y and each loop reference sampled there, None
-    where there is no profile."""
-    rows = 2 * config.n_steps + 1
-    r_h = np.zeros((rows, n_l))
-    uff_h = np.zeros((rows, n_l))
-    fsc_h = np.zeros((rows, 2))
+    """The inputs w = [r | u_ff | f_scan] on the half grid, shape
+    (2n + 1, 2 n_l + 2): loop references, axis feedforward and in-plane
+    propulsion force, from half: scan_x, scan_y and each loop reference
+    sampled there, None where there is no profile."""
+    w_h = np.zeros((2 * config.n_steps + 1, 2 * n_l + 2))
     for i, smp in enumerate(half[2:]):
         if smp is None:
             continue
-        r_h[:, i] = smp[0]
+        w_h[:, i] = smp[0]
         if config.feedforward:
-            uff_h[:, i] = rigid_masses[i] * smp[2]
+            w_h[:, n_l + i] = rigid_masses[i] * smp[2]
     # The propulsion force moving the stage in-plane is always part of the
     # physics of a scan; the feedforward switch only governs the axis-level
     # inertia compensation above.  The first rigid mode is the translation
     # whose inertia the propulsion must overcome.
     for col, smp in enumerate(half[:2]):
         if smp is not None:
-            fsc_h[:, col] = rigid_masses[0] * smp[2]
-    return r_h, uff_h, fsc_h
+            w_h[:, 2 * n_l + col] = rigid_masses[0] * smp[2]
+    return w_h
 
 
 @dataclass
@@ -443,12 +424,12 @@ class _RunTables:
 
     The plant tables (b_t, c_t, bs_t) hold one row per sample.  loops
     holds each loop's realization: stacked with one row per sample when
-    the cascade is scheduled, a single system when it is fixed.  The loop
-    references, axis feedforward and propulsion force (r_h, uff_h, fsc_h)
-    are sampled on the half-step grid that the RK4 stages need.  km and dm
-    are the stiffness/mass and damping/mass modal diagonals, fb is 1.0
-    with the loop closed and 0.0 with it open, and intervals are the run's
-    motion_intervals.
+    the cascade is scheduled, a single system when it is fixed.  w_h is
+    the one input table: loop references, axis feedforward and propulsion
+    force, w = [r | u_ff | f_scan], on the half-step grid that the RK4
+    stages need.  km and dm are the stiffness/mass and damping/mass modal
+    diagonals, fb is 1.0 with the loop closed and 0.0 with it open, and
+    intervals are the run's motion markers (see _intervals).
 
     a and g_map are the run's one closed-loop block and one input-map
     block (see _assemble), with ASSEMBLY_BLOCK rows, or fewer when the run
@@ -462,9 +443,7 @@ class _RunTables:
     c_t: np.ndarray
     bs_t: np.ndarray
     loops: list
-    r_h: np.ndarray
-    uff_h: np.ndarray
-    fsc_h: np.ndarray
+    w_h: np.ndarray
     km: np.ndarray
     dm: np.ndarray
     x0: np.ndarray
@@ -530,13 +509,13 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
     rigid_masses = model.masses[rigid_idx]
     axis_names = tuple(model.modes[k].axis or f"loop{j}"
                        for j, k in enumerate(rigid_idx))
-    r_h, uff_h, fsc_h = _half_grid_inputs(config, half, rigid_masses, n_l)
+    w_h = _half_grid_inputs(config, half, rigid_masses, n_l)
 
     n_q = model.n_modes
     omega = 2.0 * np.pi * model.frequencies_hz
     x0 = np.zeros(2 * n_q + sum(k.n_states for k in loops))
     if x0_plant is not None:
-        x0_plant = np.asarray(x0_plant, dtype=float).ravel()
+        x0_plant = reals("x0_plant", x0_plant).ravel()
         if x0_plant.size != 2 * n_q:
             raise ConfigError(
                 f"initial plant state must have {2 * n_q} entries")
@@ -545,7 +524,7 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
     rows = min(ASSEMBLY_BLOCK, n)
     return _RunTables(
         t=t, p_sched=p_sched, b_t=b_t, c_t=c_t, bs_t=bs_t,
-        loops=loops, r_h=r_h, uff_h=uff_h, fsc_h=fsc_h, km=km, dm=dm, x0=x0,
+        loops=loops, w_h=w_h, km=km, dm=dm, x0=x0,
         t_u=t_u, fb=1.0 if config.feedback else 0.0, axis_names=axis_names,
         intervals=_intervals([tuple(x[::2] for x in smp) for smp in half
                               if smp is not None], t, config),
@@ -553,16 +532,17 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
         g_map=np.zeros((rows, x0.size, 2 * n_l + 2)))
 
 
-def _assemble(tab: _RunTables, w_h, k0, k1):
+def _assemble(tab: _RunTables, k0, k1):
     """Closed-loop matrices A_k of steps k0..k1-1 and their folded inputs.
 
     A_k is design.close_loops on the step's plant tables and frozen loops,
     as design.closed_loop_matrix builds it for certification, so within
     step k the dynamics are x' = A_k x + G_k w(t) with
-    x = [q; qd; xc_1 .. xc_nl] and w = [r, u_ff, f_scan]: r_i enters where
-    the loop error e_i does and u_ff adds to the axis commands.  g holds
-    G_k w at the step's start, midpoint and end, shape (k1 - k0, 3, nx).
-    Every entry is computed per step, independently of the block's length.
+    x = [q; qd; xc_1 .. xc_nl] and w = [r, u_ff, f_scan], the columns of
+    tab.w_h: r_i enters where the loop error e_i does and u_ff adds to the
+    axis commands.  g holds G_k w at the step's start, midpoint and end,
+    shape (k1 - k0, 3, nx).  Every entry is computed per step,
+    independently of the block's length.
 
     A and G_k are written into the run's own blocks (tab.a, tab.g_map),
     and A comes back as a view that the next call overwrites.
@@ -585,7 +565,7 @@ def _assemble(tab: _RunTables, w_h, k0, k1):
         g_map[:, qd, n_l + i] = b[:, :, i]
         at = xc.stop
     g_map[:, qd, 2 * n_l:] = tab.bs_t[rows]
-    w = np.stack([w_h[2 * k0 + s:2 * k1 + s:2] for s in range(3)], axis=2)
+    w = np.stack([tab.w_h[2 * k0 + s:2 * k1 + s:2] for s in range(3)], axis=2)
     g = np.ascontiguousarray(np.matmul(g_map, w).transpose(0, 2, 1))
     return a, g
 
@@ -599,12 +579,11 @@ def _integrate(tab: _RunTables, n, h):
     checks once per block, raises at the first step past it.
     """
     kernel = _kernels.get_backend()
-    w_h = np.hstack([tab.r_h, tab.uff_h, tab.fsc_h])
     x_t = np.empty((n + 1, tab.x0.size))
     x_t[0] = tab.x0
     for k0 in range(0, n, ASSEMBLY_BLOCK):
         k1 = min(k0 + ASSEMBLY_BLOCK, n)
-        a, g = _assemble(tab, w_h, k0, k1)
+        a, g = _assemble(tab, k0, k1)
         status = kernel(k1 - k0, h, a, g, x_t[k0:k1 + 1])
         if status >= 0:
             step = k0 + status
@@ -618,8 +597,8 @@ def _integrate(tab: _RunTables, n, h):
 
 def _outputs(tab: _RunTables, x_t):
     """References, outputs, errors and actuation per sample, from the states."""
-    n_q = tab.km.size
-    r = np.ascontiguousarray(tab.r_h[::2])
+    n_q, n_l = tab.km.size, len(tab.loops)
+    r = np.ascontiguousarray(tab.w_h[::2, :n_l])
     y = np.matmul(tab.c_t, x_t[:, :n_q, None])[:, :, 0]
     e = r - y
     v = np.empty_like(e)
@@ -628,7 +607,7 @@ def _outputs(tab: _RunTables, x_t):
         xc = x_t[:, at:at + k.n_states]
         v[:, i] = np.sum(k.c[..., 0, :] * xc, axis=1) + k.d[..., 0, 0] * e[:, i]
         at += k.n_states
-    u_axis = tab.fb * v + tab.uff_h[::2]
+    u_axis = tab.fb * v + tab.w_h[::2, n_l:2 * n_l]
     u = np.matmul(tab.t_u, u_axis[:, :, None])[:, :, 0]
     return r, y, e, u
 

@@ -159,7 +159,8 @@ def reference_run(model, controllers, motion, config, x0_plant=None):
     status = _sim_loop(n, config.step_s, n_q, n_l, tab.km, tab.dm,
                        tab.b_t, tab.c_t, tab.bs_t, 1,
                        ac_t, bc_t, cc_t, dc_t, sc,
-                       tab.r_h, tab.uff_h, tab.fsc_h, tab.fb, tab.t_u,
+                       tab.w_h[:, :n_l], tab.w_h[:, n_l:2 * n_l],
+                       tab.w_h[:, 2 * n_l:], tab.fb, tab.t_u,
                        x0, y_t, u_t, x_t)
     return status, x_t[:, keep], y_t, u_t
 

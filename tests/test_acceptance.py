@@ -306,8 +306,7 @@ def test_simulator_and_certify_build_one_closed_loop(pipeline, feedback):
     n_x = 2 * model.n_modes
     for key in ("lti", "lpv"):
         tab = sim._run_tables(model, pipeline[key], motion, config, None)
-        w_h = np.hstack([tab.r_h, tab.uff_h, tab.fsc_h])
-        a, _ = sim._assemble(tab, w_h, 0, sim.ASSEMBLY_BLOCK)
+        a, _ = sim._assemble(tab, 0, sim.ASSEMBLY_BLOCK)
         closed = closed_loop_matrix(model, pipeline[key], p)
         assert a.shape == (sim.ASSEMBLY_BLOCK,) + closed.shape, key
         assert tab.x0.shape == closed.shape[:1], key

@@ -875,7 +875,9 @@ def test_early_exit_verdict_equals_full_certification(bisection_trace):
             outcomes.append("pass")
         else:
             assert len(report.points) == 1 and evaluated <= n_grid
-            assert report.points[0].p in {pt.p for pt in full.failures()}
+            assert report.points[0].p in {
+                pt.p for pt in full.points
+                if not pt.passed or not pt.sensitivity_ok(full.bound_db)}
             # The previous step's failing position is checked first.
             if report.points[0].p == failed_at:
                 assert evaluated == 1

@@ -37,7 +37,6 @@ from lpvslc.sim import (
     compare_runs,
     interval_metrics,
     ma_msd,
-    motion_intervals,
     result_summary,
     sim_config_from_dict,
     simulate,
@@ -46,6 +45,7 @@ from lpvslc.sim import (
 from lpvslc.io import dump_csv, dump_json, load_csv, load_json
 from lpvslc.trajectory import MotionBounds, plan, sample
 
+import ma_msd_reference
 from sim_reference import max_relative_gap, reference_run, reference_traces
 
 ACTUATORS = np.array([[-0.06, -0.06], [0.06, -0.06], [0.06, 0.06], [-0.06, 0.06]])
@@ -231,7 +231,7 @@ def test_size_guard_counts_what_a_run_allocates(design, request):
     stacked = [k.a.ndim == 3 for k in tab.loops]
     assert all(stacked) if controllers.kind == "lpv" else not any(stacked)
     arrays = [res.states, tab.b_t, tab.c_t, tab.bs_t,
-              tab.r_h, tab.uff_h, tab.fsc_h,
+              tab.w_h,
               res.t, res.p, res.r, res.y, res.e, res.u, res.ma, res.msd]
     arrays += [m for k in tab.loops for m in (k.a, k.b, k.c, k.d)]
     allocated = sum(m.nbytes for m in arrays)
@@ -463,11 +463,84 @@ def test_ma_msd_window_errors():
         ma_msd(x, -0.01, rate)
 
 
+def _ma_msd_outcome(fn, e, window_s, rate):
+    """The bytes of fn's MA and MSD, or the message of its ConfigError."""
+    try:
+        ma, msd = fn(e, window_s, rate)
+    except ConfigError as exc:
+        return str(exc)
+    return ma.shape, ma.tobytes(), msd.tobytes()
+
+
+@pytest.mark.parametrize("n, m, cols", [
+    (50, 1, 0), (50, 2, 0), (50, 7, 3), (50, 8, 3), (51, 13, 3), (51, 14, 0),
+    (9, 7, 0), (9, 8, 0), (8, 7, 0), (8, 8, 3), (3, 1, 0), (2, 1, 0),
+    (20_001, 4000, 0), (20_001, 4001, 0)])
+def test_ma_msd_equals_two_branch_reference(n, m, cols):
+    """Bit for bit the even and odd branches of the two-branch ma_msd,
+    series short enough to refuse the window included.  At n = 20,001 the
+    windows of 4,000 and 4,001 samples take several row blocks."""
+    rate = 1000.0
+    shape = (n, cols) if cols else (n,)
+    rng = np.random.default_rng(n + m)
+    e = 1e-9 * rng.standard_normal(shape).cumsum(axis=0)
+    got = _ma_msd_outcome(ma_msd, e, m / rate, rate)
+    assert got == _ma_msd_outcome(ma_msd_reference.ma_msd, e, m / rate, rate)
+    assert isinstance(got, str) == (n - m - m % 2 < 1)
+
+
+@pytest.mark.parametrize("window_s, rate", [
+    (0.0, 1000.0), (-0.01, 1000.0), (0.0105_5, 1000.0), (0.099, 1000.0),
+    (0.2, 1000.0)])
+def test_ma_msd_errors_equal_two_branch_reference(window_s, rate):
+    """Zero, negative, non-multiple and too-long windows: the same messages."""
+    e = np.zeros((100, 2))
+    want = _ma_msd_outcome(ma_msd_reference.ma_msd, e, window_s, rate)
+    assert _ma_msd_outcome(ma_msd, e, window_s, rate) == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True],
+                         ids=["nan", "inf", "-inf", "bool"])
+@pytest.mark.parametrize("arg", ["window_s", "sample_rate_hz"])
+def test_ma_msd_refuses_non_real_arguments(arg, bad):
+    args = {"window_s": 0.005, "sample_rate_hz": 1000.0, arg: bad}
+    with pytest.raises(ConfigError, match=f"{arg} must be finite and real"):
+        ma_msd(np.zeros(100), **args)
+
+
+@pytest.mark.parametrize("window_s, rate, message", [
+    (0.005, 0.0, "sample_rate_hz must be > 0"),
+    (0.005, -1000.0, "sample_rate_hz must be > 0"),
+    (1e300, 1e300, r"window_s \* sample_rate_hz must be finite")])
+def test_ma_msd_refuses_a_rate_it_cannot_step(window_s, rate, message):
+    """A zero rate used to divide by zero, and a window of more samples
+    than a float holds to overflow in the integer conversion."""
+    with pytest.raises(ConfigError, match=message):
+        ma_msd(np.zeros(100), window_s, rate)
+
+
+@pytest.mark.parametrize("bad", [np.nan, True, "1"],
+                         ids=["nan", "bool", "string"])
+def test_simulate_refuses_a_bad_initial_state_entry(rigid_design, bad):
+    model, lti = rigid_design
+    x0 = [0.0] * (2 * model.n_modes)
+    x0[1] = bad
+    with pytest.raises(ConfigError, match="x0_plant must be finite and real"):
+        simulate(model, lti, StageMotion(start_xy=(0.1, 0.1)),
+                 SimConfig(duration_s=0.01), x0_plant=x0)
+
+
 def test_interval_markers_cover_move_phases():
     rate = 10_000.0
     prof = z_move(0.05, rate)
     motion = StageMotion(start_xy=(0.05, 0.1), scan_x=prof)
     cfg = SimConfig(duration_s=prof.duration + 0.3, sample_rate_hz=rate)
+    t = np.arange(cfg.n_steps + 1) * cfg.step_s
+
+    def motion_intervals(motion, cfg):
+        return sim._intervals([sample(p, t) for p in motion.profiles()], t,
+                              cfg)
+
     marks = motion_intervals(motion, cfg)
     names = [iv.name for iv in marks]
     assert names == ["acceleration", "settling", "constant velocity",
