@@ -60,6 +60,7 @@ from .io import dump_csv, dump_json, load_from, load_json
 from .plant import frozen_realization, load_plant
 from .scheduling import FrozenDesignSet, fit_surface, surface_to_dict
 from .sim import (
+    MAX_TRACE_BYTES,
     StageMotion,
     compare_summaries,
     result_summary,
@@ -358,7 +359,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_trajectory(args) -> None:
-    """Plan the commanded motion and export profile CSVs plus a digest."""
+    """Plan the commanded motion and export profile CSVs plus a digest; a
+    profile whose table would exceed MAX_TRACE_BYTES is refused before
+    any is written."""
     project = load_project(args.config, args.out)
     model = load_plant(project.plant)
     motion, rate = _load_motion(_require(project.trajectory, "trajectory"),
@@ -377,6 +380,14 @@ def cmd_trajectory(args) -> None:
     for i, prof in enumerate(motion.loop_refs):
         if prof is not None:
             profiles[f"loop{i}"] = prof
+    for name, prof in profiles.items():
+        # write_profile_csv's table: (n + 1) rows of 6 float64 values.
+        need = (prof.duration * rate + 1.0) * 6 * 8
+        if need > MAX_TRACE_BYTES:
+            raise ConfigError(
+                f"{project.trajectory}: sample_rate_hz: {rate:g} Hz gives the "
+                f"{name} profile a table of about {need / 2**30:.3g} GiB, "
+                f"over the {MAX_TRACE_BYTES / 2**30:g} GiB limit")
     summary = {"start_xy": list(motion.start_xy), "sample_rate_hz": rate,
                "profiles": {}}
     for name, prof in profiles.items():

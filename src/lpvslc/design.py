@@ -70,8 +70,8 @@ from .filters import (
     _read_cascade,
     cascade_frf,
     cascade_to_dict,
-    element_transfer,
     freeze_notches,
+    notch_transfer,
     realize,
     _multiply_notches,
 )
@@ -237,6 +237,19 @@ class ControllerSet:
     @property
     def n_loops(self) -> int:
         return len(self.loops)
+
+    def check_plant(self, model: ModalPlantModel) -> None:
+        """ModelError unless the set closes one loop per plant axis through
+        decoupling maps t_u (n_u, n_loops) and t_y (n_loops, n_y)."""
+        n_l = self.n_loops
+        if n_l != model.n_u:
+            raise ModelError(f"controller set has {n_l} loops for a plant "
+                             f"with {model.n_u} axes")
+        for name, got, want in (("t_u", self.t_u.shape, (model.n_u, n_l)),
+                                ("t_y", self.t_y.shape, (n_l, model.n_y))):
+            if got != want:
+                raise ModelError(f"controller set's {name} has shape {got}; "
+                                 f"the plant needs {want}")
 
     def loop_frfs(self, freqs_hz, p) -> list:
         """Per-loop cascade responses at one position, (F,) each, or on an
@@ -551,17 +564,11 @@ def _required_beta1(freqs_hz, g_frf, gain_k, law) -> np.ndarray:
     return target * law.neutral
 
 
-def _local_notches(clusters, law, beta1) -> list:
-    """Per cluster, the notch of every row of beta1, (n, n_clusters)."""
-    return [[Notch(f1=cl.f_hz, f2=f2, beta1=b1, beta2=cl.beta2)
-             for b1 in column]
+def _notch_rows(clusters, law, beta1) -> list:
+    """_multiply_notches' rows (f1, f2, beta1, beta2) of one loop's notches,
+    per cluster, for every row of beta1, (n, n_clusters)."""
+    return [[(cl.f_hz, f2, b1, cl.beta2) for b1 in column]
             for cl, f2, column in zip(clusters, law.f2, beta1.T.tolist())]
-
-
-def _coefficients(notches) -> list:
-    """_multiply_notches' coefficient rows of _local_notches' notches."""
-    return [[(n.f1, n.f2, n.beta1, n.beta2) for n in column]
-            for column in notches]
 
 
 def _fixed_section(f_bw: float, spec: DesignSpec) -> list:
@@ -572,18 +579,19 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
                    clusters_per_loop):
     """Frozen per-position loop designs at one candidate bandwidth.
 
-    Returns (gains, notch_table) where notch_table maps (loop, cluster
-    index, position index) -> Notch, position by position.  Gains are
-    tuned once at the grid's center position so the fixed cascade section
-    stays truly fixed; the sequential closure at every position uses the
-    local notch parameters.  The loops are read only at f_bw and at the
-    cluster frequencies, so freqs_hz need only hold the samples bracketing
-    those (see _bracketing_samples); p_frfs is the (n_design, F, n, n)
-    stack of plant samples on them.
+    Returns (gains, laws, beta1): per loop its gain, its _notch_law and
+    its (n_design, n_clusters) local zero dampings, the one notch
+    coefficient that moves with the position (notch c of loop i has its
+    cluster's f1 and beta2 and laws[i].f2[c] everywhere).  Gains are tuned
+    once at the grid's center position so the fixed cascade section stays
+    truly fixed.  The loops are read only at f_bw and at the cluster
+    frequencies, so freqs_hz need only hold the samples bracketing those
+    (see _bracketing_samples); p_frfs is the (n_design, F, n, n) stack of
+    plant samples on them.
 
     Each loop is closed once for the whole stack and gets its local zero
-    dampings from one _required_beta1 call; its local notches are then
-    multiplied, row-stacked, onto its gain, integrator and leads,
+    dampings from one _required_beta1 call; its notches (_notch_rows) are
+    then multiplied, row-stacked, onto its gain, integrator and leads,
     multiplied out once.  What does not depend on the position is computed
     once per call: the fixed section on freqs_hz and at f_bw, and each
     loop's _notch_law.  Every row equals a one-position design bit for bit.
@@ -606,121 +614,85 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
         g = equivalent_plant(center, k_frfs, i)
         mag_g = _interp_loglog_mag(freqs_hz, g, f_bw)
         k0 = tune_gain(mag_g, gamma_bw[0], f_bw)
-        notches = _local_notches(
-            clusters_per_loop[i], laws[i],
-            _required_beta1(freqs_hz, g, k0.k, laws[i])[None])
+        rows = _notch_rows(clusters_per_loop[i], laws[i],
+                           _required_beta1(freqs_hz, g, k0.k, laws[i])[None])
         # At f_bw, one sample, the notches are multiplied on as cascade_frf
         # multiplies a fixed block, which costs less than a one-element
         # _multiply_notches stack and gives the same bits.
         at_bw = gamma_bw
-        for column in notches:
-            at_bw = at_bw * element_transfer(column[0], omega_bw)
+        for (row,) in rows:
+            at_bw = at_bw * notch_transfer(*row, omega_bw)
         gains[i] = tune_gain(mag_g, at_bw[0], f_bw)
         k_center = gamma_frf[None].copy()
-        _multiply_notches(k_center, omega, _coefficients(notches))
+        _multiply_notches(k_center, omega, rows)
         k_frfs[i] = gains[i].k * k_center[0]
 
-    # Local notches at every design position with the gains fixed.
-    local = [None] * len(masses)
+    # Local zero dampings at every design position with the gains fixed.
+    beta1 = [None] * len(masses)
     closed = [0.0] * len(masses)
     for i in order:
-        local[i] = _local_notches(
-            clusters_per_loop[i], laws[i],
-            _required_beta1(freqs_hz, equivalent_plant(p_frfs, closed, i),
-                            gains[i].k, laws[i]))
+        beta1[i] = _required_beta1(
+            freqs_hz, equivalent_plant(p_frfs, closed, i), gains[i].k, laws[i])
         prefix = cascade_frf(Cascade((gains[i],) + skeleton.elements),
                              freqs_hz)
         closed[i] = np.array(np.broadcast_to(prefix,
                                              (len(p_frfs),) + prefix.shape))
-        _multiply_notches(closed[i], omega, _coefficients(local[i]))
-    notch_table = {(i, c, l): local[i][c][l] for l in range(len(p_frfs))
-                   for i in order for c in range(len(local[i]))}
-    return gains, notch_table
+        _multiply_notches(closed[i], omega,
+                          _notch_rows(clusters_per_loop[i], laws[i], beta1[i]))
+    return gains, laws, beta1
 
 
-def _build_lti_loops(gains, clusters_per_loop, notch_table, n_points, f_bw,
+def _build_lti_loops(gains, clusters_per_loop, laws, beta1, f_bw,
                      spec: DesignSpec):
     """Fixed loops: per cluster, the deepest local requirement wins."""
-    loops = []
-    for i in range(len(gains)):
-        notches = []
-        for c in range(len(clusters_per_loop[i])):
-            local = [notch_table[(i, c, l)] for l in range(n_points)]
-            notches.append(replace(local[0],
-                                   beta1=min(n.beta1 for n in local)))
-        loops.append(Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec)
-                                   + notches)))
-    return loops
+    return [Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec) + [
+                Notch(f1=cl.f_hz, f2=f2, beta1=min(column), beta2=cl.beta2)
+                for cl, f2, column in zip(clusters, laws[i].f2,
+                                          beta1[i].T.tolist())]))
+            for i, clusters in enumerate(clusters_per_loop)]
 
 
-def _fit_design_surface(designs: FrozenDesignSet, i, c, name,
+def _fit_design_surface(designs: FrozenDesignSet, what: str,
                         spec: DesignSpec, workspace) -> CoefficientSurface:
-    """Surface of notch c's coefficient name in loop i through the design
-    values; a fit that misses one of them by more than SURFACE_FIT_TOL of
-    the largest aborts the design."""
+    """Surface through the values of designs; a fit that misses one of
+    them by more than SURFACE_FIT_TOL of the largest aborts the design,
+    naming what the values are."""
     surface, report = fit_surface(designs, spec.surface_order,
                                   spec.surface_order, bounds=workspace)
     scale = max(float(np.max(np.abs(designs.values))), 1e-12)
     if np.max(np.abs(report.residuals)) > SURFACE_FIT_TOL * scale:
         raise DesignInfeasibleError(
-            f"coefficient surface fit for loop {i} notch {c} ({name}) leaves "
-            f"relative residual "
+            f"coefficient surface fit for {what} leaves relative residual "
             f"{np.max(np.abs(report.residuals)) / scale:.2e}")
     return surface
 
 
-def _fixed_surfaces(clusters_per_loop, design_set: FrozenDesignSet,
-                    spec: DesignSpec, workspace) -> list:
-    """Per loop and cluster, the beta2 and f1 surfaces of its notch.
+def _build_lpv_loops(gains, clusters_per_loop, laws, beta1,
+                     design_set: FrozenDesignSet, constant_surface, f_bw,
+                     spec: DesignSpec, workspace):
+    """Scheduled loops: per cluster, surfaces through the local notches.
 
-    Every local notch has the cluster's own pole damping and zero
-    frequency, at every design position and every bandwidth, so these
-    surfaces are fitted once per design.
+    Notch c of loop i gets its beta1 surface fitted through column c of
+    beta1[i], _local_designs' zero dampings, on design_set's points
+    (checked once per design) with with_values.  Its other coefficients
+    are the same at every design position; they take the design's
+    constant_surface(value, units), which fits each value once, so an
+    unskewed notch's f2 surface is its f1 surface.
     """
-    n = len(design_set.points)
-    return [[{name: _fit_design_surface(
-                 design_set.with_values(np.full(n, value), units),
-                 i, c, name, spec, workspace)
-              for name, value, units in (("beta2", cl.beta2, ""),
-                                         ("f1", cl.f_hz, "Hz"))}
-             for c, cl in enumerate(clusters)]
+    return [Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec) + [
+                LpvNotch(beta1=_fit_design_surface(
+                             design_set.with_values(column, ""),
+                             f"loop {i} notch {c} (beta1)", spec, workspace),
+                         beta2=constant_surface(cl.beta2, ""),
+                         f1=constant_surface(cl.f_hz, "Hz"),
+                         f2=constant_surface(f2, "Hz"))
+                for c, (cl, f2, column) in enumerate(zip(
+                    clusters, laws[i].f2, beta1[i].T))]))
             for i, clusters in enumerate(clusters_per_loop)]
 
 
-def _build_lpv_loops(gains, notch_table, design_set: FrozenDesignSet,
-                     fixed_surfaces, f_bw, spec: DesignSpec, workspace):
-    """Scheduled loops: per cluster, surfaces through the local notches.
-
-    fixed_surfaces is _fixed_surfaces' result for the design; the beta1
-    and f2 surfaces, which depend on the bandwidth, are fitted here, on
-    design_set's points (checked once per design) with with_values.  An
-    unskewed notch, f2 equal to f1 at every design point, takes the f1
-    surface: it was fitted to the same values.
-    """
-    loops = []
-    for i in range(len(gains)):
-        scheduled = []
-        for c, fixed in enumerate(fixed_surfaces[i]):
-            local = [notch_table[(i, c, l)]
-                     for l in range(len(design_set.points))]
-            surfaces = dict(fixed)
-            for name, units in (("beta1", ""), ("f2", "Hz")):
-                if name == "f2" and all(n.f2 == n.f1 for n in local):
-                    surfaces[name] = fixed["f1"]
-                    continue
-                values = np.array([getattr(n, name) for n in local])
-                surfaces[name] = _fit_design_surface(
-                    design_set.with_values(values, units), i, c, name, spec,
-                    workspace)
-            scheduled.append(LpvNotch(**surfaces))
-        loops.append(Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec)
-                                   + scheduled)))
-    return loops
-
-
-def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
-                           spec: DesignSpec, freqs_hz, audit_grid, audit_frfs,
-                           workspace):
+def _audit_scheduled_loops(loops, order, laws, gains, spec: DesignSpec,
+                           freqs_hz, audit_grid, audit_frfs, workspace):
     """Enforce the attenuation law between the design points.
 
     Surface fitting reproduces the local zero-damping requirements at the
@@ -735,30 +707,26 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
     conservative; the frozen-notch evaluation clamps it at full depth
     should it dip below zero somewhere.
 
-    The law reads the loops only at the cluster frequencies, so freqs_hz
-    need only hold the samples bracketing them (see _bracketing_samples).
-    audit_frfs is the (n_audit, F, n, n) stack of plant samples on those
-    frequencies over the audit grid: each loop is closed once for the
-    whole grid, and every row equals a one-position evaluation bit for bit.
+    laws are the same step's _local_designs laws.  The law reads the loops
+    only at the cluster frequencies, so freqs_hz need only hold the
+    samples bracketing them (see _bracketing_samples).  audit_frfs is the
+    (n_audit, F, n, n) stack of plant samples on those frequencies over
+    the audit grid: each loop is closed once for the whole grid, and every
+    row equals a one-position evaluation bit for bit.
     """
     loops = list(loops)
-    gamma_frf = cascade_frf(Cascade(tuple(_fixed_section(f_bw, spec))),
-                            freqs_hz)
     # Per loop, its responses on the whole audit grid, (n_audit, F); a
     # loop not yet closed is the scalar 0 (open).
     closed = [0.0] * len(loops)
     for i in order:
-        clusters = clusters_per_loop[i]
-        if clusters:
-            fixed = list(loops[i].fixed_part)
-            scheduled = list(loops[i].scheduled_part)
+        scheduled = list(loops[i].scheduled_part)
+        if scheduled:
             required = _required_beta1(
                 freqs_hz, equivalent_plant(audit_frfs, closed, i),
-                gains[i].k, _notch_law(freqs_hz, gamma_frf, clusters, f_bw))
-            for c in range(len(clusters)):
-                surface = scheduled[c].beta1
-                got = eval_surface(surface, audit_grid)
-                if np.max(got - required[:, c]) <= 1e-12:
+                gains[i].k, laws[i])
+            for c, notch in enumerate(scheduled):
+                if np.max(eval_surface(notch.beta1, audit_grid)
+                          - required[:, c]) <= 1e-12:
                     continue
                 refit, _ = fit_surface(
                     FrozenDesignSet(audit_grid, required[:, c], units=""),
@@ -768,15 +736,11 @@ def _audit_scheduled_loops(loops, order, clusters_per_loop, gains, f_bw,
                 theta = refit.theta.copy()
                 if viol > 0.0:
                     theta[0] -= viol  # constant monomial: uniform shift down
-                surface = CoefficientSurface(refit.order_x, refit.order_y,
-                                             theta, refit.x_map, refit.y_map,
-                                             refit.units)
-                scheduled[c] = LpvNotch(beta1=surface, beta2=scheduled[c].beta2,
-                                        f1=scheduled[c].f1, f2=scheduled[c].f2)
+                scheduled[c] = replace(notch, beta1=replace(refit, theta=theta))
                 log.debug("loop %d notch %d: zero damping surface refit "
                           "against the audit grid (residual shift %.3g)",
                           i, c, max(viol, 0.0))
-            loops[i] = Cascade(tuple(fixed + scheduled))
+            loops[i] = Cascade(loops[i].fixed_part + tuple(scheduled))
         closed[i] = cascade_frf(loops[i], freqs_hz, audit_grid)
     return loops
 
@@ -943,7 +907,8 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
     identity residual linking that chain to det(I + P K), per-loop
     sensitivity peaks with all other loops closed, and the closed-loop
     eigenvalues of the frozen realization as an independent oracle.  The
-    sensitivity bound is the controller set's own.
+    sensitivity bound is the controller set's own; a set that does not fit
+    the plant (see ControllerSet.check_plant) raises ModelError.
 
     The grid is taken CERT_CHUNK positions at a time.  Every loop is
     frozen once per chunk: its responses come from one stacked cascade_frf
@@ -971,6 +936,7 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
     of complex values per position.  A set that passes gets the same
     report as without _check_first.
     """
+    controllers.check_plant(model)
     freqs = _certification_freqs()
     bound_db = controllers.sensitivity_bound_db
     order = controllers.loop_order
@@ -1044,11 +1010,13 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     verdict only.  The build reads the plant FRFs only at the samples
     bracketing f_bw and the cluster frequencies: one (n_design, F_sub, n, n)
     stack over the design grid, and for the scheduled audit one
-    (n_audit, F_sub, n, n) stack over its grid.  What no step changes is
-    done once, before the bisection: the plant FRFs, the resonance
-    clusters, the design grid's distinctness check and the scheduled
-    notches' f1 and beta2 surfaces.  Returns the best set and its full
-    certification report.
+    (n_audit, F_sub, n, n) stack over its grid; the audit reuses the
+    step's notch laws.  What no step changes is done once, before the
+    bisection: the plant FRFs, the resonance clusters and the design
+    grid's distinctness check.  A scheduled notch's f1, beta2 and f2 are
+    the same at every design position; constant_surface fits each such
+    value once per design, whichever step and notch first asks for it.
+    Returns the best set and its full certification report.
     """
     design_grid, verify_grid, order = spec.resolve(model)
     freqs = default_grid().freqs_hz
@@ -1079,12 +1047,16 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
 
     if kind == "lpv":
         # The design grid's points are checked once, here: every fit takes
-        # its values with with_values, so the zeros are never fitted.  The
-        # f1 and beta2 surfaces do not depend on the bandwidth and are
-        # fitted here too.
+        # its values with with_values, so the zeros are never fitted.
         design_set = FrozenDesignSet(design_grid, np.zeros(len(design_grid)))
-        fixed_surfaces = _fixed_surfaces(clusters, design_set, spec,
-                                         model.workspace)
+
+        @functools.cache
+        def constant_surface(value: float, units: str) -> CoefficientSurface:
+            return _fit_design_surface(
+                design_set.with_values(np.full(len(design_grid), value), units),
+                f"the constant {value!r} {units}".rstrip(), spec,
+                model.workspace)
+
         # The audit reads the plant only at the samples bracketing the
         # cluster frequencies; it gets them stacked over its grid.
         audit_grid = grid_points(model.workspace, AUDIT_GRID_N, AUDIT_GRID_N)
@@ -1094,19 +1066,18 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
 
     def build(f_bw: float) -> ControllerSet:
         sub = _bracketing_samples(freqs, [f_bw] + cluster_hz)
-        gains, table = _local_designs(p_frfs[:, sub], freqs[sub], masses,
-                                      order, f_bw, spec, clusters)
+        gains, laws, beta1 = _local_designs(p_frfs[:, sub], freqs[sub],
+                                            masses, order, f_bw, spec,
+                                            clusters)
         if kind == "lti":
-            loops = _build_lti_loops(gains, clusters, table,
-                                     len(design_grid), f_bw, spec)
+            loops = _build_lti_loops(gains, clusters, laws, beta1, f_bw, spec)
         else:
-            loops = _build_lpv_loops(gains, table, design_set,
-                                     fixed_surfaces, f_bw, spec,
-                                     model.workspace)
-            loops = _audit_scheduled_loops(loops, order, clusters, gains,
-                                           f_bw, spec, freqs[audit_sub],
-                                           audit_grid, audit_frfs,
-                                           model.workspace)
+            loops = _build_lpv_loops(gains, clusters, laws, beta1,
+                                     design_set, constant_surface, f_bw,
+                                     spec, model.workspace)
+            loops = _audit_scheduled_loops(loops, order, laws, gains, spec,
+                                           freqs[audit_sub], audit_grid,
+                                           audit_frfs, model.workspace)
         return ControllerSet(loops=loops, t_u=t_u, t_y=t_y, loop_order=order,
                              achieved_bandwidth_hz=f_bw,
                              sensitivity_bound_db=spec.sensitivity_bound_db,

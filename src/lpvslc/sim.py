@@ -56,8 +56,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .design import ControllerSet, close_loops, closed_loop_frame
-from .errors import (ConfigError, ModelError, NumericalError, boolean, positive,
-                     real, reals, record)
+from .errors import (ConfigError, NumericalError, boolean, positive, real,
+                     reals, record)
 from .filters import n_states, realize
 from .io import dump_csv
 from .plant import (
@@ -625,10 +625,8 @@ def simulate(model: ModalPlantModel, controllers: ControllerSet,
     a run whose traces and tables would exceed MAX_TRACE_BYTES is refused
     before anything is allocated.
     """
+    controllers.check_plant(model)
     n_l = controllers.n_loops
-    if n_l != model.n_u:
-        raise ModelError(
-            f"controller set has {n_l} loops for a plant with {model.n_u} axes")
     f_top = float(np.max(model.frequencies_hz))
     if config.sample_rate_hz <= 2.0 * f_top:
         raise ConfigError(

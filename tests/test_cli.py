@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from lpvslc.cli import _configure_logging, load_project, main
-from lpvslc.design import controllers_from_dict
+from lpvslc.design import DesignSpec, controllers_from_dict, design_lpv_slc
+from lpvslc.errors import DesignInfeasibleError
 from lpvslc.filters import LpvNotch, Notch, filter_to_dict
 from lpvslc.io import load_csv, load_json
 from lpvslc.plant import ModalPlantModel, Mode, benchmark_plant, save_plant
@@ -243,6 +244,23 @@ def test_design_infeasible_exits_1(tmp_path):
     assert main(["design", "--config", str(path), "--mode", "lti"]) == 1
 
 
+def test_lpv_design_whose_surface_fit_misses_exits_1(tmp_path, caplog):
+    """First-order zero-damping surfaces cannot follow the benchmark's local
+    designs: the scheduled design aborts naming the first such fit, and the
+    CLI exits 1 without writing a controller set."""
+    want = ("coefficient surface fit for loop 0 notch 0 (beta1) leaves "
+            "relative residual 6.16e-01")
+    with pytest.raises(DesignInfeasibleError) as exc:
+        design_lpv_slc(benchmark_plant(), DesignSpec(surface_order=1))
+    assert str(exc.value) == want
+    path = _write_project(tmp_path, benchmark_plant(),
+                          design_spec={"surface_order": 1})
+    with caplog.at_level(logging.ERROR, logger="lpvslc.cli"):
+        assert main(["design", "--config", str(path), "--mode", "lpv"]) == 1
+    assert any(want in rec.message for rec in caplog.records)
+    assert not (tmp_path / "out" / "controllers_lpv.json").exists()
+
+
 def test_lpv_design_with_duplicate_design_points_exits_2(tmp_path, caplog):
     """The scheduled design fits surfaces through the design grid, so a
     grid that repeats a point is refused: exit 2, the log says why, and
@@ -333,6 +351,56 @@ def test_certify_rejects_a_stored_set_without_physical_meaning(rigid_project,
         assert main(["certify", "--config", str(path), "--mode", "lpv",
                      "--grid", "2x2"]) == code, change
         assert report.is_file() is (code == 0), change
+
+
+@pytest.mark.parametrize("case", ["two loops", "t_u 2x3", "t_y 3x2"])
+def test_certify_and_simulate_refuse_a_set_that_does_not_fit_the_plant(
+        rigid_project, tmp_path, caplog, case):
+    """A stored set with the wrong loop count or decoupling shapes for the
+    three-axis plant exits 2 from certify, which writes no report, and
+    from simulate."""
+    stored = load_json(rigid_project.parent / "out" / "controllers_lti.json")
+    misfit = {
+        "two loops": {**stored, "loops": stored["loops"][:2],
+                      "loop_order": [0, 1],
+                      "t_u": [row[:2] for row in stored["t_u"]],
+                      "t_y": stored["t_y"][:2]},
+        "t_u 2x3": {**stored, "t_u": stored["t_u"][:2]},
+        "t_y 3x2": {**stored, "t_y": [row[:2] for row in stored["t_y"]]},
+    }[case]
+    path = _write_project(tmp_path, _rigid_plant(),
+                          trajectory=TRAJECTORY_SPEC,
+                          sim_config={"duration_s": 0.05})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "controllers_lti.json").write_text(json.dumps(misfit))
+    with caplog.at_level(logging.ERROR, logger="lpvslc.cli"):
+        assert main(["certify", "--config", str(path), "--mode", "lti",
+                     "--grid", "1x1"]) == 2
+        assert main(["simulate", "--config", str(path), "--mode", "lti"]) == 2
+    assert not (out / "certification_lti.json").exists()
+    assert not (out / "run_lti.csv").exists()
+    messages = [rec.message for rec in caplog.records]
+    if case == "two loops":
+        assert messages == ["controller set has 2 loops for a plant with "
+                            "3 axes"] * 2
+    else:
+        assert all("the plant needs (3, 3)" in m for m in messages), messages
+
+
+@pytest.mark.parametrize("rate", [1e300, 1e8])
+def test_trajectory_refuses_a_table_over_the_size_limit(tmp_path, caplog,
+                                                        rate):
+    """A sample rate at which a profile's CSV table would exceed
+    MAX_TRACE_BYTES exits 2 naming sample_rate_hz, before any file is
+    written."""
+    path = _write_project(tmp_path, _rigid_plant(), trajectory={
+        **TRAJECTORY_SPEC, "scan_x_m": 0.1, "sample_rate_hz": rate})
+    with caplog.at_level(logging.ERROR, logger="lpvslc.cli"):
+        assert main(["trajectory", "--config", str(path)]) == 2
+    assert any("sample_rate_hz" in rec.message and "GiB limit" in rec.message
+               for rec in caplog.records)
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_trajectory_subcommand_exports_profile(rigid_project):

@@ -40,6 +40,7 @@ from lpvslc.filters import (
     Gain,
     Integrator,
     Lead,
+    Notch,
     cascade_frf,
     cascade_to_dict,
     realize,
@@ -789,6 +790,16 @@ def _full_frequency_plant(model, spec, points):
             for p in points]
 
 
+def _notch_table(clusters_per_loop, laws, beta1, order):
+    """The references' (loop, cluster, position) -> Notch table of one
+    step's _local_designs laws and zero dampings, in their key order."""
+    n = len(beta1[order[0]])
+    return {(i, c, l): Notch(f1=cl.f_hz, f2=laws[i].f2[c],
+                             beta1=float(beta1[i][l, c]), beta2=cl.beta2)
+            for l in range(n) for i in order
+            for c, cl in enumerate(clusters_per_loop[i])}
+
+
 def test_subset_local_designs_equal_full_frequency_reference(bisection_trace):
     """At every bandwidth the bisection tries, the local designs made from
     the samples bracketing f_bw and the cluster frequencies are those the
@@ -798,12 +809,13 @@ def test_subset_local_designs_equal_full_frequency_reference(bisection_trace):
     assert len(calls) == len(bisection_trace["full_steps"])
     p_frfs = _full_frequency_plant(model, spec, spec.resolve(model)[0])
     freqs = default_grid().freqs_hz
-    for args, _, (gains, table), _ in calls:
+    for args, _, (gains, laws, beta1), _ in calls:
         p_sub, f_sub, masses, order, f_bw, spec_, clusters = args
         assert len(f_sub) < len(freqs) // 10
         ref_gains, ref_table = reference_local_designs(
             p_frfs, freqs, masses, order, f_bw, spec_, clusters)
         assert repr(gains) == repr(ref_gains), f_bw
+        table = _notch_table(clusters, laws, beta1, order)
         assert repr(table) == repr(ref_table), f_bw
 
 
@@ -818,8 +830,10 @@ def test_build_lpv_loops_equals_per_step_fit_reference(bisection_trace):
         return
     assert len(calls) == len(bisection_trace["full_steps"])
     clusters = bisection_trace["calls"]["_local_designs"][0][0][6]
+    order = bisection_trace["calls"]["_local_designs"][0][0][3]
     for args, _, loops, _ in calls:
-        gains, table, design_set, _, f_bw, spec, workspace = args
+        gains, _, laws, beta1, design_set, _, f_bw, spec, workspace = args
+        table = _notch_table(clusters, laws, beta1, order)
         ref = reference_build_lpv_loops(gains, clusters, table,
                                         design_set.points, f_bw, spec,
                                         workspace)
@@ -837,12 +851,15 @@ def test_stacked_audit_equals_per_position_reference(bisection_trace):
         return
     assert len(calls) == len(bisection_trace["full_steps"])
     model, spec = bisection_trace["model"], bisection_trace["spec"]
-    audit_grid = calls[0][0][7]
+    audit_grid = calls[0][0][6]
     audit_frfs = _full_frequency_plant(model, spec, audit_grid)
     freqs = default_grid().freqs_hz
     refit = 0
-    for args, _, loops, _ in calls:
-        (loops_in, order, clusters, gains, f_bw, spec_, f_sub, grid, stack,
+    steps = bisection_trace["calls"]["_local_designs"]
+    assert len(steps) == len(calls)
+    for (args, _, loops, _), (step, _, _, _) in zip(calls, steps):
+        clusters, f_bw = step[6], step[4]
+        (loops_in, order, _, gains, spec_, f_sub, grid, stack,
          workspace) = args
         assert stack.shape == (len(audit_grid), len(f_sub), 3, 3)
         assert np.array_equal(grid, audit_grid)
