@@ -12,9 +12,9 @@ Two design procedures share this machinery.  The fixed-coefficient
 procedure collects local notch requirements at every design-grid position
 and aggregates the worst case into one set of notch filters, paying the
 full phase price of every resonance everywhere.  The scheduled procedure
-instead fits polynomial surfaces through the local notch coefficients, so
-a resonance that is weakly observable at some position costs nothing
-there.  Both procedures maximize the common crossover frequency by
+instead fits each notch's zero damping with a polynomial surface in the
+position, so a resonance that is weakly observable at some position costs
+nothing there.  Both procedures maximize the common crossover frequency by
 bisection subject to the same certification: at every verification-grid
 position the frozen loop chain must be Nyquist stable, the per-loop
 closed-loop sensitivity must stay under the configured peak bound, and
@@ -31,10 +31,10 @@ the resonance crowds the crossover, which trades attenuation depth for
 phase lead right where the margin is thinnest.  Zero damping comes from
 a smooth attenuation law driven by the loop gain the resonance actually
 reaches locally, so at positions where a mode is invisible the notch
-relaxes toward a neutral shelf and costs no phase.  Fitted surfaces are
-audited on a denser grid against the same law and shifted down wherever
-interpolation between design points would come out shallower than the
-local requirement.
+relaxes toward a neutral shelf and costs no phase.  A scheduled zero
+damping is fitted once, by least squares to that law on a 9x9 audit grid,
+and shifted down by its largest overshoot there, so it is nowhere on the
+audit grid shallower than the local requirement.
 """
 
 from __future__ import annotations
@@ -127,11 +127,10 @@ SKEW_MAX = 1.3             # pole/zero frequency ratio when crossover is close
 SKEW_NEAR = 1.5            # resonance/crossover ratio at which skew saturates
 SKEW_FAR = 3.0             # ... and beyond which no skew is applied
 CLUSTER_TOL = 0.10         # relative frequency window for mode tracking
-AUDIT_GRID_N = 9           # scheduled designs are audited on this n-by-n grid
+AUDIT_GRID_N = 9           # n-by-n grid of the scheduled beta1 fits
 DET_RESIDUAL_TOL = 1e-6
 CERT_TAIL_N = 25           # low-frequency tail points ahead of the base grid
 CERT_CHUNK = 25            # positions certify freezes and realizes together
-SURFACE_FIT_TOL = 1e-6     # relative fit residual that aborts a scheduled design
 
 
 def grid_points(workspace, nx: int, ny: int) -> np.ndarray:
@@ -575,26 +574,15 @@ def _fixed_section(f_bw: float, spec: DesignSpec) -> list:
     return [Integrator()] + [Lead(f_bw=f_bw, alpha=spec.alpha)] * spec.n_leads
 
 
-def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
-                   clusters_per_loop):
-    """Frozen per-position loop designs at one candidate bandwidth.
+def _center_gains(center_frf, freqs_hz, masses, order, f_bw,
+                  spec: DesignSpec, clusters_per_loop):
+    """Loop gains and notch laws of one candidate bandwidth.
 
-    Returns (gains, laws, beta1): per loop its gain, its _notch_law and
-    its (n_design, n_clusters) local zero dampings, the one notch
-    coefficient that moves with the position (notch c of loop i has its
-    cluster's f1 and beta2 and laws[i].f2[c] everywhere).  Gains are tuned
-    once at the grid's center position so the fixed cascade section stays
-    truly fixed.  The loops are read only at f_bw and at the cluster
-    frequencies, so freqs_hz need only hold the samples bracketing those
-    (see _bracketing_samples); p_frfs is the (n_design, F, n, n) stack of
-    plant samples on them.
-
-    Each loop is closed once for the whole stack and gets its local zero
-    dampings from one _required_beta1 call; its notches (_notch_rows) are
-    then multiplied, row-stacked, onto its gain, integrator and leads,
-    multiplied out once.  What does not depend on the position is computed
-    once per call: the fixed section on freqs_hz and at f_bw, and each
-    loop's _notch_law.  Every row equals a one-position design bit for bit.
+    Returns (gains, laws): per loop its gain and its _notch_law.  The gains
+    are tuned once, at the design grid's center position center_frf, so
+    the fixed cascade section stays truly fixed.  The loops are read only
+    at f_bw and at the cluster frequencies, so freqs_hz need only hold the
+    samples bracketing those (see _bracketing_samples).
     """
     skeleton = Cascade(tuple(_fixed_section(f_bw, spec)))
     omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)
@@ -604,14 +592,13 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
     laws = [_notch_law(freqs_hz, gamma_frf, clusters, f_bw)
             for clusters in clusters_per_loop]
 
-    # Gains at the center position with provisional local notches: the
-    # notches barely move the cascade magnitude down at the crossover, so
-    # one retune after placing them settles the loop gain.
-    center = p_frfs[len(p_frfs) // 2]
+    # Gains with provisional local notches: the notches barely move the
+    # cascade magnitude down at the crossover, so one retune after placing
+    # them settles the loop gain.
     gains = [None] * len(masses)
     k_frfs = [0.0] * len(masses)
     for i in order:
-        g = equivalent_plant(center, k_frfs, i)
+        g = equivalent_plant(center_frf, k_frfs, i)
         mag_g = _interp_loglog_mag(freqs_hz, g, f_bw)
         k0 = tune_gain(mag_g, gamma_bw[0], f_bw)
         rows = _notch_rows(clusters_per_loop[i], laws[i],
@@ -626,122 +613,78 @@ def _local_designs(p_frfs, freqs_hz, masses, order, f_bw, spec: DesignSpec,
         k_center = gamma_frf[None].copy()
         _multiply_notches(k_center, omega, rows)
         k_frfs[i] = gains[i].k * k_center[0]
+    return gains, laws
 
-    # Local zero dampings at every design position with the gains fixed.
-    beta1 = [None] * len(masses)
-    closed = [0.0] * len(masses)
+
+def _build_lti_loops(p_frfs, freqs_hz, order, gains, clusters_per_loop, laws,
+                     f_bw, spec: DesignSpec):
+    """Fixed loops: per cluster, the deepest local requirement wins.
+
+    One pass over the design grid in loop order: loop i's local zero
+    dampings come from one _required_beta1 call over the (n_design, F, n, n)
+    stack p_frfs, with the earlier loops closed by their local notches.
+    freqs_hz need only hold the samples bracketing f_bw and the cluster
+    frequencies; every row equals a one-position design bit for bit.
+    """
+    omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)
+    loops = [None] * len(gains)
+    closed = [0.0] * len(gains)
     for i in order:
-        beta1[i] = _required_beta1(
-            freqs_hz, equivalent_plant(p_frfs, closed, i), gains[i].k, laws[i])
-        prefix = cascade_frf(Cascade((gains[i],) + skeleton.elements),
-                             freqs_hz)
+        beta1 = _required_beta1(freqs_hz, equivalent_plant(p_frfs, closed, i),
+                                gains[i].k, laws[i])
+        head = [gains[i]] + _fixed_section(f_bw, spec)
+        prefix = cascade_frf(Cascade(tuple(head)), freqs_hz)
         closed[i] = np.array(np.broadcast_to(prefix,
                                              (len(p_frfs),) + prefix.shape))
         _multiply_notches(closed[i], omega,
-                          _notch_rows(clusters_per_loop[i], laws[i], beta1[i]))
-    return gains, laws, beta1
+                          _notch_rows(clusters_per_loop[i], laws[i], beta1))
+        loops[i] = Cascade(tuple(head + [
+            Notch(f1=cl.f_hz, f2=f2, beta1=min(column), beta2=cl.beta2)
+            for cl, f2, column in zip(clusters_per_loop[i], laws[i].f2,
+                                      beta1.T.tolist())]))
+    return loops
 
 
-def _build_lti_loops(gains, clusters_per_loop, laws, beta1, f_bw,
-                     spec: DesignSpec):
-    """Fixed loops: per cluster, the deepest local requirement wins."""
-    return [Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec) + [
-                Notch(f1=cl.f_hz, f2=f2, beta1=min(column), beta2=cl.beta2)
-                for cl, f2, column in zip(clusters, laws[i].f2,
-                                          beta1[i].T.tolist())]))
-            for i, clusters in enumerate(clusters_per_loop)]
-
-
-def _fit_design_surface(designs: FrozenDesignSet, what: str,
-                        spec: DesignSpec, workspace) -> CoefficientSurface:
-    """Surface through the values of designs; a fit that misses one of
-    them by more than SURFACE_FIT_TOL of the largest aborts the design,
-    naming what the values are."""
-    surface, report = fit_surface(designs, spec.surface_order,
-                                  spec.surface_order, bounds=workspace)
-    scale = max(float(np.max(np.abs(designs.values))), 1e-12)
-    if np.max(np.abs(report.residuals)) > SURFACE_FIT_TOL * scale:
-        raise DesignInfeasibleError(
-            f"coefficient surface fit for {what} leaves relative residual "
-            f"{np.max(np.abs(report.residuals)) / scale:.2e}")
-    return surface
-
-
-def _build_lpv_loops(gains, clusters_per_loop, laws, beta1,
-                     design_set: FrozenDesignSet, constant_surface, f_bw,
+def _build_lpv_loops(audit_frfs, freqs_hz, audit_set: FrozenDesignSet, order,
+                     gains, clusters_per_loop, laws, constant_surface, f_bw,
                      spec: DesignSpec, workspace):
-    """Scheduled loops: per cluster, surfaces through the local notches.
+    """Scheduled loops: each zero damping fitted where the law is checked.
 
-    Notch c of loop i gets its beta1 surface fitted through column c of
-    beta1[i], _local_designs' zero dampings, on design_set's points
-    (checked once per design) with with_values.  Its other coefficients
-    are the same at every design position; they take the design's
-    constant_surface(value, units), which fits each value once, so an
-    unskewed notch's f2 surface is its f1 surface.
+    One pass over the audit grid, audit_set's points (checked once per
+    design), in loop order: loop i's requirement comes from one
+    _required_beta1 call over the (n_audit, F, n, n) stack audit_frfs, with
+    the earlier loops closed by their final scheduled cascades.  Notch c's
+    beta1 surface is the least-squares fit of column c, shifted down
+    (constant monomial) by its largest overshoot, so it is nowhere on the
+    grid shallower than the law; the frozen-notch evaluation clamps it at
+    full depth should it dip below zero somewhere.  f1, beta2 and f2 are
+    the same at every position and take the design's
+    constant_surface(value, units).  freqs_hz need only hold the samples
+    bracketing the cluster frequencies; every row equals a one-position
+    evaluation bit for bit.
     """
-    return [Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec) + [
-                LpvNotch(beta1=_fit_design_surface(
-                             design_set.with_values(column, ""),
-                             f"loop {i} notch {c} (beta1)", spec, workspace),
-                         beta2=constant_surface(cl.beta2, ""),
-                         f1=constant_surface(cl.f_hz, "Hz"),
-                         f2=constant_surface(f2, "Hz"))
-                for c, (cl, f2, column) in enumerate(zip(
-                    clusters, laws[i].f2, beta1[i].T))]))
-            for i, clusters in enumerate(clusters_per_loop)]
-
-
-def _audit_scheduled_loops(loops, order, laws, gains, spec: DesignSpec,
-                           freqs_hz, audit_grid, audit_frfs, workspace):
-    """Enforce the attenuation law between the design points.
-
-    Surface fitting reproduces the local zero-damping requirements at the
-    design grid but can overshoot them in between.  The audit re-evaluates
-    the law on a denser grid that contains the design positions, with
-    earlier loops closed using their final scheduled cascades.  Where a
-    surface comes out shallower than the law anywhere on that grid it is
-    refit by least squares against the audited requirements (spreading the
-    interpolation error both ways instead of piling it up between knots)
-    and then shifted down by whatever overshoot remains.  A shifted
-    surface is still a valid polynomial and only ever gets more
-    conservative; the frozen-notch evaluation clamps it at full depth
-    should it dip below zero somewhere.
-
-    laws are the same step's _local_designs laws.  The law reads the loops
-    only at the cluster frequencies, so freqs_hz need only hold the
-    samples bracketing them (see _bracketing_samples).  audit_frfs is the
-    (n_audit, F, n, n) stack of plant samples on those frequencies over
-    the audit grid: each loop is closed once for the whole grid, and every
-    row equals a one-position evaluation bit for bit.
-    """
-    loops = list(loops)
-    # Per loop, its responses on the whole audit grid, (n_audit, F); a
-    # loop not yet closed is the scalar 0 (open).
-    closed = [0.0] * len(loops)
+    points = audit_set.points
+    loops = [None] * len(gains)
+    closed = [0.0] * len(gains)
     for i in order:
-        scheduled = list(loops[i].scheduled_part)
-        if scheduled:
-            required = _required_beta1(
-                freqs_hz, equivalent_plant(audit_frfs, closed, i),
-                gains[i].k, laws[i])
-            for c, notch in enumerate(scheduled):
-                if np.max(eval_surface(notch.beta1, audit_grid)
-                          - required[:, c]) <= 1e-12:
-                    continue
-                refit, _ = fit_surface(
-                    FrozenDesignSet(audit_grid, required[:, c], units=""),
-                    spec.surface_order, spec.surface_order, bounds=workspace)
-                viol = float(np.max(eval_surface(refit, audit_grid)
-                                    - required[:, c]))
-                theta = refit.theta.copy()
-                if viol > 0.0:
-                    theta[0] -= viol  # constant monomial: uniform shift down
-                scheduled[c] = replace(notch, beta1=replace(refit, theta=theta))
-                log.debug("loop %d notch %d: zero damping surface refit "
-                          "against the audit grid (residual shift %.3g)",
-                          i, c, max(viol, 0.0))
-            loops[i] = Cascade(loops[i].fixed_part + tuple(scheduled))
-        closed[i] = cascade_frf(loops[i], freqs_hz, audit_grid)
+        required = _required_beta1(
+            freqs_hz, equivalent_plant(audit_frfs, closed, i), gains[i].k,
+            laws[i])
+        notches = []
+        for c, (cl, f2) in enumerate(zip(clusters_per_loop[i], laws[i].f2)):
+            beta1, _ = fit_surface(audit_set.with_values(required[:, c], ""),
+                                   spec.surface_order, spec.surface_order,
+                                   bounds=workspace)
+            viol = float(np.max(eval_surface(beta1, points) - required[:, c]))
+            if viol > 0.0:
+                beta1.theta[0] -= viol
+            notches.append(LpvNotch(beta1=beta1,
+                                    beta2=constant_surface(cl.beta2, ""),
+                                    f1=constant_surface(cl.f_hz, "Hz"),
+                                    f2=constant_surface(f2, "Hz")))
+        loops[i] = Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec)
+                                 + notches))
+        closed[i] = cascade_frf(loops[i], freqs_hz, points)
     return loops
 
 
@@ -1008,15 +951,16 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
 
     Each bisection step builds a candidate set and asks certify for a
     verdict only.  The build reads the plant FRFs only at the samples
-    bracketing f_bw and the cluster frequencies: one (n_design, F_sub, n, n)
-    stack over the design grid, and for the scheduled audit one
-    (n_audit, F_sub, n, n) stack over its grid; the audit reuses the
-    step's notch laws.  What no step changes is done once, before the
-    bisection: the plant FRFs, the resonance clusters and the design
-    grid's distinctness check.  A scheduled notch's f1, beta2 and f2 are
-    the same at every design position; constant_surface fits each such
-    value once per design, whichever step and notch first asks for it.
-    Returns the best set and its full certification report.
+    bracketing f_bw and the cluster frequencies: the gains at the design
+    grid's center, the fixed notches from one (n_design, F_sub, n, n)
+    stack over the design grid, the scheduled zero dampings from one
+    (n_audit, F_sub, n, n) stack over the audit grid.  What no step
+    changes is done once, before the bisection: the plant FRFs, the
+    resonance clusters and the grids' distinctness checks.  A scheduled
+    notch's f1, beta2 and f2 are the same everywhere; constant_surface
+    fits each such value on the design grid once per design, whichever
+    step and notch first asks for it.  Returns the best set and its full
+    certification report.
     """
     design_grid, verify_grid, order = spec.resolve(model)
     freqs = default_grid().freqs_hz
@@ -1046,38 +990,37 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     cluster_hz = [cl.f_hz for infos in clusters for cl in infos]
 
     if kind == "lpv":
-        # The design grid's points are checked once, here: every fit takes
-        # its values with with_values, so the zeros are never fitted.
+        # Both grids' points are checked once, here: every fit takes its
+        # values with with_values, so the zeros are never fitted.
         design_set = FrozenDesignSet(design_grid, np.zeros(len(design_grid)))
+        audit_grid = grid_points(model.workspace, AUDIT_GRID_N, AUDIT_GRID_N)
+        audit_set = FrozenDesignSet(audit_grid, np.zeros(len(audit_grid)))
 
         @functools.cache
         def constant_surface(value: float, units: str) -> CoefficientSurface:
-            return _fit_design_surface(
+            return fit_surface(
                 design_set.with_values(np.full(len(design_grid), value), units),
-                f"the constant {value!r} {units}".rstrip(), spec,
-                model.workspace)
+                spec.surface_order, spec.surface_order,
+                bounds=model.workspace)[0]
 
-        # The audit reads the plant only at the samples bracketing the
-        # cluster frequencies; it gets them stacked over its grid.
-        audit_grid = grid_points(model.workspace, AUDIT_GRID_N, AUDIT_GRID_N)
+        # The scheduled build reads the plant only at the samples bracketing
+        # the cluster frequencies; it gets them stacked over the audit grid.
         audit_sub = _bracketing_samples(freqs, cluster_hz)
         audit_frfs = np.stack([plant_frf(p)[CERT_TAIL_N + audit_sub]
                                for p in audit_grid])
 
     def build(f_bw: float) -> ControllerSet:
         sub = _bracketing_samples(freqs, [f_bw] + cluster_hz)
-        gains, laws, beta1 = _local_designs(p_frfs[:, sub], freqs[sub],
-                                            masses, order, f_bw, spec,
-                                            clusters)
+        gains, laws = _center_gains(p_frfs[len(p_frfs) // 2, sub], freqs[sub],
+                                    masses, order, f_bw, spec, clusters)
         if kind == "lti":
-            loops = _build_lti_loops(gains, clusters, laws, beta1, f_bw, spec)
+            loops = _build_lti_loops(p_frfs[:, sub], freqs[sub], order, gains,
+                                     clusters, laws, f_bw, spec)
         else:
-            loops = _build_lpv_loops(gains, clusters, laws, beta1,
-                                     design_set, constant_surface, f_bw,
-                                     spec, model.workspace)
-            loops = _audit_scheduled_loops(loops, order, laws, gains, spec,
-                                           freqs[audit_sub], audit_grid,
-                                           audit_frfs, model.workspace)
+            loops = _build_lpv_loops(audit_frfs, freqs[audit_sub], audit_set,
+                                     order, gains, clusters, laws,
+                                     constant_surface, f_bw, spec,
+                                     model.workspace)
         return ControllerSet(loops=loops, t_u=t_u, t_y=t_y, loop_order=order,
                              achieved_bandwidth_hz=f_bw,
                              sensitivity_bound_db=spec.sensitivity_bound_db,

@@ -2,16 +2,20 @@
 one position at a time, on every frequency, every surface fitted at every
 step.
 
-These are design._local_designs and design._audit_scheduled_loops as they
-ran before the design read the loops only at the samples bracketing f_bw
-and the cluster frequencies.  Per position they close every loop on the
-whole frequency grid and evaluate the attenuation law one resonance at a
-time, each interpolation a scalar np.interp call.  reference_build_lpv_loops
-is design._build_lpv_loops as it ran before the f1 and beta2 surfaces were
-fitted once per design: it fits all four coefficients of every notch at
-every step, each on a FrozenDesignSet that checks its points again.  The
-agreement tests in test_design.py hold the subset, stacked and once-fitted
-evaluations to them bit for bit, at every bandwidth the bisection tries.
+reference_local_designs is the center gain tuning of design._center_gains
+and the design-grid pass of design._build_lti_loops, as they ran before
+the design read the loops only at the samples bracketing f_bw and the
+cluster frequencies: per position it closes every loop on the whole
+frequency grid and evaluates the attenuation law one resonance at a time,
+each interpolation a scalar np.interp call.  reference_build_lpv_loops
+followed by reference_audit is design._build_lpv_loops as it ran before
+each zero damping was fitted once, on the audit grid: it fits all four
+coefficients of every notch through the design grid at every step,
+aborting when a fit misses by more than SURFACE_FIT_TOL, then audits the
+zero dampings on the audit grid, refitting and shifting down each one
+that overshoots the law there.  The agreement tests in test_design.py
+hold the subset, stacked and once-fitted evaluations to them bit for bit,
+at every bandwidth the bisection tries.
 """
 
 import numpy as np
@@ -19,7 +23,6 @@ import numpy as np
 from lpvslc.design import (
     NOTCH_DEPTH_FLOOR,
     RESONANT_LOOP_GAIN_MAX,
-    SURFACE_FIT_TOL,
     _fixed_section,
     _neutral_beta1,
     _skew_for,
@@ -33,6 +36,8 @@ from lpvslc.scheduling import (
     eval_surface,
     fit_surface,
 )
+
+SURFACE_FIT_TOL = 1e-6  # relative fit residual that aborts the reference build
 
 
 def interp_loglog_mag(freqs_hz, values, f):

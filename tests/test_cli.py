@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from lpvslc.cli import _configure_logging, load_project, main
-from lpvslc.design import DesignSpec, controllers_from_dict, design_lpv_slc
-from lpvslc.errors import DesignInfeasibleError
+from lpvslc.design import controllers_from_dict
 from lpvslc.filters import LpvNotch, Notch, filter_to_dict
 from lpvslc.io import load_csv, load_json
 from lpvslc.plant import ModalPlantModel, Mode, benchmark_plant, save_plant
@@ -244,21 +243,18 @@ def test_design_infeasible_exits_1(tmp_path):
     assert main(["design", "--config", str(path), "--mode", "lti"]) == 1
 
 
-def test_lpv_design_whose_surface_fit_misses_exits_1(tmp_path, caplog):
-    """First-order zero-damping surfaces cannot follow the benchmark's local
-    designs: the scheduled design aborts naming the first such fit, and the
-    CLI exits 1 without writing a controller set."""
-    want = ("coefficient surface fit for loop 0 notch 0 (beta1) leaves "
-            "relative residual 6.16e-01")
-    with pytest.raises(DesignInfeasibleError) as exc:
-        design_lpv_slc(benchmark_plant(), DesignSpec(surface_order=1))
-    assert str(exc.value) == want
+def test_lpv_design_with_first_order_surfaces_exits_0(tmp_path):
+    """First-order zero-damping surfaces are fitted on the audit grid and
+    shifted under the law there, so the scheduled design with them exits 0
+    and writes a controller set of first-order surfaces."""
     path = _write_project(tmp_path, benchmark_plant(),
                           design_spec={"surface_order": 1})
-    with caplog.at_level(logging.ERROR, logger="lpvslc.cli"):
-        assert main(["design", "--config", str(path), "--mode", "lpv"]) == 1
-    assert any(want in rec.message for rec in caplog.records)
-    assert not (tmp_path / "out" / "controllers_lpv.json").exists()
+    assert main(["design", "--config", str(path), "--mode", "lpv"]) == 0
+    lpv = controllers_from_dict(
+        load_json(tmp_path / "out" / "controllers_lpv.json"))
+    notches = [n for loop in lpv.loops for n in loop.scheduled_part]
+    assert lpv.kind == "lpv" and len(notches) == 7
+    assert all(n.beta1.theta.shape == (1,) for n in notches)
 
 
 def test_lpv_design_with_duplicate_design_points_exits_2(tmp_path, caplog):

@@ -32,6 +32,7 @@ from lpvslc.design import (
     _certification_freqs,
     _design_common,
     _find_resonance_peaks,
+    _fixed_section,
     _interp_loglog_mag,
 )
 from lpvslc.errors import ConfigError, DesignInfeasibleError, DomainError, ModelError
@@ -40,7 +41,6 @@ from lpvslc.filters import (
     Gain,
     Integrator,
     Lead,
-    Notch,
     cascade_frf,
     cascade_to_dict,
     realize,
@@ -741,14 +741,17 @@ def test_scheduled_response_equals_the_frozen_set_at_few_frequencies(
 
 @pytest.fixture(scope="module", params=["lti", "lpv"])
 def bisection_trace(request):
-    """One benchmark design with its local designs, scheduled-notch audits,
-    certify calls and per-position certifications recorded, and the
-    bisection a full-report certify drives on the same builds."""
+    """One benchmark design with its center gains, loop builds, surface fits,
+    certify calls and per-position certifications recorded; the bisection
+    a full-report certify drives on the same builds; and, per step, the
+    references on the whole frequency grid: reference_local_designs'
+    (gains, table) and, for LPV, the fit-then-audit pipeline's loops before
+    and after the audit on the 9x9 grid."""
     kind = request.param
     model = benchmark_plant()
     spec = DesignSpec()
-    names = ("_local_designs", "_build_lpv_loops", "_audit_scheduled_loops",
-             "certify", "_certify_position")
+    names = ("_center_gains", "_build_lti_loops", "_build_lpv_loops",
+             "fit_surface", "certify", "_certify_position")
     real = {name: getattr(design, name) for name in names}
     calls = {name: [] for name in names}
 
@@ -775,9 +778,30 @@ def bisection_trace(request):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(design, "certify", full_certify)
         full_result = _design_common(model, spec, kind)
+
+    freqs = default_grid().freqs_hz
+    design_grid = spec.resolve(model)[0]
+    p_frfs = _full_frequency_plant(model, spec, design_grid)
+    audit_grid = grid_points(model.workspace, 9, 9)
+    audit_frfs = _full_frequency_plant(model, spec, audit_grid)
+    reference = []
+    for (_, _, masses, order, f_bw, spec_, clusters), *_ in \
+            calls["_center_gains"]:
+        gains, table = reference_local_designs(p_frfs, freqs, masses, order,
+                                               f_bw, spec_, clusters)
+        built = audited = None
+        if kind == "lpv":
+            built = reference_build_lpv_loops(gains, clusters, table,
+                                              design_grid, f_bw, spec_,
+                                              model.workspace)
+            audited = reference_audit(built, order, clusters, gains, f_bw,
+                                      spec_, freqs, audit_grid, audit_frfs,
+                                      model.workspace)
+        reference.append((gains, table, built, audited))
     return {"kind": kind, "model": model, "spec": spec, "calls": calls,
             "real_certify": real["certify"], "result": result,
-            "full_steps": full_steps, "full_result": full_result}
+            "full_steps": full_steps, "full_result": full_result,
+            "audit_frfs": audit_frfs, "reference": reference}
 
 
 def _full_frequency_plant(model, spec, points):
@@ -790,85 +814,122 @@ def _full_frequency_plant(model, spec, points):
             for p in points]
 
 
-def _notch_table(clusters_per_loop, laws, beta1, order):
-    """The references' (loop, cluster, position) -> Notch table of one
-    step's _local_designs laws and zero dampings, in their key order."""
-    n = len(beta1[order[0]])
-    return {(i, c, l): Notch(f1=cl.f_hz, f2=laws[i].f2[c],
-                             beta1=float(beta1[i][l, c]), beta2=cl.beta2)
-            for l in range(n) for i in order
-            for c, cl in enumerate(clusters_per_loop[i])}
+def _dumps(loops) -> list:
+    return [json.dumps(cascade_to_dict(c)) for c in loops]
 
 
 def test_subset_local_designs_equal_full_frequency_reference(bisection_trace):
-    """At every bandwidth the bisection tries, the local designs made from
-    the samples bracketing f_bw and the cluster frequencies are those the
-    whole frequency grid gives, to the last bit."""
-    model, spec = bisection_trace["model"], bisection_trace["spec"]
-    calls = bisection_trace["calls"]["_local_designs"]
-    assert len(calls) == len(bisection_trace["full_steps"])
-    p_frfs = _full_frequency_plant(model, spec, spec.resolve(model)[0])
-    freqs = default_grid().freqs_hz
-    for args, _, (gains, laws, beta1), _ in calls:
-        p_sub, f_sub, masses, order, f_bw, spec_, clusters = args
-        assert len(f_sub) < len(freqs) // 10
-        ref_gains, ref_table = reference_local_designs(
-            p_frfs, freqs, masses, order, f_bw, spec_, clusters)
+    """At every bandwidth the bisection tries, the gains tuned from the
+    samples bracketing f_bw and the cluster frequencies are those the whole
+    frequency grid gives, to the last bit, and each fixed notch takes the
+    deepest zero damping of the reference's local notches of its cluster."""
+    kind = bisection_trace["kind"]
+    calls = bisection_trace["calls"]["_center_gains"]
+    builds = bisection_trace["calls"][f"_build_{kind}_loops"]
+    assert len(calls) == len(builds) == len(bisection_trace["full_steps"])
+    n_design = len(bisection_trace["spec"].resolve(bisection_trace["model"])[0])
+    for (args, _, (gains, _), _), (_, _, loops, _), (ref_gains, table, *_) \
+            in zip(calls, builds, bisection_trace["reference"]):
+        _, f_sub, _, _, f_bw, spec_, clusters = args
+        assert len(f_sub) < len(default_grid().freqs_hz) // 10
         assert repr(gains) == repr(ref_gains), f_bw
-        table = _notch_table(clusters, laws, beta1, order)
-        assert repr(table) == repr(ref_table), f_bw
+        if kind == "lti":
+            want = [Cascade(tuple([ref_gains[i]] + _fixed_section(f_bw, spec_)
+                                  + [min((table[(i, c, l)]
+                                          for l in range(n_design)),
+                                         key=lambda n: n.beta1)
+                                     for c in range(len(infos))]))
+                    for i, infos in enumerate(clusters)]
+            assert _dumps(loops) == _dumps(want), f_bw
 
 
 def test_build_lpv_loops_equals_per_step_fit_reference(bisection_trace):
-    """At every bandwidth the bisection tries, the scheduled loops built
-    from f1 and beta2 surfaces fitted once per design, on a design set
-    whose points are checked once, are those that fitting all four
-    coefficients at every step gives, to the last bit."""
+    """At every bandwidth the bisection tries, the scheduled loops, each
+    zero damping fitted once on the audit grid over the bracketing samples,
+    are those that the fit-then-audit pipeline gives when it fits all four
+    coefficients through the design grid and then audits position by
+    position on every frequency, to the last bit."""
     calls = bisection_trace["calls"]["_build_lpv_loops"]
     if bisection_trace["kind"] == "lti":
         assert not calls
         return
     assert len(calls) == len(bisection_trace["full_steps"])
-    clusters = bisection_trace["calls"]["_local_designs"][0][0][6]
-    order = bisection_trace["calls"]["_local_designs"][0][0][3]
-    for args, _, loops, _ in calls:
-        gains, _, laws, beta1, design_set, _, f_bw, spec, workspace = args
-        table = _notch_table(clusters, laws, beta1, order)
-        ref = reference_build_lpv_loops(gains, clusters, table,
-                                        design_set.points, f_bw, spec,
-                                        workspace)
-        got = [json.dumps(cascade_to_dict(c)) for c in loops]
-        assert got == [json.dumps(cascade_to_dict(c)) for c in ref], f_bw
+    for (args, _, loops, _), (*_, ref) in zip(calls,
+                                              bisection_trace["reference"]):
+        assert _dumps(loops) == _dumps(ref), args[8]
 
 
 def test_stacked_audit_equals_per_position_reference(bisection_trace):
-    """At every bandwidth the bisection tries, the audit closed once over
-    the stacked grid on the bracketing samples returns the loops that the
-    per-position audit on every frequency returns, to the last bit."""
-    calls = bisection_trace["calls"]["_audit_scheduled_loops"]
+    """The scheduled build reads the plant stacked over the 9x9 audit grid
+    at the samples bracketing the cluster frequencies, rows equal to the
+    per-position plant on every frequency.  In the fit-then-audit
+    reference every design-grid zero-damping surface overshoots the law
+    on that grid and is refit there, so those fits decide nothing."""
+    calls = bisection_trace["calls"]["_build_lpv_loops"]
     if bisection_trace["kind"] == "lti":
         assert not calls
         return
-    assert len(calls) == len(bisection_trace["full_steps"])
-    model, spec = bisection_trace["model"], bisection_trace["spec"]
-    audit_grid = calls[0][0][6]
-    audit_frfs = _full_frequency_plant(model, spec, audit_grid)
-    freqs = default_grid().freqs_hz
+    audit_grid = grid_points(bisection_trace["model"].workspace, 9, 9)
     refit = 0
-    steps = bisection_trace["calls"]["_local_designs"]
-    assert len(steps) == len(calls)
-    for (args, _, loops, _), (step, _, _, _) in zip(calls, steps):
-        clusters, f_bw = step[6], step[4]
-        (loops_in, order, _, gains, spec_, f_sub, grid, stack,
-         workspace) = args
-        assert stack.shape == (len(audit_grid), len(f_sub), 3, 3)
-        assert np.array_equal(grid, audit_grid)
-        ref = reference_audit(loops_in, order, clusters, gains, f_bw, spec_,
-                              freqs, grid, audit_frfs, workspace)
-        got = [json.dumps(cascade_to_dict(c)) for c in loops]
-        assert got == [json.dumps(cascade_to_dict(c)) for c in ref], f_bw
-        refit += got != [json.dumps(cascade_to_dict(c)) for c in loops_in]
-    assert refit > 0
+    for (args, _, _, _), (*_, built, ref) in zip(calls,
+                                                 bisection_trace["reference"]):
+        stack, f_sub, audit_set = args[:3]
+        assert np.array_equal(audit_set.points, audit_grid)
+        at = np.searchsorted(default_grid().freqs_hz, f_sub)
+        assert stack.tobytes() == np.stack(
+            [frf[at] for frf in bisection_trace["audit_frfs"]]).tobytes()
+        for before, after in zip(built, ref):
+            for n_before, n_after in zip(before.scheduled_part,
+                                         after.scheduled_part):
+                assert not np.array_equal(n_before.beta1.theta,
+                                          n_after.beta1.theta)
+                refit += 1
+    assert refit == 7 * len(calls)
+
+
+def test_scheduled_build_fits_each_zero_damping_once_on_the_audit_grid(
+        bisection_trace):
+    """A scheduled design fits each notch's zero damping once per step, on
+    the 81 audit points, and each distinct constant coefficient once, on
+    the 9 design points: 121 fits for the benchmark design's 11 steps and
+    7 notches.  A fixed design fits nothing."""
+    fits = [args[0] for args, *_ in bisection_trace["calls"]["fit_surface"]]
+    if bisection_trace["kind"] == "lti":
+        assert not fits
+        return
+    n_steps = len(bisection_trace["calls"]["certify"])
+    on_audit = [d for d in fits if len(d.points) == 81]
+    constants = [(d.values[0], d.units) for d in fits if len(d.points) == 9]
+    assert len(on_audit) == 7 * n_steps
+    assert len(on_audit) + len(constants) == len(fits)
+    assert all(np.all(d.values == d.values[0])
+               for d in fits if len(d.points) == 9)
+    assert len(set(constants)) == len(constants)
+    assert (n_steps, len(fits)) == (11, 121)
+
+
+def test_first_order_surfaces_design_near_the_lti_bandwidth(
+        benchmark_designs):
+    """With first-order (constant) zero-damping surfaces, each fitted on the
+    audit grid and shifted under the law there, the scheduled design
+    succeeds within 1 Hz of the fixed design, and its set passes the 5x5
+    certification."""
+    model = benchmark_designs["model"]
+    lpv = design_lpv_slc(model, DesignSpec(surface_order=1))
+    assert abs(lpv.achieved_bandwidth_hz
+               - benchmark_designs["lti"].achieved_bandwidth_hz) <= 1.0
+    assert certify(model, lpv, benchmark_designs["verify"]).passed
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_denser_design_grids_design_and_certify(benchmark_designs, n):
+    """An n-by-n design grid gives a scheduled set that passes the 5x5
+    certification.  The bandwidths are not pinned: the resonance clusters
+    and the tuning point still move with the design grid."""
+    model = benchmark_designs["model"]
+    lpv = design_lpv_slc(model, DesignSpec(
+        design_grid=grid_points(model.workspace, n, n)))
+    assert certify(model, lpv, benchmark_designs["verify"]).passed
 
 
 def test_early_exit_verdict_equals_full_certification(bisection_trace):
