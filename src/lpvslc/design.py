@@ -414,16 +414,20 @@ class _ResonancePeak:
 
 
 def _find_resonance_peaks(freqs_hz, g_frf, mass) -> list:
-    """Local maxima of the mass-normalized accelerance of one loop."""
+    """Local maxima of the mass-normalized accelerance of one loop.
+
+    The candidate samples (in the band, a local maximum, at least
+    PEAK_MIN_RATIO high) are found in one pass over the curve; only those
+    few are refined and measured one by one.
+    """
     f = np.asarray(freqs_hz, dtype=float)
     n = np.abs(np.asarray(g_frf)) * (2.0 * np.pi * f) ** 2 * mass
     lo, hi = PEAK_BAND_HZ
+    mid = n[1:-1]
+    candidates = ((lo <= f[1:-1]) & (f[1:-1] <= hi) & (mid >= n[:-2])
+                  & (mid > n[2:]) & (mid >= PEAK_MIN_RATIO))
     peaks = []
-    for i in range(1, len(f) - 1):
-        if not (lo <= f[i] <= hi):
-            continue
-        if not (n[i] >= n[i - 1] and n[i] > n[i + 1] and n[i] >= PEAK_MIN_RATIO):
-            continue
+    for i in (candidates.nonzero()[0] + 1).tolist():
         # Parabolic refinement in log-log coordinates.
         x = np.log10(f[i - 1: i + 2])
         y = np.log10(n[i - 1: i + 2])

@@ -24,7 +24,7 @@ where the resonance is weakly observable.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,23 +139,23 @@ class Cascade:
     The n_fixed fixed (position-independent) blocks come first, then only
     position-scheduled ones.  The split is what a real-time implementation
     needs: the front section is realized once, the tail is re-frozen per
-    scheduling update.
+    scheduling update.  n_fixed is counted once, when the cascade is built.
     """
 
     elements: tuple
+    n_fixed: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        for e in self.scheduled_part:
+        elements = tuple(self.elements)
+        fixed = [isinstance(e, _LTI_VARIANTS) for e in elements]
+        n_fixed = (fixed + [False]).index(False)
+        for e in elements[n_fixed:]:
             if not isinstance(e, LpvNotch):
                 raise ModelError(f"only scheduled notches may follow a "
                                  f"cascade's fixed blocks, got "
                                  f"{type(e).__name__}")
-
-    @property
-    def n_fixed(self) -> int:
-        fixed = [isinstance(e, _LTI_VARIANTS) for e in self.elements]
-        return (fixed + [False]).index(False)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "n_fixed", n_fixed)
 
     @property
     def fixed_part(self) -> tuple:
@@ -236,56 +236,64 @@ def realize(spec, p=None, f_max=None) -> FrozenStateSpace:
     matrices stacked along a leading axis of length n, one per position;
     f_max caps the scheduled notch frequencies as in freeze_notches.
 
-    A cascade realizes in one pass, block-lower-triangular: each block is
-    driven by the output map (c, d) of the blocks before it.  A scheduled
-    cascade realizes its fixed front once and freezes its notches in one
-    freeze_notches call, logging and raising as one call per notch would.
+    A cascade realizes in one pass from its blocks' (a, b, c, d) arrays
+    (see _series).  A scheduled cascade realizes its fixed front once and
+    freezes its notches in one freeze_notches call, logging and raising as
+    one call per notch would.
     """
     if isinstance(spec, Cascade):
-        parts = ([realize(Cascade(spec.fixed_part))] if spec.scheduled_part
-                 else [realize(element) for element in spec.fixed_part])
+        parts = ([_series([_matrices(e) for e in spec.fixed_part])]
+                 if spec.scheduled_part
+                 else [_matrices(e) for e in spec.fixed_part])
         parts += _realize_scheduled(spec.scheduled_part, p, f_max)
-        batch = np.broadcast_shapes(*(k.a.shape[:-2] for k in parts))
-        n = sum(k.n_states for k in parts)
-        a = np.zeros(batch + (n, n))
-        b = np.zeros(batch + (n, 1))
-        c = np.zeros(batch + (1, n))
-        d = np.ones(batch + (1, 1))
-        at = 0
-        for k in parts:
-            x = slice(at, at + k.n_states)
-            a[..., x, :at] = k.b @ c[..., :at]
-            a[..., x, x] = k.a
-            b[..., x, :] = k.b @ d
-            c[..., :at] = k.d @ c[..., :at]
-            c[..., x] = k.c
-            d = k.d @ d
-            at = x.stop
-        return FrozenStateSpace(a=a, b=b, c=c, d=d)
+        return FrozenStateSpace(*_series(parts))
+    if isinstance(spec, LpvNotch):
+        return FrozenStateSpace(*_realize_scheduled((spec,), p, f_max)[0])
+    return FrozenStateSpace(*_matrices(spec))
+
+
+def _matrices(spec) -> tuple:
+    """(a, b, c, d) of one fixed block, each a 2-D float array."""
     if isinstance(spec, Gain):
-        return FrozenStateSpace(
-            a=np.zeros((0, 0)), b=np.zeros((0, 1)),
-            c=np.zeros((1, 0)), d=np.array([[spec.k]]))
+        return (np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
+                np.array([[spec.k]], dtype=float))
     if isinstance(spec, Integrator):
-        return FrozenStateSpace(
-            a=np.zeros((1, 1)), b=np.ones((1, 1)),
-            c=np.ones((1, 1)), d=np.zeros((1, 1)))
+        return (np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
+                np.zeros((1, 1)))
     if isinstance(spec, Lead):
         pole = 2.0 * np.pi * spec.alpha * spec.f_bw
-        return FrozenStateSpace(
-            a=np.array([[-pole]]), b=np.array([[pole]]),
-            c=np.array([[1.0 - spec.alpha ** 2]]),
-            d=np.array([[spec.alpha ** 2]]))
+        return tuple(np.array([[x]], dtype=float) for x in
+                     (-pole, pole, 1.0 - spec.alpha ** 2, spec.alpha ** 2))
     if isinstance(spec, Notch):
-        return FrozenStateSpace(*_notch_matrices(spec.f1, spec.f2, spec.beta1,
-                                                 spec.beta2))
-    if isinstance(spec, LpvNotch):
-        return _realize_scheduled((spec,), p, f_max)[0]
+        return _notch_matrices(spec.f1, spec.f2, spec.beta1, spec.beta2)
     raise ModelError(f"unknown filter block {type(spec).__name__}")
 
 
+def _series(parts) -> tuple:
+    """(a, b, c, d) of single-input single-output realizations in series,
+    block-lower-triangular: each block is driven by the output map (c, d)
+    of the blocks before it.  Leading batch axes broadcast."""
+    batch = np.broadcast_shapes(*(a.shape[:-2] for a, _, _, _ in parts))
+    n = sum(a.shape[-1] for a, _, _, _ in parts)
+    a = np.zeros(batch + (n, n))
+    b = np.zeros(batch + (n, 1))
+    c = np.zeros(batch + (1, n))
+    d = np.ones(batch + (1, 1))
+    at = 0
+    for k_a, k_b, k_c, k_d in parts:
+        x = slice(at, at + k_a.shape[-1])
+        a[..., x, :at] = k_b @ c[..., :at]
+        a[..., x, x] = k_a
+        b[..., x, :] = k_b @ d
+        c[..., :at] = k_d @ c[..., :at]
+        c[..., x] = k_c
+        d = k_d @ d
+        at = x.stop
+    return a, b, c, d
+
+
 def _realize_scheduled(specs, p, f_max) -> list:
-    """Realizations of scheduled notches frozen at p, one freeze_notches
+    """(a, b, c, d) of scheduled notches frozen at p, one freeze_notches
     call for all of them; a single position realizes from Python floats."""
     if not specs:
         return []
@@ -295,7 +303,7 @@ def _realize_scheduled(specs, p, f_max) -> list:
     frozen = freeze_notches(specs, np.atleast_2d(pts), f_max)
     if pts.ndim == 1:
         frozen = [tuple(float(c[0]) for c in coeffs) for coeffs in frozen]
-    return [FrozenStateSpace(*_notch_matrices(*coeffs)) for coeffs in frozen]
+    return [_notch_matrices(*coeffs) for coeffs in frozen]
 
 
 def notch_transfer(f1, f2, beta1, beta2, omega):
@@ -386,16 +394,21 @@ def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
 
     Given an (n, 2) array of positions the result is an (n, F) stack, one
     frozen response per row (a read-only broadcast when the cascade has no
-    scheduled block).  The fixed section is multiplied out once; the
-    scheduled part is frozen in one freeze_notches call and each notch is
-    evaluated for all rows at once, each row with the arithmetic
-    notch_transfer does, in its order, so row k equals the response at
-    p[k] alone bit for bit, at one frequency as at many.
+    scheduled block).  The fixed section is multiplied out once, in
+    element order; a block that appears more than once (the same object,
+    as a designed cascade's leads are) is evaluated once.  The scheduled
+    part is frozen in one freeze_notches call and each notch is evaluated
+    for all rows at once, each row with the arithmetic notch_transfer
+    does, in its order, so row k equals the response at p[k] alone bit for
+    bit, at one frequency as at many.
     """
     omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)
     out = np.ones(omega.shape, dtype=complex)
+    responses = {}
     for element in cascade.fixed_part:
-        out = out * element_transfer(element, omega)
+        if id(element) not in responses:
+            responses[id(element)] = element_transfer(element, omega)
+        out = out * responses[id(element)]
     single = p is None or np.ndim(p) == 1
     if not cascade.scheduled_part:
         return out if single else np.broadcast_to(out, (len(p),) + out.shape)

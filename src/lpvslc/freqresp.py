@@ -250,13 +250,40 @@ class LoopMargins:
     gain_margin_db: float
 
 
+def _unwrap(phase) -> np.ndarray:
+    """np.unwrap(phase) of a 1-D float array, bit for bit, at the cost of
+    its few jumps.
+
+    np.unwrap corrects step dd by mod(dd + pi, 2 pi) - pi - dd (a step of
+    exactly +pi kept at +pi), zeroes the correction where abs(dd) < pi and
+    adds its cumulative sum.  Here the same arithmetic runs only at the
+    steps where ~(abs(dd) < pi), NaN steps included, so NaN propagates as
+    before; the correction is zero elsewhere.  Its cumulative sum is the
+    same in-order sum: a correction is never -0.0 (dd is nonzero there, so
+    an exact zero difference is +0.0), so the zeros change no bit.  Adding
+    it turns a -0.0 phase after the first sample into +0.0, as np.unwrap
+    does.
+    """
+    dd = np.subtract(phase[1:], phase[:-1])
+    jumps = (~(np.abs(dd) < np.pi)).nonzero()[0]
+    d = dd[jumps]
+    period, low = 2.0 * np.pi, -np.pi
+    dmod = np.mod(d - low, period) + low
+    dmod[(dmod == low) & (d > 0)] = np.pi
+    correction = np.zeros(dd.shape)
+    correction[jumps] = dmod - d
+    up = phase.copy()
+    up[1:] = phase[1:] + correction.cumsum()
+    return up
+
+
 def _refine_phase_steps(freqs_hz, l_frf, evaluator):
     """Unwrapped arg(1 + L), evaluator midpoints inserted until its steps
     stay below 90 degrees."""
     f = np.asarray(freqs_hz, dtype=float)
     l_vals = np.asarray(l_frf, dtype=complex)
     for _ in range(15):
-        phase = np.unwrap(np.angle(1.0 + l_vals))
+        phase = _unwrap(np.angle(1.0 + l_vals))
         bad = np.abs(np.diff(phase)) > np.pi / 2
         if not np.any(bad):
             return phase
@@ -329,7 +356,7 @@ def margins_and_bandwidth(freqs_hz, l_frf) -> LoopMargins:
     f = np.asarray(freqs_hz, dtype=float)
     l_vals = np.asarray(l_frf, dtype=complex)
     logm = np.log10(np.abs(l_vals))
-    phase = np.unwrap(np.angle(l_vals))
+    phase = _unwrap(np.angle(l_vals))
 
     if logm[0] == 0.0:
         f_c, ph_c = f[0], phase[0]

@@ -14,6 +14,8 @@ from numpy.testing import assert_allclose
 from lpvslc import design, sim
 from lpvslc.design import (
     CERT_TAIL_N,
+    PEAK_BAND_HZ,
+    PEAK_MIN_RATIO,
     CertificationReport,
     ControllerSet,
     DesignSpec,
@@ -66,6 +68,7 @@ from audit_reference import (
 )
 from certify_reference import reference_certify
 from freeze_reference import per_notch_cascade_frf, per_notch_realize
+from peaks_reference import loop_find_resonance_peaks
 from freqresp_reference import (
     block_solve_equivalent_plant,
     entry_planes,
@@ -990,3 +993,82 @@ def test_bisection_visits_the_reference_bandwidths(bisection_trace):
                                           bisection_trace["full_result"])
     assert controllers_to_dict(cs) == controllers_to_dict(ref_cs)
     assert report.to_dict() == ref_report.to_dict()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_find_resonance_peaks_equals_loop_reference_on_design_grids(n):
+    """Every design-grid diagonal FRF of the benchmark stage, as the design
+    reads it, gives the loop reference's peaks (tests/peaks_reference.py)."""
+    model = benchmark_plant()
+    grid = grid_points(model.workspace, n, n)
+    t_u, t_y = rigid_body_decouple(model, grid[len(grid) // 2])
+    freqs = default_grid().freqs_hz
+    masses = model.masses[: model.n_rigid]
+    found = 0
+    for p in grid:
+        h = decoupled_plant_frf(model, p, _certification_freqs(), t_u,
+                                t_y)[CERT_TAIL_N:]
+        for i, mass in enumerate(masses):
+            peaks = _find_resonance_peaks(freqs, h[:, i, i], mass)
+            assert repr(peaks) == repr(
+                loop_find_resonance_peaks(freqs, h[:, i, i], mass))
+            found += len(peaks)
+    assert found > 0
+
+
+def _accelerance(f, g):
+    """The mass-normalized accelerance (mass 1) as _find_resonance_peaks
+    computes it."""
+    return np.abs(g) * (2.0 * np.pi * f) ** 2 * 1.0
+
+
+def _real_response(f, targets, exact):
+    """A real loop response whose accelerance is targets, exactly so at the
+    indices in exact, or None when one of those is out of reach (a product
+    of two floats does not land on every float)."""
+    g = (targets / (2.0 * np.pi * f) ** 2).astype(complex)
+    for _ in range(64):
+        n = _accelerance(f, g)
+        off = [i for i in exact if n[i] != targets[i]]
+        if not off:
+            return g
+        g[off] = np.nextafter(g[off].real, np.where(
+            n[off] < targets[off], np.inf, -np.inf))
+    return None
+
+
+def test_find_resonance_peaks_equals_loop_reference_on_edge_cases():
+    """A plateau, peaks at exactly the band edges (and just outside), a
+    peak at exactly PEAK_MIN_RATIO (and one just under), maxima at the
+    first and last samples and two near-coincident peaks."""
+    lo, hi = PEAK_BAND_HZ
+    f = np.geomspace(10.0, 6000.0, 400)
+    i_lo, i_hi = np.searchsorted(f, lo), np.searchsorted(f, hi)
+    f[i_lo], f[i_hi] = lo, hi
+    n = np.full(len(f), 0.5)
+    bumps = {0: 6.0, len(f) - 1: 6.0,                  # first and last
+             i_lo: 2.0, i_lo - 2: 2.0,                  # at and below 30 Hz
+             i_hi: 3.0, i_hi + 2: 3.0,                  # at and above 3 kHz
+             100: PEAK_MIN_RATIO,                       # exactly the ratio
+             120: float(np.nextafter(PEAK_MIN_RATIO, 0.0)),
+             150: 4.0, 151: 4.0,                        # plateau
+             200: 3.0, 202: 3.5}                        # near-coincident
+    for i, value in bumps.items():
+        n[i] = value
+        for j in (i - 1, i + 1):
+            if 0 <= j < len(f) and j not in bumps:
+                n[j] = 0.5 + 0.4 * (value - 0.5)
+    # Move the plateau up until both of its samples can hit it exactly.
+    while (g := _real_response(f, n, [100, 120, 150, 151])) is None:
+        n[150] = n[151] = np.nextafter(n[150], np.inf)
+    got = _find_resonance_peaks(f, g, 1.0)
+    assert repr(got) == repr(loop_find_resonance_peaks(f, g, 1.0))
+    # The edge cases are in play: both band edges, the exact ratio and the
+    # plateau are detected, the samples outside and under are not.
+    n_got = _accelerance(f, g)
+    assert n_got[100] == PEAK_MIN_RATIO and n_got[120] < PEAK_MIN_RATIO
+    assert n_got[150] == n_got[151]
+    near = lambda f_hz: any(abs(pk.f_hz / f_hz - 1.0) < 0.01 for pk in got)
+    assert near(lo) and near(hi) and near(f[100]) and near(f[151])
+    assert not near(f[i_lo - 2]) and not near(f[i_hi + 2])
+    assert not near(f[120])

@@ -390,17 +390,58 @@ def test_realize_equals_chained_series():
 
     fixed = (Gain(3.7), Integrator(), Lead(83.0, 2.6), Lead(95.0, 3.1),
              random_notch(rng), random_notch(rng))
+    # A negative gain and a zero-damped notch put signed zeros in the maps.
+    signed = (Gain(-3.7), Integrator(), Lead(95.0, 3.1),
+              Notch(250.0, 280.0, 0.0, 0.4))
     lpvs = tuple(LpvNotch(bilinear(0.05, 0.2), bilinear(0.3, 0.6),
                           bilinear(150.0, 300.0), bilinear(180.0, 360.0))
                  for _ in range(2))
     points = rng.uniform(0.0, 0.2, size=(7, 2))
-    for casc in (Cascade(fixed), Cascade(fixed + lpvs)):
+    for casc in (Cascade(fixed), Cascade(fixed + lpvs), Cascade(signed),
+                 Cascade(signed + lpvs)):
         for p in (None, points[0], points):
             if p is None and casc.scheduled_part:
                 continue
             for f_max in (None, 200.0):
                 assert_realizations_equal(realize(casc, p, f_max),
                                           chained_realize(casc, p, f_max))
+
+
+def test_cascade_frf_equals_in_order_product_of_element_responses():
+    """Repeated blocks are evaluated once and still multiplied on in
+    element order, byte for byte: three leads (the same object, then three
+    equal ones), two equal notches, a negative gain; with no position, at
+    one position and stacked, with and without a scheduled tail.  Gains of
+    -0.0 and +0.0, equal but not the same bits, are kept apart."""
+    rng = np.random.default_rng(31)
+    lead = Lead(95.0, 3.1)
+    notch = Notch(250.0, 280.0, 0.0, 0.4)
+    lpv = LpvNotch(constant_surface(0.1), constant_surface(0.4),
+                   constant_surface(610.0, "Hz"), constant_surface(650.0, "Hz"))
+    points = rng.uniform(0.0, 0.2, size=(5, 2))
+    freqs = GRID[::7]
+    omega = 2.0 * np.pi * freqs
+    for fixed in ((Gain(-2.5), Integrator(), lead, lead, lead, notch,
+                   Notch(250.0, 280.0, 0.0, 0.4)),
+                  (Gain(-2.5), Integrator(), Lead(95.0, 3.1), Lead(95.0, 3.1),
+                   Lead(95.0, 3.1), notch, notch),
+                  (Integrator(), Gain(0.0), Gain(-0.0), lead, lead)):
+        want = np.ones(len(freqs), dtype=complex)
+        for element in fixed:
+            want = want * element_transfer(element, omega)
+        casc = Cascade(fixed)
+        for p in (None, points[0]):
+            assert cascade_frf(casc, freqs, p).tobytes() == want.tobytes()
+        stacked = cascade_frf(casc, freqs, points)
+        assert stacked.tobytes() == np.tile(want, (len(points), 1)).tobytes()
+        scheduled = Cascade(fixed + (lpv,))
+        rows = [want * notch_transfer(*(float(c[0]) for c in
+                                        freeze_notches(lpv, [p])), omega)
+                for p in points]
+        assert cascade_frf(scheduled, freqs, points[0]).tobytes() \
+            == rows[0].tobytes()
+        assert cascade_frf(scheduled, freqs, points).tobytes() \
+            == np.array(rows).tobytes()
 
 
 def test_filter_serialization_round_trip():

@@ -23,7 +23,7 @@ from lpvslc.freqresp import (
     nyquist_stable,
     write_frf_csv,
 )
-from lpvslc.freqresp import _det_stacked
+from lpvslc.freqresp import _det_stacked, _unwrap
 from lpvslc.io import load_csv
 from lpvslc.plant import (
     FrozenStateSpace,
@@ -419,3 +419,70 @@ def test_refinement_raises_without_resolution():
     l_vals = np.array([10.0 + 0j, -10.0 + 0.1j, 0.01 + 0j])
     with pytest.raises(NumericalError):
         nyquist_stable(freqs, l_vals, lambda f: np.full(len(f), -10.0 + 0.1j), 0)
+
+
+def assert_unwrap_equals_numpy(phase):
+    """Same bytes as np.unwrap, signed zeros and NaN included."""
+    phase = np.asarray(phase, dtype=float)
+    with np.errstate(invalid="ignore"):
+        got, want = _unwrap(phase), np.unwrap(phase)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (phase, got, want)
+
+
+@pytest.mark.parametrize("phase", [
+    [0.0, np.pi, 0.0, -np.pi, 0.0, np.pi + 1.0],        # steps of +-pi
+    [0.0, -np.pi, -2.0 * np.pi, -np.pi, 2.0 * np.pi],
+    [-0.0, -0.0, 1.0, -0.0, 5.0, -0.0],                 # signed zeros
+    [-0.0],
+    [0.0, np.nan, 1.0, 5.0],                            # NaN propagates
+    [0.0, 4.0, np.nan, -0.0],
+    [np.nan, 0.0, 4.0],
+    [1.5],                                              # lengths 1 and 2
+    [1.5, -2.0],
+    [1.5, 1.0],
+    np.linspace(-3.0, 3.0, 50),                         # no jump
+    3.5 * np.arange(40.0) * (-1.0) ** np.arange(40),   # every step jumps
+    np.pi * np.arange(-20.0, 20.0),
+], ids=["plus_pi", "minus_pi", "signed_zeros", "minus_zero", "nan", "nan_late",
+        "nan_first", "one", "two", "two_no_jump", "no_jump", "all_jump",
+        "multiples_of_pi"])
+def test_unwrap_equals_numpy_on_edge_cases(phase):
+    assert_unwrap_equals_numpy(phase)
+
+
+def test_unwrap_equals_numpy_on_random_phases():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    special = st.sampled_from([np.pi, -np.pi, 2.0 * np.pi, 0.0, -0.0,
+                               np.nan, np.inf, -np.inf])
+    values = st.one_of(st.floats(-50.0, 50.0), special)
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                         deadline=None)
+    @hypothesis.given(arrays(np.float64, st.integers(1, 64), elements=values))
+    def check(phase):
+        assert_unwrap_equals_numpy(phase)
+
+    check()
+
+
+def test_unwrap_equals_numpy_on_loop_phases():
+    """The phases the Nyquist test and the margins unwrap, on the
+    certification frequencies of a design at the workspace centre."""
+    from lpvslc.design import DesignSpec, design_lti_slc
+
+    model = benchmark_plant()
+    center = [(0.1, 0.1)]
+    controllers = design_lti_slc(model, DesignSpec(design_grid=center,
+                                                   verification_grid=center))
+    freqs = _certification_freqs()
+    p_frf = decoupled_plant_frf(model, center[0], freqs, controllers.t_u,
+                                controllers.t_y)
+    k_frfs = controllers.loop_frfs(freqs, center[0])
+    chain = design_chain(p_frf, k_frfs, controllers.loop_order)
+    for g, k in zip(chain, k_frfs):
+        assert_unwrap_equals_numpy(np.angle(g * k))
+        assert_unwrap_equals_numpy(np.angle(1.0 + g * k))

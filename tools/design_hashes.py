@@ -1,11 +1,14 @@
-"""Fingerprints of both README designs: every bisection candidate, the final
-set and its 17x17 certification.
+"""Fingerprints of both README designs and of the benchmark's single-position
+design: every bisection candidate and the final set.
 
 For each kind (LTI, LPV) on the benchmark stage with the default spec it
 prints the number of controller sets the bisection passes to certify, the
 sha256 over those sets in call order, the achieved bandwidth's repr, the
 sha256 of the final set, and the sha256 and verdict of a 17x17 certify
-report.  Two trees that print the same lines built the same candidates.
+report.  A third line holds the same fingerprints, without the 17x17
+report, for the LTI design at the workspace centre alone (design and
+verification grid both (0.1, 0.1)), the design perfbench's design workload
+times.  Two trees that print the same lines built the same candidates.
 Standard library and lpvslc only.
 
     PYTHONPATH=src python3 tools/design_hashes.py
@@ -24,14 +27,15 @@ from lpvslc.design import (
 )
 from lpvslc.plant import benchmark_plant
 
+CENTRE = (0.1, 0.1)
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def fingerprint(kind: str) -> str:
-    """One line of fingerprints for design_<kind>_slc on the default spec."""
-    model = benchmark_plant()
+def fingerprint(model, kind: str, spec: DesignSpec):
+    """design_<kind>_slc on spec: the set and its line of fingerprints."""
     candidates = []
 
     def recording_certify(m, controllers, grid, **kwargs):
@@ -40,14 +44,22 @@ def fingerprint(kind: str) -> str:
 
     design.certify = recording_certify
     try:
-        controllers = getattr(design, f"design_{kind}_slc")(model, DesignSpec())
+        controllers = getattr(design, f"design_{kind}_slc")(model, spec)
     finally:
         design.certify = certify
+    return controllers, (
+        f"{len(candidates)} steps, "
+        f"candidates {sha256(chr(10).join(candidates))}, "
+        f"bandwidth {float(controllers.achieved_bandwidth_hz)!r}, "
+        f"final {sha256(json.dumps(controllers_to_dict(controllers)))}")
+
+
+def readme_line(model, kind: str) -> str:
+    """Fingerprints of design_<kind>_slc on the default spec and its 17x17
+    certify report."""
+    controllers, line = fingerprint(model, kind, DesignSpec())
     report = certify(model, controllers, grid_points(model.workspace, 17, 17))
-    return (f"{kind.upper()}: {len(candidates)} steps, "
-            f"candidates {sha256(chr(10).join(candidates))}, "
-            f"bandwidth {float(controllers.achieved_bandwidth_hz)!r}, "
-            f"final {sha256(json.dumps(controllers_to_dict(controllers)))}, "
+    return (f"{kind.upper()}: {line}, "
             f"certify 17x17 {sha256(json.dumps(report.to_dict()))} "
             f"{'pass' if report.passed else 'fail'}")
 
@@ -55,5 +67,9 @@ def fingerprint(kind: str) -> str:
 if __name__ == "__main__":
     # The per-freeze clamp warnings are not fingerprints.
     logging.getLogger("lpvslc").setLevel(logging.ERROR)
+    model = benchmark_plant()
     for kind in ("lti", "lpv"):
-        print(fingerprint(kind))
+        print(readme_line(model, kind))
+    _, line = fingerprint(model, "lti", DesignSpec(
+        design_grid=[CENTRE], verification_grid=[CENTRE]))
+    print(f"LTI at {CENTRE}: {line}")
