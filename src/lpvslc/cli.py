@@ -55,7 +55,7 @@ from .errors import (
     record,
     text,
 )
-from .freqresp import default_grid, frf, write_frf_csv
+from .freqresp import default_grid, frf, frf_columns, write_frf_csv
 from .io import dump_csv, dump_json, load_from, load_json
 from .plant import frozen_realization, load_plant
 from .scheduling import FrozenDesignSet, fit_surface, surface_to_dict
@@ -223,11 +223,9 @@ def cmd_frf(args) -> None:
     header = ["freq_hz"]
     cols = [grid.freqs_hz]
     for k, h in enumerate(responses, start=1):
-        for i in range(h.shape[1]):
-            for j in range(h.shape[2]):
-                header += [f"p{k:02d}_re_{i + 1}{j + 1}",
-                           f"p{k:02d}_im_{i + 1}{j + 1}"]
-                cols += [h[:, i, j].real, h[:, i, j].imag]
+        names, columns = frf_columns(h, f"p{k:02d}_")
+        header += names
+        cols += columns
     dump_csv(project.output_dir / "frf_combined.csv", header, cols)
     dump_json({"positions": [[float(x), float(y)] for x, y in positions],
                "files": files, "combined": "frf_combined.csv"},

@@ -73,9 +73,15 @@ def text(key: str, value) -> str:
 
 
 def reals(key: str, value) -> np.ndarray:
-    """value as a float array; every entry, at any depth, must pass real."""
+    """value as a float array; every entry, at any depth, must pass real.
+    Python floats and ints are checked in one pass, anything else by real."""
     entries = np.array(value, dtype=object)
-    return np.array([real(key, v) for v in entries.ravel()],
+    flat = entries.ravel()
+    if set(map(type, flat)) <= {float, int}:
+        out = flat.astype(float)
+        if np.isfinite(out).all():
+            return out.reshape(entries.shape)
+    return np.array([real(key, v) for v in flat],
                     dtype=float).reshape(entries.shape)
 
 

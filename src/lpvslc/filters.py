@@ -129,7 +129,27 @@ class LpvNotch:
                 raise ModelError(f"LpvNotch field {name} must be a CoefficientSurface")
 
 
-_LTI_VARIANTS = (Gain, Integrator, Lead, Notch)
+# Each filter block kind: its class, the readers of its record's fields
+# beside "type" in declaration order, and its state count.
+_FILTER_TYPES = {
+    "gain": (Gain, {"k": real}, 0),
+    "integrator": (Integrator, {}, 1),
+    "lead": (Lead, {"f_bw": real, "alpha": real}, 1),
+    "notch": (Notch, dict.fromkeys(("f1", "f2", "beta1", "beta2"), real), 2),
+    "lpv_notch": (LpvNotch, dict.fromkeys(("beta1", "beta2", "f1", "f2"),
+                                          _read_surface), 2),
+}
+_KINDS = {cls: kind for kind, (cls, _, _) in _FILTER_TYPES.items()}
+# A block is scheduled when its fields are coefficient surfaces.
+_FIXED = tuple(cls for cls, fields, _ in _FILTER_TYPES.values()
+               if _read_surface not in fields.values())
+_SCHEDULED = tuple(cls for cls in _KINDS if cls not in _FIXED)
+
+
+def _kind(spec) -> str:
+    if type(spec) not in _KINDS:
+        raise ModelError(f"unknown filter block {type(spec).__name__}")
+    return _KINDS[type(spec)]
 
 
 @dataclass(frozen=True)
@@ -139,7 +159,7 @@ class Cascade:
     The n_fixed fixed (position-independent) blocks come first, then only
     position-scheduled ones.  The split is what a real-time implementation
     needs: the front section is realized once, the tail is re-frozen per
-    scheduling update.  n_fixed is counted once, when the cascade is built.
+    scheduling update.
     """
 
     elements: tuple
@@ -147,10 +167,10 @@ class Cascade:
 
     def __post_init__(self):
         elements = tuple(self.elements)
-        fixed = [isinstance(e, _LTI_VARIANTS) for e in elements]
+        fixed = [isinstance(e, _FIXED) for e in elements]
         n_fixed = (fixed + [False]).index(False)
         for e in elements[n_fixed:]:
-            if not isinstance(e, LpvNotch):
+            if not isinstance(e, _SCHEDULED):
                 raise ModelError(f"only scheduled notches may follow a "
                                  f"cascade's fixed blocks, got "
                                  f"{type(e).__name__}")
@@ -166,31 +186,26 @@ class Cascade:
         return self.elements[self.n_fixed:]
 
 
-def freeze_notches(spec, points, f_max=None):
+def freeze_notches(notches, points, f_max=None):
     """Freeze scheduled notches at every row of an (n, 2) array of points.
 
-    spec is one LpvNotch, or a sequence of them, such as a cascade's
-    scheduled part.  One notch gives its coefficient arrays (f1, f2,
-    beta1, beta2), one entry per point; a sequence gives a list of such
-    tuples, one per notch, in order.  Frequency surfaces are clamped into
+    notches is a sequence of LpvNotch, such as a cascade's scheduled part.
+    The result holds, per notch in order, its coefficient arrays (f1, f2,
+    beta1, beta2), one entry per point.  Frequency surfaces are clamped into
     [MIN_NOTCH_FREQ_HZ, f_max] (upper end only when f_max is given,
     normally just below the simulation Nyquist rate).  A zero damping
     surface that dips slightly below zero between fit points is clamped to
     0 (a full-depth notch).  Clamping is logged, never silent: one warning
     per clamped coefficient of each notch, with the number of points it was
     clamped at.  A pole damping surface that comes out nonpositive has no
-    safe substitute and raises.  Notches are checked in order, so a
-    sequence logs and raises exactly as one call per notch would.
+    safe substitute and raises.  Notches are checked in order.
 
-    The surfaces of all the notches are evaluated in one eval_surface
-    call, whose values do not depend on the number of points or surfaces:
-    row k of a stacked freeze is bit for bit the freeze at points[k] alone,
-    and each notch of a sequence freezes as it would on its own.
+    All the surfaces are evaluated in one eval_surface call, whose values
+    do not depend on the number of points or surfaces: row k is bit for bit
+    the freeze at points[k] alone, and each notch freezes as on its own.
     """
-    one = isinstance(spec, LpvNotch)
-    specs = [spec] if one else list(spec)
     pts = np.asarray(points, dtype=float)
-    values = eval_surface([s for n in specs
+    values = eval_surface([s for n in notches
                            for s in (n.f1, n.f2, n.beta1, n.beta2)], pts)
     hi = np.inf if f_max is None else float(f_max)
     out = []
@@ -211,7 +226,7 @@ def freeze_notches(spec, points, f_max=None):
                 value = np.clip(value, lo, up)
             frozen.append(value)
         out.append((*frozen, beta2))
-    return out[0] if one else out
+    return out
 
 
 def _notch_matrices(f1, f2, beta1, beta2):
@@ -236,24 +251,28 @@ def realize(spec, p=None, f_max=None) -> FrozenStateSpace:
     matrices stacked along a leading axis of length n, one per position;
     f_max caps the scheduled notch frequencies as in freeze_notches.
 
-    A cascade realizes in one pass from its blocks' (a, b, c, d) arrays
-    (see _series).  A scheduled cascade realizes its fixed front once and
-    freezes its notches in one freeze_notches call, logging and raising as
-    one call per notch would.
+    A lone block realizes as a one-block cascade.  A cascade is
+    series-connected from its blocks' (a, b, c, d) arrays (see _series);
+    a scheduled cascade connects its fixed front first, then that front
+    and its notches, frozen in one freeze_notches call.
     """
-    if isinstance(spec, Cascade):
-        parts = ([_series([_matrices(e) for e in spec.fixed_part])]
-                 if spec.scheduled_part
-                 else [_matrices(e) for e in spec.fixed_part])
-        parts += _realize_scheduled(spec.scheduled_part, p, f_max)
-        return FrozenStateSpace(*_series(parts))
-    if isinstance(spec, LpvNotch):
-        return FrozenStateSpace(*_realize_scheduled((spec,), p, f_max)[0])
-    return FrozenStateSpace(*_matrices(spec))
+    if not isinstance(spec, Cascade):
+        spec = Cascade((spec,))
+    parts = [_matrices(e) for e in spec.fixed_part]
+    if spec.scheduled_part:
+        if p is None:
+            raise ModelError("scheduled notch needs a position to freeze at")
+        pts = np.asarray(p, dtype=float)
+        frozen = freeze_notches(spec.scheduled_part, np.atleast_2d(pts), f_max)
+        if pts.ndim == 1:
+            # A single position realizes from Python floats.
+            frozen = [tuple(float(c[0]) for c in coeffs) for coeffs in frozen]
+        parts = [_series(parts)] + [_notch_matrices(*c) for c in frozen]
+    return FrozenStateSpace(*_series(parts))
 
 
 def _matrices(spec) -> tuple:
-    """(a, b, c, d) of one fixed block, each a 2-D float array."""
+    """(a, b, c, d) of one fixed block (see _FIXED), each a 2-D float array."""
     if isinstance(spec, Gain):
         return (np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
                 np.array([[spec.k]], dtype=float))
@@ -264,9 +283,7 @@ def _matrices(spec) -> tuple:
         pole = 2.0 * np.pi * spec.alpha * spec.f_bw
         return tuple(np.array([[x]], dtype=float) for x in
                      (-pole, pole, 1.0 - spec.alpha ** 2, spec.alpha ** 2))
-    if isinstance(spec, Notch):
-        return _notch_matrices(spec.f1, spec.f2, spec.beta1, spec.beta2)
-    raise ModelError(f"unknown filter block {type(spec).__name__}")
+    return _notch_matrices(spec.f1, spec.f2, spec.beta1, spec.beta2)
 
 
 def _series(parts) -> tuple:
@@ -290,20 +307,6 @@ def _series(parts) -> tuple:
         d = k_d @ d
         at = x.stop
     return a, b, c, d
-
-
-def _realize_scheduled(specs, p, f_max) -> list:
-    """(a, b, c, d) of scheduled notches frozen at p, one freeze_notches
-    call for all of them; a single position realizes from Python floats."""
-    if not specs:
-        return []
-    if p is None:
-        raise ModelError("scheduled notch needs a position to freeze at")
-    pts = np.asarray(p, dtype=float)
-    frozen = freeze_notches(specs, np.atleast_2d(pts), f_max)
-    if pts.ndim == 1:
-        frozen = [tuple(float(c[0]) for c in coeffs) for coeffs in frozen]
-    return [_notch_matrices(*coeffs) for coeffs in frozen]
 
 
 def notch_transfer(f1, f2, beta1, beta2, omega):
@@ -361,18 +364,14 @@ def _multiply_notches(stack, omega, notches) -> None:
     s2 = s * s
     num, den = np.empty_like(stack), np.empty_like(stack)
     for rows in notches:
-        # Each row's terms from Python floats, not from arrays: a float's
-        # x ** 2 is libm pow, which differs from numpy's square of an array
-        # in the last bit for some inputs.
+        # Terms from Python floats: a float's x ** 2 (libm pow) can differ
+        # from numpy's square of an array in the last bit.
         b1, b0, a1, a0, gain = np.array(
             [_notch_terms(*row) for row in rows]).T[:, :, None]
-        # In place: stack *= gain (s^2 + b1 s + b0) / (s^2 + a1 s + a0),
-        # each product with its operands in notch_transfer's order and the
-        # running product first, as a one-position evaluation has them:
-        # numpy's complex product is not commutative in the last bit.
-        # stack * (num / den) would not keep that order: for a temporary
-        # of 256 KiB or more, numpy's temporary elision evaluates it as
-        # (num / den) *= stack.
+        # stack *= gain (s^2 + b1 s + b0) / (s^2 + a1 s + a0), operands in
+        # notch_transfer's order, running product first: numpy's complex
+        # product is not commutative in the last bit, and its temporary
+        # elision would turn stack * (num / den) into (num / den) *= stack.
         np.multiply(b1, s, out=num)
         num += s2
         num += b0
@@ -381,10 +380,8 @@ def _multiply_notches(stack, omega, notches) -> None:
         den += a0
         np.multiply(gain, num, out=num)
         np.divide(num, den, out=num)
-        # The running product goes through a buffer of its own: numpy
-        # rounds an in-place complex product of a single element as
-        # Python's complex product does, differently from the out-of-place
-        # product notch_transfer's caller makes.
+        # Through a buffer: numpy rounds an in-place one-element complex
+        # product as Python does, not as an out-of-place product.
         np.multiply(stack, num, out=den)
         stack[...] = den
 
@@ -426,48 +423,21 @@ def n_states(spec) -> int:
     """State count of a block or cascade realization."""
     if isinstance(spec, Cascade):
         return sum(n_states(e) for e in spec.elements)
-    if isinstance(spec, Gain):
-        return 0
-    if isinstance(spec, (Integrator, Lead)):
-        return 1
-    if isinstance(spec, (Notch, LpvNotch)):
-        return 2
-    raise ModelError(f"unknown filter block {type(spec).__name__}")
+    return _FILTER_TYPES[_kind(spec)][2]
 
 
 def filter_to_dict(spec) -> dict:
-    if isinstance(spec, Gain):
-        return {"type": "gain", "k": float(spec.k)}
-    if isinstance(spec, Integrator):
-        return {"type": "integrator"}
-    if isinstance(spec, Lead):
-        return {"type": "lead", "f_bw": float(spec.f_bw),
-                "alpha": float(spec.alpha)}
-    if isinstance(spec, Notch):
-        return {"type": "notch", "f1": float(spec.f1), "f2": float(spec.f2),
-                "beta1": float(spec.beta1), "beta2": float(spec.beta2)}
-    if isinstance(spec, LpvNotch):
-        return {"type": "lpv_notch",
-                "beta1": surface_to_dict(spec.beta1),
-                "beta2": surface_to_dict(spec.beta2),
-                "f1": surface_to_dict(spec.f1),
-                "f2": surface_to_dict(spec.f2)}
-    raise ModelError(f"unknown filter block {type(spec).__name__}")
-
-
-# Each filter type's block and the fields of its record beside "type".
-_FILTER_TYPES = {
-    "gain": (Gain, {"k": real}),
-    "integrator": (Integrator, {}),
-    "lead": (Lead, {"f_bw": real, "alpha": real}),
-    "notch": (Notch, {k: real for k in ("f1", "f2", "beta1", "beta2")}),
-    "lpv_notch": (LpvNotch, {k: _read_surface
-                             for k in ("beta1", "beta2", "f1", "f2")}),
-}
+    kind = _kind(spec)
+    out = {"type": kind}
+    for name in _FILTER_TYPES[kind][1]:
+        value = getattr(spec, name)
+        out[name] = (surface_to_dict(value)
+                     if isinstance(value, CoefficientSurface) else float(value))
+    return out
 
 
 def _read_filter(key: str, data):
-    fields = tagged(key, data, "type", {kind: spec for kind, (_, spec)
+    fields = tagged(key, data, "type", {kind: spec for kind, (_, spec, _)
                                         in _FILTER_TYPES.items()})
     return _FILTER_TYPES[fields.pop("type")][0](**fields)
 

@@ -49,6 +49,7 @@ __all__ = [
     "nyquist_stable",
     "LoopMargins",
     "margins_and_bandwidth",
+    "frf_columns",
     "write_frf_csv",
 ]
 
@@ -74,9 +75,6 @@ class FrequencyGrid:
         if f[0] <= 0.0 or np.any(np.diff(f) <= 0.0):
             raise DomainError("frequencies must be positive and strictly increasing")
         object.__setattr__(self, "freqs_hz", f)
-
-    def __len__(self) -> int:
-        return len(self.freqs_hz)
 
 
 def default_grid(
@@ -390,16 +388,21 @@ def margins_and_bandwidth(freqs_hz, l_frf) -> LoopMargins:
     )
 
 
-def write_frf_csv(path, freqs_hz, h: np.ndarray) -> None:
-    """Columns: freq_hz, then re_ij, im_ij per output/input pair (1-based)."""
-    h = np.asarray(h)
-    if h.ndim == 1:
-        h = h[:, None, None]
-    F, ny, nu = h.shape
-    header = ["freq_hz"]
-    cols = [np.asarray(freqs_hz, dtype=float)]
-    for i in range(ny):
-        for j in range(nu):
-            header += [f"re_{i + 1}{j + 1}", f"im_{i + 1}{j + 1}"]
+def frf_columns(h: np.ndarray, prefix: str = "") -> tuple:
+    """CSV header and columns of an (F, n_y, n_u) FRF: prefix + re_ij and
+    prefix + im_ij per output/input pair (1-based)."""
+    header, cols = [], []
+    for i in range(h.shape[1]):
+        for j in range(h.shape[2]):
+            header += [f"{prefix}re_{i + 1}{j + 1}",
+                       f"{prefix}im_{i + 1}{j + 1}"]
             cols += [h[:, i, j].real, h[:, i, j].imag]
-    dump_csv(path, header, cols)
+    return header, cols
+
+
+def write_frf_csv(path, freqs_hz, h: np.ndarray) -> None:
+    """Columns: freq_hz, then frf_columns(h); an (F,) h is one pair."""
+    h = np.asarray(h)
+    header, cols = frf_columns(h[:, None, None] if h.ndim == 1 else h)
+    dump_csv(path, ["freq_hz"] + header,
+             [np.asarray(freqs_hz, dtype=float)] + cols)

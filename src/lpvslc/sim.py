@@ -41,9 +41,9 @@ commanded scan position; a measurement-like variant delays it by one step.
 
 Tracking quality is summarized by the centered moving average (MA) and
 moving standard deviation (MSD) of the error over a configurable exposure
-window, discretized by the trapezoid rule, plus their arithmetic means
-over the motion intervals (acceleration, settling, constant velocity)
-derived from the commanded profiles.
+window, discretized by the trapezoid rule; result_summary takes their means
+per axis and overall over one of the motion intervals (acceleration,
+settling, constant velocity) derived from the commanded profiles.
 """
 
 from __future__ import annotations
@@ -76,11 +76,9 @@ __all__ = [
     "StageMotion",
     "Interval",
     "SimResult",
-    "IntervalMetrics",
     "benchmark_motion",
     "simulate",
     "ma_msd",
-    "interval_metrics",
     "result_summary",
     "compare_runs",
     "compare_summaries",
@@ -337,49 +335,6 @@ def ma_msd(e, window_s: float, sample_rate_hz: float):
     if single:
         return ma[:, 0], msd[:, 0]
     return ma, msd
-
-
-@dataclass(frozen=True)
-class IntervalMetrics:
-    """Arithmetic means of |MA| and MSD over one marked interval."""
-
-    name: str
-    t_start: float
-    t_end: float
-    ma_mean: np.ndarray
-    msd_mean: np.ndarray
-
-    @property
-    def ma_overall(self) -> float:
-        return float(np.mean(self.ma_mean))
-
-    @property
-    def msd_overall(self) -> float:
-        return float(np.mean(self.msd_mean))
-
-
-def interval_metrics(result: SimResult, intervals=None) -> list:
-    """Per-axis mean |MA| and mean MSD over each marked interval.
-
-    Only samples whose exposure window fits inside the run contribute; an
-    interval without a single such sample is an error.
-    """
-    if intervals is None:
-        intervals = result.intervals
-    out = []
-    for iv in intervals:
-        mask = ((result.t >= iv.t_start - 1e-12)
-                & (result.t <= iv.t_end + 1e-12)
-                & np.isfinite(result.ma[:, 0]))
-        if not mask.any():
-            raise ConfigError(
-                f"interval {iv.name!r} [{iv.t_start:.6g}, {iv.t_end:.6g}] s "
-                "contains no samples with a full exposure window")
-        out.append(IntervalMetrics(
-            name=iv.name, t_start=iv.t_start, t_end=iv.t_end,
-            ma_mean=np.mean(np.abs(result.ma[mask]), axis=0),
-            msd_mean=np.mean(result.msd[mask], axis=0)))
-    return out
 
 
 def _plant_tables(model, p_true, t_u, t_y):
@@ -670,17 +625,6 @@ def simulate(model: ModalPlantModel, controllers: ControllerSet,
         kind=controllers.kind, axis_names=tab.axis_names, states=x_t)
 
 
-def _pick_interval(result: SimResult, name: str) -> IntervalMetrics:
-    """Metrics of the longest marked interval with the given name."""
-    chosen = [iv for iv in result.intervals if iv.name == name]
-    if not chosen:
-        raise ConfigError(
-            f"run has no {name!r} interval; markers: "
-            f"{sorted({iv.name for iv in result.intervals})}")
-    chosen.sort(key=lambda iv: iv.t_end - iv.t_start)
-    return interval_metrics(result, [chosen[-1]])[0]
-
-
 def _as_given(key: str, value):
     return value
 
@@ -694,19 +638,34 @@ def sim_config_from_dict(data: dict) -> SimConfig:
 
 def result_summary(result: SimResult,
                    interval_name: str = "constant velocity") -> dict:
-    """JSON-ready digest of one run: interval metrics plus the config echo."""
-    metrics = _pick_interval(result, interval_name)
-    per_axis = {name: {"ma_m": float(metrics.ma_mean[i]),
-                       "msd_m": float(metrics.msd_mean[i])}
-                for i, name in enumerate(result.axis_names)}
+    """JSON-ready digest of one run: per-axis and overall means of |MA|
+    and MSD over the longest marked interval with the given name, plus
+    the config echo.  Only samples whose exposure window fits inside the
+    run contribute; an interval without a single such sample is an error.
+    """
+    chosen = [iv for iv in result.intervals if iv.name == interval_name]
+    if not chosen:
+        raise ConfigError(
+            f"run has no {interval_name!r} interval; markers: "
+            f"{sorted({iv.name for iv in result.intervals})}")
+    iv = sorted(chosen, key=lambda iv: iv.t_end - iv.t_start)[-1]
+    mask = ((result.t >= iv.t_start - 1e-12) & (result.t <= iv.t_end + 1e-12)
+            & np.isfinite(result.ma[:, 0]))
+    if not mask.any():
+        raise ConfigError(
+            f"interval {iv.name!r} [{iv.t_start:.6g}, {iv.t_end:.6g}] s "
+            "contains no samples with a full exposure window")
+    ma_mean = np.mean(np.abs(result.ma[mask]), axis=0)
+    msd_mean = np.mean(result.msd[mask], axis=0)
     return {
         "kind": result.kind,
-        "interval": {"name": metrics.name,
-                     "t_start_s": metrics.t_start,
-                     "t_end_s": metrics.t_end},
-        "ma_m": metrics.ma_overall,
-        "msd_m": metrics.msd_overall,
-        "per_axis": per_axis,
+        "interval": {"name": iv.name, "t_start_s": iv.t_start,
+                     "t_end_s": iv.t_end},
+        "ma_m": float(np.mean(ma_mean)),
+        "msd_m": float(np.mean(msd_mean)),
+        "per_axis": {name: {"ma_m": float(ma_mean[i]),
+                            "msd_m": float(msd_mean[i])}
+                     for i, name in enumerate(result.axis_names)},
         "config": asdict(result.config),
     }
 
@@ -721,8 +680,15 @@ def compare_summaries(base: dict, cand: dict, labels=None) -> dict:
     """Combine two run digests (see result_summary) into a comparison table.
 
     The reduction is quoted against the baseline, whose own reduction row
-    is zero; a zero baseline metric reports 0% rather than dividing.
+    is zero; a zero baseline metric reports 0% rather than dividing.  Two
+    digests over different intervals or exposure windows are refused.
     """
+    for what, a, b in (("intervals", base["interval"], cand["interval"]),
+                       ("exposure windows", base["config"]["window_s"],
+                        cand["config"]["window_s"])):
+        if a != b:
+            raise ConfigError(f"cannot compare runs over different {what}: "
+                              f"{a!r} and {b!r}")
     base = dict(base)
     cand = dict(cand)
     if labels is None:

@@ -42,7 +42,7 @@ def cascade_frf_at(cascade, freqs, p):
     out = np.ones(omega.shape, dtype=complex)
     for element in cascade.elements:
         if isinstance(element, LpvNotch):
-            coeffs = freeze_notches(element, np.atleast_2d(p))
+            coeffs = freeze_notches([element], np.atleast_2d(p))[0]
             out = out * notch_transfer(*(float(c[0]) for c in coeffs), omega)
         else:
             out = out * element_transfer(element, omega)

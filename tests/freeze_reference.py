@@ -46,7 +46,7 @@ def per_notch_realize(spec, p=None, f_max=None) -> FrozenStateSpace:
         return FrozenStateSpace(a=a, b=b, c=c, d=d)
     if isinstance(spec, LpvNotch):
         pts = np.asarray(p, dtype=float)
-        coeffs = freeze_notches(spec, np.atleast_2d(pts), f_max)
+        coeffs = freeze_notches([spec], np.atleast_2d(pts), f_max)[0]
         if pts.ndim == 1:
             coeffs = tuple(float(c[0]) for c in coeffs)
         return FrozenStateSpace(*_notch_matrices(*coeffs))
@@ -65,6 +65,6 @@ def per_notch_cascade_frf(cascade, freqs_hz, p=None) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(p, dtype=float))
     stack = np.array(np.broadcast_to(out, (len(pts),) + out.shape))
     _multiply_notches(stack, omega, [
-        list(zip(*(c.tolist() for c in freeze_notches(spec, pts))))
+        list(zip(*(c.tolist() for c in freeze_notches([spec], pts)[0])))
         for spec in cascade.scheduled_part])
     return stack[0] if single else stack

@@ -437,6 +437,25 @@ def test_simulate_and_metrics_identical_controllers(rigid_project, capsys):
     assert "controller" in capsys.readouterr().out
 
 
+def test_metrics_over_different_exposure_windows_exits_2(rigid_project,
+                                                         tmp_path, caplog):
+    """Runs simulated with different window_s are not compared."""
+    root = tmp_path / "proj"
+    shutil.copytree(rigid_project.parent, root)
+    project, out = root / rigid_project.name, root / "out"
+    shutil.copy(out / "controllers_lti.json", out / "controllers_lpv.json")
+    for name in ("comparison.json", "summary_lti.json", "summary_lpv.json"):
+        (out / name).unlink(missing_ok=True)
+    assert main(["simulate", "--config", str(project), "--mode", "lti"]) == 0
+    (root / "sim_config.json").write_text(
+        json.dumps({"duration_s": 0.6, "window_s": 0.004}))
+    assert main(["simulate", "--config", str(project), "--mode", "lpv"]) == 0
+    with caplog.at_level(logging.ERROR, logger="lpvslc.cli"):
+        assert main(["metrics", "--config", str(project)]) == 2
+    assert "different exposure windows: 0.005 and 0.004" in caplog.text
+    assert not (out / "comparison.json").exists()
+
+
 def test_simulate_without_controllers_exits_2(tmp_path):
     path = _write_project(tmp_path, _rigid_plant(),
                           trajectory=TRAJECTORY_SPEC,
@@ -717,12 +736,12 @@ def loader_project(rigid_project, tmp_path_factory):
 
 
 def test_loader_project_loads(loader_project, tmp_path):
-    """The table's project is good: each command that reads it runs (the
-    design commands are left out for time)."""
-    root = tmp_path / "project"
-    shutil.copytree(loader_project, root)
-    for argv in {tuple(a) for a, *_ in _LOADERS.values()
-                 if a[0] != "design"}:
+    """The table's project is good: each command that reads it runs on a
+    fresh copy of it (the design commands are left out for time)."""
+    for k, argv in enumerate(sorted({tuple(a) for a, *_ in _LOADERS.values()
+                                     if a[0] != "design"})):
+        root = tmp_path / f"project{k}"
+        shutil.copytree(loader_project, root)
         config = root / ("fit.json" if argv[0] == "fit" else "project.json")
         code = main(list(argv) + ["--config", str(config), "--out",
                                   str(root / "out")])

@@ -6,6 +6,8 @@ the matrix exponential for time stepping, brute-force products for
 cascades, and one-position realizations for stacked ones.
 """
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -46,7 +48,7 @@ def constant_surface(value, units=""):
 
 def freeze_at(spec, p, f_max=None):
     """The fixed notch a scheduled one freezes to at a single point."""
-    coeffs = freeze_notches(spec, np.array([p], dtype=float), f_max)
+    coeffs = freeze_notches([spec], np.array([p], dtype=float), f_max)[0]
     return Notch(*(float(c[0]) for c in coeffs))
 
 
@@ -230,7 +232,8 @@ def test_lpv_notch_clamps_frequencies_and_logs(caplog):
                    constant_surface(0.2, "Hz"), constant_surface(9000.0, "Hz"))
     points = np.array([[0.1, 0.1], [0.0, 0.2], [0.2, 0.0]])
     with caplog.at_level("WARNING", logger="lpvslc.filters"):
-        f1, f2, beta1, beta2 = freeze_notches(lpv, points, f_max=4500.0)
+        f1, f2, beta1, beta2 = freeze_notches([lpv], points,
+                                              f_max=4500.0)[0]
     np.testing.assert_array_equal(f1, [1.0, 1.0, 1.0])
     np.testing.assert_array_equal(f2, [4500.0, 4500.0, 4500.0])
     np.testing.assert_array_equal(beta1, [0.1, 0.1, 0.1])
@@ -253,7 +256,7 @@ def test_lpv_notch_invalid_damping_raises():
     bad = LpvNotch(constant_surface(0.1), constant_surface(-0.4),
                    constant_surface(200.0), constant_surface(210.0))
     with pytest.raises(ModelError, match=r"at p = \(0\.1, 0\.1\)"):
-        freeze_notches(bad, np.array([[0.1, 0.1]]))
+        freeze_notches([bad], np.array([[0.1, 0.1]]))
 
 
 def test_stacked_realization_matches_each_position():
@@ -293,7 +296,7 @@ def test_stacked_realization_matches_each_position():
         want = np.ones(len(GRID), dtype=complex)
         for element in casc.elements:
             if isinstance(element, LpvNotch):
-                coeffs = freeze_notches(element, p[None])
+                coeffs = freeze_notches([element], p[None])[0]
                 want = want * notch_transfer(*(float(c[0]) for c in coeffs),
                                              omega)
             else:
@@ -328,7 +331,7 @@ def test_cascade_frf_stack_keeps_the_scalar_notch_arithmetic():
     points = rng.uniform(0.0, 0.2, size=(4000, 2))
     freqs = GRID[::25]
     omega = 2.0 * np.pi * freqs
-    frozen = [freeze_notches(n, points) for n in notches]
+    frozen = [freeze_notches([n], points)[0] for n in notches]
     w = 2.0 * np.pi * np.concatenate([c[k] for c in frozen for k in (0, 1)])
     assert np.any(np.square(w) != np.array([v ** 2 for v in w.tolist()]))
     fixed = np.ones(len(freqs), dtype=complex)
@@ -436,7 +439,7 @@ def test_cascade_frf_equals_in_order_product_of_element_responses():
         assert stacked.tobytes() == np.tile(want, (len(points), 1)).tobytes()
         scheduled = Cascade(fixed + (lpv,))
         rows = [want * notch_transfer(*(float(c[0]) for c in
-                                        freeze_notches(lpv, [p])), omega)
+                                        freeze_notches([lpv], [p])[0]), omega)
                 for p in points]
         assert cascade_frf(scheduled, freqs, points[0]).tobytes() \
             == rows[0].tobytes()
@@ -472,3 +475,65 @@ def test_filter_serialization_round_trip():
         filter_from_dict({"type": "biquad"})
     with pytest.raises(ConfigError):
         filter_from_dict({"type": "lead"})
+
+
+def _every_block_type():
+    """A cascade holding every block type; numbers of several Python and
+    numpy types, surfaces of unequal orders."""
+    return Cascade((
+        Gain(np.float64(-2.5e-3)), Integrator(), Lead(83, 2.6),
+        Notch(400, 420.5, 0.0, np.float64(0.35)),
+        LpvNotch(CoefficientSurface(1, 3, [0.1, -0.02, 0.003],
+                                    x_map=(0.1, 0.1), y_map=(0.1, 0.1)),
+                 CoefficientSurface(2, 1, [0.4, 0.05]),
+                 CoefficientSurface(3, 2, [610.0, 1.5, -2.25, 0.1, 7, 1e-3],
+                                    units="Hz"),
+                 CoefficientSurface(1, 1, [650], units="Hz"))))
+
+
+def test_cascade_to_dict_text_is_pinned():
+    """Key order and float text of every block record, as stored sets
+    have always been written."""
+    assert json.dumps(cascade_to_dict(_every_block_type())) == (
+        '{"elements": [{"type": "gain", "k": -0.0025}, '
+        '{"type": "integrator"}, '
+        '{"type": "lead", "f_bw": 83.0, "alpha": 2.6}, '
+        '{"type": "notch", "f1": 400.0, "f2": 420.5, "beta1": 0.0, '
+        '"beta2": 0.35}, '
+        '{"type": "lpv_notch", '
+        '"beta1": {"order_x": 1, "order_y": 3, "theta": [0.1, -0.02, 0.003], '
+        '"x_map": [0.1, 0.1], "y_map": [0.1, 0.1], "units": ""}, '
+        '"beta2": {"order_x": 2, "order_y": 1, "theta": [0.4, 0.05], '
+        '"x_map": [0.0, 1.0], "y_map": [0.0, 1.0], "units": ""}, '
+        '"f1": {"order_x": 3, "order_y": 2, '
+        '"theta": [610.0, 1.5, -2.25, 0.1, 7.0, 0.001], '
+        '"x_map": [0.0, 1.0], "y_map": [0.0, 1.0], "units": "Hz"}, '
+        '"f2": {"order_x": 1, "order_y": 1, "theta": [650.0], '
+        '"x_map": [0.0, 1.0], "y_map": [0.0, 1.0], "units": "Hz"}}], '
+        '"n_fixed": 4}')
+
+
+def test_block_realizes_as_one_block_cascade():
+    """realize(block) is realize(Cascade((block,))) byte for byte, a
+    scheduled notch at one position and on a stack of positions."""
+    points = np.array([[0.02, 0.15], [0.1, 0.1], [0.18, 0.03]])
+    cases = [(block, None) for block in _every_block_type().fixed_part]
+    lpv = _every_block_type().scheduled_part[0]
+    cases += [(lpv, points[1]), (lpv, points)]
+    for block, p in cases:
+        alone, wrapped = realize(block, p), realize(Cascade((block,)), p)
+        for name in "abcd":
+            assert getattr(alone, name).tobytes() \
+                == getattr(wrapped, name).tobytes(), (block, name)
+            assert getattr(alone, name).shape \
+                == getattr(wrapped, name).shape
+    assert realize(lpv, points).a.shape == (3, 2, 2)
+
+
+def test_block_table_covers_state_counts_and_unknown_blocks():
+    assert [n_states(e) for e in _every_block_type().elements] \
+        == [0, 1, 1, 2, 2]
+    assert n_states(_every_block_type()) == 6
+    for call in (n_states, filter_to_dict, realize):
+        with pytest.raises(ModelError, match="object"):
+            call(object())

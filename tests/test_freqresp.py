@@ -63,7 +63,7 @@ def test_grid_validation():
     with pytest.raises(DomainError, match="finite"):
         FrequencyGrid(np.array([1.0, 2.0, np.inf]))
     g = default_grid()
-    assert len(g) == 1000
+    assert g.freqs_hz.shape == (1000,)
     assert g.freqs_hz[0] == 1.0 and g.freqs_hz[-1] == 5000.0
 
 

@@ -35,7 +35,6 @@ from lpvslc.sim import (
     SimResult,
     StageMotion,
     compare_runs,
-    interval_metrics,
     ma_msd,
     result_summary,
     sim_config_from_dict,
@@ -299,12 +298,11 @@ def test_scheduling_source_barely_moves_the_metrics(mini_design):
     for source in ("reference", "measured-delayed"):
         cfg = SimConfig(duration_s=1.4, scheduling_source=source)
         run = simulate(model, lpv, scan, cfg)
-        res[source] = [m for m in interval_metrics(run)
-                       if m.name == "constant velocity"][0]
-    ma_ref = res["reference"].ma_overall
-    msd_ref = res["reference"].msd_overall
-    assert abs(res["measured-delayed"].ma_overall / ma_ref - 1.0) < 0.05
-    assert abs(res["measured-delayed"].msd_overall / msd_ref - 1.0) < 0.05
+        res[source] = result_summary(run, "constant velocity")
+    ma_ref = res["reference"]["ma_m"]
+    msd_ref = res["reference"]["msd_m"]
+    assert abs(res["measured-delayed"]["ma_m"] / ma_ref - 1.0) < 0.05
+    assert abs(res["measured-delayed"]["msd_m"] / msd_ref - 1.0) < 0.05
 
 
 def test_energy_decays_with_zero_reference(mini_design):
@@ -571,17 +569,36 @@ def _synthetic_result(e, rate=10_000.0, window=0.005):
 
 def test_interval_metrics_constant_error():
     res = _synthetic_result(np.full((1001, 2), -3.0))
-    m = interval_metrics(res)[0]
-    assert_allclose(m.ma_mean, 3.0, rtol=0, atol=1e-12)
-    assert_allclose(m.msd_mean, 0.0, rtol=0, atol=1e-12)
-    assert m.ma_overall == pytest.approx(3.0)
+    m = result_summary(res, "constant velocity")
+    assert m["interval"] == {"name": "constant velocity",
+                             "t_start_s": 0.02, "t_end_s": 0.08}
+    for axis in m["per_axis"].values():
+        assert axis["ma_m"] == pytest.approx(3.0, rel=0, abs=1e-12)
+        assert axis["msd_m"] == pytest.approx(0.0, rel=0, abs=1e-12)
+    assert m["ma_m"] == pytest.approx(3.0)
 
 
 def test_interval_metrics_empty_interval_raises():
     res = _synthetic_result(np.ones((1001, 1)))
     empty = Interval("constant velocity", 0.0, 0.0005)
+    res = replace(res, intervals=(empty,))
     with pytest.raises(ConfigError, match="no samples"):
-        interval_metrics(res, [empty])
+        result_summary(res, "constant velocity")
+    with pytest.raises(ConfigError, match="no 'settling' interval"):
+        result_summary(res, "settling")
+
+
+def test_comparison_refuses_runs_over_different_windows_or_intervals():
+    e = np.full((1001, 1), 2.0)
+    base = _synthetic_result(e)
+    assert compare_runs(base, _synthetic_result(0.5 * e))["window_s"] == 0.005
+    with pytest.raises(ConfigError, match="different exposure windows"):
+        compare_runs(base, _synthetic_result(e, window=0.004))
+    moved = replace(base, intervals=(Interval("constant velocity", 0.03, 0.08),))
+    with pytest.raises(ConfigError, match="different intervals"):
+        compare_runs(base, moved)
+    with pytest.raises(ConfigError, match="different intervals"):
+        sim.compare_summaries(result_summary(moved), result_summary(base))
 
 
 def fmt_float(x: float) -> str:
@@ -639,7 +656,8 @@ def test_scan_excites_resonance_and_cruise_recovers(mini_design):
     bounds = MotionBounds(v_max=0.1, a_max=5.0, j_max=1000.0, s_max=2e5)
     scan = StageMotion(start_xy=(0.05, 0.10), scan_x=plan(0.1, bounds, 10_000.0))
     res = simulate(model, lpv, scan, SimConfig(duration_s=1.4))
-    metrics = {m.name: m for m in interval_metrics(res)}
+    metrics = {name: result_summary(res, name)
+               for name in ("acceleration", "settling", "constant velocity")}
     assert np.abs(res.e).max() > 1e-9
-    assert metrics["acceleration"].ma_overall > metrics["constant velocity"].ma_overall
-    assert metrics["constant velocity"].msd_overall < metrics["settling"].msd_overall
+    assert metrics["acceleration"]["ma_m"] > metrics["constant velocity"]["ma_m"]
+    assert metrics["constant velocity"]["msd_m"] < metrics["settling"]["msd_m"]
