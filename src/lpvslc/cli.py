@@ -206,9 +206,7 @@ def cmd_frf(args) -> None:
     """Write one FRF CSV per frozen position plus a combined overlay file."""
     project = load_project(args.config, args.out)
     model = load_plant(project.plant)
-    positions = _parse_positions(args.positions)
-    for p in positions:
-        model.check_point(p)
+    positions = model.check_point(_parse_positions(args.positions))
     grid = _parse_freq_grid(args.grid)
     responses = [frf(frozen_realization(model, p), grid.freqs_hz)
                  for p in positions]
@@ -368,16 +366,8 @@ def cmd_trajectory(args) -> None:
     # both of its ends do.
     scan = [0.0 if s is None else s.displacement
             for s in (motion.scan_x, motion.scan_y)]
-    for p in (motion.start_xy, np.add(motion.start_xy, scan)):
-        model.check_point(p)
-    profiles = {}
-    if motion.scan_x is not None:
-        profiles["scan_x"] = motion.scan_x
-    if motion.scan_y is not None:
-        profiles["scan_y"] = motion.scan_y
-    for i, prof in enumerate(motion.loop_refs):
-        if prof is not None:
-            profiles[f"loop{i}"] = prof
+    model.check_point([motion.start_xy, np.add(motion.start_xy, scan)])
+    profiles = motion.profiles()
     for name, prof in profiles.items():
         # write_profile_csv's table: (n + 1) rows of 6 float64 values.
         need = (prof.duration * rate + 1.0) * 6 * 8

@@ -188,9 +188,7 @@ class DesignSpec:
             else grid_points(model.workspace, 3, 3)
         verify = self.verification_grid if self.verification_grid is not None \
             else grid_points(model.workspace, 5, 5)
-        for grid in (design, verify):
-            for p in grid:
-                model.check_point(p)
+        model.check_point(np.vstack([design, verify]))
         order = tuple(range(model.n_u)) if self.loop_order is None \
             else tuple(int(i) for i in self.loop_order)
         if sorted(order) != list(range(model.n_u)):
@@ -972,21 +970,22 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     t_u, t_y = rigid_body_decouple(model, center)
     masses = np.asarray(model.masses, dtype=float)[: model.n_rigid]
 
-    # One plant FRF per distinct design and verification position, on the
-    # certification frequencies; the design reads the base-grid part of the
-    # same arrays (a plant FRF row depends only on its own frequency).
+    # One plant FRF per distinct position, on the certification
+    # frequencies; the design reads the base-grid part of the same arrays
+    # (a plant FRF row depends only on its own frequency).  Only design and
+    # verification positions are kept: on the default grids the audit
+    # grid's 56 others would add about 8 MB to the LPV design's peak memory.
     cert_freqs = _certification_freqs()
     frfs = {}
-    for p in (*design_grid, *verify_grid):
-        key = (float(p[0]), float(p[1]))
-        if key not in frfs:
-            frfs[key] = decoupled_plant_frf(model, p, cert_freqs, t_u, t_y)
 
-    def plant_frf(p) -> np.ndarray:
+    def plant_frf(p, keep: bool = True) -> np.ndarray:
         key = (float(p[0]), float(p[1]))
         if key in frfs:
             return frfs[key]
-        return decoupled_plant_frf(model, p, cert_freqs, t_u, t_y)
+        h = decoupled_plant_frf(model, p, cert_freqs, t_u, t_y)
+        if keep:
+            frfs[key] = h
+        return h
 
     p_frfs = np.stack([plant_frf(p)[CERT_TAIL_N:] for p in design_grid])
     verify_frfs = [plant_frf(p) for p in verify_grid]
@@ -1010,7 +1009,7 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
         # The scheduled build reads the plant only at the samples bracketing
         # the cluster frequencies; it gets them stacked over the audit grid.
         audit_sub = _bracketing_samples(freqs, cluster_hz)
-        audit_frfs = np.stack([plant_frf(p)[CERT_TAIL_N + audit_sub]
+        audit_frfs = np.stack([plant_frf(p, keep=False)[CERT_TAIL_N + audit_sub]
                                for p in audit_grid])
 
     def build(f_bw: float) -> ControllerSet:

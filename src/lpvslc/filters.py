@@ -24,6 +24,7 @@ where the resonance is weakly observable.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +91,8 @@ class Lead:
             raise ModelError("lead center frequency must be positive")
         if self.alpha <= 0.0:
             raise ModelError("lead ratio alpha must be positive")
+        if not math.isfinite(float(self.alpha) * float(self.alpha)):
+            raise ModelError(f"lead ratio alpha = {self.alpha!r}: its square is not finite")
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,11 @@ class Notch:
             raise ModelError("notch zero damping must be nonnegative")
         if self.beta2 <= 0.0:
             raise ModelError("notch pole damping must be positive")
+        for name in ("f1", "f2"):
+            w = 2.0 * math.pi * float(getattr(self, name))
+            if not math.isfinite(w * w):
+                raise ModelError(f"notch {name} = {getattr(self, name)!r} Hz: the "
+                                 "square of its angular frequency is not finite")
 
 
 @dataclass(frozen=True)

@@ -191,40 +191,18 @@ class ModalPlantModel:
         return self.sensor_xy.shape[0]
 
     def check_point(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float).reshape(2)
+        """p as a float array, one point (2,) or an (n, 2) stack; DomainError
+        naming the first point outside the workspace."""
+        p = np.asarray(p, dtype=float)
+        if p.ndim not in (1, 2) or p.shape[-1] != 2:
+            raise DomainError(f"scheduling points must be (2,) or (n, 2), got {p.shape}")
+        pts = p.reshape(-1, 2)
         (x0, x1), (y0, y1) = self.workspace
-        if not (x0 <= p[0] <= x1 and y0 <= p[1] <= y1):
-            raise DomainError(f"scheduling point {p.tolist()} outside workspace {self.workspace}")
+        inside = (x0 <= pts[:, 0]) & (pts[:, 0] <= x1) & (y0 <= pts[:, 1]) & (pts[:, 1] <= y1)
+        if not inside.all():
+            bad = pts[np.argmin(inside)]
+            raise DomainError(f"scheduling point {bad.tolist()} outside workspace {self.workspace}")
         return p
-
-    def shape_at(self, mode: Mode, xy: np.ndarray) -> np.ndarray:
-        """Flexible shape factor psi at absolute workspace coordinates xy (n, 2)."""
-        (x0, x1), (y0, y1) = self.workspace
-        lx, ly = x1 - x0, y1 - y0
-        out = np.ones(xy.shape[0])
-        if mode.kx > 0:
-            out = out * np.sin(mode.kx * np.pi * (xy[:, 0] - x0) / lx)
-        if mode.ky > 0:
-            out = out * np.sin(mode.ky * np.pi * (xy[:, 1] - y0) / ly)
-        return out
-
-    def shape_slope_at(self, mode: Mode, xy: np.ndarray) -> np.ndarray:
-        """In-plane gradient (n, 2) of psi at absolute coordinates xy."""
-        (x0, x1), (y0, y1) = self.workspace
-        lx, ly = x1 - x0, y1 - y0
-        sx = np.sin(mode.kx * np.pi * (xy[:, 0] - x0) / lx) if mode.kx > 0 else np.ones(xy.shape[0])
-        sy = np.sin(mode.ky * np.pi * (xy[:, 1] - y0) / ly) if mode.ky > 0 else np.ones(xy.shape[0])
-        dx = (
-            (mode.kx * np.pi / lx) * np.cos(mode.kx * np.pi * (xy[:, 0] - x0) / lx)
-            if mode.kx > 0
-            else np.zeros(xy.shape[0])
-        )
-        dy = (
-            (mode.ky * np.pi / ly) * np.cos(mode.ky * np.pi * (xy[:, 1] - y0) / ly)
-            if mode.ky > 0
-            else np.zeros(xy.shape[0])
-        )
-        return np.stack([dx * sy, sx * dy], axis=1)
 
 
 @dataclass
@@ -257,23 +235,21 @@ class FrozenStateSpace:
         return self.a.shape[-1]
 
 
-def _check_stack(model: ModalPlantModel, p):
-    """Points as an (n, 2) array and whether p was a stack, each one checked.
-
-    A single point goes through check_point; a stack raises DomainError
-    naming its first point outside the workspace.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2:
-        return model.check_point(p)[None], False
-    if p.shape[1] != 2:
-        raise DomainError(f"scheduling points must be (n, 2), got {p.shape}")
-    (x0, x1), (y0, y1) = model.workspace
-    inside = (x0 <= p[:, 0]) & (p[:, 0] <= x1) & (y0 <= p[:, 1]) & (p[:, 1] <= y1)
-    if not inside.all():
-        bad = p[np.argmin(inside)]
-        raise DomainError(f"scheduling point {bad.tolist()} outside workspace {model.workspace}")
-    return p, True
+def _sine_factors(model: ModalPlantModel, mode: Mode, xy: np.ndarray,
+                  slope: bool = False) -> list:
+    """The factors of psi along x and along y at absolute coordinates xy
+    (n, 2), each as a pair (factor, derivative), the derivative None
+    without slope.  A wavenumber of zero gives a factor of one and a
+    derivative of zero."""
+    out = []
+    for k, u, (lo, hi) in zip((mode.kx, mode.ky), xy.T, model.workspace):
+        if k == 0:
+            out.append((np.ones(u.size), np.zeros(u.size) if slope else None))
+            continue
+        arg = k * np.pi * (u - lo) / (hi - lo)
+        out.append((np.sin(arg),
+                    (k * np.pi / (hi - lo)) * np.cos(arg) if slope else None))
+    return out
 
 
 def mode_shape_eval(model: ModalPlantModel, p) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +264,8 @@ def mode_shape_eval(model: ModalPlantModel, p) -> tuple[np.ndarray, np.ndarray]:
     Each entry of a stack is computed alone, with the arithmetic of a
     single point, so it does not depend on the other rows.
     """
-    pts, stacked = _check_stack(model, p)
+    p = model.check_point(p)
+    pts = p.reshape(-1, 2)
     n = pts.shape[0]
     n_q, n_u, n_y = model.n_modes, model.n_u, model.n_y
     phi_a = np.zeros((n, n_q, n_u))
@@ -304,13 +281,13 @@ def mode_shape_eval(model: ModalPlantModel, p) -> tuple[np.ndarray, np.ndarray]:
             phi_s[:, :, k] = rigid_rows[k_rigid]
             k_rigid += 1
         else:
+            (sx, _), (sy, _) = _sine_factors(model, mode, act_xy)
             # One vector-matrix product per point, as for a single point.
-            psi_act = model.shape_at(mode, act_xy).reshape(n, 1, -1)
+            psi_act = (sx * sy).reshape(n, 1, -1)
             phi_a[:, k, :] = model.flex_actuation_gain * (psi_act @ model._alloc)[:, 0]
-            phi_s[:, :, k] = model.flex_sensing_gain * model.shape_at(mode, sen_xy).reshape(n, n_y)
-    if stacked:
-        return phi_a, phi_s
-    return phi_a[0], phi_s[0]
+            (sx, _), (sy, _) = _sine_factors(model, mode, sen_xy)
+            phi_s[:, :, k] = model.flex_sensing_gain * (sx * sy).reshape(n, n_y)
+    return (phi_a, phi_s) if p.ndim == 2 else (phi_a[0], phi_s[0])
 
 
 def scan_coupling(model: ModalPlantModel, p) -> np.ndarray:
@@ -325,7 +302,8 @@ def scan_coupling(model: ModalPlantModel, p) -> np.ndarray:
     An (n, 2) stack of points gives an (n, n_q, 2) stack, row by row as for
     a single point.
     """
-    pts, stacked = _check_stack(model, p)
+    p = model.check_point(p)
+    pts = p.reshape(-1, 2)
     n = pts.shape[0]
     out = np.zeros((n, model.n_modes, 2))
     if model.scan_crosstalk_gain != 0.0:
@@ -336,9 +314,10 @@ def scan_coupling(model: ModalPlantModel, p) -> np.ndarray:
         for k, mode in enumerate(model.modes):
             if mode.kind != "flex":
                 continue
-            slopes = model.shape_slope_at(mode, act_xy).reshape(n, n_act, 2)
+            (sx, dsx), (sy, dsy) = _sine_factors(model, mode, act_xy, slope=True)
+            slopes = np.stack([dsx * sy, sx * dsy], axis=1).reshape(n, n_act, 2)
             out[:, k, :] = model.scan_crosstalk_gain * share * slopes.sum(axis=1)
-    return out if stacked else out[0]
+    return out if p.ndim == 2 else out[0]
 
 
 def frozen_realization(model: ModalPlantModel, p) -> FrozenStateSpace:

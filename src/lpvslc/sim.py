@@ -102,6 +102,17 @@ ASSEMBLY_BLOCK = 128
 MAX_TRACE_BYTES = 2 * 2**30
 
 
+def _window_samples(window_s: float, sample_rate_hz: float) -> int:
+    """Samples m in an exposure window; ConfigError unless window_s is a
+    positive multiple of the sample step."""
+    mf = real("window_s * sample_rate_hz", window_s * sample_rate_hz)
+    m = int(round(mf))
+    if window_s <= 0.0 or m < 1 or abs(mf - m) > 1e-6 * max(1.0, mf):
+        raise ConfigError(
+            "exposure window must be a positive multiple of the sample step")
+    return m
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run parameters for one closed-loop simulation."""
@@ -125,11 +136,10 @@ class SimConfig:
             raise ConfigError(
                 f"scheduling source must be one of {SCHEDULING_SOURCES}, "
                 f"got {self.scheduling_source!r}")
-        m = self.window_s * self.sample_rate_hz
-        if self.window_s <= 0.0 or abs(m - round(m)) > 1e-6 * max(1.0, m) \
-                or round(m) < 1:
-            raise ConfigError(
-                "exposure window must be a positive multiple of the sample step")
+        _window_samples(self.window_s, self.sample_rate_hz)
+        for name in ("duration_s", "settling_s"):
+            real(f"{name} * sample_rate_hz",
+                 getattr(self, name) * self.sample_rate_hz)
         if self.window_s > self.duration_s:
             raise ConfigError("exposure window does not fit in the run")
         if self.settling_s < 0.0:
@@ -160,10 +170,12 @@ class StageMotion:
     scan_y: TrajectoryProfile | None = None
     loop_refs: tuple = ()
 
-    def profiles(self):
-        out = [self.scan_x, self.scan_y]
-        out.extend(self.loop_refs)
-        return [p for p in out if p is not None]
+    def profiles(self) -> dict:
+        """The commanded profiles by name: scan_x, scan_y and loop<i>, in
+        that order, without the ones that are None."""
+        named = {"scan_x": self.scan_x, "scan_y": self.scan_y,
+                 **{f"loop{i}": p for i, p in enumerate(self.loop_refs)}}
+        return {name: p for name, p in named.items() if p is not None}
 
 
 @dataclass(frozen=True)
@@ -288,11 +300,7 @@ def ma_msd(e, window_s: float, sample_rate_hz: float):
     sample_rate_hz = positive("sample_rate_hz", sample_rate_hz)
     n = arr.shape[0]
     h = 1.0 / sample_rate_hz
-    mf = real("window_s * sample_rate_hz", window_s * sample_rate_hz)
-    m = int(round(mf))
-    if window_s <= 0.0 or m < 1 or abs(mf - m) > 1e-6 * max(1.0, mf):
-        raise ConfigError(
-            "exposure window must be a positive multiple of the sample step")
+    m = _window_samples(window_s, sample_rate_hz)
     # An odd window's edges fall halfway between samples; its inner window
     # is the m samples between them.
     hw, odd = m // 2, m % 2
@@ -587,7 +595,7 @@ def simulate(model: ModalPlantModel, controllers: ControllerSet,
         raise ConfigError(
             f"sample rate {config.sample_rate_hz:g} Hz must exceed twice the "
             f"highest plant mode frequency ({f_top:g} Hz)")
-    for prof in motion.profiles():
+    for prof in motion.profiles().values():
         ratio = config.sample_rate_hz / prof.sample_rate_hz
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError(

@@ -60,6 +60,16 @@ class MotionBounds:
             positive(name, getattr(self, name))
 
 
+def _taylor(x, v, a, j, s, tau):
+    """(pos, vel, acc, jerk) a time tau after the state (x, v, a, j) under
+    constant snap s."""
+    return (x + v * tau + a * tau ** 2 / 2 + j * tau ** 3 / 6
+            + s * tau ** 4 / 24,
+            v + a * tau + j * tau ** 2 / 2 + s * tau ** 3 / 6,
+            a + j * tau + s * tau ** 2 / 2,
+            j + s * tau)
+
+
 @dataclass
 class TrajectoryProfile:
     """Piecewise-constant-snap setpoint, from rest at zero to rest.
@@ -90,16 +100,8 @@ class TrajectoryProfile:
         self.t_knots = np.concatenate([[0.0], np.cumsum(self.durations)])
         states = np.zeros((n + 1, 4))
         for k in range(n):
-            tau = self.durations[k]
-            s = self.snaps[k]
-            x, v, a, j = states[k]
-            states[k + 1] = (
-                x + v * tau + a * tau ** 2 / 2 + j * tau ** 3 / 6
-                + s * tau ** 4 / 24,
-                v + a * tau + j * tau ** 2 / 2 + s * tau ** 3 / 6,
-                a + j * tau + s * tau ** 2 / 2,
-                j + s * tau,
-            )
+            states[k + 1] = _taylor(*states[k], self.snaps[k],
+                                    self.durations[k])
         self.state_knots = states
 
     @property
@@ -230,29 +232,19 @@ def sample(profile: TrajectoryProfile, t):
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
-
     if profile.n_segments == 0:
         out = tuple(np.zeros(t_arr.shape) for _ in range(5))
-        return tuple(float(o[0]) for o in out) if scalar else out
-
-    tc = np.clip(t_arr, 0.0, profile.duration)
-    idx = np.clip(np.searchsorted(profile.t_knots, tc, side="right") - 1,
-                  0, profile.n_segments - 1)
-    tau = tc - profile.t_knots[idx]
-    x, v, a, j = profile.state_knots[idx].T
-    s = profile.snaps[idx]
-    pos = x + v * tau + a * tau ** 2 / 2 + j * tau ** 3 / 6 + s * tau ** 4 / 24
-    vel = v + a * tau + j * tau ** 2 / 2 + s * tau ** 3 / 6
-    acc = a + j * tau + s * tau ** 2 / 2
-    jerk = j + s * tau
-    # Snap is right-continuous inside the profile and zero once the move
-    # is over (or before it starts).
-    inside = (t_arr == tc) & (t_arr < profile.duration)
-    snap = np.where(inside, s, 0.0)
-    if scalar:
-        return (float(pos[0]), float(vel[0]), float(acc[0]), float(jerk[0]),
-                float(snap[0]))
-    return pos, vel, acc, jerk, snap
+    else:
+        tc = np.clip(t_arr, 0.0, profile.duration)
+        idx = np.clip(np.searchsorted(profile.t_knots, tc, side="right") - 1,
+                      0, profile.n_segments - 1)
+        s = profile.snaps[idx]
+        # Snap is right-continuous inside the profile and zero once the
+        # move is over (or before it starts).
+        inside = (t_arr == tc) & (t_arr < profile.duration)
+        out = (*_taylor(*profile.state_knots[idx].T, s,
+                        tc - profile.t_knots[idx]), np.where(inside, s, 0.0))
+    return tuple(float(o[0]) for o in out) if scalar else out
 
 
 def write_profile_csv(path, profile: TrajectoryProfile):

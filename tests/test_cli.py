@@ -178,6 +178,10 @@ def test_design_invalid_spec_json_exits_2(tmp_path):
     cfg["design_spec"] = "design_spec.json"
     path.write_text(json.dumps(cfg))
     assert main(["design", "--config", str(path), "--mode", "lti"]) == 2
+    # An alpha whose square overflows is refused when its lead is built.
+    (tmp_path / "design_spec.json").write_text('{"alpha": 1e200}')
+    assert main(["design", "--config", str(path), "--mode", "lti"]) == 2
+    assert not (tmp_path / "out" / "controllers_lti.json").exists()
 
 
 def test_simulate_rejects_non_boolean_feedback(tmp_path):
@@ -193,13 +197,20 @@ def test_simulate_rejects_non_boolean_feedback(tmp_path):
 
 
 def test_simulate_refuses_oversized_run(rigid_project, tmp_path):
-    path = _write_project(tmp_path, _rigid_plant(),
-                          trajectory=TRAJECTORY_SPEC,
-                          sim_config={"duration_s": 1e12})
+    """A run over the trace limit exits 2, and so does one whose sample
+    count or exposure window overflows a float."""
     (tmp_path / "out").mkdir()
     shutil.copy(rigid_project.parent / "out" / "controllers_lti.json",
                 tmp_path / "out")
-    assert main(["simulate", "--config", str(path), "--mode", "lti"]) == 2
+    for sim_config in ({"duration_s": 1e12},
+                       {"duration_s": 1e300, "sample_rate_hz": 1e10},
+                       dict.fromkeys(("window_s", "sample_rate_hz",
+                                      "duration_s"), 1e300)):
+        path = _write_project(tmp_path, _rigid_plant(),
+                              trajectory=TRAJECTORY_SPEC,
+                              sim_config=sim_config)
+        assert main(["simulate", "--config", str(path), "--mode",
+                     "lti"]) == 2, sim_config
 
 
 @pytest.mark.parametrize("summary", [
@@ -331,16 +342,23 @@ def test_certify_rejects_a_wrong_cascade_partition(rigid_project, tmp_path):
 def test_certify_rejects_a_stored_set_without_physical_meaning(rigid_project,
                                                                tmp_path):
     """A stored set whose sensitivity bound or achieved bandwidth is not
-    positive exits 2 and writes no report; the same set with its own
-    values certifies (exit 0)."""
+    positive, or with a lead or notch whose square overflows, exits 2 and
+    writes no report; the same set with its own values certifies (exit
+    0)."""
     stored = load_json(rigid_project.parent / "out" / "controllers_lti.json")
+    big_lead, big_notch = json.loads(json.dumps([stored["loops"]] * 2))
+    next(e for e in big_lead[0]["elements"]
+         if e["type"] == "lead")["alpha"] = 1e160
+    big_notch[0]["elements"].append({"type": "notch", "f1": 1e160,
+                                     "f2": 1e160, "beta1": 0.1, "beta2": 0.3})
     path = _write_project(tmp_path, _rigid_plant())
     out = tmp_path / "out"
     out.mkdir()
     report = out / "certification_lpv.json"
     for change, code in (({}, 0), ({"sensitivity_bound_db": 0}, 2),
                          ({"sensitivity_bound_db": -3}, 2),
-                         ({"achieved_bandwidth_hz": -5}, 2)):
+                         ({"achieved_bandwidth_hz": -5}, 2),
+                         ({"loops": big_lead}, 2), ({"loops": big_notch}, 2)):
         report.unlink(missing_ok=True)
         (out / "controllers_lpv.json").write_text(
             json.dumps({**stored, **change}))

@@ -174,6 +174,13 @@ def test_parameter_validation():
         Lead(f_bw=0.0)
     with pytest.raises(ModelError):
         Lead(f_bw=10.0, alpha=-2.0)
+    # Values whose squares overflow are refused when the block is built.
+    with pytest.raises(ModelError, match="alpha = 1e\\+160: its square"):
+        Lead(100.0, 1e160)
+    with pytest.raises(ModelError, match="f1 = 1e\\+160 Hz"):
+        Notch(1e160, 1e160, 0.1, 0.3)
+    with pytest.raises(ModelError, match="f2 = 1e\\+160 Hz"):
+        Notch(100.0, 1e160, 0.1, 0.3)
     with pytest.raises(ModelError):
         Gain(np.nan)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lpvslc.design import DesignSpec
 from lpvslc.errors import ConfigError, DomainError, ModelError
 from lpvslc.plant import (
     FrozenStateSpace,
@@ -144,6 +145,15 @@ def test_point_outside_workspace_rejected():
         mode_shape_eval(model, np.array([[0.1, 0.1], [0.1, 0.25]]))
     with pytest.raises(DomainError):
         scan_coupling(model, np.array([[0.1, np.nan]]))
+    # check_point takes one point or a stack, and names the first outside.
+    with pytest.raises(DomainError, match=r"\[0\.3, 0\.1\]"):
+        model.check_point([[0.1, 0.1], [0.3, 0.1], [0.1, -0.5]])
+    with pytest.raises(DomainError, match=r"\(n, 2\)"):
+        model.check_point(np.full((4, 3), 0.1))
+    # A verification grid that leaves the workspace fails in resolve.
+    spec = DesignSpec(verification_grid=[[0.1, 0.1], [0.1, 0.21]])
+    with pytest.raises(DomainError, match=r"\[0\.1, 0\.21\]"):
+        spec.resolve(model)
 
 
 def test_stacked_points_equal_single_points_bitwise():

@@ -347,6 +347,18 @@ def test_sim_config_validation():
         sim_config_from_dict({"duration_s": 1, "backend": "numpy"})
     with pytest.raises(ConfigError, match="feedforward must be true or false"):
         SimConfig(duration_s=1.0, feedforward=1)
+    # Products that overflow are refused, not raised as OverflowError.
+    with pytest.raises(ConfigError, match=r"duration_s \* sample_rate_hz "
+                                          "must be finite"):
+        sim_config_from_dict({"duration_s": 1e300, "sample_rate_hz": 1e10})
+    with pytest.raises(ConfigError, match=r"window_s \* sample_rate_hz "
+                                          "must be finite"):
+        sim_config_from_dict(dict.fromkeys(
+            ("window_s", "sample_rate_hz", "duration_s"), 1e300))
+    with pytest.raises(ConfigError, match=r"settling_s \* sample_rate_hz "
+                                          "must be finite"):
+        SimConfig(duration_s=1e-9, sample_rate_hz=1e10, window_s=1e-9,
+                  settling_s=1e300)
 
 
 def test_simulate_input_validation(mini_design):
@@ -528,6 +540,17 @@ def test_simulate_refuses_a_bad_initial_state_entry(rigid_design, bad):
                  SimConfig(duration_s=0.01), x0_plant=x0)
 
 
+def test_stage_motion_names_its_profiles():
+    """profiles() names each commanded profile, a loop by its index in
+    loop_refs, and leaves out the ones that are None."""
+    prof = z_move(0.02, 10_000.0)
+    motion = StageMotion(start_xy=(0.1, 0.1), loop_refs=(prof, None, prof))
+    assert list(motion.profiles()) == ["loop0", "loop2"]
+    both = StageMotion(start_xy=(0.1, 0.1), scan_x=prof, scan_y=prof,
+                       loop_refs=(None, prof))
+    assert list(both.profiles()) == ["scan_x", "scan_y", "loop1"]
+
+
 def test_interval_markers_cover_move_phases():
     rate = 10_000.0
     prof = z_move(0.05, rate)
@@ -536,8 +559,8 @@ def test_interval_markers_cover_move_phases():
     t = np.arange(cfg.n_steps + 1) * cfg.step_s
 
     def motion_intervals(motion, cfg):
-        return sim._intervals([sample(p, t) for p in motion.profiles()], t,
-                              cfg)
+        return sim._intervals(
+            [sample(p, t) for p in motion.profiles().values()], t, cfg)
 
     marks = motion_intervals(motion, cfg)
     names = [iv.name for iv in marks]
