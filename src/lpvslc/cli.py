@@ -20,6 +20,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 from dataclasses import dataclass
@@ -446,7 +447,10 @@ def cmd_metrics(args) -> None:
               f"{entry['reduction_pct']['msd']:>13.2f}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The lpvslc argument parser, built once per process; each subcommand
+    runs the module's cmd_<name>."""
     parser = argparse.ArgumentParser(
         prog="lpvslc",
         description="Design and simulate gain-scheduled sequential loop "
@@ -454,39 +458,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True,
                        help="project file (fit: fit input file)")
         p.add_argument("--out", default=None,
                        help="output directory override")
-        p.set_defaults(func=func)
         return p
 
-    p = add("frf", cmd_frf, "export frozen-position frequency responses")
+    p = add("frf", "export frozen-position frequency responses")
     p.add_argument("--positions", required=True,
                    help="semicolon-separated x,y pairs, e.g. '0.1,0.1;0,0.2'")
     p.add_argument("--grid", default=None,
                    help="frequency grid fmin:fmax:n (default 1:5000:1000)")
 
-    p = add("design", cmd_design, "synthesize and certify a controller set")
+    p = add("design", "synthesize and certify a controller set")
     p.add_argument("--mode", choices=CONTROLLER_KINDS, required=True)
 
-    add("fit", cmd_fit, "fit a coefficient surface to frozen design samples")
+    add("fit", "fit a coefficient surface to frozen design samples")
 
-    p = add("certify", cmd_certify,
-            "re-certify a stored controller set on a position grid")
+    p = add("certify", "re-certify a stored controller set on a position grid")
     p.add_argument("--mode", choices=CONTROLLER_KINDS, required=True)
     p.add_argument("--grid", default="5x5", help="position grid NXxNY")
 
-    add("trajectory", cmd_trajectory, "plan and export the commanded motion")
+    add("trajectory", "plan and export the commanded motion")
 
-    p = add("simulate", cmd_simulate,
-            "run stored controller sets on the commanded motion")
+    p = add("simulate", "run stored controller sets on the commanded motion")
     p.add_argument("--mode", choices=CONTROLLER_KINDS + ("both",),
                    default="both")
 
-    add("metrics", cmd_metrics, "compare the stored runs (lti vs lpv)")
+    add("metrics", "compare the stored runs (lti vs lpv)")
     return parser
 
 
@@ -502,8 +503,10 @@ def _configure_logging() -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _configure_logging()
+    # Looked up at call time, so a replaced cmd_<name> is the one that runs.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        code = args.func(args)
+        code = handler(args)
     except DesignInfeasibleError as exc:
         log.error("design infeasible: %s", exc)
         return 1

@@ -93,6 +93,12 @@ class Lead:
             raise ModelError("lead ratio alpha must be positive")
         if not math.isfinite(float(self.alpha) * float(self.alpha)):
             raise ModelError(f"lead ratio alpha = {self.alpha!r}: its square is not finite")
+        # The zero and the pole as element_transfer and _matrices form them.
+        w = 2.0 * math.pi * self.f_bw
+        pole = 2.0 * math.pi * self.alpha * self.f_bw
+        if not all(map(math.isfinite, (w / self.alpha, self.alpha * w, pole))):
+            raise ModelError(f"lead f_bw = {self.f_bw!r} Hz, alpha = "
+                             f"{self.alpha!r}: its pole or zero is not finite")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ map is stored with the surface, so evaluation is self-contained.
 from __future__ import annotations
 
 import copy
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -84,7 +85,8 @@ class CoefficientSurface:
             )
         if len(self.x_map) != 2 or len(self.y_map) != 2:
             raise ModelError("coordinate maps must be (offset, half_span) pairs")
-        if not np.all(np.isfinite([*self.theta, *self.x_map, *self.y_map])) \
+        if not (np.isfinite(self.theta).all()
+                and all(map(math.isfinite, (*self.x_map, *self.y_map)))) \
                 or self.x_map[1] == 0.0 or self.y_map[1] == 0.0:
             raise ModelError("coefficients and coordinate maps must be "
                              "finite, with nonzero half spans")

@@ -203,6 +203,10 @@ def plan(displacement: float, bounds: MotionBounds,
     dt = 1.0 / sample_rate_hz
     ts, tj, ta, tv = _phase_durations(d, bounds)
     ts = _round_up_to_grid(ts, dt)
+    if ts == 0.0:
+        raise ConfigError(f"sample_rate_hz: {sample_rate_hz:g} Hz is too "
+                          f"coarse to plan a {d:g} m move: its snap phase "
+                          "rounds to no sample")
     tj = _round_up_to_grid(tj, dt)
     ta = _round_up_to_grid(ta, dt)
     tv = _round_up_to_grid(tv, dt)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lpvslc import cli
 from lpvslc.cli import _configure_logging, load_project, main
 from lpvslc.design import controllers_from_dict
 from lpvslc.filters import LpvNotch, Notch, filter_to_dict
@@ -417,6 +418,39 @@ def test_trajectory_refuses_a_table_over_the_size_limit(tmp_path, caplog,
     assert not any((tmp_path / "out").iterdir())
 
 
+def test_planning_rate_too_coarse_for_the_snap_phase_exits_2(
+        rigid_project, tmp_path, caplog):
+    """A trajectory sample rate at which the snap phase rounds to no
+    sample exits 2 naming sample_rate_hz, in trajectory and in simulate."""
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(rigid_project.parent / "out" / "controllers_lti.json", out)
+    path = _write_project(tmp_path, _rigid_plant(), trajectory={
+        **TRAJECTORY_SPEC, "sample_rate_hz": 1e-10},
+        sim_config={"duration_s": 0.1})
+    for argv in (["trajectory"], ["simulate", "--mode", "lti"]):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="lpvslc.cli"):
+            assert main(argv + ["--config", str(path)]) == 2, argv
+        assert "sample_rate_hz" in caplog.records[-1].getMessage()
+    assert [p.name for p in out.iterdir()] == ["controllers_lti.json"]
+
+
+def test_main_runs_the_handler_named_at_call_time(tmp_path, monkeypatch):
+    """main parses with one parser per process and looks cmd_<command> up
+    when it runs, so a handler replaced between two calls is the one that
+    runs; perfbench's CLI_SITES times the subcommands this way."""
+    path = _write_project(tmp_path, _rigid_plant())
+    argv = ["metrics", "--config", str(path)]
+    assert main(argv) == 2          # no stored run summaries
+    seen = []
+    monkeypatch.setattr(cli, "cmd_metrics",
+                        lambda args: seen.append(args.command) or 0)
+    assert main(argv) == 0
+    assert seen == ["metrics"]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_trajectory_subcommand_exports_profile(rigid_project):
     code = main(["trajectory", "--config", str(rigid_project)])
     assert code == 0
@@ -705,6 +739,8 @@ def _bad_rows():
         ("fit-zero-order", "fit", ("set", "order_x", 0), "orders"),
         ("trajectory-loop-count", "trajectory",
          ("set", "loop_moves_m", [0.001, None, None, None]), "loop_moves_m"),
+        ("filter_lead-overflowing-pole", "filter_lead",
+         ("set", "f_bw", 1e308), "f_bw"),
     ]
     return rows
 

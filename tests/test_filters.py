@@ -181,6 +181,10 @@ def test_parameter_validation():
         Notch(1e160, 1e160, 0.1, 0.3)
     with pytest.raises(ModelError, match="f2 = 1e\\+160 Hz"):
         Notch(100.0, 1e160, 0.1, 0.3)
+    # A pole 2 pi alpha f_bw or a zero 2 pi f_bw / alpha that overflows.
+    for f_bw, alpha in ((1e308, 3.0), (5e307, 0.5), (100.0, 1e-307)):
+        with pytest.raises(ModelError, match="pole or zero is not finite"):
+            Lead(f_bw, alpha)
     with pytest.raises(ModelError):
         Gain(np.nan)
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lpvslc import io as lpvslc_io
 from lpvslc import sim
 from lpvslc.design import (
     DesignSpec,
@@ -629,21 +630,60 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def test_csv_rows_format_as_fmt_float(tmp_path):
-    """dump_csv formats a whole row at once; every field must read exactly
-    as fmt_float writes it, special values included."""
+def test_csv_rows_format_as_fmt_float(tmp_path, monkeypatch):
+    """dump_csv formats each cell in a row format or, in a column of few
+    runs of equal values, once per run; every field must read exactly as
+    fmt_float writes it, special values and run boundaries included."""
     special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072e-308,
                0.1, 1e300, -1.0 / 3.0, 1.0, 2.0 ** 53 + 2.0]
-    cols = [np.array(special), np.array(special[::-1]),
-            np.arange(len(special))]
-    path = tmp_path / "special.csv"
-    dump_csv(path, ["a", "b", "k"], cols)
-    lines = path.read_text().split("\n")
-    assert lines[0] == "a,b,k" and lines[-1] == ""
-    want = [",".join(fmt_float(c[i]) for c in cols)
-            for i in range(len(special))]
-    assert lines[1:-1] == want
-    assert "-0" in want[0] and "nan" in want[2] and "-inf" in want[4]
+    runs = {
+        "constant": np.full(12, 0.1),
+        "alternating": np.repeat([1.0, -2.5, 1.0, -2.5], 3),
+        "signed_zero": np.repeat([0.0, -0.0, 0.0, -0.0], [3, 3, 4, 2]),
+        "nan_inf": np.repeat([np.nan, -np.nan, np.inf, -np.inf, np.nan],
+                             [3, 2, 3, 2, 2]),
+        # 6 runs in 12 rows take the run path, 7 do not.
+        "half": np.repeat(np.arange(6) / 3.0, 2),
+        "over_half": np.repeat(np.arange(7) / 3.0, [2, 2, 2, 2, 2, 1, 1]),
+    }
+    # Which columns take the run path, by spying on its helper.
+    on_runs = []
+    run_cells = lpvslc_io._run_cells
+
+    def spy(col, change):
+        on_runs.append(col)
+        return run_cells(col, change)
+
+    monkeypatch.setattr(lpvslc_io, "_run_cells", spy)
+    tables = {
+        "special": {"a": np.array(special), "b": np.array(special[::-1]),
+                    "k": np.arange(len(special)), **runs},
+        "one_row": {"a": np.array([-0.0]), "k": np.array([3])},
+        "no_row": {"a": np.zeros(0), "k": np.zeros(0, dtype=int)},
+    }
+    for name, table in tables.items():
+        path = tmp_path / f"{name}.csv"
+        cols = list(table.values())
+        dump_csv(path, list(table), cols)
+        lines = path.read_text().split("\n")
+        assert lines[0] == ",".join(table) and lines[-1] == ""
+        want = [",".join(fmt_float(c[i]) for c in cols)
+                for i in range(len(cols[0]))]
+        assert lines[1:-1] == want, name
+        assert [k for k, c in table.items()
+                if any(c is x for x in on_runs)] == (
+            list(runs)[:5] if name == "special" else []), name
+        on_runs.clear()
+    assert lines == ["a,k", ""]
+    assert (tmp_path / "one_row.csv").read_text() == "a,k\n-0,3\n"
+    rows = [line.split(",") for line in
+            (tmp_path / "special.csv").read_text().split("\n")[1:-1]]
+    names = list(tables["special"])
+    assert [r[0] for r in rows[:5]] == ["-0", "0", "nan", "inf", "-inf"]
+    assert [r[names.index("signed_zero")] for r in rows] \
+        == ["0"] * 3 + ["-0"] * 3 + ["0"] * 4 + ["-0"] * 2
+    assert [r[names.index("nan_inf")] for r in rows] \
+        == ["nan"] * 5 + ["inf"] * 3 + ["-inf"] * 2 + ["nan"] * 2
 
 
 def test_result_export_and_comparison(tmp_path, rigid_design):

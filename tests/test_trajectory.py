@@ -198,6 +198,9 @@ def test_bad_bounds_and_inputs():
     for rate in (0.0, np.nan, np.inf):
         with pytest.raises(ConfigError):
             plan(0.1, BENCH, rate)
+    # A grid so coarse that the snap phase rounds to no sample.
+    with pytest.raises(ConfigError, match="sample_rate_hz: 1e-10 Hz"):
+        plan(0.1, BENCH, 1e-10)
     with pytest.raises(ConfigError):
         TrajectoryProfile(np.array([-0.1]), np.array([1.0]), RATE)
 
