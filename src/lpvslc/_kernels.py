@@ -1,8 +1,9 @@
 """RK4 step loop of the assembled closed loop.
 
-The simulator (see sim._assemble) turns the plant, the axis transforms and
-every loop's controller into one closed-loop state matrix A_k per step and
-folds the loop references, axis feedforward and propulsion force into the
+The simulator turns the plant, the axis transforms and every loop's
+controller into a closed-loop state matrix A_k per step and an input map:
+design.close_loops writes A_k and the reference and feedforward columns,
+and sim._assemble adds the propulsion force and folds the map into the
 affine input g_k, sampled at the step's start, midpoint and end.  Within
 step k the state then obeys x' = A_k x + g(t), and one classical RK4 step
 costs four matrix-vector products.  The simulator hands the loop one

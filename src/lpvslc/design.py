@@ -690,13 +690,14 @@ def _build_lpv_loops(audit_frfs, freqs_hz, audit_set: FrozenDesignSet, order,
     return loops
 
 
-def closed_loop_frame(rows, km, dm, loops) -> np.ndarray:
-    """The open modal plant in a closed-loop stack, (rows, N, N).
+def closed_loop_frame(rows, km, dm, loops):
+    """The open modal plant in a closed-loop stack, and its input map.
 
-    Zeros, but for the identity from velocities to displacements and -km
-    and -dm on the diagonals; N is 2 km.size plus the loops' state counts.
-    close_loops writes every loop's entries, and a frame can be refilled
-    by it any number of times.
+    a (rows, N, N) is zero but for the identity from velocities to
+    displacements and -km and -dm on the diagonals; N is 2 km.size plus
+    the loops' state counts.  g (rows, N, 2 n_l + 2), zero, maps
+    w = [r | u_ff | f_scan].  close_loops writes every loop's entries of
+    both, any number of times; g's f_scan columns are the caller's.
     """
     n_q = km.size
     n_x = 2 * n_q + sum(k.n_states for k in loops)
@@ -705,13 +706,13 @@ def closed_loop_frame(rows, km, dm, loops) -> np.ndarray:
     a[:, iq, n_q + iq] = 1.0
     a[:, n_q + iq, iq] = -km
     a[:, n_q + iq, n_q + iq] = -dm
-    return a
+    return a, np.zeros((rows, n_x, 2 * len(loops) + 2))
 
 
-def close_loops(a, b, c, km, loops, fb) -> None:
+def close_loops(a, g, b, c, km, loops, fb) -> None:
     """Close every loop around the modal plant in closed_loop_frame's stack.
 
-    a       closed_loop_frame's stack for the same loops, or its first rows
+    a, g    closed_loop_frame's stacks for these loops, or their first rows
     b       modal force per axis command, (Phi_a T_u) / m, (rows, n_q, n_l)
     c       axis outputs T_y Phi_s, (rows, n_l, n_q)
     km      stiffness/mass modal diagonal, (n_q,)
@@ -721,20 +722,26 @@ def close_loops(a, b, c, km, loops, fb) -> None:
 
     With x = [q; qd; xc_1 .. xc_nl], loop i closes e_i = r_i - (c q)_i
     through xc_i' = A_i xc_i + B_i e_i, and fb (C_i xc_i + D_i e_i) drives
-    the modes through column i of b.  Every entry that depends on b, c or
-    a loop is written; every row is computed on its own.
+    the modes through column i of b.  Column i of g, where r_i enters, is
+    fb D_i b_i in the velocity rows and B_i in the loop's rows; the loop's
+    entries in a's plant columns are minus that column times c_i.  Column
+    n_l + i, u_ff, is b_i.  Every entry that depends on b, c or a loop is
+    written; every row is computed on its own.
     """
-    n_q = km.size
+    n_q, n_l = km.size, len(loops)
     qd = slice(n_q, 2 * n_q)
     stiffness = np.diag(-km)
     at = 2 * n_q
     for i, k in enumerate(loops):
         xc = slice(at, at + k.n_states)
-        b_i, c_i = b[:, :, i, None], c[:, i, None, :]
-        stiffness = np.subtract(stiffness, (fb * k.d) * b_i * c_i,
+        b_i, c_i, g_r = b[:, :, i, None], c[:, i, None, :], g[:, :, i, None]
+        g_r[:, qd] = (fb * k.d) * b_i
+        g_r[:, xc] = k.b
+        g[:, qd, n_l + i] = b[:, :, i]
+        stiffness = np.subtract(stiffness, g_r[:, qd] * c_i,
                                 out=a[:, qd, :n_q])
         a[:, qd, xc] = fb * b_i * k.c
-        a[:, xc, :n_q] = -k.b * c_i
+        a[:, xc, :n_q] = -g_r[:, xc] * c_i
         a[:, xc, xc] = k.a
         at = xc.stop
 
@@ -747,18 +754,20 @@ def closed_loop_matrix(model: ModalPlantModel, controllers: ControllerSet,
     (n, N, N) stack.  The mode shapes are evaluated once for all positions
     and each loop is realized once (a fixed cascade is position-independent,
     a scheduled one realizes stacked); close_loops closes the loops, as the
-    simulator does at every step.
+    simulator does at every step, and the input map is dropped.  A set that
+    does not fit the plant raises ModelError (see ControllerSet.check_plant).
     """
+    controllers.check_plant(model)
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     phi_a, phi_s = mode_shape_eval(model, pts)
     omega = 2.0 * np.pi * model.frequencies_hz
-    km = omega ** 2
+    km, dm = omega ** 2, 2.0 * model.damping * omega
     loops = [realize(c, pts) for c in controllers.loops]
-    a_cl = closed_loop_frame(len(pts), km, 2.0 * model.damping * omega, loops)
-    close_loops(a_cl, (phi_a @ controllers.t_u) * (1.0 / model.masses[:, None]),
-                controllers.t_y @ phi_s, km, loops, 1.0)
+    a_cl, g = closed_loop_frame(len(pts), km, dm, loops)
+    b = (phi_a @ controllers.t_u) * (1.0 / model.masses[:, None])
+    close_loops(a_cl, g, b, controllers.t_y @ phi_s, km, loops, 1.0)
     return a_cl[0] if single else a_cl
 
 

@@ -208,11 +208,11 @@ def freeze_notches(notches, points, f_max=None):
     beta1, beta2), one entry per point.  Frequency surfaces are clamped into
     [MIN_NOTCH_FREQ_HZ, f_max] (upper end only when f_max is given,
     normally just below the simulation Nyquist rate).  A zero damping
-    surface that dips slightly below zero between fit points is clamped to
-    0 (a full-depth notch).  Clamping is logged, never silent: one warning
-    per clamped coefficient of each notch, with the number of points it was
-    clamped at.  A pole damping surface that comes out nonpositive has no
-    safe substitute and raises.  Notches are checked in order.
+    below zero is clamped to 0, a full-depth notch; the README LPV set's
+    are, on 12-32 % of the workspace, down to -0.063.  Clamping is logged,
+    never silent: one warning per clamped coefficient of each notch, with
+    the number of points it was clamped at.  A nonpositive pole damping has
+    no safe substitute and raises.  Notches are checked in order.
 
     All the surfaces are evaluated in one eval_surface call, whose values
     do not depend on the number of points or surfaces: row k is bit for bit

@@ -13,17 +13,17 @@ mode_shape_eval and scan_coupling), every loop cascade realized once
 along the scheduling trace, its scheduled notches frozen in one call, and
 one table of the inputs w = [r, u_ff, f_scan] on the half-step grid that
 the RK4 stages need.  Then, in blocks of ASSEMBLY_BLOCK steps, the
-assembled closed loop: per step the state matrix A_k of plant, axis
-transforms and controllers with the feedback closed, as
-design.closed_loop_matrix builds it for certification, and the input map
-G_k of w, folded at the step's start, midpoint and end into g_k.  A_k and
-G_k live in one block each for the whole run: the open modal plant is
-written once, and each block writes every loop's entries.  The kernel
-(_kernels) then runs RK4 on x' = A_k x + g, four matrix-vector products
-per step, and checks the state norm once per block, naming the first step
-that left the trusted range.  Outputs, errors and actuation are evaluated
-afterwards from the state trace.  Every row of every table is computed on
-its own, so a short run is a bitwise prefix of a longer one.
+assembled closed loop x' = A_k x + G_k w of plant, axis transforms and
+controllers: design.close_loops writes the state matrix A_k and the r and
+u_ff columns of the input map G_k, as it does for certification, and the
+simulator adds only the f_scan columns and folds G_k w at the step's
+start, midpoint and end into g_k.  A_k and G_k live in one block each for
+the whole run, from design.closed_loop_frame.  The kernel (_kernels) then
+runs RK4 on x' = A_k x + g, four matrix-vector products per step, and
+checks the state norm once per block, naming the first step that left the
+trusted range.  Outputs, errors and actuation are evaluated afterwards
+from the state trace.  Every row of every table is computed on its own,
+so a short run is a bitwise prefix of a longer one.
 
 Signal flow per step, mirroring the real-time implementation:
 
@@ -394,10 +394,11 @@ class _RunTables:
     diagonals, fb is 1.0 with the loop closed and 0.0 with it open, and
     intervals are the run's motion markers (see _intervals).
 
-    a and g_map are the run's one closed-loop block and one input-map
-    block (see _assemble), with ASSEMBLY_BLOCK rows, or fewer when the run
-    is shorter.  a holds the open modal plant from the start; _assemble
-    writes the rest of both blocks for each block of steps.
+    a and g_map are the run's closed-loop and input-map blocks from
+    design.closed_loop_frame, with ASSEMBLY_BLOCK rows, or fewer when the
+    run is shorter; a holds the open modal plant from the start.  For each
+    block of steps design.close_loops writes A and g_map's r and u_ff
+    columns, and _assemble the f_scan columns.
     """
 
     t: np.ndarray
@@ -484,50 +485,38 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
                 f"initial plant state must have {2 * n_q} entries")
         x0[:2 * n_q] = x0_plant
     km, dm = omega ** 2, 2.0 * model.damping * omega
-    rows = min(ASSEMBLY_BLOCK, n)
+    a, g_map = closed_loop_frame(min(ASSEMBLY_BLOCK, n), km, dm, loops)
     return _RunTables(
         t=t, p_sched=p_sched, b_t=b_t, c_t=c_t, bs_t=bs_t,
         loops=loops, w_h=w_h, km=km, dm=dm, x0=x0,
         t_u=t_u, fb=1.0 if config.feedback else 0.0, axis_names=axis_names,
         intervals=_intervals([tuple(x[::2] for x in smp) for smp in half
                               if smp is not None], t, config),
-        a=closed_loop_frame(rows, km, dm, loops),
-        g_map=np.zeros((rows, x0.size, 2 * n_l + 2)))
+        a=a, g_map=g_map)
 
 
 def _assemble(tab: _RunTables, k0, k1):
     """Closed-loop matrices A_k of steps k0..k1-1 and their folded inputs.
 
-    A_k is design.close_loops on the step's plant tables and frozen loops,
-    as design.closed_loop_matrix builds it for certification, so within
-    step k the dynamics are x' = A_k x + G_k w(t) with
+    Within step k the dynamics are x' = A_k x + G_k w(t) with
     x = [q; qd; xc_1 .. xc_nl] and w = [r, u_ff, f_scan], the columns of
-    tab.w_h: r_i enters where the loop error e_i does and u_ff adds to the
-    axis commands.  g holds G_k w at the step's start, midpoint and end,
-    shape (k1 - k0, 3, nx).  Every entry is computed per step,
-    independently of the block's length.
-
-    A and G_k are written into the run's own blocks (tab.a, tab.g_map),
-    and A comes back as a view that the next call overwrites.
+    tab.w_h.  design.close_loops writes A_k and the r and u_ff columns of
+    G_k from the step's plant tables and frozen loops, as it does for
+    certification; only the f_scan columns, tab.bs_t, are written here.
+    g holds G_k w at the step's start, midpoint and end, shape
+    (k1 - k0, 3, nx).  Every entry is computed per step, independently of
+    the block's length.  A and G_k are written into the run's own blocks
+    (tab.a, tab.g_map), and A comes back as a view that the next call
+    overwrites.
     """
     n_q, n_l = tab.km.size, len(tab.loops)
     rows = slice(k0, k1)
-    b = tab.b_t[rows]
     loops = [k if k.a.ndim == 2 else
              FrozenStateSpace(k.a[rows], k.b[rows], k.c[rows], k.d[rows])
              for k in tab.loops]
-    a = tab.a[:len(b)]
-    close_loops(a, b, tab.c_t[rows], tab.km, loops, tab.fb)
-    g_map = tab.g_map[:len(b)]
-    qd = slice(n_q, 2 * n_q)
-    at = 2 * n_q
-    for i, k in enumerate(loops):
-        xc = slice(at, at + k.n_states)
-        g_map[:, qd, i] = tab.fb * k.d[..., 0] * b[:, :, i]
-        g_map[:, xc, i] = k.b[..., 0]
-        g_map[:, qd, n_l + i] = b[:, :, i]
-        at = xc.stop
-    g_map[:, qd, 2 * n_l:] = tab.bs_t[rows]
+    a, g_map = tab.a[:k1 - k0], tab.g_map[:k1 - k0]
+    close_loops(a, g_map, tab.b_t[rows], tab.c_t[rows], tab.km, loops, tab.fb)
+    g_map[:, n_q:2 * n_q, 2 * n_l:] = tab.bs_t[rows]
     w = np.stack([tab.w_h[2 * k0 + s:2 * k1 + s:2] for s in range(3)], axis=2)
     g = np.ascontiguousarray(np.matmul(g_map, w).transpose(0, 2, 1))
     return a, g

@@ -45,6 +45,7 @@ from lpvslc.sim import (
 )
 from lpvslc.trajectory import MotionBounds, plan, sample
 
+from assemble_reference import assemble
 from freqresp_reference import dense_frf
 from sim_reference import max_relative_gap, reference_traces
 from surface_reference import raw_coefficients
@@ -295,9 +296,9 @@ def test_simulator_and_certify_build_one_closed_loop(pipeline, feedback):
     """A frozen start without a scan, on both designed sets.
 
     Every row of the simulator's first assembly block is, with the loops
-    closed, closed_loop_matrix at that position bit for bit.  With them
-    open no controller state reaches the plant, and everything else is
-    unchanged.
+    closed, closed_loop_matrix at that position byte for byte, negative
+    zeros included.  With them open no controller state reaches the
+    plant, and everything else is unchanged.
     """
     model = pipeline["model"]
     p = np.array(benchmark_motion().start_xy)
@@ -312,11 +313,36 @@ def test_simulator_and_certify_build_one_closed_loop(pipeline, feedback):
         assert tab.x0.shape == closed.shape[:1], key
         want = np.broadcast_to(closed, a.shape)
         if feedback:
-            np.testing.assert_array_equal(a, want)
+            assert a.tobytes() == want.tobytes(), key
         else:
             assert not a[:, :n_x, n_x:].any(), key
-            np.testing.assert_array_equal(a[:, :n_x, :n_x], want[:, :n_x, :n_x])
-            np.testing.assert_array_equal(a[:, n_x:], want[:, n_x:])
+            for part in (np.s_[:, :n_x, :n_x], np.s_[:, n_x:]):
+                assert a[part].tobytes() == want[part].tobytes(), key
+
+
+@pytest.mark.parametrize("feedback", [True, False])
+def test_assembled_block_matches_reference_bytes(pipeline, feedback):
+    """sim._assemble against the per-loop input-map oracle, byte for byte.
+
+    The first two blocks of the README scan on both designed sets: the
+    state matrices, the whole input map and the folded inputs.  The
+    second block refills the run's blocks that the first one wrote.  The
+    state matrices hold negative zeros, which a value comparison would
+    not tell from positive ones.
+    """
+    model = pipeline["model"]
+    config = SimConfig(duration_s=0.03, feedback=feedback)
+    for key in ("lti", "lpv"):
+        tab = sim._run_tables(model, pipeline[key], benchmark_motion(),
+                              config, None)
+        for k0 in (0, sim.ASSEMBLY_BLOCK):
+            k1 = k0 + sim.ASSEMBLY_BLOCK
+            a, g = sim._assemble(tab, k0, k1)
+            a_ref, g_map_ref, g_ref = assemble(tab, k0, k1)
+            assert np.signbit(a[a == 0.0]).any(), key
+            assert a.tobytes() == a_ref.tobytes(), (key, k0)
+            assert tab.g_map.tobytes() == g_map_ref.tobytes(), (key, k0)
+            assert g.tobytes() == g_ref.tobytes(), (key, k0)
 
 
 def test_stacked_lpv_realization_matches_each_position(pipeline):

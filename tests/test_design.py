@@ -4,6 +4,7 @@ The expensive benchmark designs (both procedures, default spec) run once
 in a module fixture; cheap contract tests build small plants of their own.
 """
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -57,7 +58,13 @@ from lpvslc.freqresp import (
     margins_and_bandwidth,
     nyquist_stable,
 )
-from lpvslc.plant import ModalPlantModel, Mode, benchmark_plant, frozen_realization
+from lpvslc.plant import (
+    ModalPlantModel,
+    Mode,
+    benchmark_plant,
+    frozen_realization,
+    mode_shape_eval,
+)
 from lpvslc.scheduling import eval_surface
 from lpvslc.sim import NOTCH_NYQUIST_FRACTION, SimConfig, benchmark_motion
 
@@ -624,6 +631,57 @@ def test_closed_loop_matrix_stack_matches_each_position(benchmark_designs):
         for k, p in enumerate(grid):
             np.testing.assert_array_equal(
                 stack[k], closed_loop_matrix(model, benchmark_designs[kind], p))
+
+
+def test_closed_loop_matrix_refuses_a_set_that_does_not_fit(benchmark_designs):
+    """The first two loops of the LTI set leave the plant's third axis open."""
+    lti = benchmark_designs["lti"]
+    two = dataclasses.replace(lti, loops=lti.loops[:2], t_u=lti.t_u[:, :2],
+                              t_y=lti.t_y[:2], loop_order=(0, 1))
+    with pytest.raises(ModelError, match="2 loops for a plant with 3 axes"):
+        closed_loop_matrix(benchmark_designs["model"], two, (0.1, 0.1))
+
+
+@pytest.mark.parametrize("kind", ["lti", "lpv"])
+def test_state_space_sensitivity_matches_slc_chain(benchmark_designs, kind):
+    """S_i from the closed loop's state space against 1 / (1 + g_i k_i).
+
+    (A, B_r) come from closed_loop_frame and close_loops, B_r being the
+    reference columns of the input map, and C_e = -[T_y Phi_s, 0, 0] reads
+    each loop's error, so S_ii = 1 + C_e,i (jw I - A)^-1 B_r,i.  g_i is
+    the plant loop i sees with every other loop closed (equivalent_plant).
+    Where |S| < 0.01 the state-space form cancels digits and is not
+    compared.  The sampled peaks agree to 1e-12 dB.
+    """
+    model = benchmark_designs["model"]
+    cs = benchmark_designs[kind]
+    grid = benchmark_designs["verify"]
+    freqs = _certification_freqs()
+    n_q, n_l = model.n_modes, cs.n_loops
+    phi_a, phi_s = mode_shape_eval(model, grid)
+    omega = 2.0 * np.pi * model.frequencies_hz
+    km = omega ** 2
+    loops = [realize(c, grid) for c in cs.loops]
+    a, g = design.closed_loop_frame(len(grid), km,
+                                    2.0 * model.damping * omega, loops)
+    design.close_loops(a, g, (phi_a @ cs.t_u) * (1.0 / model.masses[:, None]),
+                       cs.t_y @ phi_s, km, loops, 1.0)
+    assert a.tobytes() == closed_loop_matrix(model, cs, grid).tobytes()
+    c_e = np.zeros((len(grid), n_l, a.shape[1]))
+    c_e[:, :, :n_q] = -(cs.t_y @ phi_s)
+    s_eye = 2j * np.pi * freqs[:, None, None] * np.eye(a.shape[1])
+    for r, p in enumerate(grid):
+        x = np.linalg.solve(s_eye - a[r], g[r, :, :n_l])
+        s_ss = 1.0 + np.einsum("in,fni->fi", c_e[r], x)
+        p_frf = decoupled_plant_frf(model, p, freqs, cs.t_u, cs.t_y)
+        k_frfs = cs.loop_frfs(freqs, p)
+        for i in range(n_l):
+            s_chain = 1.0 / (1.0 + equivalent_plant(p_frf, k_frfs, i) * k_frfs[i])
+            big = np.abs(s_chain) >= 0.01
+            rel = np.abs(s_ss[:, i] - s_chain) / np.abs(s_chain)
+            assert np.max(rel[big]) <= 1e-11, (p, i)
+            peaks = [np.max(20.0 * np.log10(np.abs(s))) for s in (s_ss[:, i], s_chain)]
+            assert abs(peaks[0] - peaks[1]) <= 1e-12, (p, i, peaks)
 
 
 @pytest.mark.parametrize("kind", ["lti", "lpv"])
