@@ -40,6 +40,10 @@ class NumericalError(LpvSlcError):
 
 def integral(key: str, value) -> int:
     """value as an int; booleans and non-integral numbers are refused."""
+    # A plain int skips the ABC check; float() raises OverflowError for
+    # one beyond the float range, as the check below does.
+    if type(value) is int and float(value).is_integer():
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not float(value).is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -48,6 +52,9 @@ def integral(key: str, value) -> int:
 
 def real(key: str, value) -> float:
     """value as a float; refuses booleans, non-numbers and non-finite values."""
+    # Plain floats and ints first: the ABC check below is the slow part.
+    if type(value) in (float, int) and math.isfinite(value):
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not math.isfinite(value):
         raise ConfigError(f"{key} must be finite and real, got {value!r}")

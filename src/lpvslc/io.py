@@ -5,9 +5,14 @@ inputs: no timestamps, fixed float formatting, fixed newline convention.
 CSV floats use 17 significant digits; JSON floats use Python's shortest
 round-trip representation. Both parse back to the exact same double.
 
-A CSV column whose value repeats over runs of rows (a constant column, a
-trajectory's cruise phase) has each run's text formatted once and
-repeated, with the bytes of formatting every cell (see dump_csv).
+CSV cells are encoded by numpy in blocks of rows, each cell correctly
+rounded to the text of "%.17g" (see dump_csv).  The encoder scales |x| to
+17 digits in double-double arithmetic, with an error bound small enough
+to decide the rounding of every cell that is not within 2**-40 of a
+rounding tie or of a decade boundary; those few cells, and the values
+outside the encoder's range, are formatted by "%.17g" itself.  This is
+the fast path with a bail-out of Loitsch, "Printing floating-point
+numbers quickly and accurately" (PLDI 2010).
 """
 
 from __future__ import annotations
@@ -49,59 +54,201 @@ def load_from(path, from_dict):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-# A column takes the run path when it has at most one run of equal values
-# per _RUN_ROWS rows.  Formatting a run's value costs about as much as a
-# cell inside the row format (0.58 against 0.53 us, Python 3.11 on a
-# 2-vCPU x86-64 VM), so the run path then formats at most about half the
-# text, and repeating it is cheap.
-_RUN_ROWS = 2
+# Cells encoded per block: bounds the encoder's working arrays (about
+# 250 bytes a cell) whatever the table's size.
+_BLOCK_CELLS = 1 << 15
+
+# The encoder covers normal |x| in [_FAST_MIN, _FAST_MAX).  There the
+# scale p = 16 - floor(log10|x|) lies in 2..61, so 10**p is an integer
+# held as the double-double _POW_HI + _POW_LO, and the decimal exponent
+# -45 <= E <= 15 takes at most two exponent digits.
+_FAST_MIN, _FAST_MAX = 1e-44, 1e15
+_POW_HI = np.array([float(10 ** p) for p in range(64)])
+_POW_LO = np.array([float(10 ** p - int(h)) for p, h in enumerate(_POW_HI)])
+# Dekker's split of a double into two 26-bit halves, for exact products.
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW_HI_H = _SPLIT * _POW_HI - (_SPLIT * _POW_HI - _POW_HI)
+_POW_HI_L = _POW_HI - _POW_HI_H
+# |x| * 10**p is estimated to within 2**-47; a cell whose estimate lies
+# within _MARGIN of a half-integer or of 10**16 or 10**17 is left to "%.17g".
+_MARGIN = 2.0 ** -40
+_D16, _D17 = 10 ** 16, 10 ** 17
 
 
-def _run_cells(col: np.ndarray, change: np.ndarray) -> list:
-    """Per-row text of a column on the run path: each run's "%.17g" text,
-    formatted once and repeated over the run; change[i] marks a new run
-    at row i + 1."""
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    values = col[starts].tolist()
-    text = (",".join(["%.17g"] * len(values)) % tuple(values)).split(",")
-    return np.repeat(np.array(text, dtype=object),
-                     np.diff(starts, append=col.size)).tolist()
+def _digit_words():
+    """The four ASCII digits of every n < 10**4 as one uint32: entry n with
+    the zeros after n's last nonzero digit as NUL bytes, entry 10**4 + n
+    in full."""
+    full = 48 + np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+    trimmed = full.copy()
+    zero = np.ones(10 ** 4, bool)
+    for i in range(3, -1, -1):
+        zero &= full[:, i] == 48
+        trimmed[zero, i] = 0
+    return np.concatenate([trimmed, full]).view(np.uint32).ravel()
+
+
+_DIGITS4 = _digit_words()
+
+# A block's cells are sorted into layout groups, and each group's 24-byte
+# slots are written by column slices: the sign ("-" or NUL) in byte 0,
+# then the text, NUL-padded; NUL bytes are dropped when the block is
+# written.  Group 0 is d.ddde-XX (E < -4), k = 1..4 is 0.000ddd with
+# E = -k, _FIXED + E is ddd.ddd with 0 <= E <= 15; then the constants and
+# the cells left to "%.17g".
+_FIXED = 5
+_ZERO, _NAN, _INF, _SLOW = range(_FIXED + 16, _FIXED + 20)
+
+
+def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, f): D the nearest integer to a * 10**p, as int64, and f the
+    estimate of a * 10**p - D, to within 2**-47 where
+    2**53 <= a * 10**p <= 10**17."""
+    prod = a * _POW_HI.take(p)
+    a_h = _SPLIT * a
+    a_h -= a_h - a
+    a_l = a - a_h
+    # Dekker's TwoProduct, in place: prod + err is exactly a * _POW_HI[p],
+    # err = ((a_h h_h - prod) + a_h h_l + a_l h_h) + a_l h_l.
+    h_h, h_l = _POW_HI_H.take(p), _POW_HI_L.take(p)
+    err = a_h * h_h
+    err -= prod
+    term = a_h * h_l
+    err += term
+    err += np.multiply(a_l, h_h, out=term)
+    err += np.multiply(a_l, h_l, out=term)
+    err += np.multiply(a, _POW_LO.take(p), out=term)
+    step = np.rint(err)
+    err -= step
+    D = prod.astype(np.int64)
+    D += step.astype(np.int64)
+    return D, err
+
+
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, e, ok) for magnitudes a in [_FAST_MIN, _FAST_MAX): a rounded to
+    17 significant digits is D * 10**(e - 16), 10**16 <= D < 10**17, where
+    ok; ok is False where the estimate cannot decide the rounding."""
+    p = 16 - np.floor(np.log10(a)).astype(np.intp)
+    D, f = _scaled(a, p)
+    # Next to a power of ten log10 can miss the decade by one: the scale is
+    # corrected from the unrounded estimate D + f, once.
+    low = (D < _D16) | ((D == _D16) & (f < 0))
+    high = (D > _D17) | ((D == _D17) & (f >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        p[fix] += low[fix].astype(np.intp) - high[fix]
+        D[fix], f[fix] = _scaled(a[fix], p[fix])
+    ok = ((np.abs(f) < 0.5 - _MARGIN)
+          & np.where(D == _D16, f > _MARGIN, D > _D16)
+          & np.where(D == _D17, f < -_MARGIN, D < _D17))
+    # Rounding up to 10**17 carries into the exponent.
+    carry = D == _D17
+    D[carry] = _D16
+    return D, 16 - p + carry, ok
+
+
+def _encode(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
+    """The text of the cells x (a block of whole rows, row-major), each
+    followed by its separator (sep, tiled over the rows), as uint8."""
+    m = x.size
+    group = np.where(x == 0, _ZERO, np.where(np.isnan(x), _NAN,
+                     np.where(np.isinf(x), _INF, _SLOW))).astype(np.uint8)
+    a = np.abs(x)
+    cand = np.flatnonzero((a >= _FAST_MIN) & (a < _FAST_MAX))
+    D, e, ok = _decimal(a[cand])
+    group[cand] = np.where(ok, np.where(e >= 0, _FIXED + e,
+                                        np.where(e >= -4, -e, 0)), _SLOW)
+    order = np.argsort(group, kind="stable")
+    ends = np.cumsum(np.bincount(group, minlength=_SLOW + 1))
+    # The encoded cells come first in order; D and e are per candidate.
+    x = x.take(order)
+    at = np.empty(m, np.intp)
+    at[cand] = np.arange(cand.size)
+    at = at.take(order[:ends[_ZERO - 1]])
+    D, e = D.take(at), e.take(at)
+    # The first digit, then 16 in four words, where the zeros after the
+    # last nonzero digit are NUL.
+    quads = np.empty((D.size, 4), np.int64)
+    for i in (3, 2, 1, 0):
+        rest = D // 10 ** 4
+        quads[:, i] = D - rest * 10 ** 4
+        D = rest
+    later = quads[:, 3] != 0
+    for i in (2, 1, 0):
+        nonzero = quads[:, i] != 0
+        quads[:, i] += later * 10 ** 4
+        later |= nonzero
+    first = (48 + D).astype(np.uint8)  # D is left with the first digit
+    digits = _DIGITS4.take(quads).view(np.uint8)
+    out = np.zeros((m, 25), np.uint8)
+    out[:, 0] = 45 * np.signbit(x).view(np.uint8)
+    out[:, 24] = np.tile(sep, m // sep.size).take(order)
+    for g in np.flatnonzero(np.diff(ends, prepend=0)):
+        rows = slice(ends[g - 1] if g else 0, ends[g])
+        slot, lead, tail = out[rows], first[rows], digits[rows]
+        if g == 0:
+            slot[:, 1] = lead
+            slot[:, 2] = np.where(tail[:, 0] != 0, 46, 0)
+            slot[:, 3:19] = tail
+            exp = -e[rows]
+            slot[:, 19:21] = np.frombuffer(b"e-", np.uint8)
+            slot[:, 21] = 48 + exp // 10
+            slot[:, 22] = 48 + exp % 10
+        elif g < _FIXED:
+            slot[:, 1:g + 2] = np.frombuffer(b"0." + b"0" * (g - 1), np.uint8)
+            slot[:, g + 2] = lead
+            slot[:, g + 3:g + 19] = tail
+        elif g < _ZERO:
+            k = g - _FIXED
+            slot[:, 1] = lead
+            # Digits before the decimal point are never dropped.
+            slot[:, 2:k + 2] = tail[:, :k] | 48
+            slot[:, k + 2] = np.where(tail[:, k] != 0, 46, 0)
+            slot[:, k + 3:19] = tail[:, k:]
+        elif g == _SLOW:
+            text = ["%.17g" % v for v in x[rows].tolist()]
+            slot[:, :24] = np.array(text, "S24").view(np.uint8).reshape(-1, 24)
+        elif g == _NAN:
+            slot[:, :3] = np.frombuffer(b"nan", np.uint8)
+        else:
+            word = b"0" if g == _ZERO else b"inf"
+            slot[:, 1:1 + len(word)] = np.frombuffer(word, np.uint8)
+    # Back to row-major order, moving each 25-byte slot as one item.
+    text = np.empty_like(out)
+    np.put(text.view("V25").ravel(), order, out.view("V25").ravel())
+    text = text.ravel()
+    return text[text != 0]
 
 
 def dump_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write equal-length 1-D columns under the given header names.
 
-    Every cell is "%.17g" of its value as a float64, which reads back as
-    the same double.  A column with at most one run of equal values per
-    _RUN_ROWS rows formats each run once and repeats the text.  Runs are
-    of equal bit patterns (-0.0 and 0.0, or two NaN payloads, are
-    distinct), and the text is a function of the bits, so the bytes are
-    those of formatting every cell.
+    Every cell is the text of "%.17g" of its value as a float64, which
+    reads back as the same double.  Cells are encoded by numpy, _BLOCK_CELLS
+    at a time in whole rows; a cell the encoder cannot decide (within
+    2**-40 of a rounding tie or a decade boundary, or outside
+    [1e-44, 1e15) in magnitude) is formatted by "%.17g".  Columns must be
+    real: boolean, integer or float arrays.
     """
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    if len(cols) != len(header):
+    arrays = [np.asarray(c) for c in columns]
+    if len(arrays) != len(header):
         raise ValueError("header/column count mismatch")
+    for name, c in zip(header, arrays):
+        if c.dtype.kind not in "biuf":
+            raise ValueError(f"column {name!r} is not real: dtype {c.dtype}")
+    cols = [c.astype(float, copy=False) for c in arrays]
     n = len(cols[0])
     if any(c.shape != (n,) for c in cols):
         raise ValueError("columns must be 1-D and of equal length")
-    table = np.column_stack(cols)
-    bits = table.view(np.int64)
-    change = bits[1:] != bits[:-1]
-    on_runs = _RUN_ROWS * (1 + np.count_nonzero(change, axis=0)) <= n
-    # Every cell in one row-major list, so that the floats a row format
-    # reads sit together in memory (made column by column, the rows of a
-    # wide table format about 5 % slower); a run-path column's cells are
-    # then replaced by its text.
-    k = len(cols)
-    cells = table.ravel().tolist()
-    for j in np.flatnonzero(on_runs):
-        cells[j::k] = _run_cells(cols[j], change[:, j])
-    # One % operation per row.
-    row_fmt = ",".join("%s" if r else "%.17g" for r in on_runs) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        # zip over k references to one iterator: the rows, k cells each.
-        fh.writelines(map(row_fmt.__mod__, zip(*[iter(cells)] * k)))
+    sep = np.full(len(cols), ord(","), np.uint8)
+    sep[-1] = ord("\n")
+    rows = max(1, _BLOCK_CELLS // len(cols))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, n, rows):
+            block = np.stack([c[start:start + rows] for c in cols], axis=1)
+            fh.write(_encode(block.ravel(), sep))
 
 
 def load_csv(path) -> tuple[list[str], np.ndarray]:

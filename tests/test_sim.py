@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lpvslc import io as lpvslc_io
 from lpvslc import sim
 from lpvslc.design import (
     DesignSpec,
@@ -630,10 +629,9 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def test_csv_rows_format_as_fmt_float(tmp_path, monkeypatch):
-    """dump_csv formats each cell in a row format or, in a column of few
-    runs of equal values, once per run; every field must read exactly as
-    fmt_float writes it, special values and run boundaries included."""
+def test_csv_rows_format_as_fmt_float(tmp_path):
+    """Every field dump_csv writes must read exactly as fmt_float writes
+    it: special values, signed zeros and runs of equal values included."""
     special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072e-308,
                0.1, 1e300, -1.0 / 3.0, 1.0, 2.0 ** 53 + 2.0]
     runs = {
@@ -642,19 +640,9 @@ def test_csv_rows_format_as_fmt_float(tmp_path, monkeypatch):
         "signed_zero": np.repeat([0.0, -0.0, 0.0, -0.0], [3, 3, 4, 2]),
         "nan_inf": np.repeat([np.nan, -np.nan, np.inf, -np.inf, np.nan],
                              [3, 2, 3, 2, 2]),
-        # 6 runs in 12 rows take the run path, 7 do not.
         "half": np.repeat(np.arange(6) / 3.0, 2),
         "over_half": np.repeat(np.arange(7) / 3.0, [2, 2, 2, 2, 2, 1, 1]),
     }
-    # Which columns take the run path, by spying on its helper.
-    on_runs = []
-    run_cells = lpvslc_io._run_cells
-
-    def spy(col, change):
-        on_runs.append(col)
-        return run_cells(col, change)
-
-    monkeypatch.setattr(lpvslc_io, "_run_cells", spy)
     tables = {
         "special": {"a": np.array(special), "b": np.array(special[::-1]),
                     "k": np.arange(len(special)), **runs},
@@ -670,10 +658,6 @@ def test_csv_rows_format_as_fmt_float(tmp_path, monkeypatch):
         want = [",".join(fmt_float(c[i]) for c in cols)
                 for i in range(len(cols[0]))]
         assert lines[1:-1] == want, name
-        assert [k for k, c in table.items()
-                if any(c is x for x in on_runs)] == (
-            list(runs)[:5] if name == "special" else []), name
-        on_runs.clear()
     assert lines == ["a,k", ""]
     assert (tmp_path / "one_row.csv").read_text() == "a,k\n-0,3\n"
     rows = [line.split(",") for line in
