@@ -56,7 +56,7 @@ from .errors import (
     record,
     text,
 )
-from .freqresp import default_grid, frf, frf_columns, write_frf_csv
+from .freqresp import default_grid, frf
 from .io import dump_csv, dump_json, load_from, load_json
 from .plant import frozen_realization, load_plant
 from .scheduling import FrozenDesignSet, fit_surface, surface_to_dict
@@ -204,30 +204,24 @@ def _parse_pos_grid(text: str) -> tuple[int, int]:
 
 
 def cmd_frf(args) -> None:
-    """Write one FRF CSV per frozen position plus a combined overlay file."""
+    """Write the frozen-position FRFs side by side in frf_combined.csv:
+    freq_hz, then p<k>_re_ij and p<k>_im_ij per position k and
+    output/input pair (1-based), and the positions in frf_manifest.json."""
     project = load_project(args.config, args.out)
     model = load_plant(project.plant)
     positions = model.check_point(_parse_positions(args.positions))
     grid = _parse_freq_grid(args.grid)
-    responses = [frf(frozen_realization(model, p), grid.freqs_hz)
-                 for p in positions]
-
-    files = []
-    for k, (p, h) in enumerate(zip(positions, responses), start=1):
-        name = f"frf_p{k:02d}.csv"
-        write_frf_csv(project.output_dir / name, grid.freqs_hz, h)
-        files.append(name)
-        log.info("frf at (%.4f, %.4f) -> %s", p[0], p[1], name)
-
-    header = ["freq_hz"]
-    cols = [grid.freqs_hz]
-    for k, h in enumerate(responses, start=1):
-        names, columns = frf_columns(h, f"p{k:02d}_")
-        header += names
-        cols += columns
+    header, cols = ["freq_hz"], [grid.freqs_hz]
+    for k, p in enumerate(positions, start=1):
+        h = frf(frozen_realization(model, p), grid.freqs_hz)
+        for i in range(h.shape[1]):
+            for j in range(h.shape[2]):
+                header += [f"p{k:02d}_re_{i + 1}{j + 1}",
+                           f"p{k:02d}_im_{i + 1}{j + 1}"]
+                cols += [h[:, i, j].real, h[:, i, j].imag]
     dump_csv(project.output_dir / "frf_combined.csv", header, cols)
     dump_json({"positions": [[float(x), float(y)] for x, y in positions],
-               "files": files, "combined": "frf_combined.csv"},
+               "combined": "frf_combined.csv"},
               project.output_dir / "frf_manifest.json")
 
 

@@ -71,7 +71,6 @@ from .filters import (
     cascade_frf,
     cascade_to_dict,
     freeze_notches,
-    notch_transfer,
     realize,
     _multiply_notches,
 )
@@ -587,11 +586,13 @@ def _center_gains(center_frf, freqs_hz, masses, order, f_bw,
     samples bracketing those (see _bracketing_samples).
     """
     skeleton = Cascade(tuple(_fixed_section(f_bw, spec)))
-    omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)
-    gamma_frf = cascade_frf(skeleton, freqs_hz)
-    omega_bw = 2.0 * np.pi * np.array([f_bw])
-    gamma_bw = cascade_frf(skeleton, np.array([f_bw]))
-    laws = [_notch_law(freqs_hz, gamma_frf, clusters, f_bw)
+    # One cascade evaluation on freqs_hz and then f_bw: the last column is
+    # the response at exactly f_bw; interpolation reads only the increasing
+    # freqs_hz part.
+    f_all = np.append(freqs_hz, f_bw)
+    omega = 2.0 * np.pi * f_all
+    gamma = cascade_frf(skeleton, f_all)
+    laws = [_notch_law(freqs_hz, gamma[:-1], clusters, f_bw)
             for clusters in clusters_per_loop]
 
     # Gains with provisional local notches: the notches barely move the
@@ -602,19 +603,13 @@ def _center_gains(center_frf, freqs_hz, masses, order, f_bw,
     for i in order:
         g = equivalent_plant(center_frf, k_frfs, i)
         mag_g = _interp_loglog_mag(freqs_hz, g, f_bw)
-        k0 = tune_gain(mag_g, gamma_bw[0], f_bw)
+        k0 = tune_gain(mag_g, gamma[-1], f_bw)
         rows = _notch_rows(clusters_per_loop[i], laws[i],
                            _required_beta1(freqs_hz, g, k0.k, laws[i])[None])
-        # At f_bw, one sample, the notches are multiplied on as cascade_frf
-        # multiplies a fixed block, which costs less than a one-element
-        # _multiply_notches stack and gives the same bits.
-        at_bw = gamma_bw
-        for (row,) in rows:
-            at_bw = at_bw * notch_transfer(*row, omega_bw)
-        gains[i] = tune_gain(mag_g, at_bw[0], f_bw)
-        k_center = gamma_frf[None].copy()
+        k_center = gamma[None].copy()
         _multiply_notches(k_center, omega, rows)
-        k_frfs[i] = gains[i].k * k_center[0]
+        gains[i] = tune_gain(mag_g, k_center[0, -1], f_bw)
+        k_frfs[i] = gains[i].k * k_center[0, :-1]
     return gains, laws
 
 
@@ -975,8 +970,8 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     """
     design_grid, verify_grid, order = spec.resolve(model)
     freqs = default_grid().freqs_hz
-    center = design_grid[len(design_grid) // 2]
-    t_u, t_y = rigid_body_decouple(model, center)
+    mid = len(design_grid) // 2
+    t_u, t_y = rigid_body_decouple(model, design_grid[mid])
     masses = np.asarray(model.masses, dtype=float)[: model.n_rigid]
 
     # One plant FRF per distinct position, on the certification
@@ -1023,7 +1018,7 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
 
     def build(f_bw: float) -> ControllerSet:
         sub = _bracketing_samples(freqs, [f_bw] + cluster_hz)
-        gains, laws = _center_gains(p_frfs[len(p_frfs) // 2, sub], freqs[sub],
+        gains, laws = _center_gains(p_frfs[mid, sub], freqs[sub],
                                     masses, order, f_bw, spec, clusters)
         if kind == "lti":
             loops = _build_lti_loops(p_frfs[:, sub], freqs[sub], order, gains,

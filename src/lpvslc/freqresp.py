@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .io import dump_csv
 from .plant import FrozenStateSpace
 
 __all__ = [
@@ -49,8 +48,6 @@ __all__ = [
     "nyquist_stable",
     "LoopMargins",
     "margins_and_bandwidth",
-    "frf_columns",
-    "write_frf_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -387,22 +384,3 @@ def margins_and_bandwidth(freqs_hz, l_frf) -> LoopMargins:
         gain_margin_db=float(gm_db),
     )
 
-
-def frf_columns(h: np.ndarray, prefix: str = "") -> tuple:
-    """CSV header and columns of an (F, n_y, n_u) FRF: prefix + re_ij and
-    prefix + im_ij per output/input pair (1-based)."""
-    header, cols = [], []
-    for i in range(h.shape[1]):
-        for j in range(h.shape[2]):
-            header += [f"{prefix}re_{i + 1}{j + 1}",
-                       f"{prefix}im_{i + 1}{j + 1}"]
-            cols += [h[:, i, j].real, h[:, i, j].imag]
-    return header, cols
-
-
-def write_frf_csv(path, freqs_hz, h: np.ndarray) -> None:
-    """Columns: freq_hz, then frf_columns(h); an (F,) h is one pair."""
-    h = np.asarray(h)
-    header, cols = frf_columns(h[:, None, None] if h.ndim == 1 else h)
-    dump_csv(path, ["freq_hz"] + header,
-             [np.asarray(freqs_hz, dtype=float)] + cols)

@@ -9,10 +9,10 @@ CSV cells are encoded by numpy in blocks of rows, each cell correctly
 rounded to the text of "%.17g" (see dump_csv).  The encoder scales |x| to
 17 digits in double-double arithmetic, with an error bound small enough
 to decide the rounding of every cell that is not within 2**-40 of a
-rounding tie or of a decade boundary; those few cells, and the values
-outside the encoder's range, are formatted by "%.17g" itself.  This is
-the fast path with a bail-out of Loitsch, "Printing floating-point
-numbers quickly and accurately" (PLDI 2010).
+rounding tie; those few cells, and the values outside the encoder's
+range, are formatted by "%.17g" itself.  This is the fast path with a
+bail-out of Loitsch, "Printing floating-point numbers quickly and
+accurately" (PLDI 2010).
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ _SPLIT = 134217729.0  # 2**27 + 1
 _POW_HI_H = _SPLIT * _POW_HI - (_SPLIT * _POW_HI - _POW_HI)
 _POW_HI_L = _POW_HI - _POW_HI_H
 # |x| * 10**p is estimated to within 2**-47; a cell whose estimate lies
-# within _MARGIN of a half-integer or of 10**16 or 10**17 is left to "%.17g".
+# within _MARGIN of a half-integer is left to "%.17g".  Within _MARGIN of
+# 10**16 or 10**17 either decade gives the same 17 digits.
 _MARGIN = 2.0 ** -40
 _D16, _D17 = 10 ** 16, 10 ** 17
 
@@ -140,8 +141,8 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p[fix] += low[fix].astype(np.intp) - high[fix]
         D[fix], f[fix] = _scaled(a[fix], p[fix])
     ok = ((np.abs(f) < 0.5 - _MARGIN)
-          & np.where(D == _D16, f > _MARGIN, D > _D16)
-          & np.where(D == _D17, f < -_MARGIN, D < _D17))
+          & np.where(D == _D16, f > -_MARGIN, D > _D16)
+          & np.where(D == _D17, f < _MARGIN, D < _D17))
     # Rounding up to 10**17 carries into the exponent.
     carry = D == _D17
     D[carry] = _D16
@@ -227,9 +228,9 @@ def dump_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     Every cell is the text of "%.17g" of its value as a float64, which
     reads back as the same double.  Cells are encoded by numpy, _BLOCK_CELLS
     at a time in whole rows; a cell the encoder cannot decide (within
-    2**-40 of a rounding tie or a decade boundary, or outside
-    [1e-44, 1e15) in magnitude) is formatted by "%.17g".  Columns must be
-    real: boolean, integer or float arrays.
+    2**-40 of a rounding tie, or outside [1e-44, 1e15) in magnitude) is
+    formatted by "%.17g".  Columns must be real: boolean, integer or float
+    arrays.
     """
     arrays = [np.asarray(c) for c in columns]
     if len(arrays) != len(header):

@@ -16,8 +16,15 @@ from lpvslc import cli
 from lpvslc.cli import _configure_logging, load_project, main
 from lpvslc.design import controllers_from_dict
 from lpvslc.filters import LpvNotch, Notch, filter_to_dict
+from lpvslc.freqresp import default_grid, frf
 from lpvslc.io import load_csv, load_json
-from lpvslc.plant import ModalPlantModel, Mode, benchmark_plant, save_plant
+from lpvslc.plant import (
+    ModalPlantModel,
+    Mode,
+    benchmark_plant,
+    frozen_realization,
+    save_plant,
+)
 from lpvslc.scheduling import CoefficientSurface, eval_surface, surface_from_dict
 
 ACTUATORS = [[-0.06, -0.06], [0.06, -0.06], [0.06, 0.06], [-0.06, 0.06]]
@@ -96,11 +103,11 @@ def test_frf_rigid_position_follows_double_integrator(rigid_project, tmp_path):
                  "--positions", "0.1,0.1", "--grid", "20:500:60",
                  "--out", str(tmp_path)])
     assert code == 0
-    header, data = load_csv(tmp_path / "frf_p01.csv")
+    header, data = load_csv(tmp_path / "frf_combined.csv")
     assert header[0] == "freq_hz"
     f = data[:, 0]
-    mag = np.hypot(data[:, header.index("re_11")],
-                   data[:, header.index("im_11")])
+    mag = np.hypot(data[:, header.index("p01_re_11")],
+                   data[:, header.index("p01_im_11")])
     slope = np.polyfit(np.log10(f), np.log10(mag), 1)[0]
     assert slope == pytest.approx(-2.0, abs=1e-9)
     # Magnitude itself is 1/(m omega^2) for the decoupled vertical axis.
@@ -115,15 +122,49 @@ def test_frf_multiple_positions_with_jobs(rigid_project, tmp_path):
                  "--out", str(tmp_path)])
     assert code == 0
     manifest = load_json(tmp_path / "frf_manifest.json")
-    assert manifest["files"] == ["frf_p01.csv", "frf_p02.csv", "frf_p03.csv"]
+    assert manifest == {"positions": [[0.05, 0.05], [0.15, 0.1], [0.1, 0.18]],
+                        "combined": "frf_combined.csv"}
     header, data = load_csv(tmp_path / "frf_combined.csv")
     # freq column plus re/im for each of 3x3 entries per position.
     assert len(header) == 1 + 3 * 2 * 9
     assert data.shape == (25, len(header))
     # Rigid plant: identical dynamics at every position.
-    single = load_csv(tmp_path / "frf_p01.csv")[1]
-    other = load_csv(tmp_path / "frf_p03.csv")[1]
-    np.testing.assert_array_equal(single, other)
+    single = [j for j, name in enumerate(header) if name.startswith("p01_")]
+    other = [j for j, name in enumerate(header) if name.startswith("p03_")]
+    assert [header[j][4:] for j in single] == [header[j][4:] for j in other]
+    np.testing.assert_array_equal(data[:, single], data[:, other])
+
+
+def test_frf_writes_one_combined_file(tmp_path):
+    """Benchmark plant at two positions: every frf_combined.csv column
+    reads back as the frozen plant's FRF exactly, a rerun writes the same
+    bytes, and the CSV and its manifest are the only files written."""
+    model = benchmark_plant()
+    project = _write_project(tmp_path, model)
+    argv = ["frf", "--config", str(project), "--positions",
+            "0.05,0.1;0.15,0.1", "--grid", "1:5000:50"]
+    assert main(argv) == 0
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["frf_combined.csv",
+                                                     "frf_manifest.json"]
+    header, data = load_csv(out / "frf_combined.csv")
+    freqs = default_grid(1.0, 5000.0, 50).freqs_hz
+    np.testing.assert_array_equal(data[:, 0], freqs)
+    names = ["freq_hz"]
+    for k, p in enumerate([(0.05, 0.1), (0.15, 0.1)], start=1):
+        h = frf(frozen_realization(model, p), freqs)
+        ny, nu = h.shape[1:]
+        pairs = [f"{i + 1}{j + 1}" for i in range(ny) for j in range(nu)]
+        names += [f"p{k:02d}_{part}_{ij}" for ij in pairs
+                  for part in ("re", "im")]
+        re = data[:, [header.index(f"p{k:02d}_re_{ij}") for ij in pairs]]
+        im = data[:, [header.index(f"p{k:02d}_im_{ij}") for ij in pairs]]
+        np.testing.assert_allclose((re + 1j * im).reshape(-1, ny, nu), h,
+                                   rtol=0, atol=0)
+    assert header == names
+    first = (out / "frf_combined.csv").read_bytes()
+    assert main(argv) == 0
+    assert (out / "frf_combined.csv").read_bytes() == first
 
 
 def test_frf_empty_position_list_is_a_usage_error(rigid_project, tmp_path):
@@ -139,7 +180,7 @@ def test_frf_non_finite_grid_exits_2(rigid_project, tmp_path, grid):
                  "--positions", "0.1,0.1", "--grid", grid,
                  "--out", str(tmp_path)])
     assert code == 2
-    assert not (tmp_path / "frf_p01.csv").exists()
+    assert not (tmp_path / "frf_combined.csv").exists()
 
 
 def test_frf_missing_positions_flag_exits_via_argparse(rigid_project):

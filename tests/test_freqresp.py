@@ -21,10 +21,8 @@ from lpvslc.freqresp import (
     frf,
     margins_and_bandwidth,
     nyquist_stable,
-    write_frf_csv,
 )
 from lpvslc.freqresp import _det_stacked, _unwrap
-from lpvslc.io import load_csv
 from lpvslc.plant import (
     FrozenStateSpace,
     ModalPlantModel,
@@ -388,27 +386,6 @@ def test_margins_gain_doubling_consistent_with_brute_force():
         l_fine = scale * wc ** 2 * frf(ss, fine)[:, 0, 0] * 10.0
         first = np.flatnonzero(np.diff(np.sign(np.abs(l_fine) - 1.0)))[0]
         assert abs(m.f_crossover_hz - fine[first]) / fine[first] < 1e-3
-
-
-def test_frf_csv_round_trip(tmp_path):
-    model = benchmark_plant()
-    ss = frozen_realization(model, (0.05, 0.15))
-    freqs = np.geomspace(1.0, 5000.0, 50)
-    h = frf(ss, freqs)
-    path = tmp_path / "frf.csv"
-    write_frf_csv(path, freqs, h)
-    header, data = load_csv(path)
-    ny, nu = h.shape[1:]
-    assert header == ["freq_hz"] + [f"{part}_{i + 1}{j + 1}"
-                                    for i in range(ny) for j in range(nu)
-                                    for part in ("re", "im")]
-    h2 = (data[:, 1::2] + 1j * data[:, 2::2]).reshape(-1, ny, nu)
-    assert_allclose(data[:, 0], freqs, rtol=0, atol=0)
-    assert_allclose(h2, h, rtol=0, atol=0)
-    # Deterministic bytes.
-    path2 = tmp_path / "frf2.csv"
-    write_frf_csv(path2, freqs, h)
-    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_refinement_raises_without_resolution():

@@ -38,6 +38,16 @@ def test_cells_read_as_format_17g(tmp_path, generate):
         assert_same(write(tmp_path / "t.csv", table), expected(table))
 
 
+def test_exact_powers_of_ten_are_decided():
+    """1, 10, ..., 1e14 scale to exactly 10**16, within the margin of the
+    decade boundary; either decade gives the same digits, so the encoder
+    decides them instead of leaving them to "%.17g"."""
+    D, e, ok = lpvslc_io._decimal(np.array([float(10 ** k) for k in range(15)]))
+    assert ok.all()
+    assert (D == 10 ** 16).all()
+    assert e.tolist() == list(range(15))
+
+
 def test_blocks_hold_whole_rows(tmp_path):
     """A table of several blocks, rows not dividing the block size."""
     rng = np.random.default_rng(1)

@@ -12,7 +12,7 @@ README trajectory, `design.json` = `{}` and `sim.json` =
     simulate
     metrics
 
-It prints each command's exit code, then the sha256 of each of the 17
+It prints each command's exit code, then the sha256 of each of the 15
 artifacts in output_dir, sorted by name.  Two trees that print the same
 lines wrote the same bytes.  Standard library and lpvslc only.
 
