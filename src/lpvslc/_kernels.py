@@ -8,8 +8,8 @@ affine input g_k, sampled at the step's start, midpoint and end.  Within
 step k the state then obeys x' = A_k x + g(t), and one classical RK4 step
 costs four matrix-vector products.  The simulator hands the loop one
 assembled block of steps at a time, and the loop checks the state norm
-once per block, over the rows it filled in.  The loop runs in numpy, into
-preallocated buffers; the simulator fetches it through get_backend.
+once per block, over the rows it filled in.  The loop runs in numpy and
+allocates nothing per step; the simulator fetches it through get_backend.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ def _sim_loop(n_steps, dt, a_t, g_t, x_t):
     the steps after a divergence run on without floating-point warnings,
     and their rows are not to be used.
 
-    Each step evaluates x + h6 (k1 + 2 k2 + 2 k3 + k4) with the stage
-    slopes as the rows of one (4, nx) buffer, every ufunc writing into its
-    third positional argument, the output.  The bits are those of the
-    textbook expression evaluated left to right: k + k is 2 k exactly, the
+    Each step evaluates x + h6 (k1 + 2 k2 + 2 k3 + k4) in 18 numpy calls,
+    each writing into a buffer made before the loop: A_k v into its row of
+    the (4, nx) stage buffer, the stage sum into s.  The inputs come from
+    three column views of g_t, not a (3, nx) row unpacked per step.  The
+    bits are those of the textbook expression evaluated left to right: an
+    output buffer does not change rounding, k + k is 2 k exactly, the
     axis-0 reduction adds the rows in order, and a step size held as an
     nx-vector multiplies elementwise as the scalar would.
     """
@@ -45,21 +47,22 @@ def _sim_loop(n_steps, dt, a_t, g_t, x_t):
     k = np.empty((4, nx))
     k1, k2, k3, k4 = k
     k23 = k[1:3]
-    v = np.empty(nx)
+    v, s = np.empty(nx), np.empty(nx)
     x = x_t[0]
     add, mul, total = np.add, np.multiply, np.add.reduce
     with np.errstate(all="ignore"):
-        for a, (g0, g1, g2), y in zip(a_t, g_t, x_t[1:n_steps + 1]):
+        for a, g0, g1, g2, y in zip(a_t, g_t[:, 0], g_t[:, 1], g_t[:, 2],
+                                    x_t[1:n_steps + 1]):
             dot = a.dot
-            add(dot(x), g0, k1)
+            add(dot(x, k1), g0, k1)
             add(x, mul(h2, k1, v), v)
-            add(dot(v), g1, k2)
+            add(dot(v, k2), g1, k2)
             add(x, mul(h2, k2, v), v)
-            add(dot(v), g1, k3)
+            add(dot(v, k3), g1, k3)
             add(x, mul(h, k3, v), v)
-            add(dot(v), g2, k4)
+            add(dot(v, k4), g2, k4)
             add(k23, k23, k23)
-            add(x, mul(h6, total(k, 0), v), y)
+            add(x, mul(h6, total(k, 0, None, s), v), y)
             x = y
     bad = ~(np.abs(x_t[1:n_steps + 1]).max(axis=1) <= DIVERGENCE_LIMIT)
     return int(np.argmax(bad)) + 1 if bad.any() else -1

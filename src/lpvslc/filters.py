@@ -93,7 +93,7 @@ class Lead:
             raise ModelError("lead ratio alpha must be positive")
         if not math.isfinite(float(self.alpha) * float(self.alpha)):
             raise ModelError(f"lead ratio alpha = {self.alpha!r}: its square is not finite")
-        # The zero and the pole as element_transfer and _matrices form them.
+        # The zero and the pole as element_transfer and _entries form them.
         w = 2.0 * math.pi * self.f_bw
         pole = 2.0 * math.pi * self.alpha * self.f_bw
         if not all(map(math.isfinite, (w / self.alpha, self.alpha * w, pole))):
@@ -243,20 +243,6 @@ def freeze_notches(notches, points, f_max=None):
     return out
 
 
-def _notch_matrices(f1, f2, beta1, beta2):
-    """Notch realization; coefficient arrays give matrices stacked on axis 0."""
-    w1 = 2.0 * np.pi * f1
-    w2 = 2.0 * np.pi * f2
-    zero = np.zeros_like(w2)
-    a = np.stack([np.stack([-2.0 * beta2 * w2, -w2 ** 2], axis=-1),
-                  np.stack([np.ones_like(w2), zero], axis=-1)], axis=-2)
-    b = np.stack([w2 ** 2, zero], axis=-1)[..., None]
-    c = np.stack([2.0 * (beta1 * w1 - beta2 * w2) / w1 ** 2,
-                  1.0 - w2 ** 2 / w1 ** 2], axis=-1)[..., None, :]
-    d = np.asarray(w2 ** 2 / w1 ** 2)[..., None, None]
-    return a, b, c, d
-
-
 def realize(spec, p=None, f_max=None) -> FrozenStateSpace:
     """Exact continuous-time realization of a block or cascade.
 
@@ -265,14 +251,19 @@ def realize(spec, p=None, f_max=None) -> FrozenStateSpace:
     matrices stacked along a leading axis of length n, one per position;
     f_max caps the scheduled notch frequencies as in freeze_notches.
 
-    A lone block realizes as a one-block cascade.  A cascade is
-    series-connected from its blocks' (a, b, c, d) arrays (see _series);
-    a scheduled cascade connects its fixed front first, then that front
-    and its notches, frozen in one freeze_notches call.
+    A lone block realizes as a one-block cascade.  Every cascade is
+    series-connected entry by entry from its blocks' (a rows, b, c, d)
+    entries: Python floats for fixed blocks and for notches frozen at one
+    position, arrays over the positions otherwise, all notches frozen in
+    one freeze_notches call.  Each block is driven by the output map of
+    the blocks before it, so each entry is one product, written as
+    x * y + 0.0: a matrix product sums from +0.0, and so writes +0.0 where
+    a zero multiplies a negative number; the + 0.0 keeps those bits.
     """
     if not isinstance(spec, Cascade):
         spec = Cascade((spec,))
-    parts = [_matrices(e) for e in spec.fixed_part]
+    blocks = [_entries(e) for e in spec.fixed_part]
+    batch = ()
     if spec.scheduled_part:
         if p is None:
             raise ModelError("scheduled notch needs a position to freeze at")
@@ -281,46 +272,48 @@ def realize(spec, p=None, f_max=None) -> FrozenStateSpace:
         if pts.ndim == 1:
             # A single position realizes from Python floats.
             frozen = [tuple(float(c[0]) for c in coeffs) for coeffs in frozen]
-        parts = [_series(parts)] + [_notch_matrices(*c) for c in frozen]
-    return FrozenStateSpace(*_series(parts))
+        else:
+            batch = (len(pts),)
+        blocks += [_notch_entries(*c) for c in frozen]
+    n = sum(len(kb) for _, kb, _, _ in blocks)
+    a = np.zeros(batch + (n, n))
+    b, c, d = (np.empty(batch + shape) for shape in ((n, 1), (1, n), (1, 1)))
+    cs, ds = [], 1.0     # output map (c, d) of the blocks so far
+    for rows, kb, kc, kd in blocks:
+        at = len(cs)
+        for i, (row, kb_i) in enumerate(zip(rows, kb), at):
+            for j, c_j in enumerate(cs):
+                a[..., i, j] = kb_i * c_j + 0.0
+            for j, a_ij in enumerate(row, at):
+                a[..., i, j] = a_ij
+            b[..., i, 0] = kb_i * ds + 0.0
+        cs = [kd * c_j + 0.0 for c_j in cs] + list(kc)
+        ds = kd * ds + 0.0
+    for j, c_j in enumerate(cs):
+        c[..., 0, j] = c_j
+    d[..., 0, 0] = ds
+    return FrozenStateSpace(a, b, c, d)
 
 
-def _matrices(spec) -> tuple:
-    """(a, b, c, d) of one fixed block (see _FIXED), each a 2-D float array."""
+def _entries(spec) -> tuple:
+    """(a rows, b, c, d) entries of one fixed block (see _FIXED)."""
     if isinstance(spec, Gain):
-        return (np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
-                np.array([[spec.k]], dtype=float))
+        return (), (), (), spec.k
     if isinstance(spec, Integrator):
-        return (np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
-                np.zeros((1, 1)))
+        return ((0.0,),), (1.0,), (1.0,), 0.0
     if isinstance(spec, Lead):
         pole = 2.0 * np.pi * spec.alpha * spec.f_bw
-        return tuple(np.array([[x]], dtype=float) for x in
-                     (-pole, pole, 1.0 - spec.alpha ** 2, spec.alpha ** 2))
-    return _notch_matrices(spec.f1, spec.f2, spec.beta1, spec.beta2)
+        return ((-pole,),), (pole,), (1.0 - spec.alpha ** 2,), spec.alpha ** 2
+    return _notch_entries(spec.f1, spec.f2, spec.beta1, spec.beta2)
 
 
-def _series(parts) -> tuple:
-    """(a, b, c, d) of single-input single-output realizations in series,
-    block-lower-triangular: each block is driven by the output map (c, d)
-    of the blocks before it.  Leading batch axes broadcast."""
-    batch = np.broadcast_shapes(*(a.shape[:-2] for a, _, _, _ in parts))
-    n = sum(a.shape[-1] for a, _, _, _ in parts)
-    a = np.zeros(batch + (n, n))
-    b = np.zeros(batch + (n, 1))
-    c = np.zeros(batch + (1, n))
-    d = np.ones(batch + (1, 1))
-    at = 0
-    for k_a, k_b, k_c, k_d in parts:
-        x = slice(at, at + k_a.shape[-1])
-        a[..., x, :at] = k_b @ c[..., :at]
-        a[..., x, x] = k_a
-        b[..., x, :] = k_b @ d
-        c[..., :at] = k_d @ c[..., :at]
-        c[..., x] = k_c
-        d = k_d @ d
-        at = x.stop
-    return a, b, c, d
+def _notch_entries(f1, f2, beta1, beta2) -> tuple:
+    """(a rows, b, c, d) entries of a notch, from notch_transfer's
+    coefficients, of the type of f1 and f2: the companion form of
+    gain (s**2 + b1 s + b0) / (s**2 + a1 s + a0)."""
+    b1, b0, a1, a0, gain = _notch_terms(f1, f2, beta1, beta2)
+    return (((-a1, -a0), (1.0, 0.0)), (a0, 0.0), ((b1 - a1) / b0, 1.0 - gain),
+            gain)
 
 
 def notch_transfer(f1, f2, beta1, beta2, omega):

@@ -17,6 +17,7 @@ accurately" (PLDI 2010).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -60,15 +61,11 @@ _BLOCK_CELLS = 1 << 15
 
 # The encoder covers normal |x| in [_FAST_MIN, _FAST_MAX).  There the
 # scale p = 16 - floor(log10|x|) lies in 2..61, so 10**p is an integer
-# held as the double-double _POW_HI + _POW_LO, and the decimal exponent
+# held as a double-double (see _tables), and the decimal exponent
 # -45 <= E <= 15 takes at most two exponent digits.
 _FAST_MIN, _FAST_MAX = 1e-44, 1e15
-_POW_HI = np.array([float(10 ** p) for p in range(64)])
-_POW_LO = np.array([float(10 ** p - int(h)) for p, h in enumerate(_POW_HI)])
 # Dekker's split of a double into two 26-bit halves, for exact products.
 _SPLIT = 134217729.0  # 2**27 + 1
-_POW_HI_H = _SPLIT * _POW_HI - (_SPLIT * _POW_HI - _POW_HI)
-_POW_HI_L = _POW_HI - _POW_HI_H
 # |x| * 10**p is estimated to within 2**-47; a cell whose estimate lies
 # within _MARGIN of a half-integer is left to "%.17g".  Within _MARGIN of
 # 10**16 or 10**17 either decade gives the same 17 digits.
@@ -76,20 +73,25 @@ _MARGIN = 2.0 ** -40
 _D16, _D17 = 10 ** 16, 10 ** 17
 
 
-def _digit_words():
-    """The four ASCII digits of every n < 10**4 as one uint32: entry n with
-    the zeros after n's last nonzero digit as NUL bytes, entry 10**4 + n
-    in full."""
+@functools.cache
+def _tables() -> tuple:
+    """The encoder's tables, built on the first CSV written: pow_hi +
+    pow_lo is 10**p for p < 64, pow_hi_h + pow_hi_l its Dekker split, and
+    digits4 the four ASCII digits of every n < 10**4 as one uint32: entry
+    n with the zeros after n's last nonzero digit as NUL bytes, entry
+    10**4 + n in full."""
+    pow_hi = np.array([float(10 ** p) for p in range(64)])
+    pow_lo = np.array([float(10 ** p - int(h)) for p, h in enumerate(pow_hi)])
+    pow_hi_h = _SPLIT * pow_hi - (_SPLIT * pow_hi - pow_hi)
     full = 48 + np.indices((10,) * 4, np.uint8).reshape(4, -1).T
     trimmed = full.copy()
     zero = np.ones(10 ** 4, bool)
     for i in range(3, -1, -1):
         zero &= full[:, i] == 48
         trimmed[zero, i] = 0
-    return np.concatenate([trimmed, full]).view(np.uint32).ravel()
+    digits4 = np.concatenate([trimmed, full]).view(np.uint32).ravel()
+    return pow_hi, pow_lo, pow_hi_h, pow_hi - pow_hi_h, digits4
 
-
-_DIGITS4 = _digit_words()
 
 # A block's cells are sorted into layout groups, and each group's 24-byte
 # slots are written by column slices: the sign ("-" or NUL) in byte 0,
@@ -105,20 +107,21 @@ def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(D, f): D the nearest integer to a * 10**p, as int64, and f the
     estimate of a * 10**p - D, to within 2**-47 where
     2**53 <= a * 10**p <= 10**17."""
-    prod = a * _POW_HI.take(p)
+    pow_hi, pow_lo, pow_hi_h, pow_hi_l, _ = _tables()
+    prod = a * pow_hi.take(p)
     a_h = _SPLIT * a
     a_h -= a_h - a
     a_l = a - a_h
-    # Dekker's TwoProduct, in place: prod + err is exactly a * _POW_HI[p],
+    # Dekker's TwoProduct, in place: prod + err is exactly a * pow_hi[p],
     # err = ((a_h h_h - prod) + a_h h_l + a_l h_h) + a_l h_l.
-    h_h, h_l = _POW_HI_H.take(p), _POW_HI_L.take(p)
+    h_h, h_l = pow_hi_h.take(p), pow_hi_l.take(p)
     err = a_h * h_h
     err -= prod
     term = a_h * h_l
     err += term
     err += np.multiply(a_l, h_h, out=term)
     err += np.multiply(a_l, h_l, out=term)
-    err += np.multiply(a, _POW_LO.take(p), out=term)
+    err += np.multiply(a, pow_lo.take(p), out=term)
     step = np.rint(err)
     err -= step
     D = prod.astype(np.int64)
@@ -181,7 +184,7 @@ def _encode(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
         quads[:, i] += later * 10 ** 4
         later |= nonzero
     first = (48 + D).astype(np.uint8)  # D is left with the first digit
-    digits = _DIGITS4.take(quads).view(np.uint8)
+    digits = _tables()[4].take(quads).view(np.uint8)
     out = np.zeros((m, 25), np.uint8)
     out[:, 0] = 45 * np.signbit(x).view(np.uint8)
     out[:, 24] = np.tile(sep, m // sep.size).take(order)

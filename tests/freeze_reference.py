@@ -4,8 +4,10 @@ These are filters.realize and filters.cascade_frf as they ran before a
 cascade's scheduled part was frozen in one freeze_notches call: every
 scheduled notch is frozen on its own, with one eval_surface call (and one
 chi_matrix) per notch, and logs its clamp warnings as it goes.  The
-arithmetic after the freeze is the package's.  The tests hold the
-per-cascade freeze to these bit for bit, log records included.
+arithmetic after the freeze is the package's, but for the notch and
+fixed-block matrices, which come from tests/series_reference.py.  The
+tests hold the per-cascade freeze to these bit for bit, log records
+included.
 """
 
 import numpy as np
@@ -14,12 +16,12 @@ from lpvslc.filters import (
     Cascade,
     LpvNotch,
     _multiply_notches,
-    _notch_matrices,
     element_transfer,
     freeze_notches,
-    realize,
 )
 from lpvslc.plant import FrozenStateSpace
+
+from series_reference import _notch_matrices, block_realize
 
 
 def per_notch_realize(spec, p=None, f_max=None) -> FrozenStateSpace:
@@ -50,7 +52,7 @@ def per_notch_realize(spec, p=None, f_max=None) -> FrozenStateSpace:
         if pts.ndim == 1:
             coeffs = tuple(float(c[0]) for c in coeffs)
         return FrozenStateSpace(*_notch_matrices(*coeffs))
-    return realize(spec)
+    return block_realize(spec)
 
 
 def per_notch_cascade_frf(cascade, freqs_hz, p=None) -> np.ndarray:

@@ -389,7 +389,7 @@ def test_perfect_notch_kills_tone_at_f1():
 
 
 def test_realize_equals_chained_series():
-    """The one-pass cascade realization against a chain of general series
+    """The entry-wise cascade realization against a chain of general series
     connections (tests/series_reference.py), bit for bit: a fixed cascade,
     and a scheduled one at one position and on a stack of positions, with
     and without the notch frequency cap."""
