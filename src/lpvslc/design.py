@@ -362,23 +362,23 @@ def decoupled_plant_frf(model: ModalPlantModel, p, freqs_hz, t_u, t_y) -> np.nda
 def _interp_loglog_mag(freqs_hz, values, f):
     """|values| interpolated at f, linear in log magnitude vs log frequency.
 
-    values is (..., F) and f a frequency or an array of them; the result is
-    values.shape[:-1] + np.shape(f), a float for one row at one frequency.
-    Each row takes its own np.interp call and each power of ten is taken
-    on a Python float, as for one row at one frequency: numpy's array
-    power differs from the scalar one in the last bit for some inputs.
+    values is a (..., F) array and f a frequency or an array of them; the
+    result is values.shape[:-1] + np.shape(f), a float for one row at one
+    frequency.  Each row takes its own np.interp call and each power of
+    ten is taken on a Python float, as for one row at one frequency:
+    numpy's array power differs from the scalar one in the last bit for
+    some inputs.  np.interp treats every target on its own, so a call at
+    several targets equals one call per target.
     """
-    mags = np.abs(np.asarray(values))
-    logf = np.log10(np.asarray(freqs_hz, dtype=float))
-    x = np.log10(f)
     with np.errstate(divide="ignore"):
         # A vanishing magnitude maps to -inf and comes back as 0.0, which
         # callers treat as an infeasible loop rather than an error here.
-        logm = np.log10(mags).reshape(-1, mags.shape[-1])
-    out = [10.0 ** v
-           for v in np.ravel([np.interp(x, logf, row) for row in logm]).tolist()]
-    shape = mags.shape[:-1] + np.shape(f)
-    return out[0] if not shape else np.reshape(out, shape)
+        logm = np.log10(np.abs(values))
+    logf, x = np.log10(freqs_hz), np.log10(f)
+    out = [10.0 ** v for row in logm.reshape(-1, logm.shape[-1])
+           for v in np.interp(x, logf, row).ravel().tolist()]
+    shape = logm.shape[:-1] + np.shape(f)
+    return out[0] if not shape else np.array(out).reshape(shape)
 
 
 def _bracketing_samples(freqs_hz, targets_hz) -> np.ndarray:
@@ -526,7 +526,7 @@ def _discover_clusters(p_frfs, freqs_hz, masses) -> list:
 
 class _NotchLaw(NamedTuple):
     """The part of one loop's attenuation law that depends on the
-    bandwidth but not on the position (see _notch_law)."""
+    bandwidth but not on the position (see _notch_laws)."""
 
     f_hz: np.ndarray       # cluster frequencies
     gamma_mag: np.ndarray  # |fixed section| at the cluster frequencies
@@ -534,16 +534,23 @@ class _NotchLaw(NamedTuple):
     f2: list               # pole frequency of each notch
 
 
-def _notch_law(freqs_hz, gamma_frf, clusters, f_bw: float) -> _NotchLaw:
-    """One loop's _NotchLaw at f_bw; gamma_frf is the fixed section's
-    response on freqs_hz."""
-    skews = [_skew_for(cl.f_hz, f_bw) for cl in clusters]
-    f_hz = np.array([cl.f_hz for cl in clusters])
-    return _NotchLaw(
-        f_hz, _interp_loglog_mag(freqs_hz, gamma_frf, f_hz),
-        np.array([_neutral_beta1(cl.beta2, skew)
-                  for cl, skew in zip(clusters, skews)]),
-        [skew * cl.f_hz for cl, skew in zip(clusters, skews)])
+def _notch_laws(freqs_hz, gamma_frf, clusters_per_loop, f_bw: float) -> list:
+    """Every loop's _NotchLaw at f_bw; gamma_frf is the fixed section's
+    response on freqs_hz, read at all loops' cluster frequencies in one
+    _interp_loglog_mag call."""
+    f_hz = [np.array([cl.f_hz for cl in clusters])
+            for clusters in clusters_per_loop]
+    gamma_mag = _interp_loglog_mag(freqs_hz, gamma_frf, np.concatenate(f_hz))
+    laws, start = [], 0
+    for clusters, f in zip(clusters_per_loop, f_hz):
+        skews = [_skew_for(cl.f_hz, f_bw) for cl in clusters]
+        laws.append(_NotchLaw(
+            f, gamma_mag[start:start + len(f)],
+            np.array([_neutral_beta1(cl.beta2, skew)
+                      for cl, skew in zip(clusters, skews)]),
+            [skew * cl.f_hz for cl, skew in zip(clusters, skews)]))
+        start += len(f)
+    return laws
 
 
 def _required_beta1(freqs_hz, g_frf, gain_k, law) -> np.ndarray:
@@ -551,7 +558,7 @@ def _required_beta1(freqs_hz, g_frf, gain_k, law) -> np.ndarray:
 
     g_frf is the equivalent plant, (F,) at one position or (n, F) on a
     grid; the result is (n_clusters,) or (n, n_clusters).  law is the
-    loop's _notch_law.  The attenuation law 1 / (1 + G / G_max) is a
+    loop's _NotchLaw.  The attenuation law 1 / (1 + G / G_max) is a
     smooth function of the loop gain G the resonance would reach without
     the notch: deep where the mode is hot, asymptotically neutral where it
     has faded, and free of kinks so low-order coefficient surfaces can
@@ -564,11 +571,11 @@ def _required_beta1(freqs_hz, g_frf, gain_k, law) -> np.ndarray:
     return target * law.neutral
 
 
-def _notch_rows(clusters, law, beta1) -> list:
+def _notch_rows(clusters, law, columns) -> list:
     """_multiply_notches' rows (f1, f2, beta1, beta2) of one loop's notches,
-    per cluster, for every row of beta1, (n, n_clusters)."""
+    per cluster, for every row of its column of beta1 values."""
     return [[(cl.f_hz, f2, b1, cl.beta2) for b1 in column]
-            for cl, f2, column in zip(clusters, law.f2, beta1.T.tolist())]
+            for cl, f2, column in zip(clusters, law.f2, columns)]
 
 
 def _fixed_section(f_bw: float, spec: DesignSpec) -> list:
@@ -579,7 +586,7 @@ def _center_gains(center_frf, freqs_hz, masses, order, f_bw,
                   spec: DesignSpec, clusters_per_loop):
     """Loop gains and notch laws of one candidate bandwidth.
 
-    Returns (gains, laws): per loop its gain and its _notch_law.  The gains
+    Returns (gains, laws): per loop its gain and its _NotchLaw.  The gains
     are tuned once, at the design grid's center position center_frf, so
     the fixed cascade section stays truly fixed.  The loops are read only
     at f_bw and at the cluster frequencies, so freqs_hz need only hold the
@@ -590,26 +597,29 @@ def _center_gains(center_frf, freqs_hz, masses, order, f_bw,
     # the response at exactly f_bw; interpolation reads only the increasing
     # freqs_hz part.
     f_all = np.append(freqs_hz, f_bw)
-    omega = 2.0 * np.pi * f_all
     gamma = cascade_frf(skeleton, f_all)
-    laws = [_notch_law(freqs_hz, gamma[:-1], clusters, f_bw)
-            for clusters in clusters_per_loop]
+    laws = _notch_laws(freqs_hz, gamma[:-1], clusters_per_loop, f_bw)
 
     # Gains with provisional local notches: the notches barely move the
     # cascade magnitude down at the crossover, so one retune after placing
-    # them settles the loop gain.
+    # them settles the loop gain.  A loop with no cluster gets no notch:
+    # its cascade is the skeleton and its first tuning stands.
     gains = [None] * len(masses)
     k_frfs = [0.0] * len(masses)
     for i in order:
         g = equivalent_plant(center_frf, k_frfs, i)
         mag_g = _interp_loglog_mag(freqs_hz, g, f_bw)
-        k0 = tune_gain(mag_g, gamma[-1], f_bw)
-        rows = _notch_rows(clusters_per_loop[i], laws[i],
-                           _required_beta1(freqs_hz, g, k0.k, laws[i])[None])
-        k_center = gamma[None].copy()
-        _multiply_notches(k_center, omega, rows)
-        gains[i] = tune_gain(mag_g, k_center[0, -1], f_bw)
-        k_frfs[i] = gains[i].k * k_center[0, :-1]
+        gains[i] = tune_gain(mag_g, gamma[-1], f_bw)
+        k_center = gamma
+        if clusters_per_loop[i]:
+            beta1 = _required_beta1(freqs_hz, g, gains[i].k, laws[i])
+            k_center = gamma[None].copy()
+            _multiply_notches(k_center, 1j * (2.0 * np.pi * f_all),
+                              _notch_rows(clusters_per_loop[i], laws[i],
+                                          [[b] for b in beta1.tolist()]))
+            k_center = k_center[0]
+            gains[i] = tune_gain(mag_g, k_center[-1], f_bw)
+        k_frfs[i] = gains[i].k * k_center[:-1]
     return gains, laws
 
 
@@ -622,23 +632,29 @@ def _build_lti_loops(p_frfs, freqs_hz, order, gains, clusters_per_loop, laws,
     stack p_frfs, with the earlier loops closed by their local notches.
     freqs_hz need only hold the samples bracketing f_bw and the cluster
     frequencies; every row equals a one-position design bit for bit.
+    Only later loops read a loop's closure, so the last loop of the order
+    is not closed, and a loop with no cluster needs no zero damping, so
+    its equivalent plant is not formed: neither feeds a returned value.
     """
-    omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)
     loops = [None] * len(gains)
     closed = [0.0] * len(gains)
     for i in order:
-        beta1 = _required_beta1(freqs_hz, equivalent_plant(p_frfs, closed, i),
-                                gains[i].k, laws[i])
+        clusters, law = clusters_per_loop[i], laws[i]
+        columns = _required_beta1(
+            freqs_hz, equivalent_plant(p_frfs, closed, i), gains[i].k,
+            law).T.tolist() if clusters else []
         head = [gains[i]] + _fixed_section(f_bw, spec)
+        loops[i] = Cascade(tuple(head + [
+            Notch(f1=cl.f_hz, f2=f2, beta1=min(column), beta2=cl.beta2)
+            for cl, f2, column in zip(clusters, law.f2, columns)]))
+        if i == order[-1]:
+            break
         prefix = cascade_frf(Cascade(tuple(head)), freqs_hz)
         closed[i] = np.array(np.broadcast_to(prefix,
                                              (len(p_frfs),) + prefix.shape))
-        _multiply_notches(closed[i], omega,
-                          _notch_rows(clusters_per_loop[i], laws[i], beta1))
-        loops[i] = Cascade(tuple(head + [
-            Notch(f1=cl.f_hz, f2=f2, beta1=min(column), beta2=cl.beta2)
-            for cl, f2, column in zip(clusters_per_loop[i], laws[i].f2,
-                                      beta1.T.tolist())]))
+        if clusters:
+            _multiply_notches(closed[i], 1j * (2.0 * np.pi * freqs_hz),
+                              _notch_rows(clusters, law, columns))
     return loops
 
 
@@ -658,16 +674,19 @@ def _build_lpv_loops(audit_frfs, freqs_hz, audit_set: FrozenDesignSet, order,
     the same at every position and take the design's
     constant_surface(value, units).  freqs_hz need only hold the samples
     bracketing the cluster frequencies; every row equals a one-position
-    evaluation bit for bit.
+    evaluation bit for bit.  As in _build_lti_loops, the last loop of the
+    order is not closed and a loop with no cluster forms no equivalent
+    plant.
     """
     points = audit_set.points
     loops = [None] * len(gains)
     closed = [0.0] * len(gains)
     for i in order:
-        required = _required_beta1(
-            freqs_hz, equivalent_plant(audit_frfs, closed, i), gains[i].k,
-            laws[i])
         notches = []
+        if clusters_per_loop[i]:
+            required = _required_beta1(
+                freqs_hz, equivalent_plant(audit_frfs, closed, i), gains[i].k,
+                laws[i])
         for c, (cl, f2) in enumerate(zip(clusters_per_loop[i], laws[i].f2)):
             beta1, _ = fit_surface(audit_set.with_values(required[:, c], ""),
                                    spec.surface_order, spec.surface_order,
@@ -681,7 +700,8 @@ def _build_lpv_loops(audit_frfs, freqs_hz, audit_set: FrozenDesignSet, order,
                                     f2=constant_surface(f2, "Hz")))
         loops[i] = Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec)
                                  + notches))
-        closed[i] = cascade_frf(loops[i], freqs_hz, points)
+        if i != order[-1]:
+            closed[i] = cascade_frf(loops[i], freqs_hz, points)
     return loops
 
 

@@ -327,8 +327,12 @@ def notch_transfer(f1, f2, beta1, beta2, omega):
     with s = j*omega; DC gain is exactly 1, the high-frequency gain is
     (f2/f1)**2.
     """
-    s = 1j * np.asarray(omega, dtype=float)
-    b1, b0, a1, a0, gain = _notch_terms(f1, f2, beta1, beta2)
+    return _notch_at(1j * np.asarray(omega, dtype=float),
+                     *_notch_terms(f1, f2, beta1, beta2))
+
+
+def _notch_at(s, b1, b0, a1, a0, gain):
+    """notch_transfer at s = j omega, from its _notch_terms."""
     num = s * s + b1 * s + b0
     den = s * s + a1 * s + a0
     return gain * num / den
@@ -345,7 +349,11 @@ def _notch_terms(f1, f2, beta1, beta2) -> tuple:
 
 def element_transfer(spec, omega):
     """Closed-form response of one fixed block at angular frequencies omega."""
-    s = 1j * np.asarray(omega, dtype=float)
+    return _element_at(spec, 1j * np.asarray(omega, dtype=float))
+
+
+def _element_at(spec, s):
+    """element_transfer at s = j omega."""
     if isinstance(spec, Gain):
         return np.full(s.shape, complex(spec.k))
     if isinstance(spec, Integrator):
@@ -354,20 +362,20 @@ def element_transfer(spec, omega):
         w = 2.0 * np.pi * spec.f_bw
         return spec.alpha ** 2 * (s + w / spec.alpha) / (s + spec.alpha * w)
     if isinstance(spec, Notch):
-        return notch_transfer(spec.f1, spec.f2, spec.beta1, spec.beta2, omega)
+        return _notch_at(s, *_notch_terms(spec.f1, spec.f2, spec.beta1,
+                                          spec.beta2))
     raise ModelError(f"unknown filter block {type(spec).__name__}")
 
 
-def _multiply_notches(stack, omega, notches) -> None:
+def _multiply_notches(stack, s, notches) -> None:
     """Multiply notch responses onto the rows of a stack, in place.
 
-    stack is an (n, F) running product sampled at angular frequencies
-    omega, (F,); notches holds, per notch, the n rows' coefficients
-    (f1, f2, beta1, beta2) as Python floats.  Row k ends up equal, bit for
-    bit, to stack[k] * notch_transfer(f1, f2, beta1, beta2, omega) of each
-    notch in turn, a one-element stack included.
+    stack is an (n, F) running product sampled at s = j omega, (F,), for
+    angular frequencies omega; notches holds, per notch, the n rows'
+    coefficients (f1, f2, beta1, beta2) as Python floats.  Row k ends up
+    equal, bit for bit, to stack[k] * notch_transfer(f1, f2, beta1, beta2,
+    omega) of each notch in turn, a one-element stack included.
     """
-    s = 1j * omega
     s2 = s * s
     num, den = np.empty_like(stack), np.empty_like(stack)
     for rows in notches:
@@ -404,14 +412,15 @@ def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
     part is frozen in one freeze_notches call and each notch is evaluated
     for all rows at once, each row with the arithmetic notch_transfer
     does, in its order, so row k equals the response at p[k] alone bit for
-    bit, at one frequency as at many.
+    bit, at one frequency as at many.  s = j omega is formed once, for
+    every block.
     """
-    omega = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)
-    out = np.ones(omega.shape, dtype=complex)
+    s = 1j * (2.0 * np.pi * np.asarray(freqs_hz, dtype=float))
+    out = np.ones(s.shape, dtype=complex)
     responses = {}
     for element in cascade.fixed_part:
         if id(element) not in responses:
-            responses[id(element)] = element_transfer(element, omega)
+            responses[id(element)] = _element_at(element, s)
         out = out * responses[id(element)]
     single = p is None or np.ndim(p) == 1
     if not cascade.scheduled_part:
@@ -420,7 +429,7 @@ def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
         raise ModelError("scheduled notch needs a position to freeze at")
     pts = np.atleast_2d(np.asarray(p, dtype=float))
     stack = np.array(np.broadcast_to(out, (len(pts),) + out.shape))
-    _multiply_notches(stack, omega, [
+    _multiply_notches(stack, s, [
         list(zip(*(c.tolist() for c in coeffs)))
         for coeffs in freeze_notches(cascade.scheduled_part, pts)])
     return stack[0] if single else stack

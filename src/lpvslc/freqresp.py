@@ -115,28 +115,35 @@ def equivalent_plant(p_frf: np.ndarray, k_frfs, i: int) -> np.ndarray:
     which is exactly the sequential loop-closing step.  An update forms
     only the entries that a later closure or the result reads, those
     between loop i and the loops still to close, so the last closure forms
-    only the entry (i, i) it returns.  Loops whose k_j is the scalar 0 are
+    only the entry (i, i) it returns.  Each row's P[r, j] k_j / (1 + k_j
+    P_jj) is formed once for all its entries: the same product, in the
+    same operand order, as per entry.  Loops whose k_j is the scalar 0 are
     open and skipped. Raises NumericalError when a closure is singular,
     1 + k_j P_jj = 0 at some frequency.
     """
     p = np.asarray(p_frf)
     closing = [j for j, k_j in enumerate(k_frfs)
                if j != i and not (np.isscalar(k_j) and k_j == 0.0)]
-    # Entries (r, c) of the plant closed so far, (..., F) each.
-    q = {(r, c): p[..., r, c] for r in [i] + closing for c in [i] + closing}
-    for t, j in enumerate(closing):
+    # Rows of the plant closed so far over loop i and the loops still to
+    # close, in that order, (..., F) entries: the loop to close is row 1.
+    keep = [i] + closing
+    q = [[p[..., r, c] for c in keep] for r in keep]
+    for j in closing:
         k_j = k_frfs[j]
-        den = 1.0 + k_j * q[j, j]
+        den = 1.0 + k_j * q[1][1]
         if not np.all(den):
             raise NumericalError(
                 f"singular loop closure for loop {i}: 1 + k_{j} P_{j}{j} "
                 f"vanishes when closing loop {j}")
         gain = k_j / den
-        if t == len(closing) - 1:
-            return q[i, i] - q[i, j] * gain * q[j, i]
-        keep = [i] + closing[t + 1:]
-        q = {(r, c): q[r, c] - q[r, j] * gain * q[j, c]
-             for r in keep for c in keep}
+        if len(q) == 2:
+            return q[0][0] - q[0][1] * gain * q[1][0]
+        rows, top = q[:1] + q[2:], q[1][:1] + q[1][2:]
+        q = []
+        for row in rows:
+            q_rj = row[1] * gain
+            q.append([q_rc - q_rj * q_jc
+                      for q_rc, q_jc in zip(row[:1] + row[2:], top)])
     return p[..., i, i].copy()
 
 

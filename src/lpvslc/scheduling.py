@@ -52,10 +52,31 @@ def chi_matrix(points: np.ndarray, order_x: int, order_y: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ModelError(f"expected (n, 2) points, got shape {pts.shape}")
-    px = pts[:, 0][:, None] ** np.arange(order_x)
-    py = pts[:, 1][:, None] ** np.arange(order_y)
+    px = _powers(pts[:, 0], order_x)
+    py = _powers(pts[:, 1], order_y)
     n = pts.shape[0]
-    return np.einsum("nv,nw->nvw", px, py).reshape(n, order_x * order_y)
+    return (px[:, :, None] * py[:, None, :]).reshape(n, order_x * order_y)
+
+
+def _powers(u, order: int) -> np.ndarray:
+    """Columns u**0, ..., u**(order - 1) of a coordinate column u, bit for
+    bit u[:, None] ** np.arange(order).
+
+    Powers 0 and 1 are exact without pow.  Each higher power is one
+    elementwise power of u by an exponent array of u's shape: numpy takes
+    a broadcast exponent of 2 as a square, which can differ from its pow
+    in the last bit.  A column whose entries are all the same bits (the
+    y of a scan along x) is evaluated at one entry.
+    """
+    bits = u.view(np.int64)
+    if len(u) > 1 and (bits == bits[0]).all():
+        return np.broadcast_to(_powers(u[:1], order), (len(u), order))
+    out = np.empty((len(u), order))
+    out[:, :1] = 1.0
+    out[:, 1:2] = u[:, None]
+    for v in range(2, order):
+        out[:, v] = np.power(u, np.full(u.shape, float(v)))
+    return out
 
 
 @dataclass

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lpvslc import design, sim
+from lpvslc import design, freqresp, sim
 from lpvslc.design import (
     CERT_TAIL_N,
     PEAK_BAND_HZ,
@@ -68,6 +68,7 @@ from lpvslc.plant import (
 from lpvslc.scheduling import eval_surface
 from lpvslc.sim import NOTCH_NYQUIST_FRACTION, SimConfig, benchmark_motion
 
+import bisection_reference
 from audit_reference import (
     reference_audit,
     reference_build_lpv_loops,
@@ -1051,6 +1052,104 @@ def test_bisection_visits_the_reference_bandwidths(bisection_trace):
                                           bisection_trace["full_result"])
     assert controllers_to_dict(cs) == controllers_to_dict(ref_cs)
     assert report.to_dict() == ref_report.to_dict()
+
+
+# The bisection step's build functions that bisection_reference holds as
+# they ran before each step formed only what it reads, with the module
+# whose name the design calls them by.
+ORACLE_SITES = [(design, "_center_gains"), (design, "_build_lti_loops"),
+                (design, "_build_lpv_loops"), (design, "_interp_loglog_mag"),
+                (design, "cascade_frf"), (design, "equivalent_plant"),
+                (freqresp, "equivalent_plant")]
+
+
+def _same_bits(a, b) -> bool:
+    """a and b are of one type and equal to the last bit, arrays and
+    floats by their bytes, containers and dataclasses field by field."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if dataclasses.is_dataclass(a):
+        return all(_same_bits(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, (float, complex, np.generic)):
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    return a == b
+
+
+def _oracle_run(kind, spec):
+    """design_<kind>_slc on the benchmark plant with every call to
+    ORACLE_SITES checked against bisection_reference on the same arguments
+    as it returns: the calls per site, the arguments of the calls whose
+    result differs, and every _center_gains call's resonance clusters."""
+    model = benchmark_plant()
+    calls = {(module.__name__, name): 0 for module, name in ORACLE_SITES}
+    differ, clusters = [], []
+
+    def checked(module, name):
+        new, ref = getattr(module, name), getattr(bisection_reference, name)
+
+        def call(*args, **kwargs):
+            out = new(*args, **kwargs)
+            calls[module.__name__, name] += 1
+            if not _same_bits(out, ref(*args, **kwargs)):
+                differ.append((module.__name__, name, args))
+            if name == "_center_gains":
+                clusters.append(args[-1])
+            return out
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ORACLE_SITES:
+            mp.setattr(module, name, checked(module, name))
+        getattr(design, f"design_{kind}_slc")(model, spec)
+    return {"calls": calls, "differ": differ, "clusters": clusters}
+
+
+@pytest.fixture(scope="module")
+def oracle_runs():
+    """_oracle_run of the LTI design at the workspace centre alone (the
+    design perfbench's design workload times) and of the README LPV
+    design."""
+    return {"lti": _oracle_run("lti", DesignSpec(
+                design_grid=[(0.1, 0.1)], verification_grid=[(0.1, 0.1)])),
+            "lpv": _oracle_run("lpv", DesignSpec())}
+
+
+def test_bisection_build_equals_reference_on_every_call(oracle_runs):
+    """Every call the centre and README LPV designs make to the loop
+    builds, the notch-law interpolation, the cascade responses and the
+    equivalent plants returns, bit for bit, what the reference that formed
+    every closure, notch law and j omega returns on the same arguments.
+    At the centre, every step has a loop with no resonance cluster."""
+    for kind, other in (("lti", "lpv"), ("lpv", "lti")):
+        run = oracle_runs[kind]
+        assert not run["differ"], kind
+        calls = run["calls"]
+        assert calls["lpvslc.design", f"_build_{other}_loops"] == 0
+        assert all(n > 0 for (_, name), n in calls.items()
+                   if name != f"_build_{other}_loops"), kind
+        assert calls["lpvslc.design", f"_build_{kind}_loops"] \
+            == calls["lpvslc.design", "_center_gains"]
+    assert all(any(not infos for infos in c)
+               for c in oracle_runs["lti"]["clusters"])
+
+
+def test_centre_step_forms_no_last_loop_closure(oracle_runs):
+    """At the workspace centre, where the last loop has no resonance
+    cluster, a bisection step evaluates six cascades from design (the
+    skeleton, the two earlier loops' closures, the three certified loops)
+    and seven equivalent plants (three gains, two zero-damping
+    requirements, two sensitivity closures)."""
+    calls = oracle_runs["lti"]["calls"]
+    steps = calls["lpvslc.design", "_center_gains"]
+    assert steps == 11
+    assert calls["lpvslc.design", "cascade_frf"] == 6 * steps
+    assert calls["lpvslc.design", "equivalent_plant"] == 7 * steps
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

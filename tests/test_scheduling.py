@@ -49,6 +49,39 @@ def test_chi_index_contract():
                                                          rel=1e-14)
 
 
+def broadcast_power_chi_matrix(points, order_x, order_y):
+    """chi_matrix as it ran before it took powers column by column: each
+    coordinate column to a broadcast np.arange exponent, then einsum."""
+    pts = np.asarray(points, dtype=float)
+    px = pts[:, 0][:, None] ** np.arange(order_x)
+    py = pts[:, 1][:, None] ** np.arange(order_y)
+    n = pts.shape[0]
+    return np.einsum("nv,nw->nvw", px, py).reshape(n, order_x * order_y)
+
+
+@pytest.mark.parametrize("columns", ["random", "constant y", "constant x",
+                                     "both constant"])
+def test_chi_matrix_equals_broadcast_powers(columns):
+    """chi_matrix equals the broadcast-power expansion to the last bit, for
+    orders 1 to 5, on random coordinate columns and on columns whose
+    entries are all equal, of one to several hundred points."""
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 7, 64, 801):
+        for _ in range(4):
+            pts = rng.uniform(-1.0, 1.0, size=(n, 2)) * 10.0 ** rng.uniform(-3, 1)
+            if columns in ("constant y", "both constant"):
+                pts[:, 1] = rng.uniform(-1.0, 1.0)
+            if columns in ("constant x", "both constant"):
+                pts[:, 0] = rng.uniform(-1.0, 1.0)
+            for order_x in range(1, 6):
+                for order_y in range(1, 6):
+                    got = chi_matrix(pts, order_x, order_y)
+                    want = broadcast_power_chi_matrix(pts, order_x, order_y)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (n, order_x,
+                                                             order_y)
+
+
 def test_chi_matrix_rows_match_chi():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, size=(6, 2))

@@ -1,15 +1,17 @@
 """Fingerprints of both README designs and of the benchmark's single-position
-design: every bisection candidate and the final set.
+design: every bisection candidate, every step's report and the final set.
 
 For each kind (LTI, LPV) on the benchmark stage with the default spec it
 prints the number of controller sets the bisection passes to certify, the
-sha256 over those sets in call order, the achieved bandwidth's repr, the
-sha256 of the final set, and the sha256 and verdict of a 17x17 certify
-report.  A third line holds the same fingerprints, without the 17x17
-report, for the LTI design at the workspace centre alone (design and
-verification grid both (0.1, 0.1)), the design perfbench's design workload
-times.  Two trees that print the same lines built the same candidates.
-Standard library and lpvslc only.
+sha256 over those sets in call order, the sha256 over the reports certify
+returns for them (report.to_dict(), in call order), the achieved
+bandwidth's repr, the sha256 of the final set, and the sha256 and verdict
+of a 17x17 certify report.  A third line holds the same fingerprints for
+the LTI design at the workspace centre alone (design and verification
+grid both (0.1, 0.1)), the design perfbench's design workload times, with
+the sha256 of the design's final report in place of the 17x17 report.
+Two trees that print the same lines built the same candidates and gave
+them the same verdicts.  Standard library and lpvslc only.
 
     PYTHONPATH=src python3 tools/design_hashes.py
 """
@@ -35,21 +37,25 @@ def sha256(text: str) -> str:
 
 
 def fingerprint(model, kind: str, spec: DesignSpec):
-    """design_<kind>_slc on spec: the set and its line of fingerprints."""
-    candidates = []
+    """The <kind> design on spec (what design_<kind>_slc runs): the set,
+    its final report and its line of fingerprints."""
+    candidates, reports = [], []
 
     def recording_certify(m, controllers, grid, **kwargs):
         candidates.append(json.dumps(controllers_to_dict(controllers)))
-        return certify(m, controllers, grid, **kwargs)
+        report = certify(m, controllers, grid, **kwargs)
+        reports.append(json.dumps(report.to_dict()))
+        return report
 
     design.certify = recording_certify
     try:
-        controllers = getattr(design, f"design_{kind}_slc")(model, spec)
+        controllers, report = design._design_common(model, spec, kind)
     finally:
         design.certify = certify
-    return controllers, (
+    return controllers, report, (
         f"{len(candidates)} steps, "
         f"candidates {sha256(chr(10).join(candidates))}, "
+        f"reports {sha256(chr(10).join(reports))}, "
         f"bandwidth {float(controllers.achieved_bandwidth_hz)!r}, "
         f"final {sha256(json.dumps(controllers_to_dict(controllers)))}")
 
@@ -57,7 +63,7 @@ def fingerprint(model, kind: str, spec: DesignSpec):
 def readme_line(model, kind: str) -> str:
     """Fingerprints of design_<kind>_slc on the default spec and its 17x17
     certify report."""
-    controllers, line = fingerprint(model, kind, DesignSpec())
+    controllers, _, line = fingerprint(model, kind, DesignSpec())
     report = certify(model, controllers, grid_points(model.workspace, 17, 17))
     return (f"{kind.upper()}: {line}, "
             f"certify 17x17 {sha256(json.dumps(report.to_dict()))} "
@@ -70,6 +76,7 @@ if __name__ == "__main__":
     model = benchmark_plant()
     for kind in ("lti", "lpv"):
         print(readme_line(model, kind))
-    _, line = fingerprint(model, "lti", DesignSpec(
+    _, report, line = fingerprint(model, "lti", DesignSpec(
         design_grid=[CENTRE], verification_grid=[CENTRE]))
-    print(f"LTI at {CENTRE}: {line}")
+    print(f"LTI at {CENTRE}: {line}, "
+          f"final report {sha256(json.dumps(report.to_dict()))}")
