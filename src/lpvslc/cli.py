@@ -180,14 +180,23 @@ def _parse_positions(text: str) -> np.ndarray:
     return np.asarray(pts)
 
 
-def _parse_freq_grid(text):
+def _parse_freq_grid(text, row_bytes: int):
+    """The fmin:fmax:n grid of text (default_grid for None), refused before
+    it is allocated when its table, row_bytes a frequency, would exceed
+    MAX_TRACE_BYTES."""
     if text is None:
         return default_grid()
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"bad frequency grid {text!r}; expected fmin:fmax:n")
     try:
-        return default_grid(float(parts[0]), float(parts[1]), int(parts[2]))
+        fmin, fmax, n = float(parts[0]), float(parts[1]), int(parts[2])
+        if n * row_bytes > MAX_TRACE_BYTES:
+            raise ConfigError(
+                f"frequency grid {text!r} gives a table of about "
+                f"{n * row_bytes / 2**30:.3g} GiB, over the "
+                f"{MAX_TRACE_BYTES / 2**30:g} GiB limit")
+        return default_grid(fmin, fmax, n)
     except ValueError as exc:
         raise ConfigError(f"bad frequency grid {text!r}: {exc}")
 
@@ -210,7 +219,10 @@ def cmd_frf(args) -> None:
     project = load_project(args.config, args.out)
     model = load_plant(project.plant)
     positions = model.check_point(_parse_positions(args.positions))
-    grid = _parse_freq_grid(args.grid)
+    # A row of the table: freq_hz and the real and imaginary part of every
+    # entry at every position, float64.
+    grid = _parse_freq_grid(
+        args.grid, (1 + 2 * len(positions) * model.n_y * model.n_u) * 8)
     header, cols = ["freq_hz"], [grid.freqs_hz]
     for k, p in enumerate(positions, start=1):
         h = frf(frozen_realization(model, p), grid.freqs_hz)

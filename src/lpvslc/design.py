@@ -8,10 +8,11 @@ proportional gain placing the crossover, an integrator, a stack of lead
 filters buying phase margin, and one notch per flexible resonance that
 threatens the loop.
 
-Two design procedures share this machinery.  The fixed-coefficient
-procedure collects local notch requirements at every design-grid position
-and aggregates the worst case into one set of notch filters, paying the
-full phase price of every resonance everywhere.  The scheduled procedure
+Two design procedures share this machinery and one loop build, which
+shapes each loop against the plant it sees with the earlier loops closed
+by their returned cascades.  The fixed-coefficient procedure gives each
+notch the deepest zero damping the design grid requires, paying the full
+phase price of every resonance everywhere.  The scheduled procedure
 instead fits each notch's zero damping with a polynomial surface in the
 position, so a resonance that is weakly observable at some position costs
 nothing there.  Both procedures maximize the common crossover frequency by
@@ -170,8 +171,10 @@ class DesignSpec:
             raise ConfigError("minimum bandwidth must lie in (0, target]")
         if self.n_leads < 1:
             raise ConfigError("need at least one lead filter")
-        if self.surface_order < 1:
-            raise ConfigError("surface order must be >= 1")
+        if not 1 <= self.surface_order <= AUDIT_GRID_N:
+            # An order-n fit needs n distinct coordinates on each axis.
+            raise ConfigError(f"surface_order must lie in 1..{AUDIT_GRID_N}, "
+                              f"got {self.surface_order}")
         for name in ("design_grid", "verification_grid"):
             grid = getattr(self, name)
             if grid is not None:
@@ -623,83 +626,30 @@ def _center_gains(center_frf, freqs_hz, masses, order, f_bw,
     return gains, laws
 
 
-def _build_lti_loops(p_frfs, freqs_hz, order, gains, clusters_per_loop, laws,
-                     f_bw, spec: DesignSpec):
-    """Fixed loops: per cluster, the deepest local requirement wins.
+def _build_loops(frfs, freqs_hz, points, order, gains, clusters_per_loop,
+                 laws, f_bw, spec: DesignSpec, notch):
+    """Candidate loops, each shaped against the plant it sees with the
+    earlier loops of the order closed by their returned cascades.
 
-    One pass over the design grid in loop order: loop i's local zero
-    dampings come from one _required_beta1 call over the (n_design, F, n, n)
-    stack p_frfs, with the earlier loops closed by their local notches.
-    freqs_hz need only hold the samples bracketing f_bw and the cluster
-    frequencies; every row equals a one-position design bit for bit.
-    Only later loops read a loop's closure, so the last loop of the order
-    is not closed, and a loop with no cluster needs no zero damping, so
-    its equivalent plant is not formed: neither feeds a returned value.
+    Loop i's requirements come from one _required_beta1 call over the
+    (n, F, n, n) stack frfs at the n grid points, and notch(cluster, f2,
+    column) makes each cluster's notch from its column of n zero dampings.
+    freqs_hz need only hold the samples bracketing the cluster
+    frequencies; every row equals a one-position evaluation bit for bit.
+    The last loop of the order, which no later loop reads, is not closed,
+    and a loop with no cluster forms no equivalent plant.
     """
     loops = [None] * len(gains)
     closed = [0.0] * len(gains)
     for i in order:
         clusters, law = clusters_per_loop[i], laws[i]
         columns = _required_beta1(
-            freqs_hz, equivalent_plant(p_frfs, closed, i), gains[i].k,
+            freqs_hz, equivalent_plant(frfs, closed, i), gains[i].k,
             law).T.tolist() if clusters else []
-        head = [gains[i]] + _fixed_section(f_bw, spec)
-        loops[i] = Cascade(tuple(head + [
-            Notch(f1=cl.f_hz, f2=f2, beta1=min(column), beta2=cl.beta2)
-            for cl, f2, column in zip(clusters, law.f2, columns)]))
-        if i == order[-1]:
-            break
-        prefix = cascade_frf(Cascade(tuple(head)), freqs_hz)
-        closed[i] = np.array(np.broadcast_to(prefix,
-                                             (len(p_frfs),) + prefix.shape))
-        if clusters:
-            _multiply_notches(closed[i], 1j * (2.0 * np.pi * freqs_hz),
-                              _notch_rows(clusters, law, columns))
-    return loops
-
-
-def _build_lpv_loops(audit_frfs, freqs_hz, audit_set: FrozenDesignSet, order,
-                     gains, clusters_per_loop, laws, constant_surface, f_bw,
-                     spec: DesignSpec, workspace):
-    """Scheduled loops: each zero damping fitted where the law is checked.
-
-    One pass over the audit grid, audit_set's points (checked once per
-    design), in loop order: loop i's requirement comes from one
-    _required_beta1 call over the (n_audit, F, n, n) stack audit_frfs, with
-    the earlier loops closed by their final scheduled cascades.  Notch c's
-    beta1 surface is the least-squares fit of column c, shifted down
-    (constant monomial) by its largest overshoot, so it is nowhere on the
-    grid shallower than the law; the frozen-notch evaluation clamps it at
-    full depth should it dip below zero somewhere.  f1, beta2 and f2 are
-    the same at every position and take the design's
-    constant_surface(value, units).  freqs_hz need only hold the samples
-    bracketing the cluster frequencies; every row equals a one-position
-    evaluation bit for bit.  As in _build_lti_loops, the last loop of the
-    order is not closed and a loop with no cluster forms no equivalent
-    plant.
-    """
-    points = audit_set.points
-    loops = [None] * len(gains)
-    closed = [0.0] * len(gains)
-    for i in order:
-        notches = []
-        if clusters_per_loop[i]:
-            required = _required_beta1(
-                freqs_hz, equivalent_plant(audit_frfs, closed, i), gains[i].k,
-                laws[i])
-        for c, (cl, f2) in enumerate(zip(clusters_per_loop[i], laws[i].f2)):
-            beta1, _ = fit_surface(audit_set.with_values(required[:, c], ""),
-                                   spec.surface_order, spec.surface_order,
-                                   bounds=workspace)
-            viol = float(np.max(eval_surface(beta1, points) - required[:, c]))
-            if viol > 0.0:
-                beta1.theta[0] -= viol
-            notches.append(LpvNotch(beta1=beta1,
-                                    beta2=constant_surface(cl.beta2, ""),
-                                    f1=constant_surface(cl.f_hz, "Hz"),
-                                    f2=constant_surface(f2, "Hz")))
-        loops[i] = Cascade(tuple([gains[i]] + _fixed_section(f_bw, spec)
-                                 + notches))
+        loops[i] = Cascade(tuple(
+            [gains[i]] + _fixed_section(f_bw, spec)
+            + [notch(cl, f2, column)
+               for cl, f2, column in zip(clusters, law.f2, columns)]))
         if i != order[-1]:
             closed[i] = cascade_frf(loops[i], freqs_hz, points)
     return loops
@@ -978,15 +928,15 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     Each bisection step builds a candidate set and asks certify for a
     verdict only.  The build reads the plant FRFs only at the samples
     bracketing f_bw and the cluster frequencies: the gains at the design
-    grid's center, the fixed notches from one (n_design, F_sub, n, n)
-    stack over the design grid, the scheduled zero dampings from one
-    (n_audit, F_sub, n, n) stack over the audit grid.  What no step
-    changes is done once, before the bisection: the plant FRFs, the
-    resonance clusters and the grids' distinctness checks.  A scheduled
-    notch's f1, beta2 and f2 are the same everywhere; constant_surface
-    fits each such value on the design grid once per design, whichever
-    step and notch first asks for it.  Returns the best set and its full
-    certification report.
+    grid's center, the notches from _build_loops over one (n, F_sub, n, n)
+    stack.  Once per design, the kind picks that stack's grid (design or
+    audit grid) and how a column of requirements becomes a notch (a fixed
+    Notch at its deepest, or an LpvNotch fitted to it); the plant FRFs,
+    resonance clusters and grid distinctness checks are made once too.
+    A scheduled notch's f1, beta2 and f2 are the same everywhere;
+    constant_surface fits each such value on the design grid once per
+    design, whichever step and notch first asks for it.  Returns the best
+    set and its full certification report.
     """
     design_grid, verify_grid, order = spec.resolve(model)
     freqs = default_grid().freqs_hz
@@ -1016,12 +966,23 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     clusters = _discover_clusters(p_frfs, freqs, masses)
     cluster_hz = [cl.f_hz for infos in clusters for cl in infos]
 
-    if kind == "lpv":
+    # The loop build reads the plant only at the samples bracketing the
+    # cluster frequencies, stacked over its grid: the design grid for fixed
+    # notches, the audit grid for scheduled ones.
+    build_sub = _bracketing_samples(freqs, cluster_hz)
+    if kind == "lti":
+        build_grid, build_frfs = design_grid, p_frfs[:, build_sub]
+
+        def notch(cl: _ClusterInfo, f2: float, column: list) -> Notch:
+            return Notch(f1=cl.f_hz, f2=f2, beta1=min(column), beta2=cl.beta2)
+    else:
         # Both grids' points are checked once, here: every fit takes its
         # values with with_values, so the zeros are never fitted.
         design_set = FrozenDesignSet(design_grid, np.zeros(len(design_grid)))
-        audit_grid = grid_points(model.workspace, AUDIT_GRID_N, AUDIT_GRID_N)
-        audit_set = FrozenDesignSet(audit_grid, np.zeros(len(audit_grid)))
+        build_grid = grid_points(model.workspace, AUDIT_GRID_N, AUDIT_GRID_N)
+        audit_set = FrozenDesignSet(build_grid, np.zeros(len(build_grid)))
+        build_frfs = np.stack([plant_frf(p, keep=False)[CERT_TAIL_N + build_sub]
+                               for p in build_grid])
 
         @functools.cache
         def constant_surface(value: float, units: str) -> CoefficientSurface:
@@ -1030,24 +991,26 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
                 spec.surface_order, spec.surface_order,
                 bounds=model.workspace)[0]
 
-        # The scheduled build reads the plant only at the samples bracketing
-        # the cluster frequencies; it gets them stacked over the audit grid.
-        audit_sub = _bracketing_samples(freqs, cluster_hz)
-        audit_frfs = np.stack([plant_frf(p, keep=False)[CERT_TAIL_N + audit_sub]
-                               for p in audit_grid])
+        def notch(cl: _ClusterInfo, f2: float, column: list) -> LpvNotch:
+            # The column's least-squares fit, shifted down by its largest
+            # overshoot: nowhere on the audit grid shallower than the law.
+            required = np.array(column)
+            beta1, _ = fit_surface(audit_set.with_values(required, ""),
+                                   spec.surface_order, spec.surface_order,
+                                   bounds=model.workspace)
+            viol = float(np.max(eval_surface(beta1, build_grid) - required))
+            if viol > 0.0:
+                beta1.theta[0] -= viol
+            return LpvNotch(beta1=beta1, beta2=constant_surface(cl.beta2, ""),
+                            f1=constant_surface(cl.f_hz, "Hz"),
+                            f2=constant_surface(f2, "Hz"))
 
     def build(f_bw: float) -> ControllerSet:
         sub = _bracketing_samples(freqs, [f_bw] + cluster_hz)
         gains, laws = _center_gains(p_frfs[mid, sub], freqs[sub],
                                     masses, order, f_bw, spec, clusters)
-        if kind == "lti":
-            loops = _build_lti_loops(p_frfs[:, sub], freqs[sub], order, gains,
-                                     clusters, laws, f_bw, spec)
-        else:
-            loops = _build_lpv_loops(audit_frfs, freqs[audit_sub], audit_set,
-                                     order, gains, clusters, laws,
-                                     constant_surface, f_bw, spec,
-                                     model.workspace)
+        loops = _build_loops(build_frfs, freqs[build_sub], build_grid, order,
+                             gains, clusters, laws, f_bw, spec, notch)
         return ControllerSet(loops=loops, t_u=t_u, t_y=t_y, loop_order=order,
                              achieved_bandwidth_hz=f_bw,
                              sensitivity_bound_db=spec.sensitivity_bound_db,

@@ -270,7 +270,7 @@ def test_headline_results_are_pinned(pipeline, scan_runs):
     assert pipeline["report_lpv"].passed
     lti, lpv = scan_runs["table"]["controllers"]
     got = [lti["ma_m"], lti["msd_m"], lpv["ma_m"], lpv["msd_m"]]
-    readme = [5.545950e-09, 1.577637e-09, 3.410854e-10, 7.166838e-10]
+    readme = [5.545949e-09, 1.577637e-09, 3.410854e-10, 7.166838e-10]
     assert got == pytest.approx(readme, rel=1e-6)
 
 

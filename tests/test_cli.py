@@ -183,6 +183,31 @@ def test_frf_non_finite_grid_exits_2(rigid_project, tmp_path, grid):
     assert not (tmp_path / "frf_combined.csv").exists()
 
 
+def test_frf_refuses_a_grid_whose_table_is_over_the_size_limit(
+        rigid_project, tmp_path, caplog, monkeypatch):
+    """A frequency grid whose table, (n rows) x (1 + 2 positions n_y n_u)
+    float64, would exceed MAX_TRACE_BYTES exits 2 before the grid is
+    allocated; a table at the limit is written."""
+    def no_grid(*args):
+        raise AssertionError("the frequency grid was allocated")
+
+    argv = ["frf", "--config", str(rigid_project), "--positions",
+            "0.1,0.1;0.05,0.1", "--out", str(tmp_path)]
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "default_grid", no_grid)
+        with caplog.at_level(logging.ERROR, logger="lpvslc.cli"):
+            assert main(argv + ["--grid", "1:5000:1000000000"]) == 2
+    assert "GiB limit" in caplog.records[-1].getMessage()
+    assert not any(tmp_path.iterdir())
+    # The rigid stage has 3 outputs and 3 inputs: 37 float64 per row.
+    monkeypatch.setattr(cli, "MAX_TRACE_BYTES", 100 * 37 * 8)
+    assert main(argv + ["--grid", "1:5000:101"]) == 2
+    assert not any(tmp_path.iterdir())
+    assert main(argv + ["--grid", "1:5000:100"]) == 0
+    _, data = load_csv(tmp_path / "frf_combined.csv")
+    assert data.shape == (100, 37)
+
+
 def test_frf_missing_positions_flag_exits_via_argparse(rigid_project):
     with pytest.raises(SystemExit) as exc:
         main(["frf", "--config", str(rigid_project)])
@@ -778,6 +803,8 @@ def _bad_rows():
          ("set", "points", [[0, 0, 0], [0.2, 0, 0], [0, 0.2, 0], [0.2, 0.2, 0]]),
          "points"),
         ("fit-zero-order", "fit", ("set", "order_x", 0), "orders"),
+        ("design_spec-surface-order-over-audit-grid", "design_spec",
+         ("set", "surface_order", 100000), "surface_order"),
         ("trajectory-loop-count", "trajectory",
          ("set", "loop_moves_m", [0.001, None, None, None]), "loop_moves_m"),
         ("filter_lead-overflowing-pole", "filter_lead",

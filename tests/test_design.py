@@ -5,6 +5,7 @@ in a module fixture; cheap contract tests build small plants of their own.
 """
 
 import dataclasses
+import functools
 import json
 import tracemalloc
 
@@ -37,6 +38,7 @@ from lpvslc.design import (
     _find_resonance_peaks,
     _fixed_section,
     _interp_loglog_mag,
+    _skew_for,
 )
 from lpvslc.errors import ConfigError, DesignInfeasibleError, DomainError, ModelError
 from lpvslc.filters import (
@@ -44,6 +46,7 @@ from lpvslc.filters import (
     Gain,
     Integrator,
     Lead,
+    Notch,
     cascade_frf,
     cascade_to_dict,
     realize,
@@ -65,7 +68,7 @@ from lpvslc.plant import (
     frozen_realization,
     mode_shape_eval,
 )
-from lpvslc.scheduling import eval_surface
+from lpvslc.scheduling import FrozenDesignSet, eval_surface, fit_surface
 from lpvslc.sim import NOTCH_NYQUIST_FRACTION, SimConfig, benchmark_motion
 
 import bisection_reference
@@ -73,6 +76,7 @@ from audit_reference import (
     reference_audit,
     reference_build_lpv_loops,
     reference_local_designs,
+    required_beta1,
 )
 from certify_reference import reference_certify
 from freeze_reference import per_notch_cascade_frf, per_notch_realize
@@ -812,8 +816,8 @@ def bisection_trace(request):
     kind = request.param
     model = benchmark_plant()
     spec = DesignSpec()
-    names = ("_center_gains", "_build_lti_loops", "_build_lpv_loops",
-             "fit_surface", "certify", "_certify_position")
+    names = ("_center_gains", "_build_loops", "fit_surface", "certify",
+             "_certify_position")
     real = {name: getattr(design, name) for name in names}
     calls = {name: [] for name in names}
 
@@ -863,7 +867,8 @@ def bisection_trace(request):
     return {"kind": kind, "model": model, "spec": spec, "calls": calls,
             "real_certify": real["certify"], "result": result,
             "full_steps": full_steps, "full_result": full_result,
-            "audit_frfs": audit_frfs, "reference": reference}
+            "p_frfs": p_frfs, "audit_frfs": audit_frfs,
+            "reference": reference}
 
 
 def _full_frequency_plant(model, spec, points):
@@ -883,26 +888,65 @@ def _dumps(loops) -> list:
 def test_subset_local_designs_equal_full_frequency_reference(bisection_trace):
     """At every bandwidth the bisection tries, the gains tuned from the
     samples bracketing f_bw and the cluster frequencies are those the whole
-    frequency grid gives, to the last bit, and each fixed notch takes the
-    deepest zero damping of the reference's local notches of its cluster."""
-    kind = bisection_trace["kind"]
+    frequency grid gives, to the last bit."""
     calls = bisection_trace["calls"]["_center_gains"]
-    builds = bisection_trace["calls"][f"_build_{kind}_loops"]
-    assert len(calls) == len(builds) == len(bisection_trace["full_steps"])
-    n_design = len(bisection_trace["spec"].resolve(bisection_trace["model"])[0])
-    for (args, _, (gains, _), _), (_, _, loops, _), (ref_gains, table, *_) \
-            in zip(calls, builds, bisection_trace["reference"]):
-        _, f_sub, _, _, f_bw, spec_, clusters = args
+    assert len(calls) == len(bisection_trace["full_steps"])
+    for (args, _, (gains, _), _), (ref_gains, *_) \
+            in zip(calls, bisection_trace["reference"]):
+        f_sub, f_bw = args[1], args[4]
         assert len(f_sub) < len(default_grid().freqs_hz) // 10
         assert repr(gains) == repr(ref_gains), f_bw
-        if kind == "lti":
-            want = [Cascade(tuple([ref_gains[i]] + _fixed_section(f_bw, spec_)
-                                  + [min((table[(i, c, l)]
-                                          for l in range(n_design)),
-                                         key=lambda n: n.beta1)
-                                     for c in range(len(infos))]))
-                    for i, infos in enumerate(clusters)]
-            assert _dumps(loops) == _dumps(want), f_bw
+
+
+def _deepest_notches(p_frfs, freqs, order, gains, loops, clusters_per_loop,
+                     f_bw, spec):
+    """The fixed loops the deepest-requirement rule gives: per loop in
+    order and per position of p_frfs, the equivalent plant on every
+    frequency with the earlier loops closed by the given loops' cascades,
+    and each resonance's zero damping from the one-resonance reference
+    law; each notch takes the smallest over the positions."""
+    gamma_frf = cascade_frf(Cascade(tuple(_fixed_section(f_bw, spec))), freqs)
+    k_frfs = [0.0] * len(loops)
+    want = [None] * len(loops)
+    for i in order:
+        deepest = [min(required_beta1(freqs, equivalent_plant(p_frf, k_frfs, i),
+                                      gains[i].k, gamma_frf, cl,
+                                      _skew_for(cl.f_hz, f_bw))
+                       for p_frf in p_frfs)
+                   for cl in clusters_per_loop[i]]
+        want[i] = Cascade(tuple(
+            [gains[i]] + _fixed_section(f_bw, spec)
+            + [Notch(f1=cl.f_hz, f2=_skew_for(cl.f_hz, f_bw) * cl.f_hz,
+                     beta1=b1, beta2=cl.beta2)
+               for cl, b1 in zip(clusters_per_loop[i], deepest)]))
+        k_frfs[i] = cascade_frf(loops[i], freqs)
+    return want
+
+
+def test_fixed_notches_take_the_deepest_requirement_through_the_returned_loops(
+        bisection_trace):
+    """At every bandwidth the bisection tries, each fixed notch's zero
+    damping is the smallest that any design-grid position requires, with
+    the loops before it in the order closed by the cascades the step
+    returns, evaluated on the whole frequency grid.  The build reads the
+    plant stacked over the design grid at the samples bracketing the
+    cluster frequencies."""
+    if bisection_trace["kind"] == "lpv":
+        return
+    model, spec = bisection_trace["model"], bisection_trace["spec"]
+    design_grid = spec.resolve(model)[0]
+    freqs = default_grid().freqs_hz
+    p_frfs = bisection_trace["p_frfs"]
+    calls = bisection_trace["calls"]["_build_loops"]
+    assert len(calls) == len(bisection_trace["full_steps"])
+    for args, _, loops, _ in calls:
+        stack, f_sub, points, order, gains, clusters, _, f_bw = args[:8]
+        assert np.array_equal(points, design_grid)
+        at = np.searchsorted(freqs, f_sub)
+        assert stack.tobytes() == np.stack([frf[at] for frf in p_frfs]).tobytes()
+        want = _deepest_notches(p_frfs, freqs, order, gains, loops, clusters,
+                                f_bw, spec)
+        assert _dumps(loops) == _dumps(want), f_bw
 
 
 def test_build_lpv_loops_equals_per_step_fit_reference(bisection_trace):
@@ -911,14 +955,13 @@ def test_build_lpv_loops_equals_per_step_fit_reference(bisection_trace):
     are those that the fit-then-audit pipeline gives when it fits all four
     coefficients through the design grid and then audits position by
     position on every frequency, to the last bit."""
-    calls = bisection_trace["calls"]["_build_lpv_loops"]
     if bisection_trace["kind"] == "lti":
-        assert not calls
         return
+    calls = bisection_trace["calls"]["_build_loops"]
     assert len(calls) == len(bisection_trace["full_steps"])
     for (args, _, loops, _), (*_, ref) in zip(calls,
                                               bisection_trace["reference"]):
-        assert _dumps(loops) == _dumps(ref), args[8]
+        assert _dumps(loops) == _dumps(ref), args[7]
 
 
 def test_stacked_audit_equals_per_position_reference(bisection_trace):
@@ -927,16 +970,15 @@ def test_stacked_audit_equals_per_position_reference(bisection_trace):
     per-position plant on every frequency.  In the fit-then-audit
     reference every design-grid zero-damping surface overshoots the law
     on that grid and is refit there, so those fits decide nothing."""
-    calls = bisection_trace["calls"]["_build_lpv_loops"]
     if bisection_trace["kind"] == "lti":
-        assert not calls
         return
+    calls = bisection_trace["calls"]["_build_loops"]
     audit_grid = grid_points(bisection_trace["model"].workspace, 9, 9)
     refit = 0
     for (args, _, _, _), (*_, built, ref) in zip(calls,
                                                  bisection_trace["reference"]):
-        stack, f_sub, audit_set = args[:3]
-        assert np.array_equal(audit_set.points, audit_grid)
+        stack, f_sub, points = args[:3]
+        assert np.array_equal(points, audit_grid)
         at = np.searchsorted(default_grid().freqs_hz, f_sub)
         assert stack.tobytes() == np.stack(
             [frf[at] for frf in bisection_trace["audit_frfs"]]).tobytes()
@@ -1056,11 +1098,40 @@ def test_bisection_visits_the_reference_bandwidths(bisection_trace):
 
 # The bisection step's build functions that bisection_reference holds as
 # they ran before each step formed only what it reads, with the module
-# whose name the design calls them by.
-ORACLE_SITES = [(design, "_center_gains"), (design, "_build_lti_loops"),
-                (design, "_build_lpv_loops"), (design, "_interp_loglog_mag"),
-                (design, "cascade_frf"), (design, "equivalent_plant"),
-                (freqresp, "equivalent_plant")]
+# whose name the design calls them by.  The one loop build is held to the
+# reference build of the design's kind (see _reference_build).
+ORACLE_SITES = [(design, "_center_gains"), (design, "_build_loops"),
+                (design, "_interp_loglog_mag"), (design, "cascade_frf"),
+                (design, "equivalent_plant"), (freqresp, "equivalent_plant")]
+
+
+def _reference_build(kind, model, spec):
+    """bisection_reference's _build_<kind>_loops on design._build_loops'
+    arguments.  The reference's scheduled build takes the design's
+    constant surfaces, fitted here on the same design grid."""
+    if kind == "lti":
+        def build(frfs, freqs_hz, points, order, gains, clusters, laws, f_bw,
+                  spec_, notch):
+            return bisection_reference._build_lti_loops(
+                frfs, freqs_hz, order, gains, clusters, laws, f_bw, spec_)
+        return build
+    design_grid = spec.resolve(model)[0]
+
+    @functools.cache
+    def constant_surface(value, units):
+        return fit_surface(
+            FrozenDesignSet(design_grid, np.full(len(design_grid), value),
+                            units),
+            spec.surface_order, spec.surface_order,
+            bounds=model.workspace)[0]
+
+    def build(frfs, freqs_hz, points, order, gains, clusters, laws, f_bw,
+              spec_, notch):
+        return bisection_reference._build_lpv_loops(
+            frfs, freqs_hz, FrozenDesignSet(points, np.zeros(len(points))),
+            order, gains, clusters, laws, constant_surface, f_bw, spec_,
+            model.workspace)
+    return build
 
 
 def _same_bits(a, b) -> bool:
@@ -1091,7 +1162,9 @@ def _oracle_run(kind, spec):
     differ, clusters = [], []
 
     def checked(module, name):
-        new, ref = getattr(module, name), getattr(bisection_reference, name)
+        new = getattr(module, name)
+        ref = (_reference_build(kind, model, spec) if name == "_build_loops"
+               else getattr(bisection_reference, name))
 
         def call(*args, **kwargs):
             out = new(*args, **kwargs)
@@ -1122,18 +1195,19 @@ def oracle_runs():
 
 def test_bisection_build_equals_reference_on_every_call(oracle_runs):
     """Every call the centre and README LPV designs make to the loop
-    builds, the notch-law interpolation, the cascade responses and the
+    build, the notch-law interpolation, the cascade responses and the
     equivalent plants returns, bit for bit, what the reference that formed
-    every closure, notch law and j omega returns on the same arguments.
-    At the centre, every step has a loop with no resonance cluster."""
-    for kind, other in (("lti", "lpv"), ("lpv", "lti")):
+    every closure, notch law and j omega returns on the same arguments:
+    at the centre, where its one position's local notches are the
+    returned ones, the fixed build; for the README LPV design, the
+    scheduled build.  At the centre, every step has a loop with no
+    resonance cluster."""
+    for kind in ("lti", "lpv"):
         run = oracle_runs[kind]
         assert not run["differ"], kind
         calls = run["calls"]
-        assert calls["lpvslc.design", f"_build_{other}_loops"] == 0
-        assert all(n > 0 for (_, name), n in calls.items()
-                   if name != f"_build_{other}_loops"), kind
-        assert calls["lpvslc.design", f"_build_{kind}_loops"] \
+        assert all(n > 0 for n in calls.values()), kind
+        assert calls["lpvslc.design", "_build_loops"] \
             == calls["lpvslc.design", "_center_gains"]
     assert all(any(not infos for infos in c)
                for c in oracle_runs["lti"]["clusters"])

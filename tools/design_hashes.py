@@ -10,8 +10,12 @@ of a 17x17 certify report.  A third line holds the same fingerprints for
 the LTI design at the workspace centre alone (design and verification
 grid both (0.1, 0.1)), the design perfbench's design workload times, with
 the sha256 of the design's final report in place of the 17x17 report.
-Two trees that print the same lines built the same candidates and gave
-them the same verdicts.  Standard library and lpvslc only.
+A fourth line holds the centre line's fingerprints for the scheduled
+design with constant (order-1) zero-damping surfaces on the default
+grids; its bandwidth is the LTI design's today, so the line shows when
+the two kinds stop agreeing.  Two trees that print the same lines built
+the same candidates and gave them the same verdicts.  Standard library
+and lpvslc only.
 
     PYTHONPATH=src python3 tools/design_hashes.py
 """
@@ -79,4 +83,7 @@ if __name__ == "__main__":
     _, report, line = fingerprint(model, "lti", DesignSpec(
         design_grid=[CENTRE], verification_grid=[CENTRE]))
     print(f"LTI at {CENTRE}: {line}, "
+          f"final report {sha256(json.dumps(report.to_dict()))}")
+    _, report, line = fingerprint(model, "lpv", DesignSpec(surface_order=1))
+    print(f"LPV order 1: {line}, "
           f"final report {sha256(json.dumps(report.to_dict()))}")
