@@ -224,8 +224,8 @@ def cmd_frf(args) -> None:
     grid = _parse_freq_grid(
         args.grid, (1 + 2 * len(positions) * model.n_y * model.n_u) * 8)
     header, cols = ["freq_hz"], [grid.freqs_hz]
-    for k, p in enumerate(positions, start=1):
-        h = frf(frozen_realization(model, p), grid.freqs_hz)
+    stack = frf(frozen_realization(model, positions), grid.freqs_hz)
+    for k, h in enumerate(stack, start=1):
         for i in range(h.shape[1]):
             for j in range(h.shape[2]):
                 header += [f"p{k:02d}_re_{i + 1}{j + 1}",

@@ -357,7 +357,8 @@ def rigid_body_decouple(model: ModalPlantModel, p):
 
 
 def decoupled_plant_frf(model: ModalPlantModel, p, freqs_hz, t_u, t_y) -> np.ndarray:
-    """Frozen plant FRF through the decoupling transforms: (A, B T_u, T_y C, T_y D T_u)."""
+    """Frozen plant FRF through the decoupling transforms, (A, B T_u, T_y C,
+    T_y D T_u), at a point or an (n, 2) grid, stacked as freqresp.frf does."""
     ss = frozen_realization(model, p)
     return frf(replace(ss, b=ss.b @ t_u, c=t_y @ ss.c, d=t_y @ ss.d @ t_u), freqs_hz)
 
@@ -819,7 +820,8 @@ def _certify_position(model: ModalPlantModel, controllers: ControllerSet,
 
 def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
             plant_frfs=None, _check_first=None) -> CertificationReport:
-    """Frozen-position stability and sensitivity audit of a controller set.
+    """Frozen-position stability and sensitivity audit of a controller set
+    at a point or an (n, 2) grid.
 
     Per position: scalar Nyquist checks along the design loop order (each
     loop sees the previously certified loops closed), the determinant
@@ -833,10 +835,10 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
     frozen once per chunk: its responses come from one stacked cascade_frf
     call and, once the chunk's frequency-domain checks are done, the
     closed-loop matrices from one stacked closed_loop_matrix, whose
-    eigenvalues are computed in one call.  Stacked rows equal one-position
-    evaluations bit for bit, so the report does not depend on which other
-    positions share a chunk, and memory does not grow with the grid.
-    Plant FRFs and equivalent plants stay per position.
+    eigenvalues are computed in one call; so are its plant FRFs unless
+    plant_frfs is given.  Stacked rows equal one-position evaluations bit
+    for bit, so the report does not depend on which other positions share
+    a chunk, and memory does not grow with the grid.
 
     plant_frfs, when given, holds one decoupled plant FRF per grid row,
     sampled on certify's own frequencies (the default grid behind a
@@ -881,14 +883,10 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
     def frozen(chunk):
         """(row, p, p_frf, k_frfs, chain, peaks) of each row of a chunk."""
         pts = grid[chunk]
-        k_chunk = controllers.loop_frfs(freqs, pts)
-        for r, (row, p) in enumerate(zip(chunk, pts)):
-            if plant_frfs is not None:
-                p_frf = plant_frfs[row]
-            else:
-                p_frf = decoupled_plant_frf(model, p, freqs, controllers.t_u,
-                                            controllers.t_y)
-            k_frfs = [k[r] for k in k_chunk]
+        p_chunk = (decoupled_plant_frf(model, pts, freqs, controllers.t_u, controllers.t_y)
+                   if plant_frfs is None else [plant_frfs[row] for row in chunk])
+        for row, p, p_frf, *k_frfs in zip(
+                chunk, pts, p_chunk, *controllers.loop_frfs(freqs, pts)):
             yield (row, p, p_frf, k_frfs,
                    *_loop_closures(p_frf, k_frfs, order))
 
@@ -913,6 +911,9 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
             alone = CertificationReport(bound_db, [points[row]])
             if verdict_only and not alone.passed:
                 return alone
+        # The chunk's last row holds views of its stacked responses: let
+        # them go before the next chunk's are formed.
+        del position
         max_real = np.max(np.linalg.eigvals(
             closed_loop_matrix(model, controllers, grid[chunk])).real, axis=-1)
         for row, m in zip(chunk, max_real.tolist()):
@@ -944,25 +945,16 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     t_u, t_y = rigid_body_decouple(model, design_grid[mid])
     masses = np.asarray(model.masses, dtype=float)[: model.n_rigid]
 
-    # One plant FRF per distinct position, on the certification
-    # frequencies; the design reads the base-grid part of the same arrays
-    # (a plant FRF row depends only on its own frequency).  Only design and
-    # verification positions are kept: on the default grids the audit
-    # grid's 56 others would add about 8 MB to the LPV design's peak memory.
-    cert_freqs = _certification_freqs()
-    frfs = {}
-
-    def plant_frf(p, keep: bool = True) -> np.ndarray:
-        key = (float(p[0]), float(p[1]))
-        if key in frfs:
-            return frfs[key]
-        h = decoupled_plant_frf(model, p, cert_freqs, t_u, t_y)
-        if keep:
-            frfs[key] = h
-        return h
-
-    p_frfs = np.stack([plant_frf(p)[CERT_TAIL_N:] for p in design_grid])
-    verify_frfs = [plant_frf(p) for p in verify_grid]
+    # The plant FRFs of the distinct design and verification positions, in
+    # one call on the certification frequencies; the design reads their
+    # base-grid part (a plant FRF row depends only on its own frequency).
+    rows: dict = {}
+    for p in np.vstack([design_grid, verify_grid]):
+        rows.setdefault(tuple(p), len(rows))
+    stack = decoupled_plant_frf(model, np.array(list(rows)),
+                                _certification_freqs(), t_u, t_y)
+    p_frfs = [stack[rows[tuple(p)], CERT_TAIL_N:] for p in design_grid]
+    verify_frfs = [stack[rows[tuple(p)]] for p in verify_grid]
     clusters = _discover_clusters(p_frfs, freqs, masses)
     cluster_hz = [cl.f_hz for infos in clusters for cl in infos]
 
@@ -971,7 +963,8 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     # notches, the audit grid for scheduled ones.
     build_sub = _bracketing_samples(freqs, cluster_hz)
     if kind == "lti":
-        build_grid, build_frfs = design_grid, p_frfs[:, build_sub]
+        build_grid = design_grid
+        build_frfs = np.stack([h[build_sub] for h in p_frfs])
 
         def notch(cl: _ClusterInfo, f2: float, column: list) -> Notch:
             return Notch(f1=cl.f_hz, f2=f2, beta1=min(column), beta2=cl.beta2)
@@ -981,8 +974,8 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
         design_set = FrozenDesignSet(design_grid, np.zeros(len(design_grid)))
         build_grid = grid_points(model.workspace, AUDIT_GRID_N, AUDIT_GRID_N)
         audit_set = FrozenDesignSet(build_grid, np.zeros(len(build_grid)))
-        build_frfs = np.stack([plant_frf(p, keep=False)[CERT_TAIL_N + build_sub]
-                               for p in build_grid])
+        build_frfs = decoupled_plant_frf(model, build_grid, freqs[build_sub],
+                                         t_u, t_y)
 
         @functools.cache
         def constant_surface(value: float, units: str) -> CoefficientSurface:
@@ -1007,7 +1000,7 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
 
     def build(f_bw: float) -> ControllerSet:
         sub = _bracketing_samples(freqs, [f_bw] + cluster_hz)
-        gains, laws = _center_gains(p_frfs[mid, sub], freqs[sub],
+        gains, laws = _center_gains(p_frfs[mid][sub], freqs[sub],
                                     masses, order, f_bw, spec, clusters)
         loops = _build_loops(build_frfs, freqs[build_sub], build_grid, order,
                              gains, clusters, laws, f_bw, spec, notch)

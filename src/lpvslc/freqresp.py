@@ -84,20 +84,27 @@ def default_grid(
 
 
 def frf(ss: FrozenStateSpace, freqs_hz) -> np.ndarray:
-    """H(j omega), shape (F, n_y, n_u), of one realization in the modal form
-    plant.frozen_realization builds, A = [[0, I], [-diag(k), -diag(d)]],
-    B = [0; B_q], C = [C_q, 0]; k and d are read from A and there is no solve:
-    H = sum_k C_q[:, k] B_q[k, :] / (k_k - omega^2 + j omega d_k) + D."""
+    """H(j omega) of a realization in the modal form
+    plant.frozen_realization builds at a point or an (n, 2) grid,
+    A = [[0, I], [-diag(k), -diag(d)]], B = [0; B_q], C = [C_q, 0]; k and d
+    are read from A and there is no solve:
+    H = sum_k C_q[:, k] B_q[k, :] / (k_k - omega^2 + j omega d_k) + D.
+    A point gives (F, n_y, n_u); a grid, whose B, C and D are stacked, gives
+    (n, F, n_y, n_u), each row the point's bit for bit."""
     n_q = ss.n_states // 2
     k, d = -np.diagonal(ss.a, -n_q), -np.diagonal(ss.a)[n_q:]
-    if ss.a.shape != (2 * n_q, 2 * n_q) or ss.b[:n_q].any() or ss.c[:, n_q:].any() \
+    if ss.a.shape != (2 * n_q, 2 * n_q) or ss.b[..., :n_q, :].any() \
+            or ss.c[..., n_q:].any() \
             or not np.array_equal(ss.a, np.block([[np.zeros((n_q, n_q)), np.eye(n_q)],
                                                   [np.diag(-k), np.diag(-d)]])):
         raise DomainError("frf needs a realization in second-order modal form")
     w = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float)[:, None]
-    residues = ss.c[:, :n_q].T[:, :, None] * ss.b[n_q:, None, :]
-    h = (1.0 / ((k - w ** 2) + 1j * (w * d))) @ residues.reshape(n_q, -1)
-    return h.reshape(len(w), *ss.d.shape) + ss.d
+    residues = (np.swapaxes(ss.c[..., :n_q], -1, -2)[..., None]
+                * ss.b[..., n_q:, None, :])
+    h = (1.0 / ((k - w ** 2) + 1j * (w * d))) @ residues.reshape(*residues.shape[:-2], -1)
+    h = h.reshape(*h.shape[:-1], *ss.d.shape[-2:])
+    h += ss.d[..., None, :, :]
+    return h
 
 
 def equivalent_plant(p_frf: np.ndarray, k_frfs, i: int) -> np.ndarray:

@@ -321,7 +321,8 @@ def scan_coupling(model: ModalPlantModel, p) -> np.ndarray:
 
 
 def frozen_realization(model: ModalPlantModel, p) -> FrozenStateSpace:
-    """LTI state space of the plant frozen at scheduling point p."""
+    """LTI state space of the plant frozen at a point or an (n, 2) grid: a
+    grid shares A and stacks B, C and D, each row the one-point realization."""
     phi_a, phi_s = mode_shape_eval(model, p)
     n_q = model.n_modes
     omega = 2.0 * np.pi * model.frequencies_hz
@@ -332,11 +333,9 @@ def frozen_realization(model: ModalPlantModel, p) -> FrozenStateSpace:
     a[:n_q, n_q:] = np.eye(n_q)
     a[n_q:, :n_q] = np.diag(-k_diag / model.masses)
     a[n_q:, n_q:] = np.diag(-d_diag / model.masses)
-    b = np.zeros((2 * n_q, model.n_u))
-    b[n_q:, :] = phi_a / model.masses[:, None]
-    c = np.zeros((model.n_y, 2 * n_q))
-    c[:, :n_q] = phi_s
-    d = np.zeros((model.n_y, model.n_u))
+    b = np.concatenate([np.zeros_like(phi_a), phi_a / model.masses[:, None]], axis=-2)
+    c = np.concatenate([phi_s, np.zeros_like(phi_s)], axis=-1)
+    d = np.zeros(phi_s.shape[:-1] + (model.n_u,))
     return FrozenStateSpace(a, b, c, d)
 
 

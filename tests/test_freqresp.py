@@ -5,7 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lpvslc.design import (
+    AUDIT_GRID_N,
+    CERT_TAIL_N,
+    DesignSpec,
+    _bracketing_samples,
     _certification_freqs,
+    _discover_clusters,
     decoupled_plant_frf,
     grid_points,
     rigid_body_decouple,
@@ -129,6 +134,39 @@ def test_closed_form_frf_matches_dense_solve():
     for p in ((0.0, 0.0), (0.13, 0.06)):
         ss = frozen_realization(rigid, p)
         assert _normwise_gap(frf(ss, freqs), dense_frf(ss, freqs)) <= 1e-12
+
+
+def test_grid_plant_responses_equal_one_point_calls_bit_for_bit():
+    # frozen_realization, frf and decoupled_plant_frf at the 9x9 audit grid:
+    # every row of each stack is the one-point call's, sign bits included,
+    # on the certification frequencies and on the samples bracketing the
+    # README design's resonance clusters.
+    model = benchmark_plant()
+    design_grid = DesignSpec().resolve(model)[0]
+    t_u, t_y = rigid_body_decouple(model, design_grid[len(design_grid) // 2])
+    cert, base = _certification_freqs(), default_grid().freqs_hz
+    p_frfs = np.stack([decoupled_plant_frf(model, p, cert, t_u, t_y)[CERT_TAIL_N:]
+                       for p in design_grid])
+    clusters = _discover_clusters(p_frfs, base, model.masses[: model.n_rigid])
+    sub = _bracketing_samples(base, [cl.f_hz for infos in clusters for cl in infos])
+    assert 0 < len(sub) < len(base) // 10
+    grid = grid_points(model.workspace, AUDIT_GRID_N, AUDIT_GRID_N)
+    ss = frozen_realization(model, grid)
+    for r, p in enumerate(grid):
+        one = frozen_realization(model, p)
+        assert ss.a.tobytes() == one.a.tobytes()
+        for name in "bcd":
+            assert getattr(ss, name)[r].tobytes() == getattr(one, name).tobytes()
+    for freqs in (cert, base[sub]):
+        raw = frf(ss, freqs)
+        decoupled = decoupled_plant_frf(model, grid, freqs, t_u, t_y)
+        shape = (len(grid), len(freqs), model.n_y, model.n_u)
+        assert raw.shape == decoupled.shape == shape
+        for p, h_raw, h_dec in zip(grid, raw, decoupled):
+            assert h_raw.tobytes() == frf(frozen_realization(model, p),
+                                          freqs).tobytes(), p
+            assert h_dec.tobytes() == decoupled_plant_frf(
+                model, p, freqs, t_u, t_y).tobytes(), p
 
 
 def test_frf_refuses_non_modal_realizations():

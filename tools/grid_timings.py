@@ -1,0 +1,61 @@
+"""In-process timings of what the README runs and no perfbench workload
+times: certify on position grids, and the two README designs.
+
+On the benchmark stage with the default spec it designs the LTI and LPV
+sets once, then times, each REPEATS times after one untimed call:
+
+    certify <set> on 3x3, 5x5 and 17x17 grids over the workspace
+        (no plant_frfs given, so certify evaluates the plant itself)
+    design_lti_slc and design_lpv_slc
+
+and prints the fastest and median wall time of each.  The host's speed
+drifts, so compare two trees by running this in each in turn, several
+rounds, rather than once each.  Standard library and lpvslc only.
+
+    PYTHONPATH=src python3 tools/grid_timings.py [REPEATS]    # default 12
+"""
+
+import logging
+import statistics
+import sys
+from time import perf_counter
+
+from lpvslc.design import (
+    DesignSpec,
+    certify,
+    design_lpv_slc,
+    design_lti_slc,
+    grid_points,
+)
+from lpvslc.plant import benchmark_plant
+
+GRIDS = (3, 5, 17)
+
+
+def timed(label: str, call, repeats: int) -> None:
+    """Print the fastest and median of repeats timed calls, after one
+    untimed call."""
+    call()
+    times = []
+    for _ in range(repeats):
+        start = perf_counter()
+        call()
+        times.append(perf_counter() - start)
+    print(f"{label:<22} min {1e3 * min(times):8.1f} ms  "
+          f"median {1e3 * statistics.median(times):8.1f} ms  ({repeats} runs)")
+
+
+if __name__ == "__main__":
+    repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 12
+    # The per-freeze clamp warnings are not timings.
+    logging.getLogger("lpvslc").setLevel(logging.ERROR)
+    model = benchmark_plant()
+    designs = {"lti": design_lti_slc, "lpv": design_lpv_slc}
+    sets = {kind: run(model, DesignSpec()) for kind, run in designs.items()}
+    for kind, controllers in sets.items():
+        for n in GRIDS:
+            grid = grid_points(model.workspace, n, n)
+            timed(f"certify {n}x{n} {kind}",
+                  lambda: certify(model, controllers, grid), repeats)
+    for kind, run in designs.items():
+        timed(f"design_{kind}_slc", lambda: run(model, DesignSpec()), repeats)
