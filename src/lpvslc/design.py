@@ -252,8 +252,8 @@ class ControllerSet:
 
     def loop_frfs(self, freqs_hz, p) -> list:
         """Per-loop cascade responses at one position, (F,) each, or on an
-        (n, 2) grid, (n, F) each (see filters.cascade_frf)."""
-        return [cascade_frf(c, freqs_hz, p) for c in self.loops]
+        (n, 2) grid, (n, F) each, from one filters.cascade_frf call."""
+        return cascade_frf(self.loops, freqs_hz, p)
 
 
 def _within_bound(peak_db: float, bound_db: float) -> bool:
@@ -618,7 +618,8 @@ def _center_gains(center_frf, freqs_hz, masses, order, f_bw,
         if clusters_per_loop[i]:
             beta1 = _required_beta1(freqs_hz, g, gains[i].k, laws[i])
             k_center = gamma[None].copy()
-            _multiply_notches(k_center, 1j * (2.0 * np.pi * f_all),
+            s = 1j * (2.0 * np.pi * f_all)
+            _multiply_notches(k_center, s, s * s,
                               _notch_rows(clusters_per_loop[i], laws[i],
                                           [[b] for b in beta1.tolist()]))
             k_center = k_center[0]
@@ -638,8 +639,11 @@ def _build_loops(frfs, freqs_hz, points, order, gains, clusters_per_loop,
     freqs_hz need only hold the samples bracketing the cluster
     frequencies; every row equals a one-position evaluation bit for bit.
     The last loop of the order, which no later loop reads, is not closed,
-    and a loop with no cluster forms no equivalent plant.
+    and a loop with no cluster forms no equivalent plant.  Every loop
+    holds the same fixed-section block objects, so cascade_frf evaluates
+    them once for a whole set.
     """
+    fixed = _fixed_section(f_bw, spec)
     loops = [None] * len(gains)
     closed = [0.0] * len(gains)
     for i in order:
@@ -648,7 +652,7 @@ def _build_loops(frfs, freqs_hz, points, order, gains, clusters_per_loop,
             freqs_hz, equivalent_plant(frfs, closed, i), gains[i].k,
             law).T.tolist() if clusters else []
         loops[i] = Cascade(tuple(
-            [gains[i]] + _fixed_section(f_bw, spec)
+            [gains[i]] + fixed
             + [notch(cl, f2, column)
                for cl, f2, column in zip(clusters, law.f2, columns)]))
         if i != order[-1]:
@@ -753,22 +757,30 @@ def _certification_freqs() -> np.ndarray:
     return freqs
 
 
-def _loop_closures(p_frf, k_frfs, order):
+def _loop_closures(p_frf, k_frfs, order, bound_db=None):
     """The design chain of one position and its loops' sensitivity peaks.
 
-    Returns (chain, peaks): chain is design_chain(p_frf, k_frfs, order),
-    and peaks[i] the largest sampled |S_i| in dB, S_i = 1 / (1 + g_i k_i)
-    with g_i the plant loop i sees with every other loop closed.  The last
-    loop of the chain sees exactly that plant, closed by the same closings
-    in the same index order, so its chain entry serves as its g_i.
+    Returns (chain, peaks), indexed by loop.  chain[i] is the plant loop i
+    sees with the loops before it in order closed (freqresp.design_chain's
+    entry), and peaks[i] the largest sampled |S_i| in dB, S_i = 1 / (1 +
+    g_i k_i) with g_i the plant loop i sees with every other loop closed.
+    The order is walked once: chain entry, g_i and peak of each loop in
+    turn.  The last loop of the order sees exactly g_i, closed by the same
+    closings in the same index order, so its chain entry serves as g_i.
+    With bound_db given the walk stops after the first loop whose peak is
+    over it; the later loops' entries are left None.
     """
-    chain = design_chain(p_frf, k_frfs, order)
-    peaks = [0.0] * len(k_frfs)
+    chain, peaks = [None] * len(k_frfs), [None] * len(k_frfs)
+    closed = [0.0] * len(k_frfs)
     for i in order:
+        chain[i] = equivalent_plant(p_frf, closed, i)
+        closed[i] = k_frfs[i]
         g_all = (chain[i] if i == order[-1]
                  else equivalent_plant(p_frf, k_frfs, i))
         peaks[i] = float(np.max(-20.0 * np.log10(
             np.abs(1.0 + g_all * k_frfs[i]))))
+        if bound_db is not None and not _within_bound(peaks[i], bound_db):
+            break
     return chain, peaks
 
 
@@ -783,7 +795,9 @@ def _certify_position(model: ModalPlantModel, controllers: ControllerSet,
 
     With bound_db given only a verdict is wanted: the first loop that is
     Nyquist unstable or over bound_db ends the evaluation, and the point
-    holds the loops up to that one and det_residual NaN.
+    holds the loops up to that one and det_residual NaN.  Nothing of chain
+    and peaks past that loop is read, so a _loop_closures walk that
+    stopped at its first loop over bound_db is enough.
     """
     order = controllers.loop_order
     point = PointCertification(p=(float(p[0]), float(p[1])),
@@ -848,14 +862,17 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
     _check_first is the design bisection's, which needs only a verdict.
     Given (possibly empty), the grid rows at those positions form the
     first chunk and the rest follow in grid order.  Every position's
-    sensitivity peaks are screened, in that order, before any other
-    check: the first position over the bound is certified as
-    _certify_position describes with a bound and its point alone is the
-    report.  Otherwise the other checks run in the same order and stop at
-    the first failure the same way; until then the screened loop
-    responses and chains are kept, about six times the frequency count
-    of complex values per position.  A set that passes gets the same
-    report as without _check_first.
+    sensitivity peaks are screened, in that order and each position's in
+    loop order, before any other check; a position's _loop_closures walk
+    stops at its first loop over the bound, so a failing position forms
+    neither the later loops' chain entries nor their closed plants.  The
+    first position over the bound is certified as _certify_position
+    describes with a bound and its point alone is the report.  Otherwise
+    the other checks run in the same order and stop at the first failure
+    the same way; until then the screened loop responses and chains are
+    kept, about six times the frequency count of complex values per
+    position.  A set that passes gets the same report as without
+    _check_first.
     """
     controllers.check_plant(model)
     freqs = _certification_freqs()
@@ -888,14 +905,16 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
         for row, p, p_frf, *k_frfs in zip(
                 chunk, pts, p_chunk, *controllers.loop_frfs(freqs, pts)):
             yield (row, p, p_frf, k_frfs,
-                   *_loop_closures(p_frf, k_frfs, order))
+                   *_loop_closures(p_frf, k_frfs, order,
+                                   bound_db if verdict_only else None))
 
     if verdict_only:
         screened = []
         for chunk in chunks:
             positions = []
             for entry in frozen(chunk):
-                if not all(_within_bound(s, bound_db) for s in entry[-1]):
+                if not all(_within_bound(entry[-1][i], bound_db)
+                           for i in order):
                     return CertificationReport(bound_db, [_certify_position(
                         model, controllers, freqs, *entry[1:], bound_db)])
                 positions.append(entry)

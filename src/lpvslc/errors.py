@@ -38,26 +38,40 @@ class NumericalError(LpvSlcError):
     """A numerical procedure diverged or hit a singular/ill-conditioned case."""
 
 
+def _beyond_float(key: str, value) -> ConfigError:
+    """The refusal of a number that float() cannot hold.  Its digits are
+    not printed: str() refuses an int of more than 4,300 digits."""
+    return ConfigError(f"{key} must lie within the float range, got a "
+                       f"{type(value).__name__} value beyond it")
+
+
 def integral(key: str, value) -> int:
-    """value as an int; booleans and non-integral numbers are refused."""
-    # A plain int skips the ABC check; float() raises OverflowError for
-    # one beyond the float range, as the check below does.
-    if type(value) is int and float(value).is_integer():
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not float(value).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    """value as an int; booleans, non-integral numbers and numbers beyond
+    the float range are refused."""
+    try:
+        # A plain int skips the ABC check.
+        if type(value) is int and float(value).is_integer():
+            return value
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not float(value).is_integer():
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+    except OverflowError:
+        raise _beyond_float(key, value) from None
     return int(value)
 
 
 def real(key: str, value) -> float:
-    """value as a float; refuses booleans, non-numbers and non-finite values."""
-    # Plain floats and ints first: the ABC check below is the slow part.
-    if type(value) in (float, int) and math.isfinite(value):
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite and real, got {value!r}")
+    """value as a float; refuses booleans, non-numbers and non-finite values,
+    numbers beyond the float range included."""
+    try:
+        # Plain floats and ints first: the ABC check below is the slow part.
+        if type(value) in (float, int) and math.isfinite(value):
+            return float(value)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite and real, got {value!r}")
+    except OverflowError:
+        raise _beyond_float(key, value) from None
     return float(value)
 
 
@@ -81,11 +95,15 @@ def text(key: str, value) -> str:
 
 def reals(key: str, value) -> np.ndarray:
     """value as a float array; every entry, at any depth, must pass real.
-    Python floats and ints are checked in one pass, anything else by real."""
+    Python floats and ints are checked in one pass, anything else, and an
+    int beyond the float range, by real."""
     entries = np.array(value, dtype=object)
     flat = entries.ravel()
     if set(map(type, flat)) <= {float, int}:
-        out = flat.astype(float)
+        try:
+            out = flat.astype(float)
+        except OverflowError:
+            out = np.array([np.nan])
         if np.isfinite(out).all():
             return out.reshape(entries.shape)
     return np.array([real(key, v) for v in flat],

@@ -327,14 +327,14 @@ def notch_transfer(f1, f2, beta1, beta2, omega):
     with s = j*omega; DC gain is exactly 1, the high-frequency gain is
     (f2/f1)**2.
     """
-    return _notch_at(1j * np.asarray(omega, dtype=float),
-                     *_notch_terms(f1, f2, beta1, beta2))
+    s = 1j * np.asarray(omega, dtype=float)
+    return _notch_at(s, s * s, *_notch_terms(f1, f2, beta1, beta2))
 
 
-def _notch_at(s, b1, b0, a1, a0, gain):
-    """notch_transfer at s = j omega, from its _notch_terms."""
-    num = s * s + b1 * s + b0
-    den = s * s + a1 * s + a0
+def _notch_at(s, s2, b1, b0, a1, a0, gain):
+    """notch_transfer at s = j omega, s2 = s * s, from its _notch_terms."""
+    num = s2 + b1 * s + b0
+    den = s2 + a1 * s + a0
     return gain * num / den
 
 
@@ -349,11 +349,12 @@ def _notch_terms(f1, f2, beta1, beta2) -> tuple:
 
 def element_transfer(spec, omega):
     """Closed-form response of one fixed block at angular frequencies omega."""
-    return _element_at(spec, 1j * np.asarray(omega, dtype=float))
+    s = 1j * np.asarray(omega, dtype=float)
+    return _element_at(spec, s, s * s)
 
 
-def _element_at(spec, s):
-    """element_transfer at s = j omega."""
+def _element_at(spec, s, s2):
+    """element_transfer at s = j omega, s2 = s * s."""
     if isinstance(spec, Gain):
         return np.full(s.shape, complex(spec.k))
     if isinstance(spec, Integrator):
@@ -362,21 +363,21 @@ def _element_at(spec, s):
         w = 2.0 * np.pi * spec.f_bw
         return spec.alpha ** 2 * (s + w / spec.alpha) / (s + spec.alpha * w)
     if isinstance(spec, Notch):
-        return _notch_at(s, *_notch_terms(spec.f1, spec.f2, spec.beta1,
-                                          spec.beta2))
+        return _notch_at(s, s2, *_notch_terms(spec.f1, spec.f2, spec.beta1,
+                                              spec.beta2))
     raise ModelError(f"unknown filter block {type(spec).__name__}")
 
 
-def _multiply_notches(stack, s, notches) -> None:
+def _multiply_notches(stack, s, s2, notches) -> None:
     """Multiply notch responses onto the rows of a stack, in place.
 
     stack is an (n, F) running product sampled at s = j omega, (F,), for
-    angular frequencies omega; notches holds, per notch, the n rows'
-    coefficients (f1, f2, beta1, beta2) as Python floats.  Row k ends up
-    equal, bit for bit, to stack[k] * notch_transfer(f1, f2, beta1, beta2,
-    omega) of each notch in turn, a one-element stack included.
+    angular frequencies omega, and s2 = s * s; notches holds, per notch,
+    the n rows' coefficients (f1, f2, beta1, beta2) as Python floats.  Row
+    k ends up equal, bit for bit, to stack[k] * notch_transfer(f1, f2,
+    beta1, beta2, omega) of each notch in turn, a one-element stack
+    included.
     """
-    s2 = s * s
     num, den = np.empty_like(stack), np.empty_like(stack)
     for rows in notches:
         # Terms from Python floats: a float's x ** 2 (libm pow) can differ
@@ -401,38 +402,47 @@ def _multiply_notches(stack, s, notches) -> None:
         stack[...] = den
 
 
-def cascade_frf(cascade: Cascade, freqs_hz, p=None) -> np.ndarray:
+def cascade_frf(cascade, freqs_hz, p=None):
     """Frozen cascade response: the product of element responses.
 
-    Given an (n, 2) array of positions the result is an (n, F) stack, one
-    frozen response per row (a read-only broadcast when the cascade has no
-    scheduled block).  The fixed section is multiplied out once, in
-    element order; a block that appears more than once (the same object,
-    as a designed cascade's leads are) is evaluated once.  The scheduled
-    part is frozen in one freeze_notches call and each notch is evaluated
-    for all rows at once, each row with the arithmetic notch_transfer
-    does, in its order, so row k equals the response at p[k] alone bit for
-    bit, at one frequency as at many.  s = j omega is formed once, for
-    every block.
+    cascade is one Cascade, which gives one response, or a sequence of
+    them, which gives a list with one response per cascade, each equal bit
+    for bit to its own call.  Given an (n, 2) array of positions a
+    response is an (n, F) stack, one frozen response per row (a read-only
+    broadcast when the cascade has no scheduled block).  s = j omega and
+    s * s are formed once per call, and a fixed block that appears more
+    than once in the call (the same object, as a designed set's leads and
+    integrators are) is evaluated once.  Each cascade's fixed section is
+    multiplied out in element order.  Its scheduled part is frozen in one
+    freeze_notches call and each notch is evaluated for all rows at once,
+    each row with the arithmetic notch_transfer does, in its order, so row
+    k equals the response at p[k] alone bit for bit, at one frequency as
+    at many.
     """
     s = 1j * (2.0 * np.pi * np.asarray(freqs_hz, dtype=float))
-    out = np.ones(s.shape, dtype=complex)
-    responses = {}
-    for element in cascade.fixed_part:
-        if id(element) not in responses:
-            responses[id(element)] = _element_at(element, s)
-        out = out * responses[id(element)]
-    single = p is None or np.ndim(p) == 1
-    if not cascade.scheduled_part:
-        return out if single else np.broadcast_to(out, (len(p),) + out.shape)
-    if p is None:
-        raise ModelError("scheduled notch needs a position to freeze at")
-    pts = np.atleast_2d(np.asarray(p, dtype=float))
-    stack = np.array(np.broadcast_to(out, (len(pts),) + out.shape))
-    _multiply_notches(stack, s, [
-        list(zip(*(c.tolist() for c in coeffs)))
-        for coeffs in freeze_notches(cascade.scheduled_part, pts)])
-    return stack[0] if single else stack
+    s2 = s * s
+    single = isinstance(cascade, Cascade)
+    one_point = p is None or np.ndim(p) == 1
+    responses, out = {}, []
+    for c in [cascade] if single else cascade:
+        h = np.ones(s.shape, dtype=complex)
+        for element in c.fixed_part:
+            if id(element) not in responses:
+                responses[id(element)] = _element_at(element, s, s2)
+            h = h * responses[id(element)]
+        if c.scheduled_part:
+            if p is None:
+                raise ModelError("scheduled notch needs a position to freeze at")
+            pts = np.atleast_2d(np.asarray(p, dtype=float))
+            stack = np.array(np.broadcast_to(h, (len(pts),) + h.shape))
+            _multiply_notches(stack, s, s2, [
+                list(zip(*(v.tolist() for v in coeffs)))
+                for coeffs in freeze_notches(c.scheduled_part, pts)])
+            h = stack[0] if one_point else stack
+        elif not one_point:
+            h = np.broadcast_to(h, (len(p),) + h.shape)
+        out.append(h)
+    return out[0] if single else out
 
 
 def n_states(spec) -> int:

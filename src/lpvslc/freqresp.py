@@ -138,7 +138,7 @@ def equivalent_plant(p_frf: np.ndarray, k_frfs, i: int) -> np.ndarray:
     for j in closing:
         k_j = k_frfs[j]
         den = 1.0 + k_j * q[1][1]
-        if not np.all(den):
+        if not den.all():
             raise NumericalError(
                 f"singular loop closure for loop {i}: 1 + k_{j} P_{j}{j} "
                 f"vanishes when closing loop {j}")
@@ -163,14 +163,18 @@ def _det_stacked(planes) -> np.ndarray:
     entries left of the pivot column are never read again, so they are
     neither swapped nor updated.  Every arithmetic step is the one a
     fancy-indexed elimination of the (F, n, n) stack does, in the same
-    order.  Reduces to the plain ordered product of diagonal entries for
-    diagonal matrices, so the identity residual is exactly zero in that
-    case.  The planes themselves are not modified.
+    order.  Work that cannot change a bit is skipped: the row-swap scan
+    and the sign flip of a column in which no matrix moves a row, the
+    zero-pivot substitution of a column with no zero pivot, and the last
+    column's pivot search, which has no row to choose from.  Reduces to
+    the plain ordered product of diagonal entries for diagonal matrices,
+    so the identity residual is exactly zero in that case.  The planes
+    themselves are not modified.
     """
     n = len(planes)
     a = [list(row) for row in planes]
     det = np.ones(len(a[0][0]), dtype=complex)
-    for i in range(n):
+    for i in range(n - 1):
         best = np.abs(a[i][i])
         pivot = np.full(best.shape, i)
         for r in range(i + 1, n):
@@ -178,23 +182,23 @@ def _det_stacked(planes) -> np.ndarray:
             take = mag > best
             pivot = np.where(take, r, pivot)
             best = np.where(take, mag, best)
-        for r in range(i + 1, n):
-            swap = pivot == r
-            if swap.any():
-                for c in range(i, n):
-                    a[i][c], a[r][c] = (np.where(swap, a[r][c], a[i][c]),
-                                        np.where(swap, a[i][c], a[r][c]))
-        det = np.where(pivot != i, -det, det)
+        moved = pivot != i
+        if moved.any():
+            for r in range(i + 1, n):
+                swap = pivot == r
+                if swap.any():
+                    for c in range(i, n):
+                        a[i][c], a[r][c] = (np.where(swap, a[r][c], a[i][c]),
+                                            np.where(swap, a[i][c], a[r][c]))
+            det = np.where(moved, -det, det)
         piv = a[i][i]
         det = det * piv
-        if i + 1 == n:
-            break
-        piv_safe = np.where(piv == 0.0, 1.0, piv)
+        piv_safe = piv if piv.all() else np.where(piv == 0.0, 1.0, piv)
         for r in range(i + 1, n):
             factor = a[r][i] / piv_safe
             for c in range(i + 1, n):
                 a[r][c] = a[r][c] - factor * a[i][c]
-    return det
+    return det * a[n - 1][n - 1]
 
 
 def design_chain(p_frf: np.ndarray, k_frfs, loop_order=None) -> list:

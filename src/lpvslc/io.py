@@ -41,7 +41,9 @@ def load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, a file that is not UTF-8, or an integer
+        # literal over Python's digit limit for int().
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -318,12 +318,16 @@ def ma_msd(e, window_s: float, sample_rate_hz: float):
     for a in range(arr.shape[1]):
         x = arr[:, a]
         inner = sliding_window_view(x, 2 * hw + 1)[odd:odd + count]
+        # np.trapezoid's terms of the whole series, formed once: a window's
+        # trapezoid is the sum of its 2 hw terms, the same operands.
+        terms = sliding_window_view(h * (x[1:] + x[:-1]) / 2.0,
+                                    2 * hw)[odd:odd + count]
         mav = np.empty(count)
         var = np.empty(count)
         for j in range(0, count, step):
             sl = slice(j, min(j + step, count))
             w = inner[sl]
-            s1 = np.trapezoid(w, dx=h, axis=1)
+            s1 = terms[sl].sum(axis=1)
             if odd:
                 # Half-step trapezoids out to the interpolated window edges.
                 li, ri = x[j + 1:sl.stop + 1], x[m + j:m + sl.stop]

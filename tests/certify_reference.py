@@ -8,6 +8,13 @@ each of which gets loop_frf_at as its exact evaluator, and the
 closed-loop state matrix with every loop realized at that one position,
 whose eigenvalues it computes alone.  The agreement tests in
 test_design.py hold the stacked certify to it bit for bit.
+
+_loop_closures is design._loop_closures as it ran before its walk
+followed the loop order and stopped at a loop over the bound, copied
+verbatim: it forms the whole design chain through freqresp.design_chain
+and every loop's peak, however early one is over the bound.  The tests
+hold each bisection step's report, screened loop by loop, to the one this
+screen gives.
 """
 
 import numpy as np
@@ -128,3 +135,22 @@ def reference_certify(model, controllers, grid):
             eig_stable=max_real < 0.0, eig_max_real=max_real,
             loops=loop_certs))
     return report
+
+
+def _loop_closures(p_frf, k_frfs, order):
+    """The design chain of one position and its loops' sensitivity peaks.
+
+    Returns (chain, peaks): chain is design_chain(p_frf, k_frfs, order),
+    and peaks[i] the largest sampled |S_i| in dB, S_i = 1 / (1 + g_i k_i)
+    with g_i the plant loop i sees with every other loop closed.  The last
+    loop of the chain sees exactly that plant, closed by the same closings
+    in the same index order, so its chain entry serves as its g_i.
+    """
+    chain = design_chain(p_frf, k_frfs, order)
+    peaks = [0.0] * len(k_frfs)
+    for i in order:
+        g_all = (chain[i] if i == order[-1]
+                 else equivalent_plant(p_frf, k_frfs, i))
+        peaks[i] = float(np.max(-20.0 * np.log10(
+            np.abs(1.0 + g_all * k_frfs[i]))))
+    return chain, peaks

@@ -66,7 +66,8 @@ def per_notch_cascade_frf(cascade, freqs_hz, p=None) -> np.ndarray:
         return out if single else np.broadcast_to(out, (len(p),) + out.shape)
     pts = np.atleast_2d(np.asarray(p, dtype=float))
     stack = np.array(np.broadcast_to(out, (len(pts),) + out.shape))
-    _multiply_notches(stack, 1j * omega, [
+    s = 1j * omega
+    _multiply_notches(stack, s, s * s, [
         list(zip(*(c.tolist() for c in freeze_notches([spec], pts)[0])))
         for spec in cascade.scheduled_part])
     return stack[0] if single else stack

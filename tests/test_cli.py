@@ -245,6 +245,12 @@ def test_design_invalid_spec_json_exits_2(tmp_path):
     cfg["design_spec"] = "design_spec.json"
     path.write_text(json.dumps(cfg))
     assert main(["design", "--config", str(path), "--mode", "lti"]) == 2
+    # Bytes that are not UTF-8, and an integer literal of more digits than
+    # Python's int() takes from a string, are not valid JSON either.
+    for payload in (b'{"alpha": "\xff"}',
+                    b'{"alpha": 1' + b"0" * 5000 + b"}"):
+        (tmp_path / "design_spec.json").write_bytes(payload)
+        assert main(["design", "--config", str(path), "--mode", "lti"]) == 2
     # An alpha whose square overflows is refused when its lead is built.
     (tmp_path / "design_spec.json").write_text('{"alpha": 1e200}')
     assert main(["design", "--config", str(path), "--mode", "lti"]) == 2
@@ -762,8 +768,9 @@ _LOADERS = {
 }
 
 # A boolean, a string, NaN and inf, with the one of them that a field of
-# that kind takes replaced by another wrong kind.
-_BAD_VALUES = {"number": {"boolean": True, "string": "1.5"},
+# that kind takes replaced by another wrong kind, and for a number an
+# integer beyond the float range.
+_BAD_VALUES = {"number": {"boolean": True, "string": "1.5", "huge": 10 ** 400},
                "text": {"boolean": True, "number": 5},
                "boolean": {"number": 1, "string": "true"}}
 

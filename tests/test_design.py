@@ -78,6 +78,7 @@ from audit_reference import (
     reference_local_designs,
     required_beta1,
 )
+import certify_reference
 from certify_reference import reference_certify
 from freeze_reference import per_notch_cascade_frf, per_notch_realize
 from peaks_reference import loop_find_resonance_peaks
@@ -1099,7 +1100,9 @@ def test_bisection_visits_the_reference_bandwidths(bisection_trace):
 # The bisection step's build functions that bisection_reference holds as
 # they ran before each step formed only what it reads, with the module
 # whose name the design calls them by.  The one loop build is held to the
-# reference build of the design's kind (see _reference_build).
+# reference build of the design's kind (see _reference_build).  freqresp's
+# own equivalent_plant calls, those of design_chain, are checked when
+# they happen; the certification screen forms its chain from design.
 ORACLE_SITES = [(design, "_center_gains"), (design, "_build_loops"),
                 (design, "_interp_loglog_mag"), (design, "cascade_frf"),
                 (design, "equivalent_plant"), (freqresp, "equivalent_plant")]
@@ -1169,7 +1172,12 @@ def _oracle_run(kind, spec):
         def call(*args, **kwargs):
             out = new(*args, **kwargs)
             calls[module.__name__, name] += 1
-            if not _same_bits(out, ref(*args, **kwargs)):
+            if name == "cascade_frf" and not isinstance(args[0], Cascade):
+                # A set's loops in one call: the reference, loop by loop.
+                want = [ref(c, *args[1:], **kwargs) for c in args[0]]
+            else:
+                want = ref(*args, **kwargs)
+            if not _same_bits(out, want):
                 differ.append((module.__name__, name, args))
             if name == "_center_gains":
                 clusters.append(args[-1])
@@ -1200,13 +1208,18 @@ def test_bisection_build_equals_reference_on_every_call(oracle_runs):
     every closure, notch law and j omega returns on the same arguments:
     at the centre, where its one position's local notches are the
     returned ones, the fixed build; for the README LPV design, the
-    scheduled build.  At the centre, every step has a loop with no
-    resonance cluster."""
+    scheduled build.  A call for a whole set's loops is held to the
+    reference loop by loop.  Every equivalent plant is formed from
+    design, none through freqresp.design_chain.  At the centre, every
+    step has a loop with no resonance cluster."""
+    via_chain = ("lpvslc.freqresp", "equivalent_plant")
     for kind in ("lti", "lpv"):
         run = oracle_runs[kind]
         assert not run["differ"], kind
         calls = run["calls"]
-        assert all(n > 0 for n in calls.values()), kind
+        assert all(n > 0 for site, n in calls.items()
+                   if site != via_chain), kind
+        assert calls[via_chain] == 0, kind
         assert calls["lpvslc.design", "_build_loops"] \
             == calls["lpvslc.design", "_center_gains"]
     assert all(any(not infos for infos in c)
@@ -1215,15 +1228,156 @@ def test_bisection_build_equals_reference_on_every_call(oracle_runs):
 
 def test_centre_step_forms_no_last_loop_closure(oracle_runs):
     """At the workspace centre, where the last loop has no resonance
-    cluster, a bisection step evaluates six cascades from design (the
-    skeleton, the two earlier loops' closures, the three certified loops)
-    and seven equivalent plants (three gains, two zero-damping
-    requirements, two sensitivity closures)."""
+    cluster, a bisection step makes four cascade_frf calls from design
+    (the skeleton, the two earlier loops' closures, one for the three
+    certified loops) and builds from five equivalent plants (three gains,
+    two zero-damping requirements).  Its certification screen forms two
+    more at a step that fails on loop 0's peak (loop 0's chain entry and
+    its closed plant), as five of the eleven steps do, and five at a
+    passing step (three chain entries, two sensitivity closures)."""
     calls = oracle_runs["lti"]["calls"]
     steps = calls["lpvslc.design", "_center_gains"]
     assert steps == 11
-    assert calls["lpvslc.design", "cascade_frf"] == 6 * steps
-    assert calls["lpvslc.design", "equivalent_plant"] == 7 * steps
+    assert calls["lpvslc.design", "cascade_frf"] == 4 * steps
+    assert calls["lpvslc.design", "equivalent_plant"] \
+        == 5 * steps + 2 * 5 + 5 * 6
+
+
+def _design_certify_calls(kind, spec):
+    """(model, [(controllers, grid, kwargs, report)]) of every certify call
+    _design_common(model, spec, kind) makes, kwargs as at the call."""
+    model = benchmark_plant()
+    steps = []
+
+    def recording(m, cs, grid, **kwargs):
+        kwargs = dict(kwargs, _check_first=list(kwargs["_check_first"]))
+        report = certify(m, cs, grid, **kwargs)
+        steps.append((cs, grid, kwargs, report))
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design, "certify", recording)
+        _design_common(model, spec, kind)
+    return model, steps
+
+
+def _screened_certify(model, cs, grid, kwargs, loop_closures):
+    """certify with design._loop_closures replaced by loop_closures: its
+    report, and the equivalent plants each screen walk formed."""
+    plants, walks = [0], []
+
+    def counted(fn):
+        def call(*args, **kw):
+            plants[0] += 1
+            return fn(*args, **kw)
+        return call
+
+    def walk(p_frf, k_frfs, order, bound_db=None):
+        before = plants[0]
+        out = loop_closures(p_frf, k_frfs, order, bound_db)
+        walks.append(plants[0] - before)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (design, freqresp, certify_reference):
+            mp.setattr(module, "equivalent_plant",
+                       counted(module.equivalent_plant))
+        mp.setattr(design, "_loop_closures", walk)
+        return certify(model, cs, grid, **kwargs), walks
+
+
+def _reference_screen(p_frf, k_frfs, order, bound_db=None):
+    return certify_reference._loop_closures(p_frf, k_frfs, order)
+
+
+CENTRE_SPEC = dict(design_grid=[(0.1, 0.1)], verification_grid=[(0.1, 0.1)])
+
+
+@pytest.mark.parametrize("kind, spec", [
+    ("lti", DesignSpec(**CENTRE_SPEC)),
+    ("lti", DesignSpec(**CENTRE_SPEC, loop_order=(1, 2, 0))),
+    ("lti", DesignSpec()), ("lpv", DesignSpec())],
+    ids=["centre", "centre-order-120", "readme-lti", "readme-lpv"])
+def test_loop_ordered_screen_gives_the_reference_screen_reports(kind, spec):
+    """Every bisection step's report, from a screen that walks the loop
+    order and stops at the first loop over the bound, is the report of
+    the screen that formed the whole chain and every peak, whose walks
+    each form five equivalent plants.  A walk that passes forms five too.
+    Every failing step of these designs fails on a sensitivity peak, and
+    its last walk stops at the loop its report ends with: the j-th of the
+    order forms j chain entries and, unless it is the last, j closed
+    plants.  With loop order (1, 2, 0) the centre's first steps fail on
+    loop 1, before loop 0 is reached."""
+    model, steps = _design_certify_calls(kind, spec)
+    for cs, grid, kwargs, report in steps:
+        got, walks = _screened_certify(model, cs, grid, kwargs,
+                                       design._loop_closures)
+        want, ref_walks = _screened_certify(model, cs, grid, kwargs,
+                                            _reference_screen)
+        assert json.dumps(got.to_dict()) == json.dumps(report.to_dict())
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert len(walks) == len(ref_walks) and set(ref_walks) == {5}
+        assert walks[:-1] == [5] * (len(walks) - 1)
+        order = cs.loop_order
+        j = 1 + (order.index(got.points[0].loops[-1].loop)
+                 if not got.passed else len(order) - 1)
+        assert walks[-1] == 2 * j - (j == len(order))
+
+
+def test_failing_centre_step_screens_two_equivalent_plants():
+    """At the workspace centre five of the eleven bisection steps fail,
+    each on loop 0's sensitivity peak.  Each such step's screen forms two
+    equivalent plants, loop 0's chain entry and its closed plant, where
+    the whole-chain screen formed five."""
+    model, steps = _design_certify_calls("lti", DesignSpec(**CENTRE_SPEC))
+    assert len(steps) == 11
+    failing = 0
+    for cs, grid, kwargs, report in steps:
+        walks = _screened_certify(model, cs, grid, kwargs,
+                                  design._loop_closures)[1]
+        ref_walks = _screened_certify(model, cs, grid, kwargs,
+                                      _reference_screen)[1]
+        if not report.passed:
+            assert [lc.loop for lc in report.points[0].loops] == [0]
+            assert (walks, ref_walks) == ([2], [5])
+            failing += 1
+    assert failing == 5
+
+
+def _loop_frfs_one_by_one(loops, freqs, p):
+    return [cascade_frf(c, freqs, p) for c in loops]
+
+
+def test_cascade_frf_of_a_set_equals_one_call_per_cascade(benchmark_designs):
+    """One cascade_frf call for a set's loops gives each loop's response
+    bit for bit (shape, dtype and bytes) as its own call does: both README
+    sets at certify's frequencies, at one point and on the 5x5 grid; the
+    sets read back from JSON, whose loops share no block object; and a
+    candidate whose loops share one fixed section."""
+    model = benchmark_designs["model"]
+    freqs = _certification_freqs()
+    grid = benchmark_designs["verify"]
+    sets = [benchmark_designs[kind] for kind in ("lti", "lpv")]
+    sets += [controllers_from_dict(json.loads(json.dumps(
+        controllers_to_dict(cs)))) for cs in sets]
+    for cs in sets[2:]:
+        blocks = [id(e) for c in cs.loops for e in c.fixed_part]
+        assert len(set(blocks)) == len(blocks)
+    spec = DesignSpec()
+    fixed = _fixed_section(80.0, spec)
+    shared = tuple(Cascade(tuple([Gain(k)] + fixed + notches))
+                   for k, notches in ((2.0, [Notch(300.0, 330.0, 0.05, 0.3)]),
+                                      (3.0, []),
+                                      (0.5, [Notch(500.0, 500.0, 0.0, 0.4)])))
+    cases = [(cs.loops, p) for cs in sets for p in (grid[12], grid)]
+    cases += [(shared, None), (shared, grid[0]), (shared, grid)]
+    for loops, p in cases:
+        got = cascade_frf(loops, freqs, p)
+        want = _loop_frfs_one_by_one(loops, freqs, p)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.shape, g.dtype, g.tobytes()) \
+                == (w.shape, w.dtype, w.tobytes())
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

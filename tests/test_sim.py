@@ -485,11 +485,14 @@ def _ma_msd_outcome(fn, e, window_s, rate):
 @pytest.mark.parametrize("n, m, cols", [
     (50, 1, 0), (50, 2, 0), (50, 7, 3), (50, 8, 3), (51, 13, 3), (51, 14, 0),
     (9, 7, 0), (9, 8, 0), (8, 7, 0), (8, 8, 3), (3, 1, 0), (2, 1, 0),
-    (20_001, 4000, 0), (20_001, 4001, 0)])
+    (20_001, 4000, 0), (20_001, 4001, 0), (801, 50, 0), (20_001, 50, 3),
+    (20_001, 51, 3)])
 def test_ma_msd_equals_two_branch_reference(n, m, cols):
     """Bit for bit the even and odd branches of the two-branch ma_msd,
     series short enough to refuse the window included.  At n = 20,001 the
-    windows of 4,000 and 4,001 samples take several row blocks."""
+    windows of 4,000 and 4,001 samples take several row blocks; the
+    README's 50-sample window and an odd one of 51 sum their trapezoids
+    over many overlapping windows of one term series."""
     rate = 1000.0
     shape = (n, cols) if cols else (n,)
     rng = np.random.default_rng(n + m)

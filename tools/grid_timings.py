@@ -1,5 +1,6 @@
 """In-process timings of what the README runs and no perfbench workload
-times: certify on position grids, and the two README designs.
+times, certify on position grids and the two README designs, and of the
+design perfbench's design workload times.
 
 On the benchmark stage with the default spec it designs the LTI and LPV
 sets once, then times, each REPEATS times after one untimed call:
@@ -7,6 +8,8 @@ sets once, then times, each REPEATS times after one untimed call:
     certify <set> on 3x3, 5x5 and 17x17 grids over the workspace
         (no plant_frfs given, so certify evaluates the plant itself)
     design_lti_slc and design_lpv_slc
+    design_lti_slc at the workspace centre, with design and verification
+        grid both (0.1, 0.1)
 
 and prints the fastest and median wall time of each.  The host's speed
 drifts, so compare two trees by running this in each in turn, several
@@ -30,6 +33,7 @@ from lpvslc.design import (
 from lpvslc.plant import benchmark_plant
 
 GRIDS = (3, 5, 17)
+CENTRE = (0.1, 0.1)
 
 
 def timed(label: str, call, repeats: int) -> None:
@@ -59,3 +63,6 @@ if __name__ == "__main__":
                   lambda: certify(model, controllers, grid), repeats)
     for kind, run in designs.items():
         timed(f"design_{kind}_slc", lambda: run(model, DesignSpec()), repeats)
+    centre = DesignSpec(design_grid=[CENTRE], verification_grid=[CENTRE])
+    timed("design_lti_slc centre", lambda: design_lti_slc(model, centre),
+          repeats)
