@@ -201,7 +201,16 @@ def _parse_freq_grid(text, row_bytes: int):
         raise ConfigError(f"bad frequency grid {text!r}: {exc}")
 
 
+# What `certify --grid` holds per position: its grid_points entry (0.15
+# kB), its report point (1.4 kB), that point's share of the JSON encoding
+# (7.7 kB) and of the printed table (0.2 kB), 9.5 kB measured with
+# tracemalloc on the README LTI set.
+CERTIFY_POINT_BYTES = 10_000
+
+
 def _parse_pos_grid(text: str) -> tuple[int, int]:
+    """The NXxNY of text, refused before any position is made when the
+    grid's points and report would exceed MAX_TRACE_BYTES."""
     parts = text.lower().split("x")
     try:
         nx, ny = (int(p) for p in parts)
@@ -209,6 +218,11 @@ def _parse_pos_grid(text: str) -> tuple[int, int]:
         raise ConfigError(f"bad position grid {text!r}; expected NXxNY")
     if nx < 1 or ny < 1:
         raise ConfigError("position grid needs at least one point per axis")
+    if nx * ny * CERTIFY_POINT_BYTES > MAX_TRACE_BYTES:
+        raise ConfigError(
+            f"position grid {text!r} gives a report of about "
+            f"{nx * ny * CERTIFY_POINT_BYTES / 2**30:.3g} GiB, over the "
+            f"{MAX_TRACE_BYTES / 2**30:g} GiB limit")
     return nx, ny
 
 

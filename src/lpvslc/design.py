@@ -72,6 +72,7 @@ from .filters import (
     cascade_frf,
     cascade_to_dict,
     freeze_notches,
+    n_states,
     realize,
     _multiply_notches,
 )
@@ -363,22 +364,24 @@ def decoupled_plant_frf(model: ModalPlantModel, p, freqs_hz, t_u, t_y) -> np.nda
     return frf(replace(ss, b=ss.b @ t_u, c=t_y @ ss.c, d=t_y @ ss.d @ t_u), freqs_hz)
 
 
-def _interp_loglog_mag(freqs_hz, values, f):
+def _interp_loglog_mag(logf, values, f):
     """|values| interpolated at f, linear in log magnitude vs log frequency.
 
-    values is a (..., F) array and f a frequency or an array of them; the
-    result is values.shape[:-1] + np.shape(f), a float for one row at one
+    logf is np.log10 of the frequencies values is sampled on, formed once
+    by a caller that interpolates on the same samples again.  values is a
+    (..., F) array and f a frequency or an array of them; the result is
+    values.shape[:-1] + np.shape(f), a float for one row at one
     frequency.  Each row takes its own np.interp call and each power of
     ten is taken on a Python float, as for one row at one frequency:
     numpy's array power differs from the scalar one in the last bit for
     some inputs.  np.interp treats every target on its own, so a call at
-    several targets equals one call per target.
+    several targets equals one call per target.  A vanishing magnitude
+    maps to -inf and comes back as 0.0, which callers treat as an
+    infeasible loop rather than an error; a caller that may meet one holds
+    np.errstate(divide="ignore") around its calls.
     """
-    with np.errstate(divide="ignore"):
-        # A vanishing magnitude maps to -inf and comes back as 0.0, which
-        # callers treat as an infeasible loop rather than an error here.
-        logm = np.log10(np.abs(values))
-    logf, x = np.log10(freqs_hz), np.log10(f)
+    logm = np.log10(np.abs(values))
+    x = np.log10(f)
     out = [10.0 ** v for row in logm.reshape(-1, logm.shape[-1])
            for v in np.interp(x, logf, row).ravel().tolist()]
     shape = logm.shape[:-1] + np.shape(f)
@@ -538,13 +541,13 @@ class _NotchLaw(NamedTuple):
     f2: list               # pole frequency of each notch
 
 
-def _notch_laws(freqs_hz, gamma_frf, clusters_per_loop, f_bw: float) -> list:
+def _notch_laws(logf, gamma_frf, clusters_per_loop, f_bw: float) -> list:
     """Every loop's _NotchLaw at f_bw; gamma_frf is the fixed section's
-    response on freqs_hz, read at all loops' cluster frequencies in one
-    _interp_loglog_mag call."""
+    response on the frequencies whose log10 is logf, read at all loops'
+    cluster frequencies in one _interp_loglog_mag call."""
     f_hz = [np.array([cl.f_hz for cl in clusters])
             for clusters in clusters_per_loop]
-    gamma_mag = _interp_loglog_mag(freqs_hz, gamma_frf, np.concatenate(f_hz))
+    gamma_mag = _interp_loglog_mag(logf, gamma_frf, np.concatenate(f_hz))
     laws, start = [], 0
     for clusters, f in zip(clusters_per_loop, f_hz):
         skews = [_skew_for(cl.f_hz, f_bw) for cl in clusters]
@@ -557,11 +560,12 @@ def _notch_laws(freqs_hz, gamma_frf, clusters_per_loop, f_bw: float) -> list:
     return laws
 
 
-def _required_beta1(freqs_hz, g_frf, gain_k, law) -> np.ndarray:
+def _required_beta1(logf, g_frf, gain_k, law) -> np.ndarray:
     """Zero damping each position needs for each tracked resonance.
 
-    g_frf is the equivalent plant, (F,) at one position or (n, F) on a
-    grid; the result is (n_clusters,) or (n, n_clusters).  law is the
+    g_frf is the equivalent plant on the frequencies whose log10 is logf,
+    (F,) at one position or (n, F) on a grid; the result is
+    (n_clusters,) or (n, n_clusters).  law is the
     loop's _NotchLaw.  The attenuation law 1 / (1 + G / G_max) is a
     smooth function of the loop gain G the resonance would reach without
     the notch: deep where the mode is hot, asymptotically neutral where it
@@ -569,7 +573,7 @@ def _required_beta1(freqs_hz, g_frf, gain_k, law) -> np.ndarray:
     follow it.
     """
     loop_at_peak = (gain_k * law.gamma_mag
-                    * _interp_loglog_mag(freqs_hz, g_frf, law.f_hz))
+                    * _interp_loglog_mag(logf, g_frf, law.f_hz))
     target = np.maximum(1.0 / (1.0 + loop_at_peak / RESONANT_LOOP_GAIN_MAX),
                         NOTCH_DEPTH_FLOOR)
     return target * law.neutral
@@ -594,7 +598,8 @@ def _center_gains(center_frf, freqs_hz, masses, order, f_bw,
     are tuned once, at the design grid's center position center_frf, so
     the fixed cascade section stays truly fixed.  The loops are read only
     at f_bw and at the cluster frequencies, so freqs_hz need only hold the
-    samples bracketing those (see _bracketing_samples).
+    samples bracketing those (see _bracketing_samples).  Their log10 is
+    formed once, and one np.errstate covers every interpolation.
     """
     skeleton = Cascade(tuple(_fixed_section(f_bw, spec)))
     # One cascade evaluation on freqs_hz and then f_bw: the last column is
@@ -602,29 +607,31 @@ def _center_gains(center_frf, freqs_hz, masses, order, f_bw,
     # freqs_hz part.
     f_all = np.append(freqs_hz, f_bw)
     gamma = cascade_frf(skeleton, f_all)
-    laws = _notch_laws(freqs_hz, gamma[:-1], clusters_per_loop, f_bw)
-
-    # Gains with provisional local notches: the notches barely move the
-    # cascade magnitude down at the crossover, so one retune after placing
-    # them settles the loop gain.  A loop with no cluster gets no notch:
-    # its cascade is the skeleton and its first tuning stands.
+    logf = np.log10(freqs_hz)
     gains = [None] * len(masses)
     k_frfs = [0.0] * len(masses)
-    for i in order:
-        g = equivalent_plant(center_frf, k_frfs, i)
-        mag_g = _interp_loglog_mag(freqs_hz, g, f_bw)
-        gains[i] = tune_gain(mag_g, gamma[-1], f_bw)
-        k_center = gamma
-        if clusters_per_loop[i]:
-            beta1 = _required_beta1(freqs_hz, g, gains[i].k, laws[i])
-            k_center = gamma[None].copy()
-            s = 1j * (2.0 * np.pi * f_all)
-            _multiply_notches(k_center, s, s * s,
-                              _notch_rows(clusters_per_loop[i], laws[i],
-                                          [[b] for b in beta1.tolist()]))
-            k_center = k_center[0]
-            gains[i] = tune_gain(mag_g, k_center[-1], f_bw)
-        k_frfs[i] = gains[i].k * k_center[:-1]
+    with np.errstate(divide="ignore"):   # see _interp_loglog_mag
+        laws = _notch_laws(logf, gamma[:-1], clusters_per_loop, f_bw)
+        # Gains with provisional local notches: the notches barely move
+        # the cascade magnitude down at the crossover, so one retune after
+        # placing them settles the loop gain.  A loop with no cluster gets
+        # no notch: its cascade is the skeleton and its first tuning
+        # stands.
+        for i in order:
+            g = equivalent_plant(center_frf, k_frfs, i)
+            mag_g = _interp_loglog_mag(logf, g, f_bw)
+            gains[i] = tune_gain(mag_g, gamma[-1], f_bw)
+            k_center = gamma
+            if clusters_per_loop[i]:
+                beta1 = _required_beta1(logf, g, gains[i].k, laws[i])
+                k_center = gamma[None].copy()
+                s = 1j * (2.0 * np.pi * f_all)
+                _multiply_notches(k_center, s, s * s,
+                                  _notch_rows(clusters_per_loop[i], laws[i],
+                                              [[b] for b in beta1.tolist()]))
+                k_center = k_center[0]
+                gains[i] = tune_gain(mag_g, k_center[-1], f_bw)
+            k_frfs[i] = gains[i].k * k_center[:-1]
     return gains, laws
 
 
@@ -641,42 +648,45 @@ def _build_loops(frfs, freqs_hz, points, order, gains, clusters_per_loop,
     The last loop of the order, which no later loop reads, is not closed,
     and a loop with no cluster forms no equivalent plant.  Every loop
     holds the same fixed-section block objects, so cascade_frf evaluates
-    them once for a whole set.
+    them once for a whole set.  The samples' log10 is formed once, and
+    one np.errstate covers every interpolation.
     """
     fixed = _fixed_section(f_bw, spec)
+    logf = np.log10(freqs_hz)
     loops = [None] * len(gains)
     closed = [0.0] * len(gains)
-    for i in order:
-        clusters, law = clusters_per_loop[i], laws[i]
-        columns = _required_beta1(
-            freqs_hz, equivalent_plant(frfs, closed, i), gains[i].k,
-            law).T.tolist() if clusters else []
-        loops[i] = Cascade(tuple(
-            [gains[i]] + fixed
-            + [notch(cl, f2, column)
-               for cl, f2, column in zip(clusters, law.f2, columns)]))
-        if i != order[-1]:
-            closed[i] = cascade_frf(loops[i], freqs_hz, points)
+    with np.errstate(divide="ignore"):   # see _interp_loglog_mag
+        for i in order:
+            clusters, law = clusters_per_loop[i], laws[i]
+            columns = _required_beta1(
+                logf, equivalent_plant(frfs, closed, i), gains[i].k,
+                law).T.tolist() if clusters else []
+            loops[i] = Cascade(tuple(
+                [gains[i]] + fixed
+                + [notch(cl, f2, column)
+                   for cl, f2, column in zip(clusters, law.f2, columns)]))
+            if i != order[-1]:
+                closed[i] = cascade_frf(loops[i], freqs_hz, points)
     return loops
 
 
-def closed_loop_frame(rows, km, dm, loops):
+def closed_loop_frame(rows, km, dm, n_states):
     """The open modal plant in a closed-loop stack, and its input map.
 
     a (rows, N, N) is zero but for the identity from velocities to
     displacements and -km and -dm on the diagonals; N is 2 km.size plus
-    the loops' state counts.  g (rows, N, 2 n_l + 2), zero, maps
+    the loops' state counts n_states.  g (rows, N, 2 n_l + 2), zero, maps
     w = [r | u_ff | f_scan].  close_loops writes every loop's entries of
     both, any number of times; g's f_scan columns are the caller's.
     """
     n_q = km.size
-    n_x = 2 * n_q + sum(k.n_states for k in loops)
+    n_x = 2 * n_q + sum(n_states)
     a = np.zeros((rows, n_x, n_x))
     iq = np.arange(n_q)
     a[:, iq, n_q + iq] = 1.0
     a[:, n_q + iq, iq] = -km
     a[:, n_q + iq, n_q + iq] = -dm
-    return a, np.zeros((rows, n_x, 2 * len(loops) + 2))
+    return a, np.zeros((rows, n_x, 2 * len(n_states) + 2))
 
 
 def close_loops(a, g, b, c, km, loops, fb) -> None:
@@ -716,29 +726,70 @@ def close_loops(a, g, b, c, km, loops, fb) -> None:
         at = xc.stop
 
 
+class _ClosedLoopPlant(NamedTuple):
+    """The plant side of closed_loop_matrix at an (n, 2) array of
+    positions: all that does not depend on the loops' coefficients."""
+
+    km: np.ndarray   # stiffness/mass modal diagonal, (n_q,)
+    b: np.ndarray    # (Phi_a T_u) / m of each position, (n, n_q, n_l)
+    c: np.ndarray    # T_y Phi_s of each position, (n, n_l, n_q)
+    a: np.ndarray    # closed_loop_frame's stacks for the loops' state
+    g: np.ndarray    # counts, close_loops' to fill, with their own rows
+
+    def take(self, index) -> "_ClosedLoopPlant":
+        """The plant side at the positions index picks, over the frame's
+        first len(index) rows."""
+        return self._replace(b=self.b[index], c=self.c[index],
+                             a=self.a[:len(index)], g=self.g[:len(index)])
+
+
+def _closed_loop_plant(model: ModalPlantModel, controllers: ControllerSet,
+                       pts, rows: int) -> _ClosedLoopPlant:
+    """The _ClosedLoopPlant of a set at an (n, 2) array of positions pts,
+    its frame rows long.  The mode shapes are evaluated once for all
+    positions, and the frame depends on the set only through its loops'
+    state counts."""
+    phi_a, phi_s = mode_shape_eval(model, pts)
+    omega = 2.0 * np.pi * model.frequencies_hz
+    km, dm = omega ** 2, 2.0 * model.damping * omega
+    a, g = closed_loop_frame(rows, km, dm,
+                             [n_states(c) for c in controllers.loops])
+    return _ClosedLoopPlant(
+        km, (phi_a @ controllers.t_u) * (1.0 / model.masses[:, None]),
+        controllers.t_y @ phi_s, a, g)
+
+
 def closed_loop_matrix(model: ModalPlantModel, controllers: ControllerSet,
-                       p) -> np.ndarray:
+                       p, closed_plant=None) -> np.ndarray:
     """State matrix of the frozen closed loop (plant + all controllers).
 
     One position gives an (N, N) matrix, an (n, 2) array of positions an
-    (n, N, N) stack.  The mode shapes are evaluated once for all positions
-    and each loop is realized once (a fixed cascade is position-independent,
-    a scheduled one realizes stacked); close_loops closes the loops, as the
-    simulator does at every step, and the input map is dropped.  A set that
-    does not fit the plant raises ModelError (see ControllerSet.check_plant).
+    (n, N, N) stack.  Each loop is realized once (a fixed cascade is
+    position-independent, a scheduled one realizes stacked); close_loops
+    closes the loops, as the simulator does at every step, and the input
+    map is dropped.  A set that does not fit the plant raises ModelError
+    (see ControllerSet.check_plant).
+
+    closed_plant, when given, is the plant side at these positions, a
+    _ClosedLoopPlant of a set with the same decoupling and state counts
+    (certify's, from the design, shared by every candidate set), and it is
+    not evaluated again.  The stack returned is then its frame, which the
+    next call with it overwrites.
     """
     controllers.check_plant(model)
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    phi_a, phi_s = mode_shape_eval(model, pts)
-    omega = 2.0 * np.pi * model.frequencies_hz
-    km, dm = omega ** 2, 2.0 * model.damping * omega
+    plant = (_closed_loop_plant(model, controllers, pts, len(pts))
+             if closed_plant is None else closed_plant)
     loops = [realize(c, pts) for c in controllers.loops]
-    a_cl, g = closed_loop_frame(len(pts), km, dm, loops)
-    b = (phi_a @ controllers.t_u) * (1.0 / model.masses[:, None])
-    close_loops(a_cl, g, b, controllers.t_y @ phi_s, km, loops, 1.0)
-    return a_cl[0] if single else a_cl
+    if plant.a.shape[:2] != (len(pts), 2 * plant.km.size
+                             + sum(k.n_states for k in loops)) \
+            or len(plant.b) != len(pts):
+        raise DomainError(f"closed-loop plant side of shape {plant.a.shape} "
+                          f"does not fit {len(pts)} positions of this set")
+    close_loops(plant.a, plant.g, plant.b, plant.c, plant.km, loops, 1.0)
+    return plant.a[0] if single else plant.a
 
 
 @functools.cache
@@ -790,50 +841,64 @@ def _certify_position(model: ModalPlantModel, controllers: ControllerSet,
     """Frequency-domain certification of one position from its plant FRF,
     its frozen loop responses and their _loop_closures.  The eigenvalue
     fields are left for certify to fill in: eig_stable True, eig_max_real
-    NaN.  The Nyquist check of loop i gets its exact response L_i(f),
-    evaluated from the model, for the frequencies it adds to the samples.
+    NaN.  The loops' Nyquist checks are one nyquist_stable call on the
+    stack of their responses L_i = chain_i k_i, in loop order, and their
+    margins one margins_and_bandwidth call; the check of loop i gets its
+    exact response L_i(f), evaluated from the model, for the frequencies
+    it adds to the samples.
 
-    With bound_db given only a verdict is wanted: the first loop that is
-    Nyquist unstable or over bound_db ends the evaluation, and the point
-    holds the loops up to that one and det_residual NaN.  Nothing of chain
-    and peaks past that loop is read, so a _loop_closures walk that
-    stopped at its first loop over bound_db is enough.
+    With bound_db given only a verdict is wanted: the Nyquist checks cover
+    the loops up to the first one over bound_db, the margins and the point
+    only those up to the first that is Nyquist unstable or over bound_db,
+    and then det_residual is NaN.  Nothing of chain and peaks past the
+    first loop over bound_db is read, so a _loop_closures walk that
+    stopped there is enough.
     """
     order = controllers.loop_order
     point = PointCertification(p=(float(p[0]), float(p[1])),
                                det_residual=float("nan"), eig_stable=True,
                                eig_max_real=float("nan"), loops=[])
+    checked = []
+    for i in order:
+        checked.append(i)
+        if bound_db is not None and not _within_bound(peaks[i], bound_db):
+            break
 
     def loop_frf(f, i):
         k_f = controllers.loop_frfs(f, p)
         p_f = decoupled_plant_frf(model, p, f, controllers.t_u, controllers.t_y)
         return design_chain(p_f, k_f, order)[i] * k_f[i]
 
-    for i in order:
-        l_frf = chain[i] * k_frfs[i]
-        n_origin = 2 + sum(isinstance(e, Integrator)
-                           for e in controllers.loops[i].elements)
-        verdict = nyquist_stable(freqs, l_frf,
-                                 lambda f, i=i: loop_frf(f, i), n_origin)
-        margins = margins_and_bandwidth(freqs, l_frf)
+    l_frfs = np.stack([chain[i] * k_frfs[i] for i in checked])
+    verdicts = nyquist_stable(
+        freqs, l_frfs, [lambda f, i=i: loop_frf(f, i) for i in checked],
+        [2 + sum(isinstance(e, Integrator)
+                 for e in controllers.loops[i].elements) for i in checked])
+    if bound_db is not None:
+        unstable = [n for n, v in enumerate(verdicts) if not v.stable]
+        if unstable:
+            checked = checked[:unstable[0] + 1]
+    margins = margins_and_bandwidth(freqs, l_frfs[:len(checked)])
+    for i, verdict, m in zip(checked, verdicts, margins):
         point.loops.append(LoopCertification(
             loop=int(i),
             nyquist_stable=verdict.stable,
             encirclements=verdict.encirclements,
-            f_crossover_hz=margins.f_crossover_hz,
-            phase_margin_deg=margins.phase_margin_deg,
-            gain_margin_db=margins.gain_margin_db,
+            f_crossover_hz=m.f_crossover_hz,
+            phase_margin_deg=m.phase_margin_deg,
+            gain_margin_db=m.gain_margin_db,
             sensitivity_peak_db=peaks[i],
         ))
-        if bound_db is not None and not (verdict.stable
-                                         and _within_bound(peaks[i], bound_db)):
-            return point
+    if bound_db is not None and (unstable
+                                 or not point.sensitivity_ok(bound_db)):
+        return point
     point.det_residual = det_identity_residual(p_frf, k_frfs, chain, order)
     return point
 
 
 def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
-            plant_frfs=None, _check_first=None) -> CertificationReport:
+            plant_frfs=None, closed_plant=None,
+            _check_first=None) -> CertificationReport:
     """Frozen-position stability and sensitivity audit of a controller set
     at a point or an (n, 2) grid.
 
@@ -857,11 +922,15 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
     plant_frfs, when given, holds one decoupled plant FRF per grid row,
     sampled on certify's own frequencies (the default grid behind a
     CERT_TAIL_N-point low tail); they are used instead of evaluating the
-    plant again.
+    plant again.  closed_plant, when given, is the closed loops' plant
+    side at every grid row, a _ClosedLoopPlant whose frame has at least
+    min(len(grid), CERT_CHUNK) rows (the design's, formed once for every
+    candidate set); each chunk's closed_loop_matrix call takes its rows
+    instead of evaluating the plant again.
 
     _check_first is the design bisection's, which needs only a verdict.
-    Given (possibly empty), the grid rows at those positions form the
-    first chunk and the rest follow in grid order.  Every position's
+    Given (possibly empty), the grid rows at those positions come first,
+    CERT_CHUNK at a time, and the rest follow in grid order.  Every position's
     sensitivity peaks are screened, in that order and each position's in
     loop order, before any other check; a position's _loop_closures walk
     stops at its first loop over the bound, so a failing position forms
@@ -889,13 +958,15 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
             if np.shape(p_frf) != shape:
                 raise DomainError(f"plant FRF {r} has shape "
                                   f"{np.shape(p_frf)}, expected {shape}")
+    if closed_plant is not None and len(closed_plant.b) != len(grid):
+        raise DomainError(f"closed-loop plant side of {len(closed_plant.b)} "
+                          f"positions for {len(grid)} grid positions")
     verdict_only = _check_first is not None
     first = {tuple(q) for q in _check_first} if verdict_only else set()
     ahead = [r for r, p in enumerate(grid) if tuple(p) in first]
     rest = [r for r, p in enumerate(grid) if tuple(p) not in first]
-    chunks = [c for c in [ahead] + [rest[s:s + CERT_CHUNK]
-                                    for s in range(0, len(rest), CERT_CHUNK)]
-              if c]
+    chunks = [rows[s:s + CERT_CHUNK] for rows in (ahead, rest)
+              for s in range(0, len(rows), CERT_CHUNK)]
 
     def frozen(chunk):
         """(row, p, p_frf, k_frfs, chain, peaks) of each row of a chunk."""
@@ -933,8 +1004,10 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
         # The chunk's last row holds views of its stacked responses: let
         # them go before the next chunk's are formed.
         del position
-        max_real = np.max(np.linalg.eigvals(
-            closed_loop_matrix(model, controllers, grid[chunk])).real, axis=-1)
+        max_real = np.max(np.linalg.eigvals(closed_loop_matrix(
+            model, controllers, grid[chunk],
+            None if closed_plant is None else closed_plant.take(chunk))).real,
+            axis=-1)
         for row, m in zip(chunk, max_real.tolist()):
             points[row].eig_max_real, points[row].eig_stable = m, m < 0.0
             if verdict_only and not points[row].passed:
@@ -955,8 +1028,10 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     resonance clusters and grid distinctness checks are made once too.
     A scheduled notch's f1, beta2 and f2 are the same everywhere;
     constant_surface fits each such value on the design grid once per
-    design, whichever step and notch first asks for it.  Returns the best
-    set and its full certification report.
+    design, whichever step and notch first asks for it.  So is the closed
+    loops' plant side on the verification grid, which certify hands to
+    closed_loop_matrix at every step.  Returns the best set and its full
+    certification report.
     """
     design_grid, verify_grid, order = spec.resolve(model)
     freqs = default_grid().freqs_hz
@@ -1032,10 +1107,10 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     # them first and, like every step, stops at its first failure.
     failed_at: list = []
 
-    def feasible(f_bw: float):
-        controllers = build(f_bw)
+    def feasible(controllers: ControllerSet):
         report = certify(model, controllers, verify_grid,
-                         plant_frfs=verify_frfs, _check_first=failed_at)
+                         plant_frfs=verify_frfs, closed_plant=closed_plant,
+                         _check_first=failed_at)
         if not report.passed:
             failed_at[:] = [pt.p for pt in report.points]
         return report.passed, controllers, report
@@ -1044,18 +1119,24 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     # first: a clean plant should just deliver the request.
     f_hi = float(spec.target_bandwidth_hz)
     f_lo = float(spec.min_bandwidth_hz)
-    ok, controllers, report = feasible(f_hi)
+    first = build(f_hi)
+    # Every candidate has one loop per axis, each with the same blocks and
+    # one notch per cluster, so the state counts of the first: the closed
+    # loops' plant side on the verification grid is formed once, from it.
+    closed_plant = _closed_loop_plant(model, first, verify_grid,
+                                      min(len(verify_grid), CERT_CHUNK))
+    ok, controllers, report = feasible(first)
     if ok:
         log.info("%s design feasible at the %.1f Hz cap", kind, f_hi)
         return controllers, report
-    ok, best, best_report = feasible(f_lo)
+    ok, best, best_report = feasible(build(f_lo))
     if not ok:
         raise DesignInfeasibleError(
             f"{kind} design infeasible even at {f_lo:.1f} Hz "
             f"(failing position: {best_report.points[0].p})")
     for _ in range(spec.bisection_iterations):
         f_mid = np.sqrt(f_lo * f_hi)
-        ok, cand, cand_report = feasible(f_mid)
+        ok, cand, cand_report = feasible(build(f_mid))
         if ok:
             f_lo, best, best_report = f_mid, cand, cand_report
         else:

@@ -264,29 +264,30 @@ class LoopMargins:
 
 
 def _unwrap(phase) -> np.ndarray:
-    """np.unwrap(phase) of a 1-D float array, bit for bit, at the cost of
-    its few jumps.
+    """np.unwrap(phase) of a float array along its last axis, bit for bit,
+    at the cost of its few jumps; each row of an (n, F) stack is its own
+    1-D call's, but for the sign of a NaN that numpy makes.
 
     np.unwrap corrects step dd by mod(dd + pi, 2 pi) - pi - dd (a step of
     exactly +pi kept at +pi), zeroes the correction where abs(dd) < pi and
     adds its cumulative sum.  Here the same arithmetic runs only at the
     steps where ~(abs(dd) < pi), NaN steps included, so NaN propagates as
     before; the correction is zero elsewhere.  Its cumulative sum is the
-    same in-order sum: a correction is never -0.0 (dd is nonzero there, so
-    an exact zero difference is +0.0), so the zeros change no bit.  Adding
-    it turns a -0.0 phase after the first sample into +0.0, as np.unwrap
-    does.
+    same in-order sum along each row: a correction is never -0.0 (dd is
+    nonzero there, so an exact zero difference is +0.0), so the zeros
+    change no bit.  Adding it turns a -0.0 phase after the first sample
+    into +0.0, as np.unwrap does.
     """
-    dd = np.subtract(phase[1:], phase[:-1])
-    jumps = (~(np.abs(dd) < np.pi)).nonzero()[0]
-    d = dd[jumps]
+    dd = np.subtract(phase[..., 1:], phase[..., :-1])
+    jumps = np.flatnonzero(~(np.abs(dd) < np.pi))
+    d = dd.reshape(-1)[jumps]
     period, low = 2.0 * np.pi, -np.pi
     dmod = np.mod(d - low, period) + low
     dmod[(dmod == low) & (d > 0)] = np.pi
     correction = np.zeros(dd.shape)
-    correction[jumps] = dmod - d
+    correction.reshape(-1)[jumps] = dmod - d
     up = phase.copy()
-    up[1:] = phase[1:] + correction.cumsum()
+    up[..., 1:] = phase[..., 1:] + correction.cumsum(axis=-1)
     return up
 
 
@@ -307,27 +308,23 @@ def _refine_phase_steps(freqs_hz, l_frf, evaluator):
     raise NumericalError("phase steps of 1+L not resolvable by grid refinement")
 
 
-def nyquist_stable(freqs_hz, l_frf, evaluator,
-                   n_origin_poles: int) -> StabilityVerdict:
-    """Nyquist criterion on sampled L(j omega) with conjugate-symmetric extension.
+def _winding_verdict(phase, q: int) -> StabilityVerdict:
+    """The verdict of an unwrapped arg(1 + L) over the sampled contour."""
+    delta = phase[-1] - phase[0]
+    # Positive-frequency sweep counted twice (conjugate symmetry), plus the
+    # clockwise arc of q half-turns from the origin indentation.
+    winding = (2.0 * delta - q * np.pi) / (2.0 * np.pi)
+    w_round = int(round(winding))
+    if abs(winding - w_round) > 0.2:
+        log.warning("winding number %.3f is far from an integer", winding)
+    encirclements = -w_round  # clockwise
+    return StabilityVerdict(stable=(encirclements == 0),
+                            encirclements=encirclements)
 
-    L may have no open-loop poles in the closed right half plane other than
-    n_origin_poles poles at the origin, so it is stable exactly when -1 is
-    not encircled.  Every loop of a sequential chain is such a loop once
-    the loops before it are closed-loop stable: the decoupled plant's only
-    poles off the open left half plane are its rigid-body double
-    integrators, and a cascade's only one is its integrator.
 
-    evaluator maps an array of frequencies in Hz to exact L samples.  It
-    extends the grid until |L| is large at the bottom (origin-pole
-    closure) and small at the top, and it refines the phase steps.
-    """
-    f = np.asarray(freqs_hz, dtype=float)
-    l_vals = np.asarray(l_frf, dtype=complex)
-    if f.shape != l_vals.shape:
-        raise DomainError("freqs and L must have matching shapes")
-    q = int(n_origin_poles)
-
+def _nyquist_row(f, l_vals, evaluator, q: int) -> StabilityVerdict:
+    """nyquist_stable of one loop: the contour extended and refined with
+    the evaluator as far as it needs."""
     # The sampled contour must start where |L| dwarfs 1 (if there are origin
     # poles) and end where L has died out, otherwise extend.
     rounds = 0
@@ -346,35 +343,84 @@ def nyquist_stable(freqs_hz, l_frf, evaluator,
         log.warning("|L| = %.3g at the low end; origin-pole closure may be unreliable", np.abs(l_vals[0]))
     if np.abs(l_vals[-1]) > 0.5:
         log.warning("|L| = %.3g at the high end; high-frequency closure may be unreliable", np.abs(l_vals[-1]))
-
-    phase = _refine_phase_steps(f, l_vals, evaluator)
-    delta = phase[-1] - phase[0]
-    # Positive-frequency sweep counted twice (conjugate symmetry), plus the
-    # clockwise arc of q half-turns from the origin indentation.
-    winding = (2.0 * delta - q * np.pi) / (2.0 * np.pi)
-    w_round = int(round(winding))
-    if abs(winding - w_round) > 0.2:
-        log.warning("winding number %.3f is far from an integer", winding)
-    encirclements = -w_round  # clockwise
-    return StabilityVerdict(stable=(encirclements == 0),
-                            encirclements=encirclements)
+    return _winding_verdict(_refine_phase_steps(f, l_vals, evaluator), q)
 
 
-def margins_and_bandwidth(freqs_hz, l_frf) -> LoopMargins:
+def nyquist_stable(freqs_hz, l_frf, evaluator, n_origin_poles):
+    """Nyquist criterion on sampled L(j omega) with conjugate-symmetric extension.
+
+    L may have no open-loop poles in the closed right half plane other than
+    n_origin_poles poles at the origin, so it is stable exactly when -1 is
+    not encircled.  Every loop of a sequential chain is such a loop once
+    the loops before it are closed-loop stable: the decoupled plant's only
+    poles off the open left half plane are its rigid-body double
+    integrators, and a cascade's only one is its integrator.
+
+    evaluator maps an array of frequencies in Hz to exact L samples.  It
+    extends the grid until |L| is large at the bottom (origin-pole
+    closure) and small at the top, and it refines the phase steps.
+
+    l_frf may also be an (n, F) stack of loops, with evaluator a sequence
+    of one evaluator per row and n_origin_poles one count per row; the
+    result is then a list of StabilityVerdict, row r's equal to the 1-D
+    call on row r.  The rows whose samples need neither extension nor
+    refinement share one unwrap; each other row takes the 1-D path.  The
+    rows are decided in row order, and log their warnings in that order.
+    """
+    f = np.asarray(freqs_hz, dtype=float)
+    l_vals = np.asarray(l_frf, dtype=complex)
+    if l_vals.ndim > 2 or f.shape != l_vals.shape[-1:]:
+        raise DomainError("freqs and L must have matching shapes")
+    if l_vals.ndim == 1:
+        return _nyquist_row(f, l_vals, evaluator, int(n_origin_poles))
+    q = [int(n) for n in n_origin_poles]
+    # The 1-D path's end tests, on its own scalars: a row that passes both
+    # is extended at neither end, and only its phase steps are left.
+    clean = [r for r, (row, q_r) in enumerate(zip(l_vals, q))
+             if not (q_r > 0 and np.abs(row[0]) < 10.0)
+             and not np.abs(row[-1]) > 0.2]
+    phase = _unwrap(np.angle(1.0 + l_vals[clean]))
+    smooth = ~(np.abs(np.diff(phase)) > np.pi / 2).any(axis=-1)
+    done = {r: row_phase for r, row_phase, ok in zip(clean, phase, smooth)
+            if ok}
+    return [_winding_verdict(done[r], q[r]) if r in done
+            else _nyquist_row(f, l_vals[r], evaluator[r], q[r])
+            for r in range(len(l_vals))]
+
+
+def margins_and_bandwidth(freqs_hz, l_frf):
     """Crossover, phase margin and gain margin of one loop.
 
     The crossover is the lowest |L| = 1 crossing, interpolated linearly in
     log magnitude over log frequency.
+
+    l_frf may also be an (n, F) stack of loops: the result is then a list
+    of LoopMargins, row r's equal to the 1-D call on row r.  The array
+    work (magnitudes, unwrapped phases, the steps that cross unity or the
+    real axis) is done once for the stack; the interpolations run row by
+    row on the row's own scalars, as in the 1-D call.
     """
     f = np.asarray(freqs_hz, dtype=float)
     l_vals = np.asarray(l_frf, dtype=complex)
     logm = np.log10(np.abs(l_vals))
     phase = _unwrap(np.angle(l_vals))
+    im = l_vals.imag
+    unity = logm[..., :-1] * logm[..., 1:] <= 0.0
+    real_axis = im[..., :-1] * im[..., 1:] < 0.0
+    if l_vals.ndim == 1:
+        return _loop_margins(f, l_vals, logm, phase, unity, real_axis)
+    return [_loop_margins(f, *row)
+            for row in zip(l_vals, logm, phase, unity, real_axis)]
 
+
+def _loop_margins(f, l_vals, logm, phase, unity, real_axis) -> LoopMargins:
+    """margins_and_bandwidth of one loop from its log magnitude, unwrapped
+    phase and the sample steps over which |L| crosses unity and Im L
+    changes sign."""
     if logm[0] == 0.0:
         f_c, ph_c = f[0], phase[0]
     else:
-        cross = np.flatnonzero(logm[:-1] * logm[1:] <= 0.0)
+        cross = np.flatnonzero(unity)
         if len(cross) == 0:
             raise NumericalError("|L| never crosses unity on the grid")
         i = cross[0]
@@ -389,7 +435,7 @@ def margins_and_bandwidth(freqs_hz, l_frf) -> LoopMargins:
     # Re L < 0) in the sub-unity region above crossover.
     gm_db = np.inf
     im, re = l_vals.imag, l_vals.real
-    for i in np.flatnonzero(im[:-1] * im[1:] < 0.0):
+    for i in np.flatnonzero(real_axis):
         if f[i + 1] < f_c or re[i] >= 0.0:
             continue
         t = im[i] / (im[i] - im[i + 1])
@@ -401,4 +447,3 @@ def margins_and_bandwidth(freqs_hz, l_frf) -> LoopMargins:
         phase_margin_deg=float(pm),
         gain_margin_db=float(gm_db),
     )
-

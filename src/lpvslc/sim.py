@@ -489,7 +489,8 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
                 f"initial plant state must have {2 * n_q} entries")
         x0[:2 * n_q] = x0_plant
     km, dm = omega ** 2, 2.0 * model.damping * omega
-    a, g_map = closed_loop_frame(min(ASSEMBLY_BLOCK, n), km, dm, loops)
+    a, g_map = closed_loop_frame(min(ASSEMBLY_BLOCK, n), km, dm,
+                                 [k.n_states for k in loops])
     return _RunTables(
         t=t, p_sched=p_sched, b_t=b_t, c_t=c_t, bs_t=bs_t,
         loops=loops, w_h=w_h, km=km, dm=dm, x0=x0,

@@ -374,6 +374,33 @@ def test_certify_subcommand_writes_report(rigid_project, capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
+def test_certify_refuses_a_grid_whose_report_is_over_the_size_limit(
+        rigid_project, tmp_path, caplog, monkeypatch):
+    """A position grid whose points and report, CERTIFY_POINT_BYTES a
+    position, would exceed MAX_TRACE_BYTES exits 2 before grid_points
+    runs, and writes no report; a grid at the limit is certified."""
+    shutil.copy(rigid_project.parent / "out" / "controllers_lti.json",
+                tmp_path)
+    argv = ["certify", "--config", str(rigid_project), "--mode", "lti",
+            "--out", str(tmp_path), "--grid"]
+
+    def no_grid(*args):
+        raise AssertionError("grid_points ran")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "grid_points", no_grid)
+        with caplog.at_level(logging.ERROR, logger="lpvslc.cli"):
+            assert main(argv + ["100000x100000"]) == 2
+        assert "GiB limit" in caplog.records[-1].getMessage()
+        mp.setattr(cli, "MAX_TRACE_BYTES", 6 * cli.CERTIFY_POINT_BYTES)
+        assert main(argv + ["7x1"]) == 2
+        assert main(argv + ["2x4"]) == 2
+    assert not (tmp_path / "certification_lti.json").exists()
+    monkeypatch.setattr(cli, "MAX_TRACE_BYTES", 6 * cli.CERTIFY_POINT_BYTES)
+    assert main(argv + ["2x3"]) == 0
+    assert len(load_json(tmp_path / "certification_lti.json")["points"]) == 6
+
+
 def test_certify_failing_report_exits_1(rigid_project, tmp_path, capsys):
     """A stored set whose sensitivity bound is lowered below its peak fails
     certification: exit 1, and the failing report is still written."""

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from lpvslc import design, freqresp, sim
 from lpvslc.design import (
+    CERT_CHUNK,
     CERT_TAIL_N,
     PEAK_BAND_HZ,
     PEAK_MIN_RATIO,
@@ -248,8 +249,9 @@ def test_decoupled_benchmark_diagonally_dominant_at_low_frequency():
 
 def _tune(g_frf, freqs_hz, cascade, f_bw):
     """tune_gain on a plant response sampled on freqs_hz and a cascade."""
-    return tune_gain(_interp_loglog_mag(freqs_hz, g_frf, f_bw),
-                     cascade_frf(cascade, np.array([f_bw]))[0], f_bw)
+    with np.errstate(divide="ignore"):   # as the design's callers hold it
+        mag_g = _interp_loglog_mag(np.log10(freqs_hz), g_frf, f_bw)
+    return tune_gain(mag_g, cascade_frf(cascade, np.array([f_bw]))[0], f_bw)
 
 
 def test_tune_gain_flat_plant():
@@ -374,9 +376,11 @@ def test_nyquist_agrees_with_eigenvalues_when_destabilized(benchmark_designs):
 
 def test_nyquist_evaluator_is_the_exact_loop_response(benchmark_designs,
                                                        monkeypatch):
-    """certify hands every Nyquist check the loop's exact response L_i(f):
-    at the certification frequencies it reproduces the sampled L bit for
-    bit, for every loop at every 5x5 position of both sets."""
+    """certify checks a position's loops in one nyquist_stable call on the
+    stack of their responses, in loop order, and hands each row the loop's
+    exact response L_i(f): at the certification frequencies it reproduces
+    the sampled L bit for bit, for every loop at every 5x5 position of
+    both sets."""
     checks = []
 
     def recording(freqs, l_frf, evaluator, n_origin_poles):
@@ -387,9 +391,11 @@ def test_nyquist_evaluator_is_the_exact_loop_response(benchmark_designs,
     for kind in ("lti", "lpv"):
         certify(benchmark_designs["model"], benchmark_designs[kind],
                 benchmark_designs["verify"])
-    assert len(checks) == 2 * 25 * 3
-    for freqs, l_frf, evaluator in checks:
-        assert np.array_equal(evaluator(freqs), l_frf)
+    assert len(checks) == 2 * 25
+    for freqs, l_frfs, evaluators in checks:
+        assert l_frfs.shape == (3, len(freqs)) and len(evaluators) == 3
+        for l_frf, evaluator in zip(l_frfs, evaluators):
+            assert np.array_equal(evaluator(freqs), l_frf)
 
 
 def test_certification_verdict_invariant_to_loop_order(benchmark_designs):
@@ -629,14 +635,53 @@ def test_certify_memory_does_not_grow_with_the_grid(benchmark_designs,
 
 
 def test_closed_loop_matrix_stack_matches_each_position(benchmark_designs):
+    """On the 5x5 grid each row is its one-position matrix.  Given the
+    plant side a design forms once (on the grid, its frame CERT_CHUNK
+    rows, and at the centre alone), the matrix has the bytes of the call
+    that evaluates the plant, for the whole grid, for the rows a chunk
+    takes, and in a frame that the other set filled last."""
     model = benchmark_designs["model"]
     grid = benchmark_designs["verify"]
-    for kind in ("lti", "lpv"):
-        stack = closed_loop_matrix(model, benchmark_designs[kind], grid)
+    centre = np.array([[0.1, 0.1]])
+    on_grid = {kind: design._closed_loop_plant(
+        model, benchmark_designs[kind], grid, min(len(grid), CERT_CHUNK))
+        for kind in ("lti", "lpv")}
+    for kind, other in (("lti", "lpv"), ("lpv", "lti")):
+        cs = benchmark_designs[kind]
+        stack = closed_loop_matrix(model, cs, grid)
         assert stack.shape[0] == len(grid)
         for k, p in enumerate(grid):
             np.testing.assert_array_equal(
-                stack[k], closed_loop_matrix(model, benchmark_designs[kind], p))
+                stack[k], closed_loop_matrix(model, cs, p))
+        plant = on_grid[kind]
+        closed_loop_matrix(model, benchmark_designs[other], grid, plant)
+        assert closed_loop_matrix(model, cs, grid, plant).tobytes() \
+            == stack.tobytes()
+        rows = [12, 3, 24]
+        assert closed_loop_matrix(model, cs, grid[rows],
+                                  plant.take(rows)).tobytes() \
+            == closed_loop_matrix(model, cs, grid[rows]).tobytes()
+        alone = design._closed_loop_plant(model, cs, centre, 1)
+        assert closed_loop_matrix(model, cs, centre, alone).tobytes() \
+            == closed_loop_matrix(model, cs, centre).tobytes()
+
+
+def test_closed_loop_matrix_refuses_a_plant_side_that_does_not_fit(
+        benchmark_designs):
+    """A plant side for other positions, or for loops of other state
+    counts, raises DomainError rather than filling the wrong frame."""
+    model = benchmark_designs["model"]
+    grid = benchmark_designs["verify"]
+    lti = benchmark_designs["lti"]
+    plant = design._closed_loop_plant(model, lti, grid, len(grid))
+    with pytest.raises(DomainError):
+        closed_loop_matrix(model, lti, grid[:3], plant)
+    fewer = dataclasses.replace(lti, loops=tuple(
+        Cascade(c.elements[:-1]) for c in lti.loops))
+    with pytest.raises(DomainError):
+        closed_loop_matrix(model, fewer, grid, plant)
+    with pytest.raises(DomainError):
+        certify(model, lti, grid[:3], closed_plant=plant)
 
 
 def test_closed_loop_matrix_refuses_a_set_that_does_not_fit(benchmark_designs):
@@ -669,7 +714,8 @@ def test_state_space_sensitivity_matches_slc_chain(benchmark_designs, kind):
     km = omega ** 2
     loops = [realize(c, grid) for c in cs.loops]
     a, g = design.closed_loop_frame(len(grid), km,
-                                    2.0 * model.damping * omega, loops)
+                                    2.0 * model.damping * omega,
+                                    [k.n_states for k in loops])
     design.close_loops(a, g, (phi_a @ cs.t_u) * (1.0 / model.masses[:, None]),
                        cs.t_y @ phi_s, km, loops, 1.0)
     assert a.tobytes() == closed_loop_matrix(model, cs, grid).tobytes()
@@ -837,8 +883,10 @@ def bisection_trace(request):
 
     full_steps = []
 
-    def full_certify(m, cs, grid, *, plant_frfs=None, _check_first=None):
-        report = real["certify"](m, cs, grid, plant_frfs=plant_frfs)
+    def full_certify(m, cs, grid, *, plant_frfs=None, closed_plant=None,
+                     _check_first=None):
+        report = real["certify"](m, cs, grid, plant_frfs=plant_frfs,
+                                 closed_plant=closed_plant)
         full_steps.append((cs.achieved_bandwidth_hz, report.passed))
         return report
 
@@ -1048,7 +1096,8 @@ def test_early_exit_verdict_equals_full_certification(bisection_trace):
     at = 0
     failed_at = None
     for args, kwargs, report, done in calls["certify"]:
-        full = real_certify(*args, plant_frfs=kwargs["plant_frfs"])
+        full = real_certify(*args, plant_frfs=kwargs["plant_frfs"],
+                            closed_plant=kwargs["closed_plant"])
         assert report.passed == full.passed
         evaluated = done - at
         at = done
@@ -1159,10 +1208,13 @@ def _oracle_run(kind, spec):
     """design_<kind>_slc on the benchmark plant with every call to
     ORACLE_SITES checked against bisection_reference on the same arguments
     as it returns: the calls per site, the arguments of the calls whose
-    result differs, and every _center_gains call's resonance clusters."""
+    result differs, and every _center_gains call's resonance clusters.
+    The design's _interp_loglog_mag calls take np.log10 of the samples of
+    the _center_gains or _build_loops call they are made in; the reference
+    takes those samples."""
     model = benchmark_plant()
     calls = {(module.__name__, name): 0 for module, name in ORACLE_SITES}
-    differ, clusters = [], []
+    differ, clusters, samples = [], [], []
 
     def checked(module, name):
         new = getattr(module, name)
@@ -1170,11 +1222,17 @@ def _oracle_run(kind, spec):
                else getattr(bisection_reference, name))
 
         def call(*args, **kwargs):
+            if name in ("_center_gains", "_build_loops"):
+                samples.append(args[1])
             out = new(*args, **kwargs)
             calls[module.__name__, name] += 1
             if name == "cascade_frf" and not isinstance(args[0], Cascade):
                 # A set's loops in one call: the reference, loop by loop.
                 want = [ref(c, *args[1:], **kwargs) for c in args[0]]
+            elif name == "_interp_loglog_mag":
+                freqs = [f for f in samples
+                         if np.log10(f).tobytes() == args[0].tobytes()]
+                want = ref(freqs[-1], *args[1:], **kwargs) if freqs else None
             else:
                 want = ref(*args, **kwargs)
             if not _same_bits(out, want):

@@ -1,5 +1,7 @@
 """Frequency responses, equivalent plants, determinant identity, Nyquist, margins."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,12 +13,14 @@ from lpvslc.design import (
     _bracketing_samples,
     _certification_freqs,
     _discover_clusters,
+    certify,
     decoupled_plant_frf,
+    design_lti_slc,
     grid_points,
     rigid_body_decouple,
 )
 from lpvslc.errors import DomainError, NumericalError
-from lpvslc.filters import Integrator, Lead, Notch, realize
+from lpvslc.filters import Cascade, Gain, Integrator, Lead, Notch, realize
 from lpvslc.freqresp import (
     FrequencyGrid,
     default_grid,
@@ -36,6 +40,7 @@ from lpvslc.plant import (
     mode_shape_eval,
 )
 
+from certify_reference import reference_certify
 from freqresp_reference import (
     dense_frf,
     entry_planes,
@@ -436,6 +441,102 @@ def test_refinement_raises_without_resolution():
         nyquist_stable(freqs, l_vals, lambda f: np.full(len(f), -10.0 + 0.1j), 0)
 
 
+def _stack_cases():
+    """Loops on one frequency grid, (name, evaluator, origin poles), that
+    take every path of nyquist_stable: extension at the low end, at the
+    high end, phase refinement, and none of them, stable and not."""
+    w = 2.0 * np.pi
+
+    def integrator(fc):
+        return lambda f: w * fc / (1j * w * f)
+
+    def double_integrator_with_lead(fc):
+        return lambda f: (w * fc / (1j * w * f)) ** 2 * (1.0 + 1j * f)
+
+    def delayed_integrator(f):
+        return integrator(50.0)(f) * np.exp(-1j * w * f * 0.05)
+
+    def unstable(f):
+        return -2.0 / (1.0 + 1j * f / 10.0)
+
+    return [("none", integrator(50.0), 1),
+            ("low end", double_integrator_with_lead(2.0), 2),
+            ("high end", integrator(2000.0), 1),
+            ("refinement", delayed_integrator, 1),
+            ("unstable", unstable, 0),
+            ("none again", integrator(15.0), 1)]
+
+
+def test_stacked_checks_equal_one_call_per_loop():
+    """nyquist_stable and margins_and_bandwidth on an (n, F) stack return,
+    row by row, the 1-D call's verdict, encirclements and margins bit for
+    bit, whichever rows need their evaluator; a row calls its evaluator as
+    often as its 1-D call does, and a row that needs none calls it not
+    at all."""
+    freqs = np.geomspace(1.0, 5000.0, 60)
+    cases = _stack_cases()
+    calls = {}
+
+    def counted(name, ev):
+        def call(f):
+            calls[name] = calls.get(name, 0) + 1
+            return ev(f)
+        return call
+
+    one = [nyquist_stable(freqs, ev(freqs), counted(name, ev), q)
+           for name, ev, q in cases]
+    per_row, calls = calls, {}
+    stack = np.stack([ev(freqs) for _, ev, _ in cases])
+    verdicts = nyquist_stable(freqs, stack,
+                              [counted(name, ev) for name, ev, _ in cases],
+                              [q for *_, q in cases])
+    assert verdicts == one
+    assert calls == per_row
+    assert set(per_row) == {"low end", "high end", "refinement"}
+    assert [v.stable for v in verdicts] == [True] * 3 + [False] * 2 + [True]
+    assert verdicts[4].encirclements == 1
+    margins = margins_and_bandwidth(freqs, stack)
+    assert len(margins) == len(cases)
+    for row, m in zip(stack, margins):
+        want = margins_and_bandwidth(freqs, row)
+        assert repr(m) == repr(want)
+        assert np.array([m.f_crossover_hz, m.phase_margin_deg,
+                         m.gain_margin_db]).tobytes() == np.array(
+            [want.f_crossover_hz, want.phase_margin_deg,
+             want.gain_margin_db]).tobytes()
+
+
+def test_verdict_report_stops_at_a_failing_second_loop():
+    """Positions whose second loop in the order fails, the centre design
+    with loop order (1, 0, 2): over a 4 dB bound (loop 0's peak is 5.96
+    dB, the others' under 3.5 dB), and Nyquist unstable with loop 0's gain
+    negated, every peak under the 6 dB bound.  certify's verdict holds the
+    first two loops, each equal to the one-position reference's, and no
+    determinant residual; the full report, the reference's, holds all
+    three."""
+    model = benchmark_plant()
+    point = [(0.1, 0.1)]
+    cs = design_lti_slc(model, DesignSpec(design_grid=point,
+                                          verification_grid=point))
+    gain, *rest = cs.loops[0].elements
+    negated = (Cascade((Gain(-gain.k), *rest)),) + cs.loops[1:]
+    for loops, bound, unstable in ((cs.loops, 4.0, False),
+                                   (negated, 6.0, True)):
+        bad = dataclasses.replace(cs, loops=loops, loop_order=(1, 0, 2),
+                                  sensitivity_bound_db=bound)
+        full = certify(model, bad, point)
+        reference = reference_certify(model, bad, point)
+        assert full.to_dict() == reference.to_dict()
+        assert len(full.points[0].loops) == 3 and not full.passed
+        verdict = certify(model, bad, point, _check_first=[])
+        (pt,) = verdict.points
+        assert pt.loops == reference.points[0].loops[:2]
+        assert [lc.loop for lc in pt.loops] == [1, 0]
+        assert pt.loops[1].nyquist_stable is not unstable
+        assert pt.sensitivity_ok(bound) is unstable
+        assert np.isnan(pt.det_residual) and not verdict.passed
+
+
 def assert_unwrap_equals_numpy(phase):
     """Same bytes as np.unwrap, signed zeros and NaN included."""
     phase = np.asarray(phase, dtype=float)
@@ -481,7 +582,25 @@ def test_unwrap_equals_numpy_on_random_phases():
     def check(phase):
         assert_unwrap_equals_numpy(phase)
 
+    @hypothesis.settings(max_examples=200, derandomize=True, database=None,
+                         deadline=None)
+    @hypothesis.given(arrays(np.float64, st.tuples(st.integers(1, 4),
+                                                   st.integers(1, 32)),
+                             elements=values))
+    def check_stack(phases):
+        # Along the last axis, and each row as its own 1-D call, but for
+        # the sign of a NaN that numpy makes, which differs between its
+        # vector and scalar loops.
+        assert_unwrap_equals_numpy(phases)
+        with np.errstate(invalid="ignore"):
+            for got, row in zip(_unwrap(phases), phases):
+                want = _unwrap(row)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan)
+                assert got[~nan].tobytes() == want[~nan].tobytes()
+
     check()
+    check_stack()
 
 
 def test_unwrap_equals_numpy_on_loop_phases():

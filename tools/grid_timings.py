@@ -11,7 +11,12 @@ sets once, then times, each REPEATS times after one untimed call:
     design_lti_slc at the workspace centre, with design and verification
         grid both (0.1, 0.1)
 
-and prints the fastest and median wall time of each.  The host's speed
+and prints the fastest and median wall time of each.  The centre design
+is also split by bisection step, over the same timed runs: the time a
+step spends in certify, and the time it spends building its candidate,
+from the return of the previous step's certify call to its own (the
+first step, whose interval also holds the design's one-time set-up, is
+left out).  The host's speed
 drifts, so compare two trees by running this in each in turn, several
 rounds, rather than once each.  Standard library and lpvslc only.
 
@@ -23,6 +28,7 @@ import statistics
 import sys
 from time import perf_counter
 
+from lpvslc import design
 from lpvslc.design import (
     DesignSpec,
     certify,
@@ -36,6 +42,13 @@ GRIDS = (3, 5, 17)
 CENTRE = (0.1, 0.1)
 
 
+def report(label: str, times: list, unit: str) -> None:
+    """Print the fastest and median of times."""
+    print(f"{label:<22} min {1e3 * min(times):8.2f} ms  "
+          f"median {1e3 * statistics.median(times):8.2f} ms  "
+          f"({len(times)} {unit})")
+
+
 def timed(label: str, call, repeats: int) -> None:
     """Print the fastest and median of repeats timed calls, after one
     untimed call."""
@@ -45,8 +58,37 @@ def timed(label: str, call, repeats: int) -> None:
         start = perf_counter()
         call()
         times.append(perf_counter() - start)
-    print(f"{label:<22} min {1e3 * min(times):8.1f} ms  "
-          f"median {1e3 * statistics.median(times):8.1f} ms  ({repeats} runs)")
+    report(label, times, "runs")
+
+
+def steps_timed(label: str, call, repeats: int) -> None:
+    """timed, then the bisection steps of the timed calls split into the
+    time in design.certify and the time building each candidate."""
+    real = design.certify
+    designs = []   # per call, (start, end) of each of its certify calls
+
+    def certify_timed(*args, **kwargs):
+        start = perf_counter()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            designs[-1].append((start, perf_counter()))
+
+    def run():
+        designs.append([])
+        call()
+
+    design.certify = certify_timed
+    try:
+        timed(label, run, repeats)
+    finally:
+        design.certify = real
+    steps = designs[1:]   # the untimed call left out
+    report("  per step: build", [start - end for marks in steps
+                                 for (_, end), (start, _)
+                                 in zip(marks, marks[1:])], "steps")
+    report("  per step: certify", [end - start for marks in steps
+                                   for start, end in marks], "steps")
 
 
 if __name__ == "__main__":
@@ -64,5 +106,5 @@ if __name__ == "__main__":
     for kind, run in designs.items():
         timed(f"design_{kind}_slc", lambda: run(model, DesignSpec()), repeats)
     centre = DesignSpec(design_grid=[CENTRE], verification_grid=[CENTRE])
-    timed("design_lti_slc centre", lambda: design_lti_slc(model, centre),
-          repeats)
+    steps_timed("design_lti_slc centre",
+                lambda: design_lti_slc(model, centre), repeats)
