@@ -78,7 +78,6 @@ from .filters import (
 )
 from .freqresp import (
     default_grid,
-    design_chain,
     det_identity_residual,
     equivalent_plant,
     frf,
@@ -180,9 +179,9 @@ class DesignSpec:
             grid = getattr(self, name)
             if grid is not None:
                 grid = np.atleast_2d(np.asarray(grid, float))
-                if grid.ndim != 2 or grid.shape[1] != 2:
-                    raise ConfigError(
-                        f"{name} must be (n, 2) points, got shape {grid.shape}")
+                if grid.ndim != 2 or grid.shape[1] != 2 or not len(grid):
+                    raise ConfigError(f"{name} must be (n, 2) points, n >= 1, "
+                                      f"got shape {grid.shape}")
                 setattr(self, name, grid)
 
     def resolve(self, model: ModalPlantModel):
@@ -670,32 +669,56 @@ def _build_loops(frfs, freqs_hz, points, order, gains, clusters_per_loop,
     return loops
 
 
-def closed_loop_frame(rows, km, dm, n_states):
-    """The open modal plant in a closed-loop stack, and its input map.
+class _ClosedLoopPlant(NamedTuple):
+    """The plant side of the frozen closed loop at n positions: all that
+    does not depend on the loops' coefficients."""
 
-    a (rows, N, N) is zero but for the identity from velocities to
-    displacements and -km and -dm on the diagonals; N is 2 km.size plus
-    the loops' state counts n_states.  g (rows, N, 2 n_l + 2), zero, maps
-    w = [r | u_ff | f_scan].  close_loops writes every loop's entries of
-    both, any number of times; g's f_scan columns are the caller's.
+    km: np.ndarray   # stiffness/mass modal diagonal, (n_q,)
+    b: np.ndarray    # (Phi_a T_u) / m of each position, (n, n_q, n_l)
+    c: np.ndarray    # T_y Phi_s of each position, (n, n_l, n_q)
+    a: np.ndarray    # state matrix frame, (rows, N, N)
+    g: np.ndarray    # input map frame, (rows, N, 2 n_l + 2)
+
+    def take(self, index) -> "_ClosedLoopPlant":
+        """The plant side at the positions index (a row list or a slice)
+        picks, over as many of the frame's first rows."""
+        b = self.b[index]
+        return self._replace(b=b, c=self.c[index],
+                             a=self.a[:len(b)], g=self.g[:len(b)])
+
+
+def _closed_loop_plant(model: ModalPlantModel, t_u, t_y, n_states, modes,
+                       rows: int) -> _ClosedLoopPlant:
+    """The _ClosedLoopPlant of loops with state counts n_states, axis
+    transforms t_u and t_y, at the positions of modes, the caller's
+    mode_shape_eval result; its frame is rows long.
+
+    The frame a is zero but for the identity from velocities to
+    displacements and -km = -omega^2 and -dm = -2 zeta omega on the
+    diagonals, N being 2 n_q plus the loops' state counts, and g, zero,
+    maps w = [r | u_ff | f_scan].
+    close_loops writes every loop's entries of both, any number of times;
+    g's f_scan columns are the caller's.
     """
+    phi_a, phi_s = modes
+    omega = 2.0 * np.pi * model.frequencies_hz
+    km = omega ** 2
     n_q = km.size
     n_x = 2 * n_q + sum(n_states)
     a = np.zeros((rows, n_x, n_x))
     iq = np.arange(n_q)
     a[:, iq, n_q + iq] = 1.0
     a[:, n_q + iq, iq] = -km
-    a[:, n_q + iq, n_q + iq] = -dm
-    return a, np.zeros((rows, n_x, 2 * len(n_states) + 2))
+    a[:, n_q + iq, n_q + iq] = -2.0 * model.damping * omega
+    return _ClosedLoopPlant(
+        km, (phi_a @ t_u) * (1.0 / model.masses[:, None]), t_y @ phi_s, a,
+        np.zeros((rows, n_x, 2 * len(n_states) + 2)))
 
 
-def close_loops(a, g, b, c, km, loops, fb) -> None:
-    """Close every loop around the modal plant in closed_loop_frame's stack.
+def close_loops(plant: _ClosedLoopPlant, loops, fb) -> None:
+    """Close every loop around the modal plant in plant's frame.
 
-    a, g    closed_loop_frame's stacks for these loops, or their first rows
-    b       modal force per axis command, (Phi_a T_u) / m, (rows, n_q, n_l)
-    c       axis outputs T_y Phi_s, (rows, n_l, n_q)
-    km      stiffness/mass modal diagonal, (n_q,)
+    plant   the plant side, its frame as many rows long as b and c
     loops   each loop's realization: one system, which every row shares,
             or a stack with one system per row
     fb      1.0 with the loops closed, 0.0 with them open
@@ -708,9 +731,10 @@ def close_loops(a, g, b, c, km, loops, fb) -> None:
     n_l + i, u_ff, is b_i.  Every entry that depends on b, c or a loop is
     written; every row is computed on its own.
     """
-    n_q, n_l = km.size, len(loops)
+    a, g, b, c = plant.a, plant.g, plant.b, plant.c
+    n_q, n_l = plant.km.size, len(loops)
     qd = slice(n_q, 2 * n_q)
-    stiffness = np.diag(-km)
+    stiffness = np.diag(-plant.km)
     at = 2 * n_q
     for i, k in enumerate(loops):
         xc = slice(at, at + k.n_states)
@@ -724,39 +748,6 @@ def close_loops(a, g, b, c, km, loops, fb) -> None:
         a[:, xc, :n_q] = -g_r[:, xc] * c_i
         a[:, xc, xc] = k.a
         at = xc.stop
-
-
-class _ClosedLoopPlant(NamedTuple):
-    """The plant side of closed_loop_matrix at an (n, 2) array of
-    positions: all that does not depend on the loops' coefficients."""
-
-    km: np.ndarray   # stiffness/mass modal diagonal, (n_q,)
-    b: np.ndarray    # (Phi_a T_u) / m of each position, (n, n_q, n_l)
-    c: np.ndarray    # T_y Phi_s of each position, (n, n_l, n_q)
-    a: np.ndarray    # closed_loop_frame's stacks for the loops' state
-    g: np.ndarray    # counts, close_loops' to fill, with their own rows
-
-    def take(self, index) -> "_ClosedLoopPlant":
-        """The plant side at the positions index picks, over the frame's
-        first len(index) rows."""
-        return self._replace(b=self.b[index], c=self.c[index],
-                             a=self.a[:len(index)], g=self.g[:len(index)])
-
-
-def _closed_loop_plant(model: ModalPlantModel, controllers: ControllerSet,
-                       pts, rows: int) -> _ClosedLoopPlant:
-    """The _ClosedLoopPlant of a set at an (n, 2) array of positions pts,
-    its frame rows long.  The mode shapes are evaluated once for all
-    positions, and the frame depends on the set only through its loops'
-    state counts."""
-    phi_a, phi_s = mode_shape_eval(model, pts)
-    omega = 2.0 * np.pi * model.frequencies_hz
-    km, dm = omega ** 2, 2.0 * model.damping * omega
-    a, g = closed_loop_frame(rows, km, dm,
-                             [n_states(c) for c in controllers.loops])
-    return _ClosedLoopPlant(
-        km, (phi_a @ controllers.t_u) * (1.0 / model.masses[:, None]),
-        controllers.t_y @ phi_s, a, g)
 
 
 def closed_loop_matrix(model: ModalPlantModel, controllers: ControllerSet,
@@ -780,15 +771,17 @@ def closed_loop_matrix(model: ModalPlantModel, controllers: ControllerSet,
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    plant = (_closed_loop_plant(model, controllers, pts, len(pts))
-             if closed_plant is None else closed_plant)
+    plant = (_closed_loop_plant(
+        model, controllers.t_u, controllers.t_y,
+        [n_states(c) for c in controllers.loops], mode_shape_eval(model, pts),
+        len(pts)) if closed_plant is None else closed_plant)
     loops = [realize(c, pts) for c in controllers.loops]
     if plant.a.shape[:2] != (len(pts), 2 * plant.km.size
                              + sum(k.n_states for k in loops)) \
             or len(plant.b) != len(pts):
         raise DomainError(f"closed-loop plant side of shape {plant.a.shape} "
                           f"does not fit {len(pts)} positions of this set")
-    close_loops(plant.a, plant.g, plant.b, plant.c, plant.km, loops, 1.0)
+    close_loops(plant, loops, 1.0)
     return plant.a[0] if single else plant.a
 
 
@@ -812,9 +805,10 @@ def _loop_closures(p_frf, k_frfs, order, bound_db=None):
     """The design chain of one position and its loops' sensitivity peaks.
 
     Returns (chain, peaks), indexed by loop.  chain[i] is the plant loop i
-    sees with the loops before it in order closed (freqresp.design_chain's
-    entry), and peaks[i] the largest sampled |S_i| in dB, S_i = 1 / (1 +
-    g_i k_i) with g_i the plant loop i sees with every other loop closed.
+    sees with the loops before it in order closed and the later ones open,
+    the chain that sequential loop closing designs against, and peaks[i]
+    the largest sampled |S_i| in dB, S_i = 1 / (1 + g_i k_i) with g_i the
+    plant loop i sees with every other loop closed.
     The order is walked once: chain entry, g_i and peak of each loop in
     turn.  The last loop of the order sees exactly g_i, closed by the same
     closings in the same index order, so its chain entry serves as g_i.
@@ -867,7 +861,7 @@ def _certify_position(model: ModalPlantModel, controllers: ControllerSet,
     def loop_frf(f, i):
         k_f = controllers.loop_frfs(f, p)
         p_f = decoupled_plant_frf(model, p, f, controllers.t_u, controllers.t_y)
-        return design_chain(p_f, k_f, order)[i] * k_f[i]
+        return _loop_closures(p_f, k_f, order)[0][i] * k_f[i]
 
     l_frfs = np.stack([chain[i] * k_frfs[i] for i in checked])
     verdicts = nyquist_stable(
@@ -948,6 +942,9 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
     bound_db = controllers.sensitivity_bound_db
     order = controllers.loop_order
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    if grid.size == 0:
+        raise DomainError(f"no position to certify in a grid of shape "
+                          f"{grid.shape}")
     if plant_frfs is not None:
         if len(plant_frfs) != len(grid):
             raise DomainError(f"{len(plant_frfs)} plant FRFs for "
@@ -1123,8 +1120,9 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     # Every candidate has one loop per axis, each with the same blocks and
     # one notch per cluster, so the state counts of the first: the closed
     # loops' plant side on the verification grid is formed once, from it.
-    closed_plant = _closed_loop_plant(model, first, verify_grid,
-                                      min(len(verify_grid), CERT_CHUNK))
+    closed_plant = _closed_loop_plant(
+        model, first.t_u, first.t_y, [n_states(c) for c in first.loops],
+        mode_shape_eval(model, verify_grid), min(len(verify_grid), CERT_CHUNK))
     ok, controllers, report = feasible(first)
     if ok:
         log.info("%s design feasible at the %.1f Hz cap", kind, f_hi)
@@ -1168,6 +1166,8 @@ def freeze_controller_set(controllers: ControllerSet, p) -> ControllerSet:
     frozen-position checks of the scheduled implementation).
     """
     p = np.asarray(p, dtype=float)
+    if p.shape != (2,):
+        raise DomainError(f"expected one (x, y) point, got shape {p.shape}")
     loops = []
     for cascade in controllers.loops:
         # freeze_notches gives (f1, f2, beta1, beta2), Notch's field order.

@@ -42,7 +42,6 @@ __all__ = [
     "default_grid",
     "frf",
     "equivalent_plant",
-    "design_chain",
     "det_identity_residual",
     "StabilityVerdict",
     "nyquist_stable",
@@ -201,23 +200,6 @@ def _det_stacked(planes) -> np.ndarray:
     return det * a[n - 1][n - 1]
 
 
-def design_chain(p_frf: np.ndarray, k_frfs, loop_order=None) -> list:
-    """Design-step equivalent plants of every loop, indexed by loop.
-
-    Entry i is the plant loop i sees with the loops before it in loop_order
-    closed and the later ones still open: the chain that sequential loop
-    closing designs against and that certification checks.
-    """
-    n = np.shape(p_frf)[1]
-    order = list(range(n)) if loop_order is None else list(loop_order)
-    chain: list = [None] * n
-    closed: list = [0.0] * n
-    for i in order:
-        chain[i] = equivalent_plant(p_frf, closed, i)
-        closed[i] = k_frfs[i]
-    return chain
-
-
 def det_identity_residual(p_frf: np.ndarray, k_frfs, chain,
                           loop_order=None) -> float:
     """Mismatch between det(I + P K) and the product of equivalent loops.
@@ -227,10 +209,11 @@ def det_identity_residual(p_frf: np.ndarray, k_frfs, chain,
     and the later ones still open:
 
         det(I + P K) = prod_i (1 + g_i k_i),
-        g_i = design_chain(P, K, loop_order)[i].
 
-    chain is that design_chain result, computed by the caller for the
-    same loop_order.  Returns the max over the grid of the pointwise
+    g_i being equivalent_plant(P, K_i, i) with K_i holding the responses
+    of the loops before i in loop_order and 0 for the rest.  chain holds
+    g_i at index i, computed by the caller for the same loop_order (the
+    design chain).  Returns the max over the grid of the pointwise
     relative error |lhs - rhs| / |lhs|.  Each entry of I + P K is formed
     as its own contiguous (F,) plane, the layout _det_stacked eliminates,
     with no (F, n, n) stack in between.

@@ -7,21 +7,23 @@ scheduled notch sections are evaluated at the step's start sample and
 held, which keeps the dynamics exactly linear inside the step while the
 slowly moving stage re-tunes the loop between steps.
 
-The run is computed in three batched stages.  First the tables: plant
-coupling along the position trace (one stacked call each to
-mode_shape_eval and scan_coupling), every loop cascade realized once
-along the scheduling trace, its scheduled notches frozen in one call, and
-one table of the inputs w = [r, u_ff, f_scan] on the half-step grid that
-the RK4 stages need.  Then, in blocks of ASSEMBLY_BLOCK steps, the
-assembled closed loop x' = A_k x + G_k w of plant, axis transforms and
-controllers: design.close_loops writes the state matrix A_k and the r and
-u_ff columns of the input map G_k, as it does for certification, and the
-simulator adds only the f_scan columns and folds G_k w at the step's
-start, midpoint and end into g_k.  A_k and G_k live in one block each for
-the whole run, from design.closed_loop_frame.  The kernel (_kernels) then
-runs RK4 on x' = A_k x + g, four matrix-vector products per step, and
-checks the state norm once per block, naming the first step that left the
-trusted range.  Outputs, errors and actuation are evaluated afterwards
+The run is computed in three batched stages.  First the tables: the
+closed loop's plant side along the position trace, built by
+design._closed_loop_plant as certification builds it, and the scan
+coupling (one stacked call each to mode_shape_eval and scan_coupling),
+every loop cascade realized once along the scheduling trace, its
+scheduled notches frozen in one call, and one table of the inputs
+w = [r, u_ff, f_scan] on the half-step grid that the RK4 stages need.
+Then, in blocks of ASSEMBLY_BLOCK steps, the assembled closed loop
+x' = A_k x + G_k w of plant, axis transforms and controllers:
+design.close_loops writes the state matrix A_k and the r and u_ff columns
+of the input map G_k, as it does for certification, and the simulator
+adds only the f_scan columns and folds G_k w at the step's start,
+midpoint and end into g_k.  A_k and G_k live in the plant side's frame,
+one block each for the whole run.  The kernel (_kernels) then runs RK4
+on x' = A_k x + g, four matrix-vector products per step, and checks the
+state norm once per block, naming the first step that left the trusted
+range.  Outputs, errors and actuation are evaluated afterwards
 from the state trace.  Every row of every table is computed on its own,
 so a short run is a bitwise prefix of a longer one.
 
@@ -55,7 +57,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
-from .design import ControllerSet, close_loops, closed_loop_frame
+from .design import (ControllerSet, _ClosedLoopPlant, _closed_loop_plant,
+                     close_loops)
 from .errors import (ConfigError, NumericalError, boolean, positive, real,
                      reals, record)
 from .filters import n_states, realize
@@ -349,20 +352,6 @@ def ma_msd(e, window_s: float, sample_rate_hz: float):
     return ma, msd
 
 
-def _plant_tables(model, p_true, t_u, t_y):
-    """Per-sample plant coupling tables, /mass included, one row per sample.
-
-    Every product is stacked per row, so a row does not depend on how many
-    samples the run has.
-    """
-    phi_a, phi_s = mode_shape_eval(model, p_true)
-    inv_m = 1.0 / model.masses[:, None]
-    b_t = (phi_a @ t_u) * inv_m
-    c_t = t_y @ phi_s
-    bs_t = scan_coupling(model, p_true) * inv_m
-    return b_t, c_t, bs_t
-
-
 def _half_grid_inputs(config, half, rigid_masses, n_l):
     """The inputs w = [r | u_ff | f_scan] on the half grid, shape
     (2n + 1, 2 n_l + 2): loop references, axis feedforward and in-plane
@@ -389,38 +378,30 @@ def _half_grid_inputs(config, half, rigid_masses, n_l):
 class _RunTables:
     """What the integrator reads for one run, on its sample grid.
 
-    The plant tables (b_t, c_t, bs_t) hold one row per sample.  loops
-    holds each loop's realization: stacked with one row per sample when
-    the cascade is scheduled, a single system when it is fixed.  w_h is
-    the one input table: loop references, axis feedforward and propulsion
-    force, w = [r | u_ff | f_scan], on the half-step grid that the RK4
-    stages need.  km and dm are the stiffness/mass and damping/mass modal
-    diagonals, fb is 1.0 with the loop closed and 0.0 with it open, and
+    plant is the closed loop's plant side (design._ClosedLoopPlant): the
+    modal diagonal km and the couplings b and c with one row per sample,
+    and the frame a and g, with ASSEMBLY_BLOCK rows or fewer when the run
+    is shorter, that every block of steps is assembled in.  bs_t, the
+    scan-force coupling, holds one row per sample too.  loops holds each
+    loop's realization: stacked with one row per sample when the cascade
+    is scheduled, a single system when it is fixed.  w_h is the one input
+    table: loop references, axis feedforward and propulsion force,
+    w = [r | u_ff | f_scan], on the half-step grid that the RK4 stages
+    need.  fb is 1.0 with the loop closed and 0.0 with it open, and
     intervals are the run's motion markers (see _intervals).
-
-    a and g_map are the run's closed-loop and input-map blocks from
-    design.closed_loop_frame, with ASSEMBLY_BLOCK rows, or fewer when the
-    run is shorter; a holds the open modal plant from the start.  For each
-    block of steps design.close_loops writes A and g_map's r and u_ff
-    columns, and _assemble the f_scan columns.
     """
 
     t: np.ndarray
     p_sched: np.ndarray
-    b_t: np.ndarray
-    c_t: np.ndarray
+    plant: _ClosedLoopPlant
     bs_t: np.ndarray
     loops: list
     w_h: np.ndarray
-    km: np.ndarray
-    dm: np.ndarray
     x0: np.ndarray
     t_u: np.ndarray
     fb: float
     axis_names: tuple
     intervals: tuple
-    a: np.ndarray
-    g_map: np.ndarray
 
 
 def _bytes_per_step(model, controllers: ControllerSet) -> int:
@@ -467,7 +448,10 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
 
     t_u = np.ascontiguousarray(controllers.t_u, dtype=float)
     t_y = np.ascontiguousarray(controllers.t_y, dtype=float)
-    b_t, c_t, bs_t = _plant_tables(model, p_true, t_u, t_y)
+    plant = _closed_loop_plant(
+        model, t_u, t_y, [n_states(c) for c in controllers.loops],
+        mode_shape_eval(model, p_true), min(ASSEMBLY_BLOCK, n))
+    bs_t = scan_coupling(model, p_true) * (1.0 / model.masses[:, None])
     # Each cascade is realized once for the run, its scheduled notches
     # frozen per sample (see filters.freeze_notches, which clamps and logs).
     f_max = NOTCH_NYQUIST_FRACTION * 0.5 * config.sample_rate_hz
@@ -480,7 +464,6 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
     w_h = _half_grid_inputs(config, half, rigid_masses, n_l)
 
     n_q = model.n_modes
-    omega = 2.0 * np.pi * model.frequencies_hz
     x0 = np.zeros(2 * n_q + sum(k.n_states for k in loops))
     if x0_plant is not None:
         x0_plant = reals("x0_plant", x0_plant).ravel()
@@ -488,16 +471,12 @@ def _run_tables(model, controllers, motion, config, x0_plant) -> _RunTables:
             raise ConfigError(
                 f"initial plant state must have {2 * n_q} entries")
         x0[:2 * n_q] = x0_plant
-    km, dm = omega ** 2, 2.0 * model.damping * omega
-    a, g_map = closed_loop_frame(min(ASSEMBLY_BLOCK, n), km, dm,
-                                 [k.n_states for k in loops])
     return _RunTables(
-        t=t, p_sched=p_sched, b_t=b_t, c_t=c_t, bs_t=bs_t,
-        loops=loops, w_h=w_h, km=km, dm=dm, x0=x0,
+        t=t, p_sched=p_sched, plant=plant, bs_t=bs_t,
+        loops=loops, w_h=w_h, x0=x0,
         t_u=t_u, fb=1.0 if config.feedback else 0.0, axis_names=axis_names,
         intervals=_intervals([tuple(x[::2] for x in smp) for smp in half
-                              if smp is not None], t, config),
-        a=a, g_map=g_map)
+                              if smp is not None], t, config))
 
 
 def _assemble(tab: _RunTables, k0, k1):
@@ -506,25 +485,25 @@ def _assemble(tab: _RunTables, k0, k1):
     Within step k the dynamics are x' = A_k x + G_k w(t) with
     x = [q; qd; xc_1 .. xc_nl] and w = [r, u_ff, f_scan], the columns of
     tab.w_h.  design.close_loops writes A_k and the r and u_ff columns of
-    G_k from the step's plant tables and frozen loops, as it does for
-    certification; only the f_scan columns, tab.bs_t, are written here.
-    g holds G_k w at the step's start, midpoint and end, shape
-    (k1 - k0, 3, nx).  Every entry is computed per step, independently of
-    the block's length.  A and G_k are written into the run's own blocks
-    (tab.a, tab.g_map), and A comes back as a view that the next call
+    G_k from the steps' rows of the plant side, tab.plant.take(k0:k1), and
+    frozen loops, as it does for certification; only the f_scan columns,
+    tab.bs_t, are written here.  g holds G_k w at the step's start,
+    midpoint and end, shape (k1 - k0, 3, nx).  Every entry is computed per
+    step, independently of the block's length.  A and G_k are written into
+    the plant side's frame, and A comes back as a view that the next call
     overwrites.
     """
-    n_q, n_l = tab.km.size, len(tab.loops)
+    n_q, n_l = tab.plant.km.size, len(tab.loops)
     rows = slice(k0, k1)
     loops = [k if k.a.ndim == 2 else
              FrozenStateSpace(k.a[rows], k.b[rows], k.c[rows], k.d[rows])
              for k in tab.loops]
-    a, g_map = tab.a[:k1 - k0], tab.g_map[:k1 - k0]
-    close_loops(a, g_map, tab.b_t[rows], tab.c_t[rows], tab.km, loops, tab.fb)
-    g_map[:, n_q:2 * n_q, 2 * n_l:] = tab.bs_t[rows]
+    plant = tab.plant.take(rows)
+    close_loops(plant, loops, tab.fb)
+    plant.g[:, n_q:2 * n_q, 2 * n_l:] = tab.bs_t[rows]
     w = np.stack([tab.w_h[2 * k0 + s:2 * k1 + s:2] for s in range(3)], axis=2)
-    g = np.ascontiguousarray(np.matmul(g_map, w).transpose(0, 2, 1))
-    return a, g
+    g = np.ascontiguousarray(np.matmul(plant.g, w).transpose(0, 2, 1))
+    return plant.a, g
 
 
 def _integrate(tab: _RunTables, n, h):
@@ -554,9 +533,9 @@ def _integrate(tab: _RunTables, n, h):
 
 def _outputs(tab: _RunTables, x_t):
     """References, outputs, errors and actuation per sample, from the states."""
-    n_q, n_l = tab.km.size, len(tab.loops)
+    n_q, n_l = tab.plant.km.size, len(tab.loops)
     r = np.ascontiguousarray(tab.w_h[::2, :n_l])
-    y = np.matmul(tab.c_t, x_t[:, :n_q, None])[:, :, 0]
+    y = np.matmul(tab.plant.c, x_t[:, :n_q, None])[:, :, 0]
     e = r - y
     v = np.empty_like(e)
     at = 2 * n_q

@@ -62,18 +62,21 @@ def close_loops(a, b, c, km, loops, fb) -> None:
         at = xc.stop
 
 
-def assemble(tab, k0, k1):
-    """(a, g_map, g) of steps k0..k1-1 from the simulator's run tables tab:
-    the state matrices, the input map of w = [r | u_ff | f_scan] and the
-    folded inputs, in fresh arrays."""
-    n_q, n_l = tab.km.size, len(tab.loops)
+def assemble(model, tab, k0, k1):
+    """(a, g_map, g) of steps k0..k1-1 from the simulator's run tables tab
+    of a run on model: the state matrices, the input map of
+    w = [r | u_ff | f_scan] and the folded inputs, in fresh arrays.  km, b
+    and c are read from tab.plant, the damping diagonal is formed here."""
+    km = tab.plant.km
+    dm = 2.0 * model.damping * (2.0 * np.pi * model.frequencies_hz)
+    n_q, n_l = km.size, len(tab.loops)
     rows = slice(k0, k1)
-    b = tab.b_t[rows]
+    b = tab.plant.b[rows]
     loops = [k if k.a.ndim == 2 else
              FrozenStateSpace(k.a[rows], k.b[rows], k.c[rows], k.d[rows])
              for k in tab.loops]
-    a = closed_loop_frame(len(b), tab.km, tab.dm, loops)
-    close_loops(a, b, tab.c_t[rows], tab.km, loops, tab.fb)
+    a = closed_loop_frame(len(b), km, dm, loops)
+    close_loops(a, b, tab.plant.c[rows], km, loops, tab.fb)
     g_map = np.zeros((len(b), a.shape[1], 2 * n_l + 2))
     qd = slice(n_q, 2 * n_q)
     at = 2 * n_q

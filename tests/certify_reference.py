@@ -9,9 +9,13 @@ closed-loop state matrix with every loop realized at that one position,
 whose eigenvalues it computes alone.  The agreement tests in
 test_design.py hold the stacked certify to it bit for bit.
 
+design_chain is freqresp.design_chain as it was when certification
+walked the design chain a second time for its Nyquist evaluator, copied
+verbatim; the tests hold design._loop_closures's chain to it.
+
 _loop_closures is design._loop_closures as it ran before its walk
 followed the loop order and stopped at a loop over the bound, copied
-verbatim: it forms the whole design chain through freqresp.design_chain
+verbatim: it forms the whole design chain through design_chain
 and every loop's peak, however early one is over the bound.  The tests
 hold each bisection step's report, screened loop by loop, to the one this
 screen gives.
@@ -35,13 +39,29 @@ from lpvslc.filters import (
     realize,
 )
 from lpvslc.freqresp import (
-    design_chain,
     det_identity_residual,
     equivalent_plant,
     margins_and_bandwidth,
     nyquist_stable,
 )
 from lpvslc.plant import frozen_realization
+
+
+def design_chain(p_frf: np.ndarray, k_frfs, loop_order=None) -> list:
+    """Design-step equivalent plants of every loop, indexed by loop.
+
+    Entry i is the plant loop i sees with the loops before it in loop_order
+    closed and the later ones still open: the chain that sequential loop
+    closing designs against and that certification checks.
+    """
+    n = np.shape(p_frf)[1]
+    order = list(range(n)) if loop_order is None else list(loop_order)
+    chain: list = [None] * n
+    closed: list = [0.0] * n
+    for i in order:
+        chain[i] = equivalent_plant(p_frf, closed, i)
+        closed[i] = k_frfs[i]
+    return chain
 
 
 def cascade_frf_at(cascade, freqs, p):

@@ -156,8 +156,9 @@ def reference_run(model, controllers, motion, config, x0_plant=None):
     y_t = np.zeros((n + 1, n_l))
     u_t = np.zeros((n + 1, n_l))
     x_t = np.zeros((n + 1, x0.size))
-    status = _sim_loop(n, config.step_s, n_q, n_l, tab.km, tab.dm,
-                       tab.b_t, tab.c_t, tab.bs_t, 1,
+    dm = 2.0 * model.damping * (2.0 * np.pi * model.frequencies_hz)
+    status = _sim_loop(n, config.step_s, n_q, n_l, tab.plant.km, dm,
+                       tab.plant.b, tab.plant.c, tab.bs_t, 1,
                        ac_t, bc_t, cc_t, dc_t, sc,
                        tab.w_h[:, :n_l], tab.w_h[:, n_l:2 * n_l],
                        tab.w_h[:, 2 * n_l:], tab.fb, tab.t_u,

@@ -23,11 +23,7 @@ from lpvslc.design import (
     grid_points,
 )
 from lpvslc.filters import Lead, notch_transfer, realize
-from lpvslc.freqresp import (
-    design_chain,
-    det_identity_residual,
-    nyquist_stable,
-)
+from lpvslc.freqresp import det_identity_residual, nyquist_stable
 from lpvslc.plant import benchmark_plant
 from lpvslc.scheduling import (
     FrozenDesignSet,
@@ -46,6 +42,7 @@ from lpvslc.sim import (
 from lpvslc.trajectory import MotionBounds, plan, sample
 
 from assemble_reference import assemble
+from certify_reference import design_chain
 from freqresp_reference import dense_frf
 from sim_reference import max_relative_gap, reference_traces
 from surface_reference import raw_coefficients
@@ -338,10 +335,10 @@ def test_assembled_block_matches_reference_bytes(pipeline, feedback):
         for k0 in (0, sim.ASSEMBLY_BLOCK):
             k1 = k0 + sim.ASSEMBLY_BLOCK
             a, g = sim._assemble(tab, k0, k1)
-            a_ref, g_map_ref, g_ref = assemble(tab, k0, k1)
+            a_ref, g_map_ref, g_ref = assemble(model, tab, k0, k1)
             assert np.signbit(a[a == 0.0]).any(), key
             assert a.tobytes() == a_ref.tobytes(), (key, k0)
-            assert tab.g_map.tobytes() == g_map_ref.tobytes(), (key, k0)
+            assert tab.plant.g.tobytes() == g_map_ref.tobytes(), (key, k0)
             assert g.tobytes() == g_ref.tobytes(), (key, k0)
 
 

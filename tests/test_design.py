@@ -50,12 +50,12 @@ from lpvslc.filters import (
     Notch,
     cascade_frf,
     cascade_to_dict,
+    n_states,
     realize,
 )
 from lpvslc.freqresp import (
     _det_stacked,
     default_grid,
-    design_chain,
     det_identity_residual,
     equivalent_plant,
     frf,
@@ -80,7 +80,7 @@ from audit_reference import (
     required_beta1,
 )
 import certify_reference
-from certify_reference import reference_certify
+from certify_reference import design_chain, reference_certify
 from freeze_reference import per_notch_cascade_frf, per_notch_realize
 from peaks_reference import loop_find_resonance_peaks
 from freqresp_reference import (
@@ -206,6 +206,14 @@ def test_design_spec_validation():
         with pytest.raises(ConfigError, match=key):
             DesignSpec(**{key: np.full((2, 3), 0.1)})
     assert design_spec_from_dict({"n_leads": 2.0}).n_leads == 2
+
+
+def test_design_spec_refuses_a_grid_with_no_points():
+    """An empty design or verification grid is a ConfigError when the
+    spec is made, not an IndexError or a failed reshape in the design."""
+    for key in ("design_grid", "verification_grid"):
+        with pytest.raises(ConfigError, match=key):
+            DesignSpec(**{key: np.empty((0, 2))})
 
 
 def test_design_spec_dict_roundtrip():
@@ -634,16 +642,25 @@ def test_certify_memory_does_not_grow_with_the_grid(benchmark_designs,
     assert peaks[1] - peaks[0] < 300_000, peaks
 
 
+def _plant_side(model, cs, pts, rows):
+    """design._closed_loop_plant of set cs at the positions pts, its
+    frame rows long."""
+    return design._closed_loop_plant(
+        model, cs.t_u, cs.t_y, [n_states(c) for c in cs.loops],
+        mode_shape_eval(model, pts), rows)
+
+
 def test_closed_loop_matrix_stack_matches_each_position(benchmark_designs):
     """On the 5x5 grid each row is its one-position matrix.  Given the
     plant side a design forms once (on the grid, its frame CERT_CHUNK
     rows, and at the centre alone), the matrix has the bytes of the call
     that evaluates the plant, for the whole grid, for the rows a chunk
-    takes, and in a frame that the other set filled last."""
+    takes, for the block of rows the simulator takes as a slice, and in a
+    frame that the other set filled last."""
     model = benchmark_designs["model"]
     grid = benchmark_designs["verify"]
     centre = np.array([[0.1, 0.1]])
-    on_grid = {kind: design._closed_loop_plant(
+    on_grid = {kind: _plant_side(
         model, benchmark_designs[kind], grid, min(len(grid), CERT_CHUNK))
         for kind in ("lti", "lpv")}
     for kind, other in (("lti", "lpv"), ("lpv", "lti")):
@@ -661,7 +678,11 @@ def test_closed_loop_matrix_stack_matches_each_position(benchmark_designs):
         assert closed_loop_matrix(model, cs, grid[rows],
                                   plant.take(rows)).tobytes() \
             == closed_loop_matrix(model, cs, grid[rows]).tobytes()
-        alone = design._closed_loop_plant(model, cs, centre, 1)
+        block = slice(5, 8)
+        assert closed_loop_matrix(model, cs, grid[block],
+                                  plant.take(block)).tobytes() \
+            == closed_loop_matrix(model, cs, grid[block]).tobytes()
+        alone = _plant_side(model, cs, centre, 1)
         assert closed_loop_matrix(model, cs, centre, alone).tobytes() \
             == closed_loop_matrix(model, cs, centre).tobytes()
 
@@ -673,7 +694,7 @@ def test_closed_loop_matrix_refuses_a_plant_side_that_does_not_fit(
     model = benchmark_designs["model"]
     grid = benchmark_designs["verify"]
     lti = benchmark_designs["lti"]
-    plant = design._closed_loop_plant(model, lti, grid, len(grid))
+    plant = _plant_side(model, lti, grid, len(grid))
     with pytest.raises(DomainError):
         closed_loop_matrix(model, lti, grid[:3], plant)
     fewer = dataclasses.replace(lti, loops=tuple(
@@ -697,7 +718,7 @@ def test_closed_loop_matrix_refuses_a_set_that_does_not_fit(benchmark_designs):
 def test_state_space_sensitivity_matches_slc_chain(benchmark_designs, kind):
     """S_i from the closed loop's state space against 1 / (1 + g_i k_i).
 
-    (A, B_r) come from closed_loop_frame and close_loops, B_r being the
+    (A, B_r) come from _closed_loop_plant and close_loops, B_r being the
     reference columns of the input map, and C_e = -[T_y Phi_s, 0, 0] reads
     each loop's error, so S_ii = 1 + C_e,i (jw I - A)^-1 B_r,i.  g_i is
     the plant loop i sees with every other loop closed (equivalent_plant).
@@ -709,18 +730,12 @@ def test_state_space_sensitivity_matches_slc_chain(benchmark_designs, kind):
     grid = benchmark_designs["verify"]
     freqs = _certification_freqs()
     n_q, n_l = model.n_modes, cs.n_loops
-    phi_a, phi_s = mode_shape_eval(model, grid)
-    omega = 2.0 * np.pi * model.frequencies_hz
-    km = omega ** 2
-    loops = [realize(c, grid) for c in cs.loops]
-    a, g = design.closed_loop_frame(len(grid), km,
-                                    2.0 * model.damping * omega,
-                                    [k.n_states for k in loops])
-    design.close_loops(a, g, (phi_a @ cs.t_u) * (1.0 / model.masses[:, None]),
-                       cs.t_y @ phi_s, km, loops, 1.0)
+    plant = _plant_side(model, cs, grid, len(grid))
+    design.close_loops(plant, [realize(c, grid) for c in cs.loops], 1.0)
+    a, g = plant.a, plant.g
     assert a.tobytes() == closed_loop_matrix(model, cs, grid).tobytes()
     c_e = np.zeros((len(grid), n_l, a.shape[1]))
-    c_e[:, :, :n_q] = -(cs.t_y @ phi_s)
+    c_e[:, :, :n_q] = -plant.c
     s_eye = 2j * np.pi * freqs[:, None, None] * np.eye(a.shape[1])
     for r, p in enumerate(grid):
         x = np.linalg.solve(s_eye - a[r], g[r, :, :n_l])
@@ -757,6 +772,23 @@ def test_rank_one_closure_matches_block_solve(benchmark_designs, kind):
             chain = list(chain)
             chain[i] = k_frfs[i]
     assert worst <= 1e-12
+
+
+def test_certify_refuses_an_empty_grid(benchmark_designs):
+    """A grid with no position certifies nothing: DomainError, not a
+    report with no points that passes."""
+    model = benchmark_designs["model"]
+    with pytest.raises(DomainError, match="no position"):
+        certify(model, benchmark_designs["lti"], np.empty((0, 2)))
+
+
+def test_freeze_controller_set_refuses_what_is_not_one_point(
+        benchmark_designs):
+    """p must be one (x, y) point; the error names the shape given."""
+    lpv = benchmark_designs["lpv"]
+    for p, shape in (((0.1,), r"\(1,\)"), (np.full((2, 2), 0.1), r"\(2, 2\)")):
+        with pytest.raises(DomainError, match=shape):
+            freeze_controller_set(lpv, p)
 
 
 def test_certify_rejects_mismatched_plant_frfs(benchmark_designs):
@@ -1150,8 +1182,8 @@ def test_bisection_visits_the_reference_bandwidths(bisection_trace):
 # they ran before each step formed only what it reads, with the module
 # whose name the design calls them by.  The one loop build is held to the
 # reference build of the design's kind (see _reference_build).  freqresp's
-# own equivalent_plant calls, those of design_chain, are checked when
-# they happen; the certification screen forms its chain from design.
+# own equivalent_plant calls are checked when they happen; the
+# certification screen forms its chain from design.
 ORACLE_SITES = [(design, "_center_gains"), (design, "_build_loops"),
                 (design, "_interp_loglog_mag"), (design, "cascade_frf"),
                 (design, "equivalent_plant"), (freqresp, "equivalent_plant")]
@@ -1268,7 +1300,7 @@ def test_bisection_build_equals_reference_on_every_call(oracle_runs):
     returned ones, the fixed build; for the README LPV design, the
     scheduled build.  A call for a whole set's loops is held to the
     reference loop by loop.  Every equivalent plant is formed from
-    design, none through freqresp.design_chain.  At the centre, every
+    design, none through freqresp's own calls.  At the centre, every
     step has a loop with no resonance cluster."""
     via_chain = ("lpvslc.freqresp", "equivalent_plant")
     for kind in ("lti", "lpv"):

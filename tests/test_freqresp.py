@@ -24,7 +24,6 @@ from lpvslc.filters import Cascade, Gain, Integrator, Lead, Notch, realize
 from lpvslc.freqresp import (
     FrequencyGrid,
     default_grid,
-    design_chain,
     det_identity_residual,
     equivalent_plant,
     frf,
@@ -40,7 +39,7 @@ from lpvslc.plant import (
     mode_shape_eval,
 )
 
-from certify_reference import reference_certify
+from certify_reference import design_chain, reference_certify
 from freqresp_reference import (
     dense_frf,
     entry_planes,

@@ -229,7 +229,7 @@ def test_size_guard_counts_what_a_run_allocates(design, request):
     tab = sim._run_tables(model, controllers, scan, cfg, None)
     stacked = [k.a.ndim == 3 for k in tab.loops]
     assert all(stacked) if controllers.kind == "lpv" else not any(stacked)
-    arrays = [res.states, tab.b_t, tab.c_t, tab.bs_t,
+    arrays = [res.states, tab.plant.b, tab.plant.c, tab.bs_t,
               tab.w_h,
               res.t, res.p, res.r, res.y, res.e, res.u, res.ma, res.msd]
     arrays += [m for k in tab.loops for m in (k.a, k.b, k.c, k.d)]
