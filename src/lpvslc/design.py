@@ -16,12 +16,12 @@ phase price of every resonance everywhere.  The scheduled procedure
 instead fits each notch's zero damping with a polynomial surface in the
 position, so a resonance that is weakly observable at some position costs
 nothing there.  Both procedures maximize the common crossover frequency by
-bisection subject to the same certification: at every verification-grid
-position the frozen loop chain must be Nyquist stable, the per-loop
-closed-loop sensitivity must stay under the configured peak bound, and
-the determinant identity linking the scalar chain to the full MIMO
-return difference must hold tightly.  A closed-loop eigenvalue check on
-the frozen realizations runs alongside as an independent oracle.
+bisection on the sequential loop closing criterion: at every
+verification-grid position every loop of the frozen chain must be Nyquist
+stable and its closed-loop sensitivity under the configured peak bound.
+The set returned is then certified once in full, which adds two oracles:
+the determinant identity linking the scalar chain to the full MIMO return
+difference, and the closed-loop eigenvalues of the frozen realizations.
 
 Notch auto-placement: resonances are picked as local maxima of the
 mass-normalized accelerance of the equivalent plant, tracked across
@@ -53,6 +53,7 @@ from .errors import (
     DesignInfeasibleError,
     DomainError,
     ModelError,
+    NumericalError,
     integral,
     listof,
     positive,
@@ -763,14 +764,16 @@ def closed_loop_matrix(model: ModalPlantModel, controllers: ControllerSet,
 
     closed_plant, when given, is the plant side at these positions, a
     _ClosedLoopPlant of a set with the same decoupling and state counts
-    (certify's, from the design, shared by every candidate set), and it is
-    not evaluated again.  The stack returned is then its frame, which the
-    next call with it overwrites.
+    (certify's, from the design), and it is not evaluated again.  The
+    stack returned is then its frame, which the next call overwrites.
     """
     controllers.check_plant(model)
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
+    if pts.size == 0:
+        raise DomainError(f"no position to close the loops at in a grid of "
+                          f"shape {pts.shape}")
     plant = (_closed_loop_plant(
         model, controllers.t_u, controllers.t_y,
         [n_states(c) for c in controllers.loops], mode_shape_eval(model, pts),
@@ -829,70 +832,70 @@ def _loop_closures(p_frf, k_frfs, order, bound_db=None):
     return chain, peaks
 
 
-def _certify_position(model: ModalPlantModel, controllers: ControllerSet,
-                      freqs, p, p_frf, k_frfs, chain, peaks,
-                      bound_db=None) -> PointCertification:
-    """Frequency-domain certification of one position from its plant FRF,
-    its frozen loop responses and their _loop_closures.  The eigenvalue
-    fields are left for certify to fill in: eig_stable True, eig_max_real
-    NaN.  The loops' Nyquist checks are one nyquist_stable call on the
-    stack of their responses L_i = chain_i k_i, in loop order, and their
-    margins one margins_and_bandwidth call; the check of loop i gets its
-    exact response L_i(f), evaluated from the model, for the frequencies
-    it adds to the samples.
+def _frozen(model: ModalPlantModel, controllers: ControllerSet, grid, rows,
+            plant_frfs, bound_db=None):
+    """(p, p_frf, k_frfs, chain, peaks) of each of the grid rows on
+    certify's frequencies: the loops frozen in one stacked cascade_frf
+    call, the plant FRFs in one call unless plant_frfs holds them, and each
+    position's _loop_closures, stopped after a loop over bound_db if given."""
+    freqs = _certification_freqs()
+    pts = grid[rows]
+    p_rows = (decoupled_plant_frf(model, pts, freqs, controllers.t_u, controllers.t_y)
+              if plant_frfs is None else [plant_frfs[row] for row in rows])
+    for p, p_frf, *k_frfs in zip(pts, p_rows,
+                                 *controllers.loop_frfs(freqs, pts)):
+        yield (p, p_frf, k_frfs,
+               *_loop_closures(p_frf, k_frfs, controllers.loop_order, bound_db))
 
-    With bound_db given only a verdict is wanted: the Nyquist checks cover
-    the loops up to the first one over bound_db, the margins and the point
-    only those up to the first that is Nyquist unstable or over bound_db,
-    and then det_residual is NaN.  Nothing of chain and peaks past the
-    first loop over bound_db is read, so a _loop_closures walk that
-    stopped there is enough.
-    """
+
+def _nyquist_checks(model: ModalPlantModel, controllers: ControllerSet,
+                    freqs, p, k_frfs, chain):
+    """The loop responses L_i = chain_i k_i of one position, stacked in loop
+    order, and their verdicts from one nyquist_stable call.  For the
+    frequencies it adds, loop i's check evaluates L_i exactly from the
+    model, chain_i from the arguments _loop_closures gives it (the loops
+    before i in the order closed, the rest open) and nothing more."""
     order = controllers.loop_order
-    point = PointCertification(p=(float(p[0]), float(p[1])),
-                               det_residual=float("nan"), eig_stable=True,
-                               eig_max_real=float("nan"), loops=[])
-    checked = []
-    for i in order:
-        checked.append(i)
-        if bound_db is not None and not _within_bound(peaks[i], bound_db):
-            break
 
     def loop_frf(f, i):
         k_f = controllers.loop_frfs(f, p)
         p_f = decoupled_plant_frf(model, p, f, controllers.t_u, controllers.t_y)
-        return _loop_closures(p_f, k_f, order)[0][i] * k_f[i]
+        closed = [k if j in order[:order.index(i)] else 0.0
+                  for j, k in enumerate(k_f)]
+        return equivalent_plant(p_f, closed, i) * k_f[i]
 
-    l_frfs = np.stack([chain[i] * k_frfs[i] for i in checked])
-    verdicts = nyquist_stable(
-        freqs, l_frfs, [lambda f, i=i: loop_frf(f, i) for i in checked],
+    l_frfs = np.stack([chain[i] * k_frfs[i] for i in order])
+    return l_frfs, nyquist_stable(
+        freqs, l_frfs, [lambda f, i=i: loop_frf(f, i) for i in order],
         [2 + sum(isinstance(e, Integrator)
-                 for e in controllers.loops[i].elements) for i in checked])
-    if bound_db is not None:
-        unstable = [n for n, v in enumerate(verdicts) if not v.stable]
-        if unstable:
-            checked = checked[:unstable[0] + 1]
-    margins = margins_and_bandwidth(freqs, l_frfs[:len(checked)])
-    for i, verdict, m in zip(checked, verdicts, margins):
-        point.loops.append(LoopCertification(
-            loop=int(i),
-            nyquist_stable=verdict.stable,
-            encirclements=verdict.encirclements,
-            f_crossover_hz=m.f_crossover_hz,
-            phase_margin_deg=m.phase_margin_deg,
-            gain_margin_db=m.gain_margin_db,
-            sensitivity_peak_db=peaks[i],
-        ))
-    if bound_db is not None and (unstable
-                                 or not point.sensitivity_ok(bound_db)):
-        return point
-    point.det_residual = det_identity_residual(p_frf, k_frfs, chain, order)
-    return point
+                 for e in controllers.loops[i].elements) for i in order])
+
+
+def _certify_position(model: ModalPlantModel, controllers: ControllerSet,
+                      freqs, p, p_frf, k_frfs, chain,
+                      peaks) -> PointCertification:
+    """Frequency-domain certification of one position from its plant FRF,
+    its frozen loop responses and their _loop_closures: the loops'
+    _nyquist_checks, their margins from one margins_and_bandwidth call and
+    the determinant residual.  The eigenvalue fields are left for certify
+    to fill in: eig_stable True, eig_max_real NaN."""
+    order = controllers.loop_order
+    l_frfs, verdicts = _nyquist_checks(model, controllers, freqs, p, k_frfs, chain)
+    loops = [LoopCertification(
+        loop=int(i), nyquist_stable=verdict.stable,
+        encirclements=verdict.encirclements, f_crossover_hz=m.f_crossover_hz,
+        phase_margin_deg=m.phase_margin_deg, gain_margin_db=m.gain_margin_db,
+        sensitivity_peak_db=peaks[i])
+        for i, verdict, m in zip(order, verdicts,
+                                 margins_and_bandwidth(freqs, l_frfs))]
+    return PointCertification(
+        p=(float(p[0]), float(p[1])),
+        det_residual=det_identity_residual(p_frf, k_frfs, chain, order),
+        eig_stable=True, eig_max_real=float("nan"), loops=loops)
 
 
 def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
-            plant_frfs=None, closed_plant=None,
-            _check_first=None) -> CertificationReport:
+            plant_frfs=None, closed_plant=None) -> CertificationReport:
     """Frozen-position stability and sensitivity audit of a controller set
     at a point or an (n, 2) grid.
 
@@ -918,29 +921,11 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
     CERT_TAIL_N-point low tail); they are used instead of evaluating the
     plant again.  closed_plant, when given, is the closed loops' plant
     side at every grid row, a _ClosedLoopPlant whose frame has at least
-    min(len(grid), CERT_CHUNK) rows (the design's, formed once for every
-    candidate set); each chunk's closed_loop_matrix call takes its rows
-    instead of evaluating the plant again.
-
-    _check_first is the design bisection's, which needs only a verdict.
-    Given (possibly empty), the grid rows at those positions come first,
-    CERT_CHUNK at a time, and the rest follow in grid order.  Every position's
-    sensitivity peaks are screened, in that order and each position's in
-    loop order, before any other check; a position's _loop_closures walk
-    stops at its first loop over the bound, so a failing position forms
-    neither the later loops' chain entries nor their closed plants.  The
-    first position over the bound is certified as _certify_position
-    describes with a bound and its point alone is the report.  Otherwise
-    the other checks run in the same order and stop at the first failure
-    the same way; until then the screened loop responses and chains are
-    kept, about six times the frequency count of complex values per
-    position.  A set that passes gets the same report as without
-    _check_first.
+    min(len(grid), CERT_CHUNK) rows; each chunk's closed_loop_matrix call
+    takes its rows instead of evaluating the plant again.
     """
     controllers.check_plant(model)
     freqs = _certification_freqs()
-    bound_db = controllers.sensitivity_bound_db
-    order = controllers.loop_order
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise DomainError(f"no position to certify in a grid of shape "
@@ -958,46 +943,11 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
     if closed_plant is not None and len(closed_plant.b) != len(grid):
         raise DomainError(f"closed-loop plant side of {len(closed_plant.b)} "
                           f"positions for {len(grid)} grid positions")
-    verdict_only = _check_first is not None
-    first = {tuple(q) for q in _check_first} if verdict_only else set()
-    ahead = [r for r, p in enumerate(grid) if tuple(p) in first]
-    rest = [r for r, p in enumerate(grid) if tuple(p) not in first]
-    chunks = [rows[s:s + CERT_CHUNK] for rows in (ahead, rest)
-              for s in range(0, len(rows), CERT_CHUNK)]
-
-    def frozen(chunk):
-        """(row, p, p_frf, k_frfs, chain, peaks) of each row of a chunk."""
-        pts = grid[chunk]
-        p_chunk = (decoupled_plant_frf(model, pts, freqs, controllers.t_u, controllers.t_y)
-                   if plant_frfs is None else [plant_frfs[row] for row in chunk])
-        for row, p, p_frf, *k_frfs in zip(
-                chunk, pts, p_chunk, *controllers.loop_frfs(freqs, pts)):
-            yield (row, p, p_frf, k_frfs,
-                   *_loop_closures(p_frf, k_frfs, order,
-                                   bound_db if verdict_only else None))
-
-    if verdict_only:
-        screened = []
-        for chunk in chunks:
-            positions = []
-            for entry in frozen(chunk):
-                if not all(_within_bound(entry[-1][i], bound_db)
-                           for i in order):
-                    return CertificationReport(bound_db, [_certify_position(
-                        model, controllers, freqs, *entry[1:], bound_db)])
-                positions.append(entry)
-            screened.append(positions)
-    else:
-        screened = map(frozen, chunks)
-    points = [None] * len(grid)
-    for chunk, positions in zip(chunks, screened):
-        for row, *position in positions:
-            points[row] = _certify_position(
-                model, controllers, freqs, *position,
-                bound_db if verdict_only else None)
-            alone = CertificationReport(bound_db, [points[row]])
-            if verdict_only and not alone.passed:
-                return alone
+    points = []
+    for s in range(0, len(grid), CERT_CHUNK):
+        chunk = range(s, min(s + CERT_CHUNK, len(grid)))
+        for position in _frozen(model, controllers, grid, chunk, plant_frfs):
+            points.append(_certify_position(model, controllers, freqs, *position))
         # The chunk's last row holds views of its stacked responses: let
         # them go before the next chunk's are formed.
         del position
@@ -1005,18 +955,65 @@ def certify(model: ModalPlantModel, controllers: ControllerSet, grid, *,
             model, controllers, grid[chunk],
             None if closed_plant is None else closed_plant.take(chunk))).real,
             axis=-1)
-        for row, m in zip(chunk, max_real.tolist()):
-            points[row].eig_max_real, points[row].eig_stable = m, m < 0.0
-            if verdict_only and not points[row].passed:
-                return CertificationReport(bound_db, [points[row]])
-    return CertificationReport(bound_db, points)
+        for point, m in zip(points[s:], max_real.tolist()):
+            point.eig_max_real, point.eig_stable = m, m < 0.0
+    return CertificationReport(controllers.sensitivity_bound_db, points)
+
+
+class _SlcFailure(NamedTuple):
+    """The first failure of the SLC criterion that _slc_verdict meets."""
+
+    p: tuple          # the position
+    loop: int
+    criterion: str    # "sensitivity" or "nyquist"
+    value: float      # the loop's peak in dB, or its encirclements of -1
+    bound: float      # the set's sensitivity bound in dB, or 0
+
+
+def _slc_verdict(model: ModalPlantModel, controllers: ControllerSet, grid,
+                 plant_frfs=None, check_first=()) -> _SlcFailure | None:
+    """The bisection's verdict on a candidate set at the (n, 2) grid: None
+    if at every position each loop of the chain is Nyquist stable and each
+    loop's sensitivity peak within the set's bound, else the first failure.
+    certify's oracles, the determinant residual and the closed-loop
+    eigenvalues, are not computed.  plant_frfs is as certify takes it.
+
+    The rows at the positions in check_first come first, CERT_CHUNK at a
+    time, then the rest in grid order.  Every position's peaks are
+    screened in that order, each position's in loop order, before any
+    Nyquist check; a position's _loop_closures walk stops at its first loop
+    over the bound.  The positions' _nyquist_checks then run in the same
+    order; until then the screened loop responses and chains are kept,
+    about six times the frequency count of complex values per position.
+    """
+    freqs = _certification_freqs()
+    bound_db, order = controllers.sensitivity_bound_db, controllers.loop_order
+    ahead = [r for r, p in enumerate(grid) if tuple(p) in check_first]
+    rest = [r for r in range(len(grid)) if r not in ahead]
+    screened = []
+    for chunk in [rows[s:s + CERT_CHUNK] for rows in (ahead, rest)
+                  for s in range(0, len(rows), CERT_CHUNK)]:
+        for p, _, k_frfs, chain, peaks in _frozen(
+                model, controllers, grid, chunk, plant_frfs, bound_db):
+            for i in order:
+                if not _within_bound(peaks[i], bound_db):
+                    return _SlcFailure((float(p[0]), float(p[1])), i,
+                                       "sensitivity", peaks[i], bound_db)
+            screened.append((p, k_frfs, chain))
+    for p, k_frfs, chain in screened:
+        _, verdicts = _nyquist_checks(model, controllers, freqs, p, k_frfs, chain)
+        for i, verdict in zip(order, verdicts):
+            if not verdict.stable:
+                return _SlcFailure((float(p[0]), float(p[1])), i, "nyquist",
+                                   verdict.encirclements, 0)
+    return None
 
 
 def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     """Shared bandwidth-maximizing bisection for both procedures.
 
-    Each bisection step builds a candidate set and asks certify for a
-    verdict only.  The build reads the plant FRFs only at the samples
+    Each bisection step builds a candidate set and decides on it with
+    _slc_verdict alone.  The build reads the plant FRFs only at the samples
     bracketing f_bw and the cluster frequencies: the gains at the design
     grid's center, the notches from _build_loops over one (n, F_sub, n, n)
     stack.  Once per design, the kind picks that stack's grid (design or
@@ -1025,10 +1022,11 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
     resonance clusters and grid distinctness checks are made once too.
     A scheduled notch's f1, beta2 and f2 are the same everywhere;
     constant_surface fits each such value on the design grid once per
-    design, whichever step and notch first asks for it.  So is the closed
-    loops' plant side on the verification grid, which certify hands to
-    closed_loop_matrix at every step.  Returns the best set and its full
-    certification report.
+    design, whichever step and notch first asks for it.
+
+    Returns the best set and its report from one full certify call.  If
+    that fails, an oracle disagrees with the verdict, a modelling fault
+    bisecting on would hide: NumericalError names the position and oracle.
     """
     design_grid, verify_grid, order = spec.resolve(model)
     freqs = default_grid().freqs_hz
@@ -1100,49 +1098,54 @@ def _design_common(model: ModalPlantModel, spec: DesignSpec, kind: str):
                              sensitivity_bound_db=spec.sensitivity_bound_db,
                              kind=kind)
 
-    # Positions that failed the latest failing step; the next step checks
-    # them first and, like every step, stops at its first failure.
+    # The position that failed the latest failing step; the next step
+    # checks it first and, like every step, stops at its first failure.
     failed_at: list = []
 
-    def feasible(controllers: ControllerSet):
-        report = certify(model, controllers, verify_grid,
-                         plant_frfs=verify_frfs, closed_plant=closed_plant,
-                         _check_first=failed_at)
-        if not report.passed:
-            failed_at[:] = [pt.p for pt in report.points]
-        return report.passed, controllers, report
+    def feasible(controllers: ControllerSet) -> bool:
+        failure = _slc_verdict(model, controllers, verify_grid, verify_frfs,
+                               failed_at)
+        if failure is not None:
+            failed_at[:] = [failure.p]
+        return failure is None
 
     # Bisection over the common crossover frequency.  The cap is tried
     # first: a clean plant should just deliver the request.
     f_hi = float(spec.target_bandwidth_hz)
     f_lo = float(spec.min_bandwidth_hz)
-    first = build(f_hi)
-    # Every candidate has one loop per axis, each with the same blocks and
-    # one notch per cluster, so the state counts of the first: the closed
-    # loops' plant side on the verification grid is formed once, from it.
-    closed_plant = _closed_loop_plant(
-        model, first.t_u, first.t_y, [n_states(c) for c in first.loops],
-        mode_shape_eval(model, verify_grid), min(len(verify_grid), CERT_CHUNK))
-    ok, controllers, report = feasible(first)
-    if ok:
+    best = build(f_hi)
+    if feasible(best):
         log.info("%s design feasible at the %.1f Hz cap", kind, f_hi)
-        return controllers, report
-    ok, best, best_report = feasible(build(f_lo))
-    if not ok:
-        raise DesignInfeasibleError(
-            f"{kind} design infeasible even at {f_lo:.1f} Hz "
-            f"(failing position: {best_report.points[0].p})")
-    for _ in range(spec.bisection_iterations):
-        f_mid = np.sqrt(f_lo * f_hi)
-        ok, cand, cand_report = feasible(build(f_mid))
-        if ok:
-            f_lo, best, best_report = f_mid, cand, cand_report
-        else:
-            f_hi = f_mid
-        if f_hi - f_lo < 1.0:
-            break
-    log.info("%s design achieved %.1f Hz", kind, best.achieved_bandwidth_hz)
-    return best, best_report
+    else:
+        best = build(f_lo)
+        if not feasible(best):
+            raise DesignInfeasibleError(
+                f"{kind} design infeasible even at {f_lo:.1f} Hz "
+                f"(failing position: {failed_at[0]})")
+        for _ in range(spec.bisection_iterations):
+            f_mid = np.sqrt(f_lo * f_hi)
+            cand = build(f_mid)
+            if feasible(cand):
+                f_lo, best = f_mid, cand
+            else:
+                f_hi = f_mid
+            if f_hi - f_lo < 1.0:
+                break
+        log.info("%s design achieved %.1f Hz", kind, best.achieved_bandwidth_hz)
+    report = certify(model, best, verify_grid, plant_frfs=verify_frfs,
+                     closed_plant=_closed_loop_plant(
+                         model, t_u, t_y, [n_states(c) for c in best.loops],
+                         mode_shape_eval(model, verify_grid),
+                         min(len(verify_grid), CERT_CHUNK)))
+    for pt in report.points:
+        for oracle, ok in (("determinant residual",
+                            pt.det_residual <= DET_RESIDUAL_TOL),
+                           ("closed-loop eigenvalues", pt.eig_stable)):
+            if not ok:
+                raise NumericalError(
+                    f"{kind} set at {best.achieved_bandwidth_hz:.1f} Hz passed "
+                    f"the SLC verdict, but its {oracle} fails at {pt.p}")
+    return best, report
 
 
 def design_lti_slc(model: ModalPlantModel, spec: DesignSpec) -> ControllerSet:

@@ -7,6 +7,7 @@ in a module fixture; cheap contract tests build small plants of their own.
 import dataclasses
 import functools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,7 +42,13 @@ from lpvslc.design import (
     _interp_loglog_mag,
     _skew_for,
 )
-from lpvslc.errors import ConfigError, DesignInfeasibleError, DomainError, ModelError
+from lpvslc.errors import (
+    ConfigError,
+    DesignInfeasibleError,
+    DomainError,
+    ModelError,
+    NumericalError,
+)
 from lpvslc.filters import (
     Cascade,
     Gain,
@@ -406,6 +413,85 @@ def test_nyquist_evaluator_is_the_exact_loop_response(benchmark_designs,
             assert np.array_equal(evaluator(freqs), l_frf)
 
 
+@pytest.mark.parametrize("kind", ["lti", "lpv"])
+def test_nyquist_evaluator_forms_only_its_own_chain_entry(benchmark_designs,
+                                                          kind, monkeypatch):
+    """The exact response that the Nyquist check of loop i evaluates at the
+    frequencies it adds forms chain_i from the arguments _loop_closures
+    gives it, in one equivalent_plant call and no other: at (0.10, 0.1125)
+    and at frequencies off certify's samples, for every loop of both
+    README sets, chain_i and L_i have the bytes of _loop_closures' chain
+    entry and of its product with the loop's response."""
+    model, cs = benchmark_designs["model"], benchmark_designs[kind]
+    p = np.array([0.10, 0.1125])
+    evaluators = []
+
+    def recording(freqs, l_frf, evaluator, n_origin_poles):
+        evaluators.extend(evaluator)
+        return nyquist_stable(freqs, l_frf, evaluator, n_origin_poles)
+
+    monkeypatch.setattr(design, "nyquist_stable", recording)
+    certify(model, cs, p)
+    f = np.geomspace(0.013, 21000.0, 29)
+    k_f = cs.loop_frfs(f, p)
+    chain = design._loop_closures(
+        decoupled_plant_frf(model, p, f, cs.t_u, cs.t_y), k_f,
+        cs.loop_order)[0]
+    formed = []
+
+    def forming(*args):
+        formed.append(equivalent_plant(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(design, "equivalent_plant", forming)
+    assert len(evaluators) == len(cs.loop_order)
+    for i, evaluator in zip(cs.loop_order, evaluators):
+        formed.clear()
+        l_f = evaluator(f)
+        assert len(formed) == 1 and formed[0].tobytes() == chain[i].tobytes()
+        assert l_f.tobytes() == (chain[i] * k_f[i]).tobytes()
+
+
+@pytest.mark.parametrize("oracle", ["determinant residual",
+                                    "closed-loop eigenvalues"])
+def test_design_raises_when_an_oracle_disagrees_with_the_verdict(oracle,
+                                                                 monkeypatch):
+    """A returned set whose full report fails an oracle that the SLC
+    verdict does not compute, here by a determinant residual of 1.0 or a
+    positive closed-loop eigenvalue at one position of a 3x3 verification
+    grid, raises NumericalError naming the position and the oracle.  The
+    design reads each oracle once per position, all in its one certify
+    call."""
+    model = benchmark_plant()
+    grid = grid_points(model.workspace, 3, 3)
+    k = 5
+    calls = []
+    if oracle == "determinant residual":
+        real = design.det_identity_residual
+
+        def residual(*args):
+            calls.append(args)
+            return 1.0 if len(calls) == k + 1 else real(*args)
+
+        monkeypatch.setattr(design, "det_identity_residual", residual)
+    else:
+        real = np.linalg.eigvals
+
+        def eigvals(a):
+            calls.append(a)
+            out = real(a)
+            out[k, 0] = 1.0
+            return out
+
+        monkeypatch.setattr(design.np.linalg, "eigvals", eigvals)
+    at = str((float(grid[k][0]), float(grid[k][1])))
+    with pytest.raises(NumericalError,
+                       match=re.escape(f"{oracle} fails at {at}")):
+        design_lti_slc(model, DesignSpec(verification_grid=grid))
+    assert len(calls) == (len(grid) if oracle == "determinant residual"
+                          else 1)
+
+
 def test_certification_verdict_invariant_to_loop_order(benchmark_designs):
     lti = benchmark_designs["lti"]
     reordered = ControllerSet(
@@ -705,6 +791,14 @@ def test_closed_loop_matrix_refuses_a_plant_side_that_does_not_fit(
         certify(model, lti, grid[:3], closed_plant=plant)
 
 
+def test_closed_loop_matrix_refuses_an_empty_grid(benchmark_designs):
+    """A grid with no position raises DomainError naming its shape, as
+    certify does, not numpy's reshape error."""
+    with pytest.raises(DomainError, match=re.escape("shape (0, 2)")):
+        closed_loop_matrix(benchmark_designs["model"],
+                           benchmark_designs["lti"], np.empty((0, 2)))
+
+
 def test_closed_loop_matrix_refuses_a_set_that_does_not_fit(benchmark_designs):
     """The first two loops of the LTI set leave the plant's third axis open."""
     lti = benchmark_designs["lti"]
@@ -887,43 +981,50 @@ def test_scheduled_response_equals_the_frozen_set_at_few_frequencies(
 @pytest.fixture(scope="module", params=["lti", "lpv"])
 def bisection_trace(request):
     """One benchmark design with its center gains, loop builds, surface fits,
-    certify calls and per-position certifications recorded; the bisection
-    a full-report certify drives on the same builds; and, per step, the
-    references on the whole frequency grid: reference_local_designs'
-    (gains, table) and, for LPV, the fit-then-audit pipeline's loops before
-    and after the audit on the 9x9 grid."""
+    SLC verdicts, certify calls and per-position certifications recorded,
+    each call with the counts of _loop_closures and _nyquist_checks calls
+    made by its return; the bisection that full certification reports
+    drive on the same builds; and, per step, the references on the whole
+    frequency grid: reference_local_designs' (gains, table) and, for LPV,
+    the fit-then-audit pipeline's loops before and after the audit on the
+    9x9 grid."""
     kind = request.param
     model = benchmark_plant()
     spec = DesignSpec()
-    names = ("_center_gains", "_build_loops", "fit_surface", "certify",
-             "_certify_position")
-    real = {name: getattr(design, name) for name in names}
+    names = ("_center_gains", "_build_loops", "fit_surface", "_slc_verdict",
+             "certify", "_certify_position")
+    counted = ("_loop_closures", "_nyquist_checks")
+    real = {name: getattr(design, name) for name in names + counted}
     calls = {name: [] for name in names}
+    counts = dict.fromkeys(counted, 0)
 
     def recorder(name):
         def call(*args, **kwargs):
             out = real[name](*args, **kwargs)
-            calls[name].append((args, kwargs, out,
-                                len(calls["_certify_position"])))
+            if name in counted:
+                counts[name] += 1
+            else:
+                calls[name].append((args, kwargs, out, dict(counts)))
             return out
         return call
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in names:
+        for name in names + counted:
             mp.setattr(design, name, recorder(name))
         result = _design_common(model, spec, kind)
 
     full_steps = []
 
-    def full_certify(m, cs, grid, *, plant_frfs=None, closed_plant=None,
-                     _check_first=None):
-        report = real["certify"](m, cs, grid, plant_frfs=plant_frfs,
-                                 closed_plant=closed_plant)
+    def full_verdict(m, cs, grid, plant_frfs=None, check_first=()):
+        report = real["certify"](m, cs, grid, plant_frfs=plant_frfs)
         full_steps.append((cs.achieved_bandwidth_hz, report.passed))
-        return report
+        failing = [pt.p for pt in report.points
+                   if not (pt.passed and pt.sensitivity_ok(report.bound_db))]
+        return design._SlcFailure(failing[0], 0, "", 0.0, 0.0) \
+            if failing else None
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(design, "certify", full_certify)
+        mp.setattr(design, "_slc_verdict", full_verdict)
         full_result = _design_common(model, spec, kind)
 
     freqs = default_grid().freqs_hz
@@ -946,7 +1047,7 @@ def bisection_trace(request):
                                       model.workspace)
         reference.append((gains, table, built, audited))
     return {"kind": kind, "model": model, "spec": spec, "calls": calls,
-            "real_certify": real["certify"], "result": result,
+            "result": result,
             "full_steps": full_steps, "full_result": full_result,
             "p_frfs": p_frfs, "audit_frfs": audit_frfs,
             "reference": reference}
@@ -1082,7 +1183,7 @@ def test_scheduled_build_fits_each_zero_damping_once_on_the_audit_grid(
     if bisection_trace["kind"] == "lti":
         assert not fits
         return
-    n_steps = len(bisection_trace["calls"]["certify"])
+    n_steps = len(bisection_trace["calls"]["_slc_verdict"])
     on_audit = [d for d in fits if len(d.points) == 81]
     constants = [(d.values[0], d.units) for d in fits if len(d.points) == 9]
     assert len(on_audit) == 7 * n_steps
@@ -1117,60 +1218,82 @@ def test_denser_design_grids_design_and_certify(benchmark_designs, n):
     assert certify(model, lpv, benchmark_designs["verify"]).passed
 
 
-def test_early_exit_verdict_equals_full_certification(bisection_trace):
-    """Every bisection step's verdict is certify(...).passed.  A passing
-    step returns the full report and certifies each position once; a
-    failing one stops at its first failing position."""
-    calls = bisection_trace["calls"]
-    real_certify = bisection_trace["real_certify"]
-    n_grid = len(bisection_trace["spec"].resolve(bisection_trace["model"])[1])
-    outcomes = []
-    at = 0
+@pytest.mark.parametrize("name", ["lti", "lpv", "centre"])
+def test_early_exit_verdict_equals_full_certification(name):
+    """The oracles decide no step.  Every bisection step's SLC verdict in
+    the README LTI and LPV designs and in the centre design is
+    certify(...).passed of the full report on the same set.  A failing
+    verdict's first failure is a failing position of that report: the
+    loop it names fails there on its criterion with its value, and every
+    position screened before it is within the sensitivity bound.  A step
+    screens the previous step's failing position first, and some step
+    fails there again having walked that position alone.  The design
+    certifies the set it returns once, in full: the last passing
+    candidate's report, which passes."""
+    kind, spec = VERDICT_DESIGNS[name]
+    model, steps, report = _design_verdict_calls(kind, spec)
+    outcomes = set()
     failed_at = None
-    for args, kwargs, report, done in calls["certify"]:
-        full = real_certify(*args, plant_frfs=kwargs["plant_frfs"],
-                            closed_plant=kwargs["closed_plant"])
-        assert report.passed == full.passed
-        evaluated = done - at
-        at = done
-        if report.passed:
-            assert report.to_dict() == full.to_dict()
-            assert evaluated == n_grid
-            outcomes.append("pass")
+    for cs, grid, plant_frfs, first, failure, walks in steps:
+        full = certify(model, cs, grid, plant_frfs=plant_frfs)
+        assert (failure is None) == full.passed
+        assert first == ([] if failed_at is None else [failed_at])
+        if failure is None:
+            outcomes.add("pass")
+            continue
+        screened = sorted(full.points, key=lambda pt: pt.p not in first)
+        at = [pt.p for pt in screened].index(failure.p)
+        (lc,) = [lc for lc in screened[at].loops if lc.loop == failure.loop]
+        if failure.criterion == "sensitivity":
+            assert all(pt.sensitivity_ok(full.bound_db)
+                       for pt in screened[:at])
+            assert lc.sensitivity_peak_db == failure.value
+            assert failure.bound == full.bound_db
+            assert not design._within_bound(failure.value, failure.bound)
         else:
-            assert len(report.points) == 1 and evaluated <= n_grid
-            assert report.points[0].p in {
-                pt.p for pt in full.points
-                if not pt.passed or not pt.sensitivity_ok(full.bound_db)}
-            # The previous step's failing position is checked first.
-            if report.points[0].p == failed_at:
-                assert evaluated == 1
-                outcomes.append("failed again first")
-            failed_at = report.points[0].p
-    assert {"pass", "failed again first"} <= set(outcomes)
+            assert failure.criterion == "nyquist"
+            assert not lc.nyquist_stable
+            assert (lc.encirclements, 0) == (failure.value, failure.bound)
+        if failure.p == failed_at and walks == 1:
+            outcomes.add("failed again first")
+        failed_at = failure.p
+    assert outcomes == {"pass", "failed again first"}
+    last, grid, plant_frfs = [step[:3] for step in steps
+                              if step[4] is None][-1]
+    assert report.passed
+    assert report.to_dict() == certify(model, last, grid,
+                                       plant_frfs=plant_frfs).to_dict()
 
 
 def test_failing_step_certifies_only_its_failing_point(bisection_trace):
     """The sensitivity screen runs before any other check, so every failing
     step of the benchmark designs, all of which fail on the sensitivity
-    bound, certifies exactly one position: the one its report holds."""
-    positions = bisection_trace["calls"]["_certify_position"]
-    at = 0
+    bound, stops at its failing point: it runs no Nyquist check and
+    certifies no position.  The design's one certify call, after the last
+    step, certifies each verification position once."""
+    calls = bisection_trace["calls"]
+    n_grid = len(bisection_trace["spec"].resolve(bisection_trace["model"])[1])
+    nyquist_checks = 0
     failing = 0
-    for _, _, report, done in bisection_trace["calls"]["certify"]:
-        if not report.passed:
-            assert done - at == 1, report.points[0].p
-            assert positions[done - 1][2] is report.points[0]
+    for _, _, failure, counts in calls["_slc_verdict"]:
+        if failure is not None:
+            assert failure.criterion == "sensitivity"
+            assert counts["_nyquist_checks"] == nyquist_checks
             failing += 1
-        at = done
+        nyquist_checks = counts["_nyquist_checks"]
     assert failing >= 5
+    (_, _, report, _), = calls["certify"]
+    assert len(calls["_certify_position"]) == len(report.points) == n_grid
+    assert all(point is out for point, (_, _, out, _)
+               in zip(report.points, calls["_certify_position"]))
 
 
 def test_bisection_visits_the_reference_bandwidths(bisection_trace):
-    """The early-exit bisection tries the bandwidths a full-report
-    certification drives it through and ends with the same set and report."""
-    got = [(args[1].achieved_bandwidth_hz, report.passed)
-           for args, _, report, _ in bisection_trace["calls"]["certify"]]
+    """The bisection on SLC verdicts tries the bandwidths that full
+    certification reports drive it through and ends with the same set and
+    report."""
+    got = [(args[1].achieved_bandwidth_hz, failure is None)
+           for args, _, failure, _ in bisection_trace["calls"]["_slc_verdict"]]
     assert got == bisection_trace["full_steps"]
     (cs, report), (ref_cs, ref_report) = (bisection_trace["result"],
                                           bisection_trace["full_result"])
@@ -1320,40 +1443,52 @@ def test_centre_step_forms_no_last_loop_closure(oracle_runs):
     """At the workspace centre, where the last loop has no resonance
     cluster, a bisection step makes four cascade_frf calls from design
     (the skeleton, the two earlier loops' closures, one for the three
-    certified loops) and builds from five equivalent plants (three gains,
-    two zero-damping requirements).  Its certification screen forms two
+    screened loops) and builds from five equivalent plants (three gains,
+    two zero-damping requirements).  Its SLC verdict's screen forms two
     more at a step that fails on loop 0's peak (loop 0's chain entry and
     its closed plant), as five of the eleven steps do, and five at a
-    passing step (three chain entries, two sensitivity closures)."""
+    passing step (three chain entries, two sensitivity closures).  The
+    design's one certify call adds one cascade_frf call and five
+    equivalent plants."""
     calls = oracle_runs["lti"]["calls"]
     steps = calls["lpvslc.design", "_center_gains"]
     assert steps == 11
-    assert calls["lpvslc.design", "cascade_frf"] == 4 * steps
+    assert calls["lpvslc.design", "cascade_frf"] == 4 * steps + 1
     assert calls["lpvslc.design", "equivalent_plant"] \
-        == 5 * steps + 2 * 5 + 5 * 6
+        == 5 * steps + 2 * 5 + 5 * 6 + 5
 
 
-def _design_certify_calls(kind, spec):
-    """(model, [(controllers, grid, kwargs, report)]) of every certify call
-    _design_common(model, spec, kind) makes, kwargs as at the call."""
+def _design_verdict_calls(kind, spec):
+    """(model, steps, report) of _design_common(model, spec, kind): per
+    _slc_verdict call, (controllers, grid, plant_frfs, check_first,
+    failure, walks), check_first as at the call and walks the
+    _loop_closures calls it made; and the design's report."""
     model = benchmark_plant()
-    steps = []
+    real_verdict, real_walk = design._slc_verdict, design._loop_closures
+    steps, walks = [], [0]
 
-    def recording(m, cs, grid, **kwargs):
-        kwargs = dict(kwargs, _check_first=list(kwargs["_check_first"]))
-        report = certify(m, cs, grid, **kwargs)
-        steps.append((cs, grid, kwargs, report))
-        return report
+    def walk(*args):
+        walks[0] += 1
+        return real_walk(*args)
+
+    def recording(m, cs, grid, plant_frfs=None, check_first=()):
+        first, walks[0] = list(check_first), 0
+        failure = real_verdict(m, cs, grid, plant_frfs, first)
+        steps.append((cs, grid, plant_frfs, first, failure, walks[0]))
+        return failure
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(design, "certify", recording)
-        _design_common(model, spec, kind)
-    return model, steps
+        mp.setattr(design, "_slc_verdict", recording)
+        mp.setattr(design, "_loop_closures", walk)
+        _, report = _design_common(model, spec, kind)
+    return model, steps, report
 
 
-def _screened_certify(model, cs, grid, kwargs, loop_closures):
-    """certify with design._loop_closures replaced by loop_closures: its
-    report, and the equivalent plants each screen walk formed."""
+def _screened_verdict(model, step, loop_closures):
+    """_slc_verdict on a step _design_verdict_calls recorded, with
+    design._loop_closures replaced by loop_closures: its first failure, and
+    the equivalent plants each screen walk formed."""
+    cs, grid, plant_frfs, first = step[:4]
     plants, walks = [0], []
 
     def counted(fn):
@@ -1373,7 +1508,7 @@ def _screened_certify(model, cs, grid, kwargs, loop_closures):
             mp.setattr(module, "equivalent_plant",
                        counted(module.equivalent_plant))
         mp.setattr(design, "_loop_closures", walk)
-        return certify(model, cs, grid, **kwargs), walks
+        return design._slc_verdict(model, cs, grid, plant_frfs, first), walks
 
 
 def _reference_screen(p_frf, k_frfs, order, bound_db=None):
@@ -1381,6 +1516,8 @@ def _reference_screen(p_frf, k_frfs, order, bound_db=None):
 
 
 CENTRE_SPEC = dict(design_grid=[(0.1, 0.1)], verification_grid=[(0.1, 0.1)])
+VERDICT_DESIGNS = {"lti": ("lti", DesignSpec()), "lpv": ("lpv", DesignSpec()),
+                   "centre": ("lti", DesignSpec(**CENTRE_SPEC))}
 
 
 @pytest.mark.parametrize("kind, spec", [
@@ -1389,29 +1526,29 @@ CENTRE_SPEC = dict(design_grid=[(0.1, 0.1)], verification_grid=[(0.1, 0.1)])
     ("lti", DesignSpec()), ("lpv", DesignSpec())],
     ids=["centre", "centre-order-120", "readme-lti", "readme-lpv"])
 def test_loop_ordered_screen_gives_the_reference_screen_reports(kind, spec):
-    """Every bisection step's report, from a screen that walks the loop
-    order and stops at the first loop over the bound, is the report of
-    the screen that formed the whole chain and every peak, whose walks
+    """Every bisection step's SLC verdict, from a screen that walks the
+    loop order and stops at the first loop over the bound, is the verdict
+    of the screen that formed the whole chain and every peak, whose walks
     each form five equivalent plants.  A walk that passes forms five too.
     Every failing step of these designs fails on a sensitivity peak, and
-    its last walk stops at the loop its report ends with: the j-th of the
+    its last walk stops at the loop its verdict names: the j-th of the
     order forms j chain entries and, unless it is the last, j closed
     plants.  With loop order (1, 2, 0) the centre's first steps fail on
     loop 1, before loop 0 is reached."""
-    model, steps = _design_certify_calls(kind, spec)
-    for cs, grid, kwargs, report in steps:
-        got, walks = _screened_certify(model, cs, grid, kwargs,
-                                       design._loop_closures)
-        want, ref_walks = _screened_certify(model, cs, grid, kwargs,
-                                            _reference_screen)
-        assert json.dumps(got.to_dict()) == json.dumps(report.to_dict())
-        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    model, steps, _ = _design_verdict_calls(kind, spec)
+    for step in steps:
+        got, walks = _screened_verdict(model, step, design._loop_closures)
+        want, ref_walks = _screened_verdict(model, step, _reference_screen)
+        assert got == step[4] == want
         assert len(walks) == len(ref_walks) and set(ref_walks) == {5}
         assert walks[:-1] == [5] * (len(walks) - 1)
-        order = cs.loop_order
-        j = 1 + (order.index(got.points[0].loops[-1].loop)
-                 if not got.passed else len(order) - 1)
+        order = step[0].loop_order
+        assert got is None or got.criterion == "sensitivity"
+        j = 1 + (order.index(got.loop) if got is not None
+                 else len(order) - 1)
         assert walks[-1] == 2 * j - (j == len(order))
+    if spec.loop_order == (1, 2, 0):
+        assert steps[0][4].loop == 1
 
 
 def test_failing_centre_step_screens_two_equivalent_plants():
@@ -1419,16 +1556,15 @@ def test_failing_centre_step_screens_two_equivalent_plants():
     each on loop 0's sensitivity peak.  Each such step's screen forms two
     equivalent plants, loop 0's chain entry and its closed plant, where
     the whole-chain screen formed five."""
-    model, steps = _design_certify_calls("lti", DesignSpec(**CENTRE_SPEC))
+    model, steps, _ = _design_verdict_calls("lti", DesignSpec(**CENTRE_SPEC))
     assert len(steps) == 11
     failing = 0
-    for cs, grid, kwargs, report in steps:
-        walks = _screened_certify(model, cs, grid, kwargs,
-                                  design._loop_closures)[1]
-        ref_walks = _screened_certify(model, cs, grid, kwargs,
-                                      _reference_screen)[1]
-        if not report.passed:
-            assert [lc.loop for lc in report.points[0].loops] == [0]
+    for step in steps:
+        walks = _screened_verdict(model, step, design._loop_closures)[1]
+        ref_walks = _screened_verdict(model, step, _reference_screen)[1]
+        failure = step[4]
+        if failure is not None:
+            assert (failure.loop, failure.criterion) == (0, "sensitivity")
             assert (walks, ref_walks) == ([2], [5])
             failing += 1
     assert failing == 5

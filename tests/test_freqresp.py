@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lpvslc import design
 from lpvslc.design import (
     AUDIT_GRID_N,
     CERT_TAIL_N,
@@ -505,14 +506,15 @@ def test_stacked_checks_equal_one_call_per_loop():
              want.gain_margin_db]).tobytes()
 
 
-def test_verdict_report_stops_at_a_failing_second_loop():
+def test_verdict_report_stops_at_a_failing_second_loop(monkeypatch):
     """Positions whose second loop in the order fails, the centre design
     with loop order (1, 0, 2): over a 4 dB bound (loop 0's peak is 5.96
     dB, the others' under 3.5 dB), and Nyquist unstable with loop 0's gain
-    negated, every peak under the 6 dB bound.  certify's verdict holds the
-    first two loops, each equal to the one-position reference's, and no
-    determinant residual; the full report, the reference's, holds all
-    three."""
+    negated, every peak under the 6 dB bound.  The full report, the
+    one-position reference's, holds all three loops.  The design's SLC
+    verdict names loop 0 and the criterion it fails, with the report's
+    value for it, and computes neither the determinant residual, the
+    margins nor the closed-loop matrix."""
     model = benchmark_plant()
     point = [(0.1, 0.1)]
     cs = design_lti_slc(model, DesignSpec(design_grid=point,
@@ -527,13 +529,19 @@ def test_verdict_report_stops_at_a_failing_second_loop():
         reference = reference_certify(model, bad, point)
         assert full.to_dict() == reference.to_dict()
         assert len(full.points[0].loops) == 3 and not full.passed
-        verdict = certify(model, bad, point, _check_first=[])
-        (pt,) = verdict.points
-        assert pt.loops == reference.points[0].loops[:2]
-        assert [lc.loop for lc in pt.loops] == [1, 0]
-        assert pt.loops[1].nyquist_stable is not unstable
-        assert pt.sensitivity_ok(bound) is unstable
-        assert np.isnan(pt.det_residual) and not verdict.passed
+        loop_0 = full.points[0].loops[1]
+        assert loop_0.loop == 0
+        with monkeypatch.context() as mp:
+            for name in ("det_identity_residual", "margins_and_bandwidth",
+                         "closed_loop_matrix"):
+                mp.setattr(design, name, None)
+            failure = design._slc_verdict(model, bad, np.array(point))
+        want = ((0.1, 0.1), 0, "nyquist", loop_0.encirclements, 0) \
+            if unstable else ((0.1, 0.1), 0, "sensitivity",
+                              loop_0.sensitivity_peak_db, bound)
+        assert failure == want
+        assert loop_0.nyquist_stable is not unstable
+        assert full.points[0].sensitivity_ok(bound) is unstable
 
 
 def assert_unwrap_equals_numpy(phase):

@@ -13,10 +13,11 @@ sets once, then times, each REPEATS times after one untimed call:
 
 and prints the fastest and median wall time of each.  The centre design
 is also split by bisection step, over the same timed runs: the time a
-step spends in certify, and the time it spends building its candidate,
-from the return of the previous step's certify call to its own (the
-first step, whose interval also holds the design's one-time set-up, is
-left out).  The host's speed
+step spends in its SLC verdict (design._slc_verdict), and the time it
+spends building its candidate, from the return of the previous step's
+verdict to its own (the first step, whose interval also holds the
+design's one-time set-up, is left out); and the time of the design's one
+full certify of the set it returns.  The host's speed
 drifts, so compare two trees by running this in each in turn, several
 rounds, rather than once each.  Standard library and lpvslc only.
 
@@ -62,33 +63,43 @@ def timed(label: str, call, repeats: int) -> None:
 
 
 def steps_timed(label: str, call, repeats: int) -> None:
-    """timed, then the bisection steps of the timed calls split into the
-    time in design.certify and the time building each candidate."""
-    real = design.certify
-    designs = []   # per call, (start, end) of each of its certify calls
+    """timed, then the timed calls split into the time of each bisection
+    step's verdict, the time building each candidate and the time of the
+    final certify."""
+    real = {name: getattr(design, name) for name in ("_slc_verdict", "certify")}
+    designs = []   # per call, (start, end) of each of its verdict calls
+    finals = []    # per call, the time of its certify call
+
+    def verdict_timed(*args, **kwargs):
+        start = perf_counter()
+        try:
+            return real["_slc_verdict"](*args, **kwargs)
+        finally:
+            designs[-1].append((start, perf_counter()))
 
     def certify_timed(*args, **kwargs):
         start = perf_counter()
         try:
-            return real(*args, **kwargs)
+            return real["certify"](*args, **kwargs)
         finally:
-            designs[-1].append((start, perf_counter()))
+            finals.append(perf_counter() - start)
 
     def run():
         designs.append([])
         call()
 
-    design.certify = certify_timed
+    design._slc_verdict, design.certify = verdict_timed, certify_timed
     try:
         timed(label, run, repeats)
     finally:
-        design.certify = real
+        design._slc_verdict, design.certify = real.values()
     steps = designs[1:]   # the untimed call left out
     report("  per step: build", [start - end for marks in steps
                                  for (_, end), (start, _)
                                  in zip(marks, marks[1:])], "steps")
-    report("  per step: certify", [end - start for marks in steps
+    report("  per step: verdict", [end - start for marks in steps
                                    for start, end in marks], "steps")
+    report("  final certify", finals[1:], "runs")
 
 
 if __name__ == "__main__":
